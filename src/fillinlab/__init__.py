@@ -13,6 +13,7 @@ from .chordal import (
     check_hole,
     check_peo,
     elimination_fill,
+    elimination_fill_codes,
     find_hole,
     is_chordal,
     is_split,
@@ -28,6 +29,7 @@ from .matrix import (
     load_matrix_market,
     save_matrix_market,
     symbolic_factor,
+    symbolic_fill_codes,
 )
 from .reduction import (
     Coloring,

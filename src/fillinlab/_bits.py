@@ -9,6 +9,9 @@ import numpy as np
 
 WORD = 64
 
+#: Bytes of boolean matrix that whole-matrix scans unpack at a time.
+UNPACK_BLOCK_BYTES = 1 << 24
+
 _U1 = np.uint64(1)
 _U63 = np.uint64(63)
 
@@ -60,6 +63,12 @@ def clear_diagonal(rows: np.ndarray, idx) -> None:
     """Clear bit v of row v for every v in idx (in place)."""
     idx = np.asarray(idx, dtype=np.int64)
     rows[idx, idx >> 6] &= ~(_U1 << (idx.astype(np.uint64) & _U63))
+
+
+def diagonal(rows: np.ndarray) -> np.ndarray:
+    """Bit v of row v, for every row v, as a boolean vector."""
+    v = np.arange(rows.shape[0], dtype=np.int64)
+    return ((rows[v, v >> 6] >> (v.astype(np.uint64) & _U63)) & _U1).astype(bool)
 
 
 def popcount_rows(rows: np.ndarray) -> np.ndarray:

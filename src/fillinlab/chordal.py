@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _bits
 from .errors import CounterexampleError, GraphInputError
-from .graph import EdgePair, Graph
+from .graph import EdgePair, Graph, pairs_from_codes
 
 
 @dataclass(frozen=True)
@@ -277,31 +277,45 @@ def is_split(graph: Graph):
 # -- elimination game ----------------------------------------------------------
 
 
-def _eliminate_vertex(rows: np.ndarray, alive: np.ndarray, v: int, n: int) -> None:
-    """Clique the still-alive neighborhood of v and retire v (in place)."""
+def _eliminate_vertex(rows: np.ndarray, alive: np.ndarray, v: int, n: int) -> np.ndarray:
+    """Clique the still-alive neighborhood of v and retire v (in place).
+
+    Returns that neighborhood, the only rows whose alive part changed.
+    """
     nbr = rows[v] & alive
     idx = _bits.indices(nbr, n)
     if idx.size >= 2:
         rows[idx] |= nbr
         _bits.clear_diagonal(rows, idx)
     _bits.clear_bit(alive, v)
+    return idx
+
+
+def _fill_codes(original: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Sorted codes ``u * n + w`` (u < w) of the pairs set in rows but not in original."""
+    diff = rows & ~original
+    touched = np.flatnonzero(diff.any(axis=1))
+    block = max(1, _bits.UNPACK_BLOCK_BYTES // max(n, 1))
+    out = [np.empty(0, dtype=np.int64)]
+    for s in range(0, touched.size, block):
+        us = touched[s : s + block]
+        r, w = np.nonzero(_bits.unpack(diff[us], n))
+        u = us[r]
+        upper = w > u
+        out.append(u[upper] * n + w[upper])
+    return np.concatenate(out)
 
 
 def _collect_fill(original: np.ndarray, rows: np.ndarray, n: int) -> frozenset[EdgePair]:
-    diff = rows & ~original
-    out = []
-    for u in range(n):
-        later = _bits.indices(diff[u], n)
-        out.extend((u, int(w)) for w in later[later > u])
-    return frozenset(out)
+    return pairs_from_codes(_fill_codes(original, rows, n), n)
 
 
-def elimination_fill(graph: Graph, order) -> frozenset[EdgePair]:
-    """Fill produced by eliminating vertices in the given order.
+def elimination_fill_codes(graph: Graph, order) -> np.ndarray:
+    """Fill of the elimination game as sorted codes ``u * n + w`` with u < w.
 
     At each step the missing edges among the current vertex's not-yet
-    eliminated neighbors are added, then the vertex is removed; the union of
-    all added pairs is returned.  Empty exactly when the order is a PEO.
+    eliminated neighbors are added, then the vertex is removed; the codes of
+    all added pairs are returned.  Empty exactly when the order is a PEO.
     """
     arr = _validate_permutation(graph.n, order)
     n = graph.n
@@ -310,7 +324,15 @@ def elimination_fill(graph: Graph, order) -> frozenset[EdgePair]:
     alive = _bits.range_mask(n, 0, n)
     for v in arr:
         _eliminate_vertex(rows, alive, int(v), n)
-    return _collect_fill(original, rows, n)
+    return _fill_codes(original, rows, n)
+
+
+def elimination_fill(graph: Graph, order) -> frozenset[EdgePair]:
+    """Fill produced by eliminating vertices in the given order, as a set of pairs.
+
+    The set form of ``elimination_fill_codes``.
+    """
+    return pairs_from_codes(elimination_fill_codes(graph, order), graph.n)
 
 
 # -- fill-in validation ---------------------------------------------------------

@@ -32,6 +32,11 @@ def _norm_pair(u, v) -> EdgePair:
     return (u, v) if u < v else (v, u)
 
 
+def pairs_from_codes(codes: np.ndarray, n: int) -> frozenset[EdgePair]:
+    """Decode pair codes ``u * n + v`` into a set of ``(u, v)`` tuples."""
+    return frozenset(zip((codes // n).tolist(), (codes % n).tolist()))
+
+
 def normalize_edges(vertex_count: int, edges: Iterable) -> list[EdgePair]:
     """Validate and canonicalize an edge iterable: in-range, no loops, u < v, sorted, deduped."""
     seen = set()
@@ -45,6 +50,26 @@ def normalize_edges(vertex_count: int, edges: Iterable) -> list[EdgePair]:
             )
         seen.add(_norm_pair(u, v))
     return sorted(seen)
+
+
+def _is_symmetric(rows: np.ndarray, n: int) -> bool:
+    """Bit (u, v) equals bit (v, u) for all u, v, unpacking one block of rows at a time.
+
+    The block of rows lo..hi (a whole number of words) is compared, from
+    column lo on, with the block of columns lo..hi from row lo on; the last
+    block is square and compared with its own transpose.  Every bit is
+    unpacked about once.
+    """
+    nw = rows.shape[1]
+    words = max(1, _bits.UNPACK_BLOCK_BYTES // (_bits.WORD * max(n, 1)))
+    for w0 in range(0, nw, words):
+        w1 = min(w0 + words, nw)
+        lo, hi = w0 * _bits.WORD, min(w1 * _bits.WORD, n)
+        top = _bits.unpack(rows[lo:hi, w0:], n - lo)
+        left = top if hi == n else _bits.unpack(rows[lo:, w0:w1], hi - lo)
+        if not np.array_equal(top, left.T):
+            return False
+    return True
 
 
 class Graph:
@@ -104,20 +129,18 @@ class Graph:
     def from_packed_rows(cls, rows: np.ndarray, vertex_count: int) -> "Graph":
         """Adopt a packed adjacency bit matrix (dense mode).
 
-        The matrix must be symmetric with an empty diagonal; this is verified
-        outright for small graphs and by sampling beyond 4096 vertices.
+        The matrix must be symmetric with an empty diagonal; both are verified
+        at every size, the symmetry one block of rows against the matching
+        block of columns at a time.
         """
         rows = np.ascontiguousarray(rows, dtype=np.uint64)
         if rows.shape != (vertex_count, _bits.nwords(vertex_count)):
             raise GraphInputError("packed row shape does not match vertex_count")
-        check = range(vertex_count) if vertex_count <= 4096 else range(0, vertex_count, 97)
-        for v in check:
-            if _bits.test_bit(rows[v], v):
-                raise GraphInputError(f"diagonal bit set at vertex {v}")
-        if vertex_count <= 4096:
-            dense = _bits.unpack(rows, vertex_count)
-            if not (dense == dense.T).all():
-                raise GraphInputError("packed adjacency is not symmetric")
+        diag = np.flatnonzero(_bits.diagonal(rows))
+        if diag.size:
+            raise GraphInputError(f"diagonal bit set at vertex {int(diag[0])}")
+        if not _is_symmetric(rows, vertex_count):
+            raise GraphInputError("packed adjacency is not symmetric")
         g = cls._new()
         g.n = vertex_count
         g.m = int(_bits.popcount_rows(rows).sum()) // 2

@@ -2,23 +2,26 @@
 
 Only structure is modeled: a pattern is the set of strict upper-triangle
 positions of an n-by-n symmetric matrix, with the diagonal assumed
-structurally nonzero.  Symbolic factorization simulates Gaussian elimination
-on a boolean matrix under a pivot ordering-- deliberately a separate
+structurally nonzero.  Symbolic factorization merges column structures up
+the elimination tree of the permuted matrix (Liu 1990), in memory
+proportional to the nonzeros of the factor-- deliberately a separate
 implementation from the graph elimination game, so the two can cross-check
-each other position for position.  Numerical cancellation is ignored
-throughout.
+each other position for position.  Fill positions travel as sorted int64
+codes ``i * n + j`` (``i < j``, original row ids).  Numerical cancellation is
+ignored throughout.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .chordal import elimination_fill
+from .chordal import elimination_fill_codes
 from .errors import GraphInputError
-from .graph import Graph
+from .graph import Graph, pairs_from_codes
 
 Position = tuple[int, int]
 
@@ -81,13 +84,23 @@ def arrow_pattern(n: int) -> SparsePattern:
     return SparsePattern(n, frozenset((0, j) for j in range(1, n)))
 
 
-def symbolic_factor(pattern: SparsePattern, ordering) -> tuple[frozenset[Position], int]:
-    """Simulate symmetric Gaussian elimination under the pivot ordering.
+def _position_array(pattern: SparsePattern) -> np.ndarray:
+    """The stored positions as an (m, 2) int64 array, in set order."""
+    m = len(pattern.positions)
+    flat = np.fromiter(chain.from_iterable(pattern.positions), dtype=np.int64, count=2 * m)
+    return flat.reshape(m, 2)
 
-    Returns (fill positions, total nonzeros of the factorized pattern).  Fill
-    positions are reported in original row ids, strict upper triangle; the
-    total counts both symmetric off-diagonal copies plus the n diagonal
-    entries.
+
+def symbolic_fill_codes(pattern: SparsePattern, ordering) -> tuple[np.ndarray, int]:
+    """Symbolic symmetric factorization under the pivot ordering.
+
+    Column k of the factor (in pivot order) holds the column's own lower
+    entries plus, for every elimination-tree child c, the structure of c
+    minus k itself; the parent of a column is its smallest entry.  Returns
+    (fill codes, total nonzeros of the factorized pattern): the codes are
+    ``i * n + j`` for each fill position in original row ids with ``i < j``,
+    sorted; the total counts both symmetric off-diagonal copies plus the n
+    diagonal entries.
     """
     n = pattern.n
     order = np.asarray(list(ordering), dtype=np.int64)
@@ -95,23 +108,37 @@ def symbolic_factor(pattern: SparsePattern, ordering) -> tuple[frozenset[Positio
         raise GraphInputError("ordering is not a permutation of 0..n-1")
     step = np.empty(n, dtype=np.int64)
     step[order] = np.arange(n)
-    B = np.zeros((n, n), dtype=bool)
-    for i, j in pattern.positions:
-        B[step[i], step[j]] = True
-        B[step[j], step[i]] = True
-    initial = B.copy()
+    pairs = _position_array(pattern)
+    a, b = step[pairs[:, 0]], step[pairs[:, 1]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    by_col = np.lexsort((hi, lo))
+    own = hi[by_col]
+    starts = np.searchsorted(lo[by_col], np.arange(n + 1))
+    children: list[list[np.ndarray]] = [[] for _ in range(n)]
+    columns = []
     for k in range(n):
-        idx = np.nonzero(B[k, k + 1 :])[0] + k + 1
-        if idx.size >= 2:
-            B[np.ix_(idx, idx)] = True
-            B[idx, idx] = False
-    fill = set()
-    added = B & ~initial
-    for a, b in zip(*np.nonzero(np.triu(added, 1))):
-        i, j = int(order[a]), int(order[b])
-        fill.add((i, j) if i < j else (j, i))
-    upper_total = int(np.triu(B, 1).sum())
-    return frozenset(fill), 2 * upper_total + n
+        col = own[starts[k] : starts[k + 1]]
+        if children[k]:
+            col = np.unique(np.concatenate([col, *children[k]]))
+        if col.size:
+            children[col[0]].append(col[1:])
+        columns.append(col)
+    sizes = np.fromiter(map(len, columns), dtype=np.int64, count=n)
+    a = order[np.repeat(np.arange(n), sizes)]
+    b = order[np.concatenate(columns)] if columns else a
+    factor = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    original = pairs[:, 0] * n + pairs[:, 1]
+    fill = np.setdiff1d(factor, original, assume_unique=True)
+    return fill, 2 * int(factor.size) + n
+
+
+def symbolic_factor(pattern: SparsePattern, ordering) -> tuple[frozenset[Position], int]:
+    """Fill positions (original row ids, strict upper triangle) and total nonzeros.
+
+    The set form of ``symbolic_fill_codes``.
+    """
+    codes, total = symbolic_fill_codes(pattern, ordering)
+    return pairs_from_codes(codes, pattern.n), total
 
 
 def fill_equivalence_check(pattern: SparsePattern, ordering) -> bool:
@@ -120,9 +147,10 @@ def fill_equivalence_check(pattern: SparsePattern, ordering) -> bool:
     The two sides are independent implementations; disagreement is treated
     as a hard failure by the verification suites.
     """
-    matrix_fill, _ = symbolic_factor(pattern, ordering)
-    graph_fill = elimination_fill(graph_from_pattern(pattern), ordering)
-    return matrix_fill == graph_fill
+    order = list(ordering)
+    matrix_fill, _ = symbolic_fill_codes(pattern, order)
+    graph_fill = elimination_fill_codes(graph_from_pattern(pattern), order)
+    return bool(np.array_equal(matrix_fill, graph_fill))
 
 
 # -- Matrix Market coordinate I/O ------------------------------------------------

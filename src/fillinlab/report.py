@@ -30,6 +30,8 @@ def _num_to_json(x):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, (bool, int, str)) or x is None:
         return x
+    if isinstance(x, (list, tuple)):
+        return [_num_to_json(v) for v in x]
     return str(x)
 
 

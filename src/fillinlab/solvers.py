@@ -310,34 +310,43 @@ def exact_fillin_branch(
 # -- greedy elimination heuristics -------------------------------------------------
 
 
-def _greedy_game(graph: Graph, strategy: str):
-    """Run the elimination game under a greedy vertex choice; ties pick the smallest id."""
+def _greedy_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
+    """Run the elimination game under a greedy vertex choice; ties pick the smallest id.
+
+    Returns (ordering, rows after the game).  Min-degree keeps a degree array
+    and, after each elimination, recounts only the eliminated vertex's
+    neighbors: no other alive row changes.
+    """
     if strategy not in GREEDY_STRATEGIES:
         raise GraphInputError(
             f"unknown strategy {strategy!r}; expected one of {GREEDY_STRATEGIES}"
         )
     n = graph.n
-    original = graph.packed_rows()
-    rows = original.copy()
+    rows = graph.packed_rows().copy()
     alive = _bits.range_mask(n, 0, n)
-    alive_bool = np.ones(n, dtype=bool)
     order = np.empty(n, dtype=np.int64)
+    if strategy == "min-degree":
+        deg = _bits.popcount_rows(rows)
+        for step in range(n):
+            v = int(np.argmin(deg))  # first minimum = smallest id
+            order[step] = v
+            idx = _eliminate_vertex(rows, alive, v, n)
+            deg[idx] = _bits.popcount_rows(rows[idx] & alive)
+            deg[v] = n  # above every alive degree: never re-selected
+        return order, rows
+    alive_bool = np.ones(n, dtype=bool)
     for step in range(n):
         live = np.nonzero(alive_bool)[0]
-        if strategy == "min-degree":
-            deg = _bits.popcount_rows(rows[live] & alive)
-            v = int(live[np.argmin(deg)])
-        else:
-            sub = _bits.unpack(rows[live] & alive, n)[:, live]
-            deg = sub.sum(axis=1, dtype=np.int64)
-            f = sub.astype(np.float32)
-            common = ((f @ f) * f).sum(axis=1, dtype=np.float64)
-            fill_count = deg * (deg - 1) // 2 - (common / 2).astype(np.int64)
-            v = int(live[np.argmin(fill_count)])
+        sub = _bits.unpack(rows[live] & alive, n)[:, live]
+        deg = sub.sum(axis=1, dtype=np.int64)
+        f = sub.astype(np.float32)
+        common = ((f @ f) * f).sum(axis=1, dtype=np.float64)
+        fill_count = deg * (deg - 1) // 2 - (common / 2).astype(np.int64)
+        v = int(live[np.argmin(fill_count)])
         order[step] = v
         _eliminate_vertex(rows, alive, v, n)
         alive_bool[v] = False
-    return order, _collect_fill(original, rows, n)
+    return order, rows
 
 
 def greedy_ordering(graph: Graph, strategy: str) -> np.ndarray:
@@ -352,4 +361,4 @@ def greedy_minfill_heuristic(graph: Graph, strategy: str) -> frozenset[EdgePair]
     the vertex whose elimination adds the fewest edges right now.  The result
     is always a valid fill-in.
     """
-    return _greedy_game(graph, strategy)[1]
+    return _collect_fill(graph.packed_rows(), _greedy_game(graph, strategy)[1], graph.n)

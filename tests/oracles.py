@@ -96,6 +96,27 @@ def elimination_fill_brute(n, edges, order):
     return fill
 
 
+def min_degree_ordering_brute(n, edges):
+    """Min-degree elimination order by a full rescan of every live vertex per step.
+
+    Ties go to the smallest id; degrees count live neighbors only.
+    """
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    remaining = set(range(n))
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda w: (len(adj[w] & remaining), w))
+        nbrs = adj[v] & remaining
+        for a in nbrs:
+            adj[a] |= nbrs - {a}
+        remaining.discard(v)
+        order.append(v)
+    return order
+
+
 def min_fill_brute(n, edges):
     """Minimum fill size over every elimination ordering (n <= 8 or so)."""
     best = None

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fillinlab import _bits
 from fillinlab.chordal import (
     HoleCertificate,
     PeoCertificate,
@@ -172,6 +173,16 @@ class TestEliminationFill:
         for _ in range(80):
             n = int(rng.integers(2, 9))
             g = random_graph(rng, n)
+            order = rng.permutation(n).tolist()
+            assert elimination_fill(g, order) == elimination_fill_brute(
+                n, edge_set(g), order
+            )
+
+    def test_matches_brute_game_collecting_fill_in_row_blocks(self, rng, monkeypatch):
+        monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", 64)  # one or two rows per block
+        for _ in range(40):
+            n = int(rng.integers(2, 40))
+            g = random_graph(rng, n, float(rng.uniform(0.05, 0.5)))
             order = rng.permutation(n).tolist()
             assert elimination_fill(g, order) == elimination_fill_brute(
                 n, edge_set(g), order

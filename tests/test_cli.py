@@ -173,6 +173,17 @@ class TestEliminate:
         assert run(["eliminate", str(src), "--ordering", "0,1,2,3,4,5", "--out", str(rep)]) == 0
         assert json.loads(rep.read_text())["outputs"]["fill_size"] == 10
 
+    def test_ordering_is_a_json_list(self, tmp_path, graphs):
+        from fillinlab.solvers import greedy_ordering
+
+        src = tmp_path / "petersen.col"
+        save_dimacs(graphs["petersen"], src)
+        rep = tmp_path / "rep.json"
+        assert run(["eliminate", str(src), "--strategy", "min-degree", "--out", str(rep)]) == 0
+        with open(rep) as fh:
+            ordering = json.load(fh)["outputs"]["ordering"]
+        assert ordering == greedy_ordering(graphs["petersen"], "min-degree").tolist()
+
 
 class TestReportRecheck:
     def test_ok(self, c4_file, tmp_path):

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fillinlab import _bits
 from fillinlab.errors import GraphInputError
 from fillinlab.graph import (
     Graph,
@@ -163,6 +165,46 @@ def test_dense_mode_threshold():
     sparse = Graph.build(100, [(0, 1)])
     assert not sparse.is_dense_mode
     assert sparse.has_edge(1, 0) and not sparse.has_edge(2, 3)
+
+
+class TestFromPackedRows:
+    N = 4100  # two blocks of rows in the symmetry check
+
+    def test_accepts_symmetric_large(self):
+        rows = _bits.zero_rows(self.N, self.N)
+        _bits.set_bit(rows[0], self.N - 1)
+        _bits.set_bit(rows[self.N - 1], 0)
+        assert Graph.from_packed_rows(rows, self.N).m == 1
+
+    def test_rejects_asymmetric_large(self):
+        rows = _bits.zero_rows(self.N, self.N)
+        _bits.set_bit(rows[3], self.N - 2)
+        with pytest.raises(GraphInputError, match="symmetric"):
+            Graph.from_packed_rows(rows, self.N)
+
+    def test_rejects_unsampled_diagonal_bit_large(self):
+        rows = _bits.zero_rows(self.N, self.N)
+        v = 98  # a vertex that sampling every 97th diagonal bit would skip
+        _bits.set_bit(rows[v], v)
+        with pytest.raises(GraphInputError, match=f"diagonal bit set at vertex {v}"):
+            Graph.from_packed_rows(rows, self.N)
+
+    @pytest.mark.parametrize("block_bytes", [_bits.UNPACK_BLOCK_BYTES, 64 * 64])
+    def test_rejects_asymmetry_in_every_block_position(self, rng, monkeypatch, block_bytes):
+        monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", block_bytes)  # 64 * 64: 64-row blocks
+        for n in (1, 63, 64, 65, 200):
+            mat = rng.random((n, n)) < 0.2
+            mat = np.triu(mat, 1)
+            mat = mat | mat.T
+            assert Graph.from_bool_matrix(mat).m == int(mat.sum()) // 2
+            for _ in range(5):
+                u, v = (int(x) for x in rng.integers(0, n, size=2))
+                if u == v:
+                    continue
+                bad = mat.copy()
+                bad[u, v] = not bad[u, v]
+                with pytest.raises(GraphInputError, match="symmetric"):
+                    Graph.from_bool_matrix(bad)
 
 
 class TestDimacs:

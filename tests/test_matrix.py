@@ -1,6 +1,9 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from fillinlab.chordal import check_peo
+from fillinlab.chordal import check_peo, elimination_fill_codes
 from fillinlab.errors import GraphInputError
 from fillinlab.matrix import (
     SparsePattern,
@@ -11,10 +14,12 @@ from fillinlab.matrix import (
     pattern_from_graph,
     save_matrix_market,
     symbolic_factor,
+    symbolic_fill_codes,
     tridiagonal_pattern,
 )
 
 from .conftest import random_graph
+from .oracles import elimination_fill_brute
 
 
 class TestPattern:
@@ -82,6 +87,56 @@ class TestSymbolicFactor:
             order = rng.permutation(g.n).tolist()
             fill, total = symbolic_factor(pattern, order)
             assert total == 2 * (g.m + len(fill)) + g.n
+
+
+def random_patterns(rng, count):
+    """Empty, single-row and random patterns with n in 0..12, a third split in two blocks.
+
+    A block-diagonal pattern (and any sparse one) has an elimination forest,
+    not a single tree.
+    """
+    yield SparsePattern(0, frozenset())
+    yield SparsePattern(1, frozenset())
+    yield SparsePattern(6, frozenset())
+    for _ in range(count):
+        n = int(rng.integers(0, 13))
+        p = float(rng.choice([0.0, 0.1, 0.25, 0.5, 0.8, 1.0]))
+        pairs = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p}
+        if rng.random() < 1 / 3:
+            side = rng.random(n) < 0.5
+            pairs = {(i, j) for i, j in pairs if side[i] == side[j]}
+        yield SparsePattern(n, frozenset(pairs))
+
+
+class TestEliminationTreeFactor:
+    def test_matches_brute_elimination(self, rng):
+        for pattern in random_patterns(rng, 400):
+            order = rng.permutation(pattern.n).tolist()
+            fill, total = symbolic_factor(pattern, order)
+            assert fill == elimination_fill_brute(pattern.n, pattern.positions, order)
+            assert total == 2 * (pattern.nnz_offdiag + len(fill)) + pattern.n
+
+    def test_codes_sorted_and_match_graph_game(self, rng):
+        for pattern in random_patterns(rng, 100):
+            n = pattern.n
+            order = rng.permutation(n).tolist()
+            codes, _ = symbolic_fill_codes(pattern, order)
+            assert codes.dtype == np.int64 and (np.diff(codes) > 0).all()
+            assert {divmod(int(c), n) for c in codes} == symbolic_factor(pattern, order)[0]
+            assert np.array_equal(codes, elimination_fill_codes(graph_from_pattern(pattern), order))
+
+    def test_tridiagonal_20000_rows_without_dense_matrix(self):
+        n = 20_000
+        pattern = tridiagonal_pattern(n)
+        for order in (range(n), range(n - 1, -1, -1)):
+            tracemalloc.start()
+            try:
+                fill, total = symbolic_factor(pattern, order)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert fill == frozenset() and total == 2 * (n - 1) + n
+            assert peak < 40 * 2**20  # an n-by-n bool matrix would take 400 MB
 
 
 class TestEquivalence:

@@ -50,6 +50,11 @@ class TestRunReport:
         data = json.loads(rep.dumps())
         assert list(data["params"]) == ["a", "b"]  # sorted for stability
 
+    def test_sequence_outputs_are_json_arrays(self):
+        rep = RunReport(command="demo", outputs={"order": [2, 0, 1], "pair": (Fraction(1, 2), 3)})
+        data = json.loads(rep.dumps())
+        assert data["outputs"] == {"order": [2, 0, 1], "pair": ["1/2", 3]}
+
     def test_timings_default_null(self):
         rep = RunReport(command="demo")
         assert json.loads(rep.dumps())["timings"] is None

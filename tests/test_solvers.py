@@ -16,7 +16,7 @@ from fillinlab.solvers import (
 )
 
 from .conftest import random_graph
-from .oracles import edge_set, min_fill_brute, min_vertex_cover_brute
+from .oracles import edge_set, min_degree_ordering_brute, min_fill_brute, min_vertex_cover_brute
 
 
 class TestVertexCover:
@@ -150,3 +150,18 @@ class TestGreedyHeuristics:
     def test_ordering_is_permutation(self, graphs):
         order = greedy_ordering(graphs["petersen"], "min-degree")
         assert sorted(order.tolist()) == list(range(10))
+
+    def test_min_degree_matches_full_rescan(self, rng):
+        for _ in range(60):
+            g = random_graph(rng, int(rng.integers(0, 40)), float(rng.uniform(0.02, 0.5)))
+            expect = min_degree_ordering_brute(g.n, g.edge_list())
+            assert greedy_ordering(g, "min-degree").tolist() == expect
+
+    def test_min_degree_matches_full_rescan_on_grids(self):
+        for rows, cols in ((1, 1), (2, 3), (4, 4), (5, 7), (9, 9)):
+            ids = [[r * cols + c for c in range(cols)] for r in range(rows)]
+            edges = [(ids[r][c], ids[r][c + 1]) for r in range(rows) for c in range(cols - 1)]
+            edges += [(ids[r][c], ids[r + 1][c]) for r in range(rows - 1) for c in range(cols)]
+            g = Graph.build(rows * cols, edges)
+            expect = min_degree_ordering_brute(g.n, edges)
+            assert greedy_ordering(g, "min-degree").tolist() == expect
