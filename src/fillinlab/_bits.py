@@ -1,4 +1,4 @@
-"""Packed bit-row helpers for dense adjacency storage.
+"""Packed bit-row helpers: the adjacency storage of every graph.
 
 Rows are numpy uint64 arrays; bit ``i`` of a row lives in word ``i >> 6`` at
 position ``i & 63`` (little-endian within each word, matching
@@ -97,9 +97,31 @@ def pack(matrix: np.ndarray) -> np.ndarray:
     packed = np.packbits(matrix, axis=1, bitorder="little")
     if packed.shape[1] < pad:
         packed = np.pad(packed, ((0, 0), (0, pad - packed.shape[1])))
-    return packed.view(np.uint64)
+    return np.ascontiguousarray(packed).view(np.uint64)
 
 
 def indices(row: np.ndarray, nbits: int) -> np.ndarray:
     """Sorted positions of the set bits of one packed row."""
     return np.nonzero(unpack(row, nbits))[0]
+
+
+def upper_codes(rows: np.ndarray, n: int) -> np.ndarray:
+    """Sorted codes ``u * n + w`` (u < w) of the set bits (u, w) of an n-row matrix.
+
+    Only the nonzero words at or right of the diagonal are unpacked, from one
+    block of rows at a time, so a block never unpacks more than about
+    ``UNPACK_BLOCK_BYTES`` bytes.
+    """
+    out = [np.empty(0, dtype=np.int64)]
+    step = max(1, UNPACK_BLOCK_BYTES // max(n, 1))
+    for lo in range(0, n, step):
+        r, c = np.nonzero(rows[lo : lo + step])
+        r += lo
+        upper = c >= r >> 6
+        r, c = r[upper], c[upper]
+        k, b = np.nonzero(unpack(rows[r, c][:, None], WORD))
+        u = r[k]
+        w = c[k] * WORD + b
+        upper = w > u
+        out.append(u[upper] * n + w[upper])
+    return np.concatenate(out)

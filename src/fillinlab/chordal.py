@@ -291,23 +291,8 @@ def _eliminate_vertex(rows: np.ndarray, alive: np.ndarray, v: int, n: int) -> np
     return idx
 
 
-def _fill_codes(original: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """Sorted codes ``u * n + w`` (u < w) of the pairs set in rows but not in original."""
-    diff = rows & ~original
-    touched = np.flatnonzero(diff.any(axis=1))
-    block = max(1, _bits.UNPACK_BLOCK_BYTES // max(n, 1))
-    out = [np.empty(0, dtype=np.int64)]
-    for s in range(0, touched.size, block):
-        us = touched[s : s + block]
-        r, w = np.nonzero(_bits.unpack(diff[us], n))
-        u = us[r]
-        upper = w > u
-        out.append(u[upper] * n + w[upper])
-    return np.concatenate(out)
-
-
 def _collect_fill(original: np.ndarray, rows: np.ndarray, n: int) -> frozenset[EdgePair]:
-    return pairs_from_codes(_fill_codes(original, rows, n), n)
+    return pairs_from_codes(_bits.upper_codes(rows & ~original, n), n)
 
 
 def elimination_fill_codes(graph: Graph, order) -> np.ndarray:
@@ -324,7 +309,7 @@ def elimination_fill_codes(graph: Graph, order) -> np.ndarray:
     alive = _bits.range_mask(n, 0, n)
     for v in arr:
         _eliminate_vertex(rows, alive, int(v), n)
-    return _fill_codes(original, rows, n)
+    return _bits.upper_codes(rows & ~original, n)
 
 
 def elimination_fill(graph: Graph, order) -> frozenset[EdgePair]:

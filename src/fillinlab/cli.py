@@ -40,7 +40,7 @@ from .reduction import (
     save_instance,
     verify_sandwich,
 )
-from .report import RunReport, check, instance_descriptor
+from .report import _OPS, RunReport, check, instance_descriptor
 from .solvers import (
     exact_fillin_ordering_oracle,
     exact_vertex_cover,
@@ -282,7 +282,7 @@ def _build_payloads(args):
             n = 2 + int(rng.integers(0, max(1, args.nmax - 1)))
             payloads.append((t, n, _random_edges(rng, n), int(rng.integers(2**32))))
         return _sandwich_task, payloads
-    if args.suite in ("theorem4", "decision"):
+    if args.suite == "theorem4":
         for t in range(args.trials):
             n = 2 + int(rng.integers(0, max(1, args.nmax - 1)))
             edges = _random_edges(rng, n)
@@ -341,15 +341,8 @@ def cmd_report(args) -> int:
     with open(args.input) as fh:
         data = json.load(fh)
     problems = []
-    ops = {
-        "<": lambda a, b: a < b,
-        "<=": lambda a, b: a <= b,
-        "==": lambda a, b: a == b,
-        ">=": lambda a, b: a >= b,
-        ">": lambda a, b: a > b,
-    }
     for rec in data.get("checks", []):
-        actual = ops[rec["op"]](_parse_num(rec["lhs"]), _parse_num(rec["rhs"]))
+        actual = _OPS[rec["op"]](_parse_num(rec["lhs"]), _parse_num(rec["rhs"]))
         if actual != rec["pass"]:
             problems.append(
                 f"check {rec['name']}: recorded pass={rec['pass']} but relation is {actual}"
@@ -451,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_SUITES = ("decision", "matrix", "sandwich", "theorem4", "transfer")
+_SUITES = ("matrix", "sandwich", "theorem4", "transfer")
 
 
 def main(argv=None) -> int:

@@ -1,11 +1,11 @@
 """Simple undirected graphs over dense vertex ids 0..n-1.
 
-Graph values are immutable once built.  Two storage modes share one API:
-an adjacency-set mode for sparse graphs, and a packed bit-matrix mode that
-kicks in when m > n^2/8 (gadget graphs produced by the reductions are dense
-enough that per-edge storage would dominate memory).  Edge queries are O(1)
-in both modes and neighborhood iteration is linear in degree up to the
-density constant.
+Graph values are immutable once built.  The only storage is a packed
+adjacency bit matrix (``_bits`` layout): n rows of ceil(n/64) uint64 words,
+so a graph costs n * ceil(n/64) * 8 bytes whatever its edge count (about
+0.5 MB at n = 2000, 50 MB at n = 20000).  Edge queries test one bit, degrees
+are counted once at construction, and edges are listed in sorted order by
+``_bits.upper_codes``.
 
 File formats owned here: a DIMACS-like edge-list text format (1-based on
 disk) and a canonical edge-set text serialization (0-based, one sorted pair
@@ -23,9 +23,6 @@ from . import _bits
 from .errors import GraphInputError
 
 EdgePair = tuple[int, int]
-
-#: Mode switch: store a packed bit matrix once m exceeds n^2 / _DENSE_DIVISOR.
-_DENSE_DIVISOR = 8
 
 
 def _norm_pair(u, v) -> EdgePair:
@@ -52,6 +49,15 @@ def normalize_edges(vertex_count: int, edges: Iterable) -> list[EdgePair]:
     return sorted(seen)
 
 
+def _set_edge_bits(rows: np.ndarray, pairs: list[EdgePair]) -> None:
+    """Set bits (u, v) and (v, u) of packed rows for every pair (in place)."""
+    if not pairs:
+        return
+    arr = np.asarray(pairs, dtype=np.int64)
+    for a, b in ((arr[:, 0], arr[:, 1]), (arr[:, 1], arr[:, 0])):
+        np.bitwise_or.at(rows, (a, b >> 6), np.uint64(1) << (b.astype(np.uint64) & np.uint64(63)))
+
+
 def _is_symmetric(rows: np.ndarray, n: int) -> bool:
     """Bit (u, v) equals bit (v, u) for all u, v, unpacking one block of rows at a time.
 
@@ -75,14 +81,22 @@ def _is_symmetric(rows: np.ndarray, n: int) -> bool:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "m", "_nbrs", "_pairs", "_rows", "_degrees")
+    __slots__ = ("n", "m", "_rows", "_degrees")
 
     def __init__(self, *_args, **_kwargs):
         raise TypeError("use Graph.build(...) or another constructor")
 
     @classmethod
-    def _new(cls) -> "Graph":
-        return object.__new__(cls)
+    def _adopt(cls, rows: np.ndarray) -> "Graph":
+        """Take ownership of a valid packed adjacency matrix (freezing it)."""
+        rows.setflags(write=False)
+        g = object.__new__(cls)
+        g.n = rows.shape[0]
+        g._rows = rows
+        g._degrees = _bits.popcount_rows(rows)
+        g._degrees.setflags(write=False)
+        g.m = int(g._degrees.sum()) // 2
+        return g
 
     # -- constructors ------------------------------------------------------
 
@@ -91,66 +105,33 @@ class Graph:
         """Build from an edge iterable; duplicates collapse, loops are rejected."""
         if vertex_count < 0:
             raise GraphInputError("vertex_count must be nonnegative")
-        pairs = normalize_edges(vertex_count, edges)
-        g = cls._new()
-        g.n = vertex_count
-        g.m = len(pairs)
-        g._degrees = None
-        if vertex_count and g.m * _DENSE_DIVISOR > vertex_count * vertex_count:
-            g._nbrs = None
-            g._pairs = None
-            rows = _bits.zero_rows(vertex_count, vertex_count)
-            if pairs:
-                arr = np.asarray(pairs, dtype=np.int64)
-                u, v = arr[:, 0], arr[:, 1]
-                np.bitwise_or.at(
-                    rows,
-                    (u, v >> 6),
-                    np.uint64(1) << (v.astype(np.uint64) & np.uint64(63)),
-                )
-                np.bitwise_or.at(
-                    rows,
-                    (v, u >> 6),
-                    np.uint64(1) << (u.astype(np.uint64) & np.uint64(63)),
-                )
-            rows.setflags(write=False)
-            g._rows = rows
-        else:
-            nbr_lists: list[list[int]] = [[] for _ in range(vertex_count)]
-            for u, v in pairs:
-                nbr_lists[u].append(v)
-                nbr_lists[v].append(u)
-            g._nbrs = [np.array(sorted(ns), dtype=np.int64) for ns in nbr_lists]
-            g._pairs = frozenset(pairs)
-            g._rows = None
-        return g
+        rows = _bits.zero_rows(vertex_count, vertex_count)
+        _set_edge_bits(rows, normalize_edges(vertex_count, edges))
+        return cls._adopt(rows)
 
     @classmethod
     def from_packed_rows(cls, rows: np.ndarray, vertex_count: int) -> "Graph":
-        """Adopt a packed adjacency bit matrix (dense mode).
+        """Adopt a copy of a packed adjacency bit matrix.
 
-        The matrix must be symmetric with an empty diagonal; both are verified
-        at every size, the symmetry one block of rows against the matching
-        block of columns at a time.
+        The matrix must be symmetric with an empty diagonal and no bit set
+        past ``vertex_count``; all three are verified at every size, the
+        symmetry one block of rows against the matching block of columns at
+        a time.
         """
-        rows = np.ascontiguousarray(rows, dtype=np.uint64)
+        rows = np.array(rows, dtype=np.uint64, order="C")
         if rows.shape != (vertex_count, _bits.nwords(vertex_count)):
             raise GraphInputError("packed row shape does not match vertex_count")
+        tail = vertex_count % _bits.WORD
+        if tail:
+            padded = np.flatnonzero(rows[:, -1] >> np.uint64(tail))
+            if padded.size:
+                raise GraphInputError(f"padding bit set in row {int(padded[0])}")
         diag = np.flatnonzero(_bits.diagonal(rows))
         if diag.size:
             raise GraphInputError(f"diagonal bit set at vertex {int(diag[0])}")
         if not _is_symmetric(rows, vertex_count):
             raise GraphInputError("packed adjacency is not symmetric")
-        g = cls._new()
-        g.n = vertex_count
-        g.m = int(_bits.popcount_rows(rows).sum()) // 2
-        g._nbrs = None
-        g._pairs = None
-        g._degrees = None
-        rows = rows.copy()
-        rows.setflags(write=False)
-        g._rows = rows
-        return g
+        return cls._adopt(rows)
 
     @classmethod
     def from_bool_matrix(cls, matrix: np.ndarray) -> "Graph":
@@ -162,65 +143,35 @@ class Graph:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def is_dense_mode(self) -> bool:
-        return self._nbrs is None
-
     def has_edge(self, u: int, v: int) -> bool:
-        if self._pairs is not None:
-            return _norm_pair(u, v) in self._pairs
         return _bits.test_bit(self._rows[u], v)
 
     def neighbors(self, v: int) -> np.ndarray:
-        if self._nbrs is not None:
-            return self._nbrs[v]
         return _bits.indices(self._rows[v], self.n)
 
     def degree(self, v: int) -> int:
-        if self._nbrs is not None:
-            return len(self._nbrs[v])
-        return _bits.popcount(self._rows[v])
+        return int(self._degrees[v])
 
     def degrees(self) -> np.ndarray:
-        if self._degrees is None:
-            if self._nbrs is not None:
-                d = np.array([len(ns) for ns in self._nbrs], dtype=np.int64)
-            else:
-                d = _bits.popcount_rows(self._rows)
-            d.setflags(write=False)
-            self._degrees = d
         return self._degrees
 
     def iter_edges(self) -> Iterator[EdgePair]:
-        if self._pairs is not None:
-            yield from sorted(self._pairs)
-            return
-        for u in range(self.n):
-            later = _bits.indices(self._rows[u], self.n)
-            for v in later[later > u]:
-                yield (u, int(v))
+        return iter(self.edge_list())
 
     def edge_list(self) -> list[EdgePair]:
-        return list(self.iter_edges())
+        """Edges as sorted ``(u, v)`` pairs with u < v."""
+        codes = _bits.upper_codes(self._rows, self.n)
+        return list(zip((codes // self.n).tolist(), (codes % self.n).tolist()))
 
     def edge_set(self) -> frozenset[EdgePair]:
-        if self._pairs is not None:
-            return self._pairs
-        return frozenset(self.iter_edges())
+        return pairs_from_codes(_bits.upper_codes(self._rows, self.n), self.n)
 
     def packed_rows(self) -> np.ndarray:
-        """Read-only packed adjacency; built lazily for sparse-mode graphs."""
-        if self._rows is None:
-            rows = _bits.zero_rows(self.n, self.n)
-            for v, ns in enumerate(self._nbrs):
-                if len(ns):
-                    rows[v] = _bits.mask_from_indices(self.n, ns)
-            rows.setflags(write=False)
-            self._rows = rows
+        """Read-only packed adjacency."""
         return self._rows
 
     def bool_matrix(self) -> np.ndarray:
-        return _bits.unpack(self.packed_rows(), self.n)
+        return _bits.unpack(self._rows, self.n)
 
     # -- derived graphs ----------------------------------------------------
 
@@ -229,18 +180,9 @@ class Graph:
         extra = normalize_edges(self.n, edges)
         if not extra:
             return self
-        if self._rows is not None and self._pairs is None:
-            rows = self._rows.copy()
-            arr = np.asarray(extra, dtype=np.int64)
-            u, v = arr[:, 0], arr[:, 1]
-            np.bitwise_or.at(
-                rows, (u, v >> 6), np.uint64(1) << (v.astype(np.uint64) & np.uint64(63))
-            )
-            np.bitwise_or.at(
-                rows, (v, u >> 6), np.uint64(1) << (u.astype(np.uint64) & np.uint64(63))
-            )
-            return Graph.from_packed_rows(rows, self.n)
-        return Graph.build(self.n, list(self._pairs) + extra)
+        rows = self._rows.copy()
+        _set_edge_bits(rows, extra)
+        return Graph._adopt(rows)
 
     def induced_subgraph(self, vertices: Iterable) -> tuple["Graph", np.ndarray]:
         """Relabeled subgraph on the given vertex set.
@@ -251,14 +193,12 @@ class Graph:
         keep = np.unique(np.asarray(list(vertices), dtype=np.int64))
         if keep.size and (keep[0] < 0 or keep[-1] >= self.n):
             raise GraphInputError("subset vertex out of range")
-        pos = {int(v): i for i, v in enumerate(keep)}
-        edges = []
-        for i, v in enumerate(keep):
-            for w in self.neighbors(int(v)):
-                j = pos.get(int(w))
-                if j is not None and j > i:
-                    edges.append((i, j))
-        return Graph.build(keep.size, edges), keep
+        rows = _bits.zero_rows(keep.size, keep.size)
+        step = max(1, _bits.UNPACK_BLOCK_BYTES // max(self.n, 1))
+        for lo in range(0, keep.size, step):
+            block = _bits.unpack(self._rows[keep[lo : lo + step]], self.n)
+            rows[lo : lo + step] = _bits.pack(block[:, keep])
+        return Graph._adopt(rows), keep
 
     def non_edges_within(self, vertices: Iterable) -> frozenset[EdgePair]:
         """Unordered pairs inside the subset that are absent from the graph."""
@@ -279,22 +219,18 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.m == other.m and self.edge_set() == other.edge_set()
+        return self.n == other.n and np.array_equal(self._rows, other._rows)
 
     def __hash__(self):
         return hash((self.n, self.m))
 
     def __repr__(self) -> str:
-        mode = "dense" if self.is_dense_mode else "sparse"
-        return f"Graph(n={self.n}, m={self.m}, {mode})"
+        return f"Graph(n={self.n}, m={self.m})"
 
     def content_hash(self) -> str:
         """SHA-256 over the canonical edge-list text; stable instance id."""
-        h = hashlib.sha256()
-        h.update(f"{self.n}\n".encode())
-        for u, v in self.iter_edges():
-            h.update(f"{u} {v}\n".encode())
-        return h.hexdigest()
+        text = "".join(f"{u} {v}\n" for u, v in self.edge_list())
+        return hashlib.sha256(f"{self.n}\n{text}".encode()).hexdigest()
 
 
 # -- DIMACS-like edge list format -------------------------------------------

@@ -37,7 +37,6 @@ from .errors import CounterexampleError, GraphInputError, ResourceLimitError
 from .graph import EdgePair, Graph, load_dimacs, save_dimacs
 from .report import IneqRecord, RunReport, check, instance_descriptor
 from .solvers import (
-    CoverResult,
     exact_fillin_ordering_oracle,
     exact_vertex_cover,
     greedy_minfill_heuristic,
@@ -451,11 +450,6 @@ def full_vertices(
 # -- verification harnesses ---------------------------------------------------------
 
 
-def _exact_cover(graph: Graph) -> CoverResult:
-    res = exact_vertex_cover(graph)
-    return res
-
-
 def produced_fillins(inst: ReducedInstance, rng=None, random_orderings: int = 0):
     """Named fill-ins from every in-repo producer, for audit sweeps."""
     from .chordal import elimination_fill
@@ -493,7 +487,7 @@ def verify_sandwich(
     report = RunReport(
         command="verify-sandwich", instance=instance_descriptor(graph)
     )
-    cover_res = _exact_cover(graph)
+    cover_res = exact_vertex_cover(graph)
     report.outputs["cover_solver_status"] = cover_res.status
     if not cover_res.optimal:
         report.add(
@@ -548,7 +542,7 @@ def decision_equivalence_check(
         instance=instance_descriptor(graph),
         params={"c": c, "bound": bound},
     )
-    cover_res = _exact_cover(graph)
+    cover_res = exact_vertex_cover(graph)
     if not cover_res.optimal:
         report.add(
             IneqRecord("exact_cover_available", 0, 1, "==", False, "solver exhausted")

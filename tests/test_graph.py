@@ -158,13 +158,62 @@ def test_dense_queries_match_plain_sets(spec):
     assert (mat == mat.T).all() and not mat.diagonal().any()
 
 
-def test_dense_mode_threshold():
-    # m > n^2/8 flips on the packed representation
-    dense = Graph.build(4, [(0, 1), (1, 2), (2, 3)])
-    assert dense.is_dense_mode
-    sparse = Graph.build(100, [(0, 1)])
-    assert not sparse.is_dense_mode
-    assert sparse.has_edge(1, 0) and not sparse.has_edge(2, 3)
+def test_has_edge_on_one_edge_graph():
+    g = Graph.build(100, [(0, 1)])
+    assert g.has_edge(1, 0) and not g.has_edge(2, 3)
+
+
+def _plain_graph(rng, n, density):
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    return {p for p in pairs if rng.random() < density}
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+@pytest.mark.parametrize("density", [0.0, 0.01, 0.5, 1.0])
+@pytest.mark.parametrize("block_bytes", [_bits.UNPACK_BLOCK_BYTES, 64])
+def test_queries_match_plain_sets_across_word_boundaries(rng, monkeypatch, n, density, block_bytes):
+    monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", block_bytes)  # 64: one or two rows per block
+    plain = _plain_graph(rng, n, density)
+    g = Graph.build(n, rng.permutation(sorted(plain)) if plain else [])
+    assert g.m == len(plain)
+    assert list(g.iter_edges()) == g.edge_list() == sorted(plain)
+    assert g.edge_set() == plain
+    nbrs = [
+        sorted({b for a, b in plain if a == u} | {a for a, b in plain if b == u}) for u in range(n)
+    ]
+    for u in range(n):
+        assert g.neighbors(u).tolist() == nbrs[u]
+        assert g.degree(u) == len(nbrs[u])
+    assert g.degrees().tolist() == [len(x) for x in nbrs]
+
+    subset = sorted(int(v) for v in rng.choice(n, size=n // 2, replace=False)) if n else []
+    sub, mapping = g.induced_subgraph(subset)
+    assert mapping.tolist() == subset
+    new_id = {v: i for i, v in enumerate(subset)}
+    assert sub.edge_set() == {
+        (new_id[a], new_id[b]) for a, b in plain if a in new_id and b in new_id
+    }
+
+    extra = _plain_graph(rng, n, 0.05)
+    assert g.add_edges(extra).edge_set() == plain | extra
+    assert g.edge_set() == plain
+
+
+def test_content_hash_matches_recorded_digests():
+    # Digests recorded when the first graph was held as an adjacency set and
+    # the second as packed rows; the canonical edge-list text must not change.
+    sparse = Graph.build(
+        130,
+        [(u, (3 * u + 1) % 130) for u in range(130) if (3 * u + 1) % 130 != u]
+        + [(u, u + 64) for u in range(66)],
+    )
+    dense = Graph.build(70, [(u, w) for u in range(70) for w in range(u + 1, 70) if (u + w) % 3])
+    assert (sparse.m, dense.m) == (195, 1610)
+    assert sparse.content_hash() == "9eef2e43d4a737dfdf3e6e182fd4948e96616c0e92cc99d78bdf71685348fdf0"
+    assert dense.content_hash() == "91fd60b31cffa369700f96ad0d64b5ac6540f198259a95bdc5113a10e2abc899"
+    assert Graph.build(0).content_hash() == (
+        "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"
+    )
 
 
 class TestFromPackedRows:
@@ -203,8 +252,18 @@ class TestFromPackedRows:
                     continue
                 bad = mat.copy()
                 bad[u, v] = not bad[u, v]
-                with pytest.raises(GraphInputError, match="symmetric"):
-                    Graph.from_bool_matrix(bad)
+                for layout in (bad, bad.T, np.asfortranarray(bad)):
+                    with pytest.raises(GraphInputError, match="symmetric"):
+                        Graph.from_bool_matrix(layout)
+            for layout in (mat.T, np.asfortranarray(mat)):
+                assert Graph.from_bool_matrix(layout) == Graph.from_bool_matrix(mat)
+
+    @pytest.mark.parametrize("n, column", [(3, 10), (63, 63), (65, 127)])
+    def test_rejects_padding_bits(self, n, column):
+        rows = _bits.zero_rows(n, n)
+        _bits.set_bit(rows[0], column)  # a column at or past n
+        with pytest.raises(GraphInputError, match="padding bit set in row 0"):
+            Graph.from_packed_rows(rows, n)
 
 
 class TestDimacs:
