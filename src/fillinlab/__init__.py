@@ -1,7 +1,7 @@
 """Laboratory for the minimum fill-in / chordal completion problem.
 
-Ships a graph core with dual sparse/dense storage, chordality recognition
-with checkable certificates, desk-scale exact oracles, the vertex-cover
+Ships a graph core stored as packed bit rows, chordality recognition with
+checkable certificates, desk-scale exact oracles, the vertex-cover
 gadget reductions with certificate maps in both directions, exact rational
 audits of the approximation-transfer pipelines, and a bridge to symbolic
 factorization of sparse symmetric matrix patterns.

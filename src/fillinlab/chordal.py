@@ -3,11 +3,12 @@ and the elimination game that defines fill for an ordering.
 
 A graph is chordal when it has no induced cycle (hole) of length at least
 four, equivalently when some elimination ordering produces zero fill (a
-perfect elimination ordering, PEO).  Recognition runs maximum cardinality
-search and tests the reversed visit order; the returned certificate, either
-a PEO or a hole, is always revalidated against the bare definition before it
-leaves this module, so correctness rests on the certificate checkers rather
-than on the recognition path.
+perfect elimination ordering, PEO).  Recognition is one maximum cardinality
+search that tests its reversed visit order as it goes.  A PEO verdict rests
+on that earliest-later-neighbor test, which is a complete PEO check (Rose,
+Tarjan and Lueker 1976); every hole passes ``check_hole`` once before it
+leaves this module.  ``check_peo`` stays as the definitional checker for
+reports and tests.
 """
 
 from __future__ import annotations
@@ -65,22 +66,48 @@ def _validate_permutation(n: int, order) -> np.ndarray:
 # -- maximum cardinality search ----------------------------------------------
 
 
+def _mcs_scan(graph: Graph):
+    """MCS visit order and the first PEO violation ``(v, u, x)`` of its reverse, or None.
+
+    When v is visited, its visited neighbors are its later neighbors in the
+    reversed order, and the most recently visited of them, u, is the earliest.
+    The order is a PEO iff every such u is adjacent to all the others (Rose,
+    Tarjan and Lueker 1976).  The last failing v is the first in PEO order;
+    x is the smallest id it misses.
+    """
+    n = graph.n
+    rows = graph.packed_rows()
+    weight = np.zeros(n, dtype=np.int64)
+    latest = np.full(n, -1, dtype=np.int64)  # most recently visited neighbor
+    visited = np.zeros(_bits.nwords(n), dtype=np.uint64)
+    order = np.empty(n, dtype=np.int64)
+    violation = None
+    for i in range(n):
+        v = int(np.argmax(weight))  # first maximum = smallest id
+        order[i] = v
+        u = int(latest[v])
+        if u >= 0:
+            gap = rows[v] & visited & ~rows[u]  # holds u itself
+            if _bits.popcount(gap) > 1:
+                violation = (v, u, gap)
+        idx = _bits.indices(rows[v], n)
+        weight[idx] += 1
+        weight[v] = -(n + 1)  # never re-selected
+        latest[idx] = v
+        _bits.set_bit(visited, v)
+    if violation is not None:
+        v, u, gap = violation
+        _bits.clear_bit(gap, u)
+        violation = (v, u, int(_bits.indices(gap, n)[0]))
+    return order, violation
+
+
 def mcs_ordering(graph: Graph) -> np.ndarray:
     """Visit order of maximum cardinality search; ties break to the smallest id.
 
     The reversed visit order is a PEO exactly when the graph is chordal.
     """
-    n = graph.n
-    rows = graph.packed_rows()
-    weight = np.zeros(n, dtype=np.int64)
-    order = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        v = int(np.argmax(weight))  # first maximum = smallest id
-        order[i] = v
-        idx = _bits.indices(rows[v], n)
-        weight[idx] += 1
-        weight[v] = -(n + 1)  # never re-selected
-    return order
+    return _mcs_scan(graph)[0]
 
 
 # -- certificate checkers (definitional, independent of recognition) ---------
@@ -95,17 +122,13 @@ def check_peo(graph: Graph, order) -> bool:
     n = graph.n
     rows = graph.packed_rows()
     remaining = _bits.range_mask(n, 0, n)
-    one = np.uint64(1)
     for v in arr:
         v = int(v)
         _bits.clear_bit(remaining, v)
         later = rows[v] & remaining
         idx = _bits.indices(later, n)
-        if idx.size < 2:
-            continue
-        gaps = later[None, :] & ~rows[idx]
-        gaps[np.arange(idx.size), idx >> 6] &= ~(one << (idx.astype(np.uint64) & np.uint64(63)))
-        if gaps.any():
+        # a clique: each later neighbor is adjacent to all the others
+        if (_bits.popcount_rows(rows[idx] & later) != idx.size - 1).any():
             return False
     return True
 
@@ -128,33 +151,6 @@ def check_hole(graph: Graph, cycle) -> bool:
 
 
 # -- recognition --------------------------------------------------------------
-
-
-def _first_peo_violation(graph: Graph, order: np.ndarray):
-    """First (v, x, y) with x, y later neighbors of v and xy a non-edge, else None.
-
-    Uses the earliest-later-neighbor subset test, which fails iff the order
-    is not a PEO.
-    """
-    n = graph.n
-    rows = graph.packed_rows()
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    remaining = _bits.range_mask(n, 0, n)
-    for v in order:
-        v = int(v)
-        _bits.clear_bit(remaining, v)
-        later = rows[v] & remaining
-        idx = _bits.indices(later, n)
-        if idx.size < 2:
-            continue
-        u = int(idx[np.argmin(pos[idx])])
-        gap = later & ~rows[u]
-        _bits.clear_bit(gap, u)
-        missed = _bits.indices(gap, n)
-        if missed.size:
-            return v, u, int(missed[0])
-    return None
 
 
 def _chordless_path(graph: Graph, x: int, y: int, banned_mask: np.ndarray):
@@ -184,7 +180,6 @@ def _chordless_path(graph: Graph, x: int, y: int, banned_mask: np.ndarray):
 
 def _hole_through(graph: Graph, v: int, x: int, y: int):
     """Hole (v x .. y) from a nonadjacent pair x, y in N(v), if one exists."""
-    n = graph.n
     banned = graph.packed_rows()[v].copy()
     _bits.set_bit(banned, v)
     path = _chordless_path(graph, x, y, banned)
@@ -193,45 +188,42 @@ def _hole_through(graph: Graph, v: int, x: int, y: int):
     return tuple([v] + path)
 
 
-def find_hole(graph: Graph):
-    """Some induced cycle of length >= 4, or None when the graph is chordal.
-
-    Tries the MCS violation triple first; a full scan over nonadjacent
-    neighbor pairs is a guaranteed fallback on non-chordal graphs.
-    """
-    order = mcs_ordering(graph)[::-1]
-    viol = _first_peo_violation(graph, order)
-    if viol is None:
-        return None
-    hole = _hole_through(graph, *viol)
-    if hole is not None and check_hole(graph, hole):
-        return hole
+def _pair_holes(graph: Graph):
+    """``_hole_through`` over every nonadjacent neighbor pair, by vertex then pair."""
     for v in range(graph.n):
-        nbrs = graph.neighbors(v)
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                x, y = int(nbrs[i]), int(nbrs[j])
-                if graph.has_edge(x, y):
-                    continue
-                hole = _hole_through(graph, v, x, y)
-                if hole is not None and check_hole(graph, hole):
-                    return hole
-    raise CounterexampleError("PEO test failed but no hole exists")
+        nbrs = graph.neighbors(v).tolist()
+        for i, x in enumerate(nbrs):
+            for y in nbrs[i + 1 :]:
+                if not graph.has_edge(x, y):
+                    yield _hole_through(graph, v, x, y)
+
+
+def _hole(graph: Graph, viol) -> tuple[int, ...]:
+    """A hole from a PEO violation, checked against the definition once.
+
+    Tries the violation triple first; the scan over all nonadjacent neighbor
+    pairs is a guaranteed fallback on non-chordal graphs.
+    """
+    hole = _hole_through(graph, *viol) or next(filter(None, _pair_holes(graph)), None)
+    if hole is None:
+        raise CounterexampleError("PEO test failed but no hole exists")
+    if not check_hole(graph, hole):
+        raise CounterexampleError("recognition produced an invalid hole")
+    return hole
+
+
+def find_hole(graph: Graph):
+    """Some induced cycle of length >= 4, or None when the graph is chordal."""
+    viol = _mcs_scan(graph)[1]
+    return None if viol is None else _hole(graph, viol)
 
 
 def is_chordal(graph: Graph) -> tuple[bool, Certificate]:
-    """Decide chordality; the certificate is revalidated before being returned."""
-    order = mcs_ordering(graph)[::-1]
-    if _first_peo_violation(graph, order) is None:
-        cert = PeoCertificate(tuple(int(v) for v in order))
-        if not check_peo(graph, cert.order):
-            raise CounterexampleError("recognition produced an invalid PEO")
-        return True, cert
-    hole = find_hole(graph)
-    cert = HoleCertificate(hole)
-    if not check_hole(graph, cert.cycle):
-        raise CounterexampleError("recognition produced an invalid hole")
-    return False, cert
+    """Decide chordality with one MCS scan; a hole certificate is checked once."""
+    order, viol = _mcs_scan(graph)
+    if viol is None:
+        return True, PeoCertificate(tuple(int(v) for v in order[::-1]))
+    return False, HoleCertificate(_hole(graph, viol))
 
 
 # -- split graphs --------------------------------------------------------------
@@ -260,11 +252,7 @@ def is_split(graph: Graph):
     if clique:
         idx = np.asarray(clique, dtype=np.int64)
         want = _bits.mask_from_indices(n, idx)
-        gaps = want[None, :] & ~rows[idx]
-        gaps[np.arange(idx.size), idx >> 6] &= ~(
-            np.uint64(1) << (idx.astype(np.uint64) & np.uint64(63))
-        )
-        if gaps.any():
+        if (_bits.popcount_rows(rows[idx] & want) != idx.size - 1).any():
             raise CounterexampleError("degree identity held but clique part is not a clique")
     if indep:
         idx = np.asarray(indep, dtype=np.int64)

@@ -29,7 +29,7 @@ import numpy as np
 from . import generate, matrix, transfer
 from .chordal import check_hole, check_peo, elimination_fill_codes, verify_fillin
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
-from .graph import Graph, load_dimacs, save_dimacs
+from .graph import Graph, load_dimacs, parse_ints, save_dimacs
 from .reduction import (
     PRIMITIVE_MAX_N,
     brooks_coloring,
@@ -170,7 +170,7 @@ def cmd_eliminate(args) -> int:
         g = load_dimacs(args.input)
         pattern = matrix.pattern_from_graph(g)
     if args.ordering:
-        order = [int(x) for x in args.ordering.split(",")]
+        order = parse_ints(args.ordering.split(","), "--ordering")
     elif args.strategy == "natural":
         order = list(range(g.n))
     else:

@@ -236,6 +236,14 @@ class Graph:
 # -- DIMACS-like edge list format -------------------------------------------
 
 
+def parse_ints(tokens, where: str) -> list[int]:
+    """Text tokens as integers; a malformed one is a GraphInputError at ``where``."""
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise GraphInputError(f"{where}: expected integers, got {' '.join(tokens)!r}") from None
+
+
 def save_dimacs(graph: Graph, path, comments: Iterable[str] = ()) -> None:
     """Write `p edge n m` then `e u v` lines, 1-based ids."""
     with open(path, "w") as fh:
@@ -262,14 +270,14 @@ def load_dimacs(path) -> Graph:
                     raise GraphInputError(f"{path}:{lineno}: duplicate problem line")
                 if len(parts) != 4 or parts[1] != "edge":
                     raise GraphInputError(f"{path}:{lineno}: expected 'p edge <n> <m>'")
-                n, declared = int(parts[2]), int(parts[3])
+                n, declared = parse_ints(parts[2:], f"{path}:{lineno}")
             elif parts[0] == "e":
                 if n is None:
                     raise GraphInputError(f"{path}:{lineno}: edge before problem line")
                 if len(parts) != 3:
                     raise GraphInputError(f"{path}:{lineno}: expected 'e <u> <v>'")
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
-                edges.append((u, v))
+                u, v = parse_ints(parts[1:], f"{path}:{lineno}")
+                edges.append((u - 1, v - 1))
             else:
                 raise GraphInputError(f"{path}:{lineno}: unknown line type {parts[0]!r}")
     if n is None:
@@ -302,7 +310,7 @@ def load_edge_set(path) -> frozenset[EdgePair]:
             parts = line.split()
             if len(parts) != 2:
                 raise GraphInputError(f"{path}:{lineno}: expected 'u v'")
-            u, v = int(parts[0]), int(parts[1])
+            u, v = parse_ints(parts, f"{path}:{lineno}")
             if u == v:
                 raise GraphInputError(f"{path}:{lineno}: self-pair {u}")
             pairs.add(_norm_pair(u, v))

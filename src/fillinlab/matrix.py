@@ -21,7 +21,7 @@ import numpy as np
 
 from .chordal import elimination_fill_codes
 from .errors import GraphInputError
-from .graph import Graph, pairs_from_codes
+from .graph import Graph, pairs_from_codes, parse_ints
 
 Position = tuple[int, int]
 
@@ -177,35 +177,36 @@ def load_matrix_market(path) -> SparsePattern:
         if symmetry != "symmetric":
             raise GraphInputError(f"{path}: symmetry must be 'symmetric', got {symmetry!r}")
         size_line = None
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 2):
             line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            size_line = line
-            break
+            if line and not line.startswith("%"):
+                size_line = line
+                break
         if size_line is None:
             raise GraphInputError(f"{path}: missing size line")
         dims = size_line.split()
         if len(dims) != 3:
-            raise GraphInputError(f"{path}: size line must be '<rows> <cols> <nnz>'")
-        rows, cols, nnz = (int(x) for x in dims)
+            raise GraphInputError(f"{path}:{lineno}: size line must be '<rows> <cols> <nnz>'")
+        rows, cols, nnz = parse_ints(dims, f"{path}:{lineno}")
         if rows != cols:
             raise GraphInputError(f"{path}: pattern must be square, got {rows}x{cols}")
         entries = []
         vals = []
-        for raw in fh:
+        for lineno, raw in enumerate(fh, lineno + 1):
             line = raw.strip()
             if not line or line.startswith("%"):
                 continue
             toks = line.split()
-            i, j = int(toks[0]) - 1, int(toks[1]) - 1
-            entries.append((i, j))
-            if field == "pattern":
-                vals.append(1.0)
-            elif field == "complex":
-                vals.append(abs(complex(float(toks[2]), float(toks[3]))))
-            else:
-                vals.append(float(toks[2]))
+            try:
+                entries.append((int(toks[0]) - 1, int(toks[1]) - 1))
+                if field == "pattern":
+                    vals.append(1.0)
+                elif field == "complex":
+                    vals.append(abs(complex(float(toks[2]), float(toks[3]))))
+                else:
+                    vals.append(float(toks[2]))
+            except (ValueError, IndexError):
+                raise GraphInputError(f"{path}:{lineno}: malformed entry {line!r}") from None
         if len(entries) != nnz:
             raise GraphInputError(
                 f"{path}: header declares {nnz} entries, found {len(entries)}"

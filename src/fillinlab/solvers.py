@@ -250,7 +250,7 @@ def exact_fillin_ordering_oracle(graph: Graph) -> frozenset[EdgePair]:
 class BranchFillinResult:
     """Outcome of the budgeted branching fill-in search."""
 
-    status: str  # 'found' | 'none_within_budget' | 'exhausted'
+    status: str  # 'found' | 'none_within_budget' | 'feasible_budget_exhausted' | 'exhausted'
     fillin: frozenset[EdgePair] | None
     nodes: int
     seconds: float
@@ -263,8 +263,9 @@ def exact_fillin_branch(
 
     Any fill-in must contain a chord of every hole, so branching over the
     l(l-3)/2 chords of one hole is exhaustive; depth is capped by the budget.
-    'none_within_budget' is definitive; 'exhausted' means the node budget ran
-    out first.
+    'found' and 'none_within_budget' mean the search finished.  A node budget
+    cut gives 'feasible_budget_exhausted' with the best fill-in so far (valid,
+    not known to be minimum), or 'exhausted' without one.
     """
     t0 = time.perf_counter()
     nodes = 0
@@ -300,7 +301,7 @@ def exact_fillin_branch(
         search(graph, [], budget)
         status = "found" if best is not None else "none_within_budget"
     except _BudgetExceeded:
-        status = "found" if best is not None else "exhausted"
+        status = "feasible_budget_exhausted" if best is not None else "exhausted"
     seconds = time.perf_counter() - t0
     if best is None:
         return BranchFillinResult(status, None, nodes, seconds)

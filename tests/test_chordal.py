@@ -1,5 +1,8 @@
+import hashlib
+import json
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -223,3 +226,47 @@ class TestVerifyFillin:
     def test_out_of_range_pair(self, graphs):
         res = verify_fillin(graphs["c4"], [(0, 9)])
         assert not res and res.reason == "invalid_pair"
+
+
+def _certificate_corpus():
+    """Every labeled graph on n <= 5, seeded G(n, p) for n in 6..40, and
+    primitive gadgets for n in 3..5, raw and greedy-completed."""
+    from fillinlab.generate import gnp
+    from fillinlab.reduction import reduce_primitive
+    from fillinlab.solvers import greedy_minfill_heuristic
+
+    for n in range(0, 6):
+        for edges in all_labeled_graphs(n):
+            yield Graph.build(n, edges)
+    rng = np.random.default_rng(4242)
+    for n in range(6, 41):
+        for _ in range(3):
+            yield gnp(n, float(rng.uniform(0.05, 0.9)), rng)
+    for n in (3, 4, 5):
+        inst = reduce_primitive(gnp(n, float(rng.uniform(0.3, 0.8)), rng))
+        yield inst.graph
+        for strategy in ("min-degree", "min-fill"):
+            yield inst.graph.add_edges(greedy_minfill_heuristic(inst.graph, strategy))
+
+
+# Recorded with the earlier recognition path (MCS, then a separate violation
+# test, then check_peo on the same order); the single scan must reproduce it.
+CERTIFICATE_DIGEST = "85ed5a7beca696ede15cdbc3cbc67587b13216e90ea59ecf40437d3f14fbd39e"
+
+
+def test_certificate_identity_digest():
+    """Certificates are pinned byte for byte: is_chordal's kind and order or
+    cycle, find_hole and mcs_ordering over a seeded corpus."""
+    digest = hashlib.sha256()
+    count = 0
+    for g in _certificate_corpus():
+        ok, cert = is_chordal(g)
+        body = cert.order if ok else cert.cycle
+        digest.update(
+            json.dumps(
+                [cert.kind, list(body), find_hole(g), mcs_ordering(g).tolist()]
+            ).encode()
+        )
+        count += 1
+    assert count == 1100 + 105 + 9
+    assert digest.hexdigest() == CERTIFICATE_DIGEST

@@ -217,3 +217,37 @@ class TestErrors:
         bad = tmp_path / "bad.col"
         bad.write_text("hello world\n")
         assert run(["solve", str(bad), "vc"]) == cli.EXIT_BAD_INPUT
+
+    def test_non_integer_dimacs_header_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.col"
+        bad.write_text("p edge 3 x\n")
+        assert run(["solve", str(bad), "vc"]) == cli.EXIT_BAD_INPUT
+        assert f"{bad}:1: expected integers, got '3 x'" in capsys.readouterr().err
+
+    def test_non_integer_dimacs_edge_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.col"
+        bad.write_text("c two vertices\np edge 2 1\ne 1 two\n")
+        assert run(["eliminate", str(bad)]) == cli.EXIT_BAD_INPUT
+        assert f"{bad}:3:" in capsys.readouterr().err
+
+    def test_non_integer_matrix_market_entry_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate real symmetric\n3 3 1\n2 x 1.0\n")
+        assert run(["eliminate", str(bad)]) == cli.EXIT_BAD_INPUT
+        assert f"{bad}:3: malformed entry" in capsys.readouterr().err
+
+    def test_short_matrix_market_entry_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "short.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate real symmetric\n% c\n3 3 1\n2 1\n")
+        assert run(["eliminate", str(bad)]) == cli.EXIT_BAD_INPUT
+        assert f"{bad}:4: malformed entry '2 1'" in capsys.readouterr().err
+
+    def test_non_integer_matrix_market_size_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "size.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 one\n")
+        assert run(["eliminate", str(bad)]) == cli.EXIT_BAD_INPUT
+        assert f"{bad}:2: expected integers, got '3 3 one'" in capsys.readouterr().err
+
+    def test_non_integer_ordering_exit_2(self, c4_file, capsys):
+        assert run(["eliminate", c4_file, "--ordering", "0,1,x"]) == cli.EXIT_BAD_INPUT
+        assert "--ordering: expected integers, got '0 1 x'" in capsys.readouterr().err

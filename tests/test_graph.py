@@ -310,6 +310,12 @@ class TestEdgeSetText:
         with pytest.raises(GraphInputError):
             load_edge_set(path)
 
+    def test_rejects_non_integer(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 2\n1 x\n")
+        with pytest.raises(GraphInputError, match=r"bad\.txt:2: expected integers"):
+            load_edge_set(path)
+
 
 def test_content_hash_is_stable(graphs):
     a = graphs["c4"].content_hash()

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fillinlab.chordal import is_chordal, is_split
+from fillinlab.chordal import is_chordal, is_split, verify_fillin
 from fillinlab.errors import GraphInputError, ResourceLimitError
 from fillinlab.graph import Graph
 from fillinlab.reduction import (
@@ -289,6 +289,20 @@ class TestDecisionEquivalence:
         g = Graph.build(2)
         inst = reduce_primitive(g)
         rep = decision_equivalence_check(g, 0, frozenset(), inst)
+        assert rep.passed
+
+    def test_pair_given_both_ways_counts_once(self):
+        g = Graph.build(3, [(0, 1), (1, 2)])
+        inst = reduce_primitive(g)
+        fill = split_completion(inst, {1})
+        both_ways = sorted(fill) + [(b, a) for a, b in sorted(fill)]
+        assert verify_fillin(inst.graph, both_ways)
+        rep = decision_equivalence_check(g, 1, both_ways, inst)
+        assert rep.outputs["fillin_size"] == len(fill) == 9
+        assert [r.name for r in rep.checks] == [
+            "constructive_within_bound",
+            "extracted_cover_at_most_c",
+        ]
         assert rep.passed
 
     def test_random_pairs(self, rng):

@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from fillinlab.chordal import verify_fillin
@@ -116,7 +117,24 @@ class TestBranchSolver:
     def test_node_budget_exhaustion(self, rng):
         g = random_graph(rng, 8, p=0.5)
         res = exact_fillin_branch(g, 8, node_budget=1)
-        assert res.status in ("found", "exhausted")
+        assert res.status in ("feasible_budget_exhausted", "exhausted")
+
+    def test_budget_cut_never_reports_found(self):
+        rng = np.random.default_rng(2468)
+        cut = feasible = 0
+        for _ in range(60):
+            g = random_graph(rng, int(rng.integers(6, 10)), p=float(rng.uniform(0.2, 0.6)))
+            opt = len(exact_fillin_ordering_oracle(g))
+            res = exact_fillin_branch(g, opt + 2, node_budget=10)
+            if res.nodes > 10:
+                cut += 1
+                assert res.status in ("feasible_budget_exhausted", "exhausted")
+                if res.fillin is not None:
+                    feasible += 1
+                    assert verify_fillin(g, res.fillin)
+            else:
+                assert res.status == "found" and len(res.fillin) == opt
+        assert cut >= 10 and feasible >= 5
 
 
 class TestGreedyHeuristics:
