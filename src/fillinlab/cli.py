@@ -56,6 +56,14 @@ EXIT_LIMIT = 3
 
 DEFAULT_SEED = 20240613
 
+#: Flags shared by several subcommands; each subcommand attaches those it reads.
+_COMMON_FLAGS = {
+    "seed": {"type": int, "default": DEFAULT_SEED},
+    "out": {"help": "write the output here instead of stdout"},
+    "timings": {"action": "store_true", "help": "embed wall-clock timings"},
+    "jobs": {"type": int, "default": 1, "help": "parallel corpus workers"},
+}
+
 
 def _limits_overridden() -> bool:
     return os.environ.get("FILLIN_LAB_LIMIT_OVERRIDE", "") not in ("", "0")
@@ -290,7 +298,10 @@ def _build_payloads(args):
             payloads.append((t, n, edges, c, int(rng.integers(2**32))))
         return _theorem4_task, payloads
     if args.suite == "transfer":
-        eps = str(Fraction(args.eps))
+        try:
+            eps = str(Fraction(args.eps))
+        except (ValueError, ZeroDivisionError):
+            raise GraphInputError(f"--eps: expected a fraction, got {args.eps!r}") from None
         for t in range(args.trials):
             n = 6 + 2 * int(rng.integers(0, 4))
             g = generate.random_subcubic(n, rng)
@@ -339,9 +350,16 @@ def _parse_num(x):
 
 def cmd_report(args) -> int:
     with open(args.input) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise GraphInputError(f"{args.input}: not a JSON report ({exc})") from None
     problems = []
     for rec in data.get("checks", []):
+        if rec.get("op") not in _OPS:
+            raise GraphInputError(
+                f"{args.input}: check {rec.get('name')} has unknown op {rec.get('op')!r}"
+            )
         actual = _OPS[rec["op"]](_parse_num(rec["lhs"]), _parse_num(rec["rhs"]))
         if actual != rec["pass"]:
             problems.append(
@@ -382,11 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.add_argument("--timings", action="store_true", help="embed wall-clock timings")
-        p.add_argument("--jobs", type=int, default=1, help="parallel corpus workers")
+    def common(p, *flags):
+        """Attach the shared flags that the subcommand reads."""
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_COMMON_FLAGS[flag])
 
     p = sub.add_parser("gen", help="generate a graph file")
     p.add_argument("model", choices=["gnp", "regular", "cycle", "grid"])
@@ -395,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--rows", type=int, default=3)
     p.add_argument("--cols", type=int, default=3)
-    common(p)
+    common(p, "seed", "out")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("reduce", help="build a gadget instance from a graph file")
@@ -406,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--graph-out", required=True, help="gadget DIMACS path (sidecar appends .json)"
     )
-    common(p)
+    common(p, "out", "timings")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("solve", help="run a solver on a graph file")
@@ -414,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", choices=["vc", "fillin", "fillin-heuristic"])
     p.add_argument("--budget", type=int, default=5_000_000, help="node budget (vc)")
     p.add_argument("--strategy", choices=["min-degree", "min-fill"], default="min-fill")
-    common(p)
+    common(p, "out", "timings")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="run a verification suite over a corpus")
@@ -423,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=6)
     p.add_argument("--eps", default="1/2")
     p.add_argument("--d", type=int, default=3)
-    common(p)
+    common(p, "seed", "out", "timings", "jobs")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("eliminate", help="fill of an ordering on a matrix or graph")
@@ -433,12 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strategy", choices=["natural", "min-degree", "min-fill"], default="natural"
     )
-    common(p)
+    common(p, "out")
     p.set_defaults(func=cmd_eliminate)
 
     p = sub.add_parser("report", help="re-check a previously emitted JSON report")
     p.add_argument("input")
-    common(p)
     p.set_defaults(func=cmd_report)
 
     return ap

@@ -2,12 +2,14 @@
 certificate maps in both directions and verifiers for the proven bounds.
 
 Both constructions attach a large clique U of new vertices to an input graph
-G.  The primitive construction gives every original vertex its own block of
-n^2 new vertices, non-adjacent to that vertex only; the colored construction
-(for degree-bounded, clique-free inputs) gives every color class of a proper
-coloring a block of b*n new vertices, non-adjacent to exactly the vertices
-of that color.  Either way each original vertex misses exactly one block,
-and the two endpoints of any edge miss different blocks.
+G.  The colored construction (for degree-bounded, clique-free inputs) gives
+every color class of a proper coloring a block of b*n new vertices,
+non-adjacent to exactly the vertices of that color.  The primitive
+construction is the colored one under the identity coloring with b = n:
+every original vertex gets its own block of n^2 new vertices, non-adjacent
+to that vertex only.  Either way each original vertex misses exactly one
+block, and the two endpoints of any edge miss different blocks; one builder
+makes both.
 
 That structure supports two certificate maps:
 
@@ -297,9 +299,31 @@ class ReducedInstance:
                 )
 
 
+def _gadget(graph: Graph, block_of, nblocks: int, size: int) -> tuple[Graph, tuple]:
+    """Both constructions: ``nblocks`` blocks of ``size`` new vertices after the
+    original ones, all new vertices one clique U, and original vertex v
+    adjacent to every new vertex outside block ``block_of[v]``."""
+    n = graph.n
+    N = n + nblocks * size
+    rows = np.zeros((N, _bits.nwords(N)), dtype=np.uint64)
+    g_rows = graph.packed_rows()
+    rows[:n, : g_rows.shape[1]] = g_rows
+    u_mask = _bits.range_mask(N, n, N)
+    orig_mask = _bits.range_mask(N, 0, n)
+    block_of = np.asarray(block_of)
+    blocks = tuple(np.arange(n + c * size, n + (c + 1) * size) for c in range(nblocks))
+    for c, block in enumerate(blocks):
+        members = np.flatnonzero(block_of == c)
+        rows[block] = (orig_mask & ~_bits.mask_from_indices(N, members)) | u_mask
+        rows[members] |= u_mask & ~_bits.range_mask(N, n + c * size, n + (c + 1) * size)
+    _bits.clear_diagonal(rows, np.arange(n, N))
+    return Graph.from_packed_rows(rows, N), blocks
+
+
 def reduce_primitive(graph: Graph, max_n: int = PRIMITIVE_MAX_N) -> ReducedInstance:
     """Per-vertex gadget: n^2 new vertices per original vertex, U a clique.
 
+    This is the colored gadget under the identity coloring with b = n.
     Produces a graph on n^3 + n vertices; memory grows with n^6, so inputs
     beyond ``max_n`` are refused.
     """
@@ -311,26 +335,8 @@ def reduce_primitive(graph: Graph, max_n: int = PRIMITIVE_MAX_N) -> ReducedInsta
             f"gadget on n^3+n = {n**3 + n} vertices refused (n = {n} > {max_n}); "
             "raise the limit explicitly to override"
         )
-    N = n + n * n * n
-    w = _bits.nwords(N)
-    rows = np.zeros((N, w), dtype=np.uint64)
-    g_rows = graph.packed_rows()
-    rows[:n, : g_rows.shape[1]] = g_rows
-    u_mask = _bits.range_mask(N, n, N)
-    blocks = tuple(np.arange(n + v * n * n, n + (v + 1) * n * n) for v in range(n))
-    orig_mask = _bits.range_mask(N, 0, n)
-    for v in range(n):
-        block_mask = _bits.range_mask(N, int(blocks[v][0]), int(blocks[v][-1]) + 1)
-        rows[v] |= u_mask & ~block_mask
-        block_row = (orig_mask & ~_bits.mask_from_indices(N, [v])) | u_mask
-        rows[blocks[v]] = block_row
-    _bits.clear_diagonal(rows, np.arange(n, N))
-    inst = ReducedInstance(
-        graph=Graph.from_packed_rows(rows, N),
-        original=graph,
-        kind="primitive",
-        blocks=blocks,
-    )
+    h, blocks = _gadget(graph, range(n), n, n * n)
+    inst = ReducedInstance(graph=h, original=graph, kind="primitive", blocks=blocks)
     inst.validate()
     return inst
 
@@ -353,35 +359,9 @@ def reduce_colored(
         raise ResourceLimitError(
             f"colored gadget with b*q*n = {b * q * n} cells refused (limit {max_cells})"
         )
-    bn = b * n
-    N = n + q * bn
-    w = _bits.nwords(N)
-    rows = np.zeros((N, w), dtype=np.uint64)
-    g_rows = graph.packed_rows()
-    rows[:n, : g_rows.shape[1]] = g_rows
-    u_mask = _bits.range_mask(N, n, N)
-    blocks = tuple(np.arange(n + c * bn, n + (c + 1) * bn) for c in range(q))
-    for c in range(q):
-        block_mask = _bits.range_mask(N, n + c * bn, n + (c + 1) * bn)
-        same_color = [v for v in range(n) if coloring.colors[v] == c]
-        block_row = (
-            _bits.range_mask(N, 0, n) & ~_bits.mask_from_indices(N, same_color)
-        ) | u_mask
-        rows[blocks[c]] = block_row
-    # original rows: adjacent to every block of a different color
-    for v in range(n):
-        c = coloring.colors[v]
-        block_mask = _bits.range_mask(N, n + c * bn, n + (c + 1) * bn)
-        rows[v] |= u_mask & ~block_mask
-    _bits.clear_diagonal(rows, np.arange(n, N))
+    h, blocks = _gadget(graph, coloring.colors, q, b * n)
     inst = ReducedInstance(
-        graph=Graph.from_packed_rows(rows, N),
-        original=graph,
-        kind="colored",
-        blocks=blocks,
-        b=b,
-        q=q,
-        coloring=coloring,
+        graph=h, original=graph, kind="colored", blocks=blocks, b=b, q=q, coloring=coloring
     )
     inst.validate()
     return inst
@@ -410,9 +390,9 @@ def split_completion(inst: ReducedInstance, cover) -> frozenset[EdgePair]:
     fill: set[EdgePair] = set()
     for v in cover:
         fill.update(inst.missing_pairs(v))
-    fill.update(inst.original.non_edges_within(cover))
-    inside = len(inst.original.non_edges_within(cover))
-    expect = len(cover) * inst.block_deficit + inside
+    inside = inst.original.non_edges_within(cover)
+    fill.update(inside)
+    expect = len(cover) * inst.block_deficit + len(inside)
     if len(fill) != expect:
         raise CounterexampleError("split completion size bookkeeping is wrong")
     completed = inst.graph.add_edges(fill)

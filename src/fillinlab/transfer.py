@@ -10,8 +10,12 @@ constructive upper bound, a sound one-sided surrogate), the cover is within
 1 + eps of optimal.  Audits are computed in exact rational arithmetic, so a
 recorded inequality is true or false with no tolerance.
 
-Target factors: alpha = 1 + eps/3 when the objective is the fill-in size,
-alpha = 1 + eps^2/(10 d^3) when it is the completed graph's edge count.
+Both modes share one pipeline and differ only in the objective and the
+ratio chain: fill-in mode measures the fill-in size k against
+alpha = 1 + eps/3 (Natanzon, Shamir and Sharan), completion mode measures
+the completed graph's edge count m + k against alpha = 1 + eps^2/(10 d^3)
+(Agrawal, Klein and Ravi).  The gate is objective <= alpha*(base + ub), with
+base 0 or m(H) and ub the constructive fill-in bound.
 
 A "procedure" is any callable taking a ReducedInstance; fill-in mode expects
 an edge set that is a valid fill-in of the gadget, completion mode expects a
@@ -30,7 +34,6 @@ from .chordal import _collect_fill, is_chordal, verify_fillin
 from .errors import CounterexampleError, GraphInputError
 from .graph import Graph
 from .reduction import (
-    Coloring,
     ReducedInstance,
     brooks_coloring,
     find_forbidden_clique,
@@ -143,7 +146,140 @@ def audit_report(audit: RatioAudit, form: str = "text") -> str:
     return "\n".join(lines)
 
 
-def _validate_input(graph: Graph, config: TransferConfig) -> None:
+def _checked_fillin(inst: ReducedInstance, edges):
+    """Fill-in mode: the procedure's edge set, verified; objective k = |F|."""
+    fill = frozenset((min(u, v), max(u, v)) for u, v in edges)
+    res = verify_fillin(inst.graph, fill)
+    if not res:
+        raise GraphInputError(
+            f"plugged procedure returned an invalid fill-in: {res.reason} {res.detail}"
+        )
+    return fill, 0, len(fill)
+
+
+def _checked_completion(inst: ReducedInstance, completed):
+    """Completion mode: the added edges of a chordal supergraph of the gadget;
+    objective m + k, the completed graph's own edge count."""
+    if not isinstance(completed, Graph) or completed.n != inst.graph.n:
+        raise GraphInputError("completion procedure must return a graph on the gadget's vertices")
+    h_rows = inst.graph.packed_rows()
+    c_rows = completed.packed_rows()
+    if ((h_rows & ~c_rows) != 0).any():
+        raise GraphInputError("completion procedure dropped gadget edges (not a supergraph)")
+    ok, cert = is_chordal(completed)
+    if not ok:
+        raise GraphInputError(f"completion procedure output is not chordal: hole {cert.cycle}")
+    return _collect_fill(h_rows, c_rows, inst.graph.n), inst.graph.m, completed.m
+
+
+def _fillin_chain(audit: RatioAudit, n, ub, base, objective, isolated) -> None:
+    """|C|/tau < (1+eps/3)(1+eps/2) <= 1+eps once the gate holds."""
+    eps, alpha, tau, ratio = audit.epsilon, audit.alpha, audit.tau, audit.ratio
+    if not (audit.gate and tau):
+        return
+    bn = audit.b * n
+    half = Fraction(1, 2)
+    audit.add(check("chain_cover_vs_alpha_opt", audit.cover_size, alpha * ub / bn, "<="))
+    audit.add(
+        check(
+            "chain_opt_vs_split_bound",
+            alpha * ub / bn,
+            alpha * (bn * tau + math.comb(tau, 2)) / bn,
+            "<=",
+        )
+    )
+    audit.add(
+        check(
+            "chain_binomial_strict",
+            bn * tau + math.comb(tau, 2),
+            bn * tau + half * tau**2,
+            "<",
+        )
+    )
+    audit.add(
+        check(
+            "chain_identity",
+            alpha * (bn * tau + half * tau**2) / bn,
+            alpha * tau * (1 + Fraction(tau, 2 * bn)),
+            "==",
+        )
+    )
+    audit.add(check("chain_ratio_raw", ratio, alpha * (1 + Fraction(tau, 2 * bn)), "<"))
+    audit.add(check("chain_tau_term", Fraction(tau, 2 * bn), eps / 2, "<="))
+    audit.add(
+        check(
+            "chain_after_eps_half",
+            alpha * (1 + Fraction(tau, 2 * bn)),
+            alpha * (1 + eps / 2),
+            "<=",
+        )
+    )
+    target = (1 + eps / 3) * (1 + eps / 2)
+    audit.add(check("final_ratio", ratio, target, "<"))
+    audit.add(check("target_below_one_plus_eps", target, 1 + eps, "<="))
+
+
+def _completion_chain(audit: RatioAudit, n, ub, m_h, m_completed, isolated) -> None:
+    """Gadget edge bound, then |C|/tau < 1+eps for alpha = 1 + eps^2/(10 d^3)."""
+    eps, alpha, tau, ratio = audit.epsilon, audit.alpha, audit.tau, audit.ratio
+    b, d3 = audit.b, audit.d
+    d_eff = max(d3, audit.q)  # paper constants assume q <= d
+    if d_eff > d3:  # q > d only after the greedy fallback, whose note comes first
+        audit.notes.insert(1, "palette exceeded d; edge bound evaluated with q")
+    audit.add(check("gadget_edge_bound", m_h, b**2 * d_eff**2 * n**2, "<"))
+    audit.add(check("fill_is_edge_difference", audit.fill_size, m_completed - m_h, "=="))
+    if not (audit.gate and tau):
+        return
+    if isolated:
+        audit.notes.append("isolated vertices present: side condition unavailable, chain skipped")
+        return
+    if d_eff != d3:
+        audit.notes.append("palette exceeded d: chain constants would not apply, chain skipped")
+        return
+    bn = b * n
+    half = Fraction(1, 2)
+    am1 = alpha - 1
+    bound1 = am1 * m_h + alpha * ub
+    audit.add(check("chain_fill_vs_alpha", audit.fill_size, bound1, "<="))
+    bound2 = am1 * b**2 * d3**2 * n**2 + alpha * (bn * tau + half * tau**2)
+    audit.add(check("chain_edge_substitution", bound1, bound2, "<"))
+    rhs3 = am1 * b * d3**2 * n + alpha * tau + alpha * tau**2 / (2 * bn)
+    audit.add(check("chain_identity", bound2 / bn, rhs3, "=="))
+    audit.add(
+        check(
+            "chain_tau_le_n",
+            alpha * tau**2 / (2 * bn),
+            alpha * Fraction(tau, 2 * b),
+            "<=",
+        )
+    )
+    assembled = am1 * b * d3**2 * n + alpha * tau + alpha * Fraction(tau, 2 * b)
+    audit.add(check("chain_cover_assembled", audit.cover_size, assembled, "<"))
+    audit.add(
+        check("chain_ratio_division", ratio, assembled / tau, "<")
+    )
+    audit.add(check("side_tau_above_n_over_2d", Fraction(n, 2 * d3), tau, "<"))
+    after_side = 2 * am1 * b * d3**3 + alpha + alpha / (2 * b)
+    audit.add(check("chain_after_side_condition", ratio, after_side, "<"))
+    audit.add(check("chain_b_lower", alpha / (2 * b), alpha * eps / 2, "<="))
+    after_b = 2 * am1 * b * d3**3 + alpha + alpha * eps / 2
+    audit.add(check("chain_after_b_lower", ratio, after_b, "<"))
+    grouped = am1 * (2 * b * d3**3 + 1 + eps / 2) + 1 + eps / 2
+    audit.add(check("chain_regroup_identity", after_b, grouped, "=="))
+    loose = am1 * (4 * d3**3 / eps + 1 + eps / 2) + 1 + eps / 2
+    audit.add(check("chain_b_upper", grouped, loose, "<"))
+    loosest = am1 * 5 * d3**3 / eps + 1 + eps / 2
+    audit.add(check("chain_absorb_constants", loose, loosest, "<"))
+    audit.add(check("chain_final_identity", loosest, 1 + eps, "=="))
+    audit.add(check("final_ratio", ratio, 1 + eps, "<"))
+
+
+def _transfer(graph: Graph, procedure, config: TransferConfig, mode, checked, chain):
+    """The pipeline of both modes.  ``checked`` turns the procedure's output
+    into a verified fill-in k with the objective's base (0, or m(H)) and the
+    objective itself; ``chain`` adds the mode's ratio chain."""
+    if config.mode != mode:
+        raise GraphInputError(f"config mode must be {mode!r}")
     if graph.n < 1:
         raise GraphInputError("transfer needs a nonempty input graph")
     deg = graph.degrees()
@@ -156,53 +292,62 @@ def _validate_input(graph: Graph, config: TransferConfig) -> None:
         raise GraphInputError(
             f"clique on {config.d + 1} vertices {clique} present; strip it first"
         )
-
-
-def _shared_records(audit: RatioAudit, graph: Graph, config: TransferConfig, tau, ub):
-    """Records common to both modes: accounting, optimum bounds, instance size."""
-    n = graph.n
-    bn = config.b * n
-    c_size = audit.cover_size
-    audit.add(
-        check("cover_accounting", c_size, Fraction(audit.fill_size, bn), "<=")
-    )
-    if tau is None:
-        return
-    audit.add(check("split_upper_bound", ub, bn * tau + math.comb(tau, 2), "<="))
-    audit.add(check("tau_below_n", tau, n, "<"))
-    isolated = int((graph.degrees() == 0).sum())
-    if isolated == 0:
-        audit.add(check("tau_degree_lower", Fraction(n, config.d + 1), tau, "<="))
-    else:
-        audit.notes.append(
-            f"{isolated} isolated vertices: degree-counting lower bound skipped"
-        )
-    if audit.q <= config.d:
-        c_const = config.size_constant
-        audit.add(check("gadget_size", audit.gadget_n, c_const * n, "<="))
-    else:
-        c_const = (1 / config.epsilon + 1) * audit.q + 1
-        audit.add(
-            check(
-                "gadget_size",
-                audit.gadget_n,
-                c_const * n,
-                "<=",
-                note="palette exceeded d; constant evaluated with q",
-            )
-        )
-
-
-def _run_common(graph, config, inst, fill, tau_result):
+    coloring = brooks_coloring(graph, config.d)
+    inst = reduce_colored(graph, config.b, coloring)
+    fill, base, objective = checked(inst, procedure(inst))
+    tau_result = exact_vertex_cover(graph)
     c_set = full_vertices(inst, fill, check_fillin=False)
     tau = tau_result.size if tau_result.optimal else None
-    ub_fill = None
+    ub = None if tau is None else len(split_completion(inst, tau_result.vertices))
+    n, bn, alpha = graph.n, config.b * graph.n, config.alpha
+    audit = RatioAudit(
+        instance=instance_descriptor(graph),
+        mode=mode,
+        epsilon=config.epsilon,
+        b=config.b,
+        d=config.d,
+        q=coloring.q,
+        alpha=alpha,
+        cover_size=len(c_set),
+        tau=tau,
+        ratio=Fraction(len(c_set), tau) if tau else None,
+        gate=tau is not None and objective <= alpha * (base + ub),
+        fill_size=len(fill),
+        gadget_n=inst.graph.n,
+    )
+    if coloring.used_fallback:
+        audit.notes.append("coloring used the greedy fallback (q may exceed d)")
+    audit.add(check("cover_accounting", len(c_set), Fraction(len(fill), bn), "<="))
+    isolated = int((deg == 0).sum())
     if tau is not None:
-        ub_fill = len(split_completion(inst, tau_result.vertices))
-    ratio = None
-    if tau:
-        ratio = Fraction(len(c_set), tau)
-    return c_set, tau, ub_fill, ratio
+        audit.add(check("split_upper_bound", ub, bn * tau + math.comb(tau, 2), "<="))
+        audit.add(check("tau_below_n", tau, n, "<"))
+        if isolated == 0:
+            audit.add(check("tau_degree_lower", Fraction(n, config.d + 1), tau, "<="))
+        else:
+            audit.notes.append(
+                f"{isolated} isolated vertices: degree-counting lower bound skipped"
+            )
+        if coloring.q <= config.d:
+            audit.add(check("gadget_size", inst.graph.n, config.size_constant * n, "<="))
+        else:
+            c_const = (1 / config.epsilon + 1) * coloring.q + 1
+            audit.add(
+                check(
+                    "gadget_size",
+                    inst.graph.n,
+                    c_const * n,
+                    "<=",
+                    note="palette exceeded d; constant evaluated with q",
+                )
+            )
+        if audit.gate and tau == 0:
+            audit.notes.append("degenerate: optimum cover is empty, ratio chain skipped")
+    chain(audit, n, ub, base, objective, isolated)
+    if not audit.passed:
+        bad = next(r for r in audit.records if not r.passed)
+        raise CounterexampleError(f"audit line failed: {bad.line()}")
+    return c_set, audit
 
 
 def vc_via_fillin(graph: Graph, procedure, config: TransferConfig):
@@ -213,88 +358,7 @@ def vc_via_fillin(graph: Graph, procedure, config: TransferConfig):
     constructive bound, the full conditional chain ending in
     |C|/tau < (1+eps/3)(1+eps/2) <= 1+eps.
     """
-    if config.mode != "fillin":
-        raise GraphInputError("config mode must be 'fillin'")
-    _validate_input(graph, config)
-    coloring = brooks_coloring(graph, config.d)
-    inst = reduce_colored(graph, config.b, coloring)
-    fill = frozenset((min(u, v), max(u, v)) for u, v in procedure(inst))
-    res = verify_fillin(inst.graph, fill)
-    if not res:
-        raise GraphInputError(
-            f"plugged procedure returned an invalid fill-in: {res.reason} {res.detail}"
-        )
-    tau_result = exact_vertex_cover(graph)
-    c_set, tau, ub, ratio = _run_common(graph, config, inst, fill, tau_result)
-
-    eps, alpha = config.epsilon, config.alpha
-    n, b = graph.n, config.b
-    bn = b * n
-    gate = tau is not None and len(fill) <= alpha * ub
-    audit = RatioAudit(
-        instance=instance_descriptor(graph),
-        mode="fillin",
-        epsilon=eps,
-        b=b,
-        d=config.d,
-        q=coloring.q,
-        alpha=alpha,
-        cover_size=len(c_set),
-        tau=tau,
-        ratio=ratio,
-        gate=gate,
-        fill_size=len(fill),
-        gadget_n=inst.graph.n,
-    )
-    if coloring.used_fallback:
-        audit.notes.append("coloring used the greedy fallback (q may exceed d)")
-    _shared_records(audit, graph, config, tau, ub)
-    if gate and tau and tau >= 1:
-        half = Fraction(1, 2)
-        audit.add(check("chain_cover_vs_alpha_opt", len(c_set), alpha * ub / bn, "<="))
-        audit.add(
-            check(
-                "chain_opt_vs_split_bound",
-                alpha * ub / bn,
-                alpha * (bn * tau + math.comb(tau, 2)) / bn,
-                "<=",
-            )
-        )
-        audit.add(
-            check(
-                "chain_binomial_strict",
-                bn * tau + math.comb(tau, 2),
-                bn * tau + half * tau**2,
-                "<",
-            )
-        )
-        audit.add(
-            check(
-                "chain_identity",
-                alpha * (bn * tau + half * tau**2) / bn,
-                alpha * tau * (1 + Fraction(tau, 2 * bn)),
-                "==",
-            )
-        )
-        audit.add(check("chain_ratio_raw", ratio, alpha * (1 + Fraction(tau, 2 * bn)), "<"))
-        audit.add(check("chain_tau_term", Fraction(tau, 2 * bn), eps / 2, "<="))
-        audit.add(
-            check(
-                "chain_after_eps_half",
-                alpha * (1 + Fraction(tau, 2 * bn)),
-                alpha * (1 + eps / 2),
-                "<=",
-            )
-        )
-        target = (1 + eps / 3) * (1 + eps / 2)
-        audit.add(check("final_ratio", ratio, target, "<"))
-        audit.add(check("target_below_one_plus_eps", target, 1 + eps, "<="))
-    elif gate:
-        audit.notes.append("degenerate: optimum cover is empty, ratio chain skipped")
-    if not audit.passed:
-        bad = next(r for r in audit.records if not r.passed)
-        raise CounterexampleError(f"audit line failed: {bad.line()}")
-    return c_set, audit
+    return _transfer(graph, procedure, config, "fillin", _checked_fillin, _fillin_chain)
 
 
 def vc_via_completion(graph: Graph, procedure, config: TransferConfig):
@@ -305,104 +369,9 @@ def vc_via_completion(graph: Graph, procedure, config: TransferConfig):
     edge count by (b*d*n)^2-style counting and follows the full conditional
     chain for alpha = 1 + eps^2/(10 d^3) down to |C|/tau < 1 + eps.
     """
-    if config.mode != "completion":
-        raise GraphInputError("config mode must be 'completion'")
-    _validate_input(graph, config)
-    coloring = brooks_coloring(graph, config.d)
-    inst = reduce_colored(graph, config.b, coloring)
-    completed = procedure(inst)
-    if not isinstance(completed, Graph) or completed.n != inst.graph.n:
-        raise GraphInputError("completion procedure must return a graph on the gadget's vertices")
-    h_rows = inst.graph.packed_rows()
-    c_rows = completed.packed_rows()
-    if ((h_rows & ~c_rows) != 0).any():
-        raise GraphInputError("completion procedure dropped gadget edges (not a supergraph)")
-    ok, cert = is_chordal(completed)
-    if not ok:
-        raise GraphInputError(f"completion procedure output is not chordal: hole {cert.cycle}")
-    fill = _collect_fill(h_rows, c_rows, inst.graph.n)
-    tau_result = exact_vertex_cover(graph)
-    c_set, tau, ub, ratio = _run_common(graph, config, inst, fill, tau_result)
-
-    eps, alpha = config.epsilon, config.alpha
-    n, b = graph.n, config.b
-    bn = b * n
-    d_eff = max(config.d, coloring.q)  # paper constants assume q <= d
-    m_h = inst.graph.m
-    m_completed = completed.m
-    gate = tau is not None and m_completed <= alpha * (m_h + ub)
-    audit = RatioAudit(
-        instance=instance_descriptor(graph),
-        mode="completion",
-        epsilon=eps,
-        b=b,
-        d=config.d,
-        q=coloring.q,
-        alpha=alpha,
-        cover_size=len(c_set),
-        tau=tau,
-        ratio=ratio,
-        gate=gate,
-        fill_size=len(fill),
-        gadget_n=inst.graph.n,
+    return _transfer(
+        graph, procedure, config, "completion", _checked_completion, _completion_chain
     )
-    if coloring.used_fallback:
-        audit.notes.append("coloring used the greedy fallback (q may exceed d)")
-    if d_eff > config.d:
-        audit.notes.append("palette exceeded d; edge bound evaluated with q")
-    _shared_records(audit, graph, config, tau, ub)
-    audit.add(check("gadget_edge_bound", m_h, b**2 * d_eff**2 * n**2, "<"))
-    audit.add(check("fill_is_edge_difference", len(fill), m_completed - m_h, "=="))
-    isolated = int((graph.degrees() == 0).sum())
-    chain_applies = gate and tau and tau >= 1 and isolated == 0 and d_eff == config.d
-    if chain_applies:
-        d3 = config.d
-        half = Fraction(1, 2)
-        am1 = alpha - 1
-        bound1 = am1 * m_h + alpha * ub
-        audit.add(check("chain_fill_vs_alpha", len(fill), bound1, "<="))
-        bound2 = am1 * b**2 * d3**2 * n**2 + alpha * (bn * tau + half * tau**2)
-        audit.add(check("chain_edge_substitution", bound1, bound2, "<"))
-        rhs3 = am1 * b * d3**2 * n + alpha * tau + alpha * tau**2 / (2 * bn)
-        audit.add(check("chain_identity", bound2 / bn, rhs3, "=="))
-        audit.add(
-            check(
-                "chain_tau_le_n",
-                alpha * tau**2 / (2 * bn),
-                alpha * Fraction(tau, 2 * b),
-                "<=",
-            )
-        )
-        assembled = am1 * b * d3**2 * n + alpha * tau + alpha * Fraction(tau, 2 * b)
-        audit.add(check("chain_cover_assembled", len(c_set), assembled, "<"))
-        audit.add(
-            check("chain_ratio_division", ratio, assembled / tau, "<")
-        )
-        audit.add(check("side_tau_above_n_over_2d", Fraction(n, 2 * d3), tau, "<"))
-        after_side = 2 * am1 * b * d3**3 + alpha + alpha / (2 * b)
-        audit.add(check("chain_after_side_condition", ratio, after_side, "<"))
-        audit.add(check("chain_b_lower", alpha / (2 * b), alpha * eps / 2, "<="))
-        after_b = 2 * am1 * b * d3**3 + alpha + alpha * eps / 2
-        audit.add(check("chain_after_b_lower", ratio, after_b, "<"))
-        grouped = am1 * (2 * b * d3**3 + 1 + eps / 2) + 1 + eps / 2
-        audit.add(check("chain_regroup_identity", after_b, grouped, "=="))
-        loose = am1 * (4 * d3**3 / eps + 1 + eps / 2) + 1 + eps / 2
-        audit.add(check("chain_b_upper", grouped, loose, "<"))
-        loosest = am1 * 5 * d3**3 / eps + 1 + eps / 2
-        audit.add(check("chain_absorb_constants", loose, loosest, "<"))
-        audit.add(check("chain_final_identity", loosest, 1 + eps, "=="))
-        audit.add(check("final_ratio", ratio, 1 + eps, "<"))
-    elif gate:
-        if tau == 0:
-            audit.notes.append("degenerate: optimum cover is empty, ratio chain skipped")
-        elif isolated:
-            audit.notes.append("isolated vertices present: side condition unavailable, chain skipped")
-        elif d_eff != config.d:
-            audit.notes.append("palette exceeded d: chain constants would not apply, chain skipped")
-    if not audit.passed:
-        bad = next(r for r in audit.records if not r.passed)
-        raise CounterexampleError(f"audit line failed: {bad.line()}")
-    return c_set, audit
 
 
 # -- shipped procedure instantiations ---------------------------------------------

@@ -251,3 +251,35 @@ class TestErrors:
     def test_non_integer_ordering_exit_2(self, c4_file, capsys):
         assert run(["eliminate", c4_file, "--ordering", "0,1,x"]) == cli.EXIT_BAD_INPUT
         assert "--ordering: expected integers, got '0 1 x'" in capsys.readouterr().err
+
+    def test_non_fraction_eps_exit_2(self, capsys):
+        assert run(["verify", "transfer", "--eps", "abc", "--trials", "1"]) == cli.EXIT_BAD_INPUT
+        assert "--eps: expected a fraction, got 'abc'" in capsys.readouterr().err
+
+    def test_report_not_json_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "rep.json"
+        bad.write_text("PASS\n")
+        assert run(["report", str(bad)]) == cli.EXIT_BAD_INPUT
+        assert f"{bad}: not a JSON report" in capsys.readouterr().err
+
+    def test_report_unknown_op_exit_2(self, c4_file, tmp_path, capsys):
+        rep = tmp_path / "rep.json"
+        run(["solve", c4_file, "vc", "--out", str(rep)])
+        data = json.loads(rep.read_text())
+        data["checks"][0]["op"] = "~"
+        rep.write_text(json.dumps(data))
+        assert run(["report", str(rep)]) == cli.EXIT_BAD_INPUT
+        assert f"{rep}: check cover_is_valid has unknown op '~'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "cycle", "--jobs", "9"],
+        ["reduce", "GRAPH", "--mode", "primitive", "--graph-out", "o.col", "--seed", "3"],
+        ["solve", "GRAPH", "vc", "--jobs", "2"],
+        ["eliminate", "GRAPH", "--timings"],
+        ["report", "GRAPH", "--out", "x.json"],
+    ])
+    def test_unread_flag_exit_2(self, argv, c4_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([c4_file if a == "GRAPH" else a for a in argv])
+        assert exc.value.code == cli.EXIT_BAD_INPUT
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 
+import numpy as np
 import pytest
 
 from fillinlab.chordal import is_chordal, is_split, verify_fillin
@@ -400,3 +403,56 @@ class TestSerialization:
         assert loaded.graph == inst.graph
         assert loaded.b == 2 and loaded.q == col.q
         assert loaded.coloring.colors == col.colors
+
+
+def _gadget_corpus():
+    """Primitive gadgets for n in 1..7 on seeded G(n, p), and colored gadgets
+    for b in 1..3 on seeded subcubic graphs."""
+    from fillinlab.generate import gnp, random_subcubic
+
+    rng = np.random.default_rng(5151)
+    for n in range(1, 8):
+        yield reduce_primitive(gnp(n, float(rng.uniform(0.2, 0.8)), rng))
+    for b in (1, 2, 3):
+        for n in (5, 6, 9):
+            g = random_subcubic(n, rng)
+            yield reduce_colored(g, b, brooks_coloring(g, 3))
+
+
+# Recorded with separate primitive and colored gadget builders; the shared
+# builder must reproduce the files, deficits and missing blocks byte for byte.
+GADGET_DIGEST = "e084b43a3c5ccdcc98d7bcf4d1947ac2874c9209933737f3ef37e70704109a6a"
+
+
+def test_gadget_identity_digest(tmp_path):
+    digest = hashlib.sha256()
+    count = 0
+    for inst in _gadget_corpus():
+        path = tmp_path / "gadget.col"
+        sidecar = save_instance(inst, path)
+        digest.update(path.read_bytes())
+        with open(sidecar, "rb") as fh:
+            digest.update(fh.read())
+        missing = [inst.missing_block(v).tolist() for v in range(inst.n_original)]
+        digest.update(json.dumps([inst.block_deficit, missing]).encode())
+        count += 1
+    assert count == 7 + 9
+    assert digest.hexdigest() == GADGET_DIGEST
+
+
+def test_primitive_is_colored_under_identity_coloring():
+    """The per-vertex gadget is the colored gadget with one color per vertex
+    and block scale b = n."""
+    from fillinlab.generate import gnp
+
+    rng = np.random.default_rng(6262)
+    for n in range(1, 9):
+        for _ in range(3):
+            g = gnp(n, float(rng.uniform(0.1, 0.9)), rng)
+            prim = reduce_primitive(g)
+            col = reduce_colored(g, n, Coloring(tuple(range(n)), n))
+            assert prim.graph == col.graph
+            assert [b.tolist() for b in prim.blocks] == [b.tolist() for b in col.blocks]
+            assert prim.block_deficit == col.block_deficit == n * n
+            for v in range(n):
+                assert prim.missing_block(v).tolist() == col.missing_block(v).tolist()

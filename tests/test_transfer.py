@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fillinlab.chordal import elimination_fill
@@ -243,3 +245,39 @@ class TestAuditReport:
     def test_unknown_form(self):
         with pytest.raises(GraphInputError):
             audit_report(self._empty_audit(), form="xml")
+
+
+# Recorded with two separate transfer pipelines; the shared pipeline must
+# reproduce every audit report byte for byte.
+AUDIT_DIGEST = "f10e6c014a1a2312eff546debdffee033f3473bd2baa28c3754dd9ab2e3d421f"
+
+
+def test_audit_report_identity_digest():
+    """Text and JSON audit reports for both modes, exact- and heuristic-backed
+    procedures, and eps in {1/2, 1/3}, over seeded subcubic graphs."""
+    procedures = {
+        "fillin": (vc_via_fillin, exact_backed_fillin, heuristic_backed_fillin("min-fill")),
+        "completion": (
+            vc_via_completion,
+            exact_backed_completion,
+            heuristic_backed_completion("min-fill"),
+        ),
+    }
+    rng = np.random.default_rng(7373)
+    graphs = [random_subcubic(n, rng) for n in (5, 6, 8, 10)]
+    graphs.append(Graph.build(5, [(0, 1), (1, 2)]))  # isolated vertices
+    graphs.append(Graph.build(3))  # empty optimum cover
+    digest = hashlib.sha256()
+    count = 0
+    for eps in (Fraction(1, 2), Fraction(1, 3)):
+        for mode, (pipeline, *procs) in procedures.items():
+            cfg = TransferConfig(epsilon=eps, d=3, mode=mode)
+            for g in graphs:
+                for proc in procs:
+                    cover, audit = pipeline(g, proc, cfg)
+                    digest.update(json.dumps(sorted(cover)).encode())
+                    digest.update(audit_report(audit).encode())
+                    digest.update(audit_report(audit, form="json").encode())
+                    count += 1
+    assert count == 2 * 2 * 6 * 2
+    assert digest.hexdigest() == AUDIT_DIGEST
