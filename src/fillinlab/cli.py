@@ -354,23 +354,48 @@ def cmd_report(args) -> int:
             data = json.load(fh)
         except ValueError as exc:
             raise GraphInputError(f"{args.input}: not a JSON report ({exc})") from None
+    if not isinstance(data, dict):
+        raise GraphInputError(
+            f"{args.input}: a report is a JSON object, not {type(data).__name__}"
+        )
+    checks = data.get("checks", [])
+    if not isinstance(checks, list):
+        raise GraphInputError(f"{args.input}: checks is not a JSON array")
     problems = []
-    for rec in data.get("checks", []):
+    for rec in checks:
+        if not isinstance(rec, dict):
+            raise GraphInputError(f"{args.input}: check {rec!r} is not a JSON object")
         if rec.get("op") not in _OPS:
             raise GraphInputError(
                 f"{args.input}: check {rec.get('name')} has unknown op {rec.get('op')!r}"
             )
-        actual = _OPS[rec["op"]](_parse_num(rec["lhs"]), _parse_num(rec["rhs"]))
+        absent = [key for key in ("name", "lhs", "rhs", "pass") if key not in rec]
+        if absent:
+            raise GraphInputError(
+                f"{args.input}: check {rec.get('name')} lacks {', '.join(absent)}"
+            )
+        try:
+            actual = _OPS[rec["op"]](_parse_num(rec["lhs"]), _parse_num(rec["rhs"]))
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise GraphInputError(
+                f"{args.input}: check {rec['name']} relates {rec['lhs']!r} and {rec['rhs']!r}, "
+                "which are not both numbers"
+            ) from None
         if actual != rec["pass"]:
             problems.append(
                 f"check {rec['name']}: recorded pass={rec['pass']} but relation is {actual}"
             )
         if not rec["pass"]:
             problems.append(f"check {rec['name']} failed in the original run")
-    edges = (data.get("instance") or {}).get("edges")
+    instance = data.get("instance") or {}
+    if not isinstance(instance, dict):
+        raise GraphInputError(f"{args.input}: instance is not a JSON object")
+    edges = instance.get("edges")
+    if edges is not None and "n" not in instance:
+        raise GraphInputError(f"{args.input}: instance has edges but no vertex count n")
     certs = data.get("certificates", {})
     if edges is not None and certs:
-        g = Graph.build(data["instance"]["n"], [tuple(e) for e in edges])
+        g = Graph.build(instance["n"], [tuple(e) for e in edges])
         if "cover" in certs and not is_vertex_cover(g, certs["cover"]):
             problems.append("embedded cover certificate does not cover the instance")
         if "fillin" in certs and not verify_fillin(g, [tuple(e) for e in certs["fillin"]]):
@@ -384,7 +409,7 @@ def cmd_report(args) -> int:
             print(f"RECHECK FAIL: {p}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     print(
-        f"report {args.input}: recheck OK ({len(data.get('checks', []))} checks)",
+        f"report {args.input}: recheck OK ({len(checks)} checks)",
         file=sys.stderr,
     )
     return EXIT_OK

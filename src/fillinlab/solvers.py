@@ -7,6 +7,12 @@ eliminated vertices, a hole-chord branching fill-in solver for slightly
 larger instances with a small optimum, and the classic min-degree / min-fill
 elimination heuristics.
 
+Both heuristics keep exact integer scores on the packed rows: min-degree the
+alive degrees, min-fill the number of non-adjacent pairs among each vertex's
+alive neighbors.  Scores are computed once and then updated only where an
+elimination changes them, so each step costs popcounts over the eliminated
+vertex's neighborhood and its fill pairs, never a rescoring of every vertex.
+
 Every solver revalidates its certificate before returning; budget exhaustion
 is always an explicit outcome, never a silently wrong answer.
 """
@@ -26,6 +32,9 @@ from .graph import EdgePair, Graph
 ORDERING_ORACLE_LIMIT = 10
 
 GREEDY_STRATEGIES = ("min-degree", "min-fill")
+
+#: Bytes of rows that min-fill gathers, or unpacks, per batch of edges or fill pairs.
+_GATHER_BYTES = 1 << 18
 
 
 class _BudgetExceeded(Exception):
@@ -311,12 +320,51 @@ def exact_fillin_branch(
 # -- greedy elimination heuristics -------------------------------------------------
 
 
+def _chunks(m: int, row_bytes: int):
+    """Slices of ``range(m)`` covering at most ``_GATHER_BYTES`` bytes of rows
+    of ``row_bytes`` bytes each."""
+    step = max(1, _GATHER_BYTES // max(row_bytes, 1))
+    return (slice(lo, lo + step) for lo in range(0, m, step))
+
+
+def _fill_scores(rows: np.ndarray, n: int) -> np.ndarray:
+    """Exact fill score of every vertex: the non-adjacent pairs among its neighbors.
+
+    That is ``deg*(deg-1)/2`` minus the edges inside the neighborhood; each
+    edge (u, x) lies in the neighborhoods of its ``|N(u) & N(x)|`` common
+    neighbors, so the per-edge common-neighbor counts, added at both ends,
+    count every such edge twice.
+    """
+    deg = _bits.popcount_rows(rows)
+    twice_inside = np.zeros(n, dtype=np.int64)
+    codes = _bits.upper_codes(rows, n)
+    for part in _chunks(codes.size, rows.itemsize * rows.shape[1]):
+        u, x = np.divmod(codes[part], n)
+        common = _bits.popcount_rows(rows[u] & rows[x])
+        np.add.at(twice_inside, u, common)
+        np.add.at(twice_inside, x, common)
+    return deg * (deg - 1) // 2 - twice_inside // 2
+
+
 def _greedy_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
     """Run the elimination game under a greedy vertex choice; ties pick the smallest id.
 
     Returns (ordering, rows after the game).  Min-degree keeps a degree array
     and, after each elimination, recounts only the eliminated vertex's
     neighbors: no other alive row changes.
+
+    Min-fill keeps the exact fill score of every alive vertex (the number of
+    non-adjacent pairs among its alive neighbors) as an int64 array and
+    updates it only where an elimination changes it.  Eliminating v, with
+    alive neighborhood N and fill pairs P (the non-adjacent pairs in N):
+
+    - every w loses the pairs of P inside N(w), which become edges;
+    - each w in N also loses ``|O_w|``, the pairs (v, o) for o in
+      ``O_w = N(w) - N - {v}``, and gains, for each new partner y in N, the
+      pairs (y, o) that stay non-adjacent: ``|O_w - N(y)|``.
+
+    Nothing else changes.  When N is already a clique (P is empty), only the
+    ``|O_w|`` losses apply and no row changes.
     """
     if strategy not in GREEDY_STRATEGIES:
         raise GraphInputError(
@@ -335,18 +383,35 @@ def _greedy_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
             deg[idx] = _bits.popcount_rows(rows[idx] & alive)
             deg[v] = n  # above every alive degree: never re-selected
         return order, rows
-    alive_bool = np.ones(n, dtype=bool)
+    score = _fill_scores(rows, n)
+    retired = np.iinfo(np.int64).max  # above every alive score: never re-selected
     for step in range(n):
-        live = np.nonzero(alive_bool)[0]
-        sub = _bits.unpack(rows[live] & alive, n)[:, live]
-        deg = sub.sum(axis=1, dtype=np.int64)
-        f = sub.astype(np.float32)
-        common = ((f @ f) * f).sum(axis=1, dtype=np.float64)
-        fill_count = deg * (deg - 1) // 2 - (common / 2).astype(np.int64)
-        v = int(live[np.argmin(fill_count)])
+        v = int(np.argmin(score))  # first minimum = smallest id
         order[step] = v
-        _eliminate_vertex(rows, alive, v, n)
-        alive_bool[v] = False
+        score[v] = retired
+        nbr = rows[v] & alive
+        _bits.clear_bit(alive, v)
+        idx = _bits.indices(nbr, n)
+        k = idx.size
+        near = rows[idx]
+        outside = near & alive & ~nbr  # O_w for each w in N
+        score[idx] -= _bits.popcount_rows(outside)
+        if _bits.popcount_rows(near & nbr).sum() == k * (k - 1):
+            continue  # N is a clique: no fill, no row change
+        missing = _bits.unpack(nbr & ~near, n)
+        missing[np.arange(k), idx] = False
+        i, y = np.nonzero(missing)  # P in both directions: (idx[i], y)
+        x = idx[i]
+        for part in _chunks(i.size, rows.itemsize * rows.shape[1]):
+            gain = _bits.popcount_rows(outside[i[part]] & ~rows[y[part]])
+            np.add.at(score, x[part], gain)
+        upper = x < y
+        x, y = x[upper], y[upper]
+        for part in _chunks(x.size, 8 * rows.itemsize * rows.shape[1]):  # unpacked
+            common = rows[x[part]] & rows[y[part]] & alive
+            score -= _bits.unpack(common, n).sum(axis=0, dtype=np.int64)
+        rows[idx] = near | nbr
+        _bits.clear_diagonal(rows, idx)
     return order, rows
 
 

@@ -117,6 +117,33 @@ def min_degree_ordering_brute(n, edges):
     return order
 
 
+def min_fill_ordering_brute(n, edges):
+    """Min-fill elimination order by a full rescan of every live vertex per step.
+
+    A vertex's deficiency is the number of non-adjacent pairs among its live
+    neighbors, counted pair by pair; ties go to the smallest id.
+    """
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    remaining = set(range(n))
+
+    def deficiency(w):
+        nbrs = sorted(adj[w] & remaining)
+        return sum(1 for a, b in combinations(nbrs, 2) if b not in adj[a])
+
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda w: (deficiency(w), w))
+        nbrs = adj[v] & remaining
+        for a in nbrs:
+            adj[a] |= nbrs - {a}
+        remaining.discard(v)
+        order.append(v)
+    return order
+
+
 def min_fill_brute(n, edges):
     """Minimum fill size over every elimination ordering (n <= 8 or so)."""
     best = None

@@ -271,6 +271,58 @@ class TestErrors:
         assert run(["report", str(rep)]) == cli.EXIT_BAD_INPUT
         assert f"{rep}: check cover_is_valid has unknown op '~'" in capsys.readouterr().err
 
+    def test_report_top_level_array_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "rep.json"
+        bad.write_text("[1, 2]\n")
+        assert run(["report", str(bad)]) == cli.EXIT_BAD_INPUT
+        assert f"{bad}: a report is a JSON object, not list" in capsys.readouterr().err
+
+    def test_report_checks_not_array_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "rep.json"
+        bad.write_text(json.dumps({"checks": 5}))
+        assert run(["report", str(bad)]) == cli.EXIT_BAD_INPUT
+        assert f"{bad}: checks is not a JSON array" in capsys.readouterr().err
+
+    def test_report_check_not_object_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "rep.json"
+        bad.write_text(json.dumps({"checks": ["x < 1"]}))
+        assert run(["report", str(bad)]) == cli.EXIT_BAD_INPUT
+        assert f"{bad}: check 'x < 1' is not a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["lhs", "rhs", "pass"])
+    def test_report_check_missing_field_exit_2(self, key, c4_file, tmp_path, capsys):
+        rep = tmp_path / "rep.json"
+        run(["solve", c4_file, "vc", "--out", str(rep)])
+        data = json.loads(rep.read_text())
+        del data["checks"][0][key]
+        rep.write_text(json.dumps(data))
+        assert run(["report", str(rep)]) == cli.EXIT_BAD_INPUT
+        assert f"{rep}: check cover_is_valid lacks {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lhs", ["abc", "1/0"])
+    def test_report_check_non_number_exit_2(self, lhs, tmp_path, capsys):
+        bad = tmp_path / "rep.json"
+        check = {"name": "x", "op": "<", "lhs": lhs, "rhs": 1, "pass": True}
+        bad.write_text(json.dumps({"checks": [check]}))
+        assert run(["report", str(bad)]) == cli.EXIT_BAD_INPUT
+        assert f"{bad}: check x relates {lhs!r} and 1" in capsys.readouterr().err
+
+    def test_report_instance_not_object_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "rep.json"
+        bad.write_text(json.dumps({"instance": [1], "checks": []}))
+        assert run(["report", str(bad)]) == cli.EXIT_BAD_INPUT
+        assert f"{bad}: instance is not a JSON object" in capsys.readouterr().err
+
+    def test_report_instance_without_n_exit_2(self, c4_file, tmp_path, capsys):
+        rep = tmp_path / "rep.json"
+        run(["solve", c4_file, "vc", "--out", str(rep)])
+        data = json.loads(rep.read_text())
+        assert data["certificates"] and data["instance"]["edges"]
+        del data["instance"]["n"]
+        rep.write_text(json.dumps(data))
+        assert run(["report", str(rep)]) == cli.EXIT_BAD_INPUT
+        assert f"{rep}: instance has edges but no vertex count n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["gen", "cycle", "--jobs", "9"],
         ["reduce", "GRAPH", "--mode", "primitive", "--graph-out", "o.col", "--seed", "3"],

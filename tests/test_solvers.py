@@ -1,11 +1,16 @@
+import hashlib
+import json
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from fillinlab.chordal import verify_fillin
+from fillinlab.generate import gnp, grid, random_subcubic
 from fillinlab.errors import GraphInputError, ResourceLimitError
 from fillinlab.graph import Graph
+from fillinlab.reduction import brooks_coloring, reduce_colored, reduce_primitive
 from fillinlab.solvers import (
     ORDERING_ORACLE_LIMIT,
     exact_fillin_branch,
@@ -17,7 +22,14 @@ from fillinlab.solvers import (
 )
 
 from .conftest import random_graph
-from .oracles import edge_set, min_degree_ordering_brute, min_fill_brute, min_vertex_cover_brute
+from .oracles import (
+    edge_set,
+    elimination_fill_brute,
+    min_degree_ordering_brute,
+    min_fill_brute,
+    min_fill_ordering_brute,
+    min_vertex_cover_brute,
+)
 
 
 class TestVertexCover:
@@ -137,6 +149,13 @@ class TestBranchSolver:
         assert cut >= 10 and feasible >= 5
 
 
+def _assert_min_fill_matches_full_rescan(g):
+    edges = g.edge_list()
+    expect = min_fill_ordering_brute(g.n, edges)
+    assert greedy_ordering(g, "min-fill").tolist() == expect
+    assert greedy_minfill_heuristic(g, "min-fill") == elimination_fill_brute(g.n, edges, expect)
+
+
 class TestGreedyHeuristics:
     def test_chordal_input_minfill_empty(self, graphs):
         assert greedy_minfill_heuristic(graphs["k5"], "min-fill") == frozenset()
@@ -183,3 +202,67 @@ class TestGreedyHeuristics:
             g = Graph.build(rows * cols, edges)
             expect = min_degree_ordering_brute(g.n, edges)
             assert greedy_ordering(g, "min-degree").tolist() == expect
+
+    def test_min_fill_matches_full_rescan(self):
+        rng = np.random.default_rng(9090)
+        graphs = [Graph.build(n) for n in (0, 1, 5, 17)]
+        graphs += [Graph.build(n, combinations(range(n), 2)) for n in (2, 6, 13)]
+        while len(graphs) < 300:
+            n = int(rng.integers(0, 41))
+            graphs.append(gnp(n, float(rng.uniform(0.02, 0.7)), rng))
+        for g in graphs:
+            _assert_min_fill_matches_full_rescan(g)
+
+    def test_min_fill_matches_full_rescan_on_grids_and_gadgets(self):
+        rng = np.random.default_rng(9191)
+        graphs = [grid(r, c) for r, c in ((1, 1), (2, 3), (4, 4), (5, 7), (9, 9))]
+        graphs += [reduce_primitive(gnp(n, 0.5, rng)).graph for n in (2, 3, 4)]
+        for n in (5, 8, 11):
+            h = random_subcubic(n, rng)
+            graphs.append(reduce_colored(h, 1, brooks_coloring(h, 3)).graph)
+        for g in graphs:
+            _assert_min_fill_matches_full_rescan(g)
+
+    def test_min_fill_memory_is_bounded(self):
+        """Scores are built and updated from bounded gathers of packed rows;
+        gathering a row pair for each of the gadget's ~60k edges at once would
+        peak near 7 MB."""
+        g = reduce_primitive(gnp(7, 0.5, 3)).graph
+        assert g.n == 350
+        tracemalloc.start()
+        try:
+            greedy_minfill_heuristic(g, "min-fill")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+def _minfill_digest_corpus():
+    """Primitive gadgets for n in 4..8 (N up to 520), colored gadgets of seeded
+    subcubic graphs on n in 20..50, and the 20x20 and 24x24 grids."""
+    rng = np.random.default_rng(7373)
+    for n in range(4, 9):
+        yield reduce_primitive(gnp(n, float(rng.uniform(0.3, 0.8)), rng)).graph
+    for n in (20, 30, 40, 50):
+        g = random_subcubic(n, rng)
+        yield reduce_colored(g, 1, brooks_coloring(g, 3)).graph
+    yield grid(20, 20)
+    yield grid(24, 24)
+
+
+# Recorded with the float32 (A@A)*A rescoring; the exact integer scores must
+# reproduce every ordering and fill set byte for byte.
+MINFILL_DIGEST = "2c8c9824d1493e9379968f7cf57ebb284938322f9c1e69866935564e95734ea2"
+
+
+def test_minfill_ordering_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for g in _minfill_digest_corpus():
+        order = greedy_ordering(g, "min-fill")
+        codes = sorted(u * g.n + w for u, w in greedy_minfill_heuristic(g, "min-fill"))
+        digest.update(json.dumps([g.n, order.tolist(), codes]).encode())
+        count += 1
+    assert count == 5 + 4 + 2
+    assert digest.hexdigest() == MINFILL_DIGEST
