@@ -110,7 +110,8 @@ def upper_codes(rows: np.ndarray, n: int) -> np.ndarray:
 
     Only the nonzero words at or right of the diagonal are unpacked, from one
     block of rows at a time, so a block never unpacks more than about
-    ``UNPACK_BLOCK_BYTES`` bytes.
+    ``UNPACK_BLOCK_BYTES`` bytes; the bits at and below the diagonal are
+    cleared from each diagonal word first, so every unpacked bit is a code.
     """
     out = [np.empty(0, dtype=np.int64)]
     step = max(1, UNPACK_BLOCK_BYTES // max(n, 1))
@@ -119,9 +120,13 @@ def upper_codes(rows: np.ndarray, n: int) -> np.ndarray:
         r += lo
         upper = c >= r >> 6
         r, c = r[upper], c[upper]
-        k, b = np.nonzero(unpack(rows[r, c][:, None], WORD))
-        u = r[k]
-        w = c[k] * WORD + b
-        upper = w > u
-        out.append(u[upper] * n + w[upper])
+        words = rows[r, c]
+        diag = c == r >> 6
+        above = _U1 << (r[diag] & 63).astype(np.uint64) << _U1  # 0 at bit 63
+        words[diag] &= ~(above - _U1)
+        bits = np.flatnonzero(unpack(words[:, None], WORD))
+        code = (r * n + c * WORD)[bits >> 6]
+        bits &= WORD - 1
+        code += bits
+        out.append(code)
     return np.concatenate(out)

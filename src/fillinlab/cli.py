@@ -31,6 +31,7 @@ from .chordal import check_hole, check_peo, elimination_fill_codes, verify_filli
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
 from .graph import Graph, load_dimacs, parse_ints, save_dimacs
 from .reduction import (
+    COLORED_MAX_CELLS,
     PRIMITIVE_MAX_N,
     brooks_coloring,
     decision_equivalence_check,
@@ -111,7 +112,7 @@ def cmd_reduce(args) -> int:
         inst = reduce_primitive(g, max_n=max_n)
     else:
         coloring = brooks_coloring(g, args.d)
-        max_cells = 10**12 if _limits_overridden() else 10**6
+        max_cells = 10**12 if _limits_overridden() else COLORED_MAX_CELLS
         inst = reduce_colored(g, args.b, coloring, max_cells=max_cells)
     sidecar = save_instance(inst, args.graph_out)
     report = RunReport(
@@ -348,6 +349,11 @@ def _parse_num(x):
     return x
 
 
+def _vertex_ids(values) -> bool:
+    """A JSON array of integers (true and false are not vertex ids)."""
+    return isinstance(values, list) and all(type(v) is int for v in values)
+
+
 def cmd_report(args) -> int:
     with open(args.input) as fh:
         try:
@@ -393,12 +399,24 @@ def cmd_report(args) -> int:
     edges = instance.get("edges")
     if edges is not None and "n" not in instance:
         raise GraphInputError(f"{args.input}: instance has edges but no vertex count n")
-    certs = data.get("certificates", {})
+    if edges is not None and not (isinstance(edges, list) and type(instance["n"]) is int):
+        raise GraphInputError(f"{args.input}: instance needs an integer n and an edge array")
+    certs = data.get("certificates") or {}
+    if not isinstance(certs, dict):
+        raise GraphInputError(f"{args.input}: certificates is not a JSON object")
+    for name, cert in certs.items():
+        if name == "fillin":
+            ok = isinstance(cert, list) and all(_vertex_ids(e) and len(e) == 2 for e in cert)
+        else:
+            ok = _vertex_ids(cert) or name not in ("cover", "peo", "hole") and isinstance(cert, list)
+        if not ok:
+            want = "pairs" if name == "fillin" else "ids"
+            raise GraphInputError(f"{args.input}: certificate {name} is not a JSON array of vertex {want}")
     if edges is not None and certs:
-        g = Graph.build(instance["n"], [tuple(e) for e in edges])
+        g = Graph.build(instance["n"], edges)
         if "cover" in certs and not is_vertex_cover(g, certs["cover"]):
             problems.append("embedded cover certificate does not cover the instance")
-        if "fillin" in certs and not verify_fillin(g, [tuple(e) for e in certs["fillin"]]):
+        if "fillin" in certs and not verify_fillin(g, certs["fillin"]):
             problems.append("embedded fill-in certificate is not a valid fill-in")
         if "peo" in certs and not check_peo(g, certs["peo"]):
             problems.append("embedded PEO certificate fails the definition")

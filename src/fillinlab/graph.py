@@ -38,7 +38,11 @@ def normalize_edges(vertex_count: int, edges: Iterable) -> list[EdgePair]:
     """Validate and canonicalize an edge iterable: in-range, no loops, u < v, sorted, deduped."""
     seen = set()
     for e in edges:
-        u, v = int(e[0]), int(e[1])
+        try:
+            u, v = e
+            u, v = int(u), int(v)
+        except (TypeError, ValueError):
+            raise GraphInputError(f"edge {e!r} is not a pair of vertex ids") from None
         if u == v:
             raise GraphInputError(f"self-loop ({u},{v}) is not allowed")
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):

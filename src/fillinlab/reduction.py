@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -59,7 +60,6 @@ class Coloring:
 
     colors: tuple[int, ...]
     q: int
-    used_fallback: bool = False  # greedy fallback may spend one extra color
 
     def monochromatic_edge(self, graph: Graph) -> EdgePair | None:
         for u, v in graph.iter_edges():
@@ -77,10 +77,14 @@ class Coloring:
             raise GraphInputError(f"coloring is improper: edge {bad} is monochromatic")
 
 
-def _components(graph: Graph) -> list[list[int]]:
-    seen = [False] * graph.n
+def _components(graph: Graph, vertices=None) -> list[list[int]]:
+    """Sorted components of the subgraph induced by ``vertices`` (default all)."""
+    todo = range(graph.n) if vertices is None else sorted(vertices)
+    seen = [True] * graph.n
+    for v in todo:
+        seen[v] = False
     comps = []
-    for s in range(graph.n):
+    for s in todo:
         if seen[s]:
             continue
         comp = [s]
@@ -150,19 +154,25 @@ def _distance_order(graph: Graph, comp: set[int], root: int) -> list[int]:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     if len(dist) != len(comp):
-        return []  # disconnected: caller falls back
+        return []  # disconnected
     return sorted(comp, key=lambda v: (-dist[v], v))
 
 
 def brooks_coloring(graph: Graph, d: int) -> Coloring:
     """Proper coloring with at most d colors for a d-degree-bounded graph
-    without a clique on d+1 vertices.
+    without a clique on d+1 vertices, by the cases of Lovasz's proof of
+    Brooks' theorem, component by component:
 
-    Non-regular components are colored greedily from the leaves of a BFS tree
-    rooted at a low-degree vertex; regular components use the same-colored
-    nonadjacent neighbor pair trick.  If the constructive case analysis ever
-    fails, a plain greedy pass (at most d+1 colors) takes over and the result
-    is flagged.
+    * small component (at most d vertices): greedy;
+    * low-degree root: greedy from the leaves of a BFS tree rooted at a
+      vertex of degree below d;
+    * (u, a, b) triple: in a d-regular component, nonadjacent neighbors a, b
+      of u whose removal keeps it connected share color 0, and the rest is
+      colored greedily from the leaves of a BFS tree rooted at u;
+    * cut-vertex lobes: a d-regular component without a triple has a cut
+      vertex x; each lobe (a component of the rest, plus x) holds fewer than
+      d neighbors of x, is colored alone as from a low-degree root x, and is
+      recolored so x gets color 0.
     """
     if d < 3:
         raise GraphInputError("degree bound d must be at least 3")
@@ -178,50 +188,43 @@ def brooks_coloring(graph: Graph, d: int) -> Coloring:
         )
 
     colors = [-1] * graph.n
-    fallback = False
     for comp in _components(graph):
         comp_set = set(comp)
-        degs = {v: graph.degree(v) for v in comp}
         if len(comp) <= d:
             _greedy_colors(graph, comp, colors)
             continue
-        low = [v for v in comp if degs[v] < d]
+        low = [v for v in comp if graph.degree(v) < d]
         if low:
-            order = _distance_order(graph, comp_set, low[0])
+            _greedy_colors(graph, _distance_order(graph, comp_set, low[0]), colors)
+            continue
+        candidates = (
+            (a, b, _distance_order(graph, comp_set - {a, b}, u))
+            for u in comp
+            for a, b in combinations([int(w) for w in graph.neighbors(u)], 2)
+            if not graph.has_edge(a, b)
+        )
+        triple = next(((a, b, order) for a, b, order in candidates if order), None)
+        if triple is not None:
+            a, b, order = triple
+            colors[a] = colors[b] = 0
             _greedy_colors(graph, order, colors)
             continue
-        # d-regular component: seed two nonadjacent neighbors of u with one color
-        done = False
-        for u in comp:
-            nbrs = [int(w) for w in graph.neighbors(u)]
-            for i in range(len(nbrs)):
-                for j in range(i + 1, len(nbrs)):
-                    a, b = nbrs[i], nbrs[j]
-                    if graph.has_edge(a, b):
-                        continue
-                    rest = comp_set - {a, b}
-                    order = _distance_order(graph, rest, u)
-                    if not order:
-                        continue  # removing a, b disconnected the component
-                    colors[a] = colors[b] = 0
-                    _greedy_colors(graph, order, colors)
-                    done = True
-                    break
-                if done:
-                    break
-            if done:
-                break
-        if not done:
-            fallback = True
-            _greedy_colors(graph, comp, colors)
+        x = next((v for v in comp if len(_components(graph, comp_set - {v})) > 1), None)
+        if x is None:
+            raise CounterexampleError("2-connected d-regular component without a triple")
+        for lobe in _components(graph, comp_set - {x}):
+            scratch = [-1] * graph.n
+            _greedy_colors(graph, _distance_order(graph, {x, *lobe}, x), scratch)
+            swap = {0: scratch[x], scratch[x]: 0}
+            for v in lobe:
+                colors[v] = swap.get(scratch[v], scratch[v])
+        colors[x] = 0
 
-    q = (max(colors) + 1) if colors else 0
-    coloring = Coloring(tuple(colors), max(q, 0), used_fallback=fallback)
+    q = max(colors) + 1 if colors else 0
+    coloring = Coloring(tuple(colors), q)
     coloring.validate(graph)
-    if not fallback and q > d:
+    if q > d:
         raise CounterexampleError("constructive coloring exceeded d colors")
-    if fallback and q > d + 1:
-        raise CounterexampleError("greedy fallback exceeded d+1 colors")
     return coloring
 
 
@@ -448,7 +451,6 @@ def produced_fillins(inst: ReducedInstance, rng=None, random_orderings: int = 0)
 def verify_sandwich(
     graph: Graph,
     inst: ReducedInstance | None = None,
-    extra_fillins: dict | None = None,
     rng=None,
     random_orderings: int = 2,
 ) -> RunReport:
@@ -481,8 +483,7 @@ def verify_sandwich(
     report.add(
         check("constructed_fillin_below_window", len(constructed), (tau + 1) * deficit, "<")
     )
-    fills = dict(extra_fillins or {})
-    fills.update(produced_fillins(inst, rng=rng, random_orderings=random_orderings))
+    fills = produced_fillins(inst, rng=rng, random_orderings=random_orderings)
     fills["split-completion"] = constructed
     for name, fill in sorted(fills.items()):
         full = full_vertices(inst, fill)

@@ -1,9 +1,10 @@
 """Turn fill-in or chordal-completion procedures into vertex cover procedures,
 auditing every inequality of the supporting argument on the run's own numbers.
 
-The pipeline colors a degree-bounded clique-free input, builds the colored
-gadget with block scale b = ceil(1/eps), runs the plugged procedure on the
-gadget, and extracts the full vertices, which are always a vertex cover.
+The pipeline colors a d-degree-bounded clique-free input with at most d
+colors (Brooks' theorem), builds the colored gadget with block scale
+b = ceil(1/eps), runs the plugged procedure on the gadget, and extracts the
+full vertices, which are always a vertex cover.
 The quality transfer is conditional: when the procedure's objective is
 within the target factor alpha of the optimum (measured against the
 constructive upper bound, a sound one-sided surrogate), the cover is within
@@ -36,7 +37,6 @@ from .graph import Graph
 from .reduction import (
     ReducedInstance,
     brooks_coloring,
-    find_forbidden_clique,
     full_vertices,
     reduce_colored,
     split_completion,
@@ -76,7 +76,7 @@ class TransferConfig:
 
     @property
     def size_constant(self) -> Fraction:
-        """c with |V(gadget)| <= c*n whenever the palette stays within d."""
+        """c with |V(gadget)| <= c*n: the palette has at most d colors."""
         return (1 / self.epsilon + 1) * self.d + 1
 
 
@@ -223,18 +223,12 @@ def _completion_chain(audit: RatioAudit, n, ub, m_h, m_completed, isolated) -> N
     """Gadget edge bound, then |C|/tau < 1+eps for alpha = 1 + eps^2/(10 d^3)."""
     eps, alpha, tau, ratio = audit.epsilon, audit.alpha, audit.tau, audit.ratio
     b, d3 = audit.b, audit.d
-    d_eff = max(d3, audit.q)  # paper constants assume q <= d
-    if d_eff > d3:  # q > d only after the greedy fallback, whose note comes first
-        audit.notes.insert(1, "palette exceeded d; edge bound evaluated with q")
-    audit.add(check("gadget_edge_bound", m_h, b**2 * d_eff**2 * n**2, "<"))
+    audit.add(check("gadget_edge_bound", m_h, b**2 * d3**2 * n**2, "<"))
     audit.add(check("fill_is_edge_difference", audit.fill_size, m_completed - m_h, "=="))
     if not (audit.gate and tau):
         return
     if isolated:
         audit.notes.append("isolated vertices present: side condition unavailable, chain skipped")
-        return
-    if d_eff != d3:
-        audit.notes.append("palette exceeded d: chain constants would not apply, chain skipped")
         return
     bn = b * n
     half = Fraction(1, 2)
@@ -282,17 +276,7 @@ def _transfer(graph: Graph, procedure, config: TransferConfig, mode, checked, ch
         raise GraphInputError(f"config mode must be {mode!r}")
     if graph.n < 1:
         raise GraphInputError("transfer needs a nonempty input graph")
-    deg = graph.degrees()
-    if int(deg.max()) > config.d:
-        raise GraphInputError(
-            f"input is not {config.d}-degree-bounded (max degree {int(deg.max())})"
-        )
-    clique = find_forbidden_clique(graph, config.d)
-    if clique is not None:
-        raise GraphInputError(
-            f"clique on {config.d + 1} vertices {clique} present; strip it first"
-        )
-    coloring = brooks_coloring(graph, config.d)
+    coloring = brooks_coloring(graph, config.d)  # checks the degree bound and clique-freeness
     inst = reduce_colored(graph, config.b, coloring)
     fill, base, objective = checked(inst, procedure(inst))
     tau_result = exact_vertex_cover(graph)
@@ -315,10 +299,8 @@ def _transfer(graph: Graph, procedure, config: TransferConfig, mode, checked, ch
         fill_size=len(fill),
         gadget_n=inst.graph.n,
     )
-    if coloring.used_fallback:
-        audit.notes.append("coloring used the greedy fallback (q may exceed d)")
     audit.add(check("cover_accounting", len(c_set), Fraction(len(fill), bn), "<="))
-    isolated = int((deg == 0).sum())
+    isolated = int((graph.degrees() == 0).sum())
     if tau is not None:
         audit.add(check("split_upper_bound", ub, bn * tau + math.comb(tau, 2), "<="))
         audit.add(check("tau_below_n", tau, n, "<"))
@@ -328,19 +310,7 @@ def _transfer(graph: Graph, procedure, config: TransferConfig, mode, checked, ch
             audit.notes.append(
                 f"{isolated} isolated vertices: degree-counting lower bound skipped"
             )
-        if coloring.q <= config.d:
-            audit.add(check("gadget_size", inst.graph.n, config.size_constant * n, "<="))
-        else:
-            c_const = (1 / config.epsilon + 1) * coloring.q + 1
-            audit.add(
-                check(
-                    "gadget_size",
-                    inst.graph.n,
-                    c_const * n,
-                    "<=",
-                    note="palette exceeded d; constant evaluated with q",
-                )
-            )
+        audit.add(check("gadget_size", inst.graph.n, config.size_constant * n, "<="))
         if audit.gate and tau == 0:
             audit.notes.append("degenerate: optimum cover is empty, ratio chain skipped")
     chain(audit, n, ub, base, objective, isolated)

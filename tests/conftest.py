@@ -28,6 +28,26 @@ def named_graphs():
     }
 
 
+def bridged_cubic():
+    """Two sides, each K4 minus the edge (a, b) plus a new vertex joined to a
+    and b, with the two new vertices joined by a bridge: a cubic graph on 10
+    vertices in which every way of giving two nonadjacent neighbours of one
+    vertex the same colour disconnects the rest."""
+    side = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 4)]
+    return Graph.build(10, side + [(u + 5, v + 5) for u, v in side] + [(4, 9)])
+
+
+def bridge_chain_cubic():
+    """Three K4s minus an edge in a row, joined by two bridges (the end ones
+    through a new vertex each): a cubic graph on 14 vertices, labelled so that
+    a plain greedy pass in vertex order needs 4 colors."""
+    return Graph.build(14, [
+        (0, 1), (0, 3), (0, 6), (1, 3), (1, 6), (2, 8), (2, 10), (2, 13), (3, 7),
+        (4, 5), (4, 9), (4, 12), (5, 7), (5, 12), (6, 7), (8, 9), (8, 11), (9, 12),
+        (10, 11), (10, 13), (11, 13),
+    ])
+
+
 @pytest.fixture(scope="session")
 def graphs():
     return named_graphs()

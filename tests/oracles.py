@@ -178,3 +178,38 @@ def iso_classes_4():
             seen.add(canon)
             reps.append(edges)
     return reps
+
+
+def brooks_triple_missing(n, edges, d):
+    """Some d-regular component on more than d vertices has no vertex u with
+    nonadjacent neighbours a, b whose removal leaves the component connected:
+    the start of Lovasz's proof of Brooks' theorem is unavailable there."""
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def reach(start, allowed):
+        seen, stack = {start}, [start]
+        while stack:
+            for w in adj[stack.pop()] & allowed:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    done = set()
+    for s in range(n):
+        if s in done:
+            continue
+        comp = reach(s, set(range(n)))
+        done |= comp
+        if len(comp) <= d or any(len(adj[v]) != d for v in comp):
+            continue
+        if not any(
+            b not in adj[a] and len(reach(u, comp - {a, b})) == len(comp) - 2
+            for u in comp
+            for a, b in combinations(sorted(adj[u]), 2)
+        ):
+            return True
+    return False

@@ -59,6 +59,8 @@ from .oracles import (
     min_vertex_cover_brute,
 )
 
+from .conftest import bridged_cubic
+
 
 def _random_cover(graph, rng):
     cover = {int(v) for v in range(graph.n) if rng.random() < 0.6}
@@ -215,7 +217,8 @@ def test_criterion_4_decision_equivalence():
 
 
 def test_criterion_5_cover_bound_and_edge_bound():
-    """Every colored instance in the corpus satisfies the cover-based upper
+    """Every colored instance in the corpus, bridged cubic inputs included,
+    is colored with at most d colors and satisfies the cover-based upper
     bound |split_completion| <= b n tau + C(tau,2) and the edge bound
     |E(H)| < b^2 d^2 n^2 exactly."""
     rng = np.random.default_rng(505)
@@ -232,6 +235,14 @@ def test_criterion_5_cover_bound_and_edge_bound():
                 g = random_subcubic(n, rng)
                 if g.n >= 1:
                     corpus.append((g, b))
+    bridged = bridged_cubic()
+    perm = np.random.default_rng(5050).permutation(bridged.n)
+    relabelled = Graph.build(
+        bridged.n, [(int(perm[u]), int(perm[v])) for u, v in bridged.iter_edges()]
+    )
+    for g in (bridged, relabelled):
+        for b in (1, 2):
+            corpus.append((g, b))
     checked = 0
     for g, b in corpus:
         coloring = brooks_coloring(g, d)

@@ -323,6 +323,28 @@ class TestErrors:
         assert run(["report", str(rep)]) == cli.EXIT_BAD_INPUT
         assert f"{rep}: instance has edges but no vertex count n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("instance, certs, message", [
+        ({"n": 2, "edges": [[0, 1]]}, ["cover"], "certificates is not a JSON object"),
+        ({"n": 2, "edges": [[0, 1]]}, {"cover": 5}, "certificate cover is not a JSON array"),
+        ({"n": "2", "edges": [[0, 1]]}, {"cover": [0]}, "instance needs an integer n"),
+        ({"n": 2, "edges": 5}, {"cover": [0]}, "instance needs an integer n and an edge array"),
+        ({"n": 2, "edges": [[0, 1]]}, {"cover": ["a"]}, "certificate cover is not a JSON array of vertex ids"),
+        ({"n": 2, "edges": [[0, 1]]}, {"fillin": [5]}, "certificate fillin is not a JSON array of vertex pairs"),
+        ({"n": 2, "edges": [[0, 1]]}, {"hole": [True]}, "certificate hole is not a JSON array of vertex ids"),
+    ])
+    def test_report_malformed_certificate_input_exit_2(self, instance, certs, message, tmp_path, capsys):
+        bad = tmp_path / "rep.json"
+        bad.write_text(json.dumps({"instance": instance, "certificates": certs}))
+        assert run(["report", str(bad)]) == cli.EXIT_BAD_INPUT
+        assert f"{bad}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edge", [[0], [0, 1, 1]])
+    def test_report_instance_edge_not_pair_exit_2(self, edge, tmp_path, capsys):
+        bad = tmp_path / "rep.json"
+        bad.write_text(json.dumps({"instance": {"n": 2, "edges": [edge]}, "certificates": {"cover": [0]}}))
+        assert run(["report", str(bad)]) == cli.EXIT_BAD_INPUT
+        assert f"edge {edge!r} is not a pair" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["gen", "cycle", "--jobs", "9"],
         ["reduce", "GRAPH", "--mode", "primitive", "--graph-out", "o.col", "--seed", "3"],

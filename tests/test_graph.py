@@ -53,6 +53,11 @@ class TestBuild:
         with pytest.raises(GraphInputError, match=r"\(2,2\)"):
             Graph.build(4, [(2, 2)])
 
+    @pytest.mark.parametrize("edge", [(0,), (0, 1, 1), 5, ()])
+    def test_rejects_non_pair(self, edge):
+        with pytest.raises(GraphInputError, match="not a pair"):
+            Graph.build(4, [(1, 2), edge])
+
     def test_degree_sum_is_twice_edges(self):
         g = Graph.build(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 5)])
         assert int(g.degrees().sum()) == 2 * g.m
@@ -315,6 +320,26 @@ class TestEdgeSetText:
         path.write_text("0 2\n1 x\n")
         with pytest.raises(GraphInputError, match=r"bad\.txt:2: expected integers"):
             load_edge_set(path)
+
+
+def test_upper_codes_memory_is_bounded():
+    """Only bits right of the diagonal are unpacked into codes, built in
+    place: the N=350 primitive gadget's ~60k codes take 0.49 MB."""
+    import tracemalloc
+
+    from fillinlab.generate import gnp
+    from fillinlab.reduction import reduce_primitive
+
+    g = reduce_primitive(gnp(7, 0.5, 3)).graph
+    rows = g.packed_rows()
+    tracemalloc.start()
+    try:
+        codes = _bits.upper_codes(rows, g.n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes.size == g.m
+    assert peak < 2.5 * 2**20
 
 
 def test_content_hash_is_stable(graphs):

@@ -27,8 +27,8 @@ from fillinlab.solvers import (
     greedy_minfill_heuristic,
 )
 
-from .conftest import random_graph
-from .oracles import edge_set, min_vertex_cover_brute
+from .conftest import bridge_chain_cubic, bridged_cubic, named_graphs, random_graph
+from .oracles import brooks_triple_missing, edge_set, min_vertex_cover_brute
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +88,7 @@ class TestPrimitive:
 class TestBrooks:
     def test_petersen(self, graphs):
         col = brooks_coloring(graphs["petersen"], 3)
-        assert col.q <= 3 and not col.used_fallback
+        assert col.q <= 3
         assert col.monochromatic_edge(graphs["petersen"]) is None
 
     def test_even_cycle_two_colors(self, graphs):
@@ -121,6 +121,130 @@ class TestBrooks:
                 continue
             col = brooks_coloring(g, 3)
             assert col.q <= 3 and col.monochromatic_edge(g) is None
+
+    @pytest.mark.parametrize("graph", [bridged_cubic, bridge_chain_cubic])
+    def test_bridged_cubic(self, graph):
+        g = graph()
+        assert brooks_triple_missing(g.n, g.edge_list(), 3)
+        col = brooks_coloring(g, 3)
+        assert col.q <= 3 and col.monochromatic_edge(g) is None
+
+    @pytest.mark.parametrize(
+        "seed, count, make, lobed",
+        [
+            (4242, 240, lambda rng: _cut_vertex_graph(rng, 3, (2, 1), (4, 6)), 62),
+            (3, 120, lambda rng: _cut_vertex_graph(rng, 3, (1, 1, 1), (4, 6)), 15),
+            (5, 300, lambda rng: _bridge_chain(rng, int(rng.integers(1, 3))), 70),
+        ],
+        ids=["bridged", "three-lobes", "bridge-chains"],
+    )
+    def test_cut_vertex_corpus(self, seed, count, make, lobed):
+        """Relabelled cubic graphs with one bridge, with three lobes at one cut
+        vertex, and with several cut vertices in a row.  ``lobed`` of them lack
+        the (u, a, b) start and reach the cut-vertex case; a plain greedy pass
+        used to colour those, with 4 colors on some bridge chains."""
+        rng = np.random.default_rng(seed)
+        missing = 0
+        for _ in range(count):
+            g = make(rng)
+            col = brooks_coloring(g, 3)
+            assert col.q <= 3 and col.monochromatic_edge(g) is None
+            missing += brooks_triple_missing(g.n, g.edge_list(), 3)
+        assert missing == lobed
+
+
+def _holed_side(rng, d, sizes, n):
+    """A random d-regular graph on one of ``sizes`` vertices, shifted by n,
+    without one of its edges (a, b): (edges, a, b, vertex count)."""
+    from fillinlab.generate import random_regular
+
+    k = int(rng.choice(sizes))
+    side = random_regular(k, d, rng).edge_list()
+    a, b = side[int(rng.integers(len(side)))]
+    return [(n + u, n + v) for u, v in side if (u, v) != (a, b)], n + a, n + b, k
+
+
+def _relabelled(rng, n, edges):
+    perm = rng.permutation(n)
+    return Graph.build(n, [(int(perm[u]), int(perm[v])) for u, v in edges])
+
+
+def _cut_vertex_graph(rng, d, ports, sizes):
+    """A randomly relabelled d-regular graph with cut vertex 0.  For each
+    entry j of ports (they sum to d), a holed side joins vertex 0: for j = 2
+    through a and b, for j = 1 through a new vertex joined to a and b and,
+    by a bridge, to 0."""
+    edges, n = [], 1
+    for j in ports:
+        side, a, b, k = _holed_side(rng, d, sizes, n)
+        edges += side
+        if j == 2:
+            edges += [(0, a), (0, b)]
+        else:
+            edges += [(a, n + k), (b, n + k), (0, n + k)]
+            k += 1
+        n += k
+    return _relabelled(rng, n, edges)
+
+
+def _bridge_chain(rng, middles, sizes=(4, 6)):
+    """A randomly relabelled cubic graph of middles + 2 holed sides in a row,
+    consecutive sides joined by a bridge: an end side's bridge leaves a new
+    vertex joined to a and b, a middle side's two bridges leave a and b."""
+    edges, n, ends = [], 0, []
+    for i in range(middles + 2):
+        side, a, b, k = _holed_side(rng, 3, sizes, n)
+        edges += side
+        if 0 < i <= middles:
+            ends += [a, b]
+        else:
+            edges += [(a, n + k), (b, n + k)]
+            ends.append(n + k)
+            k += 1
+        n += k
+    edges += zip(ends[::2], ends[1::2])
+    return _relabelled(rng, n, edges)
+
+
+def _coloring_corpus():
+    """(label, graph, d) for seeded subcubic graphs on n = 4..60, seeded
+    3- and 4-regular graphs whose components all admit the (u, a, b) start,
+    and the named fixture graphs at every d in 3..5 they satisfy."""
+    from fillinlab.generate import random_regular, random_subcubic
+    from fillinlab.reduction import find_forbidden_clique
+
+    rng = np.random.default_rng(9090)
+    for n in range(4, 61):
+        yield f"subcubic-{n}", random_subcubic(n, rng), 3
+    for d, sizes in ((3, range(4, 41, 2)), (4, range(5, 31))):
+        for n in sizes:
+            for i in range(4):
+                g = random_regular(n, d, rng)
+                if find_forbidden_clique(g, d) is None and not brooks_triple_missing(
+                    g.n, g.edge_list(), d
+                ):
+                    yield f"regular-{d}-{n}-{i}", g, d
+    for name, g in sorted(named_graphs().items()):
+        for d in (3, 4, 5):
+            if g.n and int(g.degrees().max()) <= d and find_forbidden_clique(g, d) is None:
+                yield f"{name}-{d}", g, d
+
+
+# Recorded with the search-then-greedy-fallback colouring, on inputs where
+# the fallback never fired; the search order must stay exactly as it was.
+COLORING_DIGEST = "2e11ea5508f26083b88c39ceadb6423bf84ae4d82dcc8acd089f6b7db3fe23c0"
+COLORING_COUNT = 254
+
+
+def test_coloring_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for label, g, d in _coloring_corpus():
+        col = brooks_coloring(g, d)
+        digest.update(json.dumps([label, col.q, list(col.colors)]).encode())
+        count += 1
+    assert count == COLORING_COUNT
+    assert digest.hexdigest() == COLORING_DIGEST
 
 
 class TestColored:

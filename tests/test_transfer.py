@@ -24,6 +24,8 @@ from fillinlab.transfer import (
     vc_via_fillin,
 )
 
+from .conftest import bridge_chain_cubic, bridged_cubic
+
 
 class TestConfig:
     def test_b_defaults_to_inverse_ceiling(self):
@@ -198,6 +200,25 @@ class TestAuditSoundness:
         rec = next(r for r in audit.records if r.name == "gadget_size")
         assert rec.passed
         assert audit.gadget_n <= cfg.size_constant * g.n
+
+
+@pytest.mark.parametrize("graph", [bridged_cubic, bridge_chain_cubic])
+@pytest.mark.parametrize(
+    "pipeline, procedure, mode",
+    [
+        (vc_via_fillin, exact_backed_fillin, "fillin"),
+        (vc_via_completion, exact_backed_completion, "completion"),
+    ],
+)
+def test_bridged_cubic_keeps_d_colors(graph, pipeline, procedure, mode):
+    """Bridges leave no (u, a, b) start for the colouring; the cut-vertex
+    case still uses d colours, so no note qualifies the audit and both
+    chains run to their final ratio."""
+    cfg = TransferConfig(epsilon=Fraction(1, 2), d=3, mode=mode)
+    cover, audit = pipeline(graph(), procedure, cfg)
+    assert audit.q <= 3 and audit.notes == []
+    assert audit.passed and audit.gate and len(cover) == audit.tau
+    assert any(r.name == "final_ratio" for r in audit.records)
 
 
 class TestAuditReport:
