@@ -51,6 +51,7 @@ from .solvers import (
     exact_fillin_branch,
     exact_fillin_ordering_oracle,
     exact_vertex_cover,
+    greedy_game,
     greedy_minfill_heuristic,
     greedy_ordering,
     is_vertex_cover,

@@ -65,6 +65,12 @@ def clear_diagonal(rows: np.ndarray, idx) -> None:
     rows[idx, idx >> 6] &= ~(_U1 << (idx.astype(np.uint64) & _U63))
 
 
+def set_diagonal(rows: np.ndarray) -> None:
+    """Set bit v of row v for every row v (in place): open rows become closed."""
+    v = np.arange(rows.shape[0], dtype=np.int64)
+    rows[v, v >> 6] |= _U1 << (v.astype(np.uint64) & _U63)
+
+
 def diagonal(rows: np.ndarray) -> np.ndarray:
     """Bit v of row v, for every row v, as a boolean vector."""
     v = np.arange(rows.shape[0], dtype=np.int64)

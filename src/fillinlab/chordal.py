@@ -266,21 +266,21 @@ def is_split(graph: Graph):
 
 
 def _eliminate_vertex(rows: np.ndarray, alive: np.ndarray, v: int, n: int) -> np.ndarray:
-    """Clique the still-alive neighborhood of v and retire v (in place).
+    """Retire v and clique its still-alive neighborhood (in place).
 
-    Returns that neighborhood, the only rows whose alive part changed.
+    ``rows`` are closed-neighborhood rows: a working copy of the packed rows
+    with bit w of row w set for every w (``_bits.set_diagonal``, once per
+    game).  v leaves ``alive`` before its row is read, so ``rows[v] & alive``
+    is its open alive neighborhood N; every row of N holds its own bit, so
+    OR-ing N into them keeps them closed and no diagonal bit is ever cleared.
+    Returns N, the only rows whose alive part changed.
     """
+    _bits.clear_bit(alive, v)
     nbr = rows[v] & alive
     idx = _bits.indices(nbr, n)
     if idx.size >= 2:
         rows[idx] |= nbr
-        _bits.clear_diagonal(rows, idx)
-    _bits.clear_bit(alive, v)
     return idx
-
-
-def _collect_fill(original: np.ndarray, rows: np.ndarray, n: int) -> frozenset[EdgePair]:
-    return pairs_from_codes(_bits.upper_codes(rows & ~original, n), n)
 
 
 def elimination_fill_codes(graph: Graph, order) -> np.ndarray:
@@ -289,11 +289,15 @@ def elimination_fill_codes(graph: Graph, order) -> np.ndarray:
     At each step the missing edges among the current vertex's not-yet
     eliminated neighbors are added, then the vertex is removed; the codes of
     all added pairs are returned.  Empty exactly when the order is a PEO.
+    The game runs on closed rows (see ``_eliminate_vertex``); the fill is the
+    working rows minus the original ones, whose diagonal bits
+    ``_bits.upper_codes`` drops.
     """
     arr = _validate_permutation(graph.n, order)
     n = graph.n
     original = graph.packed_rows()
     rows = original.copy()
+    _bits.set_diagonal(rows)
     alive = _bits.range_mask(n, 0, n)
     for v in arr:
         _eliminate_vertex(rows, alive, int(v), n)

@@ -45,8 +45,8 @@ from .report import _OPS, RunReport, check, instance_descriptor
 from .solvers import (
     exact_fillin_ordering_oracle,
     exact_vertex_cover,
+    greedy_game,
     greedy_minfill_heuristic,
-    greedy_ordering,
     is_vertex_cover,
 )
 
@@ -141,8 +141,7 @@ def cmd_solve(args) -> int:
         instance=instance_descriptor(g, args.input),
         params={"budget": args.budget, "strategy": args.strategy},
     )
-    if g.n <= 1000:
-        report.instance["edges"] = [list(e) for e in g.iter_edges()]
+    report.instance["edges"] = [list(e) for e in g.iter_edges()]  # so `report` can re-check
     t0 = time.perf_counter()
     code = EXIT_OK
     if args.problem == "vc":
@@ -178,14 +177,17 @@ def cmd_eliminate(args) -> int:
     else:
         g = load_dimacs(args.input)
         pattern = matrix.pattern_from_graph(g)
+    graph_fill = None  # a greedy ordering's own game gives the graph-side fill
     if args.ordering:
         order = parse_ints(args.ordering.split(","), "--ordering")
     elif args.strategy == "natural":
         order = list(range(g.n))
     else:
-        order = greedy_ordering(g, args.strategy).tolist()
+        order, graph_fill = greedy_game(g, args.strategy)
+        order = order.tolist()
     fill, total = matrix.symbolic_fill_codes(pattern, order)
-    graph_fill = elimination_fill_codes(g, order)
+    if graph_fill is None:  # built after the factorization: keeps the peak memory down
+        graph_fill = elimination_fill_codes(g, order)
     report = RunReport(
         command="eliminate",
         instance=instance_descriptor(g, args.input),
@@ -412,6 +414,12 @@ def cmd_report(args) -> int:
         if not ok:
             want = "pairs" if name == "fillin" else "ids"
             raise GraphInputError(f"{args.input}: certificate {name} is not a JSON array of vertex {want}")
+    unchecked = [name for name in ("cover", "fillin", "peo", "hole") if name in certs]
+    if edges is None and unchecked:
+        raise GraphInputError(
+            f"{args.input}: certificate {unchecked[0]} cannot be re-checked: "
+            "the instance has no edges"
+        )
     if edges is not None and certs:
         g = Graph.build(instance["n"], edges)
         if "cover" in certs and not is_vertex_cover(g, certs["cover"]):

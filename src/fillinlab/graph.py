@@ -15,6 +15,7 @@ per line).
 from __future__ import annotations
 
 import hashlib
+import operator
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -35,12 +36,18 @@ def pairs_from_codes(codes: np.ndarray, n: int) -> frozenset[EdgePair]:
 
 
 def normalize_edges(vertex_count: int, edges: Iterable) -> list[EdgePair]:
-    """Validate and canonicalize an edge iterable: in-range, no loops, u < v, sorted, deduped."""
+    """Validate and canonicalize an edge iterable: in-range, no loops, u < v, sorted, deduped.
+
+    Vertex ids must be integers (Python or NumPy); floats, strings and bools
+    are rejected rather than truncated or converted.
+    """
     seen = set()
     for e in edges:
         try:
             u, v = e
-            u, v = int(u), int(v)
+            if isinstance(u, bool) or isinstance(v, bool):
+                raise TypeError
+            u, v = operator.index(u), operator.index(v)
         except (TypeError, ValueError):
             raise GraphInputError(f"edge {e!r} is not a pair of vertex ids") from None
         if u == v:

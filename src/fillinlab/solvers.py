@@ -13,6 +13,15 @@ alive neighbors.  Scores are computed once and then updated only where an
 elimination changes them, so each step costs popcounts over the eliminated
 vertex's neighborhood and its fill pairs, never a rescoring of every vertex.
 
+``greedy_game`` plays one elimination game per call and returns the ordering
+and its fill together, so a caller that needs both (``fillinlab eliminate``)
+never replays the game.  Like ``chordal``'s game it works on closed rows:
+the working rows carry bit v of row v, a vertex leaves ``alive`` before its
+row is read, so ``rows[v] & alive`` excludes v and OR-ing a neighborhood
+into its own rows needs no diagonal clearing.  Closed rows count the vertex
+itself, hence the ``- 1`` in an alive degree and ``k * k`` in the clique test;
+the initial fill scores come from the original open rows.
+
 Every solver revalidates its certificate before returning; budget exhaustion
 is always an explicit outcome, never a silently wrong answer.
 """
@@ -25,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
-from .chordal import _collect_fill, _eliminate_vertex, elimination_fill, find_hole
+from .chordal import _eliminate_vertex, elimination_fill, find_hole
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
-from .graph import EdgePair, Graph
+from .graph import EdgePair, Graph, pairs_from_codes
 
 ORDERING_ORACLE_LIMIT = 10
 
@@ -346,12 +355,14 @@ def _fill_scores(rows: np.ndarray, n: int) -> np.ndarray:
     return deg * (deg - 1) // 2 - twice_inside // 2
 
 
-def _greedy_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
+def greedy_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
     """Run the elimination game under a greedy vertex choice; ties pick the smallest id.
 
-    Returns (ordering, rows after the game).  Min-degree keeps a degree array
-    and, after each elimination, recounts only the eliminated vertex's
-    neighbors: no other alive row changes.
+    Returns (ordering, fill codes): the fill as sorted codes ``u * n + w``
+    with u < w, the same codes ``elimination_fill_codes`` gives for that
+    ordering, from this one game.  Min-degree keeps a degree array and, after
+    each elimination, recounts only the eliminated vertex's neighbors: no
+    other alive row changes.
 
     Min-fill keeps the exact fill score of every alive vertex (the number of
     non-adjacent pairs among its alive neighbors) as an int64 array and
@@ -371,35 +382,36 @@ def _greedy_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
             f"unknown strategy {strategy!r}; expected one of {GREEDY_STRATEGIES}"
         )
     n = graph.n
-    rows = graph.packed_rows().copy()
+    original = graph.packed_rows()
+    rows = original.copy()
+    _bits.set_diagonal(rows)
     alive = _bits.range_mask(n, 0, n)
     order = np.empty(n, dtype=np.int64)
     if strategy == "min-degree":
-        deg = _bits.popcount_rows(rows)
+        deg = _bits.popcount_rows(original)
         for step in range(n):
             v = int(np.argmin(deg))  # first minimum = smallest id
             order[step] = v
             idx = _eliminate_vertex(rows, alive, v, n)
-            deg[idx] = _bits.popcount_rows(rows[idx] & alive)
+            deg[idx] = _bits.popcount_rows(rows[idx] & alive) - 1  # minus the own bit
             deg[v] = n  # above every alive degree: never re-selected
-        return order, rows
-    score = _fill_scores(rows, n)
+        return order, _bits.upper_codes(rows & ~original, n)
+    score = _fill_scores(original, n)
     retired = np.iinfo(np.int64).max  # above every alive score: never re-selected
     for step in range(n):
         v = int(np.argmin(score))  # first minimum = smallest id
         order[step] = v
         score[v] = retired
-        nbr = rows[v] & alive
         _bits.clear_bit(alive, v)
+        nbr = rows[v] & alive
         idx = _bits.indices(nbr, n)
         k = idx.size
-        near = rows[idx]
+        near = rows[idx]  # closed: row w holds w, which nbr holds too
         outside = near & alive & ~nbr  # O_w for each w in N
         score[idx] -= _bits.popcount_rows(outside)
-        if _bits.popcount_rows(near & nbr).sum() == k * (k - 1):
+        if _bits.popcount_rows(near & nbr).sum() == k * k:
             continue  # N is a clique: no fill, no row change
         missing = _bits.unpack(nbr & ~near, n)
-        missing[np.arange(k), idx] = False
         i, y = np.nonzero(missing)  # P in both directions: (idx[i], y)
         x = idx[i]
         for part in _chunks(i.size, rows.itemsize * rows.shape[1]):
@@ -408,16 +420,15 @@ def _greedy_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
         upper = x < y
         x, y = x[upper], y[upper]
         for part in _chunks(x.size, 8 * rows.itemsize * rows.shape[1]):  # unpacked
-            common = rows[x[part]] & rows[y[part]] & alive
+            common = rows[x[part]] & rows[y[part]] & alive  # x, y not adjacent: open
             score -= _bits.unpack(common, n).sum(axis=0, dtype=np.int64)
         rows[idx] = near | nbr
-        _bits.clear_diagonal(rows, idx)
-    return order, rows
+    return order, _bits.upper_codes(rows & ~original, n)
 
 
 def greedy_ordering(graph: Graph, strategy: str) -> np.ndarray:
     """Elimination ordering chosen by the named greedy strategy."""
-    return _greedy_game(graph, strategy)[0]
+    return greedy_game(graph, strategy)[0]
 
 
 def greedy_minfill_heuristic(graph: Graph, strategy: str) -> frozenset[EdgePair]:
@@ -427,4 +438,4 @@ def greedy_minfill_heuristic(graph: Graph, strategy: str) -> frozenset[EdgePair]
     the vertex whose elimination adds the fewest edges right now.  The result
     is always a valid fill-in.
     """
-    return _collect_fill(graph.packed_rows(), _greedy_game(graph, strategy)[1], graph.n)
+    return pairs_from_codes(greedy_game(graph, strategy)[1], graph.n)

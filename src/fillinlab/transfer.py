@@ -31,9 +31,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chordal import _collect_fill, is_chordal, verify_fillin
+from . import _bits
+from .chordal import is_chordal, verify_fillin
 from .errors import CounterexampleError, GraphInputError
-from .graph import Graph
+from .graph import Graph, pairs_from_codes
 from .reduction import (
     ReducedInstance,
     brooks_coloring,
@@ -169,7 +170,8 @@ def _checked_completion(inst: ReducedInstance, completed):
     ok, cert = is_chordal(completed)
     if not ok:
         raise GraphInputError(f"completion procedure output is not chordal: hole {cert.cycle}")
-    return _collect_fill(h_rows, c_rows, inst.graph.n), inst.graph.m, completed.m
+    n = inst.graph.n
+    return pairs_from_codes(_bits.upper_codes(c_rows & ~h_rows, n), n), inst.graph.m, completed.m
 
 
 def _fillin_chain(audit: RatioAudit, n, ub, base, objective, isolated) -> None:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from fillinlab import cli
@@ -184,6 +186,89 @@ class TestEliminate:
             ordering = json.load(fh)["outputs"]["ordering"]
         assert ordering == greedy_ordering(graphs["petersen"], "min-degree").tolist()
 
+    @pytest.mark.parametrize("strategy", ["natural", "min-degree", "min-fill", "ordering"])
+    def test_one_game_per_run(self, tmp_path, monkeypatch, strategy):
+        """Counted, not timed: every run plays one elimination game, and no
+        game clears diagonal bits.  Min-degree and the fixed orderings make
+        one ``_eliminate_vertex`` call per vertex; min-fill inlines its steps."""
+        from fillinlab import _bits, chordal, solvers
+        from fillinlab.generate import grid
+        from fillinlab.matrix import pattern_from_graph, save_matrix_market
+
+        calls = {"step": 0, "clear_diagonal": 0, "greedy_game": 0, "elimination_fill_codes": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        step = counted("step", chordal._eliminate_vertex)
+        for mod in (chordal, solvers):
+            monkeypatch.setattr(mod, "_eliminate_vertex", step)
+        monkeypatch.setattr(_bits, "clear_diagonal", counted("clear_diagonal", _bits.clear_diagonal))
+        for name in ("greedy_game", "elimination_fill_codes"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        k = 9
+        mtx = tmp_path / "grid.mtx"
+        save_matrix_market(pattern_from_graph(grid(k, k)), mtx)
+        if strategy == "ordering":
+            extra = ["--ordering", ",".join(str(v) for v in range(k * k - 1, -1, -1))]
+        else:
+            extra = ["--strategy", strategy]
+        assert run(["eliminate", str(mtx), *extra, "--out", str(tmp_path / "rep.json")]) == 0
+        greedy = strategy in ("min-degree", "min-fill")
+        assert calls["greedy_game"] == int(greedy)
+        assert calls["elimination_fill_codes"] == int(not greedy)
+        assert calls["step"] == (0 if strategy == "min-fill" else k * k)
+        assert calls["clear_diagonal"] == 0
+
+
+def _digest_patterns():
+    """A 12x12 grid, a 5x5x5 grid and a seeded random pattern on 150 rows."""
+    from fillinlab.generate import grid
+    from fillinlab.matrix import SparsePattern, pattern_from_graph
+
+    k = 5
+    cube = [
+        (v, v + step)
+        for v in range(k**3)
+        for step, axis in ((1, v % k), (k, v // k % k), (k * k, v // (k * k)))
+        if axis + 1 < k
+    ]
+    rng = np.random.default_rng(4242)
+    rand = {(int(i), int(j)) for i, j in rng.integers(0, 150, size=(450, 2)) if i < j}
+    return [
+        ("grid2d.mtx", pattern_from_graph(grid(12, 12))),
+        ("grid3d.mtx", SparsePattern(k**3, frozenset(cube))),
+        ("random.mtx", SparsePattern(150, frozenset(rand))),
+    ]
+
+
+# Recorded with a second elimination game after every greedy ordering; one
+# game per run must reproduce every report byte for byte.
+ELIMINATE_DIGEST = "d3f7e07a57913ca801f53d7010f1bd229b9bf2a603e5ca2a755996a39d445810"
+
+
+def test_eliminate_report_digest(tmp_path, monkeypatch):
+    from fillinlab.matrix import save_matrix_market
+
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    runs = 0
+    for name, pattern in _digest_patterns():
+        save_matrix_market(pattern, name)
+        argvs = [["--strategy", s] for s in ("natural", "min-degree", "min-fill")]
+        if name == "random.mtx":
+            order = np.random.default_rng(17).permutation(pattern.n)
+            argvs.append(["--ordering", ",".join(map(str, order))])
+        for extra in argvs:
+            assert run(["eliminate", name, *extra, "--out", "rep.json"]) == 0
+            digest.update((tmp_path / "rep.json").read_bytes())
+            runs += 1
+    assert runs == 3 * 3 + 1
+    assert digest.hexdigest() == ELIMINATE_DIGEST
+
 
 class TestReportRecheck:
     def test_ok(self, c4_file, tmp_path):
@@ -199,6 +284,30 @@ class TestReportRecheck:
         rep.write_text(json.dumps(data))
         assert run(["report", str(rep)]) == cli.EXIT_CHECK_FAILED
         assert "cover" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, cert", [
+        ("cover", [5]), ("fillin", [[0, 2]]), ("peo", [0, 1]), ("hole", [0, 1, 2, 3]),
+    ])
+    def test_certificate_without_edges_exit_2(self, tmp_path, capsys, name, cert):
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps({"instance": {"n": 4}, "certificates": {name: cert}}))
+        assert run(["report", str(rep)]) == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert f"certificate {name} cannot be re-checked" in err and "recheck OK" not in err
+
+    def test_solve_embeds_edges_at_every_size(self, tmp_path):
+        """A star on 1201 vertices: its report carries every edge, so the
+        cover is re-checked, and a tampered cover is caught."""
+        src = tmp_path / "star.col"
+        save_dimacs(Graph.build(1201, [(0, v) for v in range(1, 1201)]), src)
+        rep = tmp_path / "rep.json"
+        assert run(["solve", str(src), "vc", "--out", str(rep)]) == 0
+        data = json.loads(rep.read_text())
+        assert len(data["instance"]["edges"]) == 1200
+        assert run(["report", str(rep)]) == 0
+        data["certificates"]["cover"] = [1]
+        rep.write_text(json.dumps(data))
+        assert run(["report", str(rep)]) == cli.EXIT_CHECK_FAILED
 
     def test_tampered_inequality_detected(self, c4_file, tmp_path):
         rep = tmp_path / "rep.json"

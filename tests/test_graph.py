@@ -58,6 +58,19 @@ class TestBuild:
         with pytest.raises(GraphInputError, match="not a pair"):
             Graph.build(4, [(1, 2), edge])
 
+    @pytest.mark.parametrize("edge", [
+        (0, 1.7), (1.0, 2), (True, 2), (0, False), ("0", "1"), (0, "2"),
+        (np.float64(1), 2), (np.True_, 2), (0, None),
+    ])
+    def test_rejects_non_integer_ids(self, edge):
+        with pytest.raises(GraphInputError, match="not a pair of vertex ids"):
+            Graph.build(3, [(1, 2), edge])
+
+    def test_accepts_numpy_integer_ids(self):
+        g = Graph.build(3, [(np.int64(0), np.int32(2)), (np.uint8(1), 2)])
+        assert g.edge_list() == [(0, 2), (1, 2)]
+        assert all(type(v) is int for e in g.edge_list() for v in e)
+
     def test_degree_sum_is_twice_edges(self):
         g = Graph.build(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 5)])
         assert int(g.degrees().sum()) == 2 * g.m

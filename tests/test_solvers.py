@@ -6,7 +6,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fillinlab.chordal import verify_fillin
+from fillinlab import _bits
+from fillinlab.chordal import elimination_fill_codes, verify_fillin
 from fillinlab.generate import gnp, grid, random_subcubic
 from fillinlab.errors import GraphInputError, ResourceLimitError
 from fillinlab.graph import Graph
@@ -16,6 +17,7 @@ from fillinlab.solvers import (
     exact_fillin_branch,
     exact_fillin_ordering_oracle,
     exact_vertex_cover,
+    greedy_game,
     greedy_minfill_heuristic,
     greedy_ordering,
     is_vertex_cover,
@@ -266,3 +268,30 @@ def test_minfill_ordering_digest():
         count += 1
     assert count == 5 + 4 + 2
     assert digest.hexdigest() == MINFILL_DIGEST
+
+
+def _same_fill_corpus():
+    """Seeded G(n, p), edgeless and complete graphs on both sides of word edges."""
+    rng = np.random.default_rng(6464)
+    for n in (0, 1, 2, 63, 64, 65, 128, 129):
+        yield gnp(n, float(rng.uniform(0.05, 0.5)), rng)
+        yield Graph.build(n)
+        yield Graph.build(n, combinations(range(n), 2))
+
+
+@pytest.mark.parametrize("block_bytes", [None, 64])
+def test_every_game_gives_the_same_fill(monkeypatch, block_bytes):
+    """A greedy game's own fill is the fill ``elimination_fill_codes`` and the
+    dict-of-sets game give for its ordering, so ``eliminate`` may use either."""
+    if block_bytes is not None:
+        monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", block_bytes)
+    games = 0
+    for g in _same_fill_corpus():
+        for strategy in ("min-degree", "min-fill"):
+            order, codes = greedy_game(g, strategy)
+            assert codes.dtype == np.int64
+            assert np.array_equal(codes, elimination_fill_codes(g, order))
+            brute = elimination_fill_brute(g.n, g.edge_list(), order.tolist())
+            assert codes.tolist() == sorted(u * g.n + w for u, w in brute)
+            games += 1
+    assert games == 8 * 3 * 2
