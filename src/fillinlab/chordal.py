@@ -8,19 +8,21 @@ search that tests its reversed visit order as it goes.  A PEO verdict rests
 on that earliest-later-neighbor test, which is a complete PEO check (Rose,
 Tarjan and Lueker 1976); every hole passes ``check_hole`` once before it
 leaves this module.  ``check_peo`` stays as the definitional checker for
-reports and tests.
+reports and tests.  Vertex ids are read by ``graph._vertex_id`` alone, and
+``verify_fillin`` hands the filled graph on in ``FillinCheck.filled``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import _bits
 from .errors import CounterexampleError, GraphInputError
-from .graph import EdgePair, Graph, pairs_from_codes
+from .graph import EdgePair, Graph, _vertex_ids, pairs_from_codes
 
 
 @dataclass(frozen=True)
@@ -50,14 +52,14 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 def certificate_from_json(obj: dict) -> Certificate:
     if obj.get("kind") == "peo":
-        return PeoCertificate(tuple(int(v) for v in obj["order"]))
+        return PeoCertificate(tuple(_vertex_ids(obj["order"])))
     if obj.get("kind") == "hole":
-        return HoleCertificate(tuple(int(v) for v in obj["cycle"]))
+        return HoleCertificate(tuple(_vertex_ids(obj["cycle"])))
     raise GraphInputError(f"unknown certificate kind {obj.get('kind')!r}")
 
 
 def _validate_permutation(n: int, order) -> np.ndarray:
-    arr = np.asarray(list(order), dtype=np.int64)
+    arr = np.asarray(_vertex_ids(order), dtype=np.int64)
     if arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):
         raise GraphInputError("ordering is not a permutation of the vertices")
     return arr
@@ -135,11 +137,12 @@ def check_peo(graph: Graph, order) -> bool:
 
 def check_hole(graph: Graph, cycle) -> bool:
     """True iff cycle is an induced cycle of length >= 4 in the graph."""
-    cyc = [int(v) for v in cycle]
-    k = len(cyc)
-    if k < 4 or len(set(cyc)) != k:
+    try:
+        cyc = _vertex_ids(cycle)
+    except GraphInputError:
         return False
-    if any(not (0 <= v < graph.n) for v in cyc):
+    k = len(cyc)
+    if k < 4 or len(set(cyc)) != k or any(not (0 <= v < graph.n) for v in cyc):
         return False
     for i in range(k):
         for j in range(i + 1, k):
@@ -317,11 +320,13 @@ def elimination_fill(graph: Graph, order) -> frozenset[EdgePair]:
 
 @dataclass(frozen=True)
 class FillinCheck:
-    """Outcome of verifying a claimed fill-in; falsy when the claim fails."""
+    """Outcome of verifying a claimed fill-in; falsy when the claim fails,
+    else ``filled`` is the graph with the fill-in added."""
 
     ok: bool
     reason: str | None = None  # 'invalid_pair' | 'pair_is_edge' | 'not_chordal'
     detail: tuple = ()
+    filled: Graph | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -330,19 +335,23 @@ class FillinCheck:
 def verify_fillin(graph: Graph, fillin) -> FillinCheck:
     """Check that every pair is a non-edge and that adding them yields a chordal graph.
 
-    A pair that is already an edge is reported distinctly from a non-chordal
-    result.
+    The pairs are read once, by ``Graph.add_edges`` (``invalid_pair``, with
+    its message); one bit test over them finds the first that is already an
+    edge (``pair_is_edge``, as ``(min, max)``); one chordality test on the
+    filled graph decides ``not_chordal``, with a hole.
     """
-    pairs = []
-    for e in fillin:
-        u, v = int(e[0]), int(e[1])
-        if u == v or not (0 <= u < graph.n and 0 <= v < graph.n):
-            return FillinCheck(False, "invalid_pair", (u, v))
-        pairs.append((u, v) if u < v else (v, u))
-    for p in pairs:
-        if graph.has_edge(*p):
-            return FillinCheck(False, "pair_is_edge", p)
-    ok, cert = is_chordal(graph.add_edges(pairs))
+    pairs = list(fillin)
+    try:
+        filled = graph.add_edges(pairs)
+    except GraphInputError as exc:
+        return FillinCheck(False, "invalid_pair", exc.args)
+    u, v = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2).T
+    bits = graph.packed_rows()[u, v >> 6] >> (v & 63).astype(np.uint64)
+    hit = np.flatnonzero(bits & np.uint64(1))
+    if hit.size:
+        a, b = int(u[hit[0]]), int(v[hit[0]])
+        return FillinCheck(False, "pair_is_edge", (min(a, b), max(a, b)))
+    ok, cert = is_chordal(filled)
     if not ok:
         return FillinCheck(False, "not_chordal", cert.cycle)
-    return FillinCheck(True)
+    return FillinCheck(True, filled=filled)

@@ -35,19 +35,32 @@ def pairs_from_codes(codes: np.ndarray, n: int) -> frozenset[EdgePair]:
     return frozenset(zip((codes // n).tolist(), (codes % n).tolist()))
 
 
+def _vertex_id(x) -> int:
+    """x as a vertex id, the one rule for every reader: an integer (Python or
+    NumPy), never a bool; floats and strings are a TypeError, not truncated."""
+    if x.__class__ is bool:
+        raise TypeError(f"{x!r} is not a vertex id")
+    return operator.index(x)
+
+
+def _vertex_ids(values) -> list[int]:
+    """Each value read by ``_vertex_id``; a non-integer is a GraphInputError."""
+    try:
+        return [_vertex_id(x) for x in values]
+    except TypeError as exc:
+        raise GraphInputError(f"vertex ids must be integers: {exc}") from None
+
+
 def normalize_edges(vertex_count: int, edges: Iterable) -> list[EdgePair]:
     """Validate and canonicalize an edge iterable: in-range, no loops, u < v, sorted, deduped.
 
-    Vertex ids must be integers (Python or NumPy); floats, strings and bools
-    are rejected rather than truncated or converted.
+    Vertex ids are read by ``_vertex_id``.
     """
     seen = set()
     for e in edges:
         try:
             u, v = e
-            if isinstance(u, bool) or isinstance(v, bool):
-                raise TypeError
-            u, v = operator.index(u), operator.index(v)
+            u, v = _vertex_id(u), _vertex_id(v)
         except (TypeError, ValueError):
             raise GraphInputError(f"edge {e!r} is not a pair of vertex ids") from None
         if u == v:
@@ -210,20 +223,6 @@ class Graph:
             block = _bits.unpack(self._rows[keep[lo : lo + step]], self.n)
             rows[lo : lo + step] = _bits.pack(block[:, keep])
         return Graph._adopt(rows), keep
-
-    def non_edges_within(self, vertices: Iterable) -> frozenset[EdgePair]:
-        """Unordered pairs inside the subset that are absent from the graph."""
-        keep = np.unique(np.asarray(list(vertices), dtype=np.int64))
-        if keep.size and (keep[0] < 0 or keep[-1] >= self.n):
-            raise GraphInputError("subset vertex out of range")
-        out = []
-        for i in range(keep.size):
-            u = int(keep[i])
-            for j in range(i + 1, keep.size):
-                v = int(keep[j])
-                if not self.has_edge(u, v):
-                    out.append((u, v))
-        return frozenset(out)
 
     # -- misc ----------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .chordal import elimination_fill_codes
+from .chordal import _validate_permutation, elimination_fill_codes
 from .errors import GraphInputError
 from .graph import Graph, pairs_from_codes, parse_ints
 
@@ -103,9 +103,7 @@ def symbolic_fill_codes(pattern: SparsePattern, ordering) -> tuple[np.ndarray, i
     diagonal entries.
     """
     n = pattern.n
-    order = np.asarray(list(ordering), dtype=np.int64)
-    if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
-        raise GraphInputError("ordering is not a permutation of 0..n-1")
+    order = _validate_permutation(n, ordering)
     step = np.empty(n, dtype=np.int64)
     step[order] = np.arange(n)
     pairs = _position_array(pattern)

@@ -19,6 +19,10 @@ That structure supports two certificate maps:
   "full" when all of its missing edges to U were added; a non-full endpoint
   pair on an edge would leave an induced 4-cycle).
 
+Both maps work on packed rows: the completion ORs the mask of C union U into
+those rows, and a vertex is full when its row in the filled gadget (read once,
+by ``verify_fillin`` or ``Graph.add_edges``) covers U.
+
 Sizes then sandwich each other: tau(G)*deficit <= phi(H) <
 (tau(G)+1)*deficit with deficit = n^2 for the primitive construction, which
 ``verify_sandwich`` and ``decision_equivalence_check`` audit on concrete
@@ -28,6 +32,7 @@ data.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -37,7 +42,7 @@ import numpy as np
 from . import _bits
 from .chordal import is_split, verify_fillin
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
-from .graph import EdgePair, Graph, _norm_pair, load_dimacs, save_dimacs
+from .graph import EdgePair, Graph, _vertex_ids, load_dimacs, pairs_from_codes, save_dimacs
 from .report import IneqRecord, RunReport, check, instance_descriptor
 from .solvers import (
     exact_fillin_ordering_oracle,
@@ -253,18 +258,11 @@ class ReducedInstance:
         n = self.n_original
         return n * n if self.kind == "primitive" else self.b * n
 
-    @property
-    def gadget_vertices(self) -> np.ndarray:
-        return np.arange(self.n_original, self.graph.n)
-
     def missing_block(self, v: int) -> np.ndarray:
         """Gadget vertices not adjacent to original vertex v."""
         if self.kind == "primitive":
             return self.blocks[v]
         return self.blocks[self.coloring.colors[v]]
-
-    def missing_pairs(self, v: int) -> list[EdgePair]:
-        return [(v, int(u)) for u in self.missing_block(v)]
 
     def validate(self) -> None:
         """Structural self-check; failure means the construction is buggy."""
@@ -281,15 +279,10 @@ class ReducedInstance:
         if sub != self.original:
             raise CounterexampleError("gadget altered the original graph")
         u_mask = _bits.range_mask(N, n, N)
-        for u in range(n, N):
-            gap = u_mask & ~rows[u]
-            _bits.clear_bit(gap, u)
-            if gap.any():
-                raise CounterexampleError("gadget vertices do not form a clique")
+        if (_bits.popcount_rows(rows[n:] & u_mask) != N - n - 1).any():
+            raise CounterexampleError("gadget vertices do not form a clique")
         for v in range(n):
-            want = u_mask.copy()
-            for u in self.missing_block(v):
-                _bits.clear_bit(want, int(u))
+            want = u_mask & ~_bits.mask_from_indices(N, self.missing_block(v))
             if ((rows[v] & u_mask) != want).any():
                 raise CounterexampleError(
                     f"vertex {v} has the wrong gadget adjacency pattern"
@@ -376,11 +369,11 @@ def reduce_colored(
 def split_completion(inst: ReducedInstance, cover) -> frozenset[EdgePair]:
     """Fill-in built from a vertex cover: complete cover-union-gadget into a clique.
 
-    Size is |C|*deficit + C(|C|,2) - |E(G[C])|; the completed graph is a
-    split graph, hence chordal.
+    Size is |C|*deficit + C(|C|,2) - |E(G[C])|, checked with |E(G[C])|
+    counted from G's rows; the completed graph is a split graph, hence chordal.
     """
-    cover = sorted(set(int(v) for v in cover))
-    n = inst.n_original
+    cover = sorted(set(_vertex_ids(cover)))
+    n, N = inst.n_original, inst.graph.n
     if any(not (0 <= v < n) for v in cover):
         raise GraphInputError("cover contains a non-original vertex")
     if not is_vertex_cover(inst.original, cover):
@@ -390,18 +383,33 @@ def split_completion(inst: ReducedInstance, cover) -> frozenset[EdgePair]:
             if u not in cover and v not in cover
         )
         raise GraphInputError(f"not a vertex cover: edge {uncovered} is uncovered")
-    fill: set[EdgePair] = set()
-    for v in cover:
-        fill.update(inst.missing_pairs(v))
-    inside = inst.original.non_edges_within(cover)
-    fill.update(inside)
-    expect = len(cover) * inst.block_deficit + len(inside)
+    clique = np.array(cover + list(range(n, N)), dtype=np.int64)
+    rows = inst.graph.packed_rows().copy()
+    rows[clique] |= _bits.mask_from_indices(N, clique)
+    _bits.clear_diagonal(rows, clique)
+    completed = Graph.from_packed_rows(rows, N)
+    fill = pairs_from_codes(_bits.upper_codes(rows & ~inst.graph.packed_rows(), N), N)
+    g_rows = inst.original.packed_rows()
+    inside = _bits.popcount_rows(g_rows[cover] & _bits.mask_from_indices(n, cover))
+    expect = len(cover) * inst.block_deficit + math.comb(len(cover), 2) - int(inside.sum()) // 2
     if len(fill) != expect:
         raise CounterexampleError("split completion size bookkeeping is wrong")
-    completed = inst.graph.add_edges(fill)
     if not is_split(completed)[0]:  # verified partition; split graphs are chordal
         raise CounterexampleError("split completion did not produce a split graph")
-    return frozenset(fill)
+    return fill
+
+
+def _full_set(inst: ReducedInstance, filled: Graph) -> frozenset[int]:
+    """Original vertices adjacent to all of U in the filled gadget, re-verified
+    to be a vertex cover; failure is a hard internal error, not an input error."""
+    n, N = inst.n_original, filled.n
+    covered = _bits.popcount_rows(filled.packed_rows()[:n] & _bits.range_mask(N, n, N))
+    full = frozenset(np.flatnonzero(covered == N - n).tolist())
+    if not is_vertex_cover(inst.original, full):
+        raise CounterexampleError(
+            "full-vertex extraction produced a non-cover from a valid fill-in"
+        )
+    return full
 
 
 def full_vertices(
@@ -409,25 +417,15 @@ def full_vertices(
 ) -> frozenset[int]:
     """Original vertices whose missing edges to U all lie in the fill-in.
 
-    The returned set is re-verified to be a vertex cover of the original
-    graph; failure of that check is a hard internal error, not an input
-    error.
+    With ``check_fillin=False`` the fill-in is not verified, but
+    ``Graph.add_edges`` still rejects malformed pairs.
     """
     if check_fillin:
         res = verify_fillin(inst.graph, fillin)
         if not res:
             raise GraphInputError(f"invalid fill-in: {res.reason} {res.detail}")
-    pairs = {_norm_pair(int(a), int(b)) for a, b in fillin}
-    full = frozenset(
-        v
-        for v in range(inst.n_original)
-        if all(p in pairs for p in inst.missing_pairs(v))
-    )
-    if not is_vertex_cover(inst.original, full):
-        raise CounterexampleError(
-            "full-vertex extraction produced a non-cover from a valid fill-in"
-        )
-    return full
+        return _full_set(inst, res.filled)
+    return _full_set(inst, inst.graph.add_edges(fillin))
 
 
 # -- verification harnesses ---------------------------------------------------------
@@ -486,7 +484,8 @@ def verify_sandwich(
     fills = produced_fillins(inst, rng=rng, random_orderings=random_orderings)
     fills["split-completion"] = constructed
     for name, fill in sorted(fills.items()):
-        full = full_vertices(inst, fill)
+        # is_split already certified the split completion; every other fill is checked here
+        full = full_vertices(inst, fill, check_fillin=name != "split-completion")
         report.add(
             check(f"accounting[{name}]", len(full) * deficit, len(fill), "<=")
         )
@@ -538,10 +537,10 @@ def decision_equivalence_check(
         res = verify_fillin(inst.graph, fillin)
         if not res:
             raise GraphInputError(f"invalid fill-in: {res.reason} {res.detail}")
-        size = len({_norm_pair(int(a), int(b)) for a, b in fillin})  # each pair once
+        size = res.filled.m - inst.graph.m  # each pair once
         report.outputs["fillin_size"] = size
         if size <= bound:
-            full = full_vertices(inst, fillin, check_fillin=False)
+            full = _full_set(inst, res.filled)
             rec = check("extracted_cover_at_most_c", len(full), c, "<=")
             report.add(rec)
             if not rec.passed:
@@ -597,7 +596,7 @@ def load_instance(dimacs_path, sidecar_path=None) -> ReducedInstance:
         graph=H,
         original=original,
         kind=side["reduction"],
-        blocks=tuple(np.asarray(blk, dtype=np.int64) for blk in side["blocks"]),
+        blocks=tuple(np.asarray(_vertex_ids(blk), dtype=np.int64) for blk in side["blocks"]),
         b=side.get("b"),
         q=side.get("q"),
         coloring=coloring,

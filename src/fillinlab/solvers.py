@@ -36,7 +36,7 @@ import numpy as np
 from . import _bits
 from .chordal import _eliminate_vertex, elimination_fill, find_hole
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
-from .graph import EdgePair, Graph, pairs_from_codes
+from .graph import EdgePair, Graph, _vertex_id, pairs_from_codes
 
 ORDERING_ORACLE_LIMIT = 10
 
@@ -72,8 +72,11 @@ class CoverResult:
 
 
 def is_vertex_cover(graph: Graph, vertices) -> bool:
-    """Every edge has at least one end in the set."""
-    cover = set(int(v) for v in vertices)
+    """Every edge has at least one end in the set; False when an id is not an integer."""
+    try:
+        cover = {_vertex_id(v) for v in vertices}
+    except TypeError:
+        return False
     return all(u in cover or v in cover for u, v in graph.iter_edges())
 
 

@@ -34,14 +34,8 @@ from fractions import Fraction
 from . import _bits
 from .chordal import is_chordal, verify_fillin
 from .errors import CounterexampleError, GraphInputError
-from .graph import Graph, pairs_from_codes
-from .reduction import (
-    ReducedInstance,
-    brooks_coloring,
-    full_vertices,
-    reduce_colored,
-    split_completion,
-)
+from .graph import Graph
+from .reduction import ReducedInstance, _full_set, brooks_coloring, reduce_colored, split_completion
 from .report import IneqRecord, check, instance_descriptor, _num_to_json
 from .solvers import exact_vertex_cover, greedy_minfill_heuristic
 
@@ -149,29 +143,25 @@ def audit_report(audit: RatioAudit, form: str = "text") -> str:
 
 def _checked_fillin(inst: ReducedInstance, edges):
     """Fill-in mode: the procedure's edge set, verified; objective k = |F|."""
-    fill = frozenset((min(u, v), max(u, v)) for u, v in edges)
-    res = verify_fillin(inst.graph, fill)
+    res = verify_fillin(inst.graph, edges)
     if not res:
         raise GraphInputError(
             f"plugged procedure returned an invalid fill-in: {res.reason} {res.detail}"
         )
-    return fill, 0, len(fill)
+    return res.filled, 0, res.filled.m - inst.graph.m
 
 
 def _checked_completion(inst: ReducedInstance, completed):
-    """Completion mode: the added edges of a chordal supergraph of the gadget;
-    objective m + k, the completed graph's own edge count."""
+    """Completion mode: a chordal supergraph of the gadget; objective m + k,
+    the completed graph's own edge count."""
     if not isinstance(completed, Graph) or completed.n != inst.graph.n:
         raise GraphInputError("completion procedure must return a graph on the gadget's vertices")
-    h_rows = inst.graph.packed_rows()
-    c_rows = completed.packed_rows()
-    if ((h_rows & ~c_rows) != 0).any():
+    if (inst.graph.packed_rows() & ~completed.packed_rows()).any():
         raise GraphInputError("completion procedure dropped gadget edges (not a supergraph)")
     ok, cert = is_chordal(completed)
     if not ok:
         raise GraphInputError(f"completion procedure output is not chordal: hole {cert.cycle}")
-    n = inst.graph.n
-    return pairs_from_codes(_bits.upper_codes(c_rows & ~h_rows, n), n), inst.graph.m, completed.m
+    return completed, inst.graph.m, completed.m
 
 
 def _fillin_chain(audit: RatioAudit, n, ub, base, objective, isolated) -> None:
@@ -272,7 +262,7 @@ def _completion_chain(audit: RatioAudit, n, ub, m_h, m_completed, isolated) -> N
 
 def _transfer(graph: Graph, procedure, config: TransferConfig, mode, checked, chain):
     """The pipeline of both modes.  ``checked`` turns the procedure's output
-    into a verified fill-in k with the objective's base (0, or m(H)) and the
+    into a verified filled gadget, the objective's base (0, or m(H)) and the
     objective itself; ``chain`` adds the mode's ratio chain."""
     if config.mode != mode:
         raise GraphInputError(f"config mode must be {mode!r}")
@@ -280,9 +270,10 @@ def _transfer(graph: Graph, procedure, config: TransferConfig, mode, checked, ch
         raise GraphInputError("transfer needs a nonempty input graph")
     coloring = brooks_coloring(graph, config.d)  # checks the degree bound and clique-freeness
     inst = reduce_colored(graph, config.b, coloring)
-    fill, base, objective = checked(inst, procedure(inst))
+    filled, base, objective = checked(inst, procedure(inst))
+    k = int(_bits.popcount_rows(filled.packed_rows() & ~inst.graph.packed_rows()).sum()) // 2
     tau_result = exact_vertex_cover(graph)
-    c_set = full_vertices(inst, fill, check_fillin=False)
+    c_set = _full_set(inst, filled)
     tau = tau_result.size if tau_result.optimal else None
     ub = None if tau is None else len(split_completion(inst, tau_result.vertices))
     n, bn, alpha = graph.n, config.b * graph.n, config.alpha
@@ -298,10 +289,10 @@ def _transfer(graph: Graph, procedure, config: TransferConfig, mode, checked, ch
         tau=tau,
         ratio=Fraction(len(c_set), tau) if tau else None,
         gate=tau is not None and objective <= alpha * (base + ub),
-        fill_size=len(fill),
+        fill_size=k,
         gadget_n=inst.graph.n,
     )
-    audit.add(check("cover_accounting", len(c_set), Fraction(len(fill), bn), "<="))
+    audit.add(check("cover_accounting", len(c_set), Fraction(k, bn), "<="))
     isolated = int((graph.degrees() == 0).sum())
     if tau is not None:
         audit.add(check("split_upper_bound", ub, bn * tau + math.comb(tau, 2), "<="))

@@ -3,7 +3,8 @@
 Everything here works on plain Python sets of edge pairs, deliberately
 sharing no algorithmic code with the package: holes are found by subset
 enumeration, covers by subset enumeration, minimum fill by trying every
-elimination ordering with a dict-of-sets elimination game.
+elimination ordering with a dict-of-sets elimination game.  The gadget
+certificate maps are restated from their definitions on dicts of sets.
 """
 
 from itertools import combinations, permutations
@@ -94,6 +95,25 @@ def elimination_fill_brute(n, edges, order):
                     fill.add((a, b))
         remaining.discard(v)
     return fill
+
+
+def split_completion_brute(n, edges, clique):
+    """Pairs of ``clique`` that are not edges: the fill completing it into a clique."""
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return {(a, b) for a, b in combinations(sorted(clique), 2) if b not in adj[a]}
+
+
+def full_vertices_brute(missing, fill):
+    """Vertices v (the keys of ``missing``) whose every pair {v, u}, u in
+    missing[v], is in the fill, whichever way round it is listed."""
+    added = {v: set() for v in missing}
+    for a, b in fill:
+        added.setdefault(a, set()).add(b)
+        added.setdefault(b, set()).add(a)
+    return {v for v, block in missing.items() if set(block) <= added[v]}
 
 
 def min_degree_ordering_brute(n, edges):

@@ -227,6 +227,126 @@ class TestVerifyFillin:
         res = verify_fillin(graphs["c4"], [(0, 9)])
         assert not res and res.reason == "invalid_pair"
 
+    @pytest.mark.parametrize(
+        "fill",
+        [
+            [(0, 2.9)],  # float ids are not truncated
+            [(0, 2.0)],
+            [(True, 3)],
+            [(1, False)],
+            [("0", 2)],
+            [(0, 4)],
+            [(-1, 2)],
+            [(2, 2)],  # self-pair
+            [(0, 2, 1)],
+            [(1, 3), (0, 1), (0, 2.5)],  # an invalid pair outranks an edge
+        ],
+    )
+    def test_invalid_pair_corpus(self, graphs, fill):
+        res = verify_fillin(graphs["c4"], fill)
+        assert not res and res.reason == "invalid_pair" and res.filled is None
+        assert res.detail and isinstance(res.detail[0], str)
+
+    @pytest.mark.parametrize(
+        "fill, first",
+        [
+            ([(1, 3), (2, 1), (0, 1)], (1, 2)),
+            ([(3, 0)], (0, 3)),
+            ([(np.int64(0), np.int64(2)), (3, 2), (3, 2)], (2, 3)),
+        ],
+    )
+    def test_pair_is_edge_names_first_in_input_order(self, graphs, fill, first):
+        res = verify_fillin(graphs["c4"], fill)
+        assert not res and res.reason == "pair_is_edge" and res.detail == first
+        assert all(type(x) is int for x in res.detail)
+
+    def test_not_chordal_detail_is_a_hole(self, graphs):
+        res = verify_fillin(graphs["c6"], [(3, 0)])
+        assert not res and res.reason == "not_chordal"
+        assert check_hole(graphs["c6"].add_edges([(0, 3)]), res.detail)
+
+    def test_filled_graph_on_success(self, graphs):
+        fill = [(2, 0), (0, 2), (np.int64(2), np.int64(0))]  # both orientations, repeated
+        res = verify_fillin(graphs["c4"], fill)
+        assert res and res.reason is None and res.detail == ()
+        assert res.filled == graphs["c4"].add_edges([(0, 2)])
+        assert verify_fillin(graphs["p3"], []).filled == graphs["p3"]
+
+    def test_one_intake_per_call(self, monkeypatch):
+        """The pairs go through normalize_edges once, and no per-pair has_edge runs."""
+        import fillinlab.graph as graph_module
+
+        calls = {"normalize": 0, "has_edge": 0}
+        normalize, has_edge = graph_module.normalize_edges, Graph.has_edge
+
+        def counted_normalize(*args):
+            calls["normalize"] += 1
+            return normalize(*args)
+
+        def counted_has_edge(*args):
+            calls["has_edge"] += 1
+            return has_edge(*args)
+
+        cycle = Graph.build(8, [(i, (i + 1) % 8) for i in range(8)])
+        fan = [(0, k) for k in range(2, 7)]  # a chordal triangulation, k = 5 pairs
+        monkeypatch.setattr(graph_module, "normalize_edges", counted_normalize)
+        monkeypatch.setattr(Graph, "has_edge", counted_has_edge)
+        assert verify_fillin(cycle, fan)
+        assert calls == {"normalize": 1, "has_edge": 0}
+
+
+class TestVertexIdRule:
+    """Every certificate reader takes integer ids only: no truncation of floats,
+    no bools; bool-valued checkers say False, the others raise."""
+
+    def test_verify_fillin(self, graphs):
+        res = verify_fillin(graphs["c4"], [(0, 2.9)])
+        assert not res and res.reason == "invalid_pair"
+
+    def test_check_peo(self, graphs):
+        assert check_peo(graphs["p3"], [0, 1, 2])
+        assert not check_peo(graphs["p3"], [0.2, 1.1, 2.0])
+        assert not check_peo(graphs["p3"], [False, True, 2])
+
+    def test_check_hole(self, graphs):
+        assert check_hole(graphs["c4"], [0, 1, 2, 3])
+        assert not check_hole(graphs["c4"], [0.4, 1, 2, 3])
+
+    def test_certificate_from_json(self):
+        for obj in (
+            {"kind": "peo", "order": [0.5, 1.9, 2, 3]},
+            {"kind": "hole", "cycle": [0, 1, 2, 3.0]},
+            {"kind": "peo", "order": [True, 0]},
+        ):
+            with pytest.raises(GraphInputError):
+                certificate_from_json(obj)
+        assert certificate_from_json({"kind": "peo", "order": [np.int64(1), 0]}).order == (1, 0)
+
+    def test_elimination_fill_codes(self, graphs):
+        from fillinlab.chordal import elimination_fill_codes
+
+        assert elimination_fill_codes(graphs["c4"], np.arange(4)).tolist() == [1 * 4 + 3]
+        for order in ([0.5, 1.9, 2, 3], [0, 1, 2, 3.0], [True, 0, 2, 3]):
+            with pytest.raises(GraphInputError):
+                elimination_fill_codes(graphs["c4"], order)
+
+
+def test_violation_triple_always_yields_a_hole():
+    """The MCS violation triple alone gives a hole on every non-chordal
+    labelled graph with n <= 6, without the scan over neighbour pairs."""
+    from fillinlab.chordal import _hole_through, _mcs_scan
+
+    non_chordal = 0
+    for n in range(4, 7):
+        for edges in all_labeled_graphs(n):
+            g = Graph.build(n, edges)
+            viol = _mcs_scan(g)[1]
+            if viol is not None:
+                non_chordal += 1
+                hole = _hole_through(g, *viol)
+                assert hole is not None and check_hole(g, hole)
+    assert non_chordal == 14819
+
 
 def _certificate_corpus():
     """Every labeled graph on n <= 5, seeded G(n, p) for n in 6..40, and

@@ -80,6 +80,12 @@ class TestSymbolicFactor:
         with pytest.raises(GraphInputError):
             symbolic_factor(tridiagonal_pattern(4), [0, 1, 2])
 
+    def test_rejects_non_integer_ordering(self):
+        for order in ([0.5, 1.9, 2, 3], [0, 1, 2, 3.0], [True, 0, 2, 3]):
+            with pytest.raises(GraphInputError):
+                symbolic_fill_codes(tridiagonal_pattern(4), order)
+        assert symbolic_fill_codes(tridiagonal_pattern(4), np.arange(4))[0].size == 0
+
     def test_total_counts_symmetric_pairs_plus_diagonal(self, rng):
         for _ in range(25):
             g = random_graph(rng, int(rng.integers(2, 9)))

@@ -28,7 +28,13 @@ from fillinlab.solvers import (
 )
 
 from .conftest import bridge_chain_cubic, bridged_cubic, named_graphs, random_graph
-from .oracles import brooks_triple_missing, edge_set, min_vertex_cover_brute
+from .oracles import (
+    brooks_triple_missing,
+    edge_set,
+    full_vertices_brute,
+    min_vertex_cover_brute,
+    split_completion_brute,
+)
 
 
 @pytest.fixture(scope="module")
@@ -311,6 +317,12 @@ class TestSplitCompletion:
         with pytest.raises(GraphInputError, match=r"\(0, 1\) is uncovered"):
             split_completion(k2_instance, set())
 
+    def test_cover_ids_must_be_integers(self, k2_instance):
+        assert split_completion(k2_instance, [np.int64(0)]) == split_completion(k2_instance, {0})
+        for cover in ([0.5], [1.0], [True], ["0"]):
+            with pytest.raises(GraphInputError):
+                split_completion(k2_instance, cover)
+
     def test_result_makes_split_chordal(self, rng):
         g = random_graph(rng, 4)
         inst = reduce_primitive(g)
@@ -322,7 +334,7 @@ class TestSplitCompletion:
 class TestFullVertices:
     def test_everything_full(self, k2_instance):
         inst = k2_instance
-        fill = set(inst.missing_pairs(0)) | set(inst.missing_pairs(1))
+        fill = {(v, int(u)) for v in (0, 1) for u in inst.missing_block(v)}
         assert full_vertices(inst, fill) == {0, 1}
 
     def test_roundtrip_primitive(self, rng):
@@ -354,6 +366,13 @@ class TestFullVertices:
     def test_invalid_fill_rejected(self, k2_instance):
         with pytest.raises(GraphInputError, match="invalid fill-in"):
             full_vertices(k2_instance, {(0, 1)})  # already an edge
+
+    def test_unchecked_fill_still_rejects_malformed_pairs(self, k2_instance):
+        full = full_vertices(k2_instance, split_completion(k2_instance, {0}), check_fillin=False)
+        assert full == {0}
+        for bad in ([(0, 2.0)], [(0, 10)], [(3, 3)], [(True, 2)]):
+            with pytest.raises(GraphInputError):
+                full_vertices(k2_instance, bad, check_fillin=False)
 
     def test_accounting_inequality(self, rng):
         from fillinlab.chordal import elimination_fill
@@ -580,3 +599,105 @@ def test_primitive_is_colored_under_identity_coloring():
             assert prim.block_deficit == col.block_deficit == n * n
             for v in range(n):
                 assert prim.missing_block(v).tolist() == col.missing_block(v).tolist()
+
+
+def _certificate_map_corpus():
+    """Seeded primitive gadgets for n in 2..7 and colored gadgets for b in 1..2."""
+    from fillinlab.generate import gnp, random_subcubic
+
+    rng = np.random.default_rng(7373)
+    for n in range(2, 8):
+        g = gnp(n, float(rng.uniform(0.2, 0.8)), rng)
+        yield g, reduce_primitive(g), int(rng.integers(2**32))
+    for b in (1, 2):
+        for n in (6, 9):
+            g = random_subcubic(n, rng)
+            yield g, reduce_colored(g, b, brooks_coloring(g, 3)), int(rng.integers(2**32))
+
+
+# Recorded before the certificate maps moved onto packed rows; reports, split
+# completions and full-vertex sets must reproduce byte for byte.
+CERTIFICATE_MAP_DIGEST = "a0e87a00e8689d163248fa13d6eeea68ebca91b5c08beb2f89c3bdc0bafaf2f3"
+
+
+def test_certificate_map_digest():
+    from fillinlab.reduction import produced_fillins
+
+    digest = hashlib.sha256()
+    for g, inst, seed in _certificate_map_corpus():
+        cover = exact_vertex_cover(g).vertices
+        split = split_completion(inst, cover)
+        digest.update(json.dumps(sorted(split)).encode())
+        fills = produced_fillins(inst, np.random.default_rng(seed), random_orderings=1)
+        fills["split-completion"] = split
+        for name, fill in sorted(fills.items()):
+            full = sorted(full_vertices(inst, fill))
+            digest.update(json.dumps([name, len(fill), full]).encode())
+        if inst.kind != "primitive":
+            continue
+        rep = verify_sandwich(g, inst, np.random.default_rng(seed), random_orderings=1)
+        digest.update(rep.dumps().encode())
+        tau = len(cover)
+        for c in sorted({max(tau - 1, 0), tau}):
+            for name in ("min-degree", "split-completion"):
+                rep = decision_equivalence_check(g, c, fills[name], inst)
+                digest.update(rep.dumps().encode())
+    assert digest.hexdigest() == CERTIFICATE_MAP_DIGEST
+
+
+def _noisy(rng, fill):
+    """The fill as a shuffled list with each pair in a random orientation and
+    about a third of them repeated."""
+    pairs = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in sorted(fill)]
+    pairs += [pairs[i][::-1] for i in range(0, len(pairs), 3)]
+    return [pairs[i] for i in rng.permutation(len(pairs))]
+
+
+def test_certificate_maps_match_set_oracles():
+    """split_completion and full_vertices agree with their dict-of-sets
+    definitions on primitive and colored gadgets, for minimum and larger
+    covers and for greedy and random-ordering fills listed in any orientation
+    with repeats."""
+    from fillinlab.generate import gnp, random_subcubic
+    from fillinlab.reduction import produced_fillins
+
+    rng = np.random.default_rng(9191)
+    corpus = [reduce_primitive(gnp(n, float(rng.uniform(0.2, 0.8)), rng)) for n in (2, 3, 4, 5)]
+    for b in (1, 2):
+        g = random_subcubic(8, rng)
+        corpus.append(reduce_colored(g, b, brooks_coloring(g, 3)))
+    for inst in corpus:
+        n, N = inst.n_original, inst.graph.n
+        h_edges = edge_set(inst.graph)
+        missing = {v: inst.missing_block(v).tolist() for v in range(n)}
+        tau_cover = set(exact_vertex_cover(inst.original).vertices)
+        covers = [tau_cover, tau_cover | {int(rng.integers(n))}, set(range(n))]
+        fills = list(produced_fillins(inst, rng, random_orderings=2).values())
+        for cover in covers:
+            split = split_completion(inst, cover)
+            assert split == split_completion_brute(N, h_edges, cover | set(range(n, N)))
+            fills.append(split)
+        for fill in fills:
+            want = full_vertices_brute(missing, fill)
+            noisy = _noisy(rng, fill)
+            assert full_vertices(inst, fill) == want
+            assert full_vertices(inst, noisy) == want
+            assert full_vertices(inst, noisy, check_fillin=False) == want
+            if inst.kind == "primitive":  # the decision threshold is stated for n^2 blocks
+                rep = decision_equivalence_check(inst.original, len(tau_cover), noisy, inst)
+                assert rep.outputs["fillin_size"] == len(fill)
+
+
+def test_sandwich_checks_each_fill_once(monkeypatch):
+    """verify_sandwich runs one chordality scan per produced fill-in and none
+    for the split completion, which is_split already certified."""
+    from fillinlab import chordal
+
+    scans = []
+    scan = chordal._mcs_scan
+    monkeypatch.setattr(chordal, "_mcs_scan", lambda g: scans.append(g.n) or scan(g))
+    for g in (Graph.build(2, [(0, 1)]), Graph.build(4, [(0, 1), (1, 2), (2, 3)])):
+        scans.clear()
+        rep = verify_sandwich(g, rng=np.random.default_rng(3), random_orderings=1)
+        assert rep.passed
+        assert scans == [g.n**3 + g.n] * 3  # min-degree, min-fill, random-order-0

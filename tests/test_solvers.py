@@ -67,6 +67,13 @@ class TestVertexCover:
         assert res.status == "budget_exhausted" and not res.optimal
         assert is_vertex_cover(graphs["petersen"], res.vertices)
 
+    def test_cover_ids_must_be_integers(self, graphs):
+        assert is_vertex_cover(graphs["p3"], [1])
+        assert is_vertex_cover(graphs["p3"], [np.int64(1)])
+        assert not is_vertex_cover(graphs["p3"], [1.7])
+        assert not is_vertex_cover(graphs["p3"], [1.0])
+        assert not is_vertex_cover(graphs["p3"], [True])
+
     def test_monotone_under_edge_deletion(self, rng):
         for _ in range(25):
             g = random_graph(rng, 7)
