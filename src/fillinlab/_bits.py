@@ -82,17 +82,10 @@ def popcount_rows(rows: np.ndarray) -> np.ndarray:
     return np.bitwise_count(rows).sum(axis=-1, dtype=np.int64)
 
 
-def popcount(row: np.ndarray) -> int:
-    return int(np.bitwise_count(row).sum(dtype=np.int64))
-
-
 def unpack(rows: np.ndarray, nbits: int) -> np.ndarray:
     """Packed rows to a boolean matrix (or a single row to a boolean vector)."""
-    single = rows.ndim == 1
-    mat = rows[None, :] if single else rows
-    bits = np.unpackbits(mat.view(np.uint8), axis=1, bitorder="little")[:, :nbits]
-    bits = bits.astype(bool)
-    return bits[0] if single else bits
+    bits = np.unpackbits(rows.view(np.uint8), axis=-1, count=nbits, bitorder="little")
+    return bits.view(bool)
 
 
 def pack(matrix: np.ndarray) -> np.ndarray:
@@ -108,7 +101,7 @@ def pack(matrix: np.ndarray) -> np.ndarray:
 
 def indices(row: np.ndarray, nbits: int) -> np.ndarray:
     """Sorted positions of the set bits of one packed row."""
-    return np.nonzero(unpack(row, nbits))[0]
+    return unpack(row, nbits).nonzero()[0]
 
 
 def upper_codes(rows: np.ndarray, n: int) -> np.ndarray:

@@ -4,10 +4,11 @@ and the elimination game that defines fill for an ordering.
 A graph is chordal when it has no induced cycle (hole) of length at least
 four, equivalently when some elimination ordering produces zero fill (a
 perfect elimination ordering, PEO).  Recognition is one maximum cardinality
-search that tests its reversed visit order as it goes.  A PEO verdict rests
-on that earliest-later-neighbor test, which is a complete PEO check (Rose,
-Tarjan and Lueker 1976); every hole passes ``check_hole`` once before it
-leaves this module.  ``check_peo`` stays as the definitional checker for
+search that records each vertex's earliest later neighbor, then tests its
+reversed visit order in one batched pass over blocks of steps.  A PEO verdict
+rests on that earliest-later-neighbor test, which is a complete PEO check
+(Rose, Tarjan and Lueker 1976); every hole passes ``check_hole`` once before
+it leaves this module.  ``check_peo`` stays as the definitional checker for
 reports and tests.  Vertex ids are read by ``graph._vertex_id`` alone, and
 ``verify_fillin`` hands the filled graph on in ``FillinCheck.filled``.
 """
@@ -76,31 +77,49 @@ def _mcs_scan(graph: Graph):
     The order is a PEO iff every such u is adjacent to all the others (Rose,
     Tarjan and Lueker 1976).  The last failing v is the first in PEO order;
     x is the smallest id it misses.
+
+    The loop only searches: per step one argmax, one unpacked row added to
+    the weights, and u recorded as ``latest[v]``.  One batched pass then
+    tests every step at once; the gap of step i is
+    ``rows[v] & visited & ~rows[u]``, with ``visited`` the vertices of steps
+    0..i (v itself is in no row of its own).  It holds u, so the step fails
+    when the gap holds more.  The pass gathers blocks of steps of at most
+    ``_bits.UNPACK_BLOCK_BYTES`` bytes of rows each, and carries the visited
+    row from one block to the next.
     """
     n = graph.n
     rows = graph.packed_rows()
     weight = np.zeros(n, dtype=np.int64)
     latest = np.full(n, -1, dtype=np.int64)  # most recently visited neighbor
-    visited = np.zeros(_bits.nwords(n), dtype=np.uint64)
     order = np.empty(n, dtype=np.int64)
-    violation = None
+    earliest = np.empty(n, dtype=np.int64)  # u of each step, -1 if none
     for i in range(n):
-        v = int(np.argmax(weight))  # first maximum = smallest id
+        v = int(weight.argmax())  # first maximum = smallest id
         order[i] = v
-        u = int(latest[v])
-        if u >= 0:
-            gap = rows[v] & visited & ~rows[u]  # holds u itself
-            if _bits.popcount(gap) > 1:
-                violation = (v, u, gap)
-        idx = _bits.indices(rows[v], n)
-        weight[idx] += 1
-        weight[v] = -(n + 1)  # never re-selected
-        latest[idx] = v
-        _bits.set_bit(visited, v)
-    if violation is not None:
-        v, u, gap = violation
-        _bits.clear_bit(gap, u)
-        violation = (v, u, int(_bits.indices(gap, n)[0]))
+        earliest[i] = latest[v]
+        nb = _bits.unpack(rows[v], n)
+        weight += nb
+        weight[v] = -2 * n  # below every later weight: never re-selected
+        latest[nb] = v
+    violation = None
+    visited = np.zeros(_bits.nwords(n), dtype=np.uint64)
+    step = max(1, _bits.UNPACK_BLOCK_BYTES // max(rows.itemsize * rows.shape[1], 1))
+    for lo in range(0, n, step):
+        vs, us = order[lo : lo + step], earliest[lo : lo + step]
+        seen = np.zeros((vs.size, visited.size), dtype=np.uint64)
+        seen[np.arange(vs.size), vs >> 6] = np.uint64(1) << (vs & 63).astype(np.uint64)
+        np.bitwise_or.accumulate(seen, axis=0, out=seen)
+        seen |= visited
+        visited = seen[-1].copy()
+        gap = rows[vs]
+        gap &= seen
+        gap &= ~rows[us]  # u = -1 reads the last row, but then v has no visited neighbor
+        fails = np.flatnonzero(_bits.popcount_rows(gap) > 1)
+        if fails.size:
+            i = fails[-1]
+            v, u = int(vs[i]), int(us[i])
+            _bits.clear_bit(gap[i], u)
+            violation = (v, u, int(_bits.indices(gap[i], n)[0]))
     return order, violation
 
 

@@ -303,8 +303,8 @@ def load_dimacs(path) -> Graph:
 
 
 def save_edge_set(edges: Iterable, path) -> None:
-    """Sorted `u v` per line, u < v, 0-based."""
-    pairs = sorted(_norm_pair(int(u), int(v)) for u, v in edges)
+    """Sorted `u v` per line, u < v, 0-based; ids are read by ``_vertex_ids``."""
+    pairs = sorted(_norm_pair(*_vertex_ids(e)) for e in edges)
     with open(path, "w") as fh:
         for u, v in pairs:
             fh.write(f"{u} {v}\n")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .chordal import _validate_permutation, elimination_fill_codes
 from .errors import GraphInputError
-from .graph import Graph, pairs_from_codes, parse_ints
+from .graph import Graph, _vertex_id, pairs_from_codes, parse_ints
 
 Position = tuple[int, int]
 
@@ -48,11 +48,14 @@ class SparsePattern:
 
         ``values`` may supply the numeric value per entry; an explicit zero on
         the diagonal triggers a warning and is still treated as structurally
-        nonzero.
+        nonzero.  Indices are read by ``graph._vertex_id``.
         """
         pos = set()
         for k, (i, j) in enumerate(entries):
-            i, j = int(i), int(j)
+            try:
+                i, j = _vertex_id(i), _vertex_id(j)
+            except TypeError as exc:
+                raise GraphInputError(f"vertex ids must be integers: {exc}") from None
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphInputError(f"entry ({i},{j}) out of range for n = {n}")
             if i == j:

@@ -19,8 +19,10 @@ never replays the game.  Like ``chordal``'s game it works on closed rows:
 the working rows carry bit v of row v, a vertex leaves ``alive`` before its
 row is read, so ``rows[v] & alive`` excludes v and OR-ing a neighborhood
 into its own rows needs no diagonal clearing.  Closed rows count the vertex
-itself, hence the ``- 1`` in an alive degree and ``k * k`` in the clique test;
-the initial fill scores come from the original open rows.
+itself, hence the ``- 1`` in an alive degree; the initial fill scores come
+from the original open rows.  Min-fill also keeps each vertex's closed alive
+degree, so a step whose vertex scores 0 (its neighborhood is a clique)
+updates its neighbors' scores from those degrees and reads no rows.
 
 Every solver revalidates its certificate before returning; budget exhaustion
 is always an explicit outcome, never a silently wrong answer.
@@ -377,8 +379,12 @@ def greedy_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
       ``O_w = N(w) - N - {v}``, and gains, for each new partner y in N, the
       pairs (y, o) that stay non-adjacent: ``|O_w - N(y)|``.
 
-    Nothing else changes.  When N is already a clique (P is empty), only the
-    ``|O_w|`` losses apply and no row changes.
+    Nothing else changes.  The score is exact, so N is already a clique (P is
+    empty) exactly when v scored 0; then only the ``|O_w|`` losses apply and
+    no row changes.  Such a step reads no rows either: with ``deg[w]`` the
+    closed alive degree of w, ``|O_w| = deg[w] - k - 1`` for each w in N
+    (k = |N|), and w loses only v.  A step with fill sets ``deg[w]`` to
+    ``|O_w| + k`` from the ``|O_w|`` it counts.
     """
     if strategy not in GREEDY_STRATEGIES:
         raise GraphInputError(
@@ -391,29 +397,36 @@ def greedy_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
     alive = _bits.range_mask(n, 0, n)
     order = np.empty(n, dtype=np.int64)
     if strategy == "min-degree":
-        deg = _bits.popcount_rows(original)
+        deg = graph.degrees().copy()
         for step in range(n):
-            v = int(np.argmin(deg))  # first minimum = smallest id
+            v = int(deg.argmin())  # first minimum = smallest id
             order[step] = v
             idx = _eliminate_vertex(rows, alive, v, n)
             deg[idx] = _bits.popcount_rows(rows[idx] & alive) - 1  # minus the own bit
             deg[v] = n  # above every alive degree: never re-selected
         return order, _bits.upper_codes(rows & ~original, n)
     score = _fill_scores(original, n)
+    deg = graph.degrees() + 1  # closed alive degrees
     retired = np.iinfo(np.int64).max  # above every alive score: never re-selected
     for step in range(n):
-        v = int(np.argmin(score))  # first minimum = smallest id
+        v = int(score.argmin())  # first minimum = smallest id
         order[step] = v
+        clique = score[v] == 0
         score[v] = retired
         _bits.clear_bit(alive, v)
         nbr = rows[v] & alive
         idx = _bits.indices(nbr, n)
         k = idx.size
+        if clique:  # no fill, no row change: |O_w| is deg[w] - k - 1
+            d = deg[idx] - 1
+            score[idx] -= d - k
+            deg[idx] = d
+            continue
         near = rows[idx]  # closed: row w holds w, which nbr holds too
         outside = near & alive & ~nbr  # O_w for each w in N
-        score[idx] -= _bits.popcount_rows(outside)
-        if _bits.popcount_rows(near & nbr).sum() == k * k:
-            continue  # N is a clique: no fill, no row change
+        lost = _bits.popcount_rows(outside)
+        score[idx] -= lost
+        deg[idx] = lost + k
         missing = _bits.unpack(nbr & ~near, n)
         i, y = np.nonzero(missing)  # P in both directions: (idx[i], y)
         x = idx[i]

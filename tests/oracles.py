@@ -2,7 +2,8 @@
 
 Everything here works on plain Python sets of edge pairs, deliberately
 sharing no algorithmic code with the package: holes are found by subset
-enumeration, covers by subset enumeration, minimum fill by trying every
+enumeration, covers by subset enumeration, maximum cardinality search and its
+PEO test by rescanning every vertex per step, minimum fill by trying every
 elimination ordering with a dict-of-sets elimination game.  The gadget
 certificate maps are restated from their definitions on dicts of sets.
 """
@@ -114,6 +115,36 @@ def full_vertices_brute(missing, fill):
         added.setdefault(a, set()).add(b)
         added.setdefault(b, set()).add(a)
     return {v for v, block in missing.items() if set(block) <= added[v]}
+
+
+def mcs_scan_brute(n, edges):
+    """Maximum cardinality search with smallest-id ties, and the PEO test of
+    its reversed order, on dicts of sets.
+
+    When v is visited, its already visited neighbours must all be adjacent to
+    the most recently visited of them, u.  Returns the visit order and
+    ``(v, u, x)`` for the last v that fails, x the smallest id u misses, or
+    None when every v passes.
+    """
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    weight = {v: 0 for v in range(n)}
+    when = {}  # visited vertex -> its step
+    violation = None
+    while len(when) < n:
+        v = min((w for w in range(n) if w not in when), key=lambda w: (-weight[w], w))
+        earlier = [w for w in adj[v] if w in when]
+        if earlier:
+            u = max(earlier, key=when.__getitem__)
+            missed = [w for w in earlier if w != u and w not in adj[u]]
+            if missed:
+                violation = (v, u, min(missed))
+        when[v] = len(when)
+        for w in adj[v]:
+            weight[w] += 1
+    return sorted(when, key=when.__getitem__), violation
 
 
 def min_degree_ordering_brute(n, edges):

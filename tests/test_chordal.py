@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -33,6 +34,7 @@ from .oracles import (
     find_holes_brute,
     is_chordal_brute,
     is_split_brute,
+    mcs_scan_brute,
     min_fill_brute,
 )
 
@@ -56,6 +58,52 @@ class TestMcs:
         a = mcs_ordering(graphs["petersen"]).tolist()
         b = mcs_ordering(graphs["petersen"]).tolist()
         assert a == b
+
+
+def _mcs_corpus():
+    """Seeded G(n, p) on both sides of word edges, raw and min-degree-completed."""
+    from fillinlab.generate import gnp
+    from fillinlab.solvers import greedy_minfill_heuristic
+
+    rng = np.random.default_rng(2727)
+    for n in (0, 1, 2, 63, 64, 65, 127, 128, 129, 200):
+        g = gnp(n, float(rng.uniform(0.02, 0.4)), rng)
+        yield g
+        yield g.add_edges(greedy_minfill_heuristic(g, "min-degree"))
+
+
+@pytest.mark.parametrize("block_bytes", [None, 64])
+def test_mcs_scan_matches_brute(monkeypatch, block_bytes):
+    """Visit order and violation triple against the dict-of-sets search; 64
+    bytes puts one to eight steps in each block of the batched PEO test."""
+    from fillinlab.chordal import _mcs_scan
+
+    if block_bytes is not None:
+        monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", block_bytes)
+    violations = 0
+    for g in _mcs_corpus():
+        order, viol = _mcs_scan(g)
+        expect_order, expect_viol = mcs_scan_brute(g.n, g.edge_list())
+        assert order.tolist() == expect_order
+        assert viol == expect_viol
+        violations += viol is not None
+    assert violations >= 5
+
+
+def test_mcs_memory_is_bounded(monkeypatch):
+    """The PEO test gathers rows one block of steps at a time; gathering them
+    for every step at once would hold another copy of the packed rows."""
+    n = 4096
+    g = Graph.build(n, [(i, i + 1) for i in range(n - 1)])
+    monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", 1 << 14)
+    tracemalloc.start()
+    try:
+        ok, _ = is_chordal(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < g.packed_rows().nbytes
 
 
 class TestCertificateCheckers:

@@ -315,6 +315,17 @@ class TestEdgeSetText:
         assert path.read_text() == "0 2\n1 3\n"
         assert load_edge_set(path) == {(0, 2), (1, 3)}
 
+    @pytest.mark.parametrize("bad", [2.9, True, "3"], ids=["float", "bool", "str"])
+    def test_save_rejects_non_integer_ids(self, tmp_path, bad):
+        path = tmp_path / "fill.txt"
+        with pytest.raises(GraphInputError, match="vertex ids must be integers"):
+            save_edge_set([(0, 2), (1, bad)], path)
+
+    def test_save_reads_numpy_ids(self, tmp_path):
+        path = tmp_path / "fill.txt"
+        save_edge_set([(np.int64(3), np.int32(1)), (np.uint8(0), 2)], path)
+        assert path.read_text() == "0 2\n1 3\n"
+
     def test_rejects_self_pair(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 2\n")

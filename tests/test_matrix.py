@@ -31,6 +31,15 @@ class TestPattern:
         with pytest.raises(GraphInputError):
             SparsePattern.from_entries(3, [(0, 5)])
 
+    @pytest.mark.parametrize("bad", [1.7, True, "2"], ids=["float", "bool", "str"])
+    def test_rejects_non_integer_ids(self, bad):
+        with pytest.raises(GraphInputError, match="vertex ids must be integers"):
+            SparsePattern.from_entries(3, [(0, 2), (bad, 0)])
+
+    def test_reads_numpy_ids(self):
+        p = SparsePattern.from_entries(4, [(np.int64(2), np.int32(0)), (np.uint8(1), 3)])
+        assert p.positions == {(0, 2), (1, 3)}
+
     def test_rejects_lower_triangle_direct(self):
         with pytest.raises(GraphInputError):
             SparsePattern(3, frozenset({(2, 1)}))

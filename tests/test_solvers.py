@@ -14,6 +14,7 @@ from fillinlab.graph import Graph
 from fillinlab.reduction import brooks_coloring, reduce_colored, reduce_primitive
 from fillinlab.solvers import (
     ORDERING_ORACLE_LIMIT,
+    _fill_scores,
     exact_fillin_branch,
     exact_fillin_ordering_oracle,
     exact_vertex_cover,
@@ -245,6 +246,31 @@ class TestGreedyHeuristics:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def test_min_fill_clique_steps_gather_no_rows(monkeypatch):
+    """Counted, not timed: on a chordal input every min-fill step eliminates a
+    vertex of score 0, whose alive neighbourhood is a clique, and such a step
+    updates its neighbours from ``deg`` alone; the only popcounts are the ones
+    ``_fill_scores`` makes."""
+    calls = 0
+    popcount_rows = _bits.popcount_rows
+
+    def counted(rows):
+        nonlocal calls
+        calls += 1
+        return popcount_rows(rows)
+
+    monkeypatch.setattr(_bits, "popcount_rows", counted)
+    g = reduce_primitive(gnp(5, 0.5, 17)).graph
+    g = g.add_edges(greedy_minfill_heuristic(g, "min-fill"))
+    calls = 0
+    _fill_scores(g.packed_rows(), g.n)
+    scoring = calls
+    calls = 0
+    order, codes = greedy_game(g, "min-fill")
+    assert codes.size == 0 and order.size == g.n == 130
+    assert calls == scoring
 
 
 def _minfill_digest_corpus():
