@@ -157,14 +157,6 @@ class Graph:
             raise GraphInputError("packed adjacency is not symmetric")
         return cls._adopt(rows)
 
-    @classmethod
-    def from_bool_matrix(cls, matrix: np.ndarray) -> "Graph":
-        matrix = np.asarray(matrix, dtype=bool)
-        n = matrix.shape[0]
-        if matrix.shape != (n, n):
-            raise GraphInputError("adjacency matrix must be square")
-        return cls.from_packed_rows(_bits.pack(matrix), n)
-
     # -- queries -----------------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -193,9 +185,6 @@ class Graph:
     def packed_rows(self) -> np.ndarray:
         """Read-only packed adjacency."""
         return self._rows
-
-    def bool_matrix(self) -> np.ndarray:
-        return _bits.unpack(self._rows, self.n)
 
     # -- derived graphs ----------------------------------------------------
 

@@ -49,10 +49,10 @@ from .solvers import (
     exact_vertex_cover,
     greedy_minfill_heuristic,
     is_vertex_cover,
-    ORDERING_ORACLE_LIMIT,
 )
 
 PRIMITIVE_MAX_N = 40
+SANDWICH_EXACT_MAX_VERTICES = 10
 COLORED_MAX_CELLS = 1_000_000
 
 
@@ -268,11 +268,12 @@ class ReducedInstance:
         """Structural self-check; failure means the construction is buggy."""
         n, N = self.n_original, self.graph.n
         rows = self.graph.packed_rows()
-        expected_blocks = len(self.blocks)
+        if len(self.blocks) != (n if self.kind == "primitive" else self.q):
+            raise CounterexampleError("block count differs from the construction's")
         sizes = {len(blk) for blk in self.blocks}
         if sizes and sizes != {self.block_deficit}:
             raise CounterexampleError("block sizes differ from the deficit")
-        ids = np.concatenate([np.asarray(b) for b in self.blocks]) if expected_blocks else np.array([], dtype=int)
+        ids = np.concatenate([np.asarray(b) for b in self.blocks]) if self.blocks else np.array([], dtype=int)
         if sorted(ids.tolist()) != list(range(n, N)):
             raise CounterexampleError("blocks do not partition the gadget vertices")
         sub, _ = self.graph.induced_subgraph(range(n))
@@ -456,7 +457,8 @@ def verify_sandwich(
 
     Checks (i) the constructive upper bound, (ii) the accounting lower bound
     for every produced fill-in, and (iii) the exact window against the
-    ordering oracle whenever the gadget is small enough for it.
+    ordering oracle on gadgets of at most SANDWICH_EXACT_MAX_VERTICES
+    vertices (n <= 2), although the oracle would solve them up to n = 8.
     """
     if inst is None:
         inst = reduce_primitive(graph)
@@ -491,7 +493,7 @@ def verify_sandwich(
         )
         report.add(check(f"full_set_covers[{name}]", tau, len(full), "<="))
         report.add(check(f"window_lower[{name}]", tau * deficit, len(fill), "<="))
-    if inst.graph.n <= ORDERING_ORACLE_LIMIT:
+    if inst.graph.n <= SANDWICH_EXACT_MAX_VERTICES:
         phi = len(exact_fillin_ordering_oracle(inst.graph))
         report.outputs["phi_gadget"] = phi
         report.add(check("oracle_window_lower", tau * deficit, phi, "<="))
@@ -582,24 +584,38 @@ def save_instance(inst: ReducedInstance, dimacs_path, sidecar_path=None) -> str:
 
 
 def load_instance(dimacs_path, sidecar_path=None) -> ReducedInstance:
+    """Read a gadget written by ``save_instance``.  Ids, counts and colors are
+    read by ``graph._vertex_id``, so a colored sidecar needs b, q and a
+    coloring; a bad sidecar or a gadget failing ``validate`` is input error."""
     if sidecar_path is None:
         sidecar_path = str(dimacs_path) + ".json"
     H = load_dimacs(dimacs_path)
     with open(sidecar_path) as fh:
         side = json.load(fh)
-    n = int(side["n"])
+    kind = side.get("reduction") if isinstance(side, dict) else None
+    if kind not in ("primitive", "colored"):
+        raise GraphInputError(f"{sidecar_path}: reduction must be 'primitive' or 'colored'")
+    (n,) = _vertex_ids([side.get("n")])
     original, _ = H.induced_subgraph(range(n))
-    coloring = None
-    if side.get("coloring") is not None:
-        coloring = Coloring(tuple(int(c) for c in side["coloring"]), int(side["q"]))
+    b = q = coloring = None
+    if kind == "colored":
+        b, q = _vertex_ids([side.get("b"), side.get("q")])
+        coloring = Coloring(tuple(_vertex_ids(side.get("coloring"))), q)
+        coloring.validate(original)
+    blocks = side.get("blocks")
+    if not isinstance(blocks, list):
+        raise GraphInputError(f"{sidecar_path}: blocks must be a list of vertex lists")
     inst = ReducedInstance(
         graph=H,
         original=original,
-        kind=side["reduction"],
-        blocks=tuple(np.asarray(_vertex_ids(blk), dtype=np.int64) for blk in side["blocks"]),
-        b=side.get("b"),
-        q=side.get("q"),
+        kind=kind,
+        blocks=tuple(np.asarray(_vertex_ids(blk), dtype=np.int64) for blk in blocks),
+        b=b,
+        q=q,
         coloring=coloring,
     )
-    inst.validate()
+    try:
+        inst.validate()
+    except CounterexampleError as exc:
+        raise GraphInputError(f"{sidecar_path}: not a valid gadget: {exc}") from None
     return inst

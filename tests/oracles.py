@@ -4,15 +4,29 @@ Everything here works on plain Python sets of edge pairs, deliberately
 sharing no algorithmic code with the package: holes are found by subset
 enumeration, covers by subset enumeration, maximum cardinality search and its
 PEO test by rescanning every vertex per step, minimum fill by trying every
-elimination ordering with a dict-of-sets elimination game.  The gadget
-certificate maps are restated from their definitions on dicts of sets.
+elimination ordering with a dict-of-sets elimination game, or by a memoized
+search over eliminated sets.  The gadget certificate maps are restated from
+their definitions on dicts of sets.  ``graph_from_bool_matrix`` is the one
+helper that builds a package ``Graph``, for layout tests of its intake.
 """
 
 from itertools import combinations, permutations
 
+import numpy as np
+
+from fillinlab import _bits
+from fillinlab.graph import Graph
+
 
 def edge_set(graph):
     return {tuple(e) for e in graph.edge_list()}
+
+
+def graph_from_bool_matrix(matrix):
+    """The graph of a square boolean adjacency matrix in any memory layout:
+    packed by ``_bits.pack`` and checked by ``Graph.from_packed_rows``."""
+    matrix = np.asarray(matrix, dtype=bool)
+    return Graph.from_packed_rows(_bits.pack(matrix), matrix.shape[0])
 
 
 def find_holes_brute(n, edges):
@@ -205,6 +219,75 @@ def min_fill_brute(n, edges):
             if best == 0:
                 break
     return best
+
+
+def min_fill_memo_brute(n, edges):
+    """Minimum fill set by the best elimination ordering, memoized on the set
+    of eliminated vertices, over Python-int adjacency masks.
+
+    The package's oracle before its true-twin subset DP, kept as the
+    reference: ties go to the smallest vertex (an ascending scan keeping only
+    strict improvements), and the fill is replayed by
+    ``elimination_fill_brute``.  Exponential in n; n <= 10 or so.
+    """
+    base = [0] * n
+    for u, v in edges:
+        base[u] |= 1 << v
+        base[v] |= 1 << u
+    full = (1 << n) - 1
+    memo = {}  # eliminated set -> (fill cost, best vertex)
+
+    def deficiency(adj, v):
+        nb = adj[v]
+        missing = 0
+        rem = nb
+        while rem:
+            u = (rem & -rem).bit_length() - 1
+            rem &= rem - 1
+            missing += (nb & ~adj[u] & ~(1 << u) & ~((1 << (u + 1)) - 1)).bit_count()
+        return missing
+
+    def eliminate(adj, v):
+        nb = adj[v]
+        out = list(adj)
+        rem = nb
+        while rem:
+            u = (rem & -rem).bit_length() - 1
+            rem &= rem - 1
+            out[u] = (out[u] | (nb & ~(1 << u))) & ~(1 << v)
+        out[v] = 0
+        return out
+
+    def solve(done, adj):
+        if done == full:
+            return 0
+        hit = memo.get(done)
+        if hit is not None:
+            return hit[0]
+        best_cost, best_v = None, -1
+        rem = full & ~done
+        while rem:
+            v = (rem & -rem).bit_length() - 1
+            rem &= rem - 1
+            cost = deficiency(adj, v) + solve(done | (1 << v), eliminate(adj, v))
+            if best_cost is None or cost < best_cost:
+                best_cost, best_v = cost, v
+        memo[done] = (best_cost, best_v)
+        return best_cost
+
+    if n == 0:
+        return set()
+    optimum = solve(0, base)
+    order = []
+    done, adj = 0, base
+    while done != full:
+        v = memo[done][1]
+        order.append(v)
+        adj = eliminate(adj, v)
+        done |= 1 << v
+    fill = elimination_fill_brute(n, edges, order)
+    assert len(fill) == optimum
+    return fill
 
 
 def all_labeled_graphs(n):

@@ -98,11 +98,11 @@ class TestSolve:
         assert run(["solve", c6_file, "fillin", "--out", str(rep)]) == 0
         assert json.loads(rep.read_text())["outputs"]["size"] == 3
 
-    def test_fillin_oracle_limit_exit_3(self, tmp_path, capsys):
+    def test_fillin_oracle_class_limit_exit_3(self, tmp_path, capsys):
         src = tmp_path / "big.col"
-        save_dimacs(Graph.build(12, [(i, i + 1) for i in range(11)]), src)
+        save_dimacs(Graph.build(17, [(i, i + 1) for i in range(16)]), src)  # 17 classes
         assert run(["solve", str(src), "fillin"]) == cli.EXIT_LIMIT
-        assert "limited" in capsys.readouterr().err
+        assert "limited to 16 true-twin classes" in capsys.readouterr().err
 
     def test_heuristic(self, c6_file, tmp_path):
         rep = tmp_path / "rep.json"

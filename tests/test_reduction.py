@@ -548,6 +548,51 @@ class TestSerialization:
         assert loaded.coloring.colors == col.colors
 
 
+def _load_edited(tmp_path, inst, **edits):
+    """Save ``inst``, overwrite sidecar fields, and load it back."""
+    path = tmp_path / "inst.col"
+    sidecar = save_instance(inst, path)
+    with open(sidecar) as fh:
+        side = json.load(fh)
+    side.update(edits)
+    with open(sidecar, "w") as fh:
+        json.dump(side, fh)
+    return load_instance(path)
+
+
+class TestSidecarIsInput:
+    def test_fractional_n_is_refused(self, tmp_path, k2_instance):
+        with pytest.raises(GraphInputError, match="integers"):
+            _load_edited(tmp_path, k2_instance, n=2.7)
+
+    def test_bool_n_is_an_input_error(self, tmp_path, k2_instance):
+        with pytest.raises(GraphInputError, match="integers"):
+            _load_edited(tmp_path, k2_instance, n=True)  # not read as 1
+
+    def test_colored_needs_b(self, tmp_path, graphs):
+        inst = reduce_colored(graphs["prism"], 1, brooks_coloring(graphs["prism"], 3))
+        with pytest.raises(GraphInputError, match="integers"):
+            _load_edited(tmp_path, inst, b=None)
+
+    def test_unknown_reduction(self, tmp_path, k2_instance):
+        with pytest.raises(GraphInputError, match="reduction must be"):
+            _load_edited(tmp_path, k2_instance, reduction="bogus")
+
+    def test_block_count_follows_the_kind(self, tmp_path):
+        """A colored gadget with b = n on a 2-colored path has blocks of n^2
+        that partition U; read as primitive, vertex 2 would have no block."""
+        p3 = Graph.build(3, [(0, 1), (1, 2)])
+        inst = reduce_colored(p3, 3, Coloring((0, 1, 0), 2))
+        with pytest.raises(GraphInputError, match="block count"):
+            _load_edited(tmp_path, inst, reduction="primitive")
+
+    def test_blocks_must_partition_the_gadget(self, tmp_path, k2_instance):
+        blocks = [list(map(int, b)) for b in k2_instance.blocks]
+        blocks[1][0] = blocks[0][0]
+        with pytest.raises(GraphInputError, match="do not partition"):
+            _load_edited(tmp_path, k2_instance, blocks=blocks)
+
+
 def _gadget_corpus():
     """Primitive gadgets for n in 1..7 on seeded G(n, p), and colored gadgets
     for b in 1..3 on seeded subcubic graphs."""

@@ -13,7 +13,7 @@ from fillinlab.errors import GraphInputError, ResourceLimitError
 from fillinlab.graph import Graph
 from fillinlab.reduction import brooks_coloring, reduce_colored, reduce_primitive
 from fillinlab.solvers import (
-    ORDERING_ORACLE_LIMIT,
+    ORACLE_CLASS_LIMIT,
     _fill_scores,
     exact_fillin_branch,
     exact_fillin_ordering_oracle,
@@ -30,6 +30,7 @@ from .oracles import (
     elimination_fill_brute,
     min_degree_ordering_brute,
     min_fill_brute,
+    min_fill_memo_brute,
     min_fill_ordering_brute,
     min_vertex_cover_brute,
 )
@@ -84,6 +85,41 @@ class TestVertexCover:
                 assert exact_vertex_cover(smaller).size <= size
 
 
+def _twin_blowup(rng, most=10):
+    """Seeded G(m, p), m <= 6, with each vertex blown up into a clique of 1..3
+    true twins, at most ``most`` vertices in all, under shuffled labels."""
+    m = int(rng.integers(1, 7))
+    base = gnp(m, float(rng.uniform(0.2, 0.8)), rng)
+    sizes = rng.integers(1, 4, size=m)
+    while sizes.sum() > most:
+        sizes[sizes.argmax()] -= 1
+    owner = np.repeat(np.arange(m), sizes).tolist()
+    label = rng.permutation(len(owner)).tolist()
+    edges = [
+        (label[i], label[j])
+        for i, j in combinations(range(len(owner)), 2)
+        if owner[i] == owner[j] or base.has_edge(owner[i], owner[j])
+    ]
+    return Graph.build(len(owner), edges)
+
+
+def _oracle_corpus():
+    """250 seeded G(n, p) with n <= 10, 200 true-twin blow-ups of at most 10
+    vertices, and primitive gadgets for n = 1, 2 (at most 10 vertices)."""
+    rng = np.random.default_rng(1111)
+    for _ in range(250):
+        yield gnp(int(rng.integers(0, 11)), float(rng.uniform(0.1, 0.9)), rng)
+    for _ in range(200):
+        yield _twin_blowup(rng)
+    for n in (1, 2, 2, 2):
+        yield reduce_primitive(gnp(n, float(rng.uniform(0.2, 0.9)), rng)).graph
+
+
+# Recorded with the memoized search over eliminated vertex sets; the subset DP
+# over true-twin classes must return the same fill set on every graph.
+ORACLE_DIGEST = "05dcfa6035d4fab94d9300e8a12cd63293bfb333e8e4647c2a682e142fedba88"
+
+
 class TestOrderingOracle:
     def test_c4(self, graphs):
         assert len(exact_fillin_ordering_oracle(graphs["c4"])) == 1
@@ -95,10 +131,62 @@ class TestOrderingOracle:
     def test_chordal_input_empty(self, graphs):
         assert exact_fillin_ordering_oracle(graphs["k5"]) == frozenset()
 
-    def test_limit_names_bound(self):
-        g = Graph.build(ORDERING_ORACLE_LIMIT + 1)
-        with pytest.raises(ResourceLimitError, match=str(ORDERING_ORACLE_LIMIT)):
-            exact_fillin_ordering_oracle(g)
+    def test_limit_names_class_bound(self):
+        assert ORACLE_CLASS_LIMIT == 16
+        with pytest.raises(ResourceLimitError, match="16 true-twin classes, got 17"):
+            exact_fillin_ordering_oracle(Graph.build(17))  # edgeless: 17 classes
+
+    def test_twin_classes_lift_the_vertex_count(self):
+        """K_200 is one class; the n = 3 primitive gadget has 30 vertices in
+        at most 6 classes, and its exact fill-in lies in the paper's window."""
+        assert exact_fillin_ordering_oracle(Graph.build(200, combinations(range(200), 2))) == frozenset()
+        g = Graph.build(3, [(0, 1), (1, 2)])
+        inst = reduce_primitive(g)
+        assert inst.graph.n == 30
+        fill = exact_fillin_ordering_oracle(inst.graph)
+        assert verify_fillin(inst.graph, fill)
+        tau = exact_vertex_cover(g).size
+        assert tau * 9 <= len(fill) < (tau + 1) * 9
+
+    def test_cycles_past_the_old_vertex_limit(self):
+        for n in range(4, 17):
+            c = Graph.build(n, [(i, (i + 1) % n) for i in range(n)])
+            fill = exact_fillin_ordering_oracle(c)
+            assert len(fill) == n - 3 and verify_fillin(c, fill)
+
+    def test_pairs_are_tested_against_the_reach_sets(self):
+        """On K_{2,3} (sides {1, 3} and {0, 2, 4}) one chord suffices.  Testing
+        the pairs of a step against the original adjacency instead of the
+        reach sets charges 1-3 again at each of 2 and 4 eliminated after 0,
+        and the DP then settles on an order of true fill 2, whose recount
+        matches its own optimum, so the reconstruction check passes."""
+        k23 = Graph.build(5, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (3, 4)])
+        assert exact_fillin_ordering_oracle(k23) == frozenset({(1, 3)})
+
+    def test_matches_memo_search_on_seeded_corpus(self):
+        graphs = 0
+        for g in _oracle_corpus():
+            fill = exact_fillin_ordering_oracle(g)
+            assert fill == min_fill_memo_brute(g.n, g.edge_list())
+            graphs += 1
+        assert graphs == 454
+
+    def test_fill_set_digest(self):
+        digest = hashlib.sha256()
+        for g in _oracle_corpus():
+            codes = sorted(u * g.n + w for u, w in exact_fillin_ordering_oracle(g))
+            digest.update(json.dumps([g.n, codes]).encode())
+        assert digest.hexdigest() == ORACLE_DIGEST
+
+    def test_memory_at_the_class_limit(self):
+        c16 = Graph.build(16, [(i, (i + 1) % 16) for i in range(16)])
+        tracemalloc.start()
+        try:
+            exact_fillin_ordering_oracle(c16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
 
     def test_matches_permutation_minimum(self, rng):
         for _ in range(30):
