@@ -73,9 +73,10 @@ def normalize_edges(vertex_count: int, edges: Iterable) -> list[EdgePair]:
     return sorted(seen)
 
 
-def _set_edge_bits(rows: np.ndarray, pairs: list[EdgePair]) -> None:
-    """Set bits (u, v) and (v, u) of packed rows for every pair (in place)."""
-    if not pairs:
+def _set_edge_bits(rows: np.ndarray, pairs) -> None:
+    """Set bits (u, v) and (v, u) of packed rows for every pair (in place);
+    ``pairs`` is a list of pairs or an (m, 2) integer array."""
+    if len(pairs) == 0:
         return
     arr = np.asarray(pairs, dtype=np.int64)
     for a, b in ((arr[:, 0], arr[:, 1]), (arr[:, 1], arr[:, 0])):

@@ -6,92 +6,83 @@ structurally nonzero.  Symbolic factorization merges column structures up
 the elimination tree of the permuted matrix (Liu 1990), in memory
 proportional to the nonzeros of the factor-- deliberately a separate
 implementation from the graph elimination game, so the two can cross-check
-each other position for position.  Fill positions travel as sorted int64
-codes ``i * n + j`` (``i < j``, original row ids).  Numerical cancellation is
-ignored throughout.
+each other position for position.  Patterns and fills are both sorted
+int64 codes ``i * n + j`` (``i < j``, original row ids), from the Matrix
+Market text to the factorization.  Numerical cancellation is ignored.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
+from . import _bits
 from .chordal import _validate_permutation, elimination_fill_codes
 from .errors import GraphInputError
-from .graph import Graph, _vertex_id, pairs_from_codes, parse_ints
+from .graph import Graph, _set_edge_bits, _vertex_ids, pairs_from_codes, parse_ints
 
-Position = tuple[int, int]
+MAX_ROWS = 3_037_000_499  # isqrt(2**63 - 1): the largest n whose codes fit in int64
 
 
-@dataclass(frozen=True)
+def _pattern_size(n) -> int:
+    (n,) = _vertex_ids([n])
+    if not 0 <= n <= MAX_ROWS:
+        raise GraphInputError(f"pattern size must be in 0..{MAX_ROWS}, got {n}")
+    return n
+
+
 class SparsePattern:
-    """Strict upper-triangle positions of a symmetric matrix; no diagonal stored."""
+    """Strict upper triangle of a symmetric matrix as read-only sorted unique codes."""
 
-    n: int
-    positions: frozenset[Position]
+    __slots__ = ("n", "codes")
 
-    def __post_init__(self):
-        for i, j in self.positions:
-            if not (0 <= i < j < self.n):
-                raise GraphInputError(f"position ({i},{j}) is not strict upper triangle")
+    def __init__(self, n: int, positions):
+        """Pairs ``(i, j)`` with ``0 <= i < j < n``, ids read by ``graph._vertex_id``."""
+        n = _pattern_size(n)
+        pairs = [_vertex_ids(pair) for pair in positions]
+        i, j = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2).T
+        for k in np.flatnonzero((i < 0) | (i >= j) | (j >= n))[:1]:
+            raise GraphInputError(f"position ({i[k]},{j[k]}) is not strict upper triangle")
+        self.n, self.codes = n, np.unique(i * n + j)
+        self.codes.setflags(write=False)
+
+    @classmethod
+    def _adopt(cls, n: int, codes: np.ndarray) -> "SparsePattern":
+        """Take ownership of sorted unique codes valid for size n (freezing them)."""
+        codes.setflags(write=False)
+        pattern = object.__new__(cls)
+        pattern.n, pattern.codes = n, codes
+        return pattern
 
     @property
     def nnz_offdiag(self) -> int:
-        return len(self.positions)
+        return int(self.codes.size)
 
-    @classmethod
-    def from_entries(cls, n: int, entries, values=None) -> "SparsePattern":
-        """Build from (row, col) pairs in any order; diagonal entries are dropped.
-
-        ``values`` may supply the numeric value per entry; an explicit zero on
-        the diagonal triggers a warning and is still treated as structurally
-        nonzero.  Indices are read by ``graph._vertex_id``.
-        """
-        pos = set()
-        for k, (i, j) in enumerate(entries):
-            try:
-                i, j = _vertex_id(i), _vertex_id(j)
-            except TypeError as exc:
-                raise GraphInputError(f"vertex ids must be integers: {exc}") from None
-            if not (0 <= i < n and 0 <= j < n):
-                raise GraphInputError(f"entry ({i},{j}) out of range for n = {n}")
-            if i == j:
-                if values is not None and values[k] == 0:
-                    warnings.warn(
-                        f"explicit zero diagonal at {i}; treated as structurally nonzero",
-                        stacklevel=2,
-                    )
-                continue
-            pos.add((i, j) if i < j else (j, i))
-        return cls(n, frozenset(pos))
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SparsePattern):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.codes, other.codes)
 
 
 def graph_from_pattern(pattern: SparsePattern) -> Graph:
     """One vertex per row, one edge per stored off-diagonal position."""
-    return Graph.build(pattern.n, pattern.positions)
+    rows = _bits.zero_rows(pattern.n, pattern.n)
+    _set_edge_bits(rows, np.column_stack(np.divmod(pattern.codes, pattern.n)))
+    return Graph._adopt(rows)
 
 
 def pattern_from_graph(graph: Graph) -> SparsePattern:
-    return SparsePattern(graph.n, graph.edge_set())
+    return SparsePattern._adopt(graph.n, _bits.upper_codes(graph.packed_rows(), graph.n))
 
 
 def tridiagonal_pattern(n: int) -> SparsePattern:
-    return SparsePattern(n, frozenset((i, i + 1) for i in range(n - 1)))
+    return SparsePattern._adopt(_pattern_size(n), np.arange(n - 1, dtype=np.int64) * (n + 1) + 1)
 
 
 def arrow_pattern(n: int) -> SparsePattern:
     """Dense first row and column, otherwise diagonal only."""
-    return SparsePattern(n, frozenset((0, j) for j in range(1, n)))
-
-
-def _position_array(pattern: SparsePattern) -> np.ndarray:
-    """The stored positions as an (m, 2) int64 array, in set order."""
-    m = len(pattern.positions)
-    flat = np.fromiter(chain.from_iterable(pattern.positions), dtype=np.int64, count=2 * m)
-    return flat.reshape(m, 2)
+    return SparsePattern._adopt(_pattern_size(n), np.arange(1, n, dtype=np.int64))
 
 
 def symbolic_fill_codes(pattern: SparsePattern, ordering) -> tuple[np.ndarray, int]:
@@ -109,8 +100,7 @@ def symbolic_fill_codes(pattern: SparsePattern, ordering) -> tuple[np.ndarray, i
     order = _validate_permutation(n, ordering)
     step = np.empty(n, dtype=np.int64)
     step[order] = np.arange(n)
-    pairs = _position_array(pattern)
-    a, b = step[pairs[:, 0]], step[pairs[:, 1]]
+    a, b = np.take(step, np.divmod(pattern.codes, n))
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     by_col = np.lexsort((hi, lo))
     own = hi[by_col]
@@ -128,12 +118,11 @@ def symbolic_fill_codes(pattern: SparsePattern, ordering) -> tuple[np.ndarray, i
     a = order[np.repeat(np.arange(n), sizes)]
     b = order[np.concatenate(columns)] if columns else a
     factor = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
-    original = pairs[:, 0] * n + pairs[:, 1]
-    fill = np.setdiff1d(factor, original, assume_unique=True)
+    fill = np.setdiff1d(factor, pattern.codes, assume_unique=True)
     return fill, 2 * int(factor.size) + n
 
 
-def symbolic_factor(pattern: SparsePattern, ordering) -> tuple[frozenset[Position], int]:
+def symbolic_factor(pattern: SparsePattern, ordering) -> tuple[frozenset[tuple[int, int]], int]:
     """Fill positions (original row ids, strict upper triangle) and total nonzeros.
 
     The set form of ``symbolic_fill_codes``.
@@ -156,72 +145,80 @@ def fill_equivalence_check(pattern: SparsePattern, ordering) -> bool:
 
 # -- Matrix Market coordinate I/O ------------------------------------------------
 
-_FIELDS = ("real", "integer", "complex", "pattern")
+_WIDTHS = {"pattern": 2, "real": 3, "integer": 3, "complex": 4}  # tokens an entry needs
 
 
 def load_matrix_market(path) -> SparsePattern:
     """Parse a coordinate Matrix Market file; the symmetric qualifier is required.
 
     The field (real/integer/complex/pattern) is validated and otherwise
-    ignored; indices are 1-based on disk.
+    ignored; indices are 1-based on disk.  Errors come in file order, the
+    entry count checked between malformed and out-of-range entries.
     """
     with open(path) as fh:
-        header = fh.readline().strip()
-        parts = header.split()
+        parts = fh.readline().split()
         if len(parts) != 5 or parts[0] != "%%MatrixMarket":
             raise GraphInputError(f"{path}: missing %%MatrixMarket header")
         _, obj, fmt, field, symmetry = (p.lower() for p in parts)
         if obj != "matrix" or fmt != "coordinate":
             raise GraphInputError(f"{path}: only 'matrix coordinate' files are supported")
-        if field not in _FIELDS:
+        if field not in _WIDTHS:
             raise GraphInputError(f"{path}: unknown field {field!r}")
         if symmetry != "symmetric":
             raise GraphInputError(f"{path}: symmetry must be 'symmetric', got {symmetry!r}")
-        size_line = None
-        for lineno, raw in enumerate(fh, 2):
-            line = raw.strip()
-            if line and not line.startswith("%"):
-                size_line = line
-                break
-        if size_line is None:
-            raise GraphInputError(f"{path}: missing size line")
-        dims = size_line.split()
-        if len(dims) != 3:
-            raise GraphInputError(f"{path}:{lineno}: size line must be '<rows> <cols> <nnz>'")
-        rows, cols, nnz = parse_ints(dims, f"{path}:{lineno}")
-        if rows != cols:
-            raise GraphInputError(f"{path}: pattern must be square, got {rows}x{cols}")
-        entries = []
-        vals = []
-        for lineno, raw in enumerate(fh, lineno + 1):
-            line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            toks = line.split()
-            try:
-                entries.append((int(toks[0]) - 1, int(toks[1]) - 1))
-                if field == "pattern":
-                    vals.append(1.0)
-                elif field == "complex":
-                    vals.append(abs(complex(float(toks[2]), float(toks[3]))))
-                else:
-                    vals.append(float(toks[2]))
-            except (ValueError, IndexError):
-                raise GraphInputError(f"{path}:{lineno}: malformed entry {line!r}") from None
-        if len(entries) != nnz:
-            raise GraphInputError(
-                f"{path}: header declares {nnz} entries, found {len(entries)}"
+        lines = [(k, s) for k, raw in enumerate(fh, 2) if (s := raw.strip()) and s[0] != "%"]
+    if not lines:
+        raise GraphInputError(f"{path}: missing size line")
+    (lineno, size_line), body = lines[0], lines[1:]
+    dims = size_line.split()
+    if len(dims) != 3:
+        raise GraphInputError(f"{path}:{lineno}: size line must be '<rows> <cols> <nnz>'")
+    rows, cols, nnz = parse_ints(dims, f"{path}:{lineno}")
+    if rows != cols:
+        raise GraphInputError(f"{path}: pattern must be square, got {rows}x{cols}")
+    n, width = _pattern_size(rows), _WIDTHS[field]
+    tokens = [t for _, line in body for t in line.split()[:width]]
+    try:
+        if len(tokens) != width * len(body):
+            raise ValueError("a line is short")
+        ij = np.array([tokens[0::width], tokens[1::width]], dtype=np.int64)
+        values = np.array([tokens[k::width] for k in range(2, width)], dtype=float)
+    except (ValueError, OverflowError):
+        ij, values = _parse_lines(path, body, width)
+    if len(body) != nnz:
+        raise GraphInputError(f"{path}: header declares {nnz} entries, found {len(body)}")
+    for k in np.flatnonzero(((ij < 1) | (ij > n)).any(axis=0))[:1]:
+        i, j = map(int, ij[:, k])
+        raise GraphInputError(f"entry ({i - 1},{j - 1}) out of range for n = {n}")
+    i, j = ij - 1
+    diag = i == j
+    if field != "pattern":  # a complex value is zero when both of its parts are
+        for d in i[diag & (values == 0).all(axis=0)].tolist():
+            warnings.warn(
+                f"explicit zero diagonal at {d}; treated as structurally nonzero", stacklevel=2
             )
-    return SparsePattern.from_entries(rows, entries, vals)
+    return SparsePattern._adopt(n, np.unique((np.minimum(i, j) * n + np.maximum(i, j))[~diag]))
+
+
+def _parse_lines(path, body, width) -> tuple[np.ndarray, np.ndarray]:
+    """Per-line parse: the first malformed line raises; an index past int64 stays a Python int."""
+    ij, values = [], []
+    for lineno, line in body:
+        toks = line.split()
+        try:
+            ij.append([int(toks[0]), int(toks[1])])
+            values.append([float(toks[k]) for k in range(2, width)])
+        except (ValueError, IndexError):
+            raise GraphInputError(f"{path}:{lineno}: malformed entry {line!r}") from None
+    return np.array(ij, dtype=object).T, np.array(values, dtype=float).T
 
 
 def save_matrix_market(pattern: SparsePattern, path, comments=()) -> None:
     """Write the pattern as 'matrix coordinate pattern symmetric', lower triangle."""
-    lower = sorted((j, i) for i, j in pattern.positions)
+    i, j = np.divmod(pattern.codes, pattern.n)
+    lower = np.lexsort((i, j))
     with open(path, "w") as fh:
         fh.write("%%MatrixMarket matrix coordinate pattern symmetric\n")
-        for c in comments:
-            fh.write(f"% {c}\n")
-        fh.write(f"{pattern.n} {pattern.n} {len(lower)}\n")
-        for i, j in lower:
-            fh.write(f"{i + 1} {j + 1}\n")
+        fh.writelines(f"% {c}\n" for c in comments)
+        fh.write(f"{pattern.n} {pattern.n} {lower.size}\n")
+        fh.write("".join(map("{} {}\n".format, (j[lower] + 1).tolist(), (i[lower] + 1).tolist())))

@@ -591,7 +591,10 @@ def load_instance(dimacs_path, sidecar_path=None) -> ReducedInstance:
         sidecar_path = str(dimacs_path) + ".json"
     H = load_dimacs(dimacs_path)
     with open(sidecar_path) as fh:
-        side = json.load(fh)
+        try:
+            side = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise GraphInputError(f"{sidecar_path}: not JSON: {exc}") from None
     kind = side.get("reduction") if isinstance(side, dict) else None
     if kind not in ("primitive", "colored"):
         raise GraphInputError(f"{sidecar_path}: reduction must be 'primitive' or 'colored'")

@@ -7,15 +7,19 @@ PEO test by rescanning every vertex per step, minimum fill by trying every
 elimination ordering with a dict-of-sets elimination game, or by a memoized
 search over eliminated sets.  The gadget certificate maps are restated from
 their definitions on dicts of sets.  ``graph_from_bool_matrix`` is the one
-helper that builds a package ``Graph``, for layout tests of its intake.
+helper that builds a package ``Graph``, for layout tests of its intake, and
+``load_matrix_market_lines`` is the reference Matrix Market reader, one
+Python pass per entry.
 """
 
+import warnings
 from itertools import combinations, permutations
 
 import numpy as np
 
 from fillinlab import _bits
-from fillinlab.graph import Graph
+from fillinlab.errors import GraphInputError
+from fillinlab.graph import Graph, parse_ints
 
 
 def edge_set(graph):
@@ -347,3 +351,69 @@ def brooks_triple_missing(n, edges, d):
         ):
             return True
     return False
+
+
+def load_matrix_market_lines(path):
+    """``(n, positions)`` of a symmetric coordinate Matrix Market file, read one
+    line and one entry at a time: the reference the package reader must match
+    in positions, error messages and warnings."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        parts = header.split()
+        if len(parts) != 5 or parts[0] != "%%MatrixMarket":
+            raise GraphInputError(f"{path}: missing %%MatrixMarket header")
+        _, obj, fmt, field, symmetry = (p.lower() for p in parts)
+        if obj != "matrix" or fmt != "coordinate":
+            raise GraphInputError(f"{path}: only 'matrix coordinate' files are supported")
+        if field not in ("real", "integer", "complex", "pattern"):
+            raise GraphInputError(f"{path}: unknown field {field!r}")
+        if symmetry != "symmetric":
+            raise GraphInputError(f"{path}: symmetry must be 'symmetric', got {symmetry!r}")
+        size_line = None
+        for lineno, raw in enumerate(fh, 2):
+            line = raw.strip()
+            if line and not line.startswith("%"):
+                size_line = line
+                break
+        if size_line is None:
+            raise GraphInputError(f"{path}: missing size line")
+        dims = size_line.split()
+        if len(dims) != 3:
+            raise GraphInputError(f"{path}:{lineno}: size line must be '<rows> <cols> <nnz>'")
+        rows, cols, nnz = parse_ints(dims, f"{path}:{lineno}")
+        if rows != cols:
+            raise GraphInputError(f"{path}: pattern must be square, got {rows}x{cols}")
+        entries = []
+        vals = []
+        for lineno, raw in enumerate(fh, lineno + 1):
+            line = raw.strip()
+            if not line or line.startswith("%"):
+                continue
+            toks = line.split()
+            try:
+                entries.append((int(toks[0]) - 1, int(toks[1]) - 1))
+                if field == "pattern":
+                    vals.append(1.0)
+                elif field == "complex":
+                    vals.append(abs(complex(float(toks[2]), float(toks[3]))))
+                else:
+                    vals.append(float(toks[2]))
+            except (ValueError, IndexError):
+                raise GraphInputError(f"{path}:{lineno}: malformed entry {line!r}") from None
+        if len(entries) != nnz:
+            raise GraphInputError(
+                f"{path}: header declares {nnz} entries, found {len(entries)}"
+            )
+    positions = set()
+    for (i, j), value in zip(entries, vals):
+        if not (0 <= i < rows and 0 <= j < rows):
+            raise GraphInputError(f"entry ({i},{j}) out of range for n = {rows}")
+        if i == j:
+            if value == 0:
+                warnings.warn(
+                    f"explicit zero diagonal at {i}; treated as structurally nonzero",
+                    stacklevel=2,
+                )
+            continue
+        positions.add((i, j) if i < j else (j, i))
+    return rows, frozenset(positions)

@@ -1,11 +1,15 @@
+import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from fillinlab.chordal import check_peo, elimination_fill_codes
 from fillinlab.errors import GraphInputError
+from fillinlab.graph import pairs_from_codes
 from fillinlab.matrix import (
+    MAX_ROWS,
     SparsePattern,
     arrow_pattern,
     fill_equivalence_check,
@@ -19,41 +23,100 @@ from fillinlab.matrix import (
 )
 
 from .conftest import random_graph
-from .oracles import elimination_fill_brute
+from .oracles import elimination_fill_brute, load_matrix_market_lines
+
+
+def positions(pattern):
+    return pairs_from_codes(pattern.codes, pattern.n)
+
+
+def write_mtx(path, field, *lines):
+    """A symmetric coordinate file: the header, then the size line and entries as given."""
+    header = f"%%MatrixMarket matrix coordinate {field} symmetric"
+    path.write_text("\n".join([header, *lines]) + "\n")
+    return path
 
 
 class TestPattern:
-    def test_from_entries_normalizes(self):
-        p = SparsePattern.from_entries(4, [(2, 0), (0, 2), (1, 3), (2, 2)])
-        assert p.positions == {(0, 2), (1, 3)}
+    def test_reader_folds_both_triangles(self, tmp_path):
+        path = write_mtx(tmp_path / "m.mtx", "pattern", "4 4 5", "3 1", "1 3", "2 4", "3 3", "4 2")
+        assert positions(load_matrix_market(path)) == {(0, 2), (1, 3)}
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(GraphInputError):
-            SparsePattern.from_entries(3, [(0, 5)])
+    def test_rejects_out_of_range(self, tmp_path):
+        with pytest.raises(GraphInputError, match="not strict upper triangle"):
+            SparsePattern(3, [(0, 5)])
+        path = write_mtx(tmp_path / "m.mtx", "pattern", "3 3 2", "2 1", "6 1")
+        with pytest.raises(GraphInputError, match=r"entry \(5,0\) out of range for n = 3"):
+            load_matrix_market(path)
 
-    @pytest.mark.parametrize("bad", [1.7, True, "2"], ids=["float", "bool", "str"])
+    @pytest.mark.parametrize(
+        "bad", [(0.5, 2), (True, 2), ("0", 2), (0, 2.0)], ids=["float", "bool", "str", "float-col"]
+    )
     def test_rejects_non_integer_ids(self, bad):
+        """Each was stored as given (a string raised TypeError) before the
+        constructor read ids by the vertex-id rule; ``(0.5, 2)`` was then
+        factorized as ``(0, 2)`` and written as the entry line ``3 1.5``."""
         with pytest.raises(GraphInputError, match="vertex ids must be integers"):
-            SparsePattern.from_entries(3, [(0, 2), (bad, 0)])
+            SparsePattern(3, [(0, 1), bad])
 
     def test_reads_numpy_ids(self):
-        p = SparsePattern.from_entries(4, [(np.int64(2), np.int32(0)), (np.uint8(1), 3)])
-        assert p.positions == {(0, 2), (1, 3)}
+        p = SparsePattern(np.int64(4), [(np.int64(0), np.int32(2)), (np.uint8(1), 3), (0, 2)])
+        assert p.n == 4 and p.nnz_offdiag == 2
+        assert positions(p) == {(0, 2), (1, 3)}
 
     def test_rejects_lower_triangle_direct(self):
         with pytest.raises(GraphInputError):
             SparsePattern(3, frozenset({(2, 1)}))
 
-    def test_zero_diagonal_warns(self):
-        with pytest.warns(UserWarning, match="structurally nonzero"):
-            SparsePattern.from_entries(3, [(1, 1), (0, 2)], values=[0.0, 5.0])
+    def test_rejects_negative_size(self, tmp_path):
+        with pytest.raises(GraphInputError, match="pattern size must be in 0"):
+            SparsePattern(-2, frozenset())
+        with pytest.raises(GraphInputError, match="pattern size must be in 0"):
+            tridiagonal_pattern(-2)
+        with pytest.raises(GraphInputError, match="got -2"):
+            load_matrix_market(write_mtx(tmp_path / "neg.mtx", "pattern", "-2 -2 0"))
 
-    def test_nonzero_diagonal_silent(self):
-        import warnings
+    def test_size_bound_keeps_codes_in_int64(self):
+        n = MAX_ROWS
+        assert n**2 <= 2**63 - 1 < (n + 1) ** 2
+        assert SparsePattern(n, [(n - 2, n - 1)]).codes.tolist() == [(n - 2) * n + n - 1]
+        with pytest.raises(GraphInputError, match="pattern size"):
+            SparsePattern(MAX_ROWS + 1, frozenset())
 
+    def test_codes_are_sorted_unique_and_read_only(self, tmp_path):
+        g = random_graph(np.random.default_rng(3), 9)
+        path = tmp_path / "g.mtx"
+        save_matrix_market(pattern_from_graph(g), path)
+        made = [
+            SparsePattern(6, [(4, 5), (0, 3), (4, 5), (1, 2)]),
+            pattern_from_graph(g),
+            load_matrix_market(path),
+            tridiagonal_pattern(6),
+            arrow_pattern(6),
+        ]
+        for p in made:
+            assert p.codes.dtype == np.int64 and (np.diff(p.codes) > 0).all()
+            assert not p.codes.flags.writeable
+        assert made[1] == made[2] and made[0] != made[3]
+
+    def test_zero_diagonal_warns(self, tmp_path):
+        path = write_mtx(tmp_path / "m.mtx", "complex", "3 3 3", "2 2 0.0 -0", "3 1 5 0", "3 3 0 1")
+        with pytest.warns(UserWarning, match="structurally nonzero") as record:
+            load_matrix_market(path)
+        assert [str(w.message) for w in record] == [
+            "explicit zero diagonal at 1; treated as structurally nonzero"
+        ]
+
+    def test_nonzero_diagonal_silent(self, tmp_path):
+        files = [
+            write_mtx(tmp_path / "r.mtx", "real", "3 3 2", "2 2 2.0", "3 1 0"),
+            write_mtx(tmp_path / "i.mtx", "integer", "3 3 2", "2 2 -1", "3 1 0"),
+            write_mtx(tmp_path / "p.mtx", "pattern", "3 3 2", "2 2", "3 1"),
+        ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            SparsePattern.from_entries(3, [(1, 1), (0, 2)], values=[2.0, 5.0])
+            for path in files:
+                assert positions(load_matrix_market(path)) == {(0, 2)}
 
 
 class TestGraphFromPattern:
@@ -128,7 +191,7 @@ class TestEliminationTreeFactor:
         for pattern in random_patterns(rng, 400):
             order = rng.permutation(pattern.n).tolist()
             fill, total = symbolic_factor(pattern, order)
-            assert fill == elimination_fill_brute(pattern.n, pattern.positions, order)
+            assert fill == elimination_fill_brute(pattern.n, positions(pattern), order)
             assert total == 2 * (pattern.nnz_offdiag + len(fill)) + pattern.n
 
     def test_codes_sorted_and_match_graph_game(self, rng):
@@ -142,16 +205,16 @@ class TestEliminationTreeFactor:
 
     def test_tridiagonal_20000_rows_without_dense_matrix(self):
         n = 20_000
-        pattern = tridiagonal_pattern(n)
         for order in (range(n), range(n - 1, -1, -1)):
             tracemalloc.start()
             try:
-                fill, total = symbolic_factor(pattern, order)
+                fill, total = symbolic_factor(tridiagonal_pattern(n), order)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert fill == frozenset() and total == 2 * (n - 1) + n
-            assert peak < 40 * 2**20  # an n-by-n bool matrix would take 400 MB
+            # an n-by-n bool matrix would take 400 MB, and packed rows 50 MB
+            assert peak < 40 * 2**20
 
 
 class TestEquivalence:
@@ -209,7 +272,7 @@ class TestMatrixMarket:
             "%%MatrixMarket matrix coordinate integer symmetric\n% note\n3 3 2\n2 1 7\n3 3 4\n"
         )
         p = load_matrix_market(path)
-        assert p.positions == {(0, 1)}
+        assert positions(p) == {(0, 1)}
         bad = tmp_path / "badfield.mtx"
         bad.write_text("%%MatrixMarket matrix coordinate colors symmetric\n3 3 0\n")
         with pytest.raises(GraphInputError, match="field"):
@@ -228,4 +291,122 @@ class TestMatrixMarket:
         )
         with pytest.warns(UserWarning, match="structurally nonzero"):
             p = load_matrix_market(path)
-        assert p.positions == {(0, 2)}
+        assert positions(p) == {(0, 2)}
+
+
+_VALUES = {  # value tokens per entry, and the strings they are drawn from
+    "pattern": (0, []),
+    "real": (1, ["0", "0.0", "-0.0", "2.5", "1e-3", "nan", "-inf", "1_0.5"]),
+    "integer": (1, ["0", "-0", "7", "+3", "-12", "1_000"]),
+    "complex": (2, ["0", "0.0", "-0", "1.5", "nan"]),
+}
+_FAULTS = ("short", "word-index", "float-index", "word-value", "count", "range", "huge-index")
+
+
+def _entry(rng, field, n):
+    count, choices = _VALUES[field]
+    i, j = (str(x) for x in rng.integers(1, max(n, 1) + 1, size=2))
+    return [i, i if rng.random() < 0.25 else j, *(str(rng.choice(choices)) for _ in range(count))]
+
+
+def _mtx_corpus(rng, count):
+    """Seeded symmetric files: every field, both triangles, duplicates, zero
+    and nonzero diagonals, comment and blank lines between entries, extra
+    tokens; every second file carries one or two of the ``_FAULTS``."""
+    for k in range(count):
+        field = str(rng.choice(list(_VALUES)))
+        n = int(rng.integers(0, 9))
+        entries = [_entry(rng, field, n) for _ in range(int(rng.integers(0, 14)) if n else 0)]
+        for tokens in entries:
+            if rng.random() < 0.1:
+                tokens.append("9")  # extra tokens are ignored
+        if entries and rng.random() < 0.3:
+            entries.append(list(entries[int(rng.integers(len(entries)))]))
+        nnz = len(entries)
+        faults = rng.choice(_FAULTS, size=int(rng.integers(1, 3)), replace=False)
+        for fault in faults if k % 2 else ():
+            bad = _entry(rng, field, n)
+            if fault == "count":
+                nnz += int(rng.choice([-1, 1]))
+                continue
+            if fault == "short":
+                bad = bad[: int(rng.integers(1, len(bad)))]
+            elif fault == "word-value":
+                bad[2:3] = ["abc"]  # the first value; in a pattern file, an extra token
+            else:
+                bad[int(rng.integers(2))] = {
+                    "word-index": "x",
+                    "float-index": bad[0] + ".0",
+                    "range": str(rng.choice([0, -1, n + 1, n + 3])),
+                    "huge-index": "9" * 25,
+                }[fault]
+            entries.insert(int(rng.integers(0, len(entries) + 1)), bad)
+            nnz += 1
+        lines = [f"%%MatrixMarket matrix coordinate {field} symmetric", "%", f"{n} {n} {nnz}"]
+        for tokens in entries:
+            if rng.random() < 0.2:
+                lines.append(str(rng.choice(["% between", "", "   ", "%"])))
+            lines.append(("  " if rng.random() < 0.1 else "") + " ".join(tokens))
+        yield "\n".join(lines) + "\n"
+
+
+def _outcome(load, path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = load(path)
+        except Exception as exc:  # the exception itself is the outcome compared
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestReaderParity:
+    def test_matches_line_reader_on_seeded_corpus(self, tmp_path):
+        """Same positions, exception type and message, and warnings as the
+        per-entry reader; a file that fails warns nothing."""
+        rng = np.random.default_rng(2024)
+        seen = set()
+        for k, text in enumerate(_mtx_corpus(rng, 600)):
+            path = tmp_path / f"c{k}.mtx"
+            path.write_text(text)
+            want, want_warnings = _outcome(load_matrix_market_lines, path)
+            got, got_warnings = _outcome(load_matrix_market, path)
+            if isinstance(got, SparsePattern):
+                got = (got.n, positions(got))
+                assert got_warnings == want_warnings, text
+            else:
+                assert got_warnings == [], text
+            assert got == want, text
+            faults = ("malformed", "declares", "out of range")
+            seen.add(next((w for w in faults if w in str(want)), "loaded"))
+        assert seen == {"loaded", *faults}
+
+
+def _writer_cases():
+    """The eliminate digest's patterns, two small named ones, an empty one
+    and a random one written with comments."""
+    from .test_cli import _digest_patterns
+
+    rng = np.random.default_rng(97)
+    pairs = {(int(i), int(j)) for i, j in rng.integers(0, 40, size=(90, 2)) if i < j}
+    cases = [(name, pattern, ()) for name, pattern in _digest_patterns()]
+    cases += [
+        ("tri.mtx", tridiagonal_pattern(7), ()),
+        ("arrow.mtx", arrow_pattern(7), ()),
+        ("empty.mtx", SparsePattern(3, frozenset()), ()),
+        ("comments.mtx", SparsePattern(40, frozenset(pairs)), ["seed 97", "two lines"]),
+    ]
+    return cases
+
+
+# Recorded with the writer that sorted a frozenset of positions; the bench
+# digests the files it writes, so the bytes must not move.
+WRITER_DIGEST = "178331408fb2584b6396f811fc2df2acfe327c6e10af2319046cc921c8454146"
+
+
+def test_writer_digest(tmp_path):
+    digest = hashlib.sha256()
+    for name, pattern, comments in _writer_cases():
+        save_matrix_market(pattern, tmp_path / name, comments=comments)
+        digest.update((tmp_path / name).read_bytes())
+    assert digest.hexdigest() == WRITER_DIGEST

@@ -586,6 +586,15 @@ class TestSidecarIsInput:
         with pytest.raises(GraphInputError, match="block count"):
             _load_edited(tmp_path, inst, reduction="primitive")
 
+    def test_sidecar_must_be_json(self, tmp_path, k2_instance):
+        path = tmp_path / "inst.col"
+        sidecar = save_instance(k2_instance, path)
+        with open(sidecar, "w") as fh:
+            fh.write("{not json")
+        with pytest.raises(GraphInputError, match="not JSON") as exc:
+            load_instance(path)
+        assert str(exc.value).startswith(f"{sidecar}: ")
+
     def test_blocks_must_partition_the_gadget(self, tmp_path, k2_instance):
         blocks = [list(map(int, b)) for b in k2_instance.blocks]
         blocks[1][0] = blocks[0][0]
