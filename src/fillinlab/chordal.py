@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import _bits
 from .errors import CounterexampleError, GraphInputError
-from .graph import EdgePair, Graph, _vertex_ids, pairs_from_codes
+from .graph import EdgePair, Graph, _set_edge_bits, _vertex_ids, normalize_edges, pairs_from_codes
 
 
 @dataclass(frozen=True)
@@ -354,22 +353,23 @@ class FillinCheck:
 def verify_fillin(graph: Graph, fillin) -> FillinCheck:
     """Check that every pair is a non-edge and that adding them yields a chordal graph.
 
-    The pairs are read once, by ``Graph.add_edges`` (``invalid_pair``, with
-    its message); one bit test over them finds the first that is already an
-    edge (``pair_is_edge``, as ``(min, max)``); one chordality test on the
-    filled graph decides ``not_chordal``, with a hole.
+    The pairs are read once, by ``normalize_edges`` (``invalid_pair``, with its
+    message); one bit test over that array finds the first that is already an
+    edge (``pair_is_edge``, as ``(min, max)``); the same array fills the graph,
+    and one chordality test on it decides ``not_chordal``, with a hole.
     """
-    pairs = list(fillin)
     try:
-        filled = graph.add_edges(pairs)
+        pairs = normalize_edges(graph.n, fillin)
     except GraphInputError as exc:
         return FillinCheck(False, "invalid_pair", exc.args)
-    u, v = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2).T
+    u, v = pairs.T
     bits = graph.packed_rows()[u, v >> 6] >> (v & 63).astype(np.uint64)
     hit = np.flatnonzero(bits & np.uint64(1))
     if hit.size:
-        a, b = int(u[hit[0]]), int(v[hit[0]])
-        return FillinCheck(False, "pair_is_edge", (min(a, b), max(a, b)))
+        return FillinCheck(False, "pair_is_edge", tuple(sorted(pairs[hit[0]].tolist())))
+    rows = graph.packed_rows().copy()
+    _set_edge_bits(rows, pairs)
+    filled = Graph._adopt(rows)
     ok, cert = is_chordal(filled)
     if not ok:
         return FillinCheck(False, "not_chordal", cert.cycle)

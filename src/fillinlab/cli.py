@@ -29,7 +29,7 @@ import numpy as np
 from . import generate, matrix, transfer
 from .chordal import check_hole, check_peo, elimination_fill_codes, verify_fillin
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
-from .graph import Graph, load_dimacs, parse_ints, save_dimacs
+from .graph import Graph, _vertex_ids, load_dimacs, parse_ints, save_dimacs
 from .reduction import (
     COLORED_MAX_CELLS,
     PRIMITIVE_MAX_N,
@@ -351,9 +351,15 @@ def _parse_num(x):
     return x
 
 
-def _vertex_ids(values) -> bool:
-    """A JSON array of integers (true and false are not vertex ids)."""
-    return isinstance(values, list) and all(type(v) is int for v in values)
+def _is_id_array(values) -> bool:
+    """A JSON array whose items ``graph._vertex_ids`` reads (true and false are not ids)."""
+    if not isinstance(values, list):
+        return False
+    try:
+        _vertex_ids(values)
+    except GraphInputError:
+        return False
+    return True
 
 
 def cmd_report(args) -> int:
@@ -408,9 +414,9 @@ def cmd_report(args) -> int:
         raise GraphInputError(f"{args.input}: certificates is not a JSON object")
     for name, cert in certs.items():
         if name == "fillin":
-            ok = isinstance(cert, list) and all(_vertex_ids(e) and len(e) == 2 for e in cert)
+            ok = isinstance(cert, list) and all(_is_id_array(e) and len(e) == 2 for e in cert)
         else:
-            ok = _vertex_ids(cert) or name not in ("cover", "peo", "hole") and isinstance(cert, list)
+            ok = _is_id_array(cert) or name not in ("cover", "peo", "hole") and isinstance(cert, list)
         if not ok:
             want = "pairs" if name == "fillin" else "ids"
             raise GraphInputError(f"{args.input}: certificate {name} is not a JSON array of vertex {want}")

@@ -26,10 +26,6 @@ from .errors import GraphInputError
 EdgePair = tuple[int, int]
 
 
-def _norm_pair(u, v) -> EdgePair:
-    return (u, v) if u < v else (v, u)
-
-
 def pairs_from_codes(codes: np.ndarray, n: int) -> frozenset[EdgePair]:
     """Decode pair codes ``u * n + v`` into a set of ``(u, v)`` tuples."""
     return frozenset(zip((codes // n).tolist(), (codes % n).tolist()))
@@ -51,12 +47,12 @@ def _vertex_ids(values) -> list[int]:
         raise GraphInputError(f"vertex ids must be integers: {exc}") from None
 
 
-def normalize_edges(vertex_count: int, edges: Iterable) -> list[EdgePair]:
-    """Validate and canonicalize an edge iterable: in-range, no loops, u < v, sorted, deduped.
+def normalize_edges(vertex_count: int, edges: Iterable) -> np.ndarray:
+    """Validate an edge iterable in one pass into an (m, 2) int64 array, in input order.
 
-    Vertex ids are read by ``_vertex_id``.
+    Ids are read by ``_vertex_id``; the first bad pair raises GraphInputError.
     """
-    seen = set()
+    flat = []
     for e in edges:
         try:
             u, v = e
@@ -69,17 +65,15 @@ def normalize_edges(vertex_count: int, edges: Iterable) -> list[EdgePair]:
             raise GraphInputError(
                 f"edge ({u},{v}) out of range for {vertex_count} vertices"
             )
-        seen.add(_norm_pair(u, v))
-    return sorted(seen)
+        flat += u, v
+    return np.array(flat, dtype=np.int64).reshape(-1, 2)
 
 
-def _set_edge_bits(rows: np.ndarray, pairs) -> None:
-    """Set bits (u, v) and (v, u) of packed rows for every pair (in place);
-    ``pairs`` is a list of pairs or an (m, 2) integer array."""
-    if len(pairs) == 0:
+def _set_edge_bits(rows: np.ndarray, pairs: np.ndarray) -> None:
+    """Set bits (u, v) and (v, u) of packed rows for every row of an (m, 2) int64 array (in place)."""
+    if not len(pairs):
         return
-    arr = np.asarray(pairs, dtype=np.int64)
-    for a, b in ((arr[:, 0], arr[:, 1]), (arr[:, 1], arr[:, 0])):
+    for a, b in ((pairs[:, 0], pairs[:, 1]), (pairs[:, 1], pairs[:, 0])):
         np.bitwise_or.at(rows, (a, b >> 6), np.uint64(1) << (b.astype(np.uint64) & np.uint64(63)))
 
 
@@ -123,11 +117,16 @@ class Graph:
         g.m = int(g._degrees.sum()) // 2
         return g
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through _adopt, which freezes the copy
+        return (Graph._adopt, (self._rows,))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def build(cls, vertex_count: int, edges: Iterable = ()) -> "Graph":
         """Build from an edge iterable; duplicates collapse, loops are rejected."""
+        (vertex_count,) = _vertex_ids([vertex_count])
         if vertex_count < 0:
             raise GraphInputError("vertex_count must be nonnegative")
         rows = _bits.zero_rows(vertex_count, vertex_count)
@@ -191,20 +190,21 @@ class Graph:
 
     def add_edges(self, edges: Iterable) -> "Graph":
         """New graph with the given pairs added; self is left untouched."""
-        extra = normalize_edges(self.n, edges)
-        if not extra:
+        pairs = normalize_edges(self.n, edges)
+        if not len(pairs):
             return self
         rows = self._rows.copy()
-        _set_edge_bits(rows, extra)
+        _set_edge_bits(rows, pairs)
         return Graph._adopt(rows)
 
     def induced_subgraph(self, vertices: Iterable) -> tuple["Graph", np.ndarray]:
         """Relabeled subgraph on the given vertex set.
 
         Returns (subgraph, mapping) where mapping[i] is the original id of
-        new vertex i; vertices are kept in ascending original order.
+        new vertex i; vertices are kept in ascending original order.  Ids are
+        read by ``_vertex_ids``.
         """
-        keep = np.unique(np.asarray(list(vertices), dtype=np.int64))
+        keep = np.unique(np.array(_vertex_ids(vertices), dtype=np.int64))
         if keep.size and (keep[0] < 0 or keep[-1] >= self.n):
             raise GraphInputError("subset vertex out of range")
         rows = _bits.zero_rows(keep.size, keep.size)
@@ -293,8 +293,20 @@ def load_dimacs(path) -> Graph:
 
 
 def save_edge_set(edges: Iterable, path) -> None:
-    """Sorted `u v` per line, u < v, 0-based; ids are read by ``_vertex_ids``."""
-    pairs = sorted(_norm_pair(*_vertex_ids(e)) for e in edges)
+    """Sorted `u v` per line, u < v, 0-based; ids are read by ``_vertex_ids``.
+
+    A pair that ``load_edge_set`` would reject (not two ids, or a self-pair)
+    is a GraphInputError, and nothing is written.
+    """
+    pairs = []
+    for e in edges:
+        ids = sorted(_vertex_ids(e))
+        if len(ids) != 2:
+            raise GraphInputError(f"edge {e!r} is not a pair of vertex ids")
+        if ids[0] == ids[1]:
+            raise GraphInputError(f"self-pair {ids[0]}")
+        pairs.append(ids)
+    pairs.sort()
     with open(path, "w") as fh:
         for u, v in pairs:
             fh.write(f"{u} {v}\n")
@@ -313,5 +325,5 @@ def load_edge_set(path) -> frozenset[EdgePair]:
             u, v = parse_ints(parts, f"{path}:{lineno}")
             if u == v:
                 raise GraphInputError(f"{path}:{lineno}: self-pair {u}")
-            pairs.add(_norm_pair(u, v))
+            pairs.add((u, v) if u < v else (v, u))
     return frozenset(pairs)

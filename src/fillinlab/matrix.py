@@ -41,6 +41,9 @@ class SparsePattern:
         """Pairs ``(i, j)`` with ``0 <= i < j < n``, ids read by ``graph._vertex_id``."""
         n = _pattern_size(n)
         pairs = [_vertex_ids(pair) for pair in positions]
+        for pair in pairs:
+            if len(pair) != 2:
+                raise GraphInputError(f"position {tuple(pair)} is not a pair of vertex ids")
         i, j = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2).T
         for k in np.flatnonzero((i < 0) | (i >= j) | (j >= n))[:1]:
             raise GraphInputError(f"position ({i[k]},{j[k]}) is not strict upper triangle")
@@ -54,6 +57,10 @@ class SparsePattern:
         pattern = object.__new__(cls)
         pattern.n, pattern.codes = n, codes
         return pattern
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through _adopt, which freezes the copy
+        return (SparsePattern._adopt, (self.n, self.codes))
 
     @property
     def nnz_offdiag(self) -> int:

@@ -9,9 +9,12 @@ search over eliminated sets.  The gadget certificate maps are restated from
 their definitions on dicts of sets.  ``graph_from_bool_matrix`` is the one
 helper that builds a package ``Graph``, for layout tests of its intake, and
 ``load_matrix_market_lines`` is the reference Matrix Market reader, one
-Python pass per entry.
+Python pass per entry.  ``normalize_edges_sorted`` is the reference edge
+reader: the sorted, deduplicated pair list the one-pass array must set the
+same bits as.
 """
 
+import operator
 import warnings
 from itertools import combinations, permutations
 
@@ -24,6 +27,26 @@ from fillinlab.graph import Graph, parse_ints
 
 def edge_set(graph):
     return {tuple(e) for e in graph.edge_list()}
+
+
+def normalize_edges_sorted(vertex_count, edges):
+    """Validate an edge iterable into sorted, deduplicated ``(u, v)`` pairs with
+    u < v; same checks, order of checks and messages as ``graph.normalize_edges``."""
+    seen = set()
+    for e in edges:
+        try:
+            u, v = e
+            if type(u) is bool or type(v) is bool:
+                raise TypeError
+            u, v = operator.index(u), operator.index(v)
+        except (TypeError, ValueError):
+            raise GraphInputError(f"edge {e!r} is not a pair of vertex ids") from None
+        if u == v:
+            raise GraphInputError(f"self-loop ({u},{v}) is not allowed")
+        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            raise GraphInputError(f"edge ({u},{v}) out of range for {vertex_count} vertices")
+        seen.add((min(u, v), max(u, v)))
+    return sorted(seen)
 
 
 def graph_from_bool_matrix(matrix):

@@ -321,7 +321,9 @@ class TestVerifyFillin:
         assert verify_fillin(graphs["p3"], []).filled == graphs["p3"]
 
     def test_one_intake_per_call(self, monkeypatch):
-        """The pairs go through normalize_edges once, and no per-pair has_edge runs."""
+        """The pairs go through normalize_edges once, and no per-pair has_edge runs;
+        the count covers both bindings, ``graph``'s and the one ``chordal`` imports."""
+        import fillinlab.chordal as chordal_module
         import fillinlab.graph as graph_module
 
         calls = {"normalize": 0, "has_edge": 0}
@@ -337,10 +339,18 @@ class TestVerifyFillin:
 
         cycle = Graph.build(8, [(i, (i + 1) % 8) for i in range(8)])
         fan = [(0, k) for k in range(2, 7)]  # a chordal triangulation, k = 5 pairs
-        monkeypatch.setattr(graph_module, "normalize_edges", counted_normalize)
+        for module in (graph_module, chordal_module):
+            monkeypatch.setattr(module, "normalize_edges", counted_normalize)
         monkeypatch.setattr(Graph, "has_edge", counted_has_edge)
         assert verify_fillin(cycle, fan)
         assert calls == {"normalize": 1, "has_edge": 0}
+
+    def test_reads_a_one_shot_generator(self, graphs):
+        fill = ((a, b) for a, b in [(2, 0)])
+        res = verify_fillin(graphs["c4"], fill)
+        assert res and res.filled == graphs["c4"].add_edges([(0, 2)])
+        res = verify_fillin(graphs["c4"], ((a, b) for a, b in [(0, 2), (1, 0)]))
+        assert not res and res.reason == "pair_is_edge" and res.detail == (0, 1)
 
 
 class TestVertexIdRule:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -12,11 +14,12 @@ from fillinlab.graph import (
     Graph,
     load_dimacs,
     load_edge_set,
+    normalize_edges,
     save_dimacs,
     save_edge_set,
 )
 
-from .oracles import edge_set, graph_from_bool_matrix
+from .oracles import edge_set, graph_from_bool_matrix, normalize_edges_sorted
 
 
 def small_graphs():
@@ -76,6 +79,70 @@ class TestBuild:
         g = Graph.build(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 5)])
         assert int(g.degrees().sum()) == 2 * g.m
 
+    @pytest.mark.parametrize("count", [2.5, True, "3", None])
+    def test_rejects_non_integer_vertex_count(self, count):
+        with pytest.raises(GraphInputError, match="vertex ids must be integers"):
+            Graph.build(count)
+
+    @pytest.mark.parametrize("dump", [
+        lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy, copy.copy,
+    ], ids=["pickle", "deepcopy", "copy"])
+    def test_copies_stay_read_only(self, graphs, dump):
+        g = graphs["c5"]
+        h = dump(g)
+        assert h == g and (h.n, h.m) == (g.n, g.m) and h.degrees().tolist() == g.degrees().tolist()
+        assert not h.packed_rows().flags.writeable and not h.degrees().flags.writeable
+        assert not g.packed_rows().flags.writeable
+
+
+class TestNormalizeEdges:
+    """One pass from pairs to an (m, 2) int64 array in input order; the rows
+    it sets equal those of the sorted, deduplicated reference."""
+
+    def test_int64_pairs_in_input_order(self):
+        pairs = normalize_edges(5, [(3, 1), (0, 2), (3, 1), (np.int32(4), np.uint8(0))])
+        assert pairs.dtype == np.int64 and pairs.shape == (4, 2)
+        assert pairs.tolist() == [[3, 1], [0, 2], [3, 1], [4, 0]]
+
+    @pytest.mark.parametrize("edges", [[], (), iter([]), frozenset()])
+    def test_no_pairs_is_0_by_2(self, edges):
+        pairs = normalize_edges(3, edges)
+        assert pairs.dtype == np.int64 and pairs.shape == (0, 2)
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (0, 9), (1.5, 2)], r"edge \(0,9\) out of range for 4 vertices"),
+        ([(0, 1), (1.5, 2), (0, 9)], r"edge \(1\.5, 2\) is not a pair of vertex ids"),
+        ([(3, 3), (0, 9)], r"self-loop \(3,3\) is not allowed"),
+        ([(9, 9)], r"self-loop \(9,9\) is not allowed"),
+        ([(0, 1), (0,), (2, 2)], r"edge \(0,\) is not a pair of vertex ids"),
+    ])
+    def test_first_bad_pair_in_input_order_wins(self, edges, message):
+        for read in (normalize_edges, normalize_edges_sorted):
+            with pytest.raises(GraphInputError, match=f"^{message}$"):
+                read(4, iter(edges))
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+    def test_rows_match_sorted_reference(self, rng, n):
+        plain = sorted(_plain_graph(rng, n, 0.1))
+        mixed = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in plain]
+        mixed += [mixed[i][::-1] for i in rng.integers(0, len(mixed), len(mixed) // 3)] if mixed else []
+        edges = [mixed[i] for i in rng.permutation(len(mixed))]
+        ref = normalize_edges_sorted(n, edges)
+        assert ref == plain
+        adjacency = np.zeros((n, n), dtype=bool)
+        for u, v in ref:
+            adjacency[u, v] = adjacency[v, u] = True
+        want = graph_from_bool_matrix(adjacency).packed_rows()
+        half = len(edges) // 2
+        for g in (
+            Graph.build(n, edges),
+            Graph.build(n, iter(edges)),
+            Graph.build(n).add_edges(edges),
+            Graph.build(n, edges[:half]).add_edges(iter(edges[half:])),
+        ):
+            assert np.array_equal(g.packed_rows(), want)
+            assert g.edge_list() == ref
+
 
 class TestAddEdges:
     def test_chord_triangulates_c4(self, graphs):
@@ -111,6 +178,15 @@ class TestSubgraphs:
     def test_k5_to_k3(self, graphs):
         sub, _ = graphs["k5"].induced_subgraph([1, 3, 4])
         assert sub.m == 3
+
+    @pytest.mark.parametrize("vertices", [[0.9, 1.2, 2.0], [True, 2], ["1", "2"], [0, None]])
+    def test_rejects_non_integer_ids(self, graphs, vertices):
+        with pytest.raises(GraphInputError, match="vertex ids must be integers"):
+            graphs["c5"].induced_subgraph(vertices)
+
+    def test_reads_numpy_ids_and_generators(self, graphs):
+        sub, mapping = graphs["c5"].induced_subgraph(v for v in np.array([2, 0, 1]))
+        assert sub.m == 2 and mapping.tolist() == [0, 1, 2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -320,6 +396,28 @@ class TestEdgeSetText:
         path = tmp_path / "fill.txt"
         with pytest.raises(GraphInputError, match="vertex ids must be integers"):
             save_edge_set([(0, 2), (1, bad)], path)
+
+    @pytest.mark.parametrize("bad, message", [
+        ((1, 1), "self-pair 1"),
+        ((0, 1, 2), r"edge \(0, 1, 2\) is not a pair of vertex ids"),
+        ((0,), r"edge \(0,\) is not a pair of vertex ids"),
+        (5, "vertex ids must be integers"),
+    ])
+    def test_save_rejects_what_load_rejects(self, tmp_path, bad, message):
+        path = tmp_path / "fill.txt"
+        with pytest.raises(GraphInputError, match=f"^{message}"):
+            save_edge_set([(0, 2), bad], path)
+        assert not path.exists()
+
+    def test_save_load_round_trip(self, tmp_path, rng):
+        pairs = sorted(_plain_graph(rng, 20, 0.2))
+        mixed = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        path = tmp_path / "fill.txt"
+        save_edge_set(mixed, path)
+        assert load_edge_set(path) == set(pairs)
+        text = path.read_text()
+        save_edge_set(load_edge_set(path), path)
+        assert path.read_text() == text == "".join(f"{u} {v}\n" for u, v in pairs)
 
     def test_save_reads_numpy_ids(self, tmp_path):
         path = tmp_path / "fill.txt"

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import tracemalloc
 import warnings
 
@@ -58,6 +60,20 @@ class TestPattern:
         factorized as ``(0, 2)`` and written as the entry line ``3 1.5``."""
         with pytest.raises(GraphInputError, match="vertex ids must be integers"):
             SparsePattern(3, [(0, 1), bad])
+
+    @pytest.mark.parametrize("bad", [(0, 1, 2), (0,), ()])
+    def test_rejects_non_pairs(self, bad):
+        with pytest.raises(GraphInputError, match="is not a pair of vertex ids"):
+            SparsePattern(3, [(0, 1), bad])
+
+    @pytest.mark.parametrize("dump", [
+        lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy, copy.copy,
+    ], ids=["pickle", "deepcopy", "copy"])
+    def test_copies_stay_read_only(self, dump):
+        p = SparsePattern(5, [(0, 3), (1, 4), (2, 3)])
+        q = dump(p)
+        assert q == p and q.n == 5 and q.codes.dtype == np.int64
+        assert not q.codes.flags.writeable and not p.codes.flags.writeable
 
     def test_reads_numpy_ids(self):
         p = SparsePattern(np.int64(4), [(np.int64(0), np.int32(2)), (np.uint8(1), 3), (0, 2)])
