@@ -104,6 +104,16 @@ def indices(row: np.ndarray, nbits: int) -> np.ndarray:
     return unpack(row, nbits).nonzero()[0]
 
 
+def is_clique(rows: np.ndarray, mask: np.ndarray, n: int) -> bool:
+    """True iff the vertices of ``mask`` are pairwise adjacent in the open rows:
+    each has the other ``|mask| - 1`` in its row.  Empty and one-vertex masks are cliques.
+
+    An open row holds at most ``|mask| - 1`` of them, so one total decides it.
+    """
+    idx = indices(mask, n)
+    return int(np.bitwise_count(rows[idx] & mask).sum()) == idx.size * (idx.size - 1)
+
+
 def upper_codes(rows: np.ndarray, n: int) -> np.ndarray:
     """Sorted codes ``u * n + w`` (u < w) of the set bits (u, w) of an n-row matrix.
 

@@ -7,22 +7,24 @@ perfect elimination ordering, PEO).  Recognition is one maximum cardinality
 search that records each vertex's earliest later neighbor, then tests its
 reversed visit order in one batched pass over blocks of steps.  A PEO verdict
 rests on that earliest-later-neighbor test, which is a complete PEO check
-(Rose, Tarjan and Lueker 1976); every hole passes ``check_hole`` once before
-it leaves this module.  ``check_peo`` stays as the definitional checker for
-reports and tests.  Vertex ids are read by ``graph._vertex_id`` alone, and
-``verify_fillin`` hands the filled graph on in ``FillinCheck.filled``.
+(Rose, Tarjan and Lueker 1976).  A violation names two nonadjacent neighbors
+u, x of some v; the hole is v plus the shortest u-x path that ``graph._bfs``
+finds outside N[v], and it passes ``check_hole`` once before it leaves this
+module.  ``check_peo`` stays as the definitional checker for reports and
+tests; it and ``is_split`` test cliques with ``_bits.is_clique``.  Vertex ids
+are read by ``graph._vertex_id`` alone, and ``verify_fillin`` hands the
+filled graph on in ``FillinCheck.filled``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _bits
 from .errors import CounterexampleError, GraphInputError
-from .graph import EdgePair, Graph, _set_edge_bits, _vertex_ids, normalize_edges, pairs_from_codes
+from .graph import EdgePair, Graph, _bfs, _set_edge_bits, _vertex_ids, normalize_edges, pairs_from_codes
 
 
 @dataclass(frozen=True)
@@ -145,10 +147,7 @@ def check_peo(graph: Graph, order) -> bool:
     for v in arr:
         v = int(v)
         _bits.clear_bit(remaining, v)
-        later = rows[v] & remaining
-        idx = _bits.indices(later, n)
-        # a clique: each later neighbor is adjacent to all the others
-        if (_bits.popcount_rows(rows[idx] & later) != idx.size - 1).any():
+        if not _bits.is_clique(rows, rows[v] & remaining, n):
             return False
     return True
 
@@ -174,39 +173,22 @@ def check_hole(graph: Graph, cycle) -> bool:
 # -- recognition --------------------------------------------------------------
 
 
-def _chordless_path(graph: Graph, x: int, y: int, banned_mask: np.ndarray):
-    """Shortest x-y path avoiding banned vertices; shortest implies induced."""
-    n = graph.n
-    rows = graph.packed_rows()
-    allowed = ~banned_mask & _bits.range_mask(n, 0, n)
-    _bits.set_bit(allowed, x)
-    _bits.set_bit(allowed, y)
-    parent = np.full(n, -1, dtype=np.int64)
-    parent[x] = x
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        for w in _bits.indices(rows[u] & allowed, n):
-            w = int(w)
-            if parent[w] == -1:
-                parent[w] = u
-                if w == y:
-                    path = [y]
-                    while path[-1] != x:
-                        path.append(int(parent[path[-1]]))
-                    return path[::-1]
-                queue.append(w)
-    return None
-
-
 def _hole_through(graph: Graph, v: int, x: int, y: int):
-    """Hole (v x .. y) from a nonadjacent pair x, y in N(v), if one exists."""
-    banned = graph.packed_rows()[v].copy()
-    _bits.set_bit(banned, v)
-    path = _chordless_path(graph, x, y, banned)
-    if path is None:
+    """Hole (v x .. y) from a nonadjacent pair x, y in N(v), if one exists.
+
+    The path is y's breadth-first parent path from x outside N[v] (y
+    excepted); a shortest path is induced, and no inner vertex of it touches v.
+    """
+    allowed = ~graph.packed_rows()[v]  # bits past n are no vertex: _bfs never reads them
+    _bits.clear_bit(allowed, v)
+    _bits.set_bit(allowed, y)
+    parent = _bfs(graph, x, allowed, y)[1]
+    if parent[y] == -1:
         return None
-    return tuple([v] + path)
+    path = [y]
+    while path[-1] != x:
+        path.append(parent[path[-1]])
+    return (v, *path[::-1])
 
 
 def _pair_holes(graph: Graph):
@@ -270,11 +252,8 @@ def is_split(graph: Graph):
     clique = tuple(sorted(by_degree[:k]))
     indep = tuple(sorted(by_degree[k:]))
     rows = graph.packed_rows()
-    if clique:
-        idx = np.asarray(clique, dtype=np.int64)
-        want = _bits.mask_from_indices(n, idx)
-        if (_bits.popcount_rows(rows[idx] & want) != idx.size - 1).any():
-            raise CounterexampleError("degree identity held but clique part is not a clique")
+    if not _bits.is_clique(rows, _bits.mask_from_indices(n, clique), n):
+        raise CounterexampleError("degree identity held but clique part is not a clique")
     if indep:
         idx = np.asarray(indep, dtype=np.int64)
         inside = _bits.mask_from_indices(n, idx)

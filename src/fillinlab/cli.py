@@ -221,29 +221,26 @@ def _run_tasks(func, payloads, jobs: int) -> list:
 
 
 def _sandwich_task(payload):
-    t, n, edges, seed = payload
-    g = Graph.build(n, edges)
+    t, g, seed = payload
     sub = verify_sandwich(g, rng=np.random.default_rng(seed), random_orderings=1)
     note = f"tau={sub.outputs.get('tau')} phi={sub.outputs.get('phi_gadget')}"
-    return [(f"sandwich[{t}:n={n}]", sub.passed, note)]
+    return [(f"sandwich[{t}:n={g.n}]", sub.passed, note)]
 
 def _theorem4_task(payload):
-    t, n, edges, c, seed = payload
-    g = Graph.build(n, edges)
+    t, g, c, seed = payload
     inst = reduce_primitive(g)
     fills = produced_fillins(inst, rng=np.random.default_rng(seed), random_orderings=1)
     out = []
     for name, fill in sorted(fills.items()):
         sub = decision_equivalence_check(g, c, fill, inst)
         out.append(
-            (f"theorem4[{t}:n={n},c={c},{name}]", sub.passed, f"tau={sub.outputs.get('tau')}")
+            (f"theorem4[{t}:n={g.n},c={c},{name}]", sub.passed, f"tau={sub.outputs.get('tau')}")
         )
     return out
 
 
 def _transfer_task(payload):
-    t, n, edges, eps_str, d = payload
-    g = Graph.build(n, edges)
+    t, g, eps_str, d = payload
     eps = Fraction(eps_str)
     out = []
     if g.m == 0:
@@ -274,15 +271,14 @@ def _transfer_task(payload):
 
 
 def _matrix_task(payload):
-    t, n, edges, order = payload
-    pattern = matrix.pattern_from_graph(Graph.build(n, edges))
-    ok = matrix.fill_equivalence_check(pattern, list(order))
-    return [(f"matrix[{t}:n={n}]", ok, "")]
+    t, g, order = payload
+    ok = matrix.fill_equivalence_check(matrix.pattern_from_graph(g), list(order))
+    return [(f"matrix[{t}:n={g.n}]", ok, "")]
 
 
-def _random_edges(rng, n: int):
+def _random_graph(rng, n: int) -> Graph:
     p = float(rng.uniform(0.15, 0.85))
-    return generate.gnp(n, p, rng).edge_list()
+    return generate.gnp(n, p, rng)
 
 
 def _build_payloads(args):
@@ -291,14 +287,14 @@ def _build_payloads(args):
     if args.suite == "sandwich":
         for t in range(args.trials):
             n = 2 + int(rng.integers(0, max(1, args.nmax - 1)))
-            payloads.append((t, n, _random_edges(rng, n), int(rng.integers(2**32))))
+            payloads.append((t, _random_graph(rng, n), int(rng.integers(2**32))))
         return _sandwich_task, payloads
     if args.suite == "theorem4":
         for t in range(args.trials):
             n = 2 + int(rng.integers(0, max(1, args.nmax - 1)))
-            edges = _random_edges(rng, n)
+            g = _random_graph(rng, n)
             c = int(rng.integers(0, n + 1))
-            payloads.append((t, n, edges, c, int(rng.integers(2**32))))
+            payloads.append((t, g, c, int(rng.integers(2**32))))
         return _theorem4_task, payloads
     if args.suite == "transfer":
         try:
@@ -308,14 +304,14 @@ def _build_payloads(args):
         for t in range(args.trials):
             n = 6 + 2 * int(rng.integers(0, 4))
             g = generate.random_subcubic(n, rng)
-            payloads.append((t, g.n, g.edge_list(), eps, args.d))
+            payloads.append((t, g, eps, args.d))
         return _transfer_task, payloads
     # matrix
     for t in range(args.trials):
         n = 2 + int(rng.integers(0, max(1, args.nmax - 1)))
-        edges = _random_edges(rng, n)
+        g = _random_graph(rng, n)
         order = tuple(int(v) for v in rng.permutation(n))
-        payloads.append((t, n, edges, order))
+        payloads.append((t, g, order))
     return _matrix_task, payloads
 
 
@@ -407,7 +403,7 @@ def cmd_report(args) -> int:
     edges = instance.get("edges")
     if edges is not None and "n" not in instance:
         raise GraphInputError(f"{args.input}: instance has edges but no vertex count n")
-    if edges is not None and not (isinstance(edges, list) and type(instance["n"]) is int):
+    if edges is not None and not (isinstance(edges, list) and _is_id_array([instance["n"]])):
         raise GraphInputError(f"{args.input}: instance needs an integer n and an edge array")
     certs = data.get("certificates") or {}
     if not isinstance(certs, dict):

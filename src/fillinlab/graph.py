@@ -229,8 +229,36 @@ class Graph:
 
     def content_hash(self) -> str:
         """SHA-256 over the canonical edge-list text; stable instance id."""
-        text = "".join(f"{u} {v}\n" for u, v in self.edge_list())
+        codes = _bits.upper_codes(self._rows, self.n)
+        pairs = np.column_stack(np.divmod(codes, self.n)).ravel().tolist()
+        text = "%d %d\n" * codes.size % tuple(pairs)  # one format call for all lines
         return hashlib.sha256(f"{self.n}\n{text}".encode()).hexdigest()
+
+
+# -- traversal --------------------------------------------------------------
+
+
+def _bfs(graph: Graph, root: int, allowed: np.ndarray, stop: int = -1):
+    """Breadth-first search from root through the vertices of the packed mask
+    ``allowed``; root is always visited, and neighbors are queued in ascending id order.
+
+    Returns the visit order and a parent per vertex: root is its own parent,
+    unreached vertices have -1.  A parent is fixed when its vertex is first
+    discovered, so the parent path to any vertex is a shortest one, and it is
+    the same when the search returns early, as it does once it discovers ``stop``.
+    """
+    inside = _bits.unpack(allowed, graph.n).tolist()
+    parent = [-1] * graph.n
+    parent[root] = root
+    order = [root]
+    for u in order:  # order grows behind the loop: it is the FIFO queue
+        for w in graph.neighbors(u).tolist():
+            if inside[w] and parent[w] == -1:
+                parent[w] = u
+                order.append(w)
+                if w == stop:
+                    return order, parent
+    return order, parent
 
 
 # -- DIMACS-like edge list format -------------------------------------------
@@ -293,22 +321,21 @@ def load_dimacs(path) -> Graph:
 
 
 def save_edge_set(edges: Iterable, path) -> None:
-    """Sorted `u v` per line, u < v, 0-based; ids are read by ``_vertex_ids``.
+    """Sorted `u v` per line, u < v, 0-based, each pair once; ids are read by ``_vertex_ids``.
 
     A pair that ``load_edge_set`` would reject (not two ids, or a self-pair)
     is a GraphInputError, and nothing is written.
     """
-    pairs = []
+    pairs = set()
     for e in edges:
         ids = sorted(_vertex_ids(e))
         if len(ids) != 2:
             raise GraphInputError(f"edge {e!r} is not a pair of vertex ids")
         if ids[0] == ids[1]:
             raise GraphInputError(f"self-pair {ids[0]}")
-        pairs.append(ids)
-    pairs.sort()
+        pairs.add(tuple(ids))
     with open(path, "w") as fh:
-        for u, v in pairs:
+        for u, v in sorted(pairs):
             fh.write(f"{u} {v}\n")
 
 

@@ -23,6 +23,10 @@ Both maps work on packed rows: the completion ORs the mask of C union U into
 those rows, and a vertex is full when its row in the filled gadget (read once,
 by ``verify_fillin`` or ``Graph.add_edges``) covers U.
 
+The coloring and the checks share two graph queries: every component and BFS
+distance comes from ``graph._bfs``, and every clique test (the forbidden
+K_{d+1}, the clique U) from ``_bits.is_clique``.
+
 Sizes then sandwich each other: tau(G)*deficit <= phi(H) <
 (tau(G)+1)*deficit with deficit = n^2 for the primitive construction, which
 ``verify_sandwich`` and ``decision_equivalence_check`` audit on concrete
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -42,7 +45,7 @@ import numpy as np
 from . import _bits
 from .chordal import is_split, verify_fillin
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
-from .graph import EdgePair, Graph, _vertex_ids, load_dimacs, pairs_from_codes, save_dimacs
+from .graph import EdgePair, Graph, _bfs, _vertex_ids, load_dimacs, pairs_from_codes, save_dimacs
 from .report import IneqRecord, RunReport, check, instance_descriptor
 from .solvers import (
     exact_fillin_ordering_oracle,
@@ -83,40 +86,26 @@ class Coloring:
 
 
 def _components(graph: Graph, vertices=None) -> list[list[int]]:
-    """Sorted components of the subgraph induced by ``vertices`` (default all)."""
-    todo = range(graph.n) if vertices is None else sorted(vertices)
-    seen = [True] * graph.n
-    for v in todo:
-        seen[v] = False
+    """Sorted components of the subgraph induced by ``vertices`` (default all),
+    in order of smallest member: one BFS from the smallest vertex left at a time."""
+    n = graph.n
+    left = _bits.mask_from_indices(n, range(n) if vertices is None else list(vertices))
     comps = []
-    for s in todo:
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in graph.neighbors(u):
-                w = int(w)
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
+    while left.any():
+        comp = sorted(_bfs(graph, int(_bits.indices(left, n)[0]), left)[0])
+        left &= ~_bits.mask_from_indices(n, comp)
+        comps.append(comp)
     return comps
 
 
 def find_forbidden_clique(graph: Graph, d: int) -> list[int] | None:
     """Some clique on d+1 vertices, if present (degrees must be <= d)."""
-    for v in range(graph.n):
-        if graph.degree(v) != d:
-            continue
-        closed = [v] + [int(w) for w in graph.neighbors(v)]
-        if all(
-            graph.has_edge(a, b) for i, a in enumerate(closed) for b in closed[i + 1 :]
-        ):
-            return sorted(closed)
+    rows = graph.packed_rows()
+    for v in np.flatnonzero(graph.degrees() == d).tolist():
+        closed = rows[v].copy()
+        _bits.set_bit(closed, v)
+        if _bits.is_clique(rows, closed, graph.n):
+            return _bits.indices(closed, graph.n).tolist()
     return None
 
 
@@ -127,9 +116,10 @@ def strip_clique_components(graph: Graph, d: int):
     """
     forced: list[int] = []
     kept: list[int] = []
+    rows = graph.packed_rows()
     for comp in _components(graph):
-        if len(comp) == d + 1 and all(
-            graph.has_edge(a, b) for i, a in enumerate(comp) for b in comp[i + 1 :]
+        if len(comp) == d + 1 and _bits.is_clique(
+            rows, _bits.mask_from_indices(graph.n, comp), graph.n
         ):
             forced.extend(comp[:d])
         else:
@@ -149,17 +139,12 @@ def _greedy_colors(graph: Graph, vertices, colors: list[int]) -> None:
 
 def _distance_order(graph: Graph, comp: set[int], root: int) -> list[int]:
     """Vertices of comp by decreasing BFS distance from root (root last)."""
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in graph.neighbors(u):
-            w = int(w)
-            if w in comp and w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    if len(dist) != len(comp):
+    order, parent = _bfs(graph, root, _bits.mask_from_indices(graph.n, list(comp)))
+    if len(order) != len(comp):
         return []  # disconnected
+    dist = {root: 0}
+    for v in order[1:]:
+        dist[v] = dist[parent[v]] + 1
     return sorted(comp, key=lambda v: (-dist[v], v))
 
 
@@ -280,7 +265,7 @@ class ReducedInstance:
         if sub != self.original:
             raise CounterexampleError("gadget altered the original graph")
         u_mask = _bits.range_mask(N, n, N)
-        if (_bits.popcount_rows(rows[n:] & u_mask) != N - n - 1).any():
+        if not _bits.is_clique(rows, u_mask, N):
             raise CounterexampleError("gadget vertices do not form a clique")
         for v in range(n):
             want = u_mask & ~_bits.mask_from_indices(N, self.missing_block(v))

@@ -11,11 +11,13 @@ helper that builds a package ``Graph``, for layout tests of its intake, and
 ``load_matrix_market_lines`` is the reference Matrix Market reader, one
 Python pass per entry.  ``normalize_edges_sorted`` is the reference edge
 reader: the sorted, deduplicated pair list the one-pass array must set the
-same bits as.
+same bits as.  ``bfs_deque`` is the reference breadth-first search, a
+``deque`` loop over sorted adjacency sets.
 """
 
 import operator
 import warnings
+from collections import deque
 from itertools import combinations, permutations
 
 import numpy as np
@@ -47,6 +49,28 @@ def normalize_edges_sorted(vertex_count, edges):
             raise GraphInputError(f"edge ({u},{v}) out of range for {vertex_count} vertices")
         seen.add((min(u, v), max(u, v)))
     return sorted(seen)
+
+
+def bfs_deque(n, edges, root, allowed):
+    """Breadth-first search from root through the vertex set ``allowed`` (root
+    is always visited), queueing neighbors in ascending order.  Returns the
+    visit order and a parent per vertex: root its own, unreached ones -1."""
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    parent = [-1] * n
+    parent[root] = root
+    order = []
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        for w in sorted(adj[u]):
+            if w in allowed and parent[w] == -1:
+                parent[w] = u
+                queue.append(w)
+    return order, parent
 
 
 def graph_from_bool_matrix(matrix):

@@ -12,6 +12,7 @@ from fillinlab import _bits
 from fillinlab.errors import GraphInputError
 from fillinlab.graph import (
     Graph,
+    _bfs,
     load_dimacs,
     load_edge_set,
     normalize_edges,
@@ -19,7 +20,7 @@ from fillinlab.graph import (
     save_edge_set,
 )
 
-from .oracles import edge_set, graph_from_bool_matrix, normalize_edges_sorted
+from .oracles import bfs_deque, edge_set, graph_from_bool_matrix, normalize_edges_sorted
 
 
 def small_graphs():
@@ -286,6 +287,46 @@ def test_queries_match_plain_sets_across_word_boundaries(rng, monkeypatch, n, de
     assert g.edge_set() == plain
 
 
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+@pytest.mark.parametrize("density", [0.02, 0.1, 0.5])
+def test_bfs_matches_deque_reference(rng, n, density):
+    plain = _plain_graph(rng, n, density)
+    g = Graph.build(n, plain)
+    for share in (0.0, 0.5, 0.9, 1.0):
+        allowed = [v for v in range(n) if rng.random() < share]
+        root = int(rng.integers(n))
+        mask = _bits.mask_from_indices(n, allowed)
+        order, parent = _bfs(g, root, mask)
+        assert (order, parent) == bfs_deque(n, plain, root, set(allowed))
+        assert all(type(v) is int for v in order + parent)
+        for stop in order[1:][-2:]:  # an early return keeps the order and parents up to stop
+            head, part = _bfs(g, root, mask, stop)
+            assert head == order[: order.index(stop) + 1]
+            assert [part[v] for v in head] == [parent[v] for v in head]
+
+
+def test_bfs_parents_are_fixed_at_discovery():
+    # 0-1, 0-2, 1-3, 2-3: 3 is found from 1 first, and 4 only through 3
+    g = Graph.build(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
+    everything = _bits.range_mask(5, 0, 5)
+    assert _bfs(g, 0, everything) == ([0, 1, 2, 3, 4], [0, 0, 0, 1, 3])
+    without_1 = _bits.mask_from_indices(5, [2, 3, 4])
+    assert _bfs(g, 0, without_1) == ([0, 2, 3, 4], [0, -1, 0, 2, 3])
+    assert _bfs(g, 1, _bits.zero_rows(1, 5)[0]) == ([1], [-1, 1, -1, -1, -1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+@pytest.mark.parametrize("density", [0.3, 0.9, 1.0])
+def test_is_clique_matches_all_pairs(rng, n, density):
+    g = Graph.build(n, _plain_graph(rng, n, density))
+    rows = g.packed_rows()
+    sets = [[], [n - 1], g.neighbors(0).tolist(), *map(list, combinations(range(min(n, 5)), 2))]
+    sets += [rng.choice(n, size=min(k, n), replace=False).tolist() for k in [3, 4, 6, n] * 4]
+    for vs in sets:
+        want = all(g.has_edge(a, b) for a, b in combinations(vs, 2))
+        assert _bits.is_clique(rows, _bits.mask_from_indices(n, vs), n) is want
+
+
 def test_content_hash_matches_recorded_digests():
     # Digests recorded when the first graph was held as an adjacency set and
     # the second as packed rows; the canonical edge-list text must not change.
@@ -418,6 +459,15 @@ class TestEdgeSetText:
         text = path.read_text()
         save_edge_set(load_edge_set(path), path)
         assert path.read_text() == text == "".join(f"{u} {v}\n" for u, v in pairs)
+
+    def test_save_writes_each_pair_once(self, tmp_path):
+        path = tmp_path / "fill.txt"
+        save_edge_set([(0, 1), (1, 0), (0, 1)], path)
+        assert path.read_text() == "0 1\n"
+        save_edge_set([(2, 3), (0, 1), (3, 2), (1, 0)], path)
+        text = path.read_text()
+        save_edge_set(load_edge_set(path), path)
+        assert path.read_text() == text == "0 1\n2 3\n"
 
     def test_save_reads_numpy_ids(self, tmp_path):
         path = tmp_path / "fill.txt"
