@@ -436,12 +436,12 @@ class TestErrors:
         ({"n": 2, "edges": [[0, 1]]}, ["cover"], "certificates is not a JSON object"),
         ({"n": 2, "edges": [[0, 1]]}, {"cover": 5}, "certificate cover is not a JSON array"),
         ({"n": "2", "edges": [[0, 1]]}, {"cover": [0]}, "instance needs an integer n"),
-        ({"n": True, "edges": [[0, 1]]}, {"cover": [0]}, "instance needs an integer n and an edge array"),
-        ({"n": 2.5, "edges": [[0, 1]]}, {"cover": [0]}, "instance needs an integer n and an edge array"),
         ({"n": 2, "edges": 5}, {"cover": [0]}, "instance needs an integer n and an edge array"),
         ({"n": 2, "edges": [[0, 1]]}, {"cover": ["a"]}, "certificate cover is not a JSON array of vertex ids"),
         ({"n": 2, "edges": [[0, 1]]}, {"fillin": [5]}, "certificate fillin is not a JSON array of vertex pairs"),
         ({"n": 2, "edges": [[0, 1]]}, {"hole": [True]}, "certificate hole is not a JSON array of vertex ids"),
+        ({"n": True, "edges": [[0, 1]]}, {"cover": [0]}, "instance needs an integer n and an edge array"),
+        ({"n": 2.5, "edges": [[0, 1]]}, {"cover": [0]}, "instance needs an integer n and an edge array"),
     ])
     def test_report_malformed_certificate_input_exit_2(self, instance, certs, message, tmp_path, capsys):
         bad = tmp_path / "rep.json"
