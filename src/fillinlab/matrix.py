@@ -3,12 +3,14 @@
 Only structure is modeled: a pattern is the set of strict upper-triangle
 positions of an n-by-n symmetric matrix, with the diagonal assumed
 structurally nonzero.  Symbolic factorization merges column structures up
-the elimination tree of the permuted matrix (Liu 1990), in memory
-proportional to the nonzeros of the factor-- deliberately a separate
-implementation from the graph elimination game, so the two can cross-check
-each other position for position.  Patterns and fills are both sorted
-int64 codes ``i * n + j`` (``i < j``, original row ids), from the Matrix
-Market text to the factorization.  Numerical cancellation is ignored.
+the elimination tree of the permuted matrix (Liu 1990), each column one
+Python int bitset, in one bit per position between a column's diagonal and
+its last entry (at most n^2 / 2 bits, not the factor's nonzeros)--
+deliberately a separate implementation from the graph elimination game, so
+the two can cross-check each other position for position.  Patterns and
+fills are both sorted int64 codes ``i * n + j`` (``i < j``, original row
+ids), from the Matrix Market text to the factorization.  Numerical
+cancellation is ignored.
 """
 
 from __future__ import annotations
@@ -97,11 +99,21 @@ def symbolic_fill_codes(pattern: SparsePattern, ordering) -> tuple[np.ndarray, i
 
     Column k of the factor (in pivot order) holds the column's own lower
     entries plus, for every elimination-tree child c, the structure of c
-    minus k itself; the parent of a column is its smallest entry.  Returns
-    (fill codes, total nonzeros of the factorized pattern): the codes are
-    ``i * n + j`` for each fill position in original row ids with ``i < j``,
-    sorted; the total counts both symmetric off-diagonal copies plus the n
-    diagonal entries.
+    minus k itself; the parent of a column is its smallest entry.  Column k
+    is one Python int, bit t standing for pivot row ``k + 1 + t``, so a
+    column merges into its parent ``k + s`` by ``cols[k + s] |= c >> s``,
+    where bit ``s - 1`` is the lowest set.  Memory is one bit per position
+    between a column's diagonal and its last entry, not one entry per factor
+    nonzero: an arrow with its centre pivoted last sets one bit per column yet
+    holds n^2 / 2 bits (25 MB at n = 20,000, still half the packed rows of
+    the graph side).  The columns become codes a block of about
+    ``_bits.UNPACK_BLOCK_BYTES`` unpacked bits at a time, only their nonzero
+    bytes unpacked, each block's ints released once read.
+
+    Returns (fill codes, total nonzeros of the factorized pattern): the
+    codes are ``i * n + j`` for each fill position in original row ids with
+    ``i < j``, sorted; the total counts both symmetric off-diagonal copies
+    plus the n diagonal entries.
     """
     n = pattern.n
     order = _validate_permutation(n, ordering)
@@ -109,24 +121,55 @@ def symbolic_fill_codes(pattern: SparsePattern, ordering) -> tuple[np.ndarray, i
     step[order] = np.arange(n)
     a, b = np.take(step, np.divmod(pattern.codes, n))
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    by_col = np.lexsort((hi, lo))
-    own = hi[by_col]
-    starts = np.searchsorted(lo[by_col], np.arange(n + 1))
-    children: list[list[np.ndarray]] = [[] for _ in range(n)]
-    columns = []
-    for k in range(n):
-        col = own[starts[k] : starts[k + 1]]
-        if children[k]:
-            col = np.unique(np.concatenate([col, *children[k]]))
-        if col.size:
-            children[col[0]].append(col[1:])
-        columns.append(col)
-    sizes = np.fromiter(map(len, columns), dtype=np.int64, count=n)
-    a = order[np.repeat(np.arange(n), sizes)]
-    b = order[np.concatenate(columns)] if columns else a
-    factor = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    cols = [0] * n
+    for k, t in zip(lo.tolist(), (hi - lo - 1).tolist()):
+        cols[k] |= 1 << t
+    for k, c in enumerate(cols):
+        if c:
+            s = (c & -c).bit_length()
+            cols[k + s] |= c >> s
+    nbytes = [(c.bit_length() + 7) >> 3 for c in cols]
+    first = np.cumsum([0, *nbytes], dtype=np.int64)  # where each column starts, then the end
+    cap = max(1, _bits.UNPACK_BLOCK_BYTES >> 3)
+    blocks = [np.empty(0, dtype=np.int64)]
+    k0 = 0
+    while k0 < n:
+        k1 = min(n, max(k0 + 1, int(np.searchsorted(first, first[k0] + cap, "right")) - 1))
+        buf = b"".join([cols[k].to_bytes(nbytes[k], "little") for k in range(k0, k1)])
+        cols[k0:k1] = [0] * (k1 - k0)
+        blocks.append(_block_codes(np.frombuffer(buf, dtype=np.uint8), first, k0, order))
+        k0 = k1
+    factor = np.concatenate(blocks)
+    del blocks
+    factor.sort()
     fill = np.setdiff1d(factor, pattern.codes, assume_unique=True)
     return fill, 2 * int(factor.size) + n
+
+
+def _block_codes(buf: np.ndarray, first: np.ndarray, k0: int, order: np.ndarray) -> np.ndarray:
+    """Codes of the set bits of the column bytes ``buf``, which start at column k0.
+
+    Column k's bytes start at ``first[k]`` of the whole byte string; only the
+    nonzero bytes are unpacked.  A function of its own so that its per-bit
+    temporaries are freed before the next block and the sort.
+    """
+    n = order.size
+    nz = np.flatnonzero(buf)
+    bits = np.flatnonzero(np.unpackbits(buf[nz], bitorder="little"))
+    nz += first[k0]
+    col = np.searchsorted(first, nz, "right") - 1
+    row = (nz - first[col]) * 8 + col + 1  # pivot row of each nonzero byte's bit 0
+    idx = bits >> 3
+    bits &= 7
+    col, row = col[idx], row[idx]
+    del idx
+    row += bits
+    del bits
+    col, row = order[col], order[row]
+    code = np.minimum(col, row)
+    code *= n
+    code += np.maximum(col, row, out=row)
+    return code
 
 
 def symbolic_factor(pattern: SparsePattern, ordering) -> tuple[frozenset[tuple[int, int]], int]:

@@ -24,8 +24,9 @@ those rows, and a vertex is full when its row in the filled gadget (read once,
 by ``verify_fillin`` or ``Graph.add_edges``) covers U.
 
 The coloring and the checks share two graph queries: every component and BFS
-distance comes from ``graph._bfs``, and every clique test (the forbidden
-K_{d+1}, the clique U) from ``_bits.is_clique``.
+distance comes from ``graph._bfs``, and every clique test (a K_{d+1}
+component, the clique U) from ``_bits.is_clique``; the search for a forbidden
+K_{d+1} makes the same popcount count for all its candidates at once.
 
 Sizes then sandwich each other: tau(G)*deficit <= phi(H) <
 (tau(G)+1)*deficit with deficit = n^2 for the primitive construction, which
@@ -99,13 +100,26 @@ def _components(graph: Graph, vertices=None) -> list[list[int]]:
 
 
 def find_forbidden_clique(graph: Graph, d: int) -> list[int] | None:
-    """Some clique on d+1 vertices, if present (degrees must be <= d)."""
-    rows = graph.packed_rows()
-    for v in np.flatnonzero(graph.degrees() == d).tolist():
-        closed = rows[v].copy()
-        _bits.set_bit(closed, v)
-        if _bits.is_clique(rows, closed, graph.n):
-            return _bits.indices(closed, graph.n).tolist()
+    """Some clique on d+1 vertices, if present (degrees must be <= d).
+
+    A degree-d vertex v is in one iff its closed row is a clique, i.e. the
+    d+1 members' open rows hold d(d+1) of the closed row's bits in all (the
+    ``_bits.is_clique`` count), tested for every degree-d vertex at once, a
+    block of about ``_bits.UNPACK_BLOCK_BYTES`` bytes (unpacked closed rows
+    and gathered member rows) at a time; the members of the smallest such v
+    are returned in ascending order.
+    """
+    rows, n = graph.packed_rows(), graph.n
+    v_all = np.flatnonzero(graph.degrees() == d)
+    step = max(1, _bits.UNPACK_BLOCK_BYTES // (n + (d + 1) * rows.shape[1] * 8 + 1))
+    for lo in range(0, v_all.size, step):
+        v = v_all[lo : lo + step]
+        closed = rows[v]
+        closed[np.arange(v.size), v >> 6] |= np.uint64(1) << (v & 63).astype(np.uint64)
+        members = _bits.unpack(closed, n).nonzero()[1].reshape(v.size, d + 1)
+        inside = np.bitwise_count(rows[members] & closed[:, None]).sum(axis=(1, 2))
+        for i in np.flatnonzero(inside == d * (d + 1))[:1].tolist():
+            return members[i].tolist()
     return None
 
 

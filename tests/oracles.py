@@ -12,7 +12,10 @@ helper that builds a package ``Graph``, for layout tests of its intake, and
 Python pass per entry.  ``normalize_edges_sorted`` is the reference edge
 reader: the sorted, deduplicated pair list the one-pass array must set the
 same bits as.  ``bfs_deque`` is the reference breadth-first search, a
-``deque`` loop over sorted adjacency sets.
+``deque`` loop over sorted adjacency sets.  ``forbidden_clique_brute`` tests
+one degree-d vertex at a time for a K_{d+1}.  ``symbolic_merge_brute`` is the
+package's earlier symbolic factorization, one ``np.unique`` merge per column,
+kept as the reference for the bitset columns.
 """
 
 import operator
@@ -161,6 +164,53 @@ def elimination_fill_brute(n, edges, order):
                     fill.add((a, b))
         remaining.discard(v)
     return fill
+
+
+def forbidden_clique_brute(n, edges, d):
+    """Sorted members of the first degree-d vertex (by id) whose closed
+    neighbourhood is a clique, or None."""
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    for v in range(n):
+        closed = adj[v] | {v}
+        if len(adj[v]) == d and all(b in adj[a] for a, b in combinations(closed, 2)):
+            return sorted(closed)
+    return None
+
+
+def symbolic_merge_brute(n, codes, order):
+    """(fill codes, total nonzeros) of the pattern ``codes`` under ``order``.
+
+    Column structures merge up the elimination tree (Liu 1990) as sorted
+    arrays: column k is its own lower entries, in pivot order, joined by one
+    ``np.unique(np.concatenate(...))`` with each child's structure minus k;
+    its parent is its smallest entry.
+    """
+    order = np.asarray(order, dtype=np.int64)
+    step = np.empty(n, dtype=np.int64)
+    step[order] = np.arange(n)
+    a, b = np.take(step, np.divmod(codes, n))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    by_col = np.lexsort((hi, lo))
+    own = hi[by_col]
+    starts = np.searchsorted(lo[by_col], np.arange(n + 1))
+    children = [[] for _ in range(n)]
+    columns = []
+    for k in range(n):
+        col = own[starts[k] : starts[k + 1]]
+        if children[k]:
+            col = np.unique(np.concatenate([col, *children[k]]))
+        if col.size:
+            children[col[0]].append(col[1:])
+        columns.append(col)
+    sizes = np.fromiter(map(len, columns), dtype=np.int64, count=n)
+    a = order[np.repeat(np.arange(n), sizes)]
+    b = order[np.concatenate(columns)] if columns else a
+    factor = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    fill = np.setdiff1d(factor, codes, assume_unique=True)
+    return fill, 2 * int(factor.size) + n
 
 
 def split_completion_brute(n, edges, clique):

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fillinlab import _bits
 from fillinlab.chordal import check_peo, elimination_fill_codes
 from fillinlab.errors import GraphInputError
 from fillinlab.graph import pairs_from_codes
@@ -25,7 +26,7 @@ from fillinlab.matrix import (
 )
 
 from .conftest import random_graph
-from .oracles import elimination_fill_brute, load_matrix_market_lines
+from .oracles import elimination_fill_brute, load_matrix_market_lines, symbolic_merge_brute
 
 
 def positions(pattern):
@@ -202,6 +203,48 @@ def random_patterns(rng, count):
         yield SparsePattern(n, frozenset(pairs))
 
 
+# 30-bit int digit, byte and 64-bit word boundaries of the bitset columns
+BOUNDARY_SIZES = (0, 1, 7, 8, 9, 29, 30, 31, 63, 64, 65, 127, 128, 129)
+
+
+def boundary_cases(rng):
+    """(pattern, order): for every boundary size, the tridiagonal, the arrow
+    and eight random patterns (half split into two blocks, so the elimination
+    tree is a forest), each under the natural, reverse and a random order."""
+    for n in BOUNDARY_SIZES:
+        patterns = [tridiagonal_pattern(n), arrow_pattern(n)]
+        for k in range(8):
+            p = float(rng.choice([0.0, 0.02, 0.1, 0.3, 0.6, 1.0]))
+            pairs = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p}
+            if k % 2:
+                side = rng.random(n) < 0.5
+                pairs = {(i, j) for i, j in pairs if side[i] == side[j]}
+            patterns.append(SparsePattern(n, pairs))
+        for pattern in patterns:
+            for order in (list(range(n)), list(range(n - 1, -1, -1)), rng.permutation(n).tolist()):
+                yield pattern, order
+
+
+def grid3d_pattern(k):
+    """The k x k x k grid, rows numbered x-fastest."""
+    n = k**3
+    idx = np.arange(n).reshape(k, k, k)
+    lo = np.concatenate([np.take(idx, range(k - 1), axis=a).ravel() for a in range(3)])
+    hi = np.concatenate([np.take(idx, range(1, k), axis=a).ravel() for a in range(3)])
+    return SparsePattern(n, zip(lo.tolist(), hi.tolist()))
+
+
+def traced_peak(fn, *args):
+    """(result, tracemalloc peak in bytes) of one call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 class TestEliminationTreeFactor:
     def test_matches_brute_elimination(self, rng):
         for pattern in random_patterns(rng, 400):
@@ -231,6 +274,42 @@ class TestEliminationTreeFactor:
             assert fill == frozenset() and total == 2 * (n - 1) + n
             # an n-by-n bool matrix would take 400 MB, and packed rows 50 MB
             assert peak < 40 * 2**20
+
+    @pytest.mark.parametrize("block_bytes", [None, 64], ids=["one-block", "64-byte-blocks"])
+    def test_matches_per_column_merge(self, rng, monkeypatch, block_bytes):
+        """The bitset columns against the per-column ``np.unique`` merge and the
+        graph game; 64-byte unpack blocks split the extraction into many."""
+        if block_bytes:
+            monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", block_bytes)
+        cases = 0
+        for pattern, order in boundary_cases(rng):
+            fill, total = symbolic_fill_codes(pattern, order)
+            want, want_total = symbolic_merge_brute(pattern.n, pattern.codes, order)
+            assert fill.dtype == want.dtype == np.int64
+            assert np.array_equal(fill, want) and total == want_total
+            assert np.array_equal(fill, elimination_fill_codes(graph_from_pattern(pattern), order))
+            cases += 1
+        assert cases >= 400
+
+    @pytest.mark.parametrize("with_path", [False, True], ids=["arrow", "path-and-arrow"])
+    def test_arrow_20000_rows_centre_last(self, with_path):
+        """The widest bitset columns found: every column reaches the last row,
+        n^2 / 2 bits in all, and no fill."""
+        n = 20_000
+        pattern = arrow_pattern(n)
+        if with_path:
+            codes = np.union1d(pattern.codes, tridiagonal_pattern(n).codes)
+            pattern = SparsePattern(n, pairs_from_codes(codes, n))
+        order = [*range(1, n), 0]
+        (fill, total), peak = traced_peak(symbolic_fill_codes, pattern, order)
+        assert fill.size == 0 and total == 2 * pattern.nnz_offdiag + n
+        assert peak < 40 * 2**20
+
+    def test_grid_12_cubed_natural_order_peak(self):
+        pattern = grid3d_pattern(12)
+        (fill, total), peak = traced_peak(symbolic_fill_codes, pattern, range(pattern.n))
+        assert (fill.size, total) == (224_939, 461_110)
+        assert peak < 10 * 2**20
 
 
 class TestEquivalence:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from .conftest import bridge_chain_cubic, bridged_cubic, named_graphs, random_gr
 from .oracles import (
     brooks_triple_missing,
     edge_set,
+    forbidden_clique_brute,
     full_vertices_brute,
     min_vertex_cover_brute,
     split_completion_brute,
@@ -251,6 +253,58 @@ def test_coloring_digest():
         count += 1
     assert count == COLORING_COUNT
     assert digest.hexdigest() == COLORING_DIGEST
+
+
+def _clique_search_corpus():
+    """(graph, d, clique count) for d = 3..5: a random part of degree <= d
+    and a K_{d+1} minus an edge, with zero, one or two K_{d+1} components
+    placed at the start, the middle or the end of the id range."""
+    rng = np.random.default_rng(1515)
+    placements = [(), ("start",), ("middle",), ("end",), ("start", "end"), ("middle", "end")]
+    for d in (3, 4, 5):
+        clique = list(combinations(range(d + 1), 2))
+        for places in placements:
+            for _ in range(8):
+                m = int(rng.integers(d + 2, 40))
+                degree, part = [0] * m, set()
+                for u, v in np.sort(rng.integers(0, m, size=(2 * d * m, 2))).tolist():
+                    if u != v and degree[u] < d and degree[v] < d and (u, v) not in part:
+                        part.add((u, v))
+                        degree[u] += 1
+                        degree[v] += 1
+                groups = [("random-a", m // 2, part), ("near", d + 1, clique[1:])]
+                groups += [("random-b", m - m // 2, None)]
+                for where, at in (("start", 0), ("middle", 2), ("end", len(groups))):
+                    if where in places:
+                        groups.insert(at, (where, d + 1, clique))
+                ids, edges, n = {}, [], 0
+                for name, size, group_edges in groups:
+                    ids[name] = range(n, n + size)
+                    n += size
+                    if name not in ("random-a", "random-b"):
+                        edges += [(ids[name][a], ids[name][b]) for a, b in group_edges]
+                # the random part's vertex u lands on id (random-a + random-b)[u]
+                labels = [*ids["random-a"], *ids["random-b"]]
+                edges += [(labels[u], labels[v]) for u, v in part]
+                yield Graph.build(n, edges), d, len(places)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 64], ids=["one-block", "64-byte-blocks"])
+def test_forbidden_clique_matches_per_vertex_search(monkeypatch, block_bytes):
+    """All degree-d vertices tested at once return the first one's clique."""
+    from fillinlab import _bits
+    from fillinlab.reduction import find_forbidden_clique
+
+    if block_bytes:
+        monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", block_bytes)
+    graphs = found = 0
+    for g, d, cliques in _clique_search_corpus():
+        got = find_forbidden_clique(g, d)
+        assert got == forbidden_clique_brute(g.n, g.edge_list(), d)
+        assert (got is None) <= (cliques == 0)
+        graphs += 1
+        found += got is not None
+    assert graphs == 144 and found >= 120
 
 
 class TestColored:
