@@ -2,7 +2,9 @@
 
 Rows are numpy uint64 arrays; bit ``i`` of a row lives in word ``i >> 6`` at
 position ``i & 63`` (little-endian within each word, matching
-``np.unpackbits(..., bitorder="little")`` on the uint8 view).
+``np.unpackbits(..., bitorder="little")`` on the uint8 view); bits past the last
+column are padding, always zero.  No other module computes the words, bits or
+block sizes of packed rows: they call the helpers here and walk them in ``blocks``.
 """
 
 import numpy as np
@@ -13,7 +15,6 @@ WORD = 64
 UNPACK_BLOCK_BYTES = 1 << 24
 
 _U1 = np.uint64(1)
-_U63 = np.uint64(63)
 
 
 def nwords(nbits: int) -> int:
@@ -24,27 +25,26 @@ def zero_rows(nrows: int, nbits: int) -> np.ndarray:
     return np.zeros((nrows, nwords(nbits)), dtype=np.uint64)
 
 
+def set_bits(rows: np.ndarray, r, c) -> None:
+    """Set bit c[k] of row r[k] for int64 arrays r (or a row id) and c (in place); pairs may repeat."""
+    np.bitwise_or.at(rows, (r, c >> 6), _U1 << (c & 63).astype(np.uint64))
+
+
+def clear_bits(rows: np.ndarray, r, c) -> None:
+    """Clear bit c[k] of row r[k] for every k (in place); pairs may repeat."""
+    np.bitwise_and.at(rows, (r, c >> 6), ~(_U1 << (c & 63).astype(np.uint64)))
+
+
+def get_bits(rows: np.ndarray, r, c) -> np.ndarray:
+    """Bit c[k] of row r[k] for every k, as a boolean vector."""
+    return ((rows[r, c >> 6] >> (c & 63).astype(np.uint64)) & _U1).astype(bool)
+
+
 def mask_from_indices(nbits: int, idx) -> np.ndarray:
     """One packed row with exactly the bits in ``idx`` set."""
-    mask = np.zeros(nwords(nbits), dtype=np.uint64)
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.size:
-        np.bitwise_or.at(mask, idx >> 6, _U1 << (idx.astype(np.uint64) & _U63))
-    return mask
-
-
-def range_mask(nbits: int, lo: int, hi: int) -> np.ndarray:
-    """Packed row with bits lo..hi-1 set."""
-    mask = np.zeros(nwords(nbits), dtype=np.uint64)
-    if hi <= lo:
-        return mask
-    wlo, whi = lo >> 6, (hi - 1) >> 6
-    mask[wlo : whi + 1] = ~np.uint64(0)
-    mask[wlo] &= ~np.uint64(0) << np.uint64(lo & 63)
-    tail = hi & 63
-    if tail:
-        mask[whi] &= ~np.uint64(0) >> np.uint64(64 - tail)
-    return mask
+    mask = zero_rows(1, nbits)
+    set_bits(mask, 0, np.asarray(idx, dtype=np.int64))
+    return mask[0]
 
 
 def test_bit(row: np.ndarray, i: int) -> bool:
@@ -59,22 +59,39 @@ def clear_bit(row: np.ndarray, i: int) -> None:
     row[i >> 6] &= ~(_U1 << np.uint64(i & 63))
 
 
-def clear_diagonal(rows: np.ndarray, idx) -> None:
-    """Clear bit v of row v for every v in idx (in place)."""
-    idx = np.asarray(idx, dtype=np.int64)
-    rows[idx, idx >> 6] &= ~(_U1 << (idx.astype(np.uint64) & _U63))
+def clear_diagonal(rows: np.ndarray, idx: np.ndarray) -> None:
+    """Clear bit v of row v for every v in the int64 array idx (in place)."""
+    clear_bits(rows, idx, idx)
 
 
 def set_diagonal(rows: np.ndarray) -> None:
     """Set bit v of row v for every row v (in place): open rows become closed."""
     v = np.arange(rows.shape[0], dtype=np.int64)
-    rows[v, v >> 6] |= _U1 << (v.astype(np.uint64) & _U63)
+    set_bits(rows, v, v)
 
 
 def diagonal(rows: np.ndarray) -> np.ndarray:
     """Bit v of row v, for every row v, as a boolean vector."""
     v = np.arange(rows.shape[0], dtype=np.int64)
-    return ((rows[v, v >> 6] >> (v.astype(np.uint64) & _U63)) & _U1).astype(bool)
+    return get_bits(rows, v, v)
+
+
+def padded_rows(rows: np.ndarray, nbits: int) -> np.ndarray:
+    """Ascending ids of the rows with a padding bit set (none when nbits fills the words)."""
+    return np.flatnonzero((rows[:, nbits // WORD :] >> np.uint64(nbits % WORD)).any(axis=1))
+
+
+def row_ints(rows: np.ndarray) -> list[int]:
+    """Each packed row as one Python int, bit i of the int being bit i of the row."""
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def blocks(count: int, item_bytes: int, cap: int | None = None):
+    """Slices of ``range(count)`` in order: as many items of ``item_bytes`` as fit in ``cap``
+    bytes (default ``UNPACK_BLOCK_BYTES``, read when iteration starts), and at least one."""
+    step = max(1, (UNPACK_BLOCK_BYTES if cap is None else cap) // max(item_bytes, 1))
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
 
 
 def popcount_rows(rows: np.ndarray) -> np.ndarray:
@@ -123,10 +140,9 @@ def upper_codes(rows: np.ndarray, n: int) -> np.ndarray:
     cleared from each diagonal word first, so every unpacked bit is a code.
     """
     out = [np.empty(0, dtype=np.int64)]
-    step = max(1, UNPACK_BLOCK_BYTES // max(n, 1))
-    for lo in range(0, n, step):
-        r, c = np.nonzero(rows[lo : lo + step])
-        r += lo
+    for block in blocks(n, n):
+        r, c = np.nonzero(rows[block])
+        r += block.start
         upper = c >= r >> 6
         r, c = r[upper], c[upper]
         words = rows[r, c]
@@ -139,3 +155,15 @@ def upper_codes(rows: np.ndarray, n: int) -> np.ndarray:
         code += bits
         out.append(code)
     return np.concatenate(out)
+
+
+def is_symmetric(rows: np.ndarray, n: int) -> bool:
+    """Bit (u, v) equals bit (v, u) for all u, v of an n-row matrix.  Per block of words, rows
+    lo..hi from column lo on are compared with columns lo..hi from row lo on: each bit unpacks about once."""
+    for words in blocks(rows.shape[1], WORD * n):
+        lo, hi = words.start * WORD, min(words.stop * WORD, n)
+        top = unpack(rows[lo:hi, words.start :], n - lo)
+        left = top if hi == n else unpack(rows[lo:, words], hi - lo)
+        if not np.array_equal(top, left.T):
+            return False
+    return True

@@ -84,8 +84,8 @@ def _mcs_scan(graph: Graph):
     tests every step at once; the gap of step i is
     ``rows[v] & visited & ~rows[u]``, with ``visited`` the vertices of steps
     0..i (v itself is in no row of its own).  It holds u, so the step fails
-    when the gap holds more.  The pass gathers blocks of steps of at most
-    ``_bits.UNPACK_BLOCK_BYTES`` bytes of rows each, and carries the visited
+    when the gap holds more.  The pass gathers the rows of one ``_bits.blocks``
+    slice of steps at a time (a row's bytes per step), and carries the visited
     row from one block to the next.
     """
     n = graph.n
@@ -104,11 +104,10 @@ def _mcs_scan(graph: Graph):
         latest[nb] = v
     violation = None
     visited = np.zeros(_bits.nwords(n), dtype=np.uint64)
-    step = max(1, _bits.UNPACK_BLOCK_BYTES // max(rows.itemsize * rows.shape[1], 1))
-    for lo in range(0, n, step):
-        vs, us = order[lo : lo + step], earliest[lo : lo + step]
-        seen = np.zeros((vs.size, visited.size), dtype=np.uint64)
-        seen[np.arange(vs.size), vs >> 6] = np.uint64(1) << (vs & 63).astype(np.uint64)
+    for block in _bits.blocks(n, rows.itemsize * rows.shape[1]):
+        vs, us = order[block], earliest[block]
+        seen = _bits.zero_rows(vs.size, n)
+        _bits.set_bits(seen, np.arange(vs.size), vs)
         np.bitwise_or.accumulate(seen, axis=0, out=seen)
         seen |= visited
         visited = seen[-1].copy()
@@ -143,7 +142,7 @@ def check_peo(graph: Graph, order) -> bool:
         return False
     n = graph.n
     rows = graph.packed_rows()
-    remaining = _bits.range_mask(n, 0, n)
+    remaining = _bits.mask_from_indices(n, range(n))
     for v in arr:
         v = int(v)
         _bits.clear_bit(remaining, v)
@@ -153,21 +152,20 @@ def check_peo(graph: Graph, order) -> bool:
 
 
 def check_hole(graph: Graph, cycle) -> bool:
-    """True iff cycle is an induced cycle of length >= 4 in the graph."""
+    """True iff cycle is an induced cycle of length >= 4 in the graph: distinct
+    vertices whose rows, masked to the cycle, hold just their two cycle neighbors."""
     try:
         cyc = _vertex_ids(cycle)
     except GraphInputError:
         return False
-    k = len(cyc)
-    if k < 4 or len(set(cyc)) != k or any(not (0 <= v < graph.n) for v in cyc):
+    k, n = len(cyc), graph.n
+    if k < 4 or len(set(cyc)) != k or any(not (0 <= v < n) for v in cyc):
         return False
-    for i in range(k):
-        for j in range(i + 1, k):
-            adjacent = graph.has_edge(cyc[i], cyc[j])
-            consecutive = (j - i == 1) or (i == 0 and j == k - 1)
-            if adjacent != consecutive:
-                return False
-    return True
+    idx = np.array(cyc, dtype=np.int64)
+    i = np.arange(k)
+    want = _bits.zero_rows(k, n)  # row i holds cyc[i - 1] and cyc[i + 1]
+    _bits.set_bits(want, np.concatenate([i, i]), idx[np.concatenate([i - 1, (i + 1) % k])])
+    return np.array_equal(graph.packed_rows()[idx] & _bits.mask_from_indices(n, idx), want)
 
 
 # -- recognition --------------------------------------------------------------
@@ -298,7 +296,7 @@ def elimination_fill_codes(graph: Graph, order) -> np.ndarray:
     original = graph.packed_rows()
     rows = original.copy()
     _bits.set_diagonal(rows)
-    alive = _bits.range_mask(n, 0, n)
+    alive = _bits.mask_from_indices(n, range(n))
     for v in arr:
         _eliminate_vertex(rows, alive, int(v), n)
     return _bits.upper_codes(rows & ~original, n)
@@ -341,9 +339,7 @@ def verify_fillin(graph: Graph, fillin) -> FillinCheck:
         pairs = normalize_edges(graph.n, fillin)
     except GraphInputError as exc:
         return FillinCheck(False, "invalid_pair", exc.args)
-    u, v = pairs.T
-    bits = graph.packed_rows()[u, v >> 6] >> (v & 63).astype(np.uint64)
-    hit = np.flatnonzero(bits & np.uint64(1))
+    hit = np.flatnonzero(_bits.get_bits(graph.packed_rows(), pairs[:, 0], pairs[:, 1]))
     if hit.size:
         return FillinCheck(False, "pair_is_edge", tuple(sorted(pairs[hit[0]].tolist())))
     rows = graph.packed_rows().copy()

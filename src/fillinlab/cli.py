@@ -29,7 +29,7 @@ import numpy as np
 from . import generate, matrix, transfer
 from .chordal import check_hole, check_peo, elimination_fill_codes, verify_fillin
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
-from .graph import Graph, _vertex_ids, load_dimacs, parse_ints, save_dimacs
+from .graph import Graph, _vertex_ids, dimacs_text, load_dimacs, parse_ints, save_dimacs
 from .reduction import (
     COLORED_MAX_CELLS,
     PRIMITIVE_MAX_N,
@@ -98,9 +98,7 @@ def cmd_gen(args) -> int:
         save_dimacs(g, args.out, comments=[f"model={args.model} seed={args.seed}"])
         print(f"wrote {g.n} vertices, {g.m} edges to {args.out}", file=sys.stderr)
     else:
-        sys.stdout.write(f"p edge {g.n} {g.m}\n")
-        for u, v in g.iter_edges():
-            sys.stdout.write(f"e {u + 1} {v + 1}\n")
+        sys.stdout.write(dimacs_text(g))
     return EXIT_OK
 
 
@@ -276,9 +274,9 @@ def _matrix_task(payload):
     return [(f"matrix[{t}:n={g.n}]", ok, "")]
 
 
-def _random_graph(rng, n: int) -> Graph:
-    p = float(rng.uniform(0.15, 0.85))
-    return generate.gnp(n, p, rng)
+def _random_graph(rng, nmax: int) -> Graph:
+    n = 2 + int(rng.integers(0, nmax - 1))
+    return generate.gnp(n, float(rng.uniform(0.15, 0.85)), rng)
 
 
 def _build_payloads(args):
@@ -286,14 +284,12 @@ def _build_payloads(args):
     payloads = []
     if args.suite == "sandwich":
         for t in range(args.trials):
-            n = 2 + int(rng.integers(0, max(1, args.nmax - 1)))
-            payloads.append((t, _random_graph(rng, n), int(rng.integers(2**32))))
+            payloads.append((t, _random_graph(rng, args.nmax), int(rng.integers(2**32))))
         return _sandwich_task, payloads
     if args.suite == "theorem4":
         for t in range(args.trials):
-            n = 2 + int(rng.integers(0, max(1, args.nmax - 1)))
-            g = _random_graph(rng, n)
-            c = int(rng.integers(0, n + 1))
+            g = _random_graph(rng, args.nmax)
+            c = int(rng.integers(0, g.n + 1))
             payloads.append((t, g, c, int(rng.integers(2**32))))
         return _theorem4_task, payloads
     if args.suite == "transfer":
@@ -308,14 +304,16 @@ def _build_payloads(args):
         return _transfer_task, payloads
     # matrix
     for t in range(args.trials):
-        n = 2 + int(rng.integers(0, max(1, args.nmax - 1)))
-        g = _random_graph(rng, n)
-        order = tuple(int(v) for v in rng.permutation(n))
+        g = _random_graph(rng, args.nmax)
+        order = tuple(int(v) for v in rng.permutation(g.n))
         payloads.append((t, g, order))
     return _matrix_task, payloads
 
 
 def cmd_verify(args) -> int:
+    for flag, least in (("trials", 1), ("nmax", 2), ("jobs", 1)):
+        if getattr(args, flag) < least:
+            raise GraphInputError(f"--{flag} must be at least {least}, got {getattr(args, flag)}")
     report = RunReport(
         command=f"verify-{args.suite}",
         params={

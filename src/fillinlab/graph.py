@@ -47,6 +47,14 @@ def _vertex_ids(values) -> list[int]:
         raise GraphInputError(f"vertex ids must be integers: {exc}") from None
 
 
+def _int_param(name: str, x) -> int:
+    """x read by ``_vertex_id``; anything else is a GraphInputError naming the parameter."""
+    try:
+        return _vertex_id(x)
+    except TypeError as exc:
+        raise GraphInputError(f"{name} must be an integer: {exc}") from None
+
+
 def normalize_edges(vertex_count: int, edges: Iterable) -> np.ndarray:
     """Validate an edge iterable in one pass into an (m, 2) int64 array, in input order.
 
@@ -71,30 +79,7 @@ def normalize_edges(vertex_count: int, edges: Iterable) -> np.ndarray:
 
 def _set_edge_bits(rows: np.ndarray, pairs: np.ndarray) -> None:
     """Set bits (u, v) and (v, u) of packed rows for every row of an (m, 2) int64 array (in place)."""
-    if not len(pairs):
-        return
-    for a, b in ((pairs[:, 0], pairs[:, 1]), (pairs[:, 1], pairs[:, 0])):
-        np.bitwise_or.at(rows, (a, b >> 6), np.uint64(1) << (b.astype(np.uint64) & np.uint64(63)))
-
-
-def _is_symmetric(rows: np.ndarray, n: int) -> bool:
-    """Bit (u, v) equals bit (v, u) for all u, v, unpacking one block of rows at a time.
-
-    The block of rows lo..hi (a whole number of words) is compared, from
-    column lo on, with the block of columns lo..hi from row lo on; the last
-    block is square and compared with its own transpose.  Every bit is
-    unpacked about once.
-    """
-    nw = rows.shape[1]
-    words = max(1, _bits.UNPACK_BLOCK_BYTES // (_bits.WORD * max(n, 1)))
-    for w0 in range(0, nw, words):
-        w1 = min(w0 + words, nw)
-        lo, hi = w0 * _bits.WORD, min(w1 * _bits.WORD, n)
-        top = _bits.unpack(rows[lo:hi, w0:], n - lo)
-        left = top if hi == n else _bits.unpack(rows[lo:, w0:w1], hi - lo)
-        if not np.array_equal(top, left.T):
-            return False
-    return True
+    _bits.set_bits(rows, pairs.ravel(), pairs[:, ::-1].ravel())
 
 
 class Graph:
@@ -145,15 +130,13 @@ class Graph:
         rows = np.array(rows, dtype=np.uint64, order="C")
         if rows.shape != (vertex_count, _bits.nwords(vertex_count)):
             raise GraphInputError("packed row shape does not match vertex_count")
-        tail = vertex_count % _bits.WORD
-        if tail:
-            padded = np.flatnonzero(rows[:, -1] >> np.uint64(tail))
-            if padded.size:
-                raise GraphInputError(f"padding bit set in row {int(padded[0])}")
+        padded = _bits.padded_rows(rows, vertex_count)
+        if padded.size:
+            raise GraphInputError(f"padding bit set in row {int(padded[0])}")
         diag = np.flatnonzero(_bits.diagonal(rows))
         if diag.size:
             raise GraphInputError(f"diagonal bit set at vertex {int(diag[0])}")
-        if not _is_symmetric(rows, vertex_count):
+        if not _bits.is_symmetric(rows, vertex_count):
             raise GraphInputError("packed adjacency is not symmetric")
         return cls._adopt(rows)
 
@@ -208,10 +191,9 @@ class Graph:
         if keep.size and (keep[0] < 0 or keep[-1] >= self.n):
             raise GraphInputError("subset vertex out of range")
         rows = _bits.zero_rows(keep.size, keep.size)
-        step = max(1, _bits.UNPACK_BLOCK_BYTES // max(self.n, 1))
-        for lo in range(0, keep.size, step):
-            block = _bits.unpack(self._rows[keep[lo : lo + step]], self.n)
-            rows[lo : lo + step] = _bits.pack(block[:, keep])
+        for block in _bits.blocks(keep.size, self.n):
+            unpacked = _bits.unpack(self._rows[keep[block]], self.n)
+            rows[block] = _bits.pack(unpacked[:, keep])
         return Graph._adopt(rows), keep
 
     # -- misc ----------------------------------------------------------------
@@ -272,14 +254,17 @@ def parse_ints(tokens, where: str) -> list[int]:
         raise GraphInputError(f"{where}: expected integers, got {' '.join(tokens)!r}") from None
 
 
+def dimacs_text(graph: Graph, comments: Iterable[str] = ()) -> str:
+    """`c` comment lines, then `p edge n m`, then `e u v` lines with 1-based ids."""
+    lines = [f"c {c}\n" for c in comments]
+    lines.append(f"p edge {graph.n} {graph.m}\n")
+    lines += [f"e {u + 1} {v + 1}\n" for u, v in graph.iter_edges()]
+    return "".join(lines)
+
+
 def save_dimacs(graph: Graph, path, comments: Iterable[str] = ()) -> None:
-    """Write `p edge n m` then `e u v` lines, 1-based ids."""
     with open(path, "w") as fh:
-        for c in comments:
-            fh.write(f"c {c}\n")
-        fh.write(f"p edge {graph.n} {graph.m}\n")
-        for u, v in graph.iter_edges():
-            fh.write(f"e {u + 1} {v + 1}\n")
+        fh.write(dimacs_text(graph, comments))
 
 
 def load_dimacs(path) -> Graph:

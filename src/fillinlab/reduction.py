@@ -46,7 +46,7 @@ import numpy as np
 from . import _bits
 from .chordal import is_split, verify_fillin
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
-from .graph import EdgePair, Graph, _bfs, _vertex_ids, load_dimacs, pairs_from_codes, save_dimacs
+from .graph import EdgePair, Graph, _bfs, _int_param, _vertex_ids, load_dimacs, pairs_from_codes, save_dimacs
 from .report import IneqRecord, RunReport, check, instance_descriptor
 from .solvers import (
     exact_fillin_ordering_oracle,
@@ -77,9 +77,10 @@ class Coloring:
         return None
 
     def validate(self, graph: Graph) -> None:
+        q = _int_param("q", self.q)
         if len(self.colors) != graph.n:
             raise GraphInputError("coloring length does not match vertex count")
-        if any(not (0 <= c < self.q) for c in self.colors) and graph.n:
+        if any(not (0 <= _int_param("color", c) < q) for c in self.colors) and graph.n:
             raise GraphInputError("color id outside the declared palette")
         bad = self.monochromatic_edge(graph)
         if bad is not None:
@@ -104,18 +105,16 @@ def find_forbidden_clique(graph: Graph, d: int) -> list[int] | None:
 
     A degree-d vertex v is in one iff its closed row is a clique, i.e. the
     d+1 members' open rows hold d(d+1) of the closed row's bits in all (the
-    ``_bits.is_clique`` count), tested for every degree-d vertex at once, a
-    block of about ``_bits.UNPACK_BLOCK_BYTES`` bytes (unpacked closed rows
-    and gathered member rows) at a time; the members of the smallest such v
-    are returned in ascending order.
+    ``_bits.is_clique`` count), tested for every degree-d vertex at once, one
+    ``_bits.blocks`` slice (an unpacked closed row and d+1 gathered member rows
+    per vertex) at a time; the members of the smallest such v are returned in ascending order.
     """
     rows, n = graph.packed_rows(), graph.n
     v_all = np.flatnonzero(graph.degrees() == d)
-    step = max(1, _bits.UNPACK_BLOCK_BYTES // (n + (d + 1) * rows.shape[1] * 8 + 1))
-    for lo in range(0, v_all.size, step):
-        v = v_all[lo : lo + step]
+    for block in _bits.blocks(v_all.size, n + (d + 1) * rows.shape[1] * 8):
+        v = v_all[block]
         closed = rows[v]
-        closed[np.arange(v.size), v >> 6] |= np.uint64(1) << (v & 63).astype(np.uint64)
+        _bits.set_bits(closed, np.arange(v.size), v)
         members = _bits.unpack(closed, n).nonzero()[1].reshape(v.size, d + 1)
         inside = np.bitwise_count(rows[members] & closed[:, None]).sum(axis=(1, 2))
         for i in np.flatnonzero(inside == d * (d + 1))[:1].tolist():
@@ -178,6 +177,7 @@ def brooks_coloring(graph: Graph, d: int) -> Coloring:
       d neighbors of x, is colored alone as from a low-degree root x, and is
       recolored so x gets color 0.
     """
+    d = _int_param("d", d)
     if d < 3:
         raise GraphInputError("degree bound d must be at least 3")
     degrees = graph.degrees()
@@ -278,7 +278,7 @@ class ReducedInstance:
         sub, _ = self.graph.induced_subgraph(range(n))
         if sub != self.original:
             raise CounterexampleError("gadget altered the original graph")
-        u_mask = _bits.range_mask(N, n, N)
+        u_mask = _bits.mask_from_indices(N, range(n, N))
         if not _bits.is_clique(rows, u_mask, N):
             raise CounterexampleError("gadget vertices do not form a clique")
         for v in range(n):
@@ -304,14 +304,14 @@ def _gadget(graph: Graph, block_of, nblocks: int, size: int) -> tuple[Graph, tup
     rows = np.zeros((N, _bits.nwords(N)), dtype=np.uint64)
     g_rows = graph.packed_rows()
     rows[:n, : g_rows.shape[1]] = g_rows
-    u_mask = _bits.range_mask(N, n, N)
-    orig_mask = _bits.range_mask(N, 0, n)
+    u_mask = _bits.mask_from_indices(N, range(n, N))
+    orig_mask = _bits.mask_from_indices(N, range(n))
     block_of = np.asarray(block_of)
     blocks = tuple(np.arange(n + c * size, n + (c + 1) * size) for c in range(nblocks))
     for c, block in enumerate(blocks):
         members = np.flatnonzero(block_of == c)
         rows[block] = (orig_mask & ~_bits.mask_from_indices(N, members)) | u_mask
-        rows[members] |= u_mask & ~_bits.range_mask(N, n + c * size, n + (c + 1) * size)
+        rows[members] |= u_mask & ~_bits.mask_from_indices(N, block)
     _bits.clear_diagonal(rows, np.arange(n, N))
     return Graph.from_packed_rows(rows, N), blocks
 
@@ -403,7 +403,7 @@ def _full_set(inst: ReducedInstance, filled: Graph) -> frozenset[int]:
     """Original vertices adjacent to all of U in the filled gadget, re-verified
     to be a vertex cover; failure is a hard internal error, not an input error."""
     n, N = inst.n_original, filled.n
-    covered = _bits.popcount_rows(filled.packed_rows()[:n] & _bits.range_mask(N, n, N))
+    covered = _bits.popcount_rows(filled.packed_rows()[:n] & _bits.mask_from_indices(N, range(n, N)))
     full = frozenset(np.flatnonzero(covered == N - n).tolist())
     if not is_vertex_cover(inst.original, full):
         raise CounterexampleError(

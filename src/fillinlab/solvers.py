@@ -74,12 +74,15 @@ class CoverResult:
 
 
 def is_vertex_cover(graph: Graph, vertices) -> bool:
-    """Every edge has at least one end in the set; False when an id is not an integer."""
+    """Every edge has an end in the set: no row outside it meets the mask of the
+    vertices outside it.  Ids outside 0..n-1 cover nothing; non-integers give False."""
+    n = graph.n
     try:
-        cover = {_vertex_id(v) for v in vertices}
+        inside = _bits.mask_from_indices(n, [v for v in map(_vertex_id, vertices) if 0 <= v < n])
     except TypeError:
         return False
-    return all(u in cover or v in cover for u, v in graph.iter_edges())
+    rest = np.flatnonzero(~_bits.unpack(inside, n))
+    return not (graph.packed_rows()[rest] & ~inside).any()
 
 
 def exact_vertex_cover(graph: Graph, node_budget: int = 5_000_000) -> CoverResult:
@@ -91,10 +94,7 @@ def exact_vertex_cover(graph: Graph, node_budget: int = 5_000_000) -> CoverResul
     """
     t0 = time.perf_counter()
     n = graph.n
-    adj = [0] * n
-    for u, v in graph.iter_edges():
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = _bits.row_ints(graph.packed_rows())
     full = (1 << n) - 1
 
     best_size = n + 1
@@ -324,13 +324,6 @@ def exact_fillin_branch(
 # -- greedy elimination heuristics -------------------------------------------------
 
 
-def _chunks(m: int, row_bytes: int):
-    """Slices of ``range(m)`` covering at most ``_GATHER_BYTES`` bytes of rows
-    of ``row_bytes`` bytes each."""
-    step = max(1, _GATHER_BYTES // max(row_bytes, 1))
-    return (slice(lo, lo + step) for lo in range(0, m, step))
-
-
 def _fill_scores(rows: np.ndarray, n: int) -> np.ndarray:
     """Exact fill score of every vertex: the non-adjacent pairs among its neighbors.
 
@@ -342,7 +335,7 @@ def _fill_scores(rows: np.ndarray, n: int) -> np.ndarray:
     deg = _bits.popcount_rows(rows)
     twice_inside = np.zeros(n, dtype=np.int64)
     codes = _bits.upper_codes(rows, n)
-    for part in _chunks(codes.size, rows.itemsize * rows.shape[1]):
+    for part in _bits.blocks(codes.size, rows.itemsize * rows.shape[1], _GATHER_BYTES):
         u, x = np.divmod(codes[part], n)
         common = _bits.popcount_rows(rows[u] & rows[x])
         np.add.at(twice_inside, u, common)
@@ -384,7 +377,7 @@ def greedy_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
     original = graph.packed_rows()
     rows = original.copy()
     _bits.set_diagonal(rows)
-    alive = _bits.range_mask(n, 0, n)
+    alive = _bits.mask_from_indices(n, range(n))
     order = np.empty(n, dtype=np.int64)
     if strategy == "min-degree":
         deg = graph.degrees().copy()
@@ -420,12 +413,12 @@ def greedy_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
         missing = _bits.unpack(nbr & ~near, n)
         i, y = np.nonzero(missing)  # P in both directions: (idx[i], y)
         x = idx[i]
-        for part in _chunks(i.size, rows.itemsize * rows.shape[1]):
+        for part in _bits.blocks(i.size, rows.itemsize * rows.shape[1], _GATHER_BYTES):
             gain = _bits.popcount_rows(outside[i[part]] & ~rows[y[part]])
             np.add.at(score, x[part], gain)
         upper = x < y
         x, y = x[upper], y[upper]
-        for part in _chunks(x.size, 8 * rows.itemsize * rows.shape[1]):  # unpacked
+        for part in _bits.blocks(x.size, 8 * rows.itemsize * rows.shape[1], _GATHER_BYTES):  # unpacked
             common = rows[x[part]] & rows[y[part]] & alive  # x, y not adjacent: open
             score -= _bits.unpack(common, n).sum(axis=0, dtype=np.int64)
         rows[idx] = near | nbr

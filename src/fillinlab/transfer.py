@@ -34,7 +34,7 @@ from fractions import Fraction
 from . import _bits
 from .chordal import is_chordal, verify_fillin
 from .errors import CounterexampleError, GraphInputError
-from .graph import Graph
+from .graph import Graph, _int_param
 from .reduction import ReducedInstance, _full_set, brooks_coloring, reduce_colored, split_completion
 from .report import IneqRecord, check, instance_descriptor, _num_to_json
 from .solvers import exact_vertex_cover, greedy_minfill_heuristic
@@ -54,12 +54,12 @@ class TransferConfig:
         object.__setattr__(self, "epsilon", eps)
         if not (0 < eps < 1):
             raise GraphInputError("epsilon must lie strictly between 0 and 1")
+        object.__setattr__(self, "d", _int_param("d", self.d))
         if self.d < 3:
             raise GraphInputError("d must be at least 3")
         if self.mode not in ("fillin", "completion"):
             raise GraphInputError(f"unknown mode {self.mode!r}")
-        if self.b is None:
-            object.__setattr__(self, "b", math.ceil(1 / eps))
+        object.__setattr__(self, "b", math.ceil(1 / eps) if self.b is None else _int_param("b", self.b))
         if self.b < 1 / eps:
             raise GraphInputError("b must be at least 1/epsilon")
 

@@ -15,7 +15,9 @@ same bits as.  ``bfs_deque`` is the reference breadth-first search, a
 ``deque`` loop over sorted adjacency sets.  ``forbidden_clique_brute`` tests
 one degree-d vertex at a time for a K_{d+1}.  ``symbolic_merge_brute`` is the
 package's earlier symbolic factorization, one ``np.unique`` merge per column,
-kept as the reference for the bitset columns.
+kept as the reference for the bitset columns.  ``check_hole_pairs`` and
+``is_vertex_cover_pairs`` are the package's earlier certificate checkers, a
+loop over every pair of cycle members and a walk over the edge list.
 """
 
 import operator
@@ -52,6 +54,44 @@ def normalize_edges_sorted(vertex_count, edges):
             raise GraphInputError(f"edge ({u},{v}) out of range for {vertex_count} vertices")
         seen.add((min(u, v), max(u, v)))
     return sorted(seen)
+
+
+def _read_ids(values):
+    """Integer ids (never bools) as a list; a TypeError for anything else."""
+    ids = []
+    for x in values:
+        if type(x) is bool:
+            raise TypeError
+        ids.append(operator.index(x))
+    return ids
+
+
+def check_hole_pairs(n, edges, cycle):
+    """True iff cycle is an induced cycle of length >= 4: distinct integer ids
+    in 0..n-1, and each pair adjacent exactly when consecutive on the cycle."""
+    try:
+        cyc = _read_ids(cycle)
+    except TypeError:
+        return False
+    k = len(cyc)
+    if k < 4 or len(set(cyc)) != k or any(not (0 <= v < n) for v in cyc):
+        return False
+    for i in range(k):
+        for j in range(i + 1, k):
+            adjacent = (min(cyc[i], cyc[j]), max(cyc[i], cyc[j])) in edges
+            consecutive = (j - i == 1) or (i == 0 and j == k - 1)
+            if adjacent != consecutive:
+                return False
+    return True
+
+
+def is_vertex_cover_pairs(edges, vertices):
+    """Every edge has an end in the set; False when an id is not an integer."""
+    try:
+        cover = set(_read_ids(vertices))
+    except TypeError:
+        return False
+    return all(u in cover or v in cover for u, v in edges)
 
 
 def bfs_deque(n, edges, root, allowed):

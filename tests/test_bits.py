@@ -1,0 +1,95 @@
+"""The packed-row layout and its block policy: the ``_bits`` helpers, and the
+rule that no other package module computes words, bits or block sizes."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import fillinlab
+from fillinlab import _bits
+
+from .conftest import random_graph
+
+#: Text that computes a word index, a bit position or a block size by hand.
+LAYOUT_ARITHMETIC = (">> 6", "& 63", "_bits.WORD", "UNPACK_BLOCK_BYTES //")
+
+
+def test_only_bits_knows_the_layout():
+    package = Path(fillinlab.__file__).parent
+    offenders = [
+        f"{path.name}: {token!r}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "_bits.py"
+        for token in LAYOUT_ARITHMETIC
+        if token in path.read_text()
+    ]
+    assert not offenders
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_set_clear_get_match_a_set_of_pairs(rng, n):
+    nrows = 5
+    rows = _bits.zero_rows(nrows, n)
+    want = set()
+    for _ in range(6):
+        size = int(rng.integers(0, 3 * n))
+        r = rng.integers(0, nrows, size=size)
+        c = rng.integers(0, n, size=size)
+        r, c = np.concatenate([r, r[:3]]), np.concatenate([c, c[:3]])  # repeated pairs
+        pairs = set(zip(r.tolist(), c.tolist()))
+        if rng.random() < 0.6:
+            _bits.set_bits(rows, r, c)
+            want |= pairs
+        else:
+            _bits.clear_bits(rows, r, c)
+            want -= pairs
+        assert {(i, j) for i in range(nrows) for j in _bits.indices(rows[i], n).tolist()} == want
+        assert not _bits.padded_rows(rows, n).size
+        qr = rng.integers(0, nrows, size=2 * n)
+        qc = rng.integers(0, n, size=2 * n)
+        got = _bits.get_bits(rows, qr, qc)
+        assert got.dtype == bool
+        assert got.tolist() == [(i, j) in want for i, j in zip(qr.tolist(), qc.tolist())]
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_diagonal_helpers(rng, n):
+    rows = _bits.zero_rows(n, n)
+    _bits.set_diagonal(rows)
+    assert _bits.diagonal(rows).all()
+    idx = np.unique(rng.integers(0, n, size=n // 2 + 1))
+    _bits.clear_diagonal(rows, np.concatenate([idx, idx]))
+    assert np.flatnonzero(~_bits.diagonal(rows)).tolist() == idx.tolist()
+    assert _bits.mask_from_indices(n, range(n)).tolist() == _bits.pack(np.ones((1, n), bool))[0].tolist()
+
+
+@pytest.mark.parametrize("n, column", [(1, 1), (63, 63), (65, 127), (130, 191)])
+def test_padded_rows(n, column):
+    rows = _bits.zero_rows(3, n)
+    rows[1, -1] |= np.uint64(1) << np.uint64(column % 64)
+    assert _bits.padded_rows(rows, n).tolist() == [1]
+    assert _bits.padded_rows(_bits.zero_rows(3, 64), 64).size == 0
+
+
+@pytest.mark.parametrize("cap", [None, 1, 7, 64, 1000])
+@pytest.mark.parametrize("block_bytes", [_bits.UNPACK_BLOCK_BYTES, 64])
+def test_blocks_cover_each_item_once(monkeypatch, cap, block_bytes):
+    monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", block_bytes)
+    for count in (0, 1, 5, 64, 1000):
+        for item_bytes in (0, 1, 8, 9, 100, 10**9):
+            parts = list(_bits.blocks(count, item_bytes, cap))
+            assert all(p.stop > p.start for p in parts)
+            assert [i for p in parts for i in range(count)[p]] == list(range(count))
+            limit = block_bytes if cap is None else cap
+            assert all(p.stop - p.start == 1 or (p.stop - p.start) * item_bytes <= limit for p in parts)
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+def test_row_ints_hold_the_edges(rng, n):
+    g = random_graph(rng, n)
+    ints = _bits.row_ints(g.packed_rows())
+    assert len(ints) == n
+    from_ints = [(u, v) for u in range(n) for v in range(u + 1, n) if ints[u] >> v & 1]
+    assert from_ints == g.edge_list()
+    assert all(x < 1 << n for x in ints)

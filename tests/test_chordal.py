@@ -1,7 +1,7 @@
 import hashlib
 import json
 import tracemalloc
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from fillinlab.graph import Graph
 from .conftest import random_graph
 from .oracles import (
     all_labeled_graphs,
+    check_hole_pairs,
     edge_set,
     elimination_fill_brute,
     find_holes_brute,
@@ -387,6 +388,30 @@ class TestVertexIdRule:
         for order in ([0.5, 1.9, 2, 3], [0, 1, 2, 3.0], [True, 0, 2, 3]):
             with pytest.raises(GraphInputError):
                 elimination_fill_codes(graphs["c4"], order)
+
+
+@pytest.mark.parametrize("n", [4, 63, 64, 65, 130])
+def test_check_hole_matches_pair_loop(rng, n):
+    """A planted cycle, with and without a chord, and its mutations: short,
+    repeated, negative and out-of-range members, and random id sequences."""
+    for _ in range(8):
+        k = int(rng.integers(4, min(n, 9) + 1))
+        cyc = rng.choice(n, size=k, replace=False).tolist()
+        ring = {(min(a, b), max(a, b)) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+        on_cycle = set(cyc)
+        edges = {
+            (u, v)
+            for u, v in combinations(range(n), 2)
+            if rng.random() < 4 / n and not (u in on_cycle and v in on_cycle)
+        } | ring
+        if rng.random() < 0.5:
+            edges.add((min(cyc[0], cyc[2]), max(cyc[0], cyc[2])))
+        g = Graph.build(n, edges)
+        candidates = [cyc, cyc[::-1], cyc[1:] + cyc[:1], cyc[:3], cyc + [cyc[1]], [cyc[0], *cyc]]
+        candidates += [cyc[:-1] + [-1], cyc[:-1] + [n], cyc[:-1] + [n - 1 - cyc[0]], [*cyc, -1]]
+        candidates += [rng.integers(-1, n + 1, size=int(rng.integers(3, 7))).tolist() for _ in range(4)]
+        for c in candidates:
+            assert check_hole(g, c) is check_hole_pairs(n, edges, c), c
 
 
 def test_violation_triple_always_yields_a_hole():

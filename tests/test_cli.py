@@ -48,6 +48,18 @@ class TestGen:
         code = run(["gen", "regular", "--n", "5", "--d", "3", "--out", str(tmp_path / "x.col")])
         assert code == cli.EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize(
+        "argv", [["gnp", "--n", "9", "--p", "0.4", "--seed", "5"], ["grid", "--rows", "3", "--cols", "4"]]
+    )
+    def test_stdout_is_the_file_without_its_comment(self, tmp_path, capsys, argv):
+        out = tmp_path / "g.col"
+        assert run(["gen", *argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["gen", *argv]) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        assert lines[0].startswith("c ")
+        assert capsys.readouterr().out == "".join(lines[1:])
+
 
 class TestReduce:
     def test_primitive_k2(self, tmp_path):
@@ -364,6 +376,19 @@ class TestErrors:
     def test_non_fraction_eps_exit_2(self, capsys):
         assert run(["verify", "transfer", "--eps", "abc", "--trials", "1"]) == cli.EXIT_BAD_INPUT
         assert "--eps: expected a fraction, got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trials", "0"], "--trials must be at least 1, got 0"),
+            (["--nmax", "0"], "--nmax must be at least 2, got 0"),
+            (["--nmax", "1"], "--nmax must be at least 2, got 1"),
+            (["--jobs", "0"], "--jobs must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_verify_counts_exit_2(self, capsys, flags, message):
+        assert run(["verify", "sandwich", "--trials", "1", *flags]) == cli.EXIT_BAD_INPUT
+        assert message in capsys.readouterr().err
 
     def test_report_not_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "rep.json"

@@ -308,7 +308,7 @@ def test_bfs_matches_deque_reference(rng, n, density):
 def test_bfs_parents_are_fixed_at_discovery():
     # 0-1, 0-2, 1-3, 2-3: 3 is found from 1 first, and 4 only through 3
     g = Graph.build(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
-    everything = _bits.range_mask(5, 0, 5)
+    everything = _bits.mask_from_indices(5, range(5))
     assert _bfs(g, 0, everything) == ([0, 1, 2, 3, 4], [0, 0, 0, 1, 3])
     without_1 = _bits.mask_from_indices(5, [2, 3, 4])
     assert _bfs(g, 0, without_1) == ([0, 2, 3, 4], [0, -1, 0, 2, 3])

@@ -112,6 +112,11 @@ class TestBrooks:
         with pytest.raises(GraphInputError, match="degree"):
             brooks_coloring(graphs["star5"], 3)
 
+    @pytest.mark.parametrize("d", [3.5, 4.0])
+    def test_non_integer_d_rejected(self, graphs, d):
+        with pytest.raises(GraphInputError, match="d must be an integer"):
+            brooks_coloring(graphs["c6"], d)
+
     def test_d_below_three_rejected(self, graphs):
         with pytest.raises(GraphInputError):
             brooks_coloring(graphs["c4"], 2)
@@ -322,6 +327,13 @@ class TestColored:
         for u in inst.blocks[2]:
             for v in range(6):
                 assert inst.graph.has_edge(int(u), v)
+
+    @pytest.mark.parametrize(
+        "colors, q, name", [((0, 1, 0, 1), 2.0, "q"), ((False, True, False, True), 2, "color")]
+    )
+    def test_non_integer_coloring_rejected(self, graphs, colors, q, name):
+        with pytest.raises(GraphInputError, match=f"{name} must be an integer"):
+            Coloring(colors, q).validate(graphs["c4"])
 
     def test_improper_coloring_rejected(self, graphs):
         bad = Coloring(colors=(0, 0, 1, 1, 2, 2), q=3)

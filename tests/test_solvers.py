@@ -28,6 +28,7 @@ from .conftest import random_graph
 from .oracles import (
     edge_set,
     elimination_fill_brute,
+    is_vertex_cover_pairs,
     min_degree_ordering_brute,
     min_fill_brute,
     min_fill_memo_brute,
@@ -75,6 +76,20 @@ class TestVertexCover:
         assert not is_vertex_cover(graphs["p3"], [1.7])
         assert not is_vertex_cover(graphs["p3"], [1.0])
         assert not is_vertex_cover(graphs["p3"], [True])
+
+    @pytest.mark.parametrize("n", [4, 63, 64, 65, 130])
+    def test_matches_edge_walk(self, rng, n):
+        """Random sets and near-covers, with negative, out-of-range and repeated ids."""
+        for _ in range(6):
+            g = random_graph(rng, n, float(rng.uniform(0.01, 0.3)))
+            edges = edge_set(g)
+            cover = sorted({max(e, key=g.degree) for e in edges})
+            sets = [cover, cover[1:], cover + cover[:2], [*cover[1:], -1], [*cover[1:], n]]
+            sets += [[v - n for v in cover], [], [-1], list(range(n)), list(range(-1, n - 1))]
+            sets += [rng.integers(-2, n + 2, size=int(rng.integers(0, n + 1))).tolist() for _ in range(3)]
+            for vs in sets:
+                assert is_vertex_cover(g, vs) is is_vertex_cover_pairs(edges, vs), vs
+        assert not is_vertex_cover(Graph.build(2, [(0, 1)]), [-1])
 
     def test_monotone_under_edge_deletion(self, rng):
         for _ in range(25):

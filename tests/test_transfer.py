@@ -44,6 +44,12 @@ class TestConfig:
         with pytest.raises(GraphInputError):
             TransferConfig(epsilon=0)
 
+    @pytest.mark.parametrize("params", [{"d": 4.0}, {"b": 2.5}])
+    def test_non_integer_parameters_rejected(self, params):
+        (name,) = params
+        with pytest.raises(GraphInputError, match=f"{name} must be an integer"):
+            TransferConfig(epsilon="1/2", **params)
+
     def test_b_must_cover_inverse(self):
         with pytest.raises(GraphInputError):
             TransferConfig(epsilon=Fraction(1, 4), b=3)
