@@ -5,6 +5,11 @@ position ``i & 63`` (little-endian within each word, matching
 ``np.unpackbits(..., bitorder="little")`` on the uint8 view); bits past the last
 column are padding, always zero.  No other module computes the words, bits or
 block sizes of packed rows: they call the helpers here and walk them in ``blocks``.
+
+``set_positions`` is the one routine that finds the set bits of a matrix: it
+unpacks only the nonzero words, and ``upper_codes``, min-fill's fill pairs and
+the forbidden-clique search read their bits through it.  No other module
+unpacks a matrix to find its set bits; ``indices`` reads one row.
 """
 
 import numpy as np
@@ -41,10 +46,13 @@ def get_bits(rows: np.ndarray, r, c) -> np.ndarray:
 
 
 def mask_from_indices(nbits: int, idx) -> np.ndarray:
-    """One packed row with exactly the bits in ``idx`` set."""
-    mask = zero_rows(1, nbits)
-    set_bits(mask, 0, np.asarray(idx, dtype=np.int64))
-    return mask[0]
+    """One packed row with exactly the bits in ``idx`` set; ids may repeat.
+
+    Packed from a boolean vector by ``np.packbits``: one call, where
+    ``set_bits``'s ``np.bitwise_or.at`` pays a per-pair cost."""
+    vec = np.zeros(nwords(nbits) * WORD, dtype=bool)
+    vec[np.asarray(idx, dtype=np.int64)] = True
+    return np.packbits(vec, bitorder="little").view(np.uint64)
 
 
 def test_bit(row: np.ndarray, i: int) -> bool:
@@ -121,6 +129,22 @@ def indices(row: np.ndarray, nbits: int) -> np.ndarray:
     return unpack(row, nbits).nonzero()[0]
 
 
+def set_positions(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every set bit of a 2-D array of packed rows, as int64
+    arrays in row-major order: ``np.nonzero(unpack(rows, nbits))`` for any
+    ``nbits`` that covers the set bits.  Only the nonzero words are unpacked,
+    64 bytes each, so the cost follows the set words, not the matrix size.
+    """
+    r, w = np.nonzero(rows)
+    words = rows[r, w]
+    c = unpack(words, WORD * words.size).nonzero()[0]  # bit b of word k at 64 k + b
+    word = c >> 6
+    c &= WORD - 1
+    w <<= 6
+    c += w[word]
+    return r[word], c
+
+
 def is_clique(rows: np.ndarray, mask: np.ndarray, n: int) -> bool:
     """True iff the vertices of ``mask`` are pairwise adjacent in the open rows:
     each has the other ``|mask| - 1`` in its row.  Empty and one-vertex masks are cliques.
@@ -134,26 +158,24 @@ def is_clique(rows: np.ndarray, mask: np.ndarray, n: int) -> bool:
 def upper_codes(rows: np.ndarray, n: int) -> np.ndarray:
     """Sorted codes ``u * n + w`` (u < w) of the set bits (u, w) of an n-row matrix.
 
-    Only the nonzero words at or right of the diagonal are unpacked, from one
-    block of rows at a time, so a block never unpacks more than about
-    ``UNPACK_BLOCK_BYTES`` bytes; the bits at and below the diagonal are
-    cleared from each diagonal word first, so every unpacked bit is a code.
+    One block of rows at a time, so a block never unpacks more than about
+    ``UNPACK_BLOCK_BYTES`` bytes: a copy of the block keeps only the bits right
+    of the diagonal (the words left of the diagonal word are zeroed, and the bits
+    at and below the diagonal cleared from it), and ``set_positions`` reads them.
     """
     out = [np.empty(0, dtype=np.int64)]
+    words = np.arange(rows.shape[1])
     for block in blocks(n, n):
-        r, c = np.nonzero(rows[block])
-        r += block.start
-        upper = c >= r >> 6
-        r, c = r[upper], c[upper]
-        words = rows[r, c]
-        diag = c == r >> 6
-        above = _U1 << (r[diag] & 63).astype(np.uint64) << _U1  # 0 at bit 63
-        words[diag] &= ~(above - _U1)
-        bits = np.flatnonzero(unpack(words[:, None], WORD))
-        code = (r * n + c * WORD)[bits >> 6]
-        bits &= WORD - 1
-        code += bits
-        out.append(code)
+        r = np.arange(block.start, block.stop)
+        part = rows[block].copy()
+        part[words < (r >> 6)[:, None]] = 0
+        above = _U1 << (r & 63).astype(np.uint64) << _U1  # 0 at bit 63
+        part[r - block.start, r >> 6] &= ~(above - _U1)
+        u, w = set_positions(part)
+        u += block.start
+        u *= n
+        u += w
+        out.append(u)
     return np.concatenate(out)
 
 

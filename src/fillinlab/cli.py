@@ -311,18 +311,14 @@ def _build_payloads(args):
 
 
 def cmd_verify(args) -> int:
+    reads = _SUITES[args.suite]
     for flag, least in (("trials", 1), ("nmax", 2), ("jobs", 1)):
-        if getattr(args, flag) < least:
+        if flag in (*reads, "trials", "jobs") and getattr(args, flag) < least:
             raise GraphInputError(f"--{flag} must be at least {least}, got {getattr(args, flag)}")
+    values = {"nmax": args.nmax, "eps": str(args.eps), "d": args.d}
     report = RunReport(
         command=f"verify-{args.suite}",
-        params={
-            "seed": args.seed,
-            "trials": args.trials,
-            "nmax": args.nmax,
-            "eps": str(args.eps),
-            "d": args.d,
-        },
+        params={"seed": args.seed, "trials": args.trials, **{f: values[f] for f in reads}},
     )
     t0 = time.perf_counter()
     func, payloads = _build_payloads(args)
@@ -488,9 +484,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite over a corpus")
     p.add_argument("suite", choices=sorted(_SUITES))
     p.add_argument("--trials", type=int, default=25)
-    p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--eps", default="1/2")
-    p.add_argument("--d", type=int, default=3)
+    p.add_argument(
+        "--nmax", type=int, default=6, help="largest graph size (sandwich, theorem4, matrix)"
+    )
+    p.add_argument("--eps", default="1/2", help="approximation slack epsilon (transfer)")
+    p.add_argument("--d", type=int, default=3, help="degree bound of the coloring (transfer)")
     common(p, "seed", "out", "timings", "jobs")
     p.set_defaults(func=cmd_verify)
 
@@ -511,7 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_SUITES = ("matrix", "sandwich", "theorem4", "transfer")
+#: Suite -> the suite-specific flags it reads: sandwich, theorem4 and matrix draw
+#: G(n, p) with n = 2..nmax, transfer draws subcubic graphs with n = 6..12.
+_SUITES = {
+    "matrix": ("nmax",),
+    "sandwich": ("nmax",),
+    "theorem4": ("nmax",),
+    "transfer": ("eps", "d"),
+}
 
 
 def main(argv=None) -> int:

@@ -106,8 +106,9 @@ def find_forbidden_clique(graph: Graph, d: int) -> list[int] | None:
     A degree-d vertex v is in one iff its closed row is a clique, i.e. the
     d+1 members' open rows hold d(d+1) of the closed row's bits in all (the
     ``_bits.is_clique`` count), tested for every degree-d vertex at once, one
-    ``_bits.blocks`` slice (an unpacked closed row and d+1 gathered member rows
-    per vertex) at a time; the members of the smallest such v are returned in ascending order.
+    ``_bits.blocks`` slice (the unpacked nonzero words of a closed row, read by
+    ``_bits.set_positions``, and d+1 gathered member rows per vertex) at a
+    time; the members of the smallest such v are returned in ascending order.
     """
     rows, n = graph.packed_rows(), graph.n
     v_all = np.flatnonzero(graph.degrees() == d)
@@ -115,7 +116,7 @@ def find_forbidden_clique(graph: Graph, d: int) -> list[int] | None:
         v = v_all[block]
         closed = rows[v]
         _bits.set_bits(closed, np.arange(v.size), v)
-        members = _bits.unpack(closed, n).nonzero()[1].reshape(v.size, d + 1)
+        members = _bits.set_positions(closed)[1].reshape(v.size, d + 1)
         inside = np.bitwise_count(rows[members] & closed[:, None]).sum(axis=(1, 2))
         for i in np.flatnonzero(inside == d * (d + 1))[:1].tolist():
             return members[i].tolist()
@@ -347,6 +348,7 @@ def reduce_colored(
     n = graph.n
     if n < 1:
         raise GraphInputError("the construction needs at least one vertex")
+    b = _int_param("b", b)
     if b < 1:
         raise GraphInputError("block scale b must be positive")
     coloring.validate(graph)

@@ -337,7 +337,9 @@ def _fill_scores(rows: np.ndarray, n: int) -> np.ndarray:
     codes = _bits.upper_codes(rows, n)
     for part in _bits.blocks(codes.size, rows.itemsize * rows.shape[1], _GATHER_BYTES):
         u, x = np.divmod(codes[part], n)
-        common = _bits.popcount_rows(rows[u] & rows[x])
+        both = np.take(rows, u, axis=0)
+        both &= np.take(rows, x, axis=0)
+        common = _bits.popcount_rows(both)
         np.add.at(twice_inside, u, common)
         np.add.at(twice_inside, x, common)
     return deg * (deg - 1) // 2 - twice_inside // 2
@@ -368,6 +370,11 @@ def greedy_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
     closed alive degree of w, ``|O_w| = deg[w] - k - 1`` for each w in N
     (k = |N|), and w loses only v.  A step with fill sets ``deg[w]`` to
     ``|O_w| + k`` from the ``|O_w|`` it counts.
+
+    A step with fill reads P, in both directions, from the nonzero words of
+    ``N & ~rows[N]`` by ``_bits.set_positions``: no module unpacks a whole
+    matrix to find its set bits.  Row stacks are gathered by ``np.take`` and
+    ANDed in place.
     """
     if strategy not in GREEDY_STRATEGIES:
         raise GraphInputError(
@@ -405,21 +412,25 @@ def greedy_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
             score[idx] -= d - k
             deg[idx] = d
             continue
-        near = rows[idx]  # closed: row w holds w, which nbr holds too
-        outside = near & alive & ~nbr  # O_w for each w in N
+        near = np.take(rows, idx, axis=0)  # closed: row w holds w, which nbr holds too
+        outside = near & (alive & ~nbr)  # O_w for each w in N
         lost = _bits.popcount_rows(outside)
         score[idx] -= lost
         deg[idx] = lost + k
-        missing = _bits.unpack(nbr & ~near, n)
-        i, y = np.nonzero(missing)  # P in both directions: (idx[i], y)
+        missing = ~near
+        missing &= nbr
+        i, y = _bits.set_positions(missing)  # P in both directions: (idx[i], y)
         x = idx[i]
         for part in _bits.blocks(i.size, rows.itemsize * rows.shape[1], _GATHER_BYTES):
-            gain = _bits.popcount_rows(outside[i[part]] & ~rows[y[part]])
-            np.add.at(score, x[part], gain)
+            shared = np.take(outside, i[part], axis=0)
+            shared &= np.take(rows, y[part], axis=0)  # |O_w - N(y)| = |O_w| - |O_w & N(y)|
+            np.add.at(score, x[part], lost[i[part]] - _bits.popcount_rows(shared))
         upper = x < y
         x, y = x[upper], y[upper]
         for part in _bits.blocks(x.size, 8 * rows.itemsize * rows.shape[1], _GATHER_BYTES):  # unpacked
-            common = rows[x[part]] & rows[y[part]] & alive  # x, y not adjacent: open
+            common = np.take(rows, x[part], axis=0)  # x, y not adjacent: open
+            common &= np.take(rows, y[part], axis=0)
+            common &= alive
             score -= _bits.unpack(common, n).sum(axis=0, dtype=np.int64)
         rows[idx] = near | nbr
     return order, _bits.upper_codes(rows & ~original, n)

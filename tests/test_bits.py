@@ -27,6 +27,49 @@ def test_only_bits_knows_the_layout():
     assert not offenders
 
 
+def test_only_bits_finds_set_bits_of_a_matrix():
+    """No other module calls ``nonzero`` on an unpacked matrix: ``set_positions`` does it."""
+    package = Path(fillinlab.__file__).parent
+    offenders = [
+        f"{path.name}: {token!r}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "_bits.py"
+        for token in ("np.nonzero(", ".nonzero()")
+        if token in path.read_text()
+    ]
+    assert not offenders
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 127, 128, 129])
+@pytest.mark.parametrize("nrows", [0, 1, 2, 3])
+def test_set_positions_match_unpack_nonzero(rng, nrows, n):
+    for fill in ("empty", "full", 0.05, 0.5, 0.95):
+        if fill == "empty":
+            matrix = np.zeros((nrows, n), dtype=bool)
+        elif fill == "full":
+            matrix = np.ones((nrows, n), dtype=bool)
+        else:
+            matrix = rng.random((nrows, n)) < fill
+        rows = _bits.pack(matrix)
+        want = np.nonzero(_bits.unpack(rows, n))
+        got = _bits.set_positions(rows)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == np.int64
+            assert a.tolist() == b.tolist()
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+def test_mask_from_indices_packs_the_boolean_vector(rng, n):
+    for size in (0, 1, n // 2, 2 * n):
+        idx = rng.integers(0, max(n, 1), size=size if n else 0)
+        idx = np.concatenate([idx, idx[:3]])  # repeated ids
+        vec = np.zeros((1, n), dtype=bool)
+        vec[0, idx] = True
+        got = _bits.mask_from_indices(n, idx.tolist())
+        assert got.dtype == np.uint64 and got.shape == (_bits.nwords(n),)
+        assert got.tolist() == _bits.pack(vec)[0].tolist()
+
+
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 def test_set_clear_get_match_a_set_of_pairs(rng, n):
     nrows = 5

@@ -148,6 +148,21 @@ class TestVerify:
         data = json.loads(rep.read_text())
         assert data["verdict"] == "PASS" and data["checks"]
 
+    @pytest.mark.parametrize("suite,keys,unread", [
+        ("sandwich", ["nmax", "seed", "trials"], ["--eps", "1/3", "--d", "4"]),
+        ("theorem4", ["nmax", "seed", "trials"], ["--eps", "1/3", "--d", "4"]),
+        ("matrix", ["nmax", "seed", "trials"], ["--eps", "1/3", "--d", "4"]),
+        ("transfer", ["d", "eps", "seed", "trials"], ["--nmax", "3"]),
+    ])
+    def test_params_hold_the_flags_the_suite_reads(self, suite, keys, unread, tmp_path):
+        """A flag the suite does not read is not recorded and changes nothing."""
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["verify", suite, "--trials", "2"]
+        assert run([*argv, "--out", str(a)]) == 0
+        assert run([*argv, *unread, "--out", str(b)]) == 0
+        assert sorted(json.loads(a.read_text())["params"]) == keys
+        assert a.read_bytes() == b.read_bytes()
+
     def test_byte_identical_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["verify", "matrix", "--trials", "5", "--seed", "11"]
@@ -389,6 +404,9 @@ class TestErrors:
     def test_bad_verify_counts_exit_2(self, capsys, flags, message):
         assert run(["verify", "sandwich", "--trials", "1", *flags]) == cli.EXIT_BAD_INPUT
         assert message in capsys.readouterr().err
+
+    def test_nmax_is_not_checked_where_unread(self, capsys):
+        assert run(["verify", "transfer", "--trials", "1", "--nmax", "0"]) == cli.EXIT_OK
 
     def test_report_not_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "rep.json"

@@ -335,6 +335,19 @@ class TestColored:
         with pytest.raises(GraphInputError, match=f"{name} must be an integer"):
             Coloring(colors, q).validate(graphs["c4"])
 
+    @pytest.mark.parametrize("b", [2.5, True, "2"])
+    def test_non_integer_block_scale_rejected(self, graphs, b):
+        with pytest.raises(GraphInputError, match="b must be an integer"):
+            reduce_colored(graphs["c4"], b, Coloring((0, 1, 0, 1), 2))
+
+    def test_numpy_block_scale_builds_the_same_gadget(self, graphs):
+        col = Coloring((0, 1, 0, 1), 2)
+        want = reduce_colored(graphs["c4"], 2, col)
+        got = reduce_colored(graphs["c4"], np.int64(2), col)
+        assert type(got.b) is int and got.b == 2
+        assert got.graph.edge_list() == want.graph.edge_list()
+        assert [b.tolist() for b in got.blocks] == [b.tolist() for b in want.blocks]
+
     def test_improper_coloring_rejected(self, graphs):
         bad = Coloring(colors=(0, 0, 1, 1, 2, 2), q=3)
         with pytest.raises(GraphInputError, match="monochromatic"):

@@ -376,6 +376,32 @@ def test_min_fill_clique_steps_gather_no_rows(monkeypatch):
     assert calls == scoring
 
 
+#: Bytes ``_bits.unpack`` returned during the min-fill game on the seed-7373,
+#: n = 50, b = 1 colored gadget (200 vertices) when each fill step unpacked the
+#: whole matrix ``N & ~rows[N]`` to find its fill pairs.
+MIN_FILL_UNPACK_BYTES_BEFORE = 1_389_472
+
+
+def test_min_fill_unpacks_only_nonzero_words(monkeypatch):
+    """Counted, not timed: fill pairs come from the nonzero words of each step's
+    missing-pair matrix, so the game unpacks at most half the bytes it did."""
+    total = 0
+    unpack = _bits.unpack
+
+    def counted(rows, nbits):
+        nonlocal total
+        out = unpack(rows, nbits)
+        total += out.nbytes
+        return out
+
+    g = random_subcubic(50, np.random.default_rng(7373))
+    h = reduce_colored(g, 1, brooks_coloring(g, 3)).graph
+    assert h.n == 200
+    monkeypatch.setattr(_bits, "unpack", counted)
+    greedy_game(h, "min-fill")
+    assert 0 < total <= MIN_FILL_UNPACK_BYTES_BEFORE // 2
+
+
 def _minfill_digest_corpus():
     """Primitive gadgets for n in 4..8 (N up to 520), colored gadgets of seeded
     subcubic graphs on n in 20..50, and the 20x20 and 24x24 grids."""
