@@ -14,6 +14,12 @@ module.  ``check_peo`` stays as the definitional checker for reports and
 tests; it and ``is_split`` test cliques with ``_bits.is_clique``.  Vertex ids
 are read by ``graph._vertex_id`` alone, and ``verify_fillin`` hands the
 filled graph on in ``FillinCheck.filled``.
+
+The elimination game stops at its clique tail.  A step whose vertex v is
+adjacent to every other alive vertex makes the alive vertices a clique
+(it ORs them all into each other's rows), and a vertex of a clique has a
+clique neighborhood, so no later step adds fill: the fill of the whole
+order is already in the rows.
 """
 
 from __future__ import annotations
@@ -271,7 +277,9 @@ def _eliminate_vertex(rows: np.ndarray, alive: np.ndarray, v: int, n: int) -> np
     game).  v leaves ``alive`` before its row is read, so ``rows[v] & alive``
     is its open alive neighborhood N; every row of N holds its own bit, so
     OR-ing N into them keeps them closed and no diagonal bit is ever cleared.
-    Returns N, the only rows whose alive part changed.
+    Returns N, the only rows whose alive part changed.  When N is every alive
+    vertex, the alive vertices are a clique from then on: callers end their
+    game there (the clique tail), since no later step can fill.
     """
     _bits.clear_bit(alive, v)
     nbr = rows[v] & alive
@@ -289,7 +297,9 @@ def elimination_fill_codes(graph: Graph, order) -> np.ndarray:
     all added pairs are returned.  Empty exactly when the order is a PEO.
     The game runs on closed rows (see ``_eliminate_vertex``); the fill is the
     working rows minus the original ones, whose diagonal bits
-    ``_bits.upper_codes`` drops.
+    ``_bits.upper_codes`` drops.  It stops after the first step whose vertex
+    saw every other alive vertex: that step leaves the alive vertices a
+    clique, so the rest of the order adds no fill and is not played.
     """
     arr = _validate_permutation(graph.n, order)
     n = graph.n
@@ -297,8 +307,9 @@ def elimination_fill_codes(graph: Graph, order) -> np.ndarray:
     rows = original.copy()
     _bits.set_diagonal(rows)
     alive = _bits.mask_from_indices(n, range(n))
-    for v in arr:
-        _eliminate_vertex(rows, alive, int(v), n)
+    for step, v in enumerate(arr.tolist()):
+        if _eliminate_vertex(rows, alive, v, n).size == n - step - 1:
+            break  # v saw every alive vertex: they form a clique, no later step fills
     return _bits.upper_codes(rows & ~original, n)
 
 

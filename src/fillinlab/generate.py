@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GraphInputError
-from .graph import Graph
+from .graph import Graph, _int_param
 
 
 def _rng(seed_or_rng) -> np.random.Generator:
@@ -35,6 +35,7 @@ def random_regular(n: int, d: int, seed, max_tries: int = 1000) -> Graph:
     Infeasible parameter pairs (n*d odd, or d >= n) are rejected outright;
     the degree sequence of the output is verified before returning.
     """
+    n, d = _int_param("n", n), _int_param("d", d)
     if d < 0 or n < 0:
         raise GraphInputError("n and d must be nonnegative")
     if (n * d) % 2 == 1:
@@ -62,6 +63,7 @@ def random_regular(n: int, d: int, seed, max_tries: int = 1000) -> Graph:
 
 
 def cycle(n: int) -> Graph:
+    n = _int_param("n", n)
     if n < 3:
         raise GraphInputError("a cycle needs at least 3 vertices")
     return Graph.build(n, [(i, (i + 1) % n) for i in range(n)])
@@ -69,6 +71,7 @@ def cycle(n: int) -> Graph:
 
 def grid(rows: int, cols: int) -> Graph:
     """rows x cols grid; vertex (r, c) is r*cols + c."""
+    rows, cols = _int_param("rows", rows), _int_param("cols", cols)
     if rows < 1 or cols < 1:
         raise GraphInputError("grid dimensions must be positive")
     edges = []
@@ -83,11 +86,22 @@ def grid(rows: int, cols: int) -> Graph:
 
 
 def random_subcubic(n: int, seed, target_edges: int | None = None) -> Graph:
-    """Random graph with maximum degree 3 and no isolated vertices.
+    """Random graph with maximum degree 3 on at most n vertices.
 
-    Useful for transfer corpora: degree-bounded, and any K_4 would have to be
-    a full component, which the construction avoids by capping degrees.
+    Shuffled pairs of 0..n-1 are added while both ends have degree below 3,
+    up to ``target_edges`` edges.  Then each isolated vertex, by id, is
+    joined to a random vertex of degree below 3; once none is left, the
+    isolated vertices stay isolated (always so when n = 1).  A K_4 in a subcubic graph is a whole
+    component, and every sampled one is removed and the rest renumbered in
+    order: the result has n - 4j vertices for j such components, so
+    ``random_subcubic(4, 1)`` is the graph on 0 vertices.  Useful for
+    transfer corpora, which need a subcubic graph without K_4.
     """
+    n = _int_param("n", n)
+    if n < 0:
+        raise GraphInputError("n must be nonnegative")
+    if target_edges is not None:
+        target_edges = _int_param("target_edges", target_edges)
     rng = _rng(seed)
     if target_edges is None:
         target_edges = max(n, (3 * n) // 2 - rng.integers(0, max(1, n // 3 + 1)))

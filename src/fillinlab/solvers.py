@@ -12,6 +12,13 @@ alive degrees, min-fill the number of non-adjacent pairs among each vertex's
 alive neighbors.  Scores are computed once and then updated only where an
 elimination changes them, so each step costs popcounts over the eliminated
 vertex's neighborhood and its fill pairs, never a rescoring of every vertex.
+A game ends at its clique tail: once the eliminated vertex saw every other
+alive vertex, its step leaves the alive vertices a clique (min-degree by its
+fill; min-fill picks such a vertex only at score 0, when they already are
+one).  Every later step then adds no fill and changes no row, and every
+alive vertex has the same degree and a fill score of 0, so both rules pick
+the alive vertices in ascending ids: the ordering ends with them and the
+game stops.
 
 ``greedy_game`` plays one elimination game per call and returns the ordering
 and its fill together, so a caller that needs both (``fillinlab eliminate``)
@@ -371,6 +378,16 @@ def greedy_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
     (k = |N|), and w loses only v.  A step with fill sets ``deg[w]`` to
     ``|O_w| + k`` from the ``|O_w|`` it counts.
 
+    Both strategies stop after the first step whose v saw every other alive
+    vertex (``k == n - step - 1``).  After that step the alive vertices form
+    a clique, so no later step fills or changes a row, and all of them tie
+    (equal degrees, fill scores 0): the smallest id goes first each time, so
+    the ordering ends with N in ascending ids and needs no more steps.  That
+    step updates no score.  In min-fill it is a clique step: were v to see
+    every alive vertex with some pair a, b of them non-adjacent, a would
+    score less than v (its pairs are v's, without those holding a), so v
+    would not be the minimum.
+
     A step with fill reads P, in both directions, from the nonzero words of
     ``N & ~rows[N]`` by ``_bits.set_positions``: no module unpacks a whole
     matrix to find its set bits.  Row stacks are gathered by ``np.take`` and
@@ -392,6 +409,9 @@ def greedy_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
             v = int(deg.argmin())  # first minimum = smallest id
             order[step] = v
             idx = _eliminate_vertex(rows, alive, v, n)
+            if idx.size == n - step - 1:  # the alive vertices are a clique: ascending ids
+                order[step + 1 :] = idx
+                break
             deg[idx] = _bits.popcount_rows(rows[idx] & alive) - 1  # minus the own bit
             deg[v] = n  # above every alive degree: never re-selected
         return order, _bits.upper_codes(rows & ~original, n)
@@ -408,6 +428,9 @@ def greedy_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
         idx = _bits.indices(nbr, n)
         k = idx.size
         if clique:  # no fill, no row change: |O_w| is deg[w] - k - 1
+            if k == n - step - 1:  # v saw every alive vertex: they are a clique
+                order[step + 1 :] = idx
+                break
             d = deg[idx] - 1
             score[idx] -= d - k
             deg[idx] = d

@@ -5,7 +5,8 @@ sharing no algorithmic code with the package: holes are found by subset
 enumeration, covers by subset enumeration, maximum cardinality search and its
 PEO test by rescanning every vertex per step, minimum fill by trying every
 elimination ordering with a dict-of-sets elimination game, or by a memoized
-search over eliminated sets.  The gadget certificate maps are restated from
+search over eliminated sets.  ``clique_tail_brute`` replays that game to
+the first step whose vertex sees every live vertex.  The gadget certificate maps are restated from
 their definitions on dicts of sets.  ``graph_from_bool_matrix`` is the one
 helper that builds a package ``Graph``, for layout tests of its intake, and
 ``load_matrix_market_lines`` is the reference Matrix Market reader, one
@@ -204,6 +205,25 @@ def elimination_fill_brute(n, edges, order):
                     fill.add((a, b))
         remaining.discard(v)
     return fill
+
+
+def clique_tail_brute(n, edges, order):
+    """Index of the first step of the dict-of-sets elimination game whose vertex
+    is adjacent to every other live vertex, or None when no step is (n = 0).
+    From that step on the live vertices form a clique."""
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    remaining = set(range(n))
+    for step, v in enumerate(order):
+        remaining.discard(v)
+        nbrs = adj[v] & remaining
+        if nbrs == remaining:
+            return step
+        for a in nbrs:
+            adj[a] |= nbrs - {a}
+    return None
 
 
 def forbidden_clique_brute(n, edges, d):

@@ -7,6 +7,8 @@ import pytest
 from fillinlab import cli
 from fillinlab.graph import Graph, load_dimacs, save_dimacs
 
+from .oracles import clique_tail_brute, min_degree_ordering_brute
+
 
 def run(argv):
     return cli.main(argv)
@@ -217,7 +219,9 @@ class TestEliminate:
     def test_one_game_per_run(self, tmp_path, monkeypatch, strategy):
         """Counted, not timed: every run plays one elimination game, and no
         game clears diagonal bits.  Min-degree and the fixed orderings make
-        one ``_eliminate_vertex`` call per vertex; min-fill inlines its steps."""
+        one ``_eliminate_vertex`` call per step up to the first whose vertex
+        sees every live vertex, as the dict-of-sets game finds it; min-fill
+        inlines its steps."""
         from fillinlab import _bits, chordal, solvers
         from fillinlab.generate import grid
         from fillinlab.matrix import pattern_from_graph, save_matrix_market
@@ -237,17 +241,24 @@ class TestEliminate:
         for name in ("greedy_game", "elimination_fill_codes"):
             monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
         k = 9
+        g = grid(k, k)
         mtx = tmp_path / "grid.mtx"
-        save_matrix_market(pattern_from_graph(grid(k, k)), mtx)
+        save_matrix_market(pattern_from_graph(g), mtx)
+        order = list(range(k * k))
         if strategy == "ordering":
-            extra = ["--ordering", ",".join(str(v) for v in range(k * k - 1, -1, -1))]
+            order.reverse()
+            extra = ["--ordering", ",".join(map(str, order))]
         else:
             extra = ["--strategy", strategy]
+        if strategy == "min-degree":
+            order = min_degree_ordering_brute(g.n, g.edge_list())
         assert run(["eliminate", str(mtx), *extra, "--out", str(tmp_path / "rep.json")]) == 0
         greedy = strategy in ("min-degree", "min-fill")
         assert calls["greedy_game"] == int(greedy)
         assert calls["elimination_fill_codes"] == int(not greedy)
-        assert calls["step"] == (0 if strategy == "min-fill" else k * k)
+        tail = clique_tail_brute(g.n, g.edge_list(), order)
+        assert tail < k * k - 1
+        assert calls["step"] == (0 if strategy == "min-fill" else tail + 1)
         assert calls["clear_diagonal"] == 0
 
 

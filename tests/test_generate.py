@@ -35,6 +35,13 @@ class TestRegular:
     def test_deterministic(self):
         assert random_regular(12, 3, 9) == random_regular(12, 3, 9)
 
+    @pytest.mark.parametrize("n, d", [(4.0, 2), (True, 0), ("4", 2), (4, 2.0), (4, False)])
+    def test_non_integer_sizes_rejected(self, n, d):
+        name = "n" if n.__class__ is not int else "d"
+        with pytest.raises(GraphInputError, match=f"^{name} must be an integer"):
+            random_regular(n, d, 0)
+        assert random_regular(np.int64(6), np.int32(2), 5) == random_regular(6, 2, 5)
+
 
 class TestShapes:
     def test_cycle(self):
@@ -53,6 +60,18 @@ class TestShapes:
         with pytest.raises(GraphInputError):
             grid(0, 3)
 
+    @pytest.mark.parametrize("n", [4.0, True, "5", None])
+    def test_cycle_non_integer_rejected(self, n):
+        with pytest.raises(GraphInputError, match="^n must be an integer"):
+            cycle(n)
+
+    @pytest.mark.parametrize("rows, cols", [(2.0, 2), (True, 3), (3, True), (2, 2.5), ("2", 2)])
+    def test_grid_non_integer_rejected(self, rows, cols):
+        name = "rows" if rows.__class__ is not int else "cols"
+        with pytest.raises(GraphInputError, match=f"^{name} must be an integer"):
+            grid(rows, cols)
+        assert grid(np.int64(2), np.uint8(3)) == grid(2, 3)
+
 
 class TestSubcubic:
     def test_degree_bound_and_no_isolates(self):
@@ -69,3 +88,22 @@ class TestSubcubic:
         for seed in range(10):
             g = random_subcubic(9, seed)
             assert find_forbidden_clique(g, 3) is None
+
+    def test_k4_components_are_removed(self):
+        """A sampled K_4 is a whole component and is stripped, so the graph can
+        have fewer than n vertices, and a vertex can stay isolated."""
+        assert random_subcubic(4, 1).n == 0
+        g = random_subcubic(1, 0)
+        assert g.n == 1 and g.m == 0
+
+    @pytest.mark.parametrize("n", [5.0, True, "5", -1])
+    def test_bad_n_rejected(self, n):
+        match = "^n must be nonnegative" if n == -1 else "^n must be an integer"
+        with pytest.raises(GraphInputError, match=match):
+            random_subcubic(n, 0)
+
+    def test_target_edges_read_as_integer(self):
+        with pytest.raises(GraphInputError, match="^target_edges must be an integer"):
+            random_subcubic(8, 0, 6.0)
+        assert random_subcubic(np.int64(9), 3) == random_subcubic(9, 3)
+        assert random_subcubic(9, 3, np.int64(8)) == random_subcubic(9, 3, 8)

@@ -26,6 +26,7 @@ from fillinlab.solvers import (
 
 from .conftest import random_graph
 from .oracles import (
+    clique_tail_brute,
     edge_set,
     elimination_fill_brute,
     is_vertex_cover_pairs,
@@ -457,3 +458,126 @@ def test_every_game_gives_the_same_fill(monkeypatch, block_bytes):
             assert codes.tolist() == sorted(u * g.n + w for u, w in brute)
             games += 1
     assert games == 8 * 3 * 2
+
+
+def _fill_codes_brute(g, order):
+    return sorted(u * g.n + w for u, w in elimination_fill_brute(g.n, g.edge_list(), order))
+
+
+def _clique_tail_corpus():
+    """(name, graph, fixed orders): K_0..K_6, whose games end at step 0; a K_5
+    with a pendant path; the cliques on the even and on the odd ids of 0..7;
+    a star, whose first order starts at its centre; seeded primitive and
+    colored gadgets under random orders."""
+    rng = np.random.default_rng(4242)
+    for n in range(7):
+        yield f"K_{n}", Graph.build(n, combinations(range(n), 2)), [np.arange(n), rng.permutation(n)]
+    path = [(4, 5), (5, 6), (6, 7), (7, 8)]
+    yield "clique+path", Graph.build(9, [*combinations(range(5), 2), *path]), [
+        np.arange(9),
+        np.arange(9)[::-1],
+        rng.permutation(9),
+    ]
+    halves = [*combinations(range(0, 8, 2), 2), *combinations(range(1, 8, 2), 2)]
+    yield "two cliques", Graph.build(8, halves), [np.arange(8), rng.permutation(8)]
+    yield "star", Graph.build(6, [(0, v) for v in range(1, 6)]), [np.arange(6), rng.permutation(6)]
+    for n in (2, 3, 4):
+        g = reduce_primitive(gnp(n, 0.5, rng)).graph
+        yield f"primitive n={n}", g, [rng.permutation(g.n) for _ in range(2)]
+    for n in (5, 8, 11):
+        h = random_subcubic(n, rng)
+        g = reduce_colored(h, 1, brooks_coloring(h, 3)).graph
+        yield f"colored n={n}", g, [rng.permutation(g.n) for _ in range(2)]
+
+
+def test_clique_tail_games_match_full_rescans():
+    """The games stop after the first step whose vertex sees every live vertex
+    and finish the ordering in ascending ids; the orderings and fill codes equal
+    the full-rescan brutes', wherever in the game that step falls."""
+    tails, fills = {}, {}
+    for name, g, orders in _clique_tail_corpus():
+        edges = g.edge_list()
+        for strategy, brute in (
+            ("min-degree", min_degree_ordering_brute),
+            ("min-fill", min_fill_ordering_brute),
+        ):
+            order, codes = greedy_game(g, strategy)
+            expect = brute(g.n, edges)
+            assert order.tolist() == expect, (name, strategy)
+            assert codes.tolist() == _fill_codes_brute(g, expect), (name, strategy)
+            tails[name, strategy] = clique_tail_brute(g.n, edges, expect)
+        for i, order in enumerate(orders):
+            codes = elimination_fill_codes(g, order)
+            assert codes.tolist() == _fill_codes_brute(g, order.tolist()), (name, i)
+            tails[name, i] = clique_tail_brute(g.n, edges, order.tolist())
+            fills[name, i] = codes.size
+    for n in range(1, 7):
+        assert {tails[f"K_{n}", key] for key in ("min-degree", "min-fill", 0, 1)} == {0}
+    assert tails["K_0", 0] is None
+    assert tails["clique+path", "min-degree"] == 4  # the path, then vertex 0 of the K_5
+    assert tails["clique+path", "min-fill"] == 7  # 0..3 score 0 first, then 8 and 7
+    assert tails["two cliques", "min-degree"] == 4  # the even clique goes first
+    # Every score is 0, so min-fill alternates like the natural order, and 6
+    # and 7 are not adjacent: the game ends only at its last step.
+    assert tails["two cliques", "min-fill"] == tails["two cliques", 0] == 7
+    assert tails["star", 0] == 0 and fills["star", 0] == 10  # the step from the centre fills
+    gadgets = [key for key in tails if key[0].startswith(("primitive", "colored"))]
+    assert all(0 < tails[key] < 64 for key in gadgets)
+
+
+def test_games_stop_at_the_clique_tail(monkeypatch):
+    """Counted, not timed: on a seeded primitive gadget the min-degree game and
+    a random-order ``elimination_fill_codes`` make one ``_eliminate_vertex``
+    call, and min-fill one loop step (one ``_bits.indices`` call), per step up
+    to the first whose vertex sees every live vertex."""
+    from fillinlab import chordal, solvers
+
+    calls = {"step": 0, "indices": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    step = counted("step", chordal._eliminate_vertex)
+    for mod in (chordal, solvers):
+        monkeypatch.setattr(mod, "_eliminate_vertex", step)
+    monkeypatch.setattr(_bits, "indices", counted("indices", _bits.indices))
+    rng = np.random.default_rng(1919)
+    g = reduce_primitive(gnp(4, 0.5, rng)).graph
+    edges = g.edge_list()
+    assert g.n == 68
+    random_order = rng.permutation(g.n)
+    for game, order in (
+        (lambda: greedy_game(g, "min-degree"), min_degree_ordering_brute(g.n, edges)),
+        (lambda: greedy_game(g, "min-fill"), min_fill_ordering_brute(g.n, edges)),
+        (lambda: elimination_fill_codes(g, random_order), random_order.tolist()),
+    ):
+        calls.update(step=0, indices=0)
+        game()
+        expect = 1 + clique_tail_brute(g.n, edges, order)
+        assert expect < g.n
+        assert max(calls.values()) == expect  # _eliminate_vertex calls _bits.indices once
+
+
+def test_min_fill_reaches_the_tail_on_a_clique_step(monkeypatch):
+    """Counted, not timed: min-fill checks for the tail only on steps of score
+    0, which is enough because a vertex that sees every live vertex, two of
+    them non-adjacent, never has the least score; so its loop still stops at
+    the dict-of-sets game's first such step."""
+    calls = 0
+    indices = _bits.indices
+
+    def counted(row, nbits):
+        nonlocal calls
+        calls += 1
+        return indices(row, nbits)
+
+    monkeypatch.setattr(_bits, "indices", counted)
+    rng = np.random.default_rng(5151)
+    for _ in range(60):
+        g = gnp(int(rng.integers(1, 16)), float(rng.uniform(0.1, 0.9)), rng)
+        calls = 0
+        order = greedy_game(g, "min-fill")[0].tolist()
+        assert calls == 1 + clique_tail_brute(g.n, g.edge_list(), order)
