@@ -13,11 +13,10 @@ from pathlib import Path
 
 from fillinlab import (
     fill_equivalence_check,
-    graph_from_pattern,
-    greedy_ordering,
+    greedy_game,
     load_matrix_market,
     save_matrix_market,
-    symbolic_factor,
+    symbolic_fill_codes,
 )
 from fillinlab.generate import grid
 from fillinlab.matrix import arrow_pattern, pattern_from_graph, tridiagonal_pattern
@@ -27,8 +26,8 @@ print("1. Orderings decide the fill of an arrow pattern (n = 6)")
 print("=" * 64)
 arrow = arrow_pattern(6)
 for name, order in [("hub first", [0, 1, 2, 3, 4, 5]), ("leaves first", [1, 2, 3, 4, 5, 0])]:
-    fill, total = symbolic_factor(arrow, order)
-    print(f"  {name:>12}: fill = {len(fill):2d}, nonzeros after = {total}")
+    fill, total = symbolic_fill_codes(arrow, order)
+    print(f"  {name:>12}: fill = {fill.size:2d}, nonzeros after = {total}")
 
 print()
 print("=" * 64)
@@ -39,8 +38,8 @@ with tempfile.TemporaryDirectory() as tmp:
     save_matrix_market(tridiagonal_pattern(5), path)
     print("  " + path.read_text().replace("\n", "\n  ").rstrip())
     loaded = load_matrix_market(path)
-    fill, total = symbolic_factor(loaded, range(5))
-    print(f"  natural ordering on the tridiagonal pattern: fill = {len(fill)}")
+    fill, total = symbolic_fill_codes(loaded, range(5))
+    print(f"  natural ordering on the tridiagonal pattern: fill = {fill.size}")
 
 print()
 print("=" * 64)
@@ -51,12 +50,12 @@ pattern = pattern_from_graph(g)
 rows = []
 for name, order in [
     ("natural", list(range(16))),
-    ("min-degree", greedy_ordering(g, "min-degree").tolist()),
-    ("min-fill", greedy_ordering(g, "min-fill").tolist()),
+    ("min-degree", greedy_game(g, "min-degree")[0].tolist()),
+    ("min-fill", greedy_game(g, "min-fill")[0].tolist()),
 ]:
-    fill, total = symbolic_factor(pattern, order)
+    fill, total = symbolic_fill_codes(pattern, order)
     assert fill_equivalence_check(pattern, order)
-    rows.append((name, len(fill), total))
+    rows.append((name, fill.size, total))
 width = max(len(r[0]) for r in rows)
 for name, nfill, total in rows:
     print(f"  {name:>{width}}: fill = {nfill:3d}, nonzeros after = {total}")

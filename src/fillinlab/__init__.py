@@ -21,14 +21,13 @@ from .chordal import (
     verify_fillin,
 )
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
-from .graph import Graph, load_dimacs, load_edge_set, save_dimacs, save_edge_set
+from .graph import Graph, load_dimacs, save_dimacs
 from .matrix import (
     SparsePattern,
     fill_equivalence_check,
     graph_from_pattern,
     load_matrix_market,
     save_matrix_market,
-    symbolic_factor,
     symbolic_fill_codes,
 )
 from .reduction import (
@@ -53,7 +52,6 @@ from .solvers import (
     exact_vertex_cover,
     greedy_game,
     greedy_minfill_heuristic,
-    greedy_ordering,
     is_vertex_cover,
 )
 from .transfer import (

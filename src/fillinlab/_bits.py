@@ -67,11 +67,6 @@ def clear_bit(row: np.ndarray, i: int) -> None:
     row[i >> 6] &= ~(_U1 << np.uint64(i & 63))
 
 
-def clear_diagonal(rows: np.ndarray, idx: np.ndarray) -> None:
-    """Clear bit v of row v for every v in the int64 array idx (in place)."""
-    clear_bits(rows, idx, idx)
-
-
 def set_diagonal(rows: np.ndarray) -> None:
     """Set bit v of row v for every row v (in place): open rows become closed."""
     v = np.arange(rows.shape[0], dtype=np.int64)

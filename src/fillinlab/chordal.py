@@ -52,20 +52,6 @@ class HoleCertificate:
 Certificate = PeoCertificate | HoleCertificate
 
 
-def certificate_to_json(cert: Certificate) -> dict:
-    if isinstance(cert, PeoCertificate):
-        return {"kind": "peo", "order": list(cert.order)}
-    return {"kind": "hole", "cycle": list(cert.cycle)}
-
-
-def certificate_from_json(obj: dict) -> Certificate:
-    if obj.get("kind") == "peo":
-        return PeoCertificate(tuple(_vertex_ids(obj["order"])))
-    if obj.get("kind") == "hole":
-        return HoleCertificate(tuple(_vertex_ids(obj["cycle"])))
-    raise GraphInputError(f"unknown certificate kind {obj.get('kind')!r}")
-
-
 def _validate_permutation(n: int, order) -> np.ndarray:
     arr = np.asarray(_vertex_ids(order), dtype=np.int64)
     if arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):

@@ -139,7 +139,7 @@ def cmd_solve(args) -> int:
         instance=instance_descriptor(g, args.input),
         params={"budget": args.budget, "strategy": args.strategy},
     )
-    report.instance["edges"] = [list(e) for e in g.iter_edges()]  # so `report` can re-check
+    report.instance["edges"] = [list(e) for e in g.edge_list()]  # so `report` can re-check
     t0 = time.perf_counter()
     code = EXIT_OK
     if args.problem == "vc":

@@ -20,6 +20,7 @@ def _rng(seed_or_rng) -> np.random.Generator:
 
 def gnp(n: int, p: float, seed) -> Graph:
     """Erdos-Renyi G(n, p)."""
+    n = _int_param("n", n)
     if not (0 <= p <= 1):
         raise GraphInputError("edge probability must lie in [0, 1]")
     rng = _rng(seed)
@@ -36,6 +37,7 @@ def random_regular(n: int, d: int, seed, max_tries: int = 1000) -> Graph:
     the degree sequence of the output is verified before returning.
     """
     n, d = _int_param("n", n), _int_param("d", d)
+    max_tries = _int_param("max_tries", max_tries)
     if d < 0 or n < 0:
         raise GraphInputError("n and d must be nonnegative")
     if (n * d) % 2 == 1:

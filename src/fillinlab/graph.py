@@ -7,16 +7,15 @@ so a graph costs n * ceil(n/64) * 8 bytes whatever its edge count (about
 are counted once at construction, and edges are listed in sorted order by
 ``_bits.upper_codes``.
 
-File formats owned here: a DIMACS-like edge-list text format (1-based on
-disk) and a canonical edge-set text serialization (0-based, one sorted pair
-per line).
+File format owned here: a DIMACS-like edge-list text format (1-based on
+disk).
 """
 
 from __future__ import annotations
 
 import hashlib
 import operator
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -154,9 +153,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return self._degrees
 
-    def iter_edges(self) -> Iterator[EdgePair]:
-        return iter(self.edge_list())
-
     def edge_list(self) -> list[EdgePair]:
         """Edges as sorted ``(u, v)`` pairs with u < v."""
         codes = _bits.upper_codes(self._rows, self.n)
@@ -258,7 +254,7 @@ def dimacs_text(graph: Graph, comments: Iterable[str] = ()) -> str:
     """`c` comment lines, then `p edge n m`, then `e u v` lines with 1-based ids."""
     lines = [f"c {c}\n" for c in comments]
     lines.append(f"p edge {graph.n} {graph.m}\n")
-    lines += [f"e {u + 1} {v + 1}\n" for u, v in graph.iter_edges()]
+    lines += [f"e {u + 1} {v + 1}\n" for u, v in graph.edge_list()]
     return "".join(lines)
 
 
@@ -300,42 +296,3 @@ def load_dimacs(path) -> Graph:
             f"{path}: header declares {declared} edges, found {len(edges)}"
         )
     return Graph.build(n, edges)
-
-
-# -- canonical edge-set text --------------------------------------------------
-
-
-def save_edge_set(edges: Iterable, path) -> None:
-    """Sorted `u v` per line, u < v, 0-based, each pair once; ids are read by ``_vertex_ids``.
-
-    A pair that ``load_edge_set`` would reject (not two ids, or a self-pair)
-    is a GraphInputError, and nothing is written.
-    """
-    pairs = set()
-    for e in edges:
-        ids = sorted(_vertex_ids(e))
-        if len(ids) != 2:
-            raise GraphInputError(f"edge {e!r} is not a pair of vertex ids")
-        if ids[0] == ids[1]:
-            raise GraphInputError(f"self-pair {ids[0]}")
-        pairs.add(tuple(ids))
-    with open(path, "w") as fh:
-        for u, v in sorted(pairs):
-            fh.write(f"{u} {v}\n")
-
-
-def load_edge_set(path) -> frozenset[EdgePair]:
-    pairs = set()
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphInputError(f"{path}:{lineno}: expected 'u v'")
-            u, v = parse_ints(parts, f"{path}:{lineno}")
-            if u == v:
-                raise GraphInputError(f"{path}:{lineno}: self-pair {u}")
-            pairs.add((u, v) if u < v else (v, u))
-    return frozenset(pairs)

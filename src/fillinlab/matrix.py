@@ -22,7 +22,7 @@ import numpy as np
 from . import _bits
 from .chordal import _validate_permutation, elimination_fill_codes
 from .errors import GraphInputError
-from .graph import Graph, _set_edge_bits, _vertex_ids, pairs_from_codes, parse_ints
+from .graph import Graph, _set_edge_bits, _vertex_ids, parse_ints
 
 MAX_ROWS = 3_037_000_499  # isqrt(2**63 - 1): the largest n whose codes fit in int64
 
@@ -170,15 +170,6 @@ def _block_codes(buf: np.ndarray, first: np.ndarray, k0: int, order: np.ndarray)
     code *= n
     code += np.maximum(col, row, out=row)
     return code
-
-
-def symbolic_factor(pattern: SparsePattern, ordering) -> tuple[frozenset[tuple[int, int]], int]:
-    """Fill positions (original row ids, strict upper triangle) and total nonzeros.
-
-    The set form of ``symbolic_fill_codes``.
-    """
-    codes, total = symbolic_fill_codes(pattern, ordering)
-    return pairs_from_codes(codes, pattern.n), total
 
 
 def fill_equivalence_check(pattern: SparsePattern, ordering) -> bool:

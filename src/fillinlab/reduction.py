@@ -44,7 +44,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _bits
-from .chordal import is_split, verify_fillin
+from .chordal import elimination_fill, is_split, verify_fillin
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
 from .graph import EdgePair, Graph, _bfs, _int_param, _vertex_ids, load_dimacs, pairs_from_codes, save_dimacs
 from .report import IneqRecord, RunReport, check, instance_descriptor
@@ -71,7 +71,7 @@ class Coloring:
     q: int
 
     def monochromatic_edge(self, graph: Graph) -> EdgePair | None:
-        for u, v in graph.iter_edges():
+        for u, v in graph.edge_list():
             if self.colors[u] == self.colors[v]:
                 return (u, v)
         return None
@@ -288,7 +288,7 @@ class ReducedInstance:
                 raise CounterexampleError(
                     f"vertex {v} has the wrong gadget adjacency pattern"
                 )
-        for u, v in self.original.iter_edges():
+        for u, v in self.original.edge_list():
             bu, bv = self.missing_block(u), self.missing_block(v)
             if int(bu[0]) == int(bv[0]):
                 raise CounterexampleError(
@@ -313,7 +313,8 @@ def _gadget(graph: Graph, block_of, nblocks: int, size: int) -> tuple[Graph, tup
         members = np.flatnonzero(block_of == c)
         rows[block] = (orig_mask & ~_bits.mask_from_indices(N, members)) | u_mask
         rows[members] |= u_mask & ~_bits.mask_from_indices(N, block)
-    _bits.clear_diagonal(rows, np.arange(n, N))
+    new = np.arange(n, N)
+    _bits.clear_bits(rows, new, new)
     return Graph.from_packed_rows(rows, N), blocks
 
 
@@ -381,14 +382,14 @@ def split_completion(inst: ReducedInstance, cover) -> frozenset[EdgePair]:
     if not is_vertex_cover(inst.original, cover):
         uncovered = next(
             (u, v)
-            for u, v in inst.original.iter_edges()
+            for u, v in inst.original.edge_list()
             if u not in cover and v not in cover
         )
         raise GraphInputError(f"not a vertex cover: edge {uncovered} is uncovered")
     clique = np.array(cover + list(range(n, N)), dtype=np.int64)
     rows = inst.graph.packed_rows().copy()
     rows[clique] |= _bits.mask_from_indices(N, clique)
-    _bits.clear_diagonal(rows, clique)
+    _bits.clear_bits(rows, clique, clique)
     completed = Graph.from_packed_rows(rows, N)
     fill = pairs_from_codes(_bits.upper_codes(rows & ~inst.graph.packed_rows(), N), N)
     g_rows = inst.original.packed_rows()
@@ -435,8 +436,6 @@ def full_vertices(
 
 def produced_fillins(inst: ReducedInstance, rng=None, random_orderings: int = 0):
     """Named fill-ins from every in-repo producer, for audit sweeps."""
-    from .chordal import elimination_fill
-
     out = {
         "min-degree": greedy_minfill_heuristic(inst.graph, "min-degree"),
         "min-fill": greedy_minfill_heuristic(inst.graph, "min-fill"),
@@ -465,7 +464,6 @@ def verify_sandwich(
         inst = reduce_primitive(graph)
     if inst.kind != "primitive":
         raise GraphInputError("the sandwich window applies to primitive instances")
-    n = graph.n
     deficit = inst.block_deficit
     report = RunReport(
         command="verify-sandwich", instance=instance_descriptor(graph)

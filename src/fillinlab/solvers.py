@@ -459,11 +459,6 @@ def greedy_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
     return order, _bits.upper_codes(rows & ~original, n)
 
 
-def greedy_ordering(graph: Graph, strategy: str) -> np.ndarray:
-    """Elimination ordering chosen by the named greedy strategy."""
-    return greedy_game(graph, strategy)[0]
-
-
 def greedy_minfill_heuristic(graph: Graph, strategy: str) -> frozenset[EdgePair]:
     """Fill-in produced by the greedy elimination game.
 

@@ -205,7 +205,7 @@ class TestEliminate:
         assert json.loads(rep.read_text())["outputs"]["fill_size"] == 10
 
     def test_ordering_is_a_json_list(self, tmp_path, graphs):
-        from fillinlab.solvers import greedy_ordering
+        from fillinlab.solvers import greedy_game
 
         src = tmp_path / "petersen.col"
         save_dimacs(graphs["petersen"], src)
@@ -213,7 +213,7 @@ class TestEliminate:
         assert run(["eliminate", str(src), "--strategy", "min-degree", "--out", str(rep)]) == 0
         with open(rep) as fh:
             ordering = json.load(fh)["outputs"]["ordering"]
-        assert ordering == greedy_ordering(graphs["petersen"], "min-degree").tolist()
+        assert ordering == greedy_game(graphs["petersen"], "min-degree")[0].tolist()
 
     @pytest.mark.parametrize("strategy", ["natural", "min-degree", "min-fill", "ordering"])
     def test_one_game_per_run(self, tmp_path, monkeypatch, strategy):
@@ -226,7 +226,7 @@ class TestEliminate:
         from fillinlab.generate import grid
         from fillinlab.matrix import pattern_from_graph, save_matrix_market
 
-        calls = {"step": 0, "clear_diagonal": 0, "greedy_game": 0, "elimination_fill_codes": 0}
+        calls = {"step": 0, "clear_bits": 0, "greedy_game": 0, "elimination_fill_codes": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -237,7 +237,7 @@ class TestEliminate:
         step = counted("step", chordal._eliminate_vertex)
         for mod in (chordal, solvers):
             monkeypatch.setattr(mod, "_eliminate_vertex", step)
-        monkeypatch.setattr(_bits, "clear_diagonal", counted("clear_diagonal", _bits.clear_diagonal))
+        monkeypatch.setattr(_bits, "clear_bits", counted("clear_bits", _bits.clear_bits))
         for name in ("greedy_game", "elimination_fill_codes"):
             monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
         k = 9
@@ -259,7 +259,7 @@ class TestEliminate:
         tail = clique_tail_brute(g.n, g.edge_list(), order)
         assert tail < k * k - 1
         assert calls["step"] == (0 if strategy == "min-fill" else tail + 1)
-        assert calls["clear_diagonal"] == 0
+        assert calls["clear_bits"] == 0
 
 
 def _digest_patterns():

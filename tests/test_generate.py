@@ -18,6 +18,12 @@ class TestGnp:
         with pytest.raises(GraphInputError):
             gnp(4, 1.5, 0)
 
+    @pytest.mark.parametrize("n", [4.0, True, "4"], ids=["float", "bool", "str"])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(GraphInputError, match="^n must be an integer"):
+            gnp(n, 0.5, 0)
+        assert gnp(np.int64(6), 0.5, 3) == gnp(6, 0.5, 3)
+
 
 class TestRegular:
     def test_degrees(self):
@@ -41,6 +47,12 @@ class TestRegular:
         with pytest.raises(GraphInputError, match=f"^{name} must be an integer"):
             random_regular(n, d, 0)
         assert random_regular(np.int64(6), np.int32(2), 5) == random_regular(6, 2, 5)
+
+    @pytest.mark.parametrize("max_tries", [2.5, True, "3"], ids=["float", "bool", "str"])
+    def test_non_integer_max_tries_rejected(self, max_tries):
+        with pytest.raises(GraphInputError, match="^max_tries must be an integer"):
+            random_regular(4, 2, 0, max_tries=max_tries)
+        assert random_regular(6, 2, 5, max_tries=np.int64(1000)) == random_regular(6, 2, 5)
 
 
 class TestShapes:

@@ -14,10 +14,8 @@ from fillinlab.graph import (
     Graph,
     _bfs,
     load_dimacs,
-    load_edge_set,
     normalize_edges,
     save_dimacs,
-    save_edge_set,
 )
 
 from .oracles import bfs_deque, edge_set, graph_from_bool_matrix, normalize_edges_sorted
@@ -264,7 +262,7 @@ def test_queries_match_plain_sets_across_word_boundaries(rng, monkeypatch, n, de
     plain = _plain_graph(rng, n, density)
     g = Graph.build(n, rng.permutation(sorted(plain)) if plain else [])
     assert g.m == len(plain)
-    assert list(g.iter_edges()) == g.edge_list() == sorted(plain)
+    assert g.edge_list() == sorted(plain)
     assert g.edge_set() == plain
     nbrs = [
         sorted({b for a, b in plain if a == u} | {a for a, b in plain if b == u}) for u in range(n)
@@ -423,68 +421,6 @@ class TestDimacs:
         path.write_text("p edge 2 0\nx 1 2\n")
         with pytest.raises(GraphInputError, match="unknown line"):
             load_dimacs(path)
-
-
-class TestEdgeSetText:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "fill.txt"
-        save_edge_set([(3, 1), (0, 2)], path)
-        assert path.read_text() == "0 2\n1 3\n"
-        assert load_edge_set(path) == {(0, 2), (1, 3)}
-
-    @pytest.mark.parametrize("bad", [2.9, True, "3"], ids=["float", "bool", "str"])
-    def test_save_rejects_non_integer_ids(self, tmp_path, bad):
-        path = tmp_path / "fill.txt"
-        with pytest.raises(GraphInputError, match="vertex ids must be integers"):
-            save_edge_set([(0, 2), (1, bad)], path)
-
-    @pytest.mark.parametrize("bad, message", [
-        ((1, 1), "self-pair 1"),
-        ((0, 1, 2), r"edge \(0, 1, 2\) is not a pair of vertex ids"),
-        ((0,), r"edge \(0,\) is not a pair of vertex ids"),
-        (5, "vertex ids must be integers"),
-    ])
-    def test_save_rejects_what_load_rejects(self, tmp_path, bad, message):
-        path = tmp_path / "fill.txt"
-        with pytest.raises(GraphInputError, match=f"^{message}"):
-            save_edge_set([(0, 2), bad], path)
-        assert not path.exists()
-
-    def test_save_load_round_trip(self, tmp_path, rng):
-        pairs = sorted(_plain_graph(rng, 20, 0.2))
-        mixed = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
-        path = tmp_path / "fill.txt"
-        save_edge_set(mixed, path)
-        assert load_edge_set(path) == set(pairs)
-        text = path.read_text()
-        save_edge_set(load_edge_set(path), path)
-        assert path.read_text() == text == "".join(f"{u} {v}\n" for u, v in pairs)
-
-    def test_save_writes_each_pair_once(self, tmp_path):
-        path = tmp_path / "fill.txt"
-        save_edge_set([(0, 1), (1, 0), (0, 1)], path)
-        assert path.read_text() == "0 1\n"
-        save_edge_set([(2, 3), (0, 1), (3, 2), (1, 0)], path)
-        text = path.read_text()
-        save_edge_set(load_edge_set(path), path)
-        assert path.read_text() == text == "0 1\n2 3\n"
-
-    def test_save_reads_numpy_ids(self, tmp_path):
-        path = tmp_path / "fill.txt"
-        save_edge_set([(np.int64(3), np.int32(1)), (np.uint8(0), 2)], path)
-        assert path.read_text() == "0 2\n1 3\n"
-
-    def test_rejects_self_pair(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("2 2\n")
-        with pytest.raises(GraphInputError):
-            load_edge_set(path)
-
-    def test_rejects_non_integer(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0 2\n1 x\n")
-        with pytest.raises(GraphInputError, match=r"bad\.txt:2: expected integers"):
-            load_edge_set(path)
 
 
 def test_upper_codes_memory_is_bounded():

@@ -20,7 +20,6 @@ from fillinlab.matrix import (
     load_matrix_market,
     pattern_from_graph,
     save_matrix_market,
-    symbolic_factor,
     symbolic_fill_codes,
     tridiagonal_pattern,
 )
@@ -152,22 +151,22 @@ class TestGraphFromPattern:
 
 class TestSymbolicFactor:
     def test_tridiagonal_natural_zero_fill(self):
-        fill, total = symbolic_factor(tridiagonal_pattern(5), range(5))
-        assert fill == frozenset()
+        fill, total = symbolic_fill_codes(tridiagonal_pattern(5), range(5))
+        assert fill.size == 0
         assert total == 2 * 4 + 5
 
     def test_arrow_center_first_dense(self):
-        fill, total = symbolic_factor(arrow_pattern(5), [0, 1, 2, 3, 4])
-        assert len(fill) == 6  # C(4,2), the eliminated hub cliques its leaves
+        fill, total = symbolic_fill_codes(arrow_pattern(5), [0, 1, 2, 3, 4])
+        assert fill.size == 6  # C(4,2), the eliminated hub cliques its leaves
         assert total == 2 * (4 + 6) + 5
 
     def test_arrow_leaves_first_zero_fill(self):
-        fill, _ = symbolic_factor(arrow_pattern(5), [1, 2, 3, 4, 0])
-        assert fill == frozenset()
+        fill, _ = symbolic_fill_codes(arrow_pattern(5), [1, 2, 3, 4, 0])
+        assert fill.size == 0
 
     def test_rejects_non_permutation(self):
         with pytest.raises(GraphInputError):
-            symbolic_factor(tridiagonal_pattern(4), [0, 1, 2])
+            symbolic_fill_codes(tridiagonal_pattern(4), [0, 1, 2])
 
     def test_rejects_non_integer_ordering(self):
         for order in ([0.5, 1.9, 2, 3], [0, 1, 2, 3.0], [True, 0, 2, 3]):
@@ -180,8 +179,8 @@ class TestSymbolicFactor:
             g = random_graph(rng, int(rng.integers(2, 9)))
             pattern = pattern_from_graph(g)
             order = rng.permutation(g.n).tolist()
-            fill, total = symbolic_factor(pattern, order)
-            assert total == 2 * (g.m + len(fill)) + g.n
+            fill, total = symbolic_fill_codes(pattern, order)
+            assert total == 2 * (g.m + fill.size) + g.n
 
 
 def random_patterns(rng, count):
@@ -249,9 +248,10 @@ class TestEliminationTreeFactor:
     def test_matches_brute_elimination(self, rng):
         for pattern in random_patterns(rng, 400):
             order = rng.permutation(pattern.n).tolist()
-            fill, total = symbolic_factor(pattern, order)
-            assert fill == elimination_fill_brute(pattern.n, positions(pattern), order)
-            assert total == 2 * (pattern.nnz_offdiag + len(fill)) + pattern.n
+            fill, total = symbolic_fill_codes(pattern, order)
+            brute = elimination_fill_brute(pattern.n, positions(pattern), order)
+            assert pairs_from_codes(fill, pattern.n) == brute
+            assert total == 2 * (pattern.nnz_offdiag + fill.size) + pattern.n
 
     def test_codes_sorted_and_match_graph_game(self, rng):
         for pattern in random_patterns(rng, 100):
@@ -259,7 +259,6 @@ class TestEliminationTreeFactor:
             order = rng.permutation(n).tolist()
             codes, _ = symbolic_fill_codes(pattern, order)
             assert codes.dtype == np.int64 and (np.diff(codes) > 0).all()
-            assert {divmod(int(c), n) for c in codes} == symbolic_factor(pattern, order)[0]
             assert np.array_equal(codes, elimination_fill_codes(graph_from_pattern(pattern), order))
 
     def test_tridiagonal_20000_rows_without_dense_matrix(self):
@@ -267,11 +266,11 @@ class TestEliminationTreeFactor:
         for order in (range(n), range(n - 1, -1, -1)):
             tracemalloc.start()
             try:
-                fill, total = symbolic_factor(tridiagonal_pattern(n), order)
+                fill, total = symbolic_fill_codes(tridiagonal_pattern(n), order)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert fill == frozenset() and total == 2 * (n - 1) + n
+            assert fill.size == 0 and total == 2 * (n - 1) + n
             # an n-by-n bool matrix would take 400 MB, and packed rows 50 MB
             assert peak < 40 * 2**20
 
@@ -331,8 +330,8 @@ class TestEquivalence:
         for _ in range(40):
             g = random_graph(rng, int(rng.integers(2, 8)))
             order = rng.permutation(g.n).tolist()
-            fill, _ = symbolic_factor(pattern_from_graph(g), order)
-            assert (fill == frozenset()) == check_peo(g, order)
+            fill, _ = symbolic_fill_codes(pattern_from_graph(g), order)
+            assert (fill.size == 0) == check_peo(g, order)
 
 
 class TestMatrixMarket:

@@ -601,7 +601,7 @@ def test_block_accounting_property(data):
 
 def is_vertex_cover_safe(graph, cover):
     cover = set(cover)
-    return all(u in cover or v in cover for u, v in graph.iter_edges())
+    return all(u in cover or v in cover for u, v in graph.edge_list())
 
 
 class TestSerialization:

@@ -20,7 +20,6 @@ from fillinlab.solvers import (
     exact_vertex_cover,
     greedy_game,
     greedy_minfill_heuristic,
-    greedy_ordering,
     is_vertex_cover,
 )
 
@@ -266,7 +265,7 @@ class TestBranchSolver:
 def _assert_min_fill_matches_full_rescan(g):
     edges = g.edge_list()
     expect = min_fill_ordering_brute(g.n, edges)
-    assert greedy_ordering(g, "min-fill").tolist() == expect
+    assert greedy_game(g, "min-fill")[0].tolist() == expect
     assert greedy_minfill_heuristic(g, "min-fill") == elimination_fill_brute(g.n, edges, expect)
 
 
@@ -299,14 +298,14 @@ class TestGreedyHeuristics:
                 assert len(greedy_minfill_heuristic(g, strategy)) >= opt
 
     def test_ordering_is_permutation(self, graphs):
-        order = greedy_ordering(graphs["petersen"], "min-degree")
+        order = greedy_game(graphs["petersen"], "min-degree")[0]
         assert sorted(order.tolist()) == list(range(10))
 
     def test_min_degree_matches_full_rescan(self, rng):
         for _ in range(60):
             g = random_graph(rng, int(rng.integers(0, 40)), float(rng.uniform(0.02, 0.5)))
             expect = min_degree_ordering_brute(g.n, g.edge_list())
-            assert greedy_ordering(g, "min-degree").tolist() == expect
+            assert greedy_game(g, "min-degree")[0].tolist() == expect
 
     def test_min_degree_matches_full_rescan_on_grids(self):
         for rows, cols in ((1, 1), (2, 3), (4, 4), (5, 7), (9, 9)):
@@ -315,7 +314,7 @@ class TestGreedyHeuristics:
             edges += [(ids[r][c], ids[r + 1][c]) for r in range(rows - 1) for c in range(cols)]
             g = Graph.build(rows * cols, edges)
             expect = min_degree_ordering_brute(g.n, edges)
-            assert greedy_ordering(g, "min-degree").tolist() == expect
+            assert greedy_game(g, "min-degree")[0].tolist() == expect
 
     def test_min_fill_matches_full_rescan(self):
         rng = np.random.default_rng(9090)
@@ -425,7 +424,7 @@ def test_minfill_ordering_digest():
     digest = hashlib.sha256()
     count = 0
     for g in _minfill_digest_corpus():
-        order = greedy_ordering(g, "min-fill")
+        order = greedy_game(g, "min-fill")[0]
         codes = sorted(u * g.n + w for u, w in greedy_minfill_heuristic(g, "min-fill"))
         digest.update(json.dumps([g.n, order.tolist(), codes]).encode())
         count += 1
