@@ -43,6 +43,7 @@ from .reduction import (
 )
 from .report import _OPS, RunReport, check, instance_descriptor
 from .solvers import (
+    GREEDY_STRATEGIES,
     exact_fillin_ordering_oracle,
     exact_vertex_cover,
     greedy_game,
@@ -477,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("problem", choices=["vc", "fillin", "fillin-heuristic"])
     p.add_argument("--budget", type=int, default=5_000_000, help="node budget (vc)")
-    p.add_argument("--strategy", choices=["min-degree", "min-fill"], default="min-fill")
+    p.add_argument("--strategy", choices=GREEDY_STRATEGIES, default="min-fill")
     common(p, "out", "timings")
     p.set_defaults(func=cmd_solve)
 
@@ -496,9 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="DIMACS graph or Matrix Market .mtx file")
     p.add_argument("--format", choices=["auto", "dimacs", "mm"], default="auto")
     p.add_argument("--ordering", help="comma-separated 0-based pivot order")
-    p.add_argument(
-        "--strategy", choices=["natural", "min-degree", "min-fill"], default="natural"
-    )
+    p.add_argument("--strategy", choices=("natural", *GREEDY_STRATEGIES), default="natural")
     common(p, "out")
     p.set_defaults(func=cmd_eliminate)
 

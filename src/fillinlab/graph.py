@@ -110,7 +110,7 @@ class Graph:
     @classmethod
     def build(cls, vertex_count: int, edges: Iterable = ()) -> "Graph":
         """Build from an edge iterable; duplicates collapse, loops are rejected."""
-        (vertex_count,) = _vertex_ids([vertex_count])
+        vertex_count = _int_param("vertex_count", vertex_count)
         if vertex_count < 0:
             raise GraphInputError("vertex_count must be nonnegative")
         rows = _bits.zero_rows(vertex_count, vertex_count)

@@ -22,13 +22,13 @@ import numpy as np
 from . import _bits
 from .chordal import _validate_permutation, elimination_fill_codes
 from .errors import GraphInputError
-from .graph import Graph, _set_edge_bits, _vertex_ids, parse_ints
+from .graph import Graph, _int_param, _set_edge_bits, _vertex_ids, parse_ints
 
 MAX_ROWS = 3_037_000_499  # isqrt(2**63 - 1): the largest n whose codes fit in int64
 
 
 def _pattern_size(n) -> int:
-    (n,) = _vertex_ids([n])
+    n = _int_param("n", n)
     if not 0 <= n <= MAX_ROWS:
         raise GraphInputError(f"pattern size must be in 0..{MAX_ROWS}, got {n}")
     return n

@@ -597,11 +597,11 @@ def load_instance(dimacs_path, sidecar_path=None) -> ReducedInstance:
     kind = side.get("reduction") if isinstance(side, dict) else None
     if kind not in ("primitive", "colored"):
         raise GraphInputError(f"{sidecar_path}: reduction must be 'primitive' or 'colored'")
-    (n,) = _vertex_ids([side.get("n")])
+    n = _int_param("n", side.get("n"))
     original, _ = H.induced_subgraph(range(n))
     b = q = coloring = None
     if kind == "colored":
-        b, q = _vertex_ids([side.get("b"), side.get("q")])
+        b, q = _int_param("b", side.get("b")), _int_param("q", side.get("q"))
         coloring = Coloring(tuple(_vertex_ids(side.get("coloring"))), q)
         coloring.validate(original)
     blocks = side.get("blocks")

@@ -4,7 +4,7 @@ These are the ground-truth generators for the whole repository: a
 branch-and-bound minimum vertex cover, an exact minimum fill-in oracle (a
 subset DP over true-twin classes, after Bodlaender, Fomin, Koster, Kratsch
 and Thilikos, ESA 2006, that reads only reachability sets of the graph), a
-hole-chord branching fill-in solver for instances with a small optimum, and
+hole-ear branching fill-in solver for instances with a small optimum, and
 the classic min-degree / min-fill elimination heuristics.
 
 Both heuristics keep exact integer scores on the packed rows: min-degree the
@@ -279,13 +279,19 @@ class BranchFillinResult:
 def exact_fillin_branch(
     graph: Graph, budget: int, node_budget: int = 200_000
 ) -> BranchFillinResult:
-    """Minimum fill-in of size at most ``budget``, by branching on hole chords.
+    """Minimum fill-in of size at most ``budget``, by branching on a hole's ear.
 
-    Any fill-in must contain a chord of every hole, so branching over the
-    l(l-3)/2 chords of one hole is exhaustive; depth is capped by the budget.
-    'found' and 'none_within_budget' mean the search finished.  A node budget
-    cut gives 'feasible_budget_exhausted' with the best fill-in so far (valid,
-    not known to be minimum), or 'exhausted' without one.
+    For a hole ``v, u, *inner, w`` of the current graph G', the l - 2 children
+    add ``uw``, then ``vx`` for each x in ``inner`` (non-edges: the hole is
+    induced).  Exhaustive: if a fill-in F of G' holds neither ``uw`` nor a
+    chord at v, a shortest u-w path P in G' + F restricted to the hole minus v
+    is induced, has two or more edges (``uw`` is not in G' + F), and v sees no
+    inner vertex of P, so v + P is a hole of the chordal G' + F.  Every fill-in
+    thus holds a child and, minus it, is a fill-in of G' + child; depth is
+    capped by the budget.  'found' and 'none_within_budget' mean the search
+    finished.  A node budget cut gives 'feasible_budget_exhausted' with the
+    best fill-in so far (valid, not known to be minimum), or 'exhausted'
+    without one.
     """
     t0 = time.perf_counter()
     nodes = 0
@@ -304,15 +310,8 @@ def exact_fillin_branch(
             return
         if remaining == 0:
             return
-        k = len(hole)
-        chords = []
-        for i in range(k):
-            for j in range(i + 2, k):
-                if i == 0 and j == k - 1:
-                    continue
-                u, v = hole[i], hole[j]
-                chords.append((u, v) if u < v else (v, u))
-        for chord in sorted(chords):
+        v, u, *inner, w = hole
+        for chord in [(min(u, w), max(u, w))] + [(min(v, x), max(v, x)) for x in inner]:
             added.append(chord)
             search(g.add_edges([chord]), added, remaining - 1)
             added.pop()

@@ -80,7 +80,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("count", [2.5, True, "3", None])
     def test_rejects_non_integer_vertex_count(self, count):
-        with pytest.raises(GraphInputError, match="vertex ids must be integers"):
+        with pytest.raises(GraphInputError, match="^vertex_count must be an integer"):
             Graph.build(count)
 
     @pytest.mark.parametrize("dump", [

@@ -61,6 +61,11 @@ class TestPattern:
         with pytest.raises(GraphInputError, match="vertex ids must be integers"):
             SparsePattern(3, [(0, 1), bad])
 
+    @pytest.mark.parametrize("size", [2.5, True, "3", None])
+    def test_rejects_non_integer_size(self, size):
+        with pytest.raises(GraphInputError, match="^n must be an integer"):
+            SparsePattern(size, [])
+
     @pytest.mark.parametrize("bad", [(0, 1, 2), (0,), ()])
     def test_rejects_non_pairs(self, bad):
         with pytest.raises(GraphInputError, match="is not a pair of vertex ids"):

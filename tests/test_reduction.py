@@ -641,17 +641,22 @@ def _load_edited(tmp_path, inst, **edits):
 
 class TestSidecarIsInput:
     def test_fractional_n_is_refused(self, tmp_path, k2_instance):
-        with pytest.raises(GraphInputError, match="integers"):
+        with pytest.raises(GraphInputError, match="^n must be an integer"):
             _load_edited(tmp_path, k2_instance, n=2.7)
 
     def test_bool_n_is_an_input_error(self, tmp_path, k2_instance):
-        with pytest.raises(GraphInputError, match="integers"):
+        with pytest.raises(GraphInputError, match="^n must be an integer"):
             _load_edited(tmp_path, k2_instance, n=True)  # not read as 1
 
     def test_colored_needs_b(self, tmp_path, graphs):
         inst = reduce_colored(graphs["prism"], 1, brooks_coloring(graphs["prism"], 3))
-        with pytest.raises(GraphInputError, match="integers"):
+        with pytest.raises(GraphInputError, match="^b must be an integer"):
             _load_edited(tmp_path, inst, b=None)
+
+    def test_colored_needs_integer_q(self, tmp_path, graphs):
+        inst = reduce_colored(graphs["prism"], 1, brooks_coloring(graphs["prism"], 3))
+        with pytest.raises(GraphInputError, match="^q must be an integer"):
+            _load_edited(tmp_path, inst, q=2.5)
 
     def test_unknown_reduction(self, tmp_path, k2_instance):
         with pytest.raises(GraphInputError, match="reduction must be"):

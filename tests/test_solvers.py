@@ -8,7 +8,7 @@ import pytest
 
 from fillinlab import _bits
 from fillinlab.chordal import elimination_fill_codes, verify_fillin
-from fillinlab.generate import gnp, grid, random_subcubic
+from fillinlab.generate import cycle, gnp, grid, random_subcubic
 from fillinlab.errors import GraphInputError, ResourceLimitError
 from fillinlab.graph import Graph
 from fillinlab.reduction import brooks_coloring, reduce_colored, reduce_primitive
@@ -238,6 +238,18 @@ class TestBranchSolver:
                 assert verify_fillin(g, res.fillin)
                 checked += 1
         assert checked >= 20
+
+    def test_nine_cycle_within_ten_thousand_nodes(self):
+        # l - 2 children per hole keep this search to 3,218 nodes
+        g = cycle(9)
+        res = exact_fillin_branch(g, 6, node_budget=10_000)
+        assert res.status == "found" and len(res.fillin) == 6
+        assert verify_fillin(g, res.fillin)
+
+    def test_eight_cycle_refuted_at_budget_four(self):
+        # C_l needs l - 3 fill edges; refuting l - 4 takes 304 nodes
+        res = exact_fillin_branch(cycle(8), 4, node_budget=1_000)
+        assert res.status == "none_within_budget" and res.fillin is None
 
     def test_node_budget_exhaustion(self, rng):
         g = random_graph(rng, 8, p=0.5)
