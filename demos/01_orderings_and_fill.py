@@ -52,9 +52,9 @@ oracle = exact_fillin_ordering_oracle(c5)
 brute = min(len(elimination_fill(c5, p)) for p in permutations(range(5)))
 branch = exact_fillin_branch(c5, budget=4)
 greedy = greedy_minfill_heuristic(c5, "min-fill")
-print(f"  ordering oracle : {len(oracle)}  {sorted(oracle)}")
-print(f"  all 5! orderings: {brute}")
-print(f"  chord branching : {len(branch.fillin)} ({branch.status}, {branch.nodes} nodes)")
-print(f"  greedy min-fill : {len(greedy)}")
+print(f"  ordering oracle   : {len(oracle)}  {sorted(oracle)}")
+print(f"  all 5! orderings  : {brute}")
+print(f"  hole-ear branching: {len(branch.fillin)} ({branch.status}, {branch.nodes} nodes)")
+print(f"  greedy min-fill   : {len(greedy)}")
 assert len(oracle) == brute == len(branch.fillin) == 2
 print("  A 5-cycle needs exactly 2 chords; all solvers agree.")

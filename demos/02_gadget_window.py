@@ -59,7 +59,7 @@ tau5 = exact_vertex_cover(g).size
 print(f"  gadget on {inst5.graph.n} vertices; tau = {tau5}, deficit = 25")
 for strategy in ("min-degree", "min-fill"):
     fill = greedy_minfill_heuristic(inst5.graph, strategy)
-    full = full_vertices(inst5, fill, check_fillin=False)
+    full = full_vertices(inst5, fill)
     print(
         f"  {strategy:>10}: |fill| = {len(fill):4d} >= "
         f"{len(full)} full vertices * 25 = {len(full) * 25:3d} >= tau*25 = {tau5 * 25}"

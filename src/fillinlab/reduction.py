@@ -19,9 +19,9 @@ That structure supports two certificate maps:
   "full" when all of its missing edges to U were added; a non-full endpoint
   pair on an edge would leave an induced 4-cycle).
 
-Both maps work on packed rows: the completion ORs the mask of C union U into
-those rows, and a vertex is full when its row in the filled gadget (read once,
-by ``verify_fillin`` or ``Graph.add_edges``) covers U.
+Both maps work on one filled gadget's packed rows, which every audit reads:
+``_completed`` ORs the mask of C union U into them, ``_filled`` reads a fill-in
+once, by ``verify_fillin``, and a vertex is full when its row covers U.
 
 The coloring and the checks share two graph queries: every component and BFS
 distance comes from ``graph._bfs``, and every clique test (a K_{d+1}
@@ -369,12 +369,10 @@ def reduce_colored(
 # -- certificate maps -------------------------------------------------------------
 
 
-def split_completion(inst: ReducedInstance, cover) -> frozenset[EdgePair]:
-    """Fill-in built from a vertex cover: complete cover-union-gadget into a clique.
-
-    Size is |C|*deficit + C(|C|,2) - |E(G[C])|, checked with |E(G[C])|
-    counted from G's rows; the completed graph is a split graph, hence chordal.
-    """
+def _completed(inst: ReducedInstance, cover) -> Graph:
+    """The gadget with cover-union-U completed into a clique: a split graph,
+    hence chordal, with |C|*deficit + C(|C|,2) - |E(G[C])| edges more than H,
+    checked with |E(G[C])| counted from G's rows."""
     cover = sorted(set(_vertex_ids(cover)))
     n, N = inst.n_original, inst.graph.n
     if any(not (0 <= v < n) for v in cover):
@@ -391,15 +389,30 @@ def split_completion(inst: ReducedInstance, cover) -> frozenset[EdgePair]:
     rows[clique] |= _bits.mask_from_indices(N, clique)
     _bits.clear_bits(rows, clique, clique)
     completed = Graph.from_packed_rows(rows, N)
-    fill = pairs_from_codes(_bits.upper_codes(rows & ~inst.graph.packed_rows(), N), N)
     g_rows = inst.original.packed_rows()
     inside = _bits.popcount_rows(g_rows[cover] & _bits.mask_from_indices(n, cover))
     expect = len(cover) * inst.block_deficit + math.comb(len(cover), 2) - int(inside.sum()) // 2
-    if len(fill) != expect:
+    if completed.m - inst.graph.m != expect:
         raise CounterexampleError("split completion size bookkeeping is wrong")
     if not is_split(completed)[0]:  # verified partition; split graphs are chordal
         raise CounterexampleError("split completion did not produce a split graph")
-    return fill
+    return completed
+
+
+def split_completion(inst: ReducedInstance, cover) -> frozenset[EdgePair]:
+    """Fill-in built from a vertex cover: the pairs ``_completed`` adds."""
+    N = inst.graph.n
+    rows = _completed(inst, cover).packed_rows() & ~inst.graph.packed_rows()
+    return pairs_from_codes(_bits.upper_codes(rows, N), N)
+
+
+def _filled(inst: ReducedInstance, fillin) -> Graph:
+    """The gadget plus a fill-in, read once by ``verify_fillin``; an invalid
+    fill-in is an input error."""
+    res = verify_fillin(inst.graph, fillin)
+    if not res:
+        raise GraphInputError(f"invalid fill-in: {res.reason} {res.detail}")
+    return res.filled
 
 
 def _full_set(inst: ReducedInstance, filled: Graph) -> frozenset[int]:
@@ -415,20 +428,9 @@ def _full_set(inst: ReducedInstance, filled: Graph) -> frozenset[int]:
     return full
 
 
-def full_vertices(
-    inst: ReducedInstance, fillin, *, check_fillin: bool = True
-) -> frozenset[int]:
-    """Original vertices whose missing edges to U all lie in the fill-in.
-
-    With ``check_fillin=False`` the fill-in is not verified, but
-    ``Graph.add_edges`` still rejects malformed pairs.
-    """
-    if check_fillin:
-        res = verify_fillin(inst.graph, fillin)
-        if not res:
-            raise GraphInputError(f"invalid fill-in: {res.reason} {res.detail}")
-        return _full_set(inst, res.filled)
-    return _full_set(inst, inst.graph.add_edges(fillin))
+def full_vertices(inst: ReducedInstance, fillin) -> frozenset[int]:
+    """Original vertices whose missing edges to U all lie in the verified fill-in."""
+    return _full_set(inst, _filled(inst, fillin))
 
 
 # -- verification harnesses ---------------------------------------------------------
@@ -477,21 +479,19 @@ def verify_sandwich(
         return report
     tau = cover_res.size
     report.outputs["tau"] = tau
-    constructed = split_completion(inst, cover_res.vertices)
-    report.outputs["constructive_upper_bound"] = len(constructed)
-    report.add(
-        check("constructed_fillin_below_window", len(constructed), (tau + 1) * deficit, "<")
-    )
+    completed = _completed(inst, cover_res.vertices)
+    ub = completed.m - inst.graph.m
+    report.outputs["constructive_upper_bound"] = ub
+    report.add(check("constructed_fillin_below_window", ub, (tau + 1) * deficit, "<"))
     fills = produced_fillins(inst, rng=rng, random_orderings=random_orderings)
-    fills["split-completion"] = constructed
-    for name, fill in sorted(fills.items()):
-        # is_split already certified the split completion; every other fill is checked here
-        full = full_vertices(inst, fill, check_fillin=name != "split-completion")
-        report.add(
-            check(f"accounting[{name}]", len(full) * deficit, len(fill), "<=")
-        )
+    filled = {name: _filled(inst, fill) for name, fill in fills.items()}
+    filled["split-completion"] = completed  # is_split already certified it
+    for name, f in sorted(filled.items()):
+        size = f.m - inst.graph.m
+        full = _full_set(inst, f)
+        report.add(check(f"accounting[{name}]", len(full) * deficit, size, "<="))
         report.add(check(f"full_set_covers[{name}]", tau, len(full), "<="))
-        report.add(check(f"window_lower[{name}]", tau * deficit, len(fill), "<="))
+        report.add(check(f"window_lower[{name}]", tau * deficit, size, "<="))
     if inst.graph.n <= SANDWICH_EXACT_MAX_VERTICES:
         phi = len(exact_fillin_ordering_oracle(inst.graph))
         report.outputs["phi_gadget"] = phi
@@ -532,16 +532,14 @@ def decision_equivalence_check(
     tau = cover_res.size
     report.outputs["tau"] = tau
     if tau <= c:
-        constructed = split_completion(inst, cover_res.vertices)
-        report.add(check("constructive_within_bound", len(constructed), bound, "<="))
+        ub = _completed(inst, cover_res.vertices).m - inst.graph.m
+        report.add(check("constructive_within_bound", ub, bound, "<="))
     if fillin is not None:
-        res = verify_fillin(inst.graph, fillin)
-        if not res:
-            raise GraphInputError(f"invalid fill-in: {res.reason} {res.detail}")
-        size = res.filled.m - inst.graph.m  # each pair once
+        filled = _filled(inst, fillin)
+        size = filled.m - inst.graph.m  # each pair once
         report.outputs["fillin_size"] = size
         if size <= bound:
-            full = _full_set(inst, res.filled)
+            full = _full_set(inst, filled)
             rec = check("extracted_cover_at_most_c", len(full), c, "<=")
             report.add(rec)
             if not rec.passed:

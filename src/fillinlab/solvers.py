@@ -45,7 +45,7 @@ import numpy as np
 from . import _bits
 from .chordal import _eliminate_vertex, elimination_fill, find_hole
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
-from .graph import EdgePair, Graph, _vertex_id, pairs_from_codes
+from .graph import EdgePair, Graph, _int_param, _vertex_id, pairs_from_codes
 
 ORACLE_CLASS_LIMIT = 16
 
@@ -291,8 +291,11 @@ def exact_fillin_branch(
     capped by the budget.  'found' and 'none_within_budget' mean the search
     finished.  A node budget cut gives 'feasible_budget_exhausted' with the
     best fill-in so far (valid, not known to be minimum), or 'exhausted'
-    without one.
+    without one.  ``budget`` must be a nonnegative integer.
     """
+    budget = _int_param("budget", budget)
+    if budget < 0:
+        raise GraphInputError(f"budget must be nonnegative, got {budget}")
     t0 = time.perf_counter()
     nodes = 0
     best: list[EdgePair] | None = None

@@ -20,7 +20,10 @@ base 0 or m(H) and ub the constructive fill-in bound.
 
 A "procedure" is any callable taking a ReducedInstance; fill-in mode expects
 an edge set that is a valid fill-in of the gadget, completion mode expects a
-chordal supergraph of the gadget.  Exact-backed and heuristic-backed
+chordal supergraph of the gadget.  Either is checked once into a filled
+gadget (a fill-in by ``reduction._filled``), the constructive bound is the
+gadget ``reduction._completed`` fills from an exact cover, and every size is
+the edges a filled gadget adds.  Exact-backed and heuristic-backed
 instantiations ship below.
 """
 
@@ -31,11 +34,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import _bits
-from .chordal import is_chordal, verify_fillin
+from .chordal import is_chordal
 from .errors import CounterexampleError, GraphInputError
 from .graph import Graph, _int_param
-from .reduction import ReducedInstance, _full_set, brooks_coloring, reduce_colored, split_completion
+from .reduction import ReducedInstance, _completed, _filled, _full_set, brooks_coloring
+from .reduction import reduce_colored, split_completion
 from .report import IneqRecord, check, instance_descriptor, _num_to_json
 from .solvers import exact_vertex_cover, greedy_minfill_heuristic
 
@@ -141,19 +144,8 @@ def audit_report(audit: RatioAudit, form: str = "text") -> str:
     return "\n".join(lines)
 
 
-def _checked_fillin(inst: ReducedInstance, edges):
-    """Fill-in mode: the procedure's edge set, verified; objective k = |F|."""
-    res = verify_fillin(inst.graph, edges)
-    if not res:
-        raise GraphInputError(
-            f"plugged procedure returned an invalid fill-in: {res.reason} {res.detail}"
-        )
-    return res.filled, 0, res.filled.m - inst.graph.m
-
-
-def _checked_completion(inst: ReducedInstance, completed):
-    """Completion mode: a chordal supergraph of the gadget; objective m + k,
-    the completed graph's own edge count."""
+def _checked_completion(inst: ReducedInstance, completed) -> Graph:
+    """Completion mode's check: a chordal supergraph of the gadget."""
     if not isinstance(completed, Graph) or completed.n != inst.graph.n:
         raise GraphInputError("completion procedure must return a graph on the gadget's vertices")
     if (inst.graph.packed_rows() & ~completed.packed_rows()).any():
@@ -161,7 +153,7 @@ def _checked_completion(inst: ReducedInstance, completed):
     ok, cert = is_chordal(completed)
     if not ok:
         raise GraphInputError(f"completion procedure output is not chordal: hole {cert.cycle}")
-    return completed, inst.graph.m, completed.m
+    return completed
 
 
 def _fillin_chain(audit: RatioAudit, n, ub, base, objective, isolated) -> None:
@@ -262,20 +254,22 @@ def _completion_chain(audit: RatioAudit, n, ub, m_h, m_completed, isolated) -> N
 
 def _transfer(graph: Graph, procedure, config: TransferConfig, mode, checked, chain):
     """The pipeline of both modes.  ``checked`` turns the procedure's output
-    into a verified filled gadget, the objective's base (0, or m(H)) and the
-    objective itself; ``chain`` adds the mode's ratio chain."""
+    into a verified filled gadget with k edges more than H; the objective is
+    k, or m(H) + k in completion mode, and ``chain`` adds the mode's ratio chain."""
     if config.mode != mode:
         raise GraphInputError(f"config mode must be {mode!r}")
     if graph.n < 1:
         raise GraphInputError("transfer needs a nonempty input graph")
     coloring = brooks_coloring(graph, config.d)  # checks the degree bound and clique-freeness
     inst = reduce_colored(graph, config.b, coloring)
-    filled, base, objective = checked(inst, procedure(inst))
-    k = int(_bits.popcount_rows(filled.packed_rows() & ~inst.graph.packed_rows()).sum()) // 2
+    filled = checked(inst, procedure(inst))
+    base = inst.graph.m if mode == "completion" else 0
+    k = filled.m - inst.graph.m
+    objective = base + k
     tau_result = exact_vertex_cover(graph)
     c_set = _full_set(inst, filled)
     tau = tau_result.size if tau_result.optimal else None
-    ub = None if tau is None else len(split_completion(inst, tau_result.vertices))
+    ub = None if tau is None else _completed(inst, tau_result.vertices).m - inst.graph.m
     n, bn, alpha = graph.n, config.b * graph.n, config.alpha
     audit = RatioAudit(
         instance=instance_descriptor(graph),
@@ -321,7 +315,7 @@ def vc_via_fillin(graph: Graph, procedure, config: TransferConfig):
     constructive bound, the full conditional chain ending in
     |C|/tau < (1+eps/3)(1+eps/2) <= 1+eps.
     """
-    return _transfer(graph, procedure, config, "fillin", _checked_fillin, _fillin_chain)
+    return _transfer(graph, procedure, config, "fillin", _filled, _fillin_chain)
 
 
 def vc_via_completion(graph: Graph, procedure, config: TransferConfig):
@@ -356,7 +350,8 @@ def heuristic_backed_fillin(strategy: str = "min-fill"):
 
 
 def exact_backed_completion(inst: ReducedInstance) -> Graph:
-    return inst.graph.add_edges(exact_backed_fillin(inst))
+    """The split completion from an exact cover of the original graph."""
+    return _completed(inst, exact_vertex_cover(inst.original).vertices)
 
 
 def heuristic_backed_completion(strategy: str = "min-fill"):

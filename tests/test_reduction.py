@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -442,16 +443,14 @@ class TestFullVertices:
         inst = reduce_primitive(Graph.build(2))
         assert full_vertices(inst, frozenset()) == frozenset()
 
-    def test_invalid_fill_rejected(self, k2_instance):
-        with pytest.raises(GraphInputError, match="invalid fill-in"):
-            full_vertices(k2_instance, {(0, 1)})  # already an edge
-
-    def test_unchecked_fill_still_rejects_malformed_pairs(self, k2_instance):
-        full = full_vertices(k2_instance, split_completion(k2_instance, {0}), check_fillin=False)
-        assert full == {0}
-        for bad in ([(0, 2.0)], [(0, 10)], [(3, 3)], [(True, 2)]):
-            with pytest.raises(GraphInputError):
-                full_vertices(k2_instance, bad, check_fillin=False)
+    @pytest.mark.parametrize(
+        "bad",
+        [{(0, 1)}, [(0, 2.0)], [(0, 10)], [(3, 3)], [(True, 2)]],
+        ids=["edge", "float", "out_of_range", "self_loop", "bool"],
+    )
+    def test_invalid_fill_rejected(self, k2_instance, bad):
+        with pytest.raises(GraphInputError, match="^invalid fill-in"):
+            full_vertices(k2_instance, bad)
 
     def test_accounting_inequality(self, rng):
         from fillinlab.chordal import elimination_fill
@@ -594,7 +593,7 @@ def test_block_accounting_property(data):
     from fillinlab.chordal import elimination_fill
 
     fill = elimination_fill(inst.graph, order)
-    full = full_vertices(inst, fill, check_fillin=False)
+    full = full_vertices(inst, fill)
     assert len(fill) >= inst.block_deficit * len(full)
     assert is_vertex_cover_safe(inst.original, full)
 
@@ -820,22 +819,42 @@ def test_certificate_maps_match_set_oracles():
             noisy = _noisy(rng, fill)
             assert full_vertices(inst, fill) == want
             assert full_vertices(inst, noisy) == want
-            assert full_vertices(inst, noisy, check_fillin=False) == want
             if inst.kind == "primitive":  # the decision threshold is stated for n^2 blocks
                 rep = decision_equivalence_check(inst.original, len(tau_cover), noisy, inst)
                 assert rep.outputs["fillin_size"] == len(fill)
 
 
 def test_sandwich_checks_each_fill_once(monkeypatch):
-    """verify_sandwich runs one chordality scan per produced fill-in and none
-    for the split completion, which is_split already certified."""
-    from fillinlab import chordal
+    """verify_sandwich runs one chordality scan and reads the pairs once per
+    produced fill-in, and does neither for the split completion, which
+    is_split already certified; no audit rebuilds a filled gadget from pairs."""
+    from fillinlab import chordal, graph
+    from fillinlab.generate import cycle
+    from fillinlab.transfer import TransferConfig, exact_backed_completion, vc_via_completion
 
-    scans = []
-    scan = chordal._mcs_scan
+    scans, reads, rebuilds = [], [], []
+    scan, normalize, add_edges = chordal._mcs_scan, graph.normalize_edges, Graph.add_edges
     monkeypatch.setattr(chordal, "_mcs_scan", lambda g: scans.append(g.n) or scan(g))
+
+    def counted(vertex_count, edges):
+        reads.append(vertex_count)
+        return normalize(vertex_count, edges)
+
+    monkeypatch.setattr(graph, "normalize_edges", counted)
+    monkeypatch.setattr(chordal, "normalize_edges", counted)
+    monkeypatch.setattr(Graph, "add_edges", lambda g, e: rebuilds.append(g.n) or add_edges(g, e))
     for g in (Graph.build(2, [(0, 1)]), Graph.build(4, [(0, 1), (1, 2), (2, 3)])):
+        inst = reduce_primitive(g)
         scans.clear()
-        rep = verify_sandwich(g, rng=np.random.default_rng(3), random_orderings=1)
+        reads.clear()
+        rep = verify_sandwich(g, inst, rng=np.random.default_rng(3), random_orderings=1)
         assert rep.passed
-        assert scans == [g.n**3 + g.n] * 3  # min-degree, min-fill, random-order-0
+        assert scans == [inst.graph.n] * 3  # min-degree, min-fill, random-order-0
+        assert reads == [inst.graph.n] * 3
+        assert rebuilds == []
+    c6 = cycle(6)
+    reads.clear()
+    config = TransferConfig(epsilon=Fraction(1, 2), mode="completion")
+    cover, audit = vc_via_completion(c6, exact_backed_completion, config)
+    assert audit.passed and len(cover) == audit.tau == 3
+    assert reads == [] and rebuilds == []

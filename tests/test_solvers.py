@@ -251,6 +251,16 @@ class TestBranchSolver:
         res = exact_fillin_branch(cycle(8), 4, node_budget=1_000)
         assert res.status == "none_within_budget" and res.fillin is None
 
+    @pytest.mark.parametrize(
+        "budget, match",
+        [(-1, "nonnegative"), (2.5, "an integer"), (True, "an integer"), ("3", "an integer")],
+        ids=["negative", "fraction", "bool", "string"],
+    )
+    def test_budget_must_be_a_nonnegative_integer(self, graphs, budget, match):
+        # a negative or fractional budget never meets the depth cap
+        with pytest.raises(GraphInputError, match=f"^budget must be {match}"):
+            exact_fillin_branch(graphs["c6"], budget)
+
     def test_node_budget_exhaustion(self, rng):
         g = random_graph(rng, 8, p=0.5)
         res = exact_fillin_branch(g, 8, node_budget=1)

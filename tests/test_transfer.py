@@ -2,10 +2,12 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fillinlab
 from fillinlab.chordal import elimination_fill
 from fillinlab.errors import GraphInputError
 from fillinlab.graph import Graph
@@ -308,3 +310,16 @@ def test_audit_report_identity_digest():
                     count += 1
     assert count == 2 * 2 * 6 * 2
     assert digest.hexdigest() == AUDIT_DIGEST
+
+
+def test_audits_read_one_filled_gadget():
+    """Certificates reach the transfer as filled gadgets: ``transfer`` neither
+    verifies pairs nor counts bits itself, ``reduction`` never rebuilds a
+    filled gadget from pairs, and one function raises on an invalid fill-in."""
+    package = Path(fillinlab.__file__).parent
+    transfer_src = (package / "transfer.py").read_text()
+    reduction_src = (package / "reduction.py").read_text()
+    assert [t for t in ("_bits", "verify_fillin") if t in transfer_src] == []
+    assert ".add_edges(" not in reduction_src
+    raisers = [p.name for p in sorted(package.glob("*.py")) if '"invalid fill-in' in p.read_text()]
+    assert raisers == ["reduction.py"] and reduction_src.count('"invalid fill-in') == 1
