@@ -15,6 +15,19 @@ tests; it and ``is_split`` test cliques with ``_bits.is_clique``.  Vertex ids
 are read by ``graph._vertex_id`` alone, and ``verify_fillin`` hands the
 filled graph on in ``FillinCheck.filled``.
 
+A check that needs only the hole, never the PEO (``verify_fillin`` and
+``transfer``'s completion check, through ``_hole_or_none``), may decide on
+the true-twin quotient: G restricted to one member of each class of
+``graph.twin_classes``.  G is chordal iff its quotient is.  The quotient is
+an induced subgraph, and chordality is hereditary.  Conversely, G is the
+quotient plus true twins added one at a time, and adding a true twin t of a
+vertex s (N[t] = N[s]) keeps a graph chordal.  A hole through t but not s
+becomes a hole through s when s replaces t, since on the cycle s sees
+exactly t's two neighbors.  A hole through both has st as a cycle edge (st
+is an edge, and a hole has no chord), and then s is adjacent to t's other
+cycle neighbor, a chord.  A non-chordal quotient sends the check back to
+``is_chordal`` on G, so the hole is the one that G alone gives.
+
 The elimination game stops at its clique tail.  A step whose vertex v is
 adjacent to every other alive vertex makes the alive vertices a clique
 (it ORs them all into each other's rows), and a vertex of a clique has a
@@ -30,7 +43,17 @@ import numpy as np
 
 from . import _bits
 from .errors import CounterexampleError, GraphInputError
-from .graph import EdgePair, Graph, _bfs, _set_edge_bits, _vertex_ids, normalize_edges, pairs_from_codes
+from .graph import (
+    EdgePair,
+    Graph,
+    _bfs,
+    _induced_rows,
+    _set_edge_bits,
+    _vertex_ids,
+    normalize_edges,
+    pairs_from_codes,
+    twin_classes,
+)
 
 
 @dataclass(frozen=True)
@@ -219,6 +242,27 @@ def is_chordal(graph: Graph) -> tuple[bool, Certificate]:
     return False, HoleCertificate(_hole(graph, viol))
 
 
+def _hole_or_none(graph: Graph):
+    """``is_chordal``'s hole of the graph, or None when it is chordal.
+
+    A graph whose rows span more than one word and whose true-twin quotient
+    has at most half its vertices is first scanned on that quotient, which
+    decides chordality (module docstring).  Either guard failing, or the
+    quotient failing, leaves one ``is_chordal`` call on the graph itself.
+    Below two words the quotient costs about what it saves, and with more
+    classes a rejected graph would pay for two scans.
+    """
+    rows = graph.packed_rows()
+    if rows.shape[1] > 1:
+        reps = twin_classes(rows)[0]
+        if 2 * reps.size <= graph.n:
+            quotient = Graph._adopt(_induced_rows(rows, reps))
+            if _mcs_scan(quotient)[1] is None:
+                return None
+    ok, cert = is_chordal(graph)
+    return None if ok else cert.cycle
+
+
 # -- split graphs --------------------------------------------------------------
 
 
@@ -330,7 +374,8 @@ def verify_fillin(graph: Graph, fillin) -> FillinCheck:
     The pairs are read once, by ``normalize_edges`` (``invalid_pair``, with its
     message); one bit test over that array finds the first that is already an
     edge (``pair_is_edge``, as ``(min, max)``); the same array fills the graph,
-    and one chordality test on it decides ``not_chordal``, with a hole.
+    and one chordality test on it, on the true-twin quotient when that is
+    small (``_hole_or_none``), decides ``not_chordal``, with ``is_chordal``'s hole.
     """
     try:
         pairs = normalize_edges(graph.n, fillin)
@@ -342,7 +387,7 @@ def verify_fillin(graph: Graph, fillin) -> FillinCheck:
     rows = graph.packed_rows().copy()
     _set_edge_bits(rows, pairs)
     filled = Graph._adopt(rows)
-    ok, cert = is_chordal(filled)
-    if not ok:
-        return FillinCheck(False, "not_chordal", cert.cycle)
+    hole = _hole_or_none(filled)
+    if hole is not None:
+        return FillinCheck(False, "not_chordal", hole)
     return FillinCheck(True, filled=filled)

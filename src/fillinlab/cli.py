@@ -534,7 +534,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_CHECK_FAILED
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that cannot be opened as asked: missing, a directory, ...
+        if exc.filename is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

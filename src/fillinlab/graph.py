@@ -186,11 +186,7 @@ class Graph:
         keep = np.unique(np.array(_vertex_ids(vertices), dtype=np.int64))
         if keep.size and (keep[0] < 0 or keep[-1] >= self.n):
             raise GraphInputError("subset vertex out of range")
-        rows = _bits.zero_rows(keep.size, keep.size)
-        for block in _bits.blocks(keep.size, self.n):
-            unpacked = _bits.unpack(self._rows[keep[block]], self.n)
-            rows[block] = _bits.pack(unpacked[:, keep])
-        return Graph._adopt(rows), keep
+        return Graph._adopt(_induced_rows(self._rows, keep)), keep
 
     # -- misc ----------------------------------------------------------------
 
@@ -211,6 +207,48 @@ class Graph:
         pairs = np.column_stack(np.divmod(codes, self.n)).ravel().tolist()
         text = "%d %d\n" * codes.size % tuple(pairs)  # one format call for all lines
         return hashlib.sha256(f"{self.n}\n{text}".encode()).hexdigest()
+
+
+def _induced_rows(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Packed rows of the subgraph induced on ``keep``, an ascending int64 array
+    of valid ids, renumbered 0..k-1; unpacked one ``_bits.blocks`` slice at a time."""
+    n = rows.shape[0]
+    out = _bits.zero_rows(keep.size, keep.size)
+    for block in _bits.blocks(keep.size, n):
+        out[block] = _bits.pack(_bits.unpack(rows[keep[block]], n)[:, keep])
+    return out
+
+
+# -- true twins ---------------------------------------------------------------
+
+
+def twin_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of true twins (vertices with equal closed neighborhoods) of a
+    graph's packed adjacency rows.
+
+    Returns ``(reps, cls)`` as int64 arrays: the smallest member of each
+    class, ascending, and for each vertex the index in ``reps`` of its class.
+    Each closed row is read as one fixed-width byte string (``np.void``), so
+    one stable argsort puts every class in one run, members ascending, and the
+    first of each run is the smallest member of every vertex in it; the
+    vertices that are their own smallest member are the representatives.
+    This is the one routine in the package that groups twins.
+    """
+    n = rows.shape[0]
+    if n == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    closed = rows.copy()
+    _bits.set_diagonal(closed)
+    keys = closed.view(np.dtype((np.void, closed.itemsize * closed.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    starts[1:] = ranked[1:] != ranked[:-1]
+    smallest = np.empty(n, dtype=np.int64)
+    smallest[order] = order[starts][np.cumsum(starts) - 1]
+    reps = np.flatnonzero(smallest == np.arange(n))
+    return reps, np.searchsorted(reps, smallest)
 
 
 # -- traversal --------------------------------------------------------------
@@ -250,6 +288,15 @@ def parse_ints(tokens, where: str) -> list[int]:
         raise GraphInputError(f"{where}: expected integers, got {' '.join(tokens)!r}") from None
 
 
+def text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; any other bytes are a GraphInputError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise GraphInputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def dimacs_text(graph: Graph, comments: Iterable[str] = ()) -> str:
     """`c` comment lines, then `p edge n m`, then `e u v` lines with 1-based ids."""
     lines = [f"c {c}\n" for c in comments]
@@ -268,27 +315,26 @@ def load_dimacs(path) -> Graph:
     n = None
     declared = None
     edges = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            parts = line.split()
-            if parts[0] == "p":
-                if n is not None:
-                    raise GraphInputError(f"{path}:{lineno}: duplicate problem line")
-                if len(parts) != 4 or parts[1] != "edge":
-                    raise GraphInputError(f"{path}:{lineno}: expected 'p edge <n> <m>'")
-                n, declared = parse_ints(parts[2:], f"{path}:{lineno}")
-            elif parts[0] == "e":
-                if n is None:
-                    raise GraphInputError(f"{path}:{lineno}: edge before problem line")
-                if len(parts) != 3:
-                    raise GraphInputError(f"{path}:{lineno}: expected 'e <u> <v>'")
-                u, v = parse_ints(parts[1:], f"{path}:{lineno}")
-                edges.append((u - 1, v - 1))
-            else:
-                raise GraphInputError(f"{path}:{lineno}: unknown line type {parts[0]!r}")
+    for lineno, raw in enumerate(text_lines(path), 1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] == "p":
+            if n is not None:
+                raise GraphInputError(f"{path}:{lineno}: duplicate problem line")
+            if len(parts) != 4 or parts[1] != "edge":
+                raise GraphInputError(f"{path}:{lineno}: expected 'p edge <n> <m>'")
+            n, declared = parse_ints(parts[2:], f"{path}:{lineno}")
+        elif parts[0] == "e":
+            if n is None:
+                raise GraphInputError(f"{path}:{lineno}: edge before problem line")
+            if len(parts) != 3:
+                raise GraphInputError(f"{path}:{lineno}: expected 'e <u> <v>'")
+            u, v = parse_ints(parts[1:], f"{path}:{lineno}")
+            edges.append((u - 1, v - 1))
+        else:
+            raise GraphInputError(f"{path}:{lineno}: unknown line type {parts[0]!r}")
     if n is None:
         raise GraphInputError(f"{path}: missing problem line")
     if len(edges) != declared:

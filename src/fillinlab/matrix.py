@@ -22,7 +22,7 @@ import numpy as np
 from . import _bits
 from .chordal import _validate_permutation, elimination_fill_codes
 from .errors import GraphInputError
-from .graph import Graph, _int_param, _set_edge_bits, _vertex_ids, parse_ints
+from .graph import Graph, _int_param, _set_edge_bits, _vertex_ids, parse_ints, text_lines
 
 MAX_ROWS = 3_037_000_499  # isqrt(2**63 - 1): the largest n whose codes fit in int64
 
@@ -196,18 +196,18 @@ def load_matrix_market(path) -> SparsePattern:
     ignored; indices are 1-based on disk.  Errors come in file order, the
     entry count checked between malformed and out-of-range entries.
     """
-    with open(path) as fh:
-        parts = fh.readline().split()
-        if len(parts) != 5 or parts[0] != "%%MatrixMarket":
-            raise GraphInputError(f"{path}: missing %%MatrixMarket header")
-        _, obj, fmt, field, symmetry = (p.lower() for p in parts)
-        if obj != "matrix" or fmt != "coordinate":
-            raise GraphInputError(f"{path}: only 'matrix coordinate' files are supported")
-        if field not in _WIDTHS:
-            raise GraphInputError(f"{path}: unknown field {field!r}")
-        if symmetry != "symmetric":
-            raise GraphInputError(f"{path}: symmetry must be 'symmetric', got {symmetry!r}")
-        lines = [(k, s) for k, raw in enumerate(fh, 2) if (s := raw.strip()) and s[0] != "%"]
+    header, *rest = text_lines(path) or [""]
+    parts = header.split()
+    if len(parts) != 5 or parts[0] != "%%MatrixMarket":
+        raise GraphInputError(f"{path}: missing %%MatrixMarket header")
+    _, obj, fmt, field, symmetry = (p.lower() for p in parts)
+    if obj != "matrix" or fmt != "coordinate":
+        raise GraphInputError(f"{path}: only 'matrix coordinate' files are supported")
+    if field not in _WIDTHS:
+        raise GraphInputError(f"{path}: unknown field {field!r}")
+    if symmetry != "symmetric":
+        raise GraphInputError(f"{path}: symmetry must be 'symmetric', got {symmetry!r}")
+    lines = [(k, s) for k, raw in enumerate(rest, 2) if (s := raw.strip()) and s[0] != "%"]
     if not lines:
         raise GraphInputError(f"{path}: missing size line")
     (lineno, size_line), body = lines[0], lines[1:]

@@ -19,6 +19,8 @@ package's earlier symbolic factorization, one ``np.unique`` merge per column,
 kept as the reference for the bitset columns.  ``check_hole_pairs`` and
 ``is_vertex_cover_pairs`` are the package's earlier certificate checkers, a
 loop over every pair of cycle members and a walk over the edge list.
+``twin_classes_brute`` groups vertices by their closed neighborhoods as
+frozensets in a dict.
 """
 
 import operator
@@ -320,6 +322,21 @@ def mcs_scan_brute(n, edges):
         for w in adj[v]:
             weight[w] += 1
     return sorted(when, key=when.__getitem__), violation
+
+
+def twin_classes_brute(n, edges):
+    """True-twin classes from closed neighborhoods kept as frozensets: the
+    smallest member of each class, ascending, and each vertex's class index."""
+    closed = {v: {v} for v in range(n)}
+    for u, v in edges:
+        closed[u].add(v)
+        closed[v].add(u)
+    first = {}  # closed neighborhood -> smallest vertex that has it
+    for v in range(n):
+        first.setdefault(frozenset(closed[v]), v)
+    reps = sorted(first.values())
+    index = {r: i for i, r in enumerate(reps)}
+    return reps, [index[first[frozenset(closed[v])]] for v in range(n)]
 
 
 def min_degree_ordering_brute(n, edges):

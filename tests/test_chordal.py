@@ -21,7 +21,9 @@ from fillinlab.chordal import (
     verify_fillin,
 )
 from fillinlab.errors import GraphInputError
-from fillinlab.graph import Graph
+from fillinlab.generate import gnp, random_subcubic
+from fillinlab.graph import Graph, twin_classes
+from fillinlab.reduction import brooks_coloring, produced_fillins, reduce_colored, reduce_primitive
 
 from .conftest import random_graph
 from .oracles import (
@@ -342,6 +344,81 @@ class TestVerifyFillin:
         assert res and res.filled == graphs["c4"].add_edges([(0, 2)])
         res = verify_fillin(graphs["c4"], ((a, b) for a, b in [(0, 2), (1, 0)]))
         assert not res and res.reason == "pair_is_edge" and res.detail == (0, 1)
+
+
+def _blown_up_cycle(length, t):
+    """C_l[t]: each vertex of the l-cycle becomes a clique of t true twins,
+    joined to every twin of its two cycle neighbours; the quotient is C_l."""
+    blocks = [range(i * t, (i + 1) * t) for i in range(length)]
+    edges = [e for b in blocks for e in combinations(b, 2)]
+    edges += [(u, v) for i in range(length) for u in blocks[i] for v in blocks[i - 1]]
+    return Graph.build(length * t, edges), blocks
+
+
+class TestFillinOnTheTwinQuotient:
+    """Above one word per row, ``verify_fillin`` may decide on the true-twin
+    quotient; its verdict and hole must be ``is_chordal``'s on the filled graph."""
+
+    @staticmethod
+    def _agrees(graph, fill, monkeypatch):
+        """Checks ``verify_fillin`` against ``is_chordal``; returns the verdict, the
+        size of every MCS scan the check ran, and the filled graph's class count."""
+        from fillinlab import chordal
+
+        scans = []
+        scan = chordal._mcs_scan
+        with monkeypatch.context() as m:
+            m.setattr(chordal, "_mcs_scan", lambda g: scans.append(g.n) or scan(g))
+            res = verify_fillin(graph, fill)
+        filled = graph.add_edges(fill)
+        ok, cert = is_chordal(filled)
+        assert bool(res) == ok
+        if ok:
+            assert res.filled == filled
+        else:
+            assert res.reason == "not_chordal" and res.detail == cert.cycle
+        return ok, scans, twin_classes(filled.packed_rows())[0].size
+
+    @pytest.mark.parametrize("length, t", [(4, 17), (5, 13), (6, 11), (8, 9), (11, 7)])
+    def test_blown_up_cycles(self, monkeypatch, length, t):
+        g, blocks = _blown_up_cycle(length, t)
+        assert g.n > 64
+        fan = [(u, v) for j in range(2, length - 1) for u in blocks[0] for v in blocks[j]]
+        ok, scans, k = self._agrees(g, fan, monkeypatch)
+        assert ok and scans == [k] and 2 * k <= g.n  # the quotient alone decides
+        short = [(u, v) for u, v in fan if v not in blocks[length - 2]]  # leaves a 4-hole
+        ok, scans, k = self._agrees(g, short, monkeypatch)
+        assert not ok and scans == [k, g.n]  # the quotient fails: is_chordal scans the graph
+
+    def test_false_twins_stay_apart(self, monkeypatch):
+        """C_4 with each vertex blown up into 17 pairwise non-adjacent twins is
+        K_{34,34}: each side's vertices share their open rows, so grouping by
+        open rows would leave one edge, a chordal quotient.  No two of them
+        share a closed row, so the graph itself is scanned."""
+        g = Graph.build(68, [(u, v) for u in range(0, 68, 2) for v in range(1, 68, 2)])
+        ok, scans, k = self._agrees(g, [], monkeypatch)
+        assert not ok and k == 68 and scans == [68]
+        g, _ = _blown_up_cycle(4, 17)  # the same with cliques: one class per side of the hole
+        ok, scans, k = self._agrees(g, [], monkeypatch)
+        assert not ok and k == 4 and scans == [4, g.n]
+
+    def test_gadget_fills(self, monkeypatch):
+        """Min-degree, min-fill and random-order fills of primitive and colored
+        gadgets above 64 vertices, whole and with every other pair dropped."""
+        rng = np.random.default_rng(2301)
+        gadgets = [reduce_primitive(gnp(n, 0.5, rng)) for n in (4, 5)]
+        for n in (12, 16):
+            g = random_subcubic(n, rng)
+            gadgets.append(reduce_colored(g, 2, brooks_coloring(g, 3)))
+        for inst in gadgets:
+            n = inst.graph.n
+            assert n > 64
+            for fill in produced_fillins(inst, rng=rng, random_orderings=2).values():
+                pairs = sorted(fill)
+                ok, scans, k = self._agrees(inst.graph, pairs, monkeypatch)
+                assert ok and scans == [k] and 2 * k <= n
+                ok, scans, k = self._agrees(inst.graph, pairs[::2], monkeypatch)
+                assert scans == ([k] if ok else [k, n])
 
 
 class TestVertexIdRule:

@@ -360,6 +360,37 @@ class TestErrors:
     def test_missing_file(self):
         assert run(["solve", "/nonexistent.col", "vc"]) == cli.EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["solve", "{}", "vc"],
+            ["reduce", "{}", "--mode", "primitive", "--graph-out", "{}/g.col"],
+            ["eliminate", "{}"],
+            ["report", "{}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_directory_input_exit_2(self, tmp_path, capsys, command):
+        assert run([arg.format(tmp_path) for arg in command]) == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    @pytest.mark.parametrize(
+        "name, command",
+        [
+            ("bad.col", ["solve", "{}", "vc"]),
+            ("bad.col", ["reduce", "{}", "--mode", "primitive", "--graph-out", "{}.out"]),
+            ("bad.col", ["eliminate", "{}"]),
+            ("bad.mtx", ["eliminate", "{}"]),
+        ],
+        ids=["solve", "reduce", "eliminate-dimacs", "eliminate-mm"],
+    )
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys, name, command):
+        bad = tmp_path / name
+        bad.write_bytes(b"p edge 2 1\ne 1 2\nc caf\xe9\n")
+        assert run([arg.format(bad) for arg in command]) == cli.EXIT_BAD_INPUT
+        assert f"error: {bad}: not UTF-8 text" in capsys.readouterr().err
+
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.col"
         bad.write_text("hello world\n")

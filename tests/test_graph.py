@@ -1,24 +1,37 @@
 import copy
 import math
 import pickle
+import re
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fillinlab
 from fillinlab import _bits
 from fillinlab.errors import GraphInputError
+from fillinlab.generate import gnp, random_subcubic
 from fillinlab.graph import (
     Graph,
     _bfs,
     load_dimacs,
     normalize_edges,
     save_dimacs,
+    twin_classes,
 )
+from fillinlab.reduction import brooks_coloring, reduce_colored, reduce_primitive
+from fillinlab.solvers import greedy_minfill_heuristic
 
-from .oracles import bfs_deque, edge_set, graph_from_bool_matrix, normalize_edges_sorted
+from .oracles import (
+    bfs_deque,
+    edge_set,
+    graph_from_bool_matrix,
+    normalize_edges_sorted,
+    twin_classes_brute,
+)
 
 
 def small_graphs():
@@ -448,3 +461,93 @@ def test_content_hash_is_stable(graphs):
     b = Graph.build(4, [(3, 0), (2, 3), (1, 2), (0, 1)]).content_hash()
     assert a == b
     assert a != graphs["k4"].content_hash()
+
+
+# -- true twins -----------------------------------------------------------------
+
+
+def _blown_up(rng, n):
+    """A seeded G(m, p) with each vertex blown up into a clique of 1..4 true
+    twins, n vertices in all, under shuffled labels."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(int(rng.integers(1, 5)), n - sum(sizes)))
+    base = gnp(len(sizes), float(rng.uniform(0.2, 0.8)), rng)
+    owner = np.repeat(np.arange(len(sizes)), sizes).tolist()
+    label = rng.permutation(n).tolist()
+    return Graph.build(
+        n,
+        [
+            (label[i], label[j])
+            for i, j in combinations(range(n), 2)
+            if owner[i] == owner[j] or base.has_edge(owner[i], owner[j])
+        ],
+    )
+
+
+def _twin_corpus():
+    """Edgeless graphs, cliques, G(n, p) and twin blow-ups across the word
+    boundary, then primitive and colored gadgets, bare and min-fill filled."""
+    rng = np.random.default_rng(2323)
+    for n in (0, 1, 63, 64, 65, 129):
+        yield Graph.build(n)
+        yield Graph.build(n, combinations(range(n), 2))
+        yield gnp(n, float(rng.uniform(0.1, 0.9)), rng)
+        yield _blown_up(rng, n)
+    for n in (3, 4, 5):
+        g = random_subcubic(3 * n, rng)
+        primitive = reduce_primitive(gnp(n, float(rng.uniform(0.2, 0.8)), rng)).graph
+        for gadget in (primitive, reduce_colored(g, 2, brooks_coloring(g, 3)).graph):
+            yield gadget
+            yield gadget.add_edges(greedy_minfill_heuristic(gadget, "min-fill"))
+
+
+def test_twin_classes_match_dict_of_sets():
+    for g in _twin_corpus():
+        reps, cls = twin_classes(g.packed_rows())
+        assert reps.dtype == cls.dtype == np.int64
+        assert (reps.tolist(), cls.tolist()) == twin_classes_brute(g.n, g.edge_list())
+
+
+def test_twin_classes_match_unique_closed_rows():
+    """The same partition as ``np.unique`` over the closed rows, each vertex
+    mapped to its class's smallest member."""
+    for g in _twin_corpus():
+        reps, cls = twin_classes(g.packed_rows())
+        if g.n == 0:
+            assert reps.size == cls.size == 0
+            continue
+        closed = g.packed_rows().copy()
+        _bits.set_diagonal(closed)
+        _, first, inverse = np.unique(closed, axis=0, return_index=True, return_inverse=True)
+        assert reps.tolist() == sorted(first.tolist())
+        assert reps[cls].tolist() == first[inverse.ravel()].tolist()
+
+
+def test_twin_classes_of_a_clique_and_of_open_twins():
+    """K_n is one class; the 4-cycle's opposite vertices share open rows but
+    are not true twins."""
+    reps, cls = twin_classes(Graph.build(70, combinations(range(70), 2)).packed_rows())
+    assert reps.tolist() == [0] and cls.tolist() == [0] * 70
+    reps, cls = twin_classes(Graph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).packed_rows())
+    assert reps.tolist() == [0, 1, 2, 3] and cls.tolist() == [0, 1, 2, 3]
+
+
+#: Code that groups twins: ``np.unique`` over rows, or a sort of closed rows.
+TWIN_GROUPING = (
+    r"np\.unique\([^)]*axis\s*=\s*0",
+    r"np\.void",
+    r"sort\(\s*closed",
+)
+
+
+def test_only_graph_groups_twins():
+    package = Path(fillinlab.__file__).parent
+    offenders = [
+        f"{path.name}: {pattern!r}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "graph.py"
+        for pattern in TWIN_GROUPING
+        if re.search(pattern, path.read_text())
+    ]
+    assert not offenders

@@ -827,9 +827,12 @@ def test_certificate_maps_match_set_oracles():
 def test_sandwich_checks_each_fill_once(monkeypatch):
     """verify_sandwich runs one chordality scan and reads the pairs once per
     produced fill-in, and does neither for the split completion, which
-    is_split already certified; no audit rebuilds a filled gadget from pairs."""
+    is_split already certified; no audit rebuilds a filled gadget from pairs.
+    A gadget above 64 vertices is scanned on the filled graph's true-twin
+    quotient, one vertex per class."""
     from fillinlab import chordal, graph
     from fillinlab.generate import cycle
+    from fillinlab.reduction import produced_fillins
     from fillinlab.transfer import TransferConfig, exact_backed_completion, vc_via_completion
 
     scans, reads, rebuilds = [], [], []
@@ -845,11 +848,15 @@ def test_sandwich_checks_each_fill_once(monkeypatch):
     monkeypatch.setattr(Graph, "add_edges", lambda g, e: rebuilds.append(g.n) or add_edges(g, e))
     for g in (Graph.build(2, [(0, 1)]), Graph.build(4, [(0, 1), (1, 2), (2, 3)])):
         inst = reduce_primitive(g)
+        fills = produced_fillins(inst, rng=np.random.default_rng(3), random_orderings=1)
+        filled = [add_edges(inst.graph, f).packed_rows() for f in fills.values()]
+        classes = [graph.twin_classes(rows)[0].size for rows in filled]
         scans.clear()
         reads.clear()
         rep = verify_sandwich(g, inst, rng=np.random.default_rng(3), random_orderings=1)
         assert rep.passed
-        assert scans == [inst.graph.n] * 3  # min-degree, min-fill, random-order-0
+        # min-degree, min-fill, random-order-0
+        assert scans == (classes if inst.graph.n > 64 else [inst.graph.n] * 3)
         assert reads == [inst.graph.n] * 3
         assert rebuilds == []
     c6 = cycle(6)

@@ -157,6 +157,22 @@ class TestCompletionPipeline:
         with pytest.raises(GraphInputError, match="not chordal"):
             vc_via_completion(graphs["c6"], lambda inst: inst.graph, cfg)
 
+    def test_non_chordal_output_names_is_chordals_hole(self):
+        """The 14-cycle's gadget has 70 vertices in 16 twin classes, so the
+        check scans the quotient first; the message still names the hole
+        that ``is_chordal`` finds in the whole output."""
+        from fillinlab.chordal import is_chordal
+        from fillinlab.generate import cycle
+        from fillinlab.graph import twin_classes
+
+        outputs = []
+        cfg = TransferConfig(epsilon=Fraction(1, 2), d=3, mode="completion")
+        with pytest.raises(GraphInputError, match="not chordal") as err:
+            vc_via_completion(cycle(14), lambda inst: outputs.append(inst.graph) or inst.graph, cfg)
+        (h,) = outputs
+        assert h.n > 64 and 2 * twin_classes(h.packed_rows())[0].size <= h.n
+        assert str(err.value).endswith(f"hole {is_chordal(h)[1].cycle}")
+
     def test_heuristic_backed(self, graphs):
         cfg = TransferConfig(epsilon=Fraction(1, 4), d=3, mode="completion")
         cover, audit = vc_via_completion(
