@@ -7,26 +7,63 @@ perfect elimination ordering, PEO).  Recognition is one maximum cardinality
 search that records each vertex's earliest later neighbor, then tests its
 reversed visit order in one batched pass over blocks of steps.  A PEO verdict
 rests on that earliest-later-neighbor test, which is a complete PEO check
-(Rose, Tarjan and Lueker 1976).  A violation names two nonadjacent neighbors
-u, x of some v; the hole is v plus the shortest u-x path that ``graph._bfs``
-finds outside N[v], and it passes ``check_hole`` once before it leaves this
-module.  ``check_peo`` stays as the definitional checker for reports and
-tests; it and ``is_split`` test cliques with ``_bits.is_clique``.  Vertex ids
-are read by ``graph._vertex_id`` alone, and ``verify_fillin`` hands the
-filled graph on in ``FillinCheck.filled``.
+(Rose, Tarjan and Lueker 1976).  A violation ``(v, u, x)`` names two
+nonadjacent earlier neighbors u, x of some v; ``_hole`` closes it with the
+shortest u-x path that ``graph._bfs`` finds outside N[v], and the hole passes
+``check_hole`` once before it leaves this module.  ``check_peo`` stays as the
+definitional checker for reports and tests; it and ``is_split`` test cliques
+with ``_bits.is_clique``.  Vertex ids are read by ``graph._vertex_id`` alone,
+and ``verify_fillin`` hands the filled graph on in ``FillinCheck.filled``.
 
-A check that needs only the hole, never the PEO (``verify_fillin`` and
-``transfer``'s completion check, through ``_hole_or_none``), may decide on
-the true-twin quotient: G restricted to one member of each class of
-``graph.twin_classes``.  G is chordal iff its quotient is.  The quotient is
-an induced subgraph, and chordality is hereditary.  Conversely, G is the
-quotient plus true twins added one at a time, and adding a true twin t of a
-vertex s (N[t] = N[s]) keeps a graph chordal.  A hole through t but not s
-becomes a hole through s when s replaces t, since on the cycle s sees
-exactly t's two neighbors.  A hole through both has st as a cycle edge (st
-is an edge, and a hole has no chord), and then s is adjacent to t's other
-cycle neighbor, a chord.  A non-chordal quotient sends the check back to
-``is_chordal`` on G, so the hole is the one that G alone gives.
+The path exists for every MCS order, whatever its tie-break (the MCS
+property behind Tarjan and Yannakakis, SIAM J. Comput. 1984, and their 1985
+addendum).  Fix a vertex z and a step at which z is not yet visited, and let
+t(w) be the step that visits w.  Let A be the visited neighbors of z and X
+the other visited vertices.  Call p, q *linked* when pq is an edge or some
+component of G[X] is adjacent to both, and w *heavy* when w is unvisited,
+w != z, and w has more visited neighbors than z.  X only grows, so its
+components only grow and a linked pair stays linked.  By induction on the
+step:
+
+- (L) any two vertices of A are linked;
+- (J) if a is in A, w is in X and t(w) > t(a), w's component is adjacent to a;
+- (H) any two heavy vertices are linked.
+
+All three hold before the first step.  Let y != z be the next vertex chosen.
+Key step: y is linked to every a in A.  Suppose it is not.  An X-neighbor of
+y visited after s = t(a) would link y to a through its component (J), so
+from step s on y gained only neighbors in A, a not among them, while z
+gained a and every later vertex of A.  MCS takes y over z now, so y had more
+visited neighbors than z at step s: y was heavy then, and so was a, which
+MCS took over y.  (H) at step s links a and y, a contradiction.  If y is in
+N(z), y joins A: the key step gives (L), X does not change, no vertex of X
+comes after y, and no vertex becomes heavy, as z gains a neighbor and every
+other vertex at most one.  If y is not in N[z], y joins X: the key step
+gives (J), since y's new component holds y and whatever linked it to a.  A
+vertex that becomes heavy is adjacent to y.  If any vertex was heavy before,
+y, of maximum weight, was heavy too, so (H) links every older heavy vertex
+to y, and through y's component to every newly heavy one; two newly heavy
+vertices are both adjacent to y.
+
+Take z = v at step t(v): u and x are in A and nonadjacent, so by (L) some
+component of G[X] is adjacent to both.  It holds a u-x path whose inner
+vertices are visited non-neighbors of v, outside N[v].  So ``_hole`` needs
+no fallback, and a search that finds no path is a CounterexampleError.
+
+``find_hole``, the one routine that returns a hole or None
+(``verify_fillin``, ``transfer``'s completion check and
+``exact_fillin_branch`` call it), may decide on the true-twin quotient: G
+restricted to one member of each class of ``graph.twin_classes``.  G is
+chordal iff its quotient is.  The quotient is an induced subgraph, and
+chordality is hereditary.  Conversely, G is the quotient plus true twins
+added one at a time, and adding a true twin t of a vertex s (N[t] = N[s])
+keeps a graph chordal.  A hole through t but not s becomes a hole through s
+when s replaces t, since on the cycle s sees exactly t's two neighbors.  A
+hole through both has st as a cycle edge (st is an edge, and a hole has no
+chord), and then s is adjacent to t's other cycle neighbor, a chord.  A
+non-chordal quotient sends the check back to ``find_hole``'s scan of G, so
+the hole is the one that ``is_chordal`` gives on G.  ``is_chordal`` keeps
+its one scan of G, since it must return a PEO.
 
 The elimination game stops at its clique tail.  A step whose vertex v is
 adjacent to every other alive vertex makes the alive vertices a clique
@@ -186,50 +223,49 @@ def check_hole(graph: Graph, cycle) -> bool:
 # -- recognition --------------------------------------------------------------
 
 
-def _hole_through(graph: Graph, v: int, x: int, y: int):
-    """Hole (v x .. y) from a nonadjacent pair x, y in N(v), if one exists.
+def _hole(graph: Graph, viol) -> tuple[int, ...]:
+    """The hole that the PEO violation ``(v, u, x)`` closes, checked against the definition once.
 
-    The path is y's breadth-first parent path from x outside N[v] (y
-    excepted); a shortest path is induced, and no inner vertex of it touches v.
+    The path is x's breadth-first parent path from u outside N[v] (x
+    excepted); a shortest path is induced, no inner vertex of it touches v,
+    and u, x are nonadjacent, so v and the path are a hole.  The module
+    docstring proves that the path exists for every MCS order; a search that
+    finds none, or a cycle that ``check_hole`` rejects, is a
+    CounterexampleError.
     """
+    v, u, x = viol
     allowed = ~graph.packed_rows()[v]  # bits past n are no vertex: _bfs never reads them
     _bits.clear_bit(allowed, v)
-    _bits.set_bit(allowed, y)
-    parent = _bfs(graph, x, allowed, y)[1]
-    if parent[y] == -1:
-        return None
-    path = [y]
-    while path[-1] != x:
+    _bits.set_bit(allowed, x)
+    parent = _bfs(graph, u, allowed, x)[1]
+    if parent[x] == -1:
+        raise CounterexampleError(f"PEO violation {viol} has no path outside N[{v}]")
+    path = [x]
+    while path[-1] != u:
         path.append(parent[path[-1]])
-    return (v, *path[::-1])
-
-
-def _pair_holes(graph: Graph):
-    """``_hole_through`` over every nonadjacent neighbor pair, by vertex then pair."""
-    for v in range(graph.n):
-        nbrs = graph.neighbors(v).tolist()
-        for i, x in enumerate(nbrs):
-            for y in nbrs[i + 1 :]:
-                if not graph.has_edge(x, y):
-                    yield _hole_through(graph, v, x, y)
-
-
-def _hole(graph: Graph, viol) -> tuple[int, ...]:
-    """A hole from a PEO violation, checked against the definition once.
-
-    Tries the violation triple first; the scan over all nonadjacent neighbor
-    pairs is a guaranteed fallback on non-chordal graphs.
-    """
-    hole = _hole_through(graph, *viol) or next(filter(None, _pair_holes(graph)), None)
-    if hole is None:
-        raise CounterexampleError("PEO test failed but no hole exists")
+    hole = (v, *path[::-1])
     if not check_hole(graph, hole):
         raise CounterexampleError("recognition produced an invalid hole")
     return hole
 
 
 def find_hole(graph: Graph):
-    """Some induced cycle of length >= 4, or None when the graph is chordal."""
+    """``is_chordal``'s hole of the graph, or None when it is chordal.
+
+    A graph whose rows span more than one word and whose true-twin quotient
+    has at most half its vertices is first scanned on that quotient, which
+    decides chordality (module docstring).  Either guard failing, or the
+    quotient failing, leaves one scan of the graph itself.  Below two words
+    the quotient costs about what it saves, and with more classes a rejected
+    graph would pay for two scans.
+    """
+    rows = graph.packed_rows()
+    if rows.shape[1] > 1:
+        reps = twin_classes(rows)[0]
+        if 2 * reps.size <= graph.n:
+            quotient = Graph._adopt(_induced_rows(rows, reps))
+            if _mcs_scan(quotient)[1] is None:
+                return None
     viol = _mcs_scan(graph)[1]
     return None if viol is None else _hole(graph, viol)
 
@@ -240,27 +276,6 @@ def is_chordal(graph: Graph) -> tuple[bool, Certificate]:
     if viol is None:
         return True, PeoCertificate(tuple(int(v) for v in order[::-1]))
     return False, HoleCertificate(_hole(graph, viol))
-
-
-def _hole_or_none(graph: Graph):
-    """``is_chordal``'s hole of the graph, or None when it is chordal.
-
-    A graph whose rows span more than one word and whose true-twin quotient
-    has at most half its vertices is first scanned on that quotient, which
-    decides chordality (module docstring).  Either guard failing, or the
-    quotient failing, leaves one ``is_chordal`` call on the graph itself.
-    Below two words the quotient costs about what it saves, and with more
-    classes a rejected graph would pay for two scans.
-    """
-    rows = graph.packed_rows()
-    if rows.shape[1] > 1:
-        reps = twin_classes(rows)[0]
-        if 2 * reps.size <= graph.n:
-            quotient = Graph._adopt(_induced_rows(rows, reps))
-            if _mcs_scan(quotient)[1] is None:
-                return None
-    ok, cert = is_chordal(graph)
-    return None if ok else cert.cycle
 
 
 # -- split graphs --------------------------------------------------------------
@@ -375,7 +390,7 @@ def verify_fillin(graph: Graph, fillin) -> FillinCheck:
     message); one bit test over that array finds the first that is already an
     edge (``pair_is_edge``, as ``(min, max)``); the same array fills the graph,
     and one chordality test on it, on the true-twin quotient when that is
-    small (``_hole_or_none``), decides ``not_chordal``, with ``is_chordal``'s hole.
+    small (``find_hole``), decides ``not_chordal``, with ``is_chordal``'s hole.
     """
     try:
         pairs = normalize_edges(graph.n, fillin)
@@ -387,7 +402,7 @@ def verify_fillin(graph: Graph, fillin) -> FillinCheck:
     rows = graph.packed_rows().copy()
     _set_edge_bits(rows, pairs)
     filled = Graph._adopt(rows)
-    hole = _hole_or_none(filled)
+    hole = find_hole(filled)
     if hole is not None:
         return FillinCheck(False, "not_chordal", hole)
     return FillinCheck(True, filled=filled)

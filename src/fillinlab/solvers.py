@@ -59,6 +59,14 @@ class _BudgetExceeded(Exception):
     pass
 
 
+def _count_param(name: str, x) -> int:
+    """x read by ``_int_param``; a negative value is a GraphInputError naming the parameter."""
+    x = _int_param(name, x)
+    if x < 0:
+        raise GraphInputError(f"{name} must be nonnegative, got {x}")
+    return x
+
+
 # -- vertex cover ---------------------------------------------------------------
 
 
@@ -98,7 +106,9 @@ def exact_vertex_cover(graph: Graph, node_budget: int = 5_000_000) -> CoverResul
     Degree-0 and degree-1 vertices are simplified away; a greedy matching
     supplies the lower bound.  Exceeding the node budget yields an explicit
     non-optimal result carrying the best cover found (still a valid cover).
+    ``node_budget`` must be a nonnegative integer.
     """
+    node_budget = _count_param("node_budget", node_budget)
     t0 = time.perf_counter()
     n = graph.n
     adj = _bits.row_ints(graph.packed_rows())
@@ -287,11 +297,10 @@ def exact_fillin_branch(
     capped by the budget.  'found' and 'none_within_budget' mean the search
     finished.  A node budget cut gives 'feasible_budget_exhausted' with the
     best fill-in so far (valid, not known to be minimum), or 'exhausted'
-    without one.  ``budget`` must be a nonnegative integer.
+    without one.  ``budget`` and ``node_budget`` must be nonnegative integers.
     """
-    budget = _int_param("budget", budget)
-    if budget < 0:
-        raise GraphInputError(f"budget must be nonnegative, got {budget}")
+    budget = _count_param("budget", budget)
+    node_budget = _count_param("node_budget", node_budget)
     t0 = time.perf_counter()
     nodes = 0
     best: list[EdgePair] | None = None

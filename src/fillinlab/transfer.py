@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chordal import _hole_or_none
+from .chordal import find_hole
 from .errors import CounterexampleError, GraphInputError
 from .graph import Graph, _int_param
 from .reduction import ReducedInstance, _completed, _filled, _full_set, brooks_coloring
@@ -150,7 +150,7 @@ def _checked_completion(inst: ReducedInstance, completed) -> Graph:
         raise GraphInputError("completion procedure must return a graph on the gadget's vertices")
     if (inst.graph.packed_rows() & ~completed.packed_rows()).any():
         raise GraphInputError("completion procedure dropped gadget edges (not a supergraph)")
-    hole = _hole_or_none(completed)
+    hole = find_hole(completed)
     if hole is not None:
         raise GraphInputError(f"completion procedure output is not chordal: hole {hole}")
     return completed

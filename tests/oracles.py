@@ -20,7 +20,10 @@ kept as the reference for the bitset columns.  ``check_hole_pairs`` and
 ``is_vertex_cover_pairs`` are the package's earlier certificate checkers, a
 loop over every pair of cycle members and a walk over the edge list.
 ``twin_classes_brute`` groups vertices by their closed neighborhoods as
-frozensets in a dict.
+frozensets in a dict.  ``mcs_orders_brute`` lists every maximum cardinality
+search order of a graph, one per tie-break, ``mcs_order_random`` draws one,
+and ``unlinked_pair_brute`` tests the linkage lemma of the ``chordal``
+docstring on an order by listing components with a stack.
 """
 
 import operator
@@ -322,6 +325,78 @@ def mcs_scan_brute(n, edges):
         for w in adj[v]:
             weight[w] += 1
     return sorted(when, key=when.__getitem__), violation
+
+
+def mcs_orders_brute(n, edges):
+    """Every maximum cardinality search order, as tuples: at each step each
+    unvisited vertex with the most visited neighbours is tried in turn."""
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    order = []
+
+    def extend():
+        if len(order) == n:
+            yield tuple(order)
+            return
+        visited = set(order)
+        weight = {w: len(adj[w] & visited) for w in range(n) if w not in visited}
+        top = max(weight.values())
+        for w in sorted(weight):
+            if weight[w] == top:
+                order.append(w)
+                yield from extend()
+                order.pop()
+
+    yield from extend()
+
+
+def mcs_order_random(n, edges, rng):
+    """One maximum cardinality search order, each tie broken uniformly at random."""
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    order = []
+    while len(order) < n:
+        visited = set(order)
+        weight = {w: len(adj[w] & visited) for w in range(n) if w not in visited}
+        top = max(weight.values())
+        ties = sorted(w for w in weight if weight[w] == top)
+        order.append(ties[int(rng.integers(len(ties)))])
+    return order
+
+
+def unlinked_pair_brute(n, edges, order):
+    """The first ``(z, p, q)``, p < q, of an elimination-visit order where p and q
+    are nonadjacent neighbours of z visited before it and no component of the
+    graph on z's earlier non-neighbours is adjacent to both; None if none is.
+
+    This is the linkage that the ``chordal`` docstring proves for every MCS
+    order, tested at the step that visits z.
+    """
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    for i, z in enumerate(order):
+        earlier = order[:i]
+        near = sorted(w for w in earlier if w in adj[z])
+        far = {w for w in earlier if w not in adj[z]}
+        touched = []  # for each component of the graph on far, the vertices adjacent to it
+        while far:
+            comp, stack = set(), [far.pop()]
+            while stack:
+                w = stack.pop()
+                comp.add(w)
+                stack.extend(adj[w] & far)
+                far -= adj[w]
+            touched.append(set().union(*(adj[w] for w in comp)))
+        for p, q in combinations(near, 2):
+            if q not in adj[p] and not any(p in t and q in t for t in touched):
+                return z, p, q
+    return None
 
 
 def twin_classes_brute(n, edges):

@@ -2,12 +2,14 @@ import hashlib
 import json
 import tracemalloc
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fillinlab
 from fillinlab import _bits
 from fillinlab.chordal import (
     HoleCertificate,
@@ -20,7 +22,7 @@ from fillinlab.chordal import (
     mcs_ordering,
     verify_fillin,
 )
-from fillinlab.errors import GraphInputError
+from fillinlab.errors import CounterexampleError, GraphInputError
 from fillinlab.generate import gnp, random_subcubic
 from fillinlab.graph import Graph, twin_classes
 from fillinlab.reduction import brooks_coloring, produced_fillins, reduce_colored, reduce_primitive
@@ -34,8 +36,11 @@ from .oracles import (
     find_holes_brute,
     is_chordal_brute,
     is_split_brute,
+    mcs_order_random,
+    mcs_orders_brute,
     mcs_scan_brute,
     min_fill_brute,
+    unlinked_pair_brute,
 )
 
 
@@ -388,7 +393,7 @@ class TestFillinOnTheTwinQuotient:
         assert ok and scans == [k] and 2 * k <= g.n  # the quotient alone decides
         short = [(u, v) for u, v in fan if v not in blocks[length - 2]]  # leaves a 4-hole
         ok, scans, k = self._agrees(g, short, monkeypatch)
-        assert not ok and scans == [k, g.n]  # the quotient fails: is_chordal scans the graph
+        assert not ok and scans == [k, g.n]  # the quotient fails: find_hole scans the graph
 
     def test_false_twins_stay_apart(self, monkeypatch):
         """C_4 with each vertex blown up into 17 pairwise non-adjacent twins is
@@ -472,9 +477,9 @@ def test_check_hole_matches_pair_loop(rng, n):
 
 
 def test_violation_triple_always_yields_a_hole():
-    """The MCS violation triple alone gives a hole on every non-chordal
-    labelled graph with n <= 6, without the scan over neighbour pairs."""
-    from fillinlab.chordal import _hole_through, _mcs_scan
+    """The MCS violation triple closes a hole on every non-chordal labelled
+    graph with n <= 6: ``_hole`` finds its path and never raises."""
+    from fillinlab.chordal import _hole, _mcs_scan
 
     non_chordal = 0
     for n in range(4, 7):
@@ -483,9 +488,99 @@ def test_violation_triple_always_yields_a_hole():
             viol = _mcs_scan(g)[1]
             if viol is not None:
                 non_chordal += 1
-                hole = _hole_through(g, *viol)
-                assert hole is not None and check_hole(g, hole)
+                assert check_hole(g, _hole(g, viol))
     assert non_chordal == 14819
+
+
+def test_every_mcs_order_links_each_vertexs_earlier_neighbours():
+    """(L) of the ``chordal`` docstring's lemma, at the step that visits each
+    vertex, for every tie-break of every labelled graph with 1 <= n <= 5."""
+    orders = 0
+    for n in range(1, 6):
+        for edges in all_labeled_graphs(n):
+            for order in mcs_orders_brute(n, edges):
+                orders += 1
+                assert unlinked_pair_brute(n, edges, order) is None, (n, edges, order)
+    assert orders == 26873
+
+
+def test_random_tie_breaks_link_and_close_holes():
+    """(L) on seeded random tie-breaks for n = 6..12.  Relabelling each vertex
+    by its visit step makes the order the package's smallest-id one, so the
+    package's violation triple there must close a hole."""
+    from fillinlab.chordal import _hole, _mcs_scan
+
+    rng = np.random.default_rng(2424)
+    holes = 0
+    for n in range(6, 13):
+        for _ in range(30):
+            edges = edge_set(gnp(n, float(rng.uniform(0.2, 0.7)), rng))
+            order = mcs_order_random(n, edges, rng)
+            assert unlinked_pair_brute(n, edges, order) is None, (n, edges, order)
+            step = {v: i for i, v in enumerate(order)}
+            g = Graph.build(n, [(step[u], step[v]) for u, v in edges])
+            scanned, viol = _mcs_scan(g)
+            assert scanned.tolist() == list(range(n))
+            if viol is not None:
+                holes += 1
+                assert check_hole(g, _hole(g, viol))
+    assert holes >= 100
+
+
+def test_linkage_checker_flags_a_non_mcs_order():
+    """A maximal neighbourhood search order that MCS would not take: it visits
+    1 (two visited neighbours) before 0 (three), and 0's neighbours 1 and 5 are
+    cut off from each other outside N[0]."""
+    edges = {(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)}
+    order = (4, 2, 3, 5, 1, 0)
+    assert order not in set(mcs_orders_brute(6, edges))
+    assert unlinked_pair_brute(6, edges, order) == (0, 1, 5)
+
+
+def test_a_violation_without_a_path_is_a_hard_failure(monkeypatch):
+    """If the search outside N[v] found no path, recognition raises at once:
+    it never answers None, and no second search looks for a fallback hole."""
+    from fillinlab import chordal
+
+    bfs, calls = chordal._bfs, []
+
+    def first_search_finds_nothing(graph, root, allowed, stop=-1):
+        calls.append(root)
+        return ([root], [-1] * graph.n) if len(calls) == 1 else bfs(graph, root, allowed, stop)
+
+    monkeypatch.setattr(chordal, "_bfs", first_search_finds_nothing)
+    c4 = Graph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    blown_up, _ = _blown_up_cycle(4, 17)  # find_hole scans its quotient first
+    for g in (c4, blown_up):
+        for recognize in (is_chordal, find_hole):
+            calls.clear()
+            with pytest.raises(CounterexampleError, match="no path outside"):
+                recognize(g)
+            assert len(calls) == 1
+
+
+def test_one_hole_routine():
+    """``find_hole`` is the only hole-or-None routine, ``_hole`` has one path,
+    and only ``chordal`` runs the MCS scan."""
+    import inspect
+
+    from fillinlab import transfer
+
+    package = Path(fillinlab.__file__).parent
+    offenders = [
+        f"{path.name}: {token!r}"
+        for path in sorted(package.glob("*.py"))
+        for token in ("_pair_holes", "_hole_or_none", "_hole_through")
+        if token in path.read_text()
+    ]
+    offenders += [
+        f"{path.name}: '_mcs_scan'"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "chordal.py" and "_mcs_scan" in path.read_text()
+    ]
+    assert not offenders
+    for fn in (verify_fillin, transfer._checked_completion):
+        assert "find_hole(" in inspect.getsource(fn), fn.__name__
 
 
 def _certificate_corpus():

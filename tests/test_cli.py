@@ -129,6 +129,14 @@ class TestSolve:
         save_dimacs(graphs["petersen"], src)
         assert run(["solve", str(src), "vc", "--budget", "1", "--out", str(tmp_path / "r.json")]) == cli.EXIT_LIMIT
 
+    def test_vc_negative_budget_is_bad_input(self, tmp_path, graphs, capsys):
+        src = tmp_path / "pet.col"
+        save_dimacs(graphs["petersen"], src)
+        out = tmp_path / "r.json"
+        assert run(["solve", str(src), "vc", "--budget", "-1", "--out", str(out)]) == cli.EXIT_BAD_INPUT
+        assert "node_budget must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_timings_opt_in(self, c4_file, tmp_path):
         rep = tmp_path / "rep.json"
         run(["solve", c4_file, "vc", "--out", str(rep)])

@@ -100,6 +100,28 @@ class TestVertexCover:
                 assert exact_vertex_cover(smaller).size <= size
 
 
+@pytest.mark.parametrize(
+    "node_budget, match",
+    [(-1, "nonnegative"), (2.5, "an integer"), (True, "an integer"), ("3", "an integer")],
+    ids=["negative", "fraction", "bool", "string"],
+)
+@pytest.mark.parametrize("solver", ["vc", "branch"])
+def test_node_budget_must_be_a_nonnegative_integer(graphs, solver, node_budget, match):
+    # a fractional budget would cut the search at its ceiling, a negative one at the root
+    with pytest.raises(GraphInputError, match=f"^node_budget must be {match}"):
+        if solver == "vc":
+            exact_vertex_cover(graphs["c6"], node_budget=node_budget)
+        else:
+            exact_fillin_branch(graphs["c6"], 3, node_budget=node_budget)
+
+
+def test_node_budget_zero_cuts_at_the_root(graphs):
+    res = exact_vertex_cover(graphs["c6"], node_budget=0)
+    assert res.status == "budget_exhausted" and res.nodes == 1
+    res = exact_fillin_branch(graphs["c6"], 3, node_budget=0)
+    assert res.status == "exhausted" and res.nodes == 1
+
+
 def _twin_blowup(rng, most=10):
     """Seeded G(m, p), m <= 6, with each vertex blown up into a clique of 1..3
     true twins, at most ``most`` vertices in all, under shuffled labels."""
