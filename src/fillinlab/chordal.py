@@ -53,17 +53,18 @@ no fallback, and a search that finds no path is a CounterexampleError.
 ``find_hole``, the one routine that returns a hole or None
 (``verify_fillin``, ``transfer``'s completion check and
 ``exact_fillin_branch`` call it), may decide on the true-twin quotient: G
-restricted to one member of each class of ``graph.twin_classes``.  G is
-chordal iff its quotient is.  The quotient is an induced subgraph, and
-chordality is hereditary.  Conversely, G is the quotient plus true twins
-added one at a time, and adding a true twin t of a vertex s (N[t] = N[s])
-keeps a graph chordal.  A hole through t but not s becomes a hole through s
-when s replaces t, since on the cycle s sees exactly t's two neighbors.  A
-hole through both has st as a cycle edge (st is an edge, and a hole has no
-chord), and then s is adjacent to t's other cycle neighbor, a chord.  A
-non-chordal quotient sends the check back to ``find_hole``'s scan of G, so
-the hole is the one that ``is_chordal`` gives on G.  ``is_chordal`` keeps
-its one scan of G, since it must return a PEO.
+restricted to one member of each class of ``graph.twin_classes``, when
+``graph.twin_quotient`` accepts its rows.  G is chordal iff its quotient is.
+The quotient is an induced subgraph, and chordality is hereditary.
+Conversely, G is the quotient plus true twins added one at a time, and
+adding a true twin t of a vertex s (N[t] = N[s]) keeps a graph chordal.  A
+hole through t but not s becomes a hole through s when s replaces t, since
+on the cycle s sees exactly t's two neighbors.  A hole through both has st
+as a cycle edge (st is an edge, and a hole has no chord), and then s is
+adjacent to t's other cycle neighbor, a chord.  A non-chordal quotient sends
+the check back to ``find_hole``'s scan of G, so the hole is the one that
+``is_chordal`` gives on G.  ``is_chordal`` keeps its one scan of G, since it
+must return a PEO.
 
 The elimination game stops at its clique tail.  A step whose vertex v is
 adjacent to every other alive vertex makes the alive vertices a clique
@@ -89,7 +90,7 @@ from .graph import (
     _vertex_ids,
     normalize_edges,
     pairs_from_codes,
-    twin_classes,
+    twin_quotient,
 )
 
 
@@ -252,20 +253,15 @@ def _hole(graph: Graph, viol) -> tuple[int, ...]:
 def find_hole(graph: Graph):
     """``is_chordal``'s hole of the graph, or None when it is chordal.
 
-    A graph whose rows span more than one word and whose true-twin quotient
-    has at most half its vertices is first scanned on that quotient, which
-    decides chordality (module docstring).  Either guard failing, or the
-    quotient failing, leaves one scan of the graph itself.  Below two words
-    the quotient costs about what it saves, and with more classes a rejected
-    graph would pay for two scans.
+    When ``graph.twin_quotient`` accepts the rows, the quotient is scanned
+    first, and a chordal quotient decides (module docstring).  Otherwise, or
+    when the quotient is not chordal, one scan of the graph itself decides.
     """
     rows = graph.packed_rows()
-    if rows.shape[1] > 1:
-        reps = twin_classes(rows)[0]
-        if 2 * reps.size <= graph.n:
-            quotient = Graph._adopt(_induced_rows(rows, reps))
-            if _mcs_scan(quotient)[1] is None:
-                return None
+    quotient = twin_quotient(rows)
+    if quotient is not None:
+        if _mcs_scan(Graph._adopt(_induced_rows(rows, quotient[0])))[1] is None:
+            return None
     viol = _mcs_scan(graph)[1]
     return None if viol is None else _hole(graph, viol)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GraphInputError
-from .graph import Graph, _int_param
+from .graph import Graph, _count_param, _int_param
 
 
 def _rng(seed_or_rng) -> np.random.Generator:
@@ -20,7 +20,7 @@ def _rng(seed_or_rng) -> np.random.Generator:
 
 def gnp(n: int, p: float, seed) -> Graph:
     """Erdos-Renyi G(n, p)."""
-    n = _int_param("n", n)
+    n = _count_param("n", n)
     if not (0 <= p <= 1):
         raise GraphInputError("edge probability must lie in [0, 1]")
     rng = _rng(seed)
@@ -36,10 +36,8 @@ def random_regular(n: int, d: int, seed, max_tries: int = 1000) -> Graph:
     Infeasible parameter pairs (n*d odd, or d >= n) are rejected outright;
     the degree sequence of the output is verified before returning.
     """
-    n, d = _int_param("n", n), _int_param("d", d)
-    max_tries = _int_param("max_tries", max_tries)
-    if d < 0 or n < 0:
-        raise GraphInputError("n and d must be nonnegative")
+    n, d = _count_param("n", n), _count_param("d", d)
+    max_tries = _count_param("max_tries", max_tries)
     if (n * d) % 2 == 1:
         raise GraphInputError(f"no {d}-regular graph on {n} vertices: n*d is odd")
     if d >= n and n > 0:
@@ -99,9 +97,7 @@ def random_subcubic(n: int, seed, target_edges: int | None = None) -> Graph:
     ``random_subcubic(4, 1)`` is the graph on 0 vertices.  Useful for
     transfer corpora, which need a subcubic graph without K_4.
     """
-    n = _int_param("n", n)
-    if n < 0:
-        raise GraphInputError("n must be nonnegative")
+    n = _count_param("n", n)
     if target_edges is not None:
         target_edges = _int_param("target_edges", target_edges)
     rng = _rng(seed)

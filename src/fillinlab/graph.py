@@ -54,6 +54,14 @@ def _int_param(name: str, x) -> int:
         raise GraphInputError(f"{name} must be an integer: {exc}") from None
 
 
+def _count_param(name: str, x) -> int:
+    """x read by ``_int_param``; a negative value is a GraphInputError naming the parameter."""
+    x = _int_param(name, x)
+    if x < 0:
+        raise GraphInputError(f"{name} must be nonnegative, got {x}")
+    return x
+
+
 def normalize_edges(vertex_count: int, edges: Iterable) -> np.ndarray:
     """Validate an edge iterable in one pass into an (m, 2) int64 array, in input order.
 
@@ -110,9 +118,7 @@ class Graph:
     @classmethod
     def build(cls, vertex_count: int, edges: Iterable = ()) -> "Graph":
         """Build from an edge iterable; duplicates collapse, loops are rejected."""
-        vertex_count = _int_param("vertex_count", vertex_count)
-        if vertex_count < 0:
-            raise GraphInputError("vertex_count must be nonnegative")
+        vertex_count = _count_param("vertex_count", vertex_count)
         rows = _bits.zero_rows(vertex_count, vertex_count)
         _set_edge_bits(rows, normalize_edges(vertex_count, edges))
         return cls._adopt(rows)
@@ -249,6 +255,22 @@ def twin_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     smallest[order] = order[starts][np.cumsum(starts) - 1]
     reps = np.flatnonzero(smallest == np.arange(n))
     return reps, np.searchsorted(reps, smallest)
+
+
+def twin_quotient(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``twin_classes(rows)`` when working on the true-twin quotient pays, else None.
+
+    It pays when the rows span more than one word and there are at most n/2
+    classes; both guards are fixed rules.  Below two words the twin pass
+    costs about what the quotient saves.  With more classes the quotient
+    saves little, and a caller that must go back to the graph itself
+    (``chordal.find_hole`` when the quotient is not chordal) pays for both.
+    ``chordal.find_hole`` and ``solvers.greedy_game`` decide by this rule.
+    """
+    if rows.shape[1] <= 1:
+        return None
+    reps, cls = twin_classes(rows)
+    return (reps, cls) if 2 * reps.size <= rows.shape[0] else None
 
 
 # -- traversal --------------------------------------------------------------

@@ -7,29 +7,35 @@ and Thilikos, ESA 2006, that reads only reachability sets of the graph), a
 hole-ear branching fill-in solver for instances with a small optimum, and
 the classic min-degree / min-fill elimination heuristics.
 
-Both heuristics keep exact integer scores on the packed rows: min-degree the
-alive degrees, min-fill the number of non-adjacent pairs among each vertex's
-alive neighbors.  Scores are computed once and then updated only where an
-elimination changes them, so each step costs popcounts over the eliminated
-vertex's neighborhood and its fill pairs, never a rescoring of every vertex.
-A game ends at its clique tail: once the eliminated vertex saw every other
-alive vertex, its step leaves the alive vertices a clique (min-degree by its
-fill; min-fill picks such a vertex only at score 0, when they already are
-one).  Every later step then adds no fill and changes no row, and every
-alive vertex has the same degree and a fill score of 0, so both rules pick
-the alive vertices in ascending ids: the ordering ends with them and the
-game stops.
+Both heuristics keep exact integer scores: min-degree the alive degrees,
+min-fill the number of non-adjacent pairs among each vertex's alive
+neighbors.  A graph that ``graph.twin_quotient`` accepts, with at most 64
+classes of true twins (one word), plays on its class graph: the members of a
+class share their scores, so each step rescores the classes with one k x k
+product, eliminates the least class's smallest alive member and fills whole
+class products (the proof that ordering and fill are the row game's is in
+``greedy_game``).  Every other graph plays on the packed rows, where scores
+are computed once and then updated only where an elimination changes them,
+so each step costs popcounts over the eliminated vertex's neighborhood and
+its fill pairs, never a rescoring of every vertex.  A game ends at its
+clique tail: once the eliminated vertex saw every other alive vertex, its
+step leaves the alive vertices a clique (min-degree by its fill; min-fill
+picks such a vertex only at score 0, when they already are one).  Every
+later step then adds no fill and changes no row, and every alive vertex has
+the same degree and a fill score of 0, so both rules pick the alive vertices
+in ascending ids: the ordering ends with them and the game stops.
 
 ``greedy_game`` plays one elimination game per call and returns the ordering
 and its fill together, so a caller that needs both (``fillinlab eliminate``)
-never replays the game.  Like ``chordal``'s game it works on closed rows:
-the working rows carry bit v of row v, a vertex leaves ``alive`` before its
-row is read, so ``rows[v] & alive`` excludes v and OR-ing a neighborhood
-into its own rows needs no diagonal clearing.  Closed rows count the vertex
-itself, hence the ``- 1`` in an alive degree; the initial fill scores come
-from the original open rows.  Min-fill also keeps each vertex's closed alive
-degree, so a step whose vertex scores 0 (its neighborhood is a clique)
-updates its neighbors' scores from those degrees and reads no rows.
+never replays the game.  Like ``chordal``'s game the row game works on
+closed rows: the working rows carry bit v of row v, a vertex leaves
+``alive`` before its row is read, so ``rows[v] & alive`` excludes v and
+OR-ing a neighborhood into its own rows needs no diagonal clearing.  Closed
+rows count the vertex itself, hence the ``- 1`` in an alive degree; the
+initial fill scores come from the original open rows.  Min-fill also keeps
+each vertex's closed alive degree, so a step whose vertex scores 0 (its
+neighborhood is a clique) updates its neighbors' scores from those degrees
+and reads no rows.
 
 Every solver revalidates its certificate before returning; budget exhaustion
 is always an explicit outcome, never a silently wrong answer.
@@ -45,7 +51,15 @@ import numpy as np
 from . import _bits
 from .chordal import _eliminate_vertex, elimination_fill, find_hole
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
-from .graph import EdgePair, Graph, _int_param, _vertex_id, pairs_from_codes, twin_classes
+from .graph import (
+    EdgePair,
+    Graph,
+    _count_param,
+    _vertex_id,
+    pairs_from_codes,
+    twin_classes,
+    twin_quotient,
+)
 
 ORACLE_CLASS_LIMIT = 16
 
@@ -57,14 +71,6 @@ _GATHER_BYTES = 1 << 18
 
 class _BudgetExceeded(Exception):
     pass
-
-
-def _count_param(name: str, x) -> int:
-    """x read by ``_int_param``; a negative value is a GraphInputError naming the parameter."""
-    x = _int_param(name, x)
-    if x < 0:
-        raise GraphInputError(f"{name} must be nonnegative, got {x}")
-    return x
 
 
 # -- vertex cover ---------------------------------------------------------------
@@ -364,10 +370,153 @@ def greedy_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (ordering, fill codes): the fill as sorted codes ``u * n + w``
     with u < w, the same codes ``elimination_fill_codes`` gives for that
-    ordering, from this one game.  Min-degree keeps a degree array and, after
-    each elimination, recounts only the eliminated vertex's neighbors: no
-    other alive row changes.
+    ordering, from this one game.  When ``graph.twin_quotient`` accepts the
+    rows and the classes of true twins fit in one word, the game is played
+    on the class graph (``_class_game``), else on the packed rows
+    (``_row_game``).  Both return the same ordering and codes:
 
+    - True twins (equal closed rows) stay twins when any other vertex v is
+      eliminated.  If v sees twin a it sees twin b, the step adds the same
+      vertices, N(v), to both closed rows and removes v from both, and every
+      other vertex gains a exactly when it gains b.  So every class of
+      ``graph.twin_classes`` stays a clique of twins, and two classes are
+      either fully adjacent or not at all: the class graph.
+    - The members of a class share their degree and their fill score.  With
+      s_d the number of alive members of class d and N(c) the classes
+      adjacent to c, a member of c sees the other ``s_c - 1`` members and
+      every alive member of N(c).  Two of those are non-adjacent only when
+      they lie in two non-adjacent classes of N(c), so its degree is
+      ``s_c - 1 + sum(s_d for d in N(c))`` and its fill score the sum of
+      ``s_d1 * s_d2`` over the non-adjacent pairs {d1, d2} of N(c).
+    - The row game takes the least score, then the least id.  The members
+      of a class tie, so it takes the smallest alive member of the class
+      that minimises (score, smallest alive member), as the class game does.
+    - Eliminating that member of c adds every pair of an alive member of d1
+      and one of d2, for each non-adjacent pair {d1, d2} of N(c), and no
+      other pair; d1 and d2 are adjacent from then on.  The fill of one step
+      is a union of class products.
+
+    By induction on the step both games pick the same vertex and add the
+    same pairs.  Both stop after the first step whose vertex saw every other
+    alive vertex (the clique tail, see ``_row_game``) and end the ordering
+    with the alive vertices in ascending ids.
+    """
+    if strategy not in GREEDY_STRATEGIES:
+        raise GraphInputError(
+            f"unknown strategy {strategy!r}; expected one of {GREEDY_STRATEGIES}"
+        )
+    quotient = twin_quotient(graph.packed_rows())
+    if quotient is not None and _bits.nwords(quotient[0].size) == 1:
+        return _class_game(graph, strategy, *quotient)
+    return _row_game(graph, strategy)
+
+
+def _class_scores(
+    strategy: str, near: np.ndarray, apart: np.ndarray, size: np.ndarray
+) -> np.ndarray:
+    """The score every class's members share, as int64: the degree for
+    min-degree, twice the fill score for min-fill (ordered pairs, which
+    order the classes as the fill score does).
+
+    ``near`` and ``apart`` are the k x k float64 0/1 matrices of adjacent and
+    of distinct non-adjacent classes, ``size`` the float64 alive counts.
+    Every entry, product and partial sum is an integer of magnitude at most
+    n^2 (the sums of the product add nonnegative terms), so float64 and the
+    BLAS product are exact for n < 2^26.
+    """
+    if strategy == "min-degree":
+        score = near @ size
+        score += size - 1
+        return score.astype(np.int64)
+    w = near * size  # w[c, d] = s_d for each d in N(c)
+    pairs = w @ apart
+    pairs *= w
+    return pairs.sum(axis=1).astype(np.int64)
+
+
+def _class_game(
+    graph: Graph, strategy: str, reps: np.ndarray, cls: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``greedy_game`` on the class graph of the true-twin classes ``(reps, cls)``.
+
+    Each step rescores every class (``_class_scores``, one k x k product)
+    and takes the least key ``score * n + smallest alive member``, an int64
+    below n^3: exact, and below ``retired``, for n < 2^20, whose packed rows
+    alone would take 128 GiB.  A class keeps its members in ascending ids, as
+    one run of ``members``, and ``head[c]`` points at its smallest alive one;
+    a class whose last member goes is retired: its adjacency is cleared and
+    its key can no longer be least.  Each step records the class pairs it
+    joins, by its step number (``joined``, n for never), and each vertex its
+    elimination step (``gone``, n for the clique tail).  Members leave a
+    class in ascending ids, so the members of class d still alive after step
+    t are one run of ``members``; the fill of a pair joined at step t is the
+    product of two such runs, and the codes are read from those products,
+    with no n x n matrix.
+    """
+    n, k = graph.n, reps.size
+    rows = graph.packed_rows()
+    members = np.argsort(cls, kind="stable")  # each class one run, ids ascending
+    counts = np.bincount(cls, minlength=k)
+    stop = np.cumsum(counts)
+    head = (stop - counts).tolist()
+    first = reps.copy()  # smallest alive member of each class
+    near = _bits.unpack(rows[reps], n)[:, reps].astype(np.float64)
+    apart = 1.0 - near
+    np.fill_diagonal(apart, 0.0)
+    size = counts.astype(np.float64)
+    joined = np.full((k, k), n, dtype=np.int64)
+    gone = np.full(n, n, dtype=np.int64)
+    order = np.empty(n, dtype=np.int64)
+    retired = np.iinfo(np.int64).max // 2  # above every alive key
+    for step in range(n):
+        score = _class_scores(strategy, near, apart, size)
+        key = score * n
+        key += first
+        c = int(key.argmin())
+        v = int(members[head[c]])
+        order[step], gone[v] = v, step
+        head[c] += 1
+        size[c] -= 1
+        nbr = near[c]  # no step changes row c while c is alive: c is not in N(c)
+        if score[c] if strategy == "min-fill" else apart @ nbr @ nbr:  # N(c) is no clique
+            fill = apart * nbr
+            fill *= nbr[:, None]
+            joined[fill > 0] = step
+            near += fill
+            apart -= fill
+        if size[c] + nbr @ size == n - step - 1:  # v saw every alive vertex
+            order[step + 1 :] = np.flatnonzero(gone == n)
+            break
+        if size[c]:
+            first[c] = members[head[c]]
+        else:
+            near[c] = near[:, c] = 0.0
+            first[c] = retired
+    # Class pair (c1, c2) joined at step t fills every pair of members alive
+    # after t: the run of each class from its first member with gone > t on.
+    c1, c2 = np.triu_indices(k, 1)
+    t = joined[c1, c2]
+    c1, c2, t = c1[t < n], c2[t < n], t[t < n]
+    ranked = cls[members] * (n + 1) + gone[members]  # ascending: by class, then by gone
+    lo1 = np.searchsorted(ranked, c1 * (n + 1) + t, side="right")
+    lo2 = np.searchsorted(ranked, c2 * (n + 1) + t, side="right")
+    wide = stop[c2] - lo2
+    area = (stop[c1] - lo1) * wide
+    pair = np.repeat(np.arange(area.size), area)
+    at = np.arange(pair.size) - np.repeat(np.cumsum(area) - area, area)
+    u = members[lo1[pair] + at // wide[pair]]
+    w = members[lo2[pair] + at % wide[pair]]
+    codes = np.minimum(u, w) * n
+    codes += np.maximum(u, w)
+    codes.sort()
+    return order, codes
+
+
+def _row_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
+    """``greedy_game`` on the packed rows.
+
+    Min-degree keeps a degree array and, after each elimination, recounts
+    only the eliminated vertex's neighbors: no other alive row changes.
     Min-fill keeps the exact fill score of every alive vertex (the number of
     non-adjacent pairs among its alive neighbors) as an int64 array and
     updates it only where an elimination changes it.  Eliminating v, with
@@ -400,10 +549,6 @@ def greedy_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
     matrix to find its set bits.  Row stacks are gathered by ``np.take`` and
     ANDed in place.
     """
-    if strategy not in GREEDY_STRATEGIES:
-        raise GraphInputError(
-            f"unknown strategy {strategy!r}; expected one of {GREEDY_STRATEGIES}"
-        )
     n = graph.n
     original = graph.packed_rows()
     rows = original.copy()

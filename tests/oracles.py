@@ -7,8 +7,8 @@ PEO test by rescanning every vertex per step, minimum fill by trying every
 elimination ordering with a dict-of-sets elimination game, or by a memoized
 search over eliminated sets.  ``clique_tail_brute`` replays that game to
 the first step whose vertex sees every live vertex.  The gadget certificate maps are restated from
-their definitions on dicts of sets.  ``graph_from_bool_matrix`` is the one
-helper that builds a package ``Graph``, for layout tests of its intake, and
+their definitions on dicts of sets.  ``graph_from_bool_matrix`` builds a
+package ``Graph`` from a boolean matrix, for layout tests of its intake, and
 ``load_matrix_market_lines`` is the reference Matrix Market reader, one
 Python pass per entry.  ``normalize_edges_sorted`` is the reference edge
 reader: the sorted, deduplicated pair list the one-pass array must set the
@@ -20,7 +20,10 @@ kept as the reference for the bitset columns.  ``check_hole_pairs`` and
 ``is_vertex_cover_pairs`` are the package's earlier certificate checkers, a
 loop over every pair of cycle members and a walk over the edge list.
 ``twin_classes_brute`` groups vertices by their closed neighborhoods as
-frozensets in a dict.  ``mcs_orders_brute`` lists every maximum cardinality
+frozensets in a dict.  ``blow_up`` turns each vertex of a base graph into a
+clique of true twins under shuffled labels, and ``twin_blowup``, the twin
+generator of the tests, draws the base (a seeded G(m, p)) and the clique
+sizes for it.  ``mcs_orders_brute`` lists every maximum cardinality
 search order of a graph, one per tie-break, ``mcs_order_random`` draws one,
 and ``unlinked_pair_brute`` tests the linkage lemma of the ``chordal``
 docstring on an order by listing components with a stack.
@@ -35,6 +38,7 @@ import numpy as np
 
 from fillinlab import _bits
 from fillinlab.errors import GraphInputError
+from fillinlab.generate import gnp
 from fillinlab.graph import Graph, parse_ints
 
 
@@ -412,6 +416,28 @@ def twin_classes_brute(n, edges):
     reps = sorted(first.values())
     index = {r: i for i, r in enumerate(reps)}
     return reps, [index[first[frozenset(closed[v])]] for v in range(n)]
+
+
+def twin_blowup(rng, n, most=4):
+    """A seeded G(m, p) with each vertex blown up into a clique of 1..``most``
+    true twins, n vertices in all, under shuffled labels."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(int(rng.integers(1, most + 1)), n - sum(sizes)))
+    return blow_up(gnp(len(sizes), float(rng.uniform(0.2, 0.8)), rng), sizes, rng)
+
+
+def blow_up(base, sizes, rng):
+    """``base`` with vertex i replaced by a clique of ``sizes[i]`` true twins,
+    under labels shuffled by one ``rng.permutation``."""
+    owner = np.repeat(np.arange(base.n), sizes).tolist()
+    label = rng.permutation(len(owner)).tolist()
+    edges = [
+        (label[i], label[j])
+        for i, j in combinations(range(len(owner)), 2)
+        if owner[i] == owner[j] or base.has_edge(owner[i], owner[j])
+    ]
+    return Graph.build(len(owner), edges)
 
 
 def min_degree_ordering_brute(n, edges):

@@ -24,6 +24,10 @@ class TestGnp:
             gnp(n, 0.5, 0)
         assert gnp(np.int64(6), 0.5, 3) == gnp(6, 0.5, 3)
 
+    def test_negative_n_names_n(self):
+        with pytest.raises(GraphInputError, match="^n must be nonnegative, got -1"):
+            gnp(-1, 0.5, 1)
+
 
 class TestRegular:
     def test_degrees(self):
@@ -53,6 +57,14 @@ class TestRegular:
         with pytest.raises(GraphInputError, match="^max_tries must be an integer"):
             random_regular(4, 2, 0, max_tries=max_tries)
         assert random_regular(6, 2, 5, max_tries=np.int64(1000)) == random_regular(6, 2, 5)
+
+    @pytest.mark.parametrize(
+        "n, d, max_tries, name",
+        [(-1, 2, 1000, "n"), (4, -1, 1000, "d"), (4, 2, -1, "max_tries")],
+    )
+    def test_negative_parameter_is_named(self, n, d, max_tries, name):
+        with pytest.raises(GraphInputError, match=f"^{name} must be nonnegative, got -1"):
+            random_regular(n, d, 1, max_tries=max_tries)
 
 
 class TestShapes:

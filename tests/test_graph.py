@@ -21,6 +21,7 @@ from fillinlab.graph import (
     normalize_edges,
     save_dimacs,
     twin_classes,
+    twin_quotient,
 )
 from fillinlab.reduction import brooks_coloring, reduce_colored, reduce_primitive
 from fillinlab.solvers import greedy_minfill_heuristic
@@ -30,6 +31,7 @@ from .oracles import (
     edge_set,
     graph_from_bool_matrix,
     normalize_edges_sorted,
+    twin_blowup,
     twin_classes_brute,
 )
 
@@ -95,6 +97,10 @@ class TestBuild:
     def test_rejects_non_integer_vertex_count(self, count):
         with pytest.raises(GraphInputError, match="^vertex_count must be an integer"):
             Graph.build(count)
+
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(GraphInputError, match="^vertex_count must be nonnegative, got -1"):
+            Graph.build(-1)
 
     @pytest.mark.parametrize("dump", [
         lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy, copy.copy,
@@ -466,25 +472,6 @@ def test_content_hash_is_stable(graphs):
 # -- true twins -----------------------------------------------------------------
 
 
-def _blown_up(rng, n):
-    """A seeded G(m, p) with each vertex blown up into a clique of 1..4 true
-    twins, n vertices in all, under shuffled labels."""
-    sizes = []
-    while sum(sizes) < n:
-        sizes.append(min(int(rng.integers(1, 5)), n - sum(sizes)))
-    base = gnp(len(sizes), float(rng.uniform(0.2, 0.8)), rng)
-    owner = np.repeat(np.arange(len(sizes)), sizes).tolist()
-    label = rng.permutation(n).tolist()
-    return Graph.build(
-        n,
-        [
-            (label[i], label[j])
-            for i, j in combinations(range(n), 2)
-            if owner[i] == owner[j] or base.has_edge(owner[i], owner[j])
-        ],
-    )
-
-
 def _twin_corpus():
     """Edgeless graphs, cliques, G(n, p) and twin blow-ups across the word
     boundary, then primitive and colored gadgets, bare and min-fill filled."""
@@ -493,7 +480,7 @@ def _twin_corpus():
         yield Graph.build(n)
         yield Graph.build(n, combinations(range(n), 2))
         yield gnp(n, float(rng.uniform(0.1, 0.9)), rng)
-        yield _blown_up(rng, n)
+        yield twin_blowup(rng, n)
     for n in (3, 4, 5):
         g = random_subcubic(3 * n, rng)
         primitive = reduce_primitive(gnp(n, float(rng.uniform(0.2, 0.8)), rng)).graph
@@ -531,6 +518,20 @@ def test_twin_classes_of_a_clique_and_of_open_twins():
     assert reps.tolist() == [0] and cls.tolist() == [0] * 70
     reps, cls = twin_classes(Graph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).packed_rows())
     assert reps.tolist() == [0, 1, 2, 3] and cls.tolist() == [0, 1, 2, 3]
+
+
+def test_twin_quotient_guards():
+    """The classes past one word with at most n/2 of them; None below two
+    words (K_64) or with more classes (K_{33,32}: no two vertices are twins)."""
+    assert twin_quotient(Graph.build(64, combinations(range(64), 2)).packed_rows()) is None
+    halves = Graph.build(65, [(i, j) for i in range(33) for j in range(33, 65)])
+    assert twin_quotient(halves.packed_rows()) is None
+    blown_up = twin_blowup(np.random.default_rng(4), 130, most=6)
+    for g in (Graph.build(65, combinations(range(65), 2)), blown_up):
+        reps, cls = twin_classes(g.packed_rows())
+        assert 2 * reps.size <= g.n
+        got = twin_quotient(g.packed_rows())
+        assert got[0].tolist() == reps.tolist() and got[1].tolist() == cls.tolist()
 
 
 #: Code that groups twins: ``np.unique`` over rows, or a sort of closed rows.

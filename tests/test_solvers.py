@@ -10,11 +10,13 @@ from fillinlab import _bits
 from fillinlab.chordal import elimination_fill_codes, verify_fillin
 from fillinlab.generate import cycle, gnp, grid, random_subcubic
 from fillinlab.errors import GraphInputError, ResourceLimitError
-from fillinlab.graph import Graph
+from fillinlab.graph import Graph, twin_quotient
 from fillinlab.reduction import brooks_coloring, reduce_colored, reduce_primitive
 from fillinlab.solvers import (
+    GREEDY_STRATEGIES,
     ORACLE_CLASS_LIMIT,
     _fill_scores,
+    _row_game,
     exact_fillin_branch,
     exact_fillin_ordering_oracle,
     exact_vertex_cover,
@@ -25,6 +27,7 @@ from fillinlab.solvers import (
 
 from .conftest import random_graph
 from .oracles import (
+    blow_up,
     clique_tail_brute,
     edge_set,
     elimination_fill_brute,
@@ -34,6 +37,7 @@ from .oracles import (
     min_fill_memo_brute,
     min_fill_ordering_brute,
     min_vertex_cover_brute,
+    twin_blowup,
 )
 
 
@@ -130,14 +134,7 @@ def _twin_blowup(rng, most=10):
     sizes = rng.integers(1, 4, size=m)
     while sizes.sum() > most:
         sizes[sizes.argmax()] -= 1
-    owner = np.repeat(np.arange(m), sizes).tolist()
-    label = rng.permutation(len(owner)).tolist()
-    edges = [
-        (label[i], label[j])
-        for i, j in combinations(range(len(owner)), 2)
-        if owner[i] == owner[j] or base.has_edge(owner[i], owner[j])
-    ]
-    return Graph.build(len(owner), edges)
+    return blow_up(base, sizes, rng)
 
 
 def _oracle_corpus():
@@ -396,10 +393,10 @@ class TestGreedyHeuristics:
 
 
 def test_min_fill_clique_steps_gather_no_rows(monkeypatch):
-    """Counted, not timed: on a chordal input every min-fill step eliminates a
-    vertex of score 0, whose alive neighbourhood is a clique, and such a step
-    updates its neighbours from ``deg`` alone; the only popcounts are the ones
-    ``_fill_scores`` makes."""
+    """Counted, not timed: on a chordal input every step of the row game's
+    min-fill eliminates a vertex of score 0, whose alive neighbourhood is a
+    clique, and such a step updates its neighbours from ``deg`` alone; the
+    only popcounts are the ones ``_fill_scores`` makes."""
     calls = 0
     popcount_rows = _bits.popcount_rows
 
@@ -415,7 +412,7 @@ def test_min_fill_clique_steps_gather_no_rows(monkeypatch):
     _fill_scores(g.packed_rows(), g.n)
     scoring = calls
     calls = 0
-    order, codes = greedy_game(g, "min-fill")
+    order, codes = _row_game(g, "min-fill")
     assert codes.size == 0 and order.size == g.n == 130
     assert calls == scoring
 
@@ -428,7 +425,7 @@ MIN_FILL_UNPACK_BYTES_BEFORE = 1_389_472
 
 def test_min_fill_unpacks_only_nonzero_words(monkeypatch):
     """Counted, not timed: fill pairs come from the nonzero words of each step's
-    missing-pair matrix, so the game unpacks at most half the bytes it did."""
+    missing-pair matrix, so the row game unpacks at most half the bytes it did."""
     total = 0
     unpack = _bits.unpack
 
@@ -442,7 +439,7 @@ def test_min_fill_unpacks_only_nonzero_words(monkeypatch):
     h = reduce_colored(g, 1, brooks_coloring(g, 3)).graph
     assert h.n == 200
     monkeypatch.setattr(_bits, "unpack", counted)
-    greedy_game(h, "min-fill")
+    _row_game(h, "min-fill")
     assert 0 < total <= MIN_FILL_UNPACK_BYTES_BEFORE // 2
 
 
@@ -569,10 +566,11 @@ def test_clique_tail_games_match_full_rescans():
 
 
 def test_games_stop_at_the_clique_tail(monkeypatch):
-    """Counted, not timed: on a seeded primitive gadget the min-degree game and
-    a random-order ``elimination_fill_codes`` make one ``_eliminate_vertex``
-    call, and min-fill one loop step (one ``_bits.indices`` call), per step up
-    to the first whose vertex sees every live vertex."""
+    """Counted, not timed: on a seeded primitive gadget the row game's
+    min-degree and a random-order ``elimination_fill_codes`` make one
+    ``_eliminate_vertex`` call, and the row game's min-fill one loop step (one
+    ``_bits.indices`` call), per step up to the first whose vertex sees every
+    live vertex."""
     from fillinlab import chordal, solvers
 
     calls = {"step": 0, "indices": 0}
@@ -593,8 +591,8 @@ def test_games_stop_at_the_clique_tail(monkeypatch):
     assert g.n == 68
     random_order = rng.permutation(g.n)
     for game, order in (
-        (lambda: greedy_game(g, "min-degree"), min_degree_ordering_brute(g.n, edges)),
-        (lambda: greedy_game(g, "min-fill"), min_fill_ordering_brute(g.n, edges)),
+        (lambda: _row_game(g, "min-degree"), min_degree_ordering_brute(g.n, edges)),
+        (lambda: _row_game(g, "min-fill"), min_fill_ordering_brute(g.n, edges)),
         (lambda: elimination_fill_codes(g, random_order), random_order.tolist()),
     ):
         calls.update(step=0, indices=0)
@@ -624,3 +622,110 @@ def test_min_fill_reaches_the_tail_on_a_clique_step(monkeypatch):
         calls = 0
         order = greedy_game(g, "min-fill")[0].tolist()
         assert calls == 1 + clique_tail_brute(g.n, g.edge_list(), order)
+
+
+# -- the class game ---------------------------------------------------------------
+
+
+def _complete_multipartite(parts):
+    owner = np.repeat(np.arange(len(parts)), parts).tolist()
+    pairs = combinations(range(len(owner)), 2)
+    return Graph.build(len(owner), [(i, j) for i, j in pairs if owner[i] != owner[j]])
+
+
+#: The full-rescan orderings, in the order of ``GREEDY_STRATEGIES``.
+BRUTE_ORDERINGS = (min_degree_ordering_brute, min_fill_ordering_brute)
+
+
+def _class_game_corpus():
+    """(name, graph) pairs past one word with at most 64 true-twin classes, at
+    most n/2: seeded twin blow-ups under shuffled labels, primitive gadgets for
+    n = 4..8, colored gadgets with b = 1 and b = 2, K_n, disjoint cliques under
+    shuffled labels, and complete multipartite graphs, whose parts of two or
+    more vertices are false twins (equal open rows) that must stay apart."""
+    rng = np.random.default_rng(2525)
+    for i in range(16):
+        n = int(rng.integers(65, 81)) if i < 6 else int(rng.integers(81, 201))
+        yield f"blow-up {i}", twin_blowup(rng, n, most=8)
+    for n in range(4, 9):
+        base = gnp(n, float(rng.uniform(0.3, 0.8)), rng)
+        yield f"primitive n={n}", reduce_primitive(base).graph
+    for n in (20, 26):
+        h = random_subcubic(n, rng)
+        for b in (1, 2):
+            yield f"colored n={n} b={b}", reduce_colored(h, b, brooks_coloring(h, 3)).graph
+    for n in (65, 130):
+        yield f"K_{n}", Graph.build(n, combinations(range(n), 2))
+    yield "three cliques", blow_up(Graph.build(3), [30, 20, 25], rng)
+    yield "multipartite", _complete_multipartite([1] * 60 + [3, 3])
+    yield "multipartite mix", _complete_multipartite([1] * 40 + [2] * 10 + [5, 5])
+
+
+def test_class_game_matches_the_row_game_and_the_rescans(monkeypatch):
+    """Every graph of the corpus takes the class game, which returns the row
+    game's ordering and fill codes; up to 80 vertices the full-rescan brutes
+    give the same ordering, and its dict-of-sets fill the same codes."""
+    from fillinlab import solvers
+
+    steps = 0
+    class_scores = solvers._class_scores
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return class_scores(*args)
+
+    monkeypatch.setattr(solvers, "_class_scores", counted)
+    games = 0
+    for name, g in _class_game_corpus():
+        reps = twin_quotient(g.packed_rows())[0]
+        assert g.n > 64 and reps.size <= 64, name
+        for strategy, brute in zip(GREEDY_STRATEGIES, BRUTE_ORDERINGS):
+            steps = 0
+            order, codes = greedy_game(g, strategy)
+            assert steps > 0, (name, strategy)
+            row_order, row_codes = _row_game(g, strategy)
+            assert order.tolist() == row_order.tolist(), (name, strategy)
+            assert codes.dtype == np.int64, (name, strategy)
+            assert codes.tolist() == row_codes.tolist(), (name, strategy)
+            if g.n <= 80:
+                expect = brute(g.n, g.edge_list())
+                assert order.tolist() == expect, (name, strategy)
+                assert codes.tolist() == _fill_codes_brute(g, expect), (name, strategy)
+            games += 1
+    assert games == 2 * (16 + 5 + 4 + 2 + 3)
+
+
+def test_class_game_steps_once_per_vertex(monkeypatch):
+    """Counted, not timed: on a seeded primitive gadget both strategies make
+    no ``_eliminate_vertex`` or ``_bits.indices`` call and one class step
+    (one ``_class_scores`` call) per step up to the clique tail.  On a
+    twin-free grid they play the row game, with its counts."""
+    from fillinlab import chordal, solvers
+
+    calls = {"step": 0, "indices": 0, "class": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    step = counted("step", chordal._eliminate_vertex)
+    for mod in (chordal, solvers):
+        monkeypatch.setattr(mod, "_eliminate_vertex", step)
+    monkeypatch.setattr(_bits, "indices", counted("indices", _bits.indices))
+    monkeypatch.setattr(solvers, "_class_scores", counted("class", solvers._class_scores))
+    gadget = reduce_primitive(gnp(4, 0.5, np.random.default_rng(1919))).graph
+    for g in (gadget, grid(9, 9)):
+        edges = g.edge_list()
+        for strategy, brute in zip(GREEDY_STRATEGIES, BRUTE_ORDERINGS):
+            calls.update(dict.fromkeys(calls, 0))
+            greedy_game(g, strategy)
+            expect = 1 + clique_tail_brute(g.n, edges, brute(g.n, edges))
+            assert expect < g.n
+            if g is gadget:
+                assert calls == {"step": 0, "indices": 0, "class": expect}
+            else:
+                row_steps = expect if strategy == "min-degree" else 0
+                assert calls == {"step": row_steps, "indices": expect, "class": 0}
