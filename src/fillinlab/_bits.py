@@ -10,14 +10,26 @@ block sizes of packed rows: they call the helpers here and walk them in ``blocks
 unpacks only the nonzero words, and ``upper_codes``, min-fill's fill pairs and
 the forbidden-clique search read their bits through it.  No other module
 unpacks a matrix to find its set bits; ``indices`` reads one row.
+
+The block policy lives here too: ``blocks`` slices items of one size, and
+``bit_blocks`` slices the rows or columns whose set bits become int64 codes,
+charging each item its unpacked bytes and ``BIT_BYTES`` per set bit.  Both
+hold a block to ``UNPACK_BLOCK_BYTES``, so a routine that turns set bits into
+codes (``upper_codes`` and ``matrix.symbolic_fill_codes``) counts them first,
+allocates its exact-size output once, and peaks at that output plus one block.
 """
 
 import numpy as np
 
 WORD = 64
 
-#: Bytes of boolean matrix that whole-matrix scans unpack at a time.
-UNPACK_BLOCK_BYTES = 1 << 24
+#: Bytes a whole-matrix scan holds per block: the boolean matrix it unpacks
+#: and, where it builds codes, ``BIT_BYTES`` per set bit.
+UNPACK_BLOCK_BYTES = 1 << 20
+
+#: Bytes of int64 temporaries per set bit while ``set_positions`` or
+#: ``matrix._block_codes`` turn bits into positions: four arrays at the peak.
+BIT_BYTES = 32
 
 _U1 = np.uint64(1)
 
@@ -97,6 +109,20 @@ def blocks(count: int, item_bytes: int, cap: int | None = None):
         yield slice(lo, min(lo + step, count))
 
 
+def bit_blocks(nbits, set_bits: np.ndarray):
+    """Slices of ``range(set_bits.size)`` in order: as many items as fit in
+    ``UNPACK_BLOCK_BYTES`` (read when iteration starts), an item costing its
+    ``nbits`` unpacked bytes (an array, or one size for all) plus ``BIT_BYTES``
+    for each of its ``set_bits``, and at least one."""
+    ends = np.zeros(set_bits.size + 1, dtype=np.int64)
+    np.cumsum(nbits + BIT_BYTES * set_bits, out=ends[1:])
+    cap, lo = UNPACK_BLOCK_BYTES, 0
+    while lo < set_bits.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + cap, "right")) - 1)
+        yield slice(lo, hi)
+        lo = hi
+
+
 def popcount_rows(rows: np.ndarray) -> np.ndarray:
     """Number of set bits per row."""
     return np.bitwise_count(rows).sum(axis=-1, dtype=np.int64)
@@ -111,12 +137,9 @@ def unpack(rows: np.ndarray, nbits: int) -> np.ndarray:
 def pack(matrix: np.ndarray) -> np.ndarray:
     """Boolean matrix to packed rows (columns padded to a word multiple)."""
     matrix = np.asarray(matrix, dtype=bool)
-    nbits = matrix.shape[1]
-    pad = nwords(nbits) * 8  # bytes per row after packing
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    if packed.shape[1] < pad:
-        packed = np.pad(packed, ((0, 0), (0, pad - packed.shape[1])))
-    return np.ascontiguousarray(packed).view(np.uint64)
+    out = np.zeros((matrix.shape[0], nwords(matrix.shape[1]) * 8), dtype=np.uint8)
+    out[:, : (matrix.shape[1] + 7) // 8] = np.packbits(matrix, axis=1, bitorder="little")
+    return out.view(np.uint64)
 
 
 def indices(row: np.ndarray, nbits: int) -> np.ndarray:
@@ -128,7 +151,8 @@ def set_positions(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of every set bit of a 2-D array of packed rows, as int64
     arrays in row-major order: ``np.nonzero(unpack(rows, nbits))`` for any
     ``nbits`` that covers the set bits.  Only the nonzero words are unpacked,
-    64 bytes each, so the cost follows the set words, not the matrix size.
+    64 bytes each, so the cost follows the set words, not the matrix size; at
+    its peak it holds three int64 arrays per set bit (``BIT_BYTES`` allows four).
     """
     r, w = np.nonzero(rows)
     words = rows[r, w]
@@ -153,25 +177,49 @@ def is_clique(rows: np.ndarray, mask: np.ndarray, n: int) -> bool:
 def upper_codes(rows: np.ndarray, n: int) -> np.ndarray:
     """Sorted codes ``u * n + w`` (u < w) of the set bits (u, w) of an n-row matrix.
 
-    One block of rows at a time, so a block never unpacks more than about
-    ``UNPACK_BLOCK_BYTES`` bytes: a copy of the block keeps only the bits right
-    of the diagonal (the words left of the diagonal word are zeroed, and the bits
-    at and below the diagonal cleared from it), and ``set_positions`` reads them.
+    The codes fill one exact-size array, a block of rows at a time: a copy of
+    the block keeps only the bits right of the diagonal (``_right_of_diagonal``),
+    and ``set_positions`` reads them into the block's slice of the codes.  A
+    matrix that fits one ``bit_blocks`` block with every position right of its
+    diagonal set is read in one block, masked once.  A larger one is counted
+    first, row by row, one ``blocks`` slice of n unpacked bytes per row at a
+    time, then masked again and read in ``bit_blocks`` of those counts, so the
+    peak is the codes plus one block of about ``UNPACK_BLOCK_BYTES``.
     """
-    out = [np.empty(0, dtype=np.int64)]
-    words = np.arange(rows.shape[1])
-    for block in blocks(n, n):
-        r = np.arange(block.start, block.stop)
-        part = rows[block].copy()
-        part[words < (r >> 6)[:, None]] = 0
-        above = _U1 << (r & 63).astype(np.uint64) << _U1  # 0 at bit 63
-        part[r - block.start, r >> 6] &= ~(above - _U1)
-        u, w = set_positions(part)
-        u += block.start
+    if n * n + BIT_BYTES * (n * (n - 1) // 2) <= UNPACK_BLOCK_BYTES:
+        u, w = set_positions(_right_of_diagonal(rows, 0, n))
         u *= n
         u += w
-        out.append(u)
-    return np.concatenate(out)
+        return u
+    counts = np.concatenate(
+        [
+            np.bitwise_count(_right_of_diagonal(rows, b.start, b.stop)).sum(axis=1, dtype=np.int64)
+            for b in blocks(n, n)
+        ]
+    )
+    codes = np.empty(int(counts.sum()), dtype=np.int64)
+    at = 0
+    for block in bit_blocks(n, counts):
+        u, w = set_positions(_right_of_diagonal(rows, block.start, block.stop))
+        part = codes[at : at + u.size]
+        np.add(u, block.start, out=part)
+        part *= n
+        part += w
+        at += u.size
+        del u, w  # before the next block's
+    return codes
+
+
+def _right_of_diagonal(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """A copy of rows lo..hi-1 with only the bits right of the diagonal: the words
+    left of the diagonal word zeroed, and the bits at and below the diagonal cleared
+    from it."""
+    r = np.arange(lo, hi)
+    part = rows[lo:hi].copy()
+    part[np.arange(rows.shape[1]) < (r >> 6)[:, None]] = 0
+    above = _U1 << (r & 63).astype(np.uint64) << _U1  # 0 at bit 63
+    part[r - lo, r >> 6] &= ~(above - _U1)
+    return part
 
 
 def is_symmetric(rows: np.ndarray, n: int) -> bool:

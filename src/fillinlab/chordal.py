@@ -337,10 +337,11 @@ def elimination_fill_codes(graph: Graph, order) -> np.ndarray:
     eliminated neighbors are added, then the vertex is removed; the codes of
     all added pairs are returned.  Empty exactly when the order is a PEO.
     The game runs on closed rows (see ``_eliminate_vertex``); the fill is the
-    working rows minus the original ones, whose diagonal bits
-    ``_bits.upper_codes`` drops.  It stops after the first step whose vertex
-    saw every other alive vertex: that step leaves the alive vertices a
-    clique, so the rest of the order adds no fill and is not played.
+    working rows minus the original ones, taken in place by ``^=`` (the game
+    only sets bits), whose diagonal bits ``_bits.upper_codes`` drops.  It
+    stops after the first step whose vertex saw every other alive vertex:
+    that step leaves the alive vertices a clique, so the rest of the order
+    adds no fill and is not played.
     """
     arr = _validate_permutation(graph.n, order)
     n = graph.n
@@ -351,7 +352,8 @@ def elimination_fill_codes(graph: Graph, order) -> np.ndarray:
     for step, v in enumerate(arr.tolist()):
         if _eliminate_vertex(rows, alive, v, n).size == n - step - 1:
             break  # v saw every alive vertex: they form a clique, no later step fills
-    return _bits.upper_codes(rows & ~original, n)
+    rows ^= original
+    return _bits.upper_codes(rows, n)
 
 
 def elimination_fill(graph: Graph, order) -> frozenset[EdgePair]:

@@ -5,7 +5,8 @@ positions of an n-by-n symmetric matrix, with the diagonal assumed
 structurally nonzero.  Symbolic factorization merges column structures up
 the elimination tree of the permuted matrix (Liu 1990), each column one
 Python int bitset, in one bit per position between a column's diagonal and
-its last entry (at most n^2 / 2 bits, not the factor's nonzeros)--
+its last entry (at most n^2 / 2 bits), counted before the fill codes, 8 bytes
+per fill position, are allocated (Gilbert, Ng and Peyton 1994)--
 deliberately a separate implementation from the graph elimination game, so
 the two can cross-check each other position for position.  Patterns and
 fills are both sorted int64 codes ``i * n + j`` (``i < j``, original row
@@ -102,13 +103,20 @@ def symbolic_fill_codes(pattern: SparsePattern, ordering) -> tuple[np.ndarray, i
     minus k itself; the parent of a column is its smallest entry.  Column k
     is one Python int, bit t standing for pivot row ``k + 1 + t``, so a
     column merges into its parent ``k + s`` by ``cols[k + s] |= c >> s``,
-    where bit ``s - 1`` is the lowest set.  Memory is one bit per position
-    between a column's diagonal and its last entry, not one entry per factor
-    nonzero: an arrow with its centre pivoted last sets one bit per column yet
-    holds n^2 / 2 bits (25 MB at n = 20,000, still half the packed rows of
-    the graph side).  The columns become codes a block of about
-    ``_bits.UNPACK_BLOCK_BYTES`` unpacked bits at a time, only their nonzero
-    bytes unpacked, each block's ints released once read.
+    where bit ``s - 1`` is the lowest set.  The columns take one bit per
+    position between a column's diagonal and its last entry, not one entry per
+    factor nonzero: an arrow with its centre pivoted last sets one bit per
+    column yet holds n^2 / 2 bits (25 MB at n = 20,000, still half the packed
+    rows of the graph side).
+
+    The fill codes take 8 bytes per fill position, and nothing else grows with
+    the factor: every pattern position is in the factor, so the fill count is
+    the columns' set bits (``int.bit_count``) minus the pattern's, and the
+    codes fill one exact-size array, sorted in place.  The columns become
+    codes in ``_bits.bit_blocks`` blocks, each block's bytes joined once,
+    the pattern's own bits cleared from them, only their nonzero bytes
+    unpacked, and each block's ints released once read; the peak is the fill
+    codes, the columns and one block.
 
     Returns (fill codes, total nonzeros of the factorized pattern): the
     codes are ``i * n + j`` for each fill position in original row ids with
@@ -129,29 +137,36 @@ def symbolic_fill_codes(pattern: SparsePattern, ordering) -> tuple[np.ndarray, i
             s = (c & -c).bit_length()
             cols[k + s] |= c >> s
     nbytes = [(c.bit_length() + 7) >> 3 for c in cols]
-    first = np.cumsum([0, *nbytes], dtype=np.int64)  # where each column starts, then the end
-    cap = max(1, _bits.UNPACK_BLOCK_BYTES >> 3)
-    blocks = [np.empty(0, dtype=np.int64)]
-    k0 = 0
-    while k0 < n:
-        k1 = min(n, max(k0 + 1, int(np.searchsorted(first, first[k0] + cap, "right")) - 1))
-        buf = b"".join([cols[k].to_bytes(nbytes[k], "little") for k in range(k0, k1)])
+    first = np.zeros(n + 1, dtype=np.int64)  # where each column starts, then the end
+    np.cumsum(nbytes, out=first[1:])
+    own = np.sort(8 * first[lo] + hi - lo - 1)  # the pattern's bits, numbered through the joined bytes
+    counts = np.array([c.bit_count() for c in cols], dtype=np.int64)
+    fill = np.empty(int(counts.sum()) - own.size, dtype=np.int64)
+    at = 0
+    for block in _bits.bit_blocks(8 * np.diff(first), counts):
+        k0, k1 = block.start, block.stop
+        buf = bytearray().join([cols[k].to_bytes(nbytes[k], "little") for k in range(k0, k1)])
         cols[k0:k1] = [0] * (k1 - k0)
-        blocks.append(_block_codes(np.frombuffer(buf, dtype=np.uint8), first, k0, order))
-        k0 = k1
-    factor = np.concatenate(blocks)
-    del blocks
-    factor.sort()
-    fill = np.setdiff1d(factor, pattern.codes, assume_unique=True)
-    return fill, 2 * int(factor.size) + n
+        buf = np.frombuffer(buf, dtype=np.uint8)
+        mine = own[np.searchsorted(own, 8 * first[k0]) : np.searchsorted(own, 8 * first[k1])]
+        mine = mine - 8 * first[k0]
+        np.bitwise_and.at(buf, mine >> 3, ~np.left_shift(1, mine & 7).astype(np.uint8))
+        size = int(counts[block].sum()) - mine.size
+        _block_codes(buf, first, k0, order, fill[at : at + size])
+        at += size
+        del buf  # before the next block's
+    fill.sort()
+    return fill, 2 * (int(fill.size) + pattern.nnz_offdiag) + n
 
 
-def _block_codes(buf: np.ndarray, first: np.ndarray, k0: int, order: np.ndarray) -> np.ndarray:
-    """Codes of the set bits of the column bytes ``buf``, which start at column k0.
+def _block_codes(buf: np.ndarray, first: np.ndarray, k0: int, order: np.ndarray, out: np.ndarray) -> None:
+    """Write the codes of the set bits of the column bytes ``buf``, which start at
+    column k0, to ``out``, whose size is their count.
 
     Column k's bytes start at ``first[k]`` of the whole byte string; only the
-    nonzero bytes are unpacked.  A function of its own so that its per-bit
-    temporaries are freed before the next block and the sort.
+    nonzero bytes are unpacked.  At the peak four int64 arrays per set bit are
+    alive (``_bits.BIT_BYTES``); a function of its own so that they are freed
+    before the next block.
     """
     n = order.size
     nz = np.flatnonzero(buf)
@@ -166,10 +181,9 @@ def _block_codes(buf: np.ndarray, first: np.ndarray, k0: int, order: np.ndarray)
     row += bits
     del bits
     col, row = order[col], order[row]
-    code = np.minimum(col, row)
-    code *= n
-    code += np.maximum(col, row, out=row)
-    return code
+    np.minimum(col, row, out=out)
+    out *= n
+    out += np.maximum(col, row, out=row)
 
 
 def fill_equivalence_check(pattern: SparsePattern, ordering) -> bool:

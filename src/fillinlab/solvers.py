@@ -566,7 +566,8 @@ def _row_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
                 break
             deg[idx] = _bits.popcount_rows(rows[idx] & alive) - 1  # minus the own bit
             deg[v] = n  # above every alive degree: never re-selected
-        return order, _bits.upper_codes(rows & ~original, n)
+        rows ^= original  # the game only sets bits: the fill
+        return order, _bits.upper_codes(rows, n)
     score = _fill_scores(original, n)
     deg = graph.degrees() + 1  # closed alive degrees
     retired = np.iinfo(np.int64).max  # above every alive score: never re-selected
@@ -608,7 +609,8 @@ def _row_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
             common &= alive
             score -= _bits.unpack(common, n).sum(axis=0, dtype=np.int64)
         rows[idx] = near | nbr
-    return order, _bits.upper_codes(rows & ~original, n)
+    rows ^= original
+    return order, _bits.upper_codes(rows, n)
 
 
 def greedy_minfill_heuristic(graph: Graph, strategy: str) -> frozenset[EdgePair]:

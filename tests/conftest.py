@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fillinlab.graph import Graph
+from fillinlab.matrix import SparsePattern
 
 
 def named_graphs():
@@ -64,3 +67,23 @@ def random_graph(rng, n, p=None):
     from fillinlab.generate import gnp
 
     return gnp(n, p, rng)
+
+
+def grid3d_pattern(k):
+    """The k x k x k grid, rows numbered x-fastest."""
+    n = k**3
+    idx = np.arange(n).reshape(k, k, k)
+    lo = np.concatenate([np.take(idx, range(k - 1), axis=a).ravel() for a in range(3)])
+    hi = np.concatenate([np.take(idx, range(1, k), axis=a).ravel() for a in range(3)])
+    return SparsePattern(n, zip(lo.tolist(), hi.tolist()))
+
+
+def traced_peak(fn, *args):
+    """(result, tracemalloc peak in bytes) of one call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -12,7 +12,7 @@ from fillinlab import _bits
 from .conftest import random_graph
 
 #: Text that computes a word index, a bit position or a block size by hand.
-LAYOUT_ARITHMETIC = (">> 6", "& 63", "_bits.WORD", "UNPACK_BLOCK_BYTES //")
+LAYOUT_ARITHMETIC = (">> 6", "& 63", "_bits.WORD", "UNPACK_BLOCK_BYTES //", "UNPACK_BLOCK_BYTES >>", "BIT_BYTES *")
 
 
 def test_only_bits_knows_the_layout():
@@ -117,7 +117,7 @@ def test_padded_rows(n, column):
 
 
 @pytest.mark.parametrize("cap", [None, 1, 7, 64, 1000])
-@pytest.mark.parametrize("block_bytes", [_bits.UNPACK_BLOCK_BYTES, 64])
+@pytest.mark.parametrize("block_bytes", [1 << 24, 64])
 def test_blocks_cover_each_item_once(monkeypatch, cap, block_bytes):
     monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", block_bytes)
     for count in (0, 1, 5, 64, 1000):

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import tracemalloc
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from fillinlab.generate import gnp, random_subcubic
 from fillinlab.graph import Graph, twin_classes
 from fillinlab.reduction import brooks_coloring, produced_fillins, reduce_colored, reduce_primitive
 
-from .conftest import random_graph
+from .conftest import random_graph, traced_peak
 from .oracles import (
     all_labeled_graphs,
     check_hole_pairs,
@@ -101,12 +100,7 @@ def test_mcs_memory_is_bounded(monkeypatch):
     n = 4096
     g = Graph.build(n, [(i, i + 1) for i in range(n - 1)])
     monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", 1 << 14)
-    tracemalloc.start()
-    try:
-        ok, _ = is_chordal(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (ok, _), peak = traced_peak(is_chordal, g)
     assert ok
     assert peak < g.packed_rows().nbytes
 

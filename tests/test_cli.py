@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from fillinlab import cli
+from fillinlab import _bits, cli
 from fillinlab.graph import Graph, load_dimacs, save_dimacs
+from fillinlab.matrix import arrow_pattern, save_matrix_market
 
+from .conftest import grid3d_pattern, traced_peak
 from .oracles import clique_tail_brute, min_degree_ordering_brute
 
 
@@ -204,6 +206,27 @@ class TestEliminate:
         data = json.loads(rep.read_text())
         assert data["outputs"]["fill_size"] == 0
         assert data["outputs"]["total_nonzeros"] == 13
+
+    def test_grid_12_cubed_natural_order_peak(self, tmp_path):
+        """Parse, both fills and the report: 1.7 MiB for each fill array."""
+        mtx, rep = tmp_path / "grid.mtx", tmp_path / "rep.json"
+        save_matrix_market(grid3d_pattern(12), mtx)
+        argv = ["eliminate", str(mtx), "--strategy", "natural", "--out", str(rep)]
+        code, peak = traced_peak(run, argv)
+        assert code == 0 and json.loads(rep.read_text())["outputs"]["fill_size"] == 224_939
+        assert peak < 6.5 * 2**20
+
+    def test_arrow_natural_order_peak(self, tmp_path):
+        """Centre first, every pair of the other rows fills: the run peaks at its
+        two fill arrays plus one extraction block, with room for the parse."""
+        n = 1000
+        fill_bytes = 8 * (n - 1) * (n - 2) // 2
+        mtx, rep = tmp_path / "arrow.mtx", tmp_path / "rep.json"
+        save_matrix_market(arrow_pattern(n), mtx)
+        argv = ["eliminate", str(mtx), "--strategy", "natural", "--out", str(rep)]
+        code, peak = traced_peak(run, argv)
+        assert code == 0 and 8 * json.loads(rep.read_text())["outputs"]["fill_size"] == fill_bytes
+        assert peak < 2 * fill_bytes + 2 * _bits.UNPACK_BLOCK_BYTES
 
     def test_explicit_ordering(self, tmp_path, graphs):
         src = tmp_path / "star.col"
@@ -437,6 +460,10 @@ class TestErrors:
     def test_non_integer_ordering_exit_2(self, c4_file, capsys):
         assert run(["eliminate", c4_file, "--ordering", "0,1,x"]) == cli.EXIT_BAD_INPUT
         assert "--ordering: expected integers, got '0 1 x'" in capsys.readouterr().err
+
+    def test_empty_ordering_exit_2(self, c4_file, capsys):
+        assert run(["eliminate", c4_file, "--ordering", ""]) == cli.EXIT_BAD_INPUT
+        assert "--ordering: expected integers, got ''" in capsys.readouterr().err
 
     def test_non_fraction_eps_exit_2(self, capsys):
         assert run(["verify", "transfer", "--eps", "abc", "--trials", "1"]) == cli.EXIT_BAD_INPUT

@@ -26,6 +26,7 @@ from fillinlab.graph import (
 from fillinlab.reduction import brooks_coloring, reduce_colored, reduce_primitive
 from fillinlab.solvers import greedy_minfill_heuristic
 
+from .conftest import traced_peak
 from .oracles import (
     bfs_deque,
     edge_set,
@@ -275,9 +276,9 @@ def _plain_graph(rng, n, density):
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
 @pytest.mark.parametrize("density", [0.0, 0.01, 0.5, 1.0])
-@pytest.mark.parametrize("block_bytes", [_bits.UNPACK_BLOCK_BYTES, 64])
+@pytest.mark.parametrize("block_bytes", [1 << 24, 64])
 def test_queries_match_plain_sets_across_word_boundaries(rng, monkeypatch, n, density, block_bytes):
-    monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", block_bytes)  # 64: one or two rows per block
+    monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", block_bytes)  # 1 << 24: one block; 64: one or two rows
     plain = _plain_graph(rng, n, density)
     g = Graph.build(n, rng.permutation(sorted(plain)) if plain else [])
     assert g.m == len(plain)
@@ -383,9 +384,9 @@ class TestFromPackedRows:
         with pytest.raises(GraphInputError, match=f"diagonal bit set at vertex {v}"):
             Graph.from_packed_rows(rows, self.N)
 
-    @pytest.mark.parametrize("block_bytes", [_bits.UNPACK_BLOCK_BYTES, 64 * 64])
+    @pytest.mark.parametrize("block_bytes", [1 << 24, 64 * 64])
     def test_rejects_asymmetry_in_every_block_position(self, rng, monkeypatch, block_bytes):
-        monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", block_bytes)  # 64 * 64: 64-row blocks
+        monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", block_bytes)  # 1 << 24: one block; 64 * 64: 64-row blocks
         for n in (1, 63, 64, 65, 200):
             mat = rng.random((n, n)) < 0.2
             mat = np.triu(mat, 1)
@@ -443,23 +444,13 @@ class TestDimacs:
 
 
 def test_upper_codes_memory_is_bounded():
-    """Only bits right of the diagonal are unpacked into codes, built in
-    place: the N=350 primitive gadget's ~60k codes take 0.49 MB."""
-    import tracemalloc
-
-    from fillinlab.generate import gnp
-    from fillinlab.reduction import reduce_primitive
-
+    """Only bits right of the diagonal are unpacked into codes, which fill one
+    exact-size array a bounded block at a time: the N=350 primitive gadget's
+    ~60k codes take 0.49 MB, and the peak is those and one block."""
     g = reduce_primitive(gnp(7, 0.5, 3)).graph
-    rows = g.packed_rows()
-    tracemalloc.start()
-    try:
-        codes = _bits.upper_codes(rows, g.n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    codes, peak = traced_peak(_bits.upper_codes, g.packed_rows(), g.n)
     assert codes.size == g.m
-    assert peak < 2.5 * 2**20
+    assert peak < codes.nbytes + _bits.UNPACK_BLOCK_BYTES
 
 
 def test_content_hash_is_stable(graphs):

@@ -1,13 +1,12 @@
 import copy
 import hashlib
 import pickle
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from fillinlab import _bits
+from fillinlab import _bits, matrix
 from fillinlab.chordal import check_peo, elimination_fill_codes
 from fillinlab.errors import GraphInputError
 from fillinlab.graph import pairs_from_codes
@@ -24,7 +23,7 @@ from fillinlab.matrix import (
     tridiagonal_pattern,
 )
 
-from .conftest import random_graph
+from .conftest import grid3d_pattern, random_graph, traced_peak
 from .oracles import elimination_fill_brute, load_matrix_market_lines, symbolic_merge_brute
 
 
@@ -229,26 +228,6 @@ def boundary_cases(rng):
                 yield pattern, order
 
 
-def grid3d_pattern(k):
-    """The k x k x k grid, rows numbered x-fastest."""
-    n = k**3
-    idx = np.arange(n).reshape(k, k, k)
-    lo = np.concatenate([np.take(idx, range(k - 1), axis=a).ravel() for a in range(3)])
-    hi = np.concatenate([np.take(idx, range(1, k), axis=a).ravel() for a in range(3)])
-    return SparsePattern(n, zip(lo.tolist(), hi.tolist()))
-
-
-def traced_peak(fn, *args):
-    """(result, tracemalloc peak in bytes) of one call."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 class TestEliminationTreeFactor:
     def test_matches_brute_elimination(self, rng):
         for pattern in random_patterns(rng, 400):
@@ -269,12 +248,7 @@ class TestEliminationTreeFactor:
     def test_tridiagonal_20000_rows_without_dense_matrix(self):
         n = 20_000
         for order in (range(n), range(n - 1, -1, -1)):
-            tracemalloc.start()
-            try:
-                fill, total = symbolic_fill_codes(tridiagonal_pattern(n), order)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            (fill, total), peak = traced_peak(symbolic_fill_codes, tridiagonal_pattern(n), order)
             assert fill.size == 0 and total == 2 * (n - 1) + n
             # an n-by-n bool matrix would take 400 MB, and packed rows 50 MB
             assert peak < 40 * 2**20
@@ -313,7 +287,39 @@ class TestEliminationTreeFactor:
         pattern = grid3d_pattern(12)
         (fill, total), peak = traced_peak(symbolic_fill_codes, pattern, range(pattern.n))
         assert (fill.size, total) == (224_939, 461_110)
-        assert peak < 10 * 2**20
+        assert peak < 4 * 2**20  # 1.7 MiB of fill codes, the columns and one block
+
+    def test_tiny_blocks_match_one_block(self, rng, monkeypatch):
+        """Both code extractions at a 64-byte cap, about one row or column per
+        block, against the same call in one block."""
+        calls = {"rows": 0, "cols": 0}
+        set_positions, block_codes = _bits.set_positions, matrix._block_codes
+
+        def rows_counted(rows):
+            calls["rows"] += 1
+            return set_positions(rows)
+
+        def cols_counted(*args):
+            calls["cols"] += 1
+            block_codes(*args)
+
+        monkeypatch.setattr(_bits, "set_positions", rows_counted)
+        monkeypatch.setattr(matrix, "_block_codes", cols_counted)
+        cases = [(grid3d_pattern(5), range(125)), (arrow_pattern(90), range(90))]
+        for n in (63, 64, 65, 130):
+            cases.append((pattern_from_graph(random_graph(rng, n)), rng.permutation(n).tolist()))
+        for pattern, order in cases:
+            rows = graph_from_pattern(pattern).packed_rows().copy()
+            _bits.set_diagonal(rows)  # dropped with the rest of the lower triangle
+            results = []
+            for block_bytes, want_blocks in ((1 << 40, 1), (64, pattern.n // 2)):
+                monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", block_bytes)
+                calls.update(rows=0, cols=0)
+                results.append((_bits.upper_codes(rows, pattern.n), *symbolic_fill_codes(pattern, order)))
+                assert min(calls.values()) >= want_blocks and (want_blocks > 1 or max(calls.values()) == 1)
+            (codes, fill, total), (tiny_codes, tiny_fill, tiny_total) = results
+            assert np.array_equal(codes, pattern.codes) and np.array_equal(tiny_codes, codes)
+            assert np.array_equal(tiny_fill, fill) and tiny_total == total
 
 
 class TestEquivalence:

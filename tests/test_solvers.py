@@ -1,6 +1,5 @@
 import hashlib
 import json
-import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -25,7 +24,7 @@ from fillinlab.solvers import (
     is_vertex_cover,
 )
 
-from .conftest import random_graph
+from .conftest import random_graph, traced_peak
 from .oracles import (
     blow_up,
     clique_tail_brute,
@@ -214,12 +213,7 @@ class TestOrderingOracle:
 
     def test_memory_at_the_class_limit(self):
         c16 = Graph.build(16, [(i, (i + 1) % 16) for i in range(16)])
-        tracemalloc.start()
-        try:
-            exact_fillin_ordering_oracle(c16)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(exact_fillin_ordering_oracle, c16)
         assert peak < 128 * 2**20
 
     def test_matches_permutation_minimum(self, rng):
@@ -383,12 +377,7 @@ class TestGreedyHeuristics:
         peak near 7 MB."""
         g = reduce_primitive(gnp(7, 0.5, 3)).graph
         assert g.n == 350
-        tracemalloc.start()
-        try:
-            greedy_minfill_heuristic(g, "min-fill")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(greedy_minfill_heuristic, g, "min-fill")
         assert peak < 4 * 2**20
 
 
