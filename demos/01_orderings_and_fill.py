@@ -11,10 +11,10 @@ from itertools import permutations
 
 from fillinlab import (
     Graph,
-    elimination_fill,
+    elimination_fill_codes,
     exact_fillin_branch,
     exact_fillin_ordering_oracle,
-    greedy_minfill_heuristic,
+    greedy_game,
     is_chordal,
     mcs_ordering,
 )
@@ -24,8 +24,8 @@ print("1. The elimination game on a 4-cycle")
 print("=" * 64)
 c4 = Graph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 for order in ([0, 1, 2, 3], [1, 0, 2, 3]):
-    fill = elimination_fill(c4, order)
-    print(f"  eliminate {order} -> fill {sorted(fill)}")
+    fill = elimination_fill_codes(c4, order)  # sorted codes u * n + w
+    print(f"  eliminate {order} -> fill {[divmod(c, c4.n) for c in fill.tolist()]}")
 print("  Every ordering of a 4-cycle adds exactly one chord.")
 
 print()
@@ -49,10 +49,10 @@ print("3. Exact minimum fill on a 5-cycle, three ways")
 print("=" * 64)
 c5 = Graph.build(5, [(i, (i + 1) % 5) for i in range(5)])
 oracle = exact_fillin_ordering_oracle(c5)
-brute = min(len(elimination_fill(c5, p)) for p in permutations(range(5)))
+brute = min(len(elimination_fill_codes(c5, p)) for p in permutations(range(5)))
 branch = exact_fillin_branch(c5, budget=4)
-greedy = greedy_minfill_heuristic(c5, "min-fill")
-print(f"  ordering oracle   : {len(oracle)}  {sorted(oracle)}")
+greedy = greedy_game(c5, "min-fill")[1]
+print(f"  ordering oracle   : {len(oracle)}  {[divmod(c, c5.n) for c in oracle.tolist()]}")
 print(f"  all 5! orderings  : {brute}")
 print(f"  hole-ear branching: {len(branch.fillin)} ({branch.status}, {branch.nodes} nodes)")
 print(f"  greedy min-fill   : {len(greedy)}")

@@ -19,7 +19,7 @@ from fillinlab import (
     exact_fillin_ordering_oracle,
     exact_vertex_cover,
     full_vertices,
-    greedy_minfill_heuristic,
+    greedy_game,
     reduce_primitive,
     split_completion,
     verify_sandwich,
@@ -58,7 +58,7 @@ inst5 = reduce_primitive(g)
 tau5 = exact_vertex_cover(g).size
 print(f"  gadget on {inst5.graph.n} vertices; tau = {tau5}, deficit = 25")
 for strategy in ("min-degree", "min-fill"):
-    fill = greedy_minfill_heuristic(inst5.graph, strategy)
+    fill = greedy_game(inst5.graph, strategy)[1]
     full = full_vertices(inst5, fill)
     print(
         f"  {strategy:>10}: |fill| = {len(fill):4d} >= "

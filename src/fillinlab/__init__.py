@@ -12,7 +12,6 @@ from .chordal import (
     PeoCertificate,
     check_hole,
     check_peo,
-    elimination_fill,
     elimination_fill_codes,
     find_hole,
     is_chordal,
@@ -51,7 +50,6 @@ from .solvers import (
     exact_fillin_ordering_oracle,
     exact_vertex_cover,
     greedy_game,
-    greedy_minfill_heuristic,
     is_vertex_cover,
 )
 from .transfer import (

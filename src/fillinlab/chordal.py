@@ -12,8 +12,9 @@ nonadjacent earlier neighbors u, x of some v; ``_hole`` closes it with the
 shortest u-x path that ``graph._bfs`` finds outside N[v], and the hole passes
 ``check_hole`` once before it leaves this module.  ``check_peo`` stays as the
 definitional checker for reports and tests; it and ``is_split`` test cliques
-with ``_bits.is_clique``.  Vertex ids are read by ``graph._vertex_id`` alone,
-and ``verify_fillin`` hands the filled graph on in ``FillinCheck.filled``.
+with ``_bits.is_clique``.  Vertex ids are read by ``graph._vertex_id`` alone.
+A fill is sorted int64 codes ``u * n + w`` (u < w); ``verify_fillin`` reads
+codes or pairs and hands the filled graph on in ``FillinCheck.filled``.
 
 The path exists for every MCS order, whatever its tie-break (the MCS
 property behind Tarjan and Yannakakis, SIAM J. Comput. 1984, and their 1985
@@ -82,14 +83,12 @@ import numpy as np
 from . import _bits
 from .errors import CounterexampleError, GraphInputError
 from .graph import (
-    EdgePair,
     Graph,
     _bfs,
     _induced_rows,
     _set_edge_bits,
     _vertex_ids,
     normalize_edges,
-    pairs_from_codes,
     twin_quotient,
 )
 
@@ -356,14 +355,6 @@ def elimination_fill_codes(graph: Graph, order) -> np.ndarray:
     return _bits.upper_codes(rows, n)
 
 
-def elimination_fill(graph: Graph, order) -> frozenset[EdgePair]:
-    """Fill produced by eliminating vertices in the given order, as a set of pairs.
-
-    The set form of ``elimination_fill_codes``.
-    """
-    return pairs_from_codes(elimination_fill_codes(graph, order), graph.n)
-
-
 # -- fill-in validation ---------------------------------------------------------
 
 
@@ -384,11 +375,11 @@ class FillinCheck:
 def verify_fillin(graph: Graph, fillin) -> FillinCheck:
     """Check that every pair is a non-edge and that adding them yields a chordal graph.
 
-    The pairs are read once, by ``normalize_edges`` (``invalid_pair``, with its
-    message); one bit test over that array finds the first that is already an
-    edge (``pair_is_edge``, as ``(min, max)``); the same array fills the graph,
-    and one chordality test on it, on the true-twin quotient when that is
-    small (``find_hole``), decides ``not_chordal``, with ``is_chordal``'s hole.
+    Codes or pairs are read once, by ``normalize_edges`` (``invalid_pair``,
+    with its message); one bit test over that array finds the first that is
+    already an edge (``pair_is_edge``, as ``(min, max)``); the same array
+    fills the graph, and one chordality test on it (``find_hole``, on the
+    true-twin quotient when small) decides ``not_chordal``, with its hole.
     """
     try:
         pairs = normalize_edges(graph.n, fillin)

@@ -47,7 +47,6 @@ from .solvers import (
     exact_fillin_ordering_oracle,
     exact_vertex_cover,
     greedy_game,
-    greedy_minfill_heuristic,
     is_vertex_cover,
 )
 
@@ -150,15 +149,12 @@ def cmd_solve(args) -> int:
         report.add(check("cover_is_valid", int(is_vertex_cover(g, res.vertices)), 1, "=="))
         if not res.optimal:
             code = EXIT_LIMIT
-    elif args.problem == "fillin":
-        fill = exact_fillin_ordering_oracle(g)
-        report.outputs = {"size": len(fill), "status": "optimal"}
-        report.certificates["fillin"] = sorted(map(list, fill))
-        report.add(check("fillin_is_valid", int(bool(verify_fillin(g, fill))), 1, "=="))
-    else:  # fillin-heuristic
-        fill = greedy_minfill_heuristic(g, args.strategy)
-        report.outputs = {"size": len(fill), "status": "heuristic"}
-        report.certificates["fillin"] = sorted(map(list, fill))
+    else:  # fillin or fillin-heuristic: sorted codes, written as sorted pairs
+        optimal = args.problem == "fillin"
+        fill = exact_fillin_ordering_oracle(g) if optimal else greedy_game(g, args.strategy)[1]
+        # int(): _num_to_json writes a NumPy int as a string
+        report.outputs = {"size": int(fill.size), "status": "optimal" if optimal else "heuristic"}
+        report.certificates["fillin"] = np.column_stack(np.divmod(fill, g.n)).tolist()
         report.add(check("fillin_is_valid", int(bool(verify_fillin(g, fill))), 1, "=="))
     if args.timings:
         report.timings = {"seconds": time.perf_counter() - t0}

@@ -63,10 +63,31 @@ def _count_param(name: str, x) -> int:
 
 
 def normalize_edges(vertex_count: int, edges: Iterable) -> np.ndarray:
-    """Validate an edge iterable in one pass into an (m, 2) int64 array, in input order.
+    """Validate edges in one pass into an (m, 2) int64 array, in input order.
 
-    Ids are read by ``_vertex_id``; the first bad pair raises GraphInputError.
+    ``edges`` is an iterable of id pairs, read by ``_vertex_id``, or a 1-D
+    ndarray of codes ``u * n + w``, checked in a few array operations.  The
+    first bad entry raises GraphInputError; a code gets the pair loop's message
+    for ``divmod(code, max(n, 1))`` in its own Python type (a float is no id).
     """
+    if isinstance(edges, np.ndarray) and edges.ndim == 1 and edges.dtype.kind in "biuf":
+        d = max(vertex_count, 1)
+        first = 0  # no bool or float is a vertex id
+        if edges.dtype.kind in "iu":
+            pairs = np.empty((edges.size, 2), dtype=np.int64)
+            u, w = np.divmod(edges.astype(np.int64, copy=False), d, out=(pairs[:, 0], pairs[:, 1]))
+            bad = (u == w) | (u.view(np.uint64) >= vertex_count)  # a negative u reads as past every n
+            if not np.count_nonzero(bad):
+                return pairs
+            first = int(bad.argmax())
+        if edges.size:
+            code = edges[first].item()
+            normalize_edges(vertex_count, [tuple(map(type(code), divmod(code, d)))])  # raises
+        return np.empty((0, 2), dtype=np.int64)
+    try:
+        edges = iter(edges)
+    except TypeError:
+        raise GraphInputError(f"edges {edges!r} are not an iterable of pairs") from None
     flat = []
     for e in edges:
         try:

@@ -44,14 +44,14 @@ from itertools import combinations
 import numpy as np
 
 from . import _bits
-from .chordal import elimination_fill, is_split, verify_fillin
+from .chordal import elimination_fill_codes, is_split, verify_fillin
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
-from .graph import EdgePair, Graph, _bfs, _int_param, _vertex_ids, load_dimacs, pairs_from_codes, save_dimacs
+from .graph import EdgePair, Graph, _bfs, _int_param, _vertex_ids, load_dimacs, save_dimacs
 from .report import IneqRecord, RunReport, check, instance_descriptor
 from .solvers import (
     exact_fillin_ordering_oracle,
     exact_vertex_cover,
-    greedy_minfill_heuristic,
+    greedy_game,
     is_vertex_cover,
 )
 
@@ -399,11 +399,10 @@ def _completed(inst: ReducedInstance, cover) -> Graph:
     return completed
 
 
-def split_completion(inst: ReducedInstance, cover) -> frozenset[EdgePair]:
-    """Fill-in built from a vertex cover: the pairs ``_completed`` adds."""
-    N = inst.graph.n
+def split_completion(inst: ReducedInstance, cover) -> np.ndarray:
+    """Fill-in built from a vertex cover: the sorted codes of the pairs ``_completed`` adds."""
     rows = _completed(inst, cover).packed_rows() & ~inst.graph.packed_rows()
-    return pairs_from_codes(_bits.upper_codes(rows, N), N)
+    return _bits.upper_codes(rows, inst.graph.n)
 
 
 def _filled(inst: ReducedInstance, fillin) -> Graph:
@@ -437,15 +436,15 @@ def full_vertices(inst: ReducedInstance, fillin) -> frozenset[int]:
 
 
 def produced_fillins(inst: ReducedInstance, rng=None, random_orderings: int = 0):
-    """Named fill-ins from every in-repo producer, for audit sweeps."""
+    """Named fill-ins from every in-repo producer, as sorted codes, for audit sweeps."""
     out = {
-        "min-degree": greedy_minfill_heuristic(inst.graph, "min-degree"),
-        "min-fill": greedy_minfill_heuristic(inst.graph, "min-fill"),
+        "min-degree": greedy_game(inst.graph, "min-degree")[1],
+        "min-fill": greedy_game(inst.graph, "min-fill")[1],
     }
     if rng is not None:
         for i in range(random_orderings):
             order = rng.permutation(inst.graph.n)
-            out[f"random-order-{i}"] = elimination_fill(inst.graph, order)
+            out[f"random-order-{i}"] = elimination_fill_codes(inst.graph, order)
     return out
 
 

@@ -5,7 +5,8 @@ branch-and-bound minimum vertex cover, an exact minimum fill-in oracle (a
 subset DP over true-twin classes, after Bodlaender, Fomin, Koster, Kratsch
 and Thilikos, ESA 2006, that reads only reachability sets of the graph), a
 hole-ear branching fill-in solver for instances with a small optimum, and
-the classic min-degree / min-fill elimination heuristics.
+the classic min-degree / min-fill elimination heuristics.  Every fill-in
+leaves them as sorted int64 codes ``u * n + w`` with u < w.
 
 Both heuristics keep exact integer scores: min-degree the alive degrees,
 min-fill the number of non-adjacent pairs among each vertex's alive
@@ -27,15 +28,15 @@ in ascending ids: the ordering ends with them and the game stops.
 
 ``greedy_game`` plays one elimination game per call and returns the ordering
 and its fill together, so a caller that needs both (``fillinlab eliminate``)
-never replays the game.  Like ``chordal``'s game the row game works on
-closed rows: the working rows carry bit v of row v, a vertex leaves
-``alive`` before its row is read, so ``rows[v] & alive`` excludes v and
-OR-ing a neighborhood into its own rows needs no diagonal clearing.  Closed
-rows count the vertex itself, hence the ``- 1`` in an alive degree; the
-initial fill scores come from the original open rows.  Min-fill also keeps
-each vertex's closed alive degree, so a step whose vertex scores 0 (its
-neighborhood is a clique) updates its neighbors' scores from those degrees
-and reads no rows.
+never replays the game; a caller that needs the fill-in takes ``[1]``.
+Like ``chordal``'s game the row game works on closed rows: the working rows
+carry bit v of row v, a vertex leaves ``alive`` before its row is read, so
+``rows[v] & alive`` excludes v and OR-ing a neighborhood into its own rows
+needs no diagonal clearing.  Closed rows count the vertex itself, hence the
+``- 1`` in an alive degree; the initial fill scores come from the original
+open rows.  Min-fill also keeps each vertex's closed alive degree, so a step
+whose vertex scores 0 (its neighborhood is a clique) updates its neighbors'
+scores from those degrees and reads no rows.
 
 Every solver revalidates its certificate before returning; budget exhaustion
 is always an explicit outcome, never a silently wrong answer.
@@ -49,14 +50,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
-from .chordal import _eliminate_vertex, elimination_fill, find_hole
+from .chordal import _eliminate_vertex, elimination_fill_codes, find_hole
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
 from .graph import (
-    EdgePair,
     Graph,
     _count_param,
     _vertex_id,
-    pairs_from_codes,
     twin_classes,
     twin_quotient,
 )
@@ -215,7 +214,7 @@ def _iter_bits(mask: int):
 # -- exact fill-in: ordering oracle ---------------------------------------------
 
 
-def exact_fillin_ordering_oracle(graph: Graph) -> frozenset[EdgePair]:
+def exact_fillin_ordering_oracle(graph: Graph) -> np.ndarray:
     """Minimum fill-in, by a subset DP over the classes of true twins.
 
     True twins (equal closed rows) form a clique module, which every minimal
@@ -229,9 +228,9 @@ def exact_fillin_ordering_oracle(graph: Graph) -> frozenset[EdgePair]:
     phi(S + v).  A path through S + u passes u once, so the reach R(S + u, v)
     is R(S, v), joined with R(S, u) when u is in R(S, v).  Ties go to the
     smallest class (numbered by smallest member), members ascending, and
-    ``elimination_fill`` recounts the order as the certificate.  Time and
-    memory grow as k * 2^k for k classes; at the ORACLE_CLASS_LIMIT of 16 a
-    call takes 0.19 s and a 34 MB traced peak (one shared Xeon core).
+    ``elimination_fill_codes`` recounts the order into the codes returned.
+    Time and memory grow as k * 2^k for k classes; at the ORACLE_CLASS_LIMIT
+    of 16 a call takes 0.19 s and a 34 MB traced peak (one shared Xeon core).
     """
     rows = graph.packed_rows()
     reps, cls = twin_classes(rows)
@@ -269,8 +268,8 @@ def exact_fillin_ordering_oracle(graph: Graph) -> frozenset[EdgePair]:
     for _ in range(k):
         order.append(int(choice[done]))
         done |= 1 << order[-1]
-    fill = elimination_fill(graph, np.argsort(np.argsort(order)[cls], kind="stable"))
-    if len(fill) != phi[0]:
+    fill = elimination_fill_codes(graph, np.argsort(np.argsort(order)[cls], kind="stable"))
+    if fill.size != phi[0]:
         raise CounterexampleError("oracle reconstruction does not match its optimum")
     return fill
 
@@ -278,12 +277,12 @@ def exact_fillin_ordering_oracle(graph: Graph) -> frozenset[EdgePair]:
 # -- exact fill-in: hole-chord branching ------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field has no truth value to compare or hash by
 class BranchFillinResult:
     """Outcome of the budgeted branching fill-in search."""
 
     status: str  # 'found' | 'none_within_budget' | 'feasible_budget_exhausted' | 'exhausted'
-    fillin: frozenset[EdgePair] | None
+    fillin: np.ndarray | None  # sorted codes u * n + w with u < w
     nodes: int
     seconds: float
 
@@ -303,15 +302,17 @@ def exact_fillin_branch(
     capped by the budget.  'found' and 'none_within_budget' mean the search
     finished.  A node budget cut gives 'feasible_budget_exhausted' with the
     best fill-in so far (valid, not known to be minimum), or 'exhausted'
-    without one.  ``budget`` and ``node_budget`` must be nonnegative integers.
+    without one, the fill-in as sorted codes.  ``budget`` and ``node_budget``
+    must be nonnegative integers.
     """
     budget = _count_param("budget", budget)
     node_budget = _count_param("node_budget", node_budget)
     t0 = time.perf_counter()
+    n = graph.n
     nodes = 0
-    best: list[EdgePair] | None = None
+    best: list[int] | None = None  # codes u * n + w with u < w
 
-    def search(g: Graph, added: list[EdgePair], remaining: int):
+    def search(g: Graph, added: list[int], remaining: int):
         nonlocal nodes, best
         nodes += 1
         if nodes > node_budget:
@@ -325,9 +326,9 @@ def exact_fillin_branch(
         if remaining == 0:
             return
         v, u, *inner, w = hole
-        for chord in [(min(u, w), max(u, w))] + [(min(v, x), max(v, x)) for x in inner]:
-            added.append(chord)
-            search(g.add_edges([chord]), added, remaining - 1)
+        for a, b in [(u, w)] + [(v, x) for x in inner]:
+            added.append(min(a, b) * n + max(a, b))
+            search(g.add_edges([(a, b)]), added, remaining - 1)
             added.pop()
 
     try:
@@ -336,9 +337,8 @@ def exact_fillin_branch(
     except _BudgetExceeded:
         status = "feasible_budget_exhausted" if best is not None else "exhausted"
     seconds = time.perf_counter() - t0
-    if best is None:
-        return BranchFillinResult(status, None, nodes, seconds)
-    return BranchFillinResult(status, frozenset(best), nodes, seconds)
+    fillin = None if best is None else np.sort(np.array(best, dtype=np.int64))
+    return BranchFillinResult(status, fillin, nodes, seconds)
 
 
 # -- greedy elimination heuristics -------------------------------------------------
@@ -612,12 +612,3 @@ def _row_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
     rows ^= original
     return order, _bits.upper_codes(rows, n)
 
-
-def greedy_minfill_heuristic(graph: Graph, strategy: str) -> frozenset[EdgePair]:
-    """Fill-in produced by the greedy elimination game.
-
-    'min-degree' picks the vertex of least current degree; 'min-fill' picks
-    the vertex whose elimination adds the fewest edges right now.  The result
-    is always a valid fill-in.
-    """
-    return pairs_from_codes(greedy_game(graph, strategy)[1], graph.n)

@@ -19,12 +19,12 @@ the completed graph's edge count m + k against alpha = 1 + eps^2/(10 d^3)
 base 0 or m(H) and ub the constructive fill-in bound.
 
 A "procedure" is any callable taking a ReducedInstance; fill-in mode expects
-an edge set that is a valid fill-in of the gadget, completion mode expects a
-chordal supergraph of the gadget.  Either is checked once into a filled
-gadget (a fill-in by ``reduction._filled``), the constructive bound is the
-gadget ``reduction._completed`` fills from an exact cover, and every size is
-the edges a filled gadget adds.  Exact-backed and heuristic-backed
-instantiations ship below.
+a valid fill-in of the gadget, as codes or pairs (``graph.normalize_edges``
+reads both), completion mode a chordal supergraph of the gadget.  Either is
+checked once into a filled gadget (a fill-in by ``reduction._filled``), the
+constructive bound is the gadget ``reduction._completed`` fills from an exact
+cover, and every size is the edges a filled gadget adds.  Exact-backed and
+heuristic-backed instantiations ship below.
 """
 
 from __future__ import annotations
@@ -34,13 +34,15 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .chordal import find_hole
 from .errors import CounterexampleError, GraphInputError
-from .graph import Graph, _int_param
+from .graph import Graph, _int_param, pairs_from_codes
 from .reduction import ReducedInstance, _completed, _filled, _full_set, brooks_coloring
 from .reduction import reduce_colored, split_completion
 from .report import IneqRecord, check, instance_descriptor, _num_to_json
-from .solvers import exact_vertex_cover, greedy_minfill_heuristic
+from .solvers import exact_vertex_cover, greedy_game
 
 
 @dataclass(frozen=True)
@@ -334,17 +336,17 @@ def vc_via_completion(graph: Graph, procedure, config: TransferConfig):
 # -- shipped procedure instantiations ---------------------------------------------
 
 
-def exact_backed_fillin(inst: ReducedInstance) -> frozenset:
-    """Fill-in from an exact cover of the original graph (the constructive optimum bound)."""
-    cover = exact_vertex_cover(inst.original)
-    return split_completion(inst, cover.vertices)
+def exact_backed_fillin(inst: ReducedInstance) -> np.ndarray:
+    """Fill-in codes from an exact cover of the original graph (the constructive optimum bound)."""
+    return split_completion(inst, exact_vertex_cover(inst.original).vertices)
 
 
 def heuristic_backed_fillin(strategy: str = "min-fill"):
-    """Fill-in procedure running the named greedy heuristic on the gadget."""
+    """Fill-in procedure running the named greedy heuristic on the gadget; its
+    fill-in is a set of Python-int pairs, for callers that read it pair by pair."""
 
     def run(inst: ReducedInstance) -> frozenset:
-        return greedy_minfill_heuristic(inst.graph, strategy)
+        return pairs_from_codes(greedy_game(inst.graph, strategy)[1], inst.graph.n)
 
     return run
 
@@ -355,9 +357,9 @@ def exact_backed_completion(inst: ReducedInstance) -> Graph:
 
 
 def heuristic_backed_completion(strategy: str = "min-fill"):
-    run_fill = heuristic_backed_fillin(strategy)
+    """Completion procedure: the gadget plus the named greedy heuristic's fill codes."""
 
     def run(inst: ReducedInstance) -> Graph:
-        return inst.graph.add_edges(run_fill(inst))
+        return inst.graph.add_edges(greedy_game(inst.graph, strategy)[1])
 
     return run

@@ -27,6 +27,8 @@ sizes for it.  ``mcs_orders_brute`` lists every maximum cardinality
 search order of a graph, one per tie-break, ``mcs_order_random`` draws one,
 and ``unlinked_pair_brute`` tests the linkage lemma of the ``chordal``
 docstring on an order by listing components with a stack.
+``decode_codes`` turns the package's fill codes ``u * n + w`` back into
+pairs, for tests that compare fills with these sets.
 """
 
 import operator
@@ -44,6 +46,16 @@ from fillinlab.graph import Graph, parse_ints
 
 def edge_set(graph):
     return {tuple(e) for e in graph.edge_list()}
+
+
+def decode_codes(codes, n):
+    """Codes ``u * n + w`` as a list of ``(u, w)`` pairs, in input order.
+
+    Each code is split by Python's ``divmod`` (by 1 when n = 0) and both halves
+    keep the code's own Python type, so a bool or float code decodes to a
+    pair the edge reader rejects, and a valid code to a pair of ints.
+    """
+    return [tuple(map(type(c), divmod(c, max(n, 1)))) for c in np.asarray(codes).tolist()]
 
 
 def normalize_edges_sorted(vertex_count, edges):

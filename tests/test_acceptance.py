@@ -13,7 +13,7 @@ import numpy as np
 from fillinlab.chordal import (
     check_hole,
     check_peo,
-    elimination_fill,
+    elimination_fill_codes,
     is_chordal,
     verify_fillin,
 )
@@ -39,7 +39,7 @@ from fillinlab.solvers import (
     exact_fillin_branch,
     exact_fillin_ordering_oracle,
     exact_vertex_cover,
-    greedy_minfill_heuristic,
+    greedy_game,
     is_vertex_cover,
 )
 from fillinlab.transfer import (
@@ -96,9 +96,9 @@ def test_criterion_1_exact_sandwich_window():
         constructed = split_completion(inst, exact_vertex_cover(g).vertices)
         assert len(constructed) < (tau + 1) * 16
         fills = {
-            "min-degree": greedy_minfill_heuristic(inst.graph, "min-degree"),
-            "min-fill": greedy_minfill_heuristic(inst.graph, "min-fill"),
-            "random": elimination_fill(inst.graph, rng.permutation(inst.graph.n)),
+            "min-degree": greedy_game(inst.graph, "min-degree")[1],
+            "min-fill": greedy_game(inst.graph, "min-fill")[1],
+            "random": elimination_fill_codes(inst.graph, rng.permutation(inst.graph.n)),
             "constructed": constructed,
         }
         for fill in fills.values():
@@ -127,7 +127,7 @@ def test_criterion_2_property_window():
         constructed = split_completion(inst, res.vertices)
         assert len(constructed) < (tau + 1) * deficit
         for strategy in ("min-degree", "min-fill"):
-            fill = greedy_minfill_heuristic(inst.graph, strategy)
+            fill = greedy_game(inst.graph, strategy)[1]
             full = full_vertices(inst, fill)
             assert len(fill) >= len(full) * deficit
             assert len(full) * deficit >= tau * deficit
@@ -158,10 +158,10 @@ def test_criterion_3_propositions_soundness():
     for inst in instances:
         H = inst.graph
         fills = [
-            elimination_fill(H, rng.permutation(H.n))
+            elimination_fill_codes(H, rng.permutation(H.n))
             for _ in range(per_instance - 2)
         ]
-        fills.append(greedy_minfill_heuristic(H, "min-degree"))
+        fills.append(greedy_game(H, "min-degree")[1])
         fills.append(split_completion(inst, _random_cover(inst.original, rng)))
         for fill in fills:
             full = full_vertices(inst, fill)
@@ -200,9 +200,9 @@ def test_criterion_4_decision_equivalence():
             small_side += 1
         else:
             fills = {
-                "min-degree": greedy_minfill_heuristic(inst.graph, "min-degree"),
-                "min-fill": greedy_minfill_heuristic(inst.graph, "min-fill"),
-                "random": elimination_fill(inst.graph, rng.permutation(inst.graph.n)),
+                "min-degree": greedy_game(inst.graph, "min-degree")[1],
+                "min-fill": greedy_game(inst.graph, "min-fill")[1],
+                "random": elimination_fill_codes(inst.graph, rng.permutation(inst.graph.n)),
             }
             for fill in fills.values():
                 assert len(fill) > bound

@@ -14,7 +14,7 @@ from fillinlab.chordal import (
     HoleCertificate,
     check_hole,
     check_peo,
-    elimination_fill,
+    elimination_fill_codes,
     find_hole,
     is_chordal,
     is_split,
@@ -24,12 +24,20 @@ from fillinlab.chordal import (
 from fillinlab.errors import CounterexampleError, GraphInputError
 from fillinlab.generate import gnp, random_subcubic
 from fillinlab.graph import Graph, twin_classes
-from fillinlab.reduction import brooks_coloring, produced_fillins, reduce_colored, reduce_primitive
+from fillinlab.reduction import (
+    brooks_coloring,
+    produced_fillins,
+    reduce_colored,
+    reduce_primitive,
+    split_completion,
+)
+from fillinlab.solvers import exact_fillin_branch, exact_fillin_ordering_oracle, exact_vertex_cover
 
 from .conftest import random_graph, traced_peak
 from .oracles import (
     all_labeled_graphs,
     check_hole_pairs,
+    decode_codes,
     edge_set,
     elimination_fill_brute,
     find_holes_brute,
@@ -67,13 +75,13 @@ class TestMcs:
 def _mcs_corpus():
     """Seeded G(n, p) on both sides of word edges, raw and min-degree-completed."""
     from fillinlab.generate import gnp
-    from fillinlab.solvers import greedy_minfill_heuristic
+    from fillinlab.solvers import greedy_game
 
     rng = np.random.default_rng(2727)
     for n in (0, 1, 2, 63, 64, 65, 127, 128, 129, 200):
         g = gnp(n, float(rng.uniform(0.02, 0.4)), rng)
         yield g
-        yield g.add_edges(greedy_minfill_heuristic(g, "min-degree"))
+        yield g.add_edges(greedy_game(g, "min-degree")[1])
 
 
 @pytest.mark.parametrize("block_bytes", [None, 64])
@@ -193,31 +201,31 @@ class TestIsSplit:
 
 class TestEliminationFill:
     def test_c4_first_vertex(self, graphs):
-        assert elimination_fill(graphs["c4"], [0, 1, 2, 3]) == {(1, 3)}
+        assert decode_codes(elimination_fill_codes(graphs["c4"], [0, 1, 2, 3]), 4) == [(1, 3)]
 
     def test_peo_gives_empty(self):
         tree = Graph.build(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
         ok, cert = is_chordal(tree)
-        assert ok and elimination_fill(tree, cert.order) == frozenset()
+        assert ok and elimination_fill_codes(tree, cert.order).size == 0
 
     def test_c5_best_ordering_fill_is_two(self, graphs):
         # independent oracle: minimum over all 5! orderings
         assert min_fill_brute(5, edge_set(graphs["c5"])) == 2
         best = min(
-            len(elimination_fill(graphs["c5"], p)) for p in permutations(range(5))
+            len(elimination_fill_codes(graphs["c5"], p)) for p in permutations(range(5))
         )
         assert best == 2
 
     def test_rejects_non_permutation(self, graphs):
         with pytest.raises(GraphInputError):
-            elimination_fill(graphs["c4"], [0, 1, 2])
+            elimination_fill_codes(graphs["c4"], [0, 1, 2])
 
     def test_matches_brute_game(self, rng):
         for _ in range(80):
             n = int(rng.integers(2, 9))
             g = random_graph(rng, n)
             order = rng.permutation(n).tolist()
-            assert elimination_fill(g, order) == elimination_fill_brute(
+            assert set(decode_codes(elimination_fill_codes(g, order), n)) == elimination_fill_brute(
                 n, edge_set(g), order
             )
 
@@ -227,9 +235,43 @@ class TestEliminationFill:
             n = int(rng.integers(2, 40))
             g = random_graph(rng, n, float(rng.uniform(0.05, 0.5)))
             order = rng.permutation(n).tolist()
-            assert elimination_fill(g, order) == elimination_fill_brute(
+            assert set(decode_codes(elimination_fill_codes(g, order), n)) == elimination_fill_brute(
                 n, edge_set(g), order
             )
+
+
+def _producer_fills():
+    """(graph, fill codes) from every fill-in producer: both greedy games, a
+    random order's game, split completions on primitive and colored gadgets,
+    the ordering oracle and the branching solver."""
+    rng = np.random.default_rng(2828)
+    g = random_subcubic(10, rng)
+    gadgets = [reduce_primitive(gnp(n, 0.5, rng)) for n in (3, 4)]
+    gadgets.append(reduce_colored(g, 2, brooks_coloring(g, 3)))
+    for inst in gadgets:
+        yield inst.graph, split_completion(inst, exact_vertex_cover(inst.original).vertices)
+        for fill in produced_fillins(inst, rng, random_orderings=1).values():
+            yield inst.graph, fill
+    for n in (6, 7, 8):
+        g = gnp(n, 0.4, rng)
+        opt = exact_fillin_ordering_oracle(g)
+        yield g, opt
+        yield g, exact_fillin_branch(g, opt.size).fillin
+
+
+def test_codes_and_pairs_verify_alike():
+    """Each producer's codes and the pairs they decode to get one verdict:
+    whole, with every other code dropped, and with an edge of the graph added."""
+    reasons = set()
+    for g, fill in _producer_fills():
+        edge = np.array([u * g.n + w for u, w in g.edge_list()[:1]], dtype=np.int64)
+        for codes in (fill, fill[::2], np.concatenate([fill, edge])):
+            by_codes = verify_fillin(g, codes)
+            by_pairs = verify_fillin(g, decode_codes(codes, g.n))
+            assert by_codes.ok == by_pairs.ok and by_codes.reason == by_pairs.reason
+            assert by_codes.detail == by_pairs.detail and by_codes.filled == by_pairs.filled
+            reasons.add(by_codes.reason)
+    assert reasons == {None, "pair_is_edge", "not_chordal"}
 
 
 @settings(max_examples=80, deadline=None)
@@ -240,7 +282,7 @@ def test_every_ordering_yields_valid_fillin(data):
     edges = data.draw(st.sets(st.sampled_from(pairs)))
     order = data.draw(st.permutations(range(n)))
     g = Graph.build(n, edges)
-    assert verify_fillin(g, elimination_fill(g, order))
+    assert verify_fillin(g, elimination_fill_codes(g, order))
 
 
 class TestVerifyFillin:
@@ -280,6 +322,9 @@ class TestVerifyFillin:
             [(2, 2)],  # self-pair
             [(0, 2, 1)],
             [(1, 3), (0, 1), (0, 2.5)],  # an invalid pair outranks an edge
+            None,  # not iterable
+            7,
+            np.array(3),
         ],
     )
     def test_invalid_pair_corpus(self, graphs, fill):
@@ -413,10 +458,9 @@ class TestFillinOnTheTwinQuotient:
             n = inst.graph.n
             assert n > 64
             for fill in produced_fillins(inst, rng=rng, random_orderings=2).values():
-                pairs = sorted(fill)
-                ok, scans, k = self._agrees(inst.graph, pairs, monkeypatch)
+                ok, scans, k = self._agrees(inst.graph, fill, monkeypatch)
                 assert ok and scans == [k] and 2 * k <= n
-                ok, scans, k = self._agrees(inst.graph, pairs[::2], monkeypatch)
+                ok, scans, k = self._agrees(inst.graph, fill[::2], monkeypatch)
                 assert scans == ([k] if ok else [k, n])
 
 
@@ -582,7 +626,7 @@ def _certificate_corpus():
     primitive gadgets for n in 3..5, raw and greedy-completed."""
     from fillinlab.generate import gnp
     from fillinlab.reduction import reduce_primitive
-    from fillinlab.solvers import greedy_minfill_heuristic
+    from fillinlab.solvers import greedy_game
 
     for n in range(0, 6):
         for edges in all_labeled_graphs(n):
@@ -595,7 +639,7 @@ def _certificate_corpus():
         inst = reduce_primitive(gnp(n, float(rng.uniform(0.3, 0.8)), rng))
         yield inst.graph
         for strategy in ("min-degree", "min-fill"):
-            yield inst.graph.add_edges(greedy_minfill_heuristic(inst.graph, strategy))
+            yield inst.graph.add_edges(greedy_game(inst.graph, strategy)[1])
 
 
 # Recorded with the earlier recognition path (MCS, then a separate violation

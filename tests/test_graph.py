@@ -1,3 +1,4 @@
+import ast
 import copy
 import math
 import pickle
@@ -24,11 +25,12 @@ from fillinlab.graph import (
     twin_quotient,
 )
 from fillinlab.reduction import brooks_coloring, reduce_colored, reduce_primitive
-from fillinlab.solvers import greedy_minfill_heuristic
+from fillinlab.solvers import greedy_game
 
 from .conftest import traced_peak
 from .oracles import (
     bfs_deque,
+    decode_codes,
     edge_set,
     graph_from_bool_matrix,
     normalize_edges_sorted,
@@ -161,6 +163,73 @@ class TestNormalizeEdges:
         ):
             assert np.array_equal(g.packed_rows(), want)
             assert g.edge_list() == ref
+
+    @pytest.mark.parametrize("edges", [None, 7, np.array(3)], ids=["none", "int", "0-d array"])
+    def test_non_iterable_is_an_input_error(self, graphs, edges):
+        for read in (lambda e: Graph.build(3, e), graphs["c4"].add_edges):
+            with pytest.raises(GraphInputError, match="are not an iterable of pairs$"):
+                read(edges)
+
+
+class TestNormalizeCodes:
+    """A 1-D integer ndarray is read as codes ``u * n + w``: the same array,
+    the same rows and the same errors as the pairs ``decode_codes`` gives."""
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+    def test_codes_read_as_their_pairs(self, rng, n):
+        plain = sorted(_plain_graph(rng, n, 0.1))
+        codes = [w * n + u if rng.random() < 0.5 else u * n + w for u, w in plain]
+        codes += [codes[i] for i in rng.integers(0, len(codes), len(codes) // 3)] if codes else []
+        codes = np.array(codes, dtype=np.int64)[rng.permutation(len(codes))]
+        pairs = decode_codes(codes, n)
+        want = normalize_edges(n, pairs)
+        half = len(codes) // 2
+        for dtype in (np.int64, np.int32, np.uint64, np.uint16):
+            typed = codes.astype(dtype)
+            got = normalize_edges(n, typed)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert Graph.build(n, typed) == Graph.build(n, pairs)
+            assert Graph.build(n, typed[:half]).add_edges(typed[half:]) == Graph.build(n, pairs)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, bool, np.float64])
+    def test_no_codes_is_0_by_2(self, dtype):
+        pairs = normalize_edges(3, np.array([], dtype=dtype))
+        assert pairs.dtype == np.int64 and pairs.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "n, codes",
+        [
+            (4, np.array([1, -1, 2])),
+            (4, np.array([1, 16, -1])),  # the first bad code wins, not the worst
+            (4, np.array([7, 2, 5, 16])),  # diagonal: 5 = 1 * 4 + 1
+            (4, np.array([0])),
+            (4, np.array([2**63 + 1], dtype=np.uint64)),  # past int64
+            (4, np.array([True, False])),
+            (4, np.array([1.0, 2.0])),
+            (4, np.array([2, 6.5])),
+            (0, np.array([3])),
+            (0, np.array([0, 1])),
+        ],
+        ids=[
+            "negative", "past_n_squared", "diagonal", "zero", "past_int64", "bool", "float",
+            "fraction", "no_vertices", "no_vertices_zero",
+        ],
+    )
+    def test_first_bad_code_gets_its_pairs_message(self, n, codes):
+        with pytest.raises(GraphInputError) as want:
+            normalize_edges(n, decode_codes(codes, n))
+        message = f"^{re.escape(str(want.value))}$"
+        with pytest.raises(GraphInputError, match=message):
+            normalize_edges(n, codes)
+        with pytest.raises(GraphInputError, match=message):
+            Graph.build(n, codes)
+
+    def test_two_dimensional_arrays_are_pairs(self):
+        assert normalize_edges(4, np.array([[3, 1], [0, 2]])).tolist() == [[3, 1], [0, 2]]
+        with pytest.raises(GraphInputError, match=r"^self-loop \(2,2\) is not allowed$"):
+            normalize_edges(4, np.array([[0, 1], [2, 2]]))
+        with pytest.raises(GraphInputError, match=r"^edge array\(\[0, 1, 2\]\) is not a pair"):
+            normalize_edges(4, np.array([[0, 1, 2]]))
 
 
 class TestAddEdges:
@@ -477,7 +546,7 @@ def _twin_corpus():
         primitive = reduce_primitive(gnp(n, float(rng.uniform(0.2, 0.8)), rng)).graph
         for gadget in (primitive, reduce_colored(g, 2, brooks_coloring(g, 3)).graph):
             yield gadget
-            yield gadget.add_edges(greedy_minfill_heuristic(gadget, "min-fill"))
+            yield gadget.add_edges(greedy_game(gadget, "min-fill")[1])
 
 
 def test_twin_classes_match_dict_of_sets():
@@ -543,3 +612,37 @@ def test_only_graph_groups_twins():
         if re.search(pattern, path.read_text())
     ]
     assert not offenders
+
+
+#: The set forms of the fill-in producers, deleted: every fill-in travels as codes.
+SET_FORMS = ("elimination_fill", "greedy_minfill_heuristic")
+
+#: The only callers of ``pairs_from_codes``: outputs read pair by pair outside the package.
+PAIR_DECODERS = {"graph.Graph.edge_set", "transfer.heuristic_backed_fillin.run"}
+
+
+def _scoped_nodes(tree, module):
+    """Every node of a module with its scope: the module and enclosing defs and classes, dotted."""
+    stack = [(module, tree)]
+    while stack:
+        scope, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            yield scope, child
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            stack.append((f"{scope}.{child.name}" if named else scope, child))
+
+
+def test_fill_ins_stay_codes_in_the_package():
+    """No module defines, imports or binds a set form of a fill-in producer,
+    and ``pairs_from_codes`` is used by its two callers alone."""
+    package = Path(fillinlab.__file__).parent
+    revived, decoders = [], set()
+    for path in sorted(package.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text()), path.stem):
+            name = getattr(node, "name", None) or getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in SET_FORMS:
+                revived.append(f"{scope}: {name}")
+            elif name == "pairs_from_codes" and isinstance(node, (ast.Name, ast.Attribute)):
+                decoders.add(scope)
+    assert not revived and not any(hasattr(fillinlab, name) for name in SET_FORMS)
+    assert decoders == PAIR_DECODERS

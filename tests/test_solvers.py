@@ -20,7 +20,6 @@ from fillinlab.solvers import (
     exact_fillin_ordering_oracle,
     exact_vertex_cover,
     greedy_game,
-    greedy_minfill_heuristic,
     is_vertex_cover,
 )
 
@@ -28,6 +27,7 @@ from .conftest import random_graph, traced_peak
 from .oracles import (
     blow_up,
     clique_tail_brute,
+    decode_codes,
     edge_set,
     elimination_fill_brute,
     is_vertex_cover_pairs,
@@ -162,7 +162,7 @@ class TestOrderingOracle:
         assert len(fill) == 3 and verify_fillin(graphs["c6"], fill)
 
     def test_chordal_input_empty(self, graphs):
-        assert exact_fillin_ordering_oracle(graphs["k5"]) == frozenset()
+        assert exact_fillin_ordering_oracle(graphs["k5"]).size == 0
 
     def test_limit_names_class_bound(self):
         assert ORACLE_CLASS_LIMIT == 16
@@ -172,7 +172,7 @@ class TestOrderingOracle:
     def test_twin_classes_lift_the_vertex_count(self):
         """K_200 is one class; the n = 3 primitive gadget has 30 vertices in
         at most 6 classes, and its exact fill-in lies in the paper's window."""
-        assert exact_fillin_ordering_oracle(Graph.build(200, combinations(range(200), 2))) == frozenset()
+        assert exact_fillin_ordering_oracle(Graph.build(200, combinations(range(200), 2))).size == 0
         g = Graph.build(3, [(0, 1), (1, 2)])
         inst = reduce_primitive(g)
         assert inst.graph.n == 30
@@ -194,20 +194,20 @@ class TestOrderingOracle:
         and the DP then settles on an order of true fill 2, whose recount
         matches its own optimum, so the reconstruction check passes."""
         k23 = Graph.build(5, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (3, 4)])
-        assert exact_fillin_ordering_oracle(k23) == frozenset({(1, 3)})
+        assert decode_codes(exact_fillin_ordering_oracle(k23), 5) == [(1, 3)]
 
     def test_matches_memo_search_on_seeded_corpus(self):
         graphs = 0
         for g in _oracle_corpus():
             fill = exact_fillin_ordering_oracle(g)
-            assert fill == min_fill_memo_brute(g.n, g.edge_list())
+            assert set(decode_codes(fill, g.n)) == min_fill_memo_brute(g.n, g.edge_list())
             graphs += 1
         assert graphs == 454
 
     def test_fill_set_digest(self):
         digest = hashlib.sha256()
         for g in _oracle_corpus():
-            codes = sorted(u * g.n + w for u, w in exact_fillin_ordering_oracle(g))
+            codes = exact_fillin_ordering_oracle(g).tolist()
             digest.update(json.dumps([g.n, codes]).encode())
         assert digest.hexdigest() == ORACLE_DIGEST
 
@@ -238,7 +238,7 @@ class TestBranchSolver:
 
     def test_c4_budget_one(self, graphs):
         res = exact_fillin_branch(graphs["c4"], 1)
-        assert res.status == "found" and res.fillin in ({(0, 2)}, {(1, 3)})
+        assert res.status == "found" and decode_codes(res.fillin, 4) in ([(0, 2)], [(1, 3)])
 
     def test_agrees_with_oracle(self, rng):
         checked = 0
@@ -300,37 +300,38 @@ class TestBranchSolver:
 def _assert_min_fill_matches_full_rescan(g):
     edges = g.edge_list()
     expect = min_fill_ordering_brute(g.n, edges)
-    assert greedy_game(g, "min-fill")[0].tolist() == expect
-    assert greedy_minfill_heuristic(g, "min-fill") == elimination_fill_brute(g.n, edges, expect)
+    order, codes = greedy_game(g, "min-fill")
+    assert order.tolist() == expect
+    assert set(decode_codes(codes, g.n)) == elimination_fill_brute(g.n, edges, expect)
 
 
 class TestGreedyHeuristics:
     def test_chordal_input_minfill_empty(self, graphs):
-        assert greedy_minfill_heuristic(graphs["k5"], "min-fill") == frozenset()
+        assert greedy_game(graphs["k5"], "min-fill")[1].size == 0
 
     def test_c4_one_edge_either_strategy(self, graphs):
         for strategy in ("min-degree", "min-fill"):
-            assert len(greedy_minfill_heuristic(graphs["c4"], strategy)) == 1
+            assert len(greedy_game(graphs["c4"], strategy)[1]) == 1
 
     def test_c5_minfill_matches_oracle(self, graphs):
-        assert len(greedy_minfill_heuristic(graphs["c5"], "min-fill")) == 2
+        assert len(greedy_game(graphs["c5"], "min-fill")[1]) == 2
 
     def test_unknown_strategy(self, graphs):
         with pytest.raises(GraphInputError, match="strategy"):
-            greedy_minfill_heuristic(graphs["c4"], "random")
+            greedy_game(graphs["c4"], "random")
 
     def test_results_always_valid(self, rng):
         for _ in range(30):
             g = random_graph(rng, int(rng.integers(2, 10)))
             for strategy in ("min-degree", "min-fill"):
-                assert verify_fillin(g, greedy_minfill_heuristic(g, strategy))
+                assert verify_fillin(g, greedy_game(g, strategy)[1])
 
     def test_never_beats_exact(self, rng):
         for _ in range(30):
             g = random_graph(rng, int(rng.integers(2, 9)))
             opt = len(exact_fillin_ordering_oracle(g))
             for strategy in ("min-degree", "min-fill"):
-                assert len(greedy_minfill_heuristic(g, strategy)) >= opt
+                assert len(greedy_game(g, strategy)[1]) >= opt
 
     def test_ordering_is_permutation(self, graphs):
         order = greedy_game(graphs["petersen"], "min-degree")[0]
@@ -377,7 +378,7 @@ class TestGreedyHeuristics:
         peak near 7 MB."""
         g = reduce_primitive(gnp(7, 0.5, 3)).graph
         assert g.n == 350
-        _, peak = traced_peak(greedy_minfill_heuristic, g, "min-fill")
+        _, peak = traced_peak(greedy_game, g, "min-fill")
         assert peak < 4 * 2**20
 
 
@@ -396,7 +397,7 @@ def test_min_fill_clique_steps_gather_no_rows(monkeypatch):
 
     monkeypatch.setattr(_bits, "popcount_rows", counted)
     g = reduce_primitive(gnp(5, 0.5, 17)).graph
-    g = g.add_edges(greedy_minfill_heuristic(g, "min-fill"))
+    g = g.add_edges(greedy_game(g, "min-fill")[1])
     calls = 0
     _fill_scores(g.packed_rows(), g.n)
     scoring = calls
@@ -454,9 +455,8 @@ def test_minfill_ordering_digest():
     digest = hashlib.sha256()
     count = 0
     for g in _minfill_digest_corpus():
-        order = greedy_game(g, "min-fill")[0]
-        codes = sorted(u * g.n + w for u, w in greedy_minfill_heuristic(g, "min-fill"))
-        digest.update(json.dumps([g.n, order.tolist(), codes]).encode())
+        order, codes = greedy_game(g, "min-fill")
+        digest.update(json.dumps([g.n, order.tolist(), codes.tolist()]).encode())
         count += 1
     assert count == 5 + 4 + 2
     assert digest.hexdigest() == MINFILL_DIGEST

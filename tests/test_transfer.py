@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fillinlab
-from fillinlab.chordal import elimination_fill
+from fillinlab.chordal import elimination_fill_codes
 from fillinlab.errors import GraphInputError
 from fillinlab.graph import Graph
 from fillinlab.generate import random_subcubic
@@ -91,7 +91,7 @@ class TestFillinPipeline:
             pytest.skip("degenerate sample")
 
         def procedure(inst):
-            return elimination_fill(inst.graph, rng.permutation(inst.graph.n))
+            return elimination_fill_codes(inst.graph, rng.permutation(inst.graph.n))
 
         cover, audit = vc_via_fillin(g, procedure, cfg)
         assert audit.passed
@@ -105,6 +105,12 @@ class TestFillinPipeline:
         cfg = TransferConfig(epsilon=Fraction(1, 2), d=3)
         with pytest.raises(GraphInputError, match="invalid fill-in"):
             vc_via_fillin(graphs["c6"], lambda inst: [(0, 1)], cfg)
+
+    @pytest.mark.parametrize("output", [None, 7], ids=["none", "int"])
+    def test_non_iterable_output_is_an_invalid_fill_in(self, graphs, output):
+        cfg = TransferConfig(epsilon=Fraction(1, 2), d=3)
+        with pytest.raises(GraphInputError, match="^invalid fill-in: invalid_pair"):
+            vc_via_fillin(graphs["c6"], lambda inst: output, cfg)
 
     def test_degree_precondition(self, graphs):
         cfg = TransferConfig(epsilon=Fraction(1, 2), d=3)
