@@ -101,10 +101,10 @@ def row_ints(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
-def blocks(count: int, item_bytes: int, cap: int | None = None):
-    """Slices of ``range(count)`` in order: as many items of ``item_bytes`` as fit in ``cap``
-    bytes (default ``UNPACK_BLOCK_BYTES``, read when iteration starts), and at least one."""
-    step = max(1, (UNPACK_BLOCK_BYTES if cap is None else cap) // max(item_bytes, 1))
+def blocks(count: int, item_bytes: int):
+    """Slices of ``range(count)`` in order: as many items of ``item_bytes`` as fit in
+    ``UNPACK_BLOCK_BYTES`` (read when iteration starts), and at least one."""
+    step = max(1, UNPACK_BLOCK_BYTES // max(item_bytes, 1))
     for lo in range(0, count, step):
         yield slice(lo, min(lo + step, count))
 

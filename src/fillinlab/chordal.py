@@ -14,7 +14,8 @@ shortest u-x path that ``graph._bfs`` finds outside N[v], and the hole passes
 definitional checker for reports and tests; it and ``is_split`` test cliques
 with ``_bits.is_clique``.  Vertex ids are read by ``graph._vertex_id`` alone.
 A fill is sorted int64 codes ``u * n + w`` (u < w); ``verify_fillin`` reads
-codes or pairs and hands the filled graph on in ``FillinCheck.filled``.
+codes, an (m, 2) array or pairs (``graph.normalize_edges``) and hands the
+filled graph on in ``FillinCheck.filled``.
 
 The path exists for every MCS order, whatever its tie-break (the MCS
 property behind Tarjan and Yannakakis, SIAM J. Comput. 1984, and their 1985
@@ -375,11 +376,13 @@ class FillinCheck:
 def verify_fillin(graph: Graph, fillin) -> FillinCheck:
     """Check that every pair is a non-edge and that adding them yields a chordal graph.
 
-    Codes or pairs are read once, by ``normalize_edges`` (``invalid_pair``,
-    with its message); one bit test over that array finds the first that is
-    already an edge (``pair_is_edge``, as ``(min, max)``); the same array
-    fills the graph, and one chordality test on it (``find_hole``, on the
-    true-twin quotient when small) decides ``not_chordal``, with its hole.
+    Codes, an (m, 2) integer array (such as ``graph._id_pairs`` gives, which
+    is tested, not read again) or pairs go through ``normalize_edges`` once
+    (``invalid_pair``, with its message); one bit test over the array it gives
+    finds the first pair that is already an edge (``pair_is_edge``, as
+    ``(min, max)``); the same array fills the graph, and one chordality test
+    on it (``find_hole``, on the true-twin quotient when small) decides
+    ``not_chordal``, with its hole.
     """
     try:
         pairs = normalize_edges(graph.n, fillin)

@@ -3,7 +3,7 @@ verification suites, elimination runs, and report re-checking.
 
 Exit codes: 0 all checks pass, 1 a verification check failed (a proven
 inequality was violated, which should never happen), 2 invalid input,
-3 a resource guardrail refused the work.
+3 a resource guardrail, or NumPy's allocator, refused the work.
 
 Reports are JSON on stdout (or ``--out``); a human summary goes to stderr.
 All randomness flows from the single ``--seed`` flag, whose default is fixed
@@ -29,7 +29,7 @@ import numpy as np
 from . import generate, matrix, transfer
 from .chordal import check_hole, check_peo, elimination_fill_codes, verify_fillin
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
-from .graph import Graph, _vertex_ids, dimacs_text, load_dimacs, parse_ints, save_dimacs
+from .graph import Graph, _id_pairs, _vertex_ids, dimacs_text, load_dimacs, parse_ints, save_dimacs
 from .reduction import (
     COLORED_MAX_CELLS,
     PRIMITIVE_MAX_N,
@@ -139,7 +139,7 @@ def cmd_solve(args) -> int:
         instance=instance_descriptor(g, args.input),
         params={"budget": args.budget, "strategy": args.strategy},
     )
-    report.instance["edges"] = [list(e) for e in g.edge_list()]  # so `report` can re-check
+    report.instance["edges"] = np.column_stack(np.divmod(matrix.pattern_from_graph(g).codes, g.n)).tolist()
     t0 = time.perf_counter()
     code = EXIT_OK
     if args.problem == "vc":
@@ -400,8 +400,9 @@ def cmd_report(args) -> int:
     if not isinstance(certs, dict):
         raise GraphInputError(f"{args.input}: certificates is not a JSON object")
     for name, cert in certs.items():
-        if name == "fillin":
-            ok = isinstance(cert, list) and all(_is_id_array(e) and len(e) == 2 for e in cert)
+        if name == "fillin":  # the one read of its ids; verify_fillin tests the pairs read
+            fill, stop = _id_pairs(cert if isinstance(cert, list) else [cert])
+            ok = not stop
         else:
             ok = _is_id_array(cert) or name not in ("cover", "peo", "hole") and isinstance(cert, list)
         if not ok:
@@ -417,7 +418,7 @@ def cmd_report(args) -> int:
         g = Graph.build(instance["n"], edges)
         if "cover" in certs and not is_vertex_cover(g, certs["cover"]):
             problems.append("embedded cover certificate does not cover the instance")
-        if "fillin" in certs and not verify_fillin(g, certs["fillin"]):
+        if "fillin" in certs and not verify_fillin(g, fill):
             problems.append("embedded fill-in certificate is not a valid fill-in")
         if "peo" in certs and not check_peo(g, certs["peo"]):
             problems.append("embedded PEO certificate fails the definition")
@@ -521,7 +522,7 @@ def main(argv=None) -> int:
     except GraphInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, MemoryError) as exc:  # a size refused by a guardrail or by NumPy
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except CounterexampleError as exc:

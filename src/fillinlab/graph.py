@@ -63,46 +63,58 @@ def _count_param(name: str, x) -> int:
 
 
 def normalize_edges(vertex_count: int, edges: Iterable) -> np.ndarray:
-    """Validate edges in one pass into an (m, 2) int64 array, in input order.
+    """Validate edges into an (m, 2) int64 array, in input order, by one read and one test.
 
-    ``edges`` is an iterable of id pairs, read by ``_vertex_id``, or a 1-D
-    ndarray of codes ``u * n + w``, checked in a few array operations.  The
-    first bad entry raises GraphInputError; a code gets the pair loop's message
-    for ``divmod(code, max(n, 1))`` in its own Python type (a float is no id).
+    The read takes a 1-D integer ndarray as codes ``u * n + w`` (one ``np.divmod``), an
+    (m, 2) integer ndarray as it is and anything else by ``_id_pairs``; one array test
+    flags loops and ids outside 0..n-1.  The first bad entry raises GraphInputError: the
+    first flagged pair, else the entry the read stopped at, a code as ``divmod(code,
+    max(n, 1))`` in its own Python type (so a bool or float code is no pair of ids).
     """
-    if isinstance(edges, np.ndarray) and edges.ndim == 1 and edges.dtype.kind in "biuf":
-        d = max(vertex_count, 1)
-        first = 0  # no bool or float is a vertex id
-        if edges.dtype.kind in "iu":
-            pairs = np.empty((edges.size, 2), dtype=np.int64)
-            u, w = np.divmod(edges.astype(np.int64, copy=False), d, out=(pairs[:, 0], pairs[:, 1]))
-            bad = (u == w) | (u.view(np.uint64) >= vertex_count)  # a negative u reads as past every n
-            if not np.count_nonzero(bad):
-                return pairs
-            first = int(bad.argmax())
-        if edges.size:
-            code = edges[first].item()
-            normalize_edges(vertex_count, [tuple(map(type(code), divmod(code, d)))])  # raises
-        return np.empty((0, 2), dtype=np.int64)
+    d, source, stop = max(vertex_count, 1), edges, ()
+    if isinstance(edges, np.ndarray) and edges.ndim == 1 and edges.dtype.kind in "bf":
+        # bool or float codes: the first decodes to a pair of non-ids, at which the read stops
+        edges = [tuple(map(type(c), divmod(c, d))) for c in edges[:1].tolist()]
+    if isinstance(edges, np.ndarray) and edges.ndim == 1 and edges.dtype.kind in "iu":
+        pairs = np.empty((edges.size, 2), dtype=np.int64)
+        np.divmod(edges.astype(np.int64, copy=False), d, out=(pairs[:, 0], pairs[:, 1]))
+    elif isinstance(edges, np.ndarray) and edges.shape[1:] == (2,) and edges.dtype.kind in "iu":
+        pairs = edges.astype(np.int64, copy=False)  # an id past int64 wraps to a negative one
+    else:
+        pairs, stop = _id_pairs(edges)
+        source = pairs
+    bad = (pairs < 0) | (pairs >= vertex_count)
+    bad = np.flatnonzero(bad[:, 0] | bad[:, 1] | (pairs[:, 0] == pairs[:, 1]))
+    if bad.size:
+        u, v = divmod(source[bad[0]].item(), d) if source.ndim == 1 else source[bad[0]].tolist()
+        if u == v:
+            raise GraphInputError(f"self-loop ({u},{v}) is not allowed")
+        raise GraphInputError(f"edge ({u},{v}) out of range for {vertex_count} vertices")
+    if stop:
+        raise GraphInputError(f"edge {stop[0]!r} is not a pair of vertex ids")
+    return pairs
+
+
+def _id_pairs(edges) -> tuple[np.ndarray, tuple]:
+    """The pairs of an iterable, ids read by ``_vertex_id`` and compared with no vertex
+    count, as an (m, 2) array (object past int64) up to the first entry that is no such
+    pair, and that entry as a 1-tuple (empty when there is none)."""
     try:
         edges = iter(edges)
     except TypeError:
         raise GraphInputError(f"edges {edges!r} are not an iterable of pairs") from None
-    flat = []
+    flat, stop = [], ()
     for e in edges:
         try:
             u, v = e
-            u, v = _vertex_id(u), _vertex_id(v)
+            flat += _vertex_id(u), _vertex_id(v)
         except (TypeError, ValueError):
-            raise GraphInputError(f"edge {e!r} is not a pair of vertex ids") from None
-        if u == v:
-            raise GraphInputError(f"self-loop ({u},{v}) is not allowed")
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise GraphInputError(
-                f"edge ({u},{v}) out of range for {vertex_count} vertices"
-            )
-        flat += u, v
-    return np.array(flat, dtype=np.int64).reshape(-1, 2)
+            stop = (e,)
+            break
+    try:
+        return np.array(flat, dtype=np.int64).reshape(-1, 2), stop
+    except OverflowError:  # an id past int64, out of range for every graph
+        return np.array(flat, dtype=object).reshape(-1, 2), stop
 
 
 def _set_edge_bits(rows: np.ndarray, pairs: np.ndarray) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 from . import _bits
 from .chordal import _validate_permutation, elimination_fill_codes
 from .errors import GraphInputError
-from .graph import Graph, _int_param, _set_edge_bits, _vertex_ids, parse_ints, text_lines
+from .graph import Graph, _int_param, _vertex_ids, parse_ints, text_lines
 
 MAX_ROWS = 3_037_000_499  # isqrt(2**63 - 1): the largest n whose codes fit in int64
 
@@ -77,9 +77,7 @@ class SparsePattern:
 
 def graph_from_pattern(pattern: SparsePattern) -> Graph:
     """One vertex per row, one edge per stored off-diagonal position."""
-    rows = _bits.zero_rows(pattern.n, pattern.n)
-    _set_edge_bits(rows, np.column_stack(np.divmod(pattern.codes, pattern.n)))
-    return Graph._adopt(rows)
+    return Graph.build(pattern.n, pattern.codes)
 
 
 def pattern_from_graph(graph: Graph) -> SparsePattern:

@@ -64,13 +64,6 @@ ORACLE_CLASS_LIMIT = 16
 
 GREEDY_STRATEGIES = ("min-degree", "min-fill")
 
-#: Bytes of rows that min-fill gathers, or unpacks, per batch of edges or fill pairs.
-_GATHER_BYTES = 1 << 18
-
-
-class _BudgetExceeded(Exception):
-    pass
-
 
 # -- vertex cover ---------------------------------------------------------------
 
@@ -139,60 +132,52 @@ def exact_vertex_cover(graph: Graph, node_budget: int = 5_000_000) -> CoverResul
                 size += 1
         return size
 
-    def search(alive: int, chosen: list[int]):
-        nonlocal best_size, best_set, nodes
+    # Depth-first, v's "in" branch first: each stack entry is a node's alive set, the
+    # length of its parent's cover and the vertices its branch adds to that cover.
+    optimal, chosen, stack = True, [], [(full, 0, ())]
+    while stack:
+        alive, base, extra = stack.pop()
+        del chosen[base:]
+        chosen += extra
         nodes += 1
         if nodes > node_budget:
-            raise _BudgetExceeded
-        base = len(chosen)
-        try:
-            # simplification: drop isolated vertices, force neighbors of leaves
-            while True:
-                changed = False
-                rem = alive
-                while rem:
-                    v = (rem & -rem).bit_length() - 1
-                    rem &= rem - 1
-                    nb = adj[v] & alive
-                    if nb == 0:
-                        alive &= ~(1 << v)
-                    elif nb & (nb - 1) == 0:  # degree 1: take the neighbor
-                        u = nb.bit_length() - 1
-                        chosen.append(u)
-                        alive &= ~((1 << v) | (1 << u))
-                        changed = True
-                        break
-                if not changed:
+            optimal = False
+            break
+        # simplification: drop isolated vertices, force neighbors of leaves
+        while True:
+            changed = False
+            rem = alive
+            while rem:
+                v = (rem & -rem).bit_length() - 1
+                rem &= rem - 1
+                nb = adj[v] & alive
+                if nb == 0:
+                    alive &= ~(1 << v)
+                elif nb & (nb - 1) == 0:  # degree 1: take the neighbor
+                    u = nb.bit_length() - 1
+                    chosen.append(u)
+                    alive &= ~((1 << v) | (1 << u))
+                    changed = True
                     break
-            if not any(adj[v] & alive for v in _iter_bits(alive)):
-                if len(chosen) < best_size:
-                    best_size = len(chosen)
-                    best_set = list(chosen)
-                return
-            if len(chosen) + matching_bound(alive) >= best_size:
-                return
-            v = max(_iter_bits(alive), key=lambda w: ((adj[w] & alive).bit_count(), -w))
-            nb = list(_iter_bits(adj[v] & alive))
-            # branch 1: v joins the cover
-            chosen.append(v)
-            search(alive & ~(1 << v), chosen)
-            chosen.pop()
-            # branch 2: v stays out, so all its neighbors join
-            chosen.extend(nb)
-            mask = 1 << v
-            for u in nb:
-                mask |= 1 << u
-            search(alive & ~mask, chosen)
-        finally:
-            del chosen[base:]
-
-    optimal = True
-    try:
-        search(full, [])
-    except _BudgetExceeded:
-        optimal = False
-        if best_size > n:
-            best_set = list(range(n))  # trivial fallback cover
+            if not changed:
+                break
+        if not any(adj[v] & alive for v in _iter_bits(alive)):
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                best_set = list(chosen)
+            continue
+        if len(chosen) + matching_bound(alive) >= best_size:
+            continue
+        v = max(_iter_bits(alive), key=lambda w: ((adj[w] & alive).bit_count(), -w))
+        nb = list(_iter_bits(adj[v] & alive))
+        mask = 1 << v
+        for u in nb:
+            mask |= 1 << u
+        # branch 2, v stays out and all its neighbors join, runs after branch 1, v joins
+        stack.append((alive & ~mask, len(chosen), nb))
+        stack.append((alive & ~(1 << v), len(chosen), (v,)))
+    if not optimal and best_size > n:
+        best_set = list(range(n))  # trivial fallback cover
     result = CoverResult(
         vertices=frozenset(best_set),
         optimal=optimal,
@@ -311,31 +296,35 @@ def exact_fillin_branch(
     n = graph.n
     nodes = 0
     best: list[int] | None = None  # codes u * n + w with u < w
-
-    def search(g: Graph, added: list[int], remaining: int):
-        nonlocal nodes, best
+    added: list[int] = []  # the chords from the root to the current node
+    # Depth-first, in the order of a recursive search: an entry is a parent's graph, its
+    # depth and the chord of one child, whose graph is built when the entry is popped.
+    stack, cut = [(graph, 0, None)], False
+    while stack:
+        g, depth, chord = stack.pop()
+        del added[depth:]
+        if chord is not None:
+            a, b = chord
+            added.append(min(a, b) * n + max(a, b))
+            g = g.add_edges([chord])
         nodes += 1
         if nodes > node_budget:
-            raise _BudgetExceeded
+            cut = True
+            break
         if best is not None and len(added) >= len(best):
-            return
+            continue
         hole = find_hole(g)
         if hole is None:
             best = list(added)
-            return
-        if remaining == 0:
-            return
+            continue
+        if len(added) == budget:
+            continue
         v, u, *inner, w = hole
-        for a, b in [(u, w)] + [(v, x) for x in inner]:
-            added.append(min(a, b) * n + max(a, b))
-            search(g.add_edges([(a, b)]), added, remaining - 1)
-            added.pop()
-
-    try:
-        search(graph, [], budget)
-        status = "found" if best is not None else "none_within_budget"
-    except _BudgetExceeded:
+        stack += [(g, len(added), c) for c in reversed([(u, w)] + [(v, x) for x in inner])]
+    if cut:
         status = "feasible_budget_exhausted" if best is not None else "exhausted"
+    else:
+        status = "found" if best is not None else "none_within_budget"
     seconds = time.perf_counter() - t0
     fillin = None if best is None else np.sort(np.array(best, dtype=np.int64))
     return BranchFillinResult(status, fillin, nodes, seconds)
@@ -355,7 +344,7 @@ def _fill_scores(rows: np.ndarray, n: int) -> np.ndarray:
     deg = _bits.popcount_rows(rows)
     twice_inside = np.zeros(n, dtype=np.int64)
     codes = _bits.upper_codes(rows, n)
-    for part in _bits.blocks(codes.size, rows.itemsize * rows.shape[1], _GATHER_BYTES):
+    for part in _bits.blocks(codes.size, rows.itemsize * rows.shape[1]):
         u, x = np.divmod(codes[part], n)
         both = np.take(rows, u, axis=0)
         both &= np.take(rows, x, axis=0)
@@ -597,13 +586,13 @@ def _row_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
         missing &= nbr
         i, y = _bits.set_positions(missing)  # P in both directions: (idx[i], y)
         x = idx[i]
-        for part in _bits.blocks(i.size, rows.itemsize * rows.shape[1], _GATHER_BYTES):
+        for part in _bits.blocks(i.size, rows.itemsize * rows.shape[1]):
             shared = np.take(outside, i[part], axis=0)
             shared &= np.take(rows, y[part], axis=0)  # |O_w - N(y)| = |O_w| - |O_w & N(y)|
             np.add.at(score, x[part], lost[i[part]] - _bits.popcount_rows(shared))
         upper = x < y
         x, y = x[upper], y[upper]
-        for part in _bits.blocks(x.size, 8 * rows.itemsize * rows.shape[1], _GATHER_BYTES):  # unpacked
+        for part in _bits.blocks(x.size, 8 * rows.itemsize * rows.shape[1]):  # unpacked
             common = np.take(rows, x[part], axis=0)  # x, y not adjacent: open
             common &= np.take(rows, y[part], axis=0)
             common &= alive

@@ -19,8 +19,8 @@ the completed graph's edge count m + k against alpha = 1 + eps^2/(10 d^3)
 base 0 or m(H) and ub the constructive fill-in bound.
 
 A "procedure" is any callable taking a ReducedInstance; fill-in mode expects
-a valid fill-in of the gadget, as codes or pairs (``graph.normalize_edges``
-reads both), completion mode a chordal supergraph of the gadget.  Either is
+a valid fill-in of the gadget, as codes, an (m, 2) array or pairs
+(``graph.normalize_edges`` reads all three), completion mode a chordal supergraph of the gadget.  Either is
 checked once into a filled gadget (a fill-in by ``reduction._filled``), the
 constructive bound is the gadget ``reduction._completed`` fills from an exact
 cover, and every size is the edges a filled gadget adds.  Exact-backed and

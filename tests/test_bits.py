@@ -119,13 +119,17 @@ def test_padded_rows(n, column):
 @pytest.mark.parametrize("cap", [None, 1, 7, 64, 1000])
 @pytest.mark.parametrize("block_bytes", [1 << 24, 64])
 def test_blocks_cover_each_item_once(monkeypatch, cap, block_bytes):
-    monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", block_bytes)
+    """Blocks made under ``block_bytes`` and iterated under ``cap`` (the same when
+    None) hold to ``cap``: ``UNPACK_BLOCK_BYTES`` is read when iteration starts."""
     for count in (0, 1, 5, 64, 1000):
         for item_bytes in (0, 1, 8, 9, 100, 10**9):
-            parts = list(_bits.blocks(count, item_bytes, cap))
+            monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", block_bytes)
+            blocks = _bits.blocks(count, item_bytes)
+            limit = block_bytes if cap is None else cap
+            monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", limit)
+            parts = list(blocks)
             assert all(p.stop > p.start for p in parts)
             assert [i for p in parts for i in range(count)[p]] == list(range(count))
-            limit = block_bytes if cap is None else cap
             assert all(p.stop - p.start == 1 or (p.stop - p.start) * item_bytes <= limit for p in parts)
 
 

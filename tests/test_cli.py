@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from fillinlab import _bits, cli
+from fillinlab import _bits, cli, graph
 from fillinlab.graph import Graph, load_dimacs, save_dimacs
 from fillinlab.matrix import arrow_pattern, save_matrix_market
 
@@ -378,6 +378,38 @@ class TestReportRecheck:
         rep.write_text(json.dumps(data))
         assert run(["report", str(rep)]) == cli.EXIT_CHECK_FAILED
 
+    @pytest.mark.parametrize("pair, code", [
+        ([0, 9], cli.EXIT_CHECK_FAILED), ([2, 2], cli.EXIT_CHECK_FAILED), ([3, 0], cli.EXIT_CHECK_FAILED),
+        ([0, True], cli.EXIT_BAD_INPUT), ([0, 2.0], cli.EXIT_BAD_INPUT), ([0], cli.EXIT_BAD_INPUT),
+    ], ids=["out-of-range", "self-loop", "existing-edge", "true", "float", "one-element"])
+    def test_fill_certificate_pair_exit_codes(self, tmp_path, capsys, pair, code):
+        """A pair of ids that is no fill pair fails the re-check (exit 1); an
+        entry that is no pair of ids is invalid input (exit 2)."""
+        rep = tmp_path / "rep.json"
+        instance = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}
+        rep.write_text(json.dumps({"instance": instance, "certificates": {"fillin": [[0, 2], pair]}}))
+        assert run(["report", str(rep)]) == code
+        err = capsys.readouterr().err
+        if code == cli.EXIT_CHECK_FAILED:
+            assert "RECHECK FAIL: embedded fill-in certificate is not a valid fill-in" in err
+        else:
+            assert f"{rep}: certificate fillin is not a JSON array of vertex pairs" in err
+
+    def test_report_reads_each_id_once(self, tmp_path, monkeypatch):
+        """n twice (its check and ``Graph.build``), then each id of the m edges and
+        of the k fill pairs once: the fill is tested as the array its read made."""
+        src, rep = tmp_path / "g.col", tmp_path / "rep.json"
+        run(["gen", "gnp", "--n", "30", "--p", "0.2", "--seed", "5", "--out", str(src)])
+        assert run(["solve", str(src), "fillin-heuristic", "--out", str(rep)]) == 0
+        data = json.loads(rep.read_text())
+        m, k = len(data["instance"]["edges"]), len(data["certificates"]["fillin"])
+        assert m > 0 and k > 0
+        calls = []
+        read = graph._vertex_id
+        monkeypatch.setattr(graph, "_vertex_id", lambda x: calls.append(x) or read(x))
+        assert run(["report", str(rep)]) == 0
+        assert len(calls) == 2 * m + 2 * k + 2
+
     def test_tampered_inequality_detected(self, c4_file, tmp_path):
         rep = tmp_path / "rep.json"
         run(["solve", c4_file, "vc", "--out", str(rep)])
@@ -390,6 +422,15 @@ class TestReportRecheck:
 class TestErrors:
     def test_missing_file(self):
         assert run(["solve", "/nonexistent.col", "vc"]) == cli.EXIT_BAD_INPUT
+
+    def test_header_too_large_to_allocate_exit_3(self, tmp_path, capsys):
+        """1e8 vertices would take 1.11 PiB of packed rows; NumPy refuses the
+        allocation before it touches any memory."""
+        src = tmp_path / "huge.col"
+        src.write_text("p edge 100000000 0\n")
+        assert run(["solve", str(src), "vc"]) == cli.EXIT_LIMIT
+        err = capsys.readouterr().err
+        assert err.startswith("limit: ") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "command",

@@ -136,11 +136,23 @@ class TestNormalizeEdges:
         ([(3, 3), (0, 9)], r"self-loop \(3,3\) is not allowed"),
         ([(9, 9)], r"self-loop \(9,9\) is not allowed"),
         ([(0, 1), (0,), (2, 2)], r"edge \(0,\) is not a pair of vertex ids"),
+        ([(0, 1), (9, 0), (2, 2)], r"edge \(9,0\) out of range for 4 vertices"),
+        ([(0, 1), (2, 2), (-1, 3)], r"self-loop \(2,2\) is not allowed"),
+        ([(1, 2), (-1, 3), (2, 2)], r"edge \(-1,3\) out of range for 4 vertices"),
     ])
     def test_first_bad_pair_in_input_order_wins(self, edges, message):
-        for read in (normalize_edges, normalize_edges_sorted):
+        """In each form the entries can take: pairs, an (m, 2) integer array, and
+        codes when every pair's second id is in 0..3, so that the code decodes to it."""
+        with pytest.raises(GraphInputError, match=f"^{message}$"):
+            normalize_edges_sorted(4, iter(edges))
+        forms = [iter(edges)]
+        if all(len(e) == 2 and all(type(x) is int for x in e) for e in edges):
+            forms.append(np.array(edges, dtype=np.int64))
+            if all(0 <= v < 4 for _, v in edges):
+                forms.append(np.array([u * 4 + v for u, v in edges]))
+        for form in forms:
             with pytest.raises(GraphInputError, match=f"^{message}$"):
-                read(4, iter(edges))
+                normalize_edges(4, form)
 
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
     def test_rows_match_sorted_reference(self, rng, n):

@@ -1,5 +1,8 @@
 import hashlib
+import inspect
 import json
+import sys
+from contextlib import contextmanager
 from itertools import combinations
 
 import numpy as np
@@ -40,6 +43,17 @@ from .oracles import (
 )
 
 
+@contextmanager
+def _frames_to_spare(count):
+    """The interpreter's recursion limit lowered to the caller's depth plus ``count``."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + count)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 class TestVertexCover:
     def test_c4(self, graphs):
         assert exact_vertex_cover(graphs["c4"]).size == 2
@@ -67,6 +81,13 @@ class TestVertexCover:
             assert exact_vertex_cover(g).size == min_vertex_cover_brute(
                 g.n, edge_set(g)
             )
+
+    def test_120_levels_with_50_frames_to_spare(self):
+        """The search keeps its own stack, in the order of a recursive search."""
+        k120 = Graph.build(120, combinations(range(120), 2))
+        with _frames_to_spare(50):
+            res = exact_vertex_cover(k120)
+        assert res.optimal and res.nodes == 237 and res.vertices == frozenset(range(118)) | {119}
 
     def test_budget_exhaustion_still_valid(self, graphs):
         res = exact_vertex_cover(graphs["petersen"], node_budget=1)
@@ -273,6 +294,14 @@ class TestBranchSolver:
         # a negative or fractional budget never meets the depth cap
         with pytest.raises(GraphInputError, match=f"^budget must be {match}"):
             exact_fillin_branch(graphs["c6"], budget)
+
+    def test_120_levels_with_50_frames_to_spare(self):
+        """The search keeps its own stack, in the order of a recursive search:
+        its first 117 levels add the chords (0, 2) .. (0, 118) of C_120."""
+        with _frames_to_spare(50):
+            res = exact_fillin_branch(cycle(120), 120, node_budget=150)
+        assert res.status == "feasible_budget_exhausted" and res.nodes == 151
+        assert res.fillin.tolist() == list(range(2, 119))
 
     def test_node_budget_exhaustion(self, rng):
         g = random_graph(rng, 8, p=0.5)
