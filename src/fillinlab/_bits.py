@@ -33,6 +33,9 @@ BIT_BYTES = 32
 
 _U1 = np.uint64(1)
 
+#: ``_CLEAR[b]`` is a word with every bit but b set: ``clear_bit``'s mask, built once.
+_CLEAR = ~(_U1 << np.arange(WORD, dtype=np.uint64))
+
 
 def nwords(nbits: int) -> int:
     return (nbits + WORD - 1) // WORD
@@ -76,7 +79,7 @@ def set_bit(row: np.ndarray, i: int) -> None:
 
 
 def clear_bit(row: np.ndarray, i: int) -> None:
-    row[i >> 6] &= ~(_U1 << np.uint64(i & 63))
+    row[i >> 6] &= _CLEAR[i & 63]
 
 
 def set_diagonal(rows: np.ndarray) -> None:

@@ -114,8 +114,23 @@ Certificate = PeoCertificate | HoleCertificate
 
 
 def _validate_permutation(n: int, order) -> np.ndarray:
-    arr = np.asarray(_vertex_ids(order), dtype=np.int64)
-    if arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):
+    """``order`` as an int64 array, when it is a permutation of 0..n-1.
+
+    A 1-D integer ndarray is tested as it is, by one array test (a uint64 id
+    past int64 wraps to a negative one, never a vertex).  Any other input is
+    read by ``graph._vertex_ids``, whose message a non-integer raises; an id
+    past int64 is then no vertex either.  Every other failure raises "ordering
+    is not a permutation of the vertices".
+    """
+    if isinstance(order, np.ndarray) and order.ndim == 1 and order.dtype.kind in "iu":
+        arr = order.astype(np.int64, copy=False)
+    else:
+        ids = _vertex_ids(order)
+        try:
+            arr = np.array(ids, dtype=np.int64)
+        except OverflowError:
+            arr = None
+    if arr is None or arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):
         raise GraphInputError("ordering is not a permutation of the vertices")
     return arr
 
@@ -310,7 +325,9 @@ def is_split(graph: Graph):
 # -- elimination game ----------------------------------------------------------
 
 
-def _eliminate_vertex(rows: np.ndarray, alive: np.ndarray, v: int, n: int) -> np.ndarray:
+def _eliminate_vertex(
+    rows: np.ndarray, alive: np.ndarray, v: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Retire v and clique its still-alive neighborhood (in place).
 
     ``rows`` are closed-neighborhood rows: a working copy of the packed rows
@@ -318,16 +335,19 @@ def _eliminate_vertex(rows: np.ndarray, alive: np.ndarray, v: int, n: int) -> np
     game).  v leaves ``alive`` before its row is read, so ``rows[v] & alive``
     is its open alive neighborhood N; every row of N holds its own bit, so
     OR-ing N into them keeps them closed and no diagonal bit is ever cleared.
-    Returns N, the only rows whose alive part changed.  When N is every alive
-    vertex, the alive vertices are a clique from then on: callers end their
-    game there (the clique tail), since no later step can fill.
+    Returns N and a copy of its rows after the step (gathered once, OR-ed and
+    written back), the only rows whose alive part changed.  When N is every
+    alive vertex, the alive vertices are a clique from then on: callers end
+    their game there (the clique tail), since no later step can fill.
     """
     _bits.clear_bit(alive, v)
     nbr = rows[v] & alive
     idx = _bits.indices(nbr, n)
+    near = rows[idx]
     if idx.size >= 2:
-        rows[idx] |= nbr
-    return idx
+        near |= nbr
+        rows[idx] = near
+    return idx, near
 
 
 def elimination_fill_codes(graph: Graph, order) -> np.ndarray:
@@ -350,7 +370,7 @@ def elimination_fill_codes(graph: Graph, order) -> np.ndarray:
     _bits.set_diagonal(rows)
     alive = _bits.mask_from_indices(n, range(n))
     for step, v in enumerate(arr.tolist()):
-        if _eliminate_vertex(rows, alive, v, n).size == n - step - 1:
+        if _eliminate_vertex(rows, alive, v, n)[0].size == n - step - 1:
             break  # v saw every alive vertex: they form a clique, no later step fills
     rows ^= original
     return _bits.upper_codes(rows, n)

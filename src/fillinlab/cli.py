@@ -17,6 +17,7 @@ guardrails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import generate, matrix, transfer
-from .chordal import check_hole, check_peo, elimination_fill_codes, verify_fillin
+from .chordal import _validate_permutation, check_hole, check_peo, elimination_fill_codes, verify_fillin
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
 from .graph import Graph, _id_pairs, _vertex_ids, dimacs_text, load_dimacs, parse_ints, save_dimacs
 from .reduction import (
@@ -134,12 +135,13 @@ def cmd_reduce(args) -> int:
 
 def cmd_solve(args) -> int:
     g = load_dimacs(args.input)
+    codes = matrix.pattern_from_graph(g).codes
     report = RunReport(
         command=f"solve-{args.problem}",
-        instance=instance_descriptor(g, args.input),
+        instance=instance_descriptor(g, args.input, codes),
         params={"budget": args.budget, "strategy": args.strategy},
     )
-    report.instance["edges"] = np.column_stack(np.divmod(matrix.pattern_from_graph(g).codes, g.n)).tolist()
+    report.instance["edges"] = np.column_stack(np.divmod(codes, g.n)).tolist()
     t0 = time.perf_counter()
     code = EXIT_OK
     if args.problem == "vc":
@@ -173,25 +175,20 @@ def cmd_eliminate(args) -> int:
         g = load_dimacs(args.input)
         pattern = matrix.pattern_from_graph(g)
     graph_fill = None  # a greedy ordering's own game gives the graph-side fill
-    if args.ordering is not None:
-        order = parse_ints(args.ordering.split(","), "--ordering")
+    if args.ordering is not None:  # read once; both fills then test the int64 array
+        order = _validate_permutation(g.n, parse_ints(args.ordering.split(","), "--ordering"))
     elif args.strategy == "natural":
-        order = list(range(g.n))
+        order = np.arange(g.n)
     else:
         order, graph_fill = greedy_game(g, args.strategy)
-        order = order.tolist()
     fill, total = matrix.symbolic_fill_codes(pattern, order)
     if graph_fill is None:  # after the factorization: the peak is the two fill arrays and one block
         graph_fill = elimination_fill_codes(g, order)
     report = RunReport(
         command="eliminate",
-        instance=instance_descriptor(g, args.input),
+        instance=instance_descriptor(g, args.input, pattern.codes),
         params={"ordering_source": args.ordering or args.strategy},
-        outputs={
-            "fill_size": int(fill.size),
-            "total_nonzeros": total,
-            "ordering": [int(v) for v in order],
-        },
+        outputs={"fill_size": int(fill.size), "total_nonzeros": total, "ordering": order.tolist()},
     )
     agree = int(fill.data == graph_fill.data)  # no bool array as long as the fill, unlike np.array_equal
     report.add(check("matrix_graph_fill_agree", agree, 1, "=="))
@@ -515,8 +512,15 @@ _SUITES = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing does not change it, and
+    each build costs about a millisecond (a help formatter per argument)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GraphInputError as exc:

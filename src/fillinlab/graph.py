@@ -30,6 +30,24 @@ def pairs_from_codes(codes: np.ndarray, n: int) -> frozenset[EdgePair]:
     return frozenset(zip((codes // n).tolist(), (codes % n).tolist()))
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending: one sort and one adjacent compare
+    (``np.unique`` costs several times more, and its cost grows faster)."""
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def codes_hash(n: int, codes: np.ndarray) -> str:
+    """SHA-256 over the canonical edge-list text of the sorted upper codes ``u * n + w``:
+    the line ``n``, then one line ``u w`` per code, written by one format call."""
+    pairs = np.column_stack(np.divmod(codes, max(n, 1))).ravel().tolist()
+    text = "%d %d\n" * codes.size % tuple(pairs)
+    return hashlib.sha256(f"{n}\n{text}".encode()).hexdigest()
+
+
 def _vertex_id(x) -> int:
     """x as a vertex id, the one rule for every reader: an integer (Python or
     NumPy), never a bool; floats and strings are a TypeError, not truncated."""
@@ -220,11 +238,12 @@ class Graph:
 
         Returns (subgraph, mapping) where mapping[i] is the original id of
         new vertex i; vertices are kept in ascending original order.  Ids are
-        read by ``_vertex_ids``.
+        read by ``_vertex_ids`` and range-tested before they become int64.
         """
-        keep = np.unique(np.array(_vertex_ids(vertices), dtype=np.int64))
-        if keep.size and (keep[0] < 0 or keep[-1] >= self.n):
+        ids = _vertex_ids(vertices)
+        if ids and (min(ids) < 0 or max(ids) >= self.n):
             raise GraphInputError("subset vertex out of range")
+        keep = _sorted_unique(np.array(ids, dtype=np.int64))
         return Graph._adopt(_induced_rows(self._rows, keep)), keep
 
     # -- misc ----------------------------------------------------------------
@@ -241,11 +260,8 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
     def content_hash(self) -> str:
-        """SHA-256 over the canonical edge-list text; stable instance id."""
-        codes = _bits.upper_codes(self._rows, self.n)
-        pairs = np.column_stack(np.divmod(codes, self.n)).ravel().tolist()
-        text = "%d %d\n" * codes.size % tuple(pairs)  # one format call for all lines
-        return hashlib.sha256(f"{self.n}\n{text}".encode()).hexdigest()
+        """SHA-256 over the canonical edge-list text (``codes_hash``); stable instance id."""
+        return codes_hash(self.n, _bits.upper_codes(self._rows, self.n))
 
 
 def _induced_rows(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:

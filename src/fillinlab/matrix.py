@@ -16,6 +16,7 @@ cancellation is ignored.
 
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from . import _bits
 from .chordal import _validate_permutation, elimination_fill_codes
 from .errors import GraphInputError
-from .graph import Graph, _int_param, _vertex_ids, parse_ints, text_lines
+from .graph import Graph, _id_pairs, _int_param, _sorted_unique, _vertex_ids, parse_ints, text_lines
 
 MAX_ROWS = 3_037_000_499  # isqrt(2**63 - 1): the largest n whose codes fit in int64
 
@@ -41,16 +42,20 @@ class SparsePattern:
     __slots__ = ("n", "codes")
 
     def __init__(self, n: int, positions):
-        """Pairs ``(i, j)`` with ``0 <= i < j < n``, ids read by ``graph._vertex_id``."""
+        """Pairs ``(i, j)`` with ``0 <= i < j < n``, read by ``graph._id_pairs``.
+
+        The first entry that is no pair of integer ids raises its message; the
+        pairs read before it are then tested in range before any int64 array is
+        built, so an id past int64 is out of range, not an OverflowError.
+        """
         n = _pattern_size(n)
-        pairs = [_vertex_ids(pair) for pair in positions]
-        for pair in pairs:
-            if len(pair) != 2:
-                raise GraphInputError(f"position {tuple(pair)} is not a pair of vertex ids")
-        i, j = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2).T
+        pairs, stop = _id_pairs(positions)
+        if stop:
+            raise GraphInputError(f"position {tuple(_vertex_ids(stop[0]))} is not a pair of vertex ids")
+        i, j = pairs.T  # int64 once the test passes: an id past int64 fails it
         for k in np.flatnonzero((i < 0) | (i >= j) | (j >= n))[:1]:
             raise GraphInputError(f"position ({i[k]},{j[k]}) is not strict upper triangle")
-        self.n, self.codes = n, np.unique(i * n + j)
+        self.n, self.codes = n, _sorted_unique(i * n + j)
         self.codes.setflags(write=False)
 
     @classmethod
@@ -190,7 +195,7 @@ def fill_equivalence_check(pattern: SparsePattern, ordering) -> bool:
     The two sides are independent implementations; disagreement is treated
     as a hard failure by the verification suites.
     """
-    order = list(ordering)
+    order = _validate_permutation(pattern.n, ordering)  # both sides take the int64 array
     matrix_fill, _ = symbolic_fill_codes(pattern, order)
     graph_fill = elimination_fill_codes(graph_from_pattern(pattern), order)
     return bool(np.array_equal(matrix_fill, graph_fill))
@@ -200,6 +205,18 @@ def fill_equivalence_check(pattern: SparsePattern, ordering) -> bool:
 
 _WIDTHS = {"pattern": 2, "real": 3, "integer": 3, "complex": 4}  # tokens an entry needs
 
+#: The entry lines the bulk read takes, per field: two unsigned indices of at most 15
+#: digits (exact in float64), each further token a plain decimal value, exactly as many
+#: tokens as the field needs, spaces and tabs only.  Anything else is read line by line.
+_BULK = {
+    field: re.compile(
+        r"(?:[ \t]*[0-9]{1,15}[ \t]+[0-9]{1,15}"
+        + r"[ \t]+[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?" * (width - 2)
+        + r"[ \t]*(?:\n|\Z))*"
+    )
+    for field, width in _WIDTHS.items()
+}
+
 
 def load_matrix_market(path) -> SparsePattern:
     """Parse a coordinate Matrix Market file; the symmetric qualifier is required.
@@ -207,9 +224,16 @@ def load_matrix_market(path) -> SparsePattern:
     The field (real/integer/complex/pattern) is validated and otherwise
     ignored; indices are 1-based on disk.  Errors come in file order, the
     entry count checked between malformed and out-of-range entries.
+
+    The lines after the size line are read in one pass when every one of them
+    is an entry that ``_BULK`` accepts: one regular-expression match over their
+    text and one ``np.fromstring``.  Any other file (comment or blank lines
+    among the entries, signs, extra tokens, short lines, words) is read line by
+    line by ``_parse_lines``; both give the same positions, messages and
+    zero-diagonal warnings.  Positions are deduplicated by one sort.
     """
-    header, *rest = text_lines(path) or [""]
-    parts = header.split()
+    lines = text_lines(path) or [""]
+    parts = lines[0].split()
     if len(parts) != 5 or parts[0] != "%%MatrixMarket":
         raise GraphInputError(f"{path}: missing %%MatrixMarket header")
     _, obj, fmt, field, symmetry = (p.lower() for p in parts)
@@ -219,38 +243,39 @@ def load_matrix_market(path) -> SparsePattern:
         raise GraphInputError(f"{path}: unknown field {field!r}")
     if symmetry != "symmetric":
         raise GraphInputError(f"{path}: symmetry must be 'symmetric', got {symmetry!r}")
-    lines = [(k, s) for k, raw in enumerate(rest, 2) if (s := raw.strip()) and s[0] != "%"]
-    if not lines:
+    at = next((k for k in range(1, len(lines)) if (s := lines[k].strip()) and s[0] != "%"), None)
+    if at is None:
         raise GraphInputError(f"{path}: missing size line")
-    (lineno, size_line), body = lines[0], lines[1:]
-    dims = size_line.split()
+    dims = lines[at].split()
     if len(dims) != 3:
-        raise GraphInputError(f"{path}:{lineno}: size line must be '<rows> <cols> <nnz>'")
-    rows, cols, nnz = parse_ints(dims, f"{path}:{lineno}")
+        raise GraphInputError(f"{path}:{at + 1}: size line must be '<rows> <cols> <nnz>'")
+    rows, cols, nnz = parse_ints(dims, f"{path}:{at + 1}")
     if rows != cols:
         raise GraphInputError(f"{path}: pattern must be square, got {rows}x{cols}")
     n, width = _pattern_size(rows), _WIDTHS[field]
-    tokens = [t for _, line in body for t in line.split()[:width]]
-    try:
-        if len(tokens) != width * len(body):
-            raise ValueError("a line is short")
-        ij = np.array([tokens[0::width], tokens[1::width]], dtype=np.int64)
-        values = np.array([tokens[k::width] for k in range(2, width)], dtype=float)
-    except (ValueError, OverflowError):
+    text = "".join(lines[at + 1 :])
+    if _BULK[field].fullmatch(text):
+        count = len(lines) - at - 1
+        table = np.fromstring(text, dtype=np.int64 if width == 2 else float, sep=" ")
+        table = table.reshape(count, width).T
+        ij, values = table[:2].astype(np.int64, copy=False), table[2:]
+    else:
+        body = [(k, s) for k, raw in enumerate(lines[at + 1 :], at + 2) if (s := raw.strip()) and s[0] != "%"]
         ij, values = _parse_lines(path, body, width)
-    if len(body) != nnz:
-        raise GraphInputError(f"{path}: header declares {nnz} entries, found {len(body)}")
+        count = len(body)
+    if count != nnz:
+        raise GraphInputError(f"{path}: header declares {nnz} entries, found {count}")
     for k in np.flatnonzero(((ij < 1) | (ij > n)).any(axis=0))[:1]:
         i, j = map(int, ij[:, k])
         raise GraphInputError(f"entry ({i - 1},{j - 1}) out of range for n = {n}")
-    i, j = ij - 1
+    i, j = ij.astype(np.int64, copy=False) - 1
     diag = i == j
     if field != "pattern":  # a complex value is zero when both of its parts are
         for d in i[diag & (values == 0).all(axis=0)].tolist():
             warnings.warn(
                 f"explicit zero diagonal at {d}; treated as structurally nonzero", stacklevel=2
             )
-    return SparsePattern._adopt(n, np.unique((np.minimum(i, j) * n + np.maximum(i, j))[~diag]))
+    return SparsePattern._adopt(n, _sorted_unique((np.minimum(i, j) * n + np.maximum(i, j))[~diag]))
 
 
 def _parse_lines(path, body, width) -> tuple[np.ndarray, np.ndarray]:
@@ -263,7 +288,8 @@ def _parse_lines(path, body, width) -> tuple[np.ndarray, np.ndarray]:
             values.append([float(toks[k]) for k in range(2, width)])
         except (ValueError, IndexError):
             raise GraphInputError(f"{path}:{lineno}: malformed entry {line!r}") from None
-    return np.array(ij, dtype=object).T, np.array(values, dtype=float).T
+    m = len(body)
+    return np.array(ij, dtype=object).reshape(m, 2).T, np.array(values, dtype=float).reshape(m, width - 2).T
 
 
 def save_matrix_market(pattern: SparsePattern, path, comments=()) -> None:

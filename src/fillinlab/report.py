@@ -5,7 +5,9 @@ hash, every checked inequality with both sides and the slack, and any
 certificates, so a consumer can re-check it offline.  Serialization is
 deterministic; wall-clock timings default to null so that identical
 (command, inputs, seed) runs emit byte-identical JSON, and are filled in
-only on request.
+only on request.  ``RunReport.dumps`` gives the bytes of
+``json.dumps(indent=2)``, one integer per line, but writes each integer
+array (orderings, edge lists, certificates) with one format call.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
-from .graph import Graph
+from .graph import Graph, codes_hash
 
 _OPS = {
     "<": lambda a, b: a < b,
@@ -31,8 +34,58 @@ def _num_to_json(x):
     if isinstance(x, (bool, int, str)) or x is None:
         return x
     if isinstance(x, (list, tuple)):
-        return [_num_to_json(v) for v in x]
+        return list(x) if _all_ints(x) else [_num_to_json(v) for v in x]
     return str(x)
+
+
+def _all_ints(values) -> bool:
+    """Every item is exactly an ``int``: no bool, no subclass, no NumPy integer."""
+    return set(map(type, values)) <= {int}
+
+
+#: ``json``'s compact encoder: the text of a scalar or an empty container, which
+#: ``json.dumps(indent=2)`` writes the same way.
+_flat = json.JSONEncoder().encode
+
+
+def _int_array(values, indent: str) -> str | None:
+    """``json.dumps(values, indent=2)`` nested at ``indent``, by one format call, when
+    ``values`` is a non-empty list or tuple of ints, or of lists or tuples of one
+    common non-zero length of ints (``_all_ints``); else None."""
+    inner = indent + "  "
+    if _all_ints(values):
+        flat, item = values, "%d"
+    elif set(map(type, values)) <= {list, tuple} and len(widths := set(map(len, values))) == 1:
+        width = widths.pop()
+        flat = list(chain.from_iterable(values))
+        if not width or not _all_ints(flat):
+            return None
+        item = "[\n" + inner + "  " + (",\n" + inner + "  ").join(["%d"] * width) + "\n" + inner + "]"
+    else:
+        return None
+    return "[\n" + inner + (",\n" + inner).join([item] * len(values)) % tuple(flat) + "\n" + indent + "]"
+
+
+def _encode(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2)`` nested at ``indent``.
+
+    Dicts with str keys and non-empty lists and tuples are written here, each
+    integer array by ``_int_array``.  A dict with other keys goes to
+    ``json.dumps`` itself, re-indented (JSON text holds no raw newline but
+    those of its layout), and a scalar or an empty container, which has no
+    layout, to ``json``'s compact encoder, whose text is then the same."""
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        if set(map(type, obj)) != {str}:
+            return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
+        items = (_flat(k) + ": " + _encode(v, inner) for k, v in obj.items())
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        text = _int_array(obj, indent)
+        if text is None:
+            text = "[\n" + inner + (",\n" + inner).join(_encode(v, inner) for v in obj) + "\n" + indent + "]"
+        return text
+    return _flat(obj)
 
 
 @dataclass(frozen=True)
@@ -77,8 +130,11 @@ def check(name: str, lhs, rhs, op: str = "<=", note: str = "") -> IneqRecord:
     return IneqRecord(name, lhs, rhs, op, bool(_OPS[op](lhs, rhs)), note)
 
 
-def instance_descriptor(graph: Graph, name: str = "") -> dict:
-    return {"name": name, "n": graph.n, "m": graph.m, "hash": graph.content_hash()}
+def instance_descriptor(graph: Graph, name: str = "", codes=None) -> dict:
+    """Name, size and ``Graph.content_hash``; a caller that holds the graph's sorted
+    upper codes passes them as ``codes``, and the digest is taken from them."""
+    digest = graph.content_hash() if codes is None else codes_hash(graph.n, codes)
+    return {"name": name, "n": graph.n, "m": graph.m, "hash": digest}
 
 
 @dataclass
@@ -123,7 +179,9 @@ class RunReport:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=False)
+        """``json.dumps(self.to_json(), indent=2)``, byte for byte; integer arrays
+        (orderings, edge lists, certificates) are written by one format call each."""
+        return _encode(self.to_json())
 
     def summary_lines(self):
         yield f"== {self.command}: {self.verdict} ({len(self.checks)} checks)"

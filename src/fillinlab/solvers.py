@@ -297,30 +297,31 @@ def exact_fillin_branch(
     nodes = 0
     best: list[int] | None = None  # codes u * n + w with u < w
     added: list[int] = []  # the chords from the root to the current node
-    # Depth-first, in the order of a recursive search: an entry is a parent's graph, its
-    # depth and the chord of one child, whose graph is built when the entry is popped.
-    stack, cut = [(graph, 0, None)], False
+    # Depth-first, in the order of a recursive search: an entry is a parent's depth and
+    # the chord of one child.  The child's graph is built when the entry is popped, from
+    # the root's rows and the codes in ``added`` by one ``add_edges``, so one graph of the
+    # path is alive at a time, not every ancestor.
+    stack, cut = [(0, None)], False
     while stack:
-        g, depth, chord = stack.pop()
+        depth, chord = stack.pop()
         del added[depth:]
         if chord is not None:
             a, b = chord
             added.append(min(a, b) * n + max(a, b))
-            g = g.add_edges([chord])
         nodes += 1
         if nodes > node_budget:
             cut = True
             break
         if best is not None and len(added) >= len(best):
             continue
-        hole = find_hole(g)
+        hole = find_hole(graph.add_edges(np.array(added, dtype=np.int64)))
         if hole is None:
             best = list(added)
             continue
         if len(added) == budget:
             continue
         v, u, *inner, w = hole
-        stack += [(g, len(added), c) for c in reversed([(u, w)] + [(v, x) for x in inner])]
+        stack += [(len(added), c) for c in reversed([(u, w)] + [(v, x) for x in inner])]
     if cut:
         status = "feasible_budget_exhausted" if best is not None else "exhausted"
     else:
@@ -505,7 +506,8 @@ def _row_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
     """``greedy_game`` on the packed rows.
 
     Min-degree keeps a degree array and, after each elimination, recounts
-    only the eliminated vertex's neighbors: no other alive row changes.
+    only the eliminated vertex's neighbors, from the block of their rows that
+    ``_eliminate_vertex`` returns: no other alive row changes.
     Min-fill keeps the exact fill score of every alive vertex (the number of
     non-adjacent pairs among its alive neighbors) as an int64 array and
     updates it only where an elimination changes it.  Eliminating v, with
@@ -549,11 +551,12 @@ def _row_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
         for step in range(n):
             v = int(deg.argmin())  # first minimum = smallest id
             order[step] = v
-            idx = _eliminate_vertex(rows, alive, v, n)
+            idx, near = _eliminate_vertex(rows, alive, v, n)
             if idx.size == n - step - 1:  # the alive vertices are a clique: ascending ids
                 order[step + 1 :] = idx
                 break
-            deg[idx] = _bits.popcount_rows(rows[idx] & alive) - 1  # minus the own bit
+            near &= alive
+            deg[idx] = _bits.popcount_rows(near) - 1  # minus the own bit
             deg[v] = n  # above every alive degree: never re-selected
         rows ^= original  # the game only sets bits: the fill
         return order, _bits.upper_codes(rows, n)

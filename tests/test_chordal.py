@@ -12,6 +12,7 @@ import fillinlab
 from fillinlab import _bits
 from fillinlab.chordal import (
     HoleCertificate,
+    _validate_permutation,
     check_hole,
     check_peo,
     elimination_fill_codes,
@@ -23,7 +24,7 @@ from fillinlab.chordal import (
 )
 from fillinlab.errors import CounterexampleError, GraphInputError
 from fillinlab.generate import gnp, random_subcubic
-from fillinlab.graph import Graph, twin_classes
+from fillinlab.graph import Graph, _vertex_ids, twin_classes
 from fillinlab.reduction import (
     brooks_coloring,
     produced_fillins,
@@ -663,3 +664,56 @@ def test_certificate_identity_digest():
         count += 1
     assert count == 1100 + 105 + 9
     assert digest.hexdigest() == CERTIFICATE_DIGEST
+
+
+def _verdict(n, order):
+    """``_validate_permutation``'s array as a list, or its exception type and message."""
+    try:
+        arr = _validate_permutation(n, order)
+    except Exception as exc:  # the exception itself is the verdict compared
+        return type(exc), str(exc)
+    assert arr.dtype == np.int64
+    return arr.tolist()
+
+
+@pytest.mark.parametrize("dtype", ["int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64"])
+def test_integer_arrays_validate_as_their_lists(rng, dtype):
+    """A 1-D integer array takes one array test; its verdict and message equal
+    those of the same ids as a list of Python ints, read one at a time."""
+    info = np.iinfo(dtype)
+    for n in (0, 1, 2, 5, 9):
+        cases = [rng.permutation(n), np.arange(n)[::-1], np.arange(n + 1), np.arange(max(n - 1, 0))]
+        if n >= 2:
+            repeated = rng.permutation(n)
+            repeated[0] = repeated[1]
+            cases += [repeated, np.concatenate([rng.permutation(n - 1), [n]])]
+        cases += [[*range(n - 1), int(info.max)], [int(info.min)] * n]
+        for case in cases:
+            arr = np.array(case, dtype=dtype)
+            assert _verdict(n, arr) == _verdict(n, arr.tolist()), (n, arr)
+
+
+def test_ids_past_int64_are_no_permutation():
+    """uint64 ids past int64, as an array or as Python ints, and Python ints past
+    uint64 are no vertex: the list form raised a bare OverflowError."""
+    want = (GraphInputError, "ordering is not a permutation of the vertices")
+    big = np.array([0, 1, 2**64 - 1], dtype=np.uint64)
+    assert _verdict(3, big) == _verdict(3, big.tolist()) == want
+    assert _verdict(3, [0, 1, 2**70]) == _verdict(3, [0, 2**63, 1]) == want
+
+
+@pytest.mark.parametrize(
+    "order",
+    [np.array([0.0, 1.0, 2.0]), np.array([True, False, True]), np.array([0, 1, 2], dtype=object),
+     np.array([[0, 1, 2]]), np.array(1), (0, 1, 2.5), "012"],
+    ids=["float", "bool", "object", "2-D", "0-d", "tuple-float", "str"],
+)
+def test_other_inputs_are_read_one_id_at_a_time(order):
+    """Everything but a 1-D integer array goes through ``graph._vertex_ids``,
+    with its message for a non-integer."""
+    try:
+        ids = _vertex_ids(order)
+    except GraphInputError as exc:
+        assert _verdict(3, order) == (GraphInputError, str(exc))
+    else:
+        assert _verdict(3, order) == _verdict(3, list(ids))

@@ -339,6 +339,75 @@ def test_eliminate_report_digest(tmp_path, monkeypatch):
     assert digest.hexdigest() == ELIMINATE_DIGEST
 
 
+#: SHA-256 of each ``eliminate`` report on two of the digest patterns, recorded
+#: before orderings stayed int64 arrays and reports were written array by array.
+ELIMINATE_REPORT_SHA256 = {
+    ("grid2d.mtx", "natural"): "f7c0eb343555750b02beb6edcfee983db35f47baa879912a0d5621515d6ad786",
+    ("grid2d.mtx", "min-degree"): "9a47e43e70a8275548f8abdb6cd7fdd2c7de5b6b6fcf0ea5544d0c9de6c35b7d",
+    ("grid2d.mtx", "min-fill"): "7cb3fe37bd2e3850b1c903a4b3fe37abdcfca6750bf863f670f3b93c0da7998a",
+    ("grid2d.mtx", "ordering"): "853acf3a851ef9bf2e455ad123c8e374ccbbd81c8cef777412765dae2ed37d92",
+    ("random.mtx", "natural"): "93e50b39deaee7562cd21e660629005269b9c87e59c9d92ebaac18a3a7f70301",
+    ("random.mtx", "min-degree"): "d60013d8c35cbd4492c5666348f8a00423ef6e885c3506506cc88b24401b8bd2",
+    ("random.mtx", "min-fill"): "75eee9880e3bde25bc2510c8f5bb850c2e144d431f161b12a994148a9beb38d9",
+    ("random.mtx", "ordering"): "2e1b6fdfd83456d542c2fa09b26d4f30ad4a17dc47551108bac11e19665bb2ff",
+}
+
+
+@pytest.mark.parametrize("name, source", sorted(ELIMINATE_REPORT_SHA256), ids="-".join)
+def test_eliminate_report_sha256(tmp_path, monkeypatch, name, source):
+    """One pin per report: a grid and a random pattern under each strategy and
+    under ``--ordering`` (a seeded permutation)."""
+    monkeypatch.chdir(tmp_path)
+    pattern = dict(_digest_patterns())[name]
+    save_matrix_market(pattern, name)
+    if source == "ordering":
+        order = np.random.default_rng(17).permutation(pattern.n)
+        extra = ["--ordering", ",".join(map(str, order))]
+    else:
+        extra = ["--strategy", source]
+    assert run(["eliminate", name, *extra, "--out", "rep.json"]) == 0
+    assert hashlib.sha256((tmp_path / "rep.json").read_bytes()).hexdigest() == ELIMINATE_REPORT_SHA256[name, source]
+
+
+@pytest.mark.parametrize("strategy", ["natural", "min-degree", "min-fill"])
+def test_eliminate_reads_no_id_of_a_strategy_ordering(tmp_path, monkeypatch, strategy):
+    """The ordering stays the int64 array from the strategy to both fills and the
+    report: the ``_vertex_id`` calls (the size line and ``Graph.build``'s vertex
+    count) do not grow with the grid."""
+    from fillinlab.generate import grid
+    from fillinlab.matrix import pattern_from_graph
+
+    counts = []
+    read = graph._vertex_id
+    calls = []
+    monkeypatch.setattr(graph, "_vertex_id", lambda x: calls.append(x) or read(x))
+    for k in (20, 40):
+        mtx = tmp_path / f"grid{k}.mtx"
+        save_matrix_market(pattern_from_graph(grid(k, k)), mtx)
+        calls.clear()
+        assert run(["eliminate", str(mtx), "--strategy", strategy, "--out", str(tmp_path / "rep.json")]) == 0
+        counts.append(len(calls))
+    assert counts == [2, 2]
+
+
+def test_parser_is_built_once(monkeypatch, tmp_path, c4_file):
+    """``main`` builds the argparse tree once per process and parses each call afresh."""
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for seed in ("1", "2"):
+            out = tmp_path / f"g{seed}.col"
+            assert run(["gen", "gnp", "--n", "6", "--seed", seed, "--out", str(out)]) == 0
+        assert run(["solve", c4_file, "vc", "--out", str(tmp_path / "rep.json")]) == 0
+        assert len(builds) == 1
+        assert (tmp_path / "g1.col").read_text() != (tmp_path / "g2.col").read_text()
+        assert json.loads((tmp_path / "rep.json").read_text())["outputs"]["size"] == 2
+    finally:
+        cli._parser.cache_clear()
+
+
 class TestReportRecheck:
     def test_ok(self, c4_file, tmp_path):
         rep = tmp_path / "rep.json"

@@ -288,6 +288,17 @@ class TestSubgraphs:
         sub, mapping = graphs["c5"].induced_subgraph(v for v in np.array([2, 0, 1]))
         assert sub.m == 2 and mapping.tolist() == [0, 1, 2]
 
+    @pytest.mark.parametrize("vertices", [[0, 2**70], [2**64 - 1], [-(2**70), 1], [5], [-1, 0]])
+    def test_ids_past_int64_are_out_of_range(self, graphs, vertices):
+        """Ids are range-tested before they become int64: ``[0, 2**70]`` raised a
+        bare OverflowError from the int64 array."""
+        with pytest.raises(GraphInputError, match="^subset vertex out of range$"):
+            graphs["c5"].induced_subgraph(vertices)
+
+    def test_repeated_ids_count_once(self, graphs):
+        sub, mapping = graphs["c5"].induced_subgraph([3, 1, 3, np.int8(1), 0])
+        assert mapping.dtype == np.int64 and mapping.tolist() == [0, 1, 3] and sub.m == 1
+
 
 @settings(max_examples=60, deadline=None)
 @given(small_graphs(), st.data())

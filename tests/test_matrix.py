@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -64,6 +65,15 @@ class TestPattern:
     def test_rejects_non_integer_size(self, size):
         with pytest.raises(GraphInputError, match="^n must be an integer"):
             SparsePattern(size, [])
+
+    @pytest.mark.parametrize(
+        "bad", [(0, 2**70), (2**64, 2**65), (-(2**70), 1), (1, 2**63)], ids=["j", "both", "negative", "int64-max+1"]
+    )
+    def test_ids_past_int64_are_not_upper_triangle(self, bad):
+        """Positions are range-tested before they become int64: ``(0, 2**70)``
+        raised a bare OverflowError from the int64 array."""
+        with pytest.raises(GraphInputError, match=rf"^position \({bad[0]},{bad[1]}\) is not strict upper triangle$"):
+            SparsePattern(3, [(0, 1), bad])
 
     @pytest.mark.parametrize("bad", [(0, 1, 2), (0,), ()])
     def test_rejects_non_pairs(self, bad):
@@ -515,3 +525,115 @@ def test_writer_digest(tmp_path):
         save_matrix_market(pattern, tmp_path / name, comments=comments)
         digest.update((tmp_path / name).read_bytes())
     assert digest.hexdigest() == WRITER_DIGEST
+
+
+def _entry_line(rng, field, n, fault=None):
+    """One entry line in one of the spellings the bulk read takes or leaves to
+    the line reader; ``fault`` picks a spelling that only the line reader reads."""
+    count = _VALUES[field][0]
+    i, j = (int(x) for x in rng.integers(1, max(n, 1) + 1, size=2))
+    if rng.random() < 0.3:
+        j = i
+    tokens = [str(i), str(j)]
+    values = ["0", "0.0", "-0", "+0.0", "2.5", "-1.", ".5", "1e-400", "3E+2", "0e5", "-7"]
+    tokens += [str(rng.choice(values)) for _ in range(count)]
+    if fault == "sign":
+        tokens[int(rng.integers(2))] = "+" + tokens[0]
+    elif fault == "zeros":
+        tokens[int(rng.integers(2))] = "0" * int(rng.integers(1, 17)) + tokens[1]
+    elif fault == "odd-value" and count:
+        tokens[2] = str(rng.choice(["nan", "-inf", "1_0", "0x1", "1.5.2"]))
+    elif fault == "extra":
+        tokens.append("9")
+    elif fault == "short":
+        tokens = tokens[: int(rng.integers(1, len(tokens)))]
+    elif fault == "word":
+        tokens[int(rng.integers(len(tokens)))] = "x"
+    elif fault == "range":
+        tokens[int(rng.integers(2))] = str(rng.choice([0, n + 1]))
+    gaps = ["\t", "  ", " \t "] if rng.random() < 0.2 else [" "]
+    line = "".join(t + str(rng.choice(gaps)) for t in tokens).rstrip()
+    return (str(rng.choice(["", " ", "\t"])) if rng.random() < 0.2 else "") + line + (" " if rng.random() < 0.1 else "")
+
+
+def _bulk_corpus(rng, count):
+    """Seeded files of every field: half of them well formed (the bulk read's
+    case), half with one fault among signs, leading zeros, odd values, extra
+    tokens, short lines, words, out-of-range ids, comment or blank lines
+    among the entries, a wrong entry count, CRLF endings or no final newline."""
+    faults = ("sign", "zeros", "odd-value", "extra", "short", "word", "range", "comment", "blank", "count", "crlf", "eof")
+    for k in range(count):
+        field = str(rng.choice(list(_VALUES)))
+        n = int(rng.integers(0, 12))
+        fault = str(rng.choice(faults)) if k % 2 else None
+        entries = [_entry_line(rng, field, n) for _ in range(int(rng.integers(0, 16)) if n else 0)]
+        if fault in ("sign", "zeros", "odd-value", "extra", "short", "word", "range") and n:
+            entries.insert(int(rng.integers(0, len(entries) + 1)), _entry_line(rng, field, n, fault))
+        nnz = len(entries) + (int(rng.choice([-1, 1])) if fault == "count" else 0)
+        if fault in ("comment", "blank"):
+            entries.insert(int(rng.integers(0, len(entries) + 1)), "% note" if fault == "comment" else "")
+        lines = [f"%%MatrixMarket matrix coordinate {field} symmetric", "% size next", f"{n} {n} {nnz}", *entries]
+        text = "\n".join(lines) + ("" if fault == "eof" else "\n")
+        yield text.replace("\n", "\r\n") if fault == "crlf" else text
+
+
+_PARSE_LINES = matrix._parse_lines
+
+
+def _read_both(path, monkeypatch):
+    """The reader's outcome with its bulk read, whether it took the bulk read, and
+    its outcome with every file left to the line reader."""
+    calls = []
+    monkeypatch.setattr(matrix, "_parse_lines", lambda *args: calls.append(1) or _PARSE_LINES(*args))
+    bulk = _outcome(load_matrix_market, path)
+    took_bulk = not calls
+    with monkeypatch.context() as m:
+        m.setattr(matrix, "_BULK", dict.fromkeys(matrix._BULK, re.compile("(?!)")))
+        by_line = _outcome(load_matrix_market, path)
+    return bulk, by_line, took_bulk
+
+
+def _as_positions(outcome):
+    result, caught = outcome
+    return ((result.n, positions(result)) if isinstance(result, SparsePattern) else result), caught
+
+
+class TestBulkRead:
+    def test_matches_the_line_reader_on_a_seeded_corpus(self, tmp_path, monkeypatch):
+        """Same positions, exception type and message, and warnings with the
+        bulk read as without it and as the reference reader; every well-formed
+        file takes the bulk read."""
+        rng = np.random.default_rng(3131)
+        took = 0
+        for k, text in enumerate(_bulk_corpus(rng, 500)):
+            path = tmp_path / f"b{k}.mtx"
+            path.write_bytes(text.encode())
+            bulk, by_line, took_bulk = _read_both(path, monkeypatch)
+            assert _as_positions(bulk) == _as_positions(by_line), text
+            want = _outcome(load_matrix_market_lines, path)
+            assert _as_positions(bulk)[0] == _as_positions(want)[0], text
+            if isinstance(bulk[0], SparsePattern):
+                assert bulk[0].codes.dtype == np.int64 and bulk[1] == want[1], text
+            if k % 2 == 0:
+                assert took_bulk, text
+            took += took_bulk
+        assert 250 <= took < 500
+
+    def test_matches_the_line_reader_on_the_test_files(self, tmp_path, monkeypatch):
+        """Every Matrix Market file the tests write takes the bulk read, with the
+        line reader's result."""
+        for name, pattern, comments in _writer_cases():
+            path = tmp_path / name
+            save_matrix_market(pattern, path, comments=comments)
+            bulk, by_line, took_bulk = _read_both(path, monkeypatch)
+            assert took_bulk and bulk[0] == pattern == by_line[0]
+            assert bulk[1] == by_line[1] == []
+
+    def test_seeded_corpus_matches_without_the_bulk_read(self, tmp_path, monkeypatch):
+        """The fault corpus of ``TestReaderParity`` gives the same outcome either way."""
+        rng = np.random.default_rng(2024)
+        for k, text in enumerate(_mtx_corpus(rng, 300)):
+            path = tmp_path / f"c{k}.mtx"
+            path.write_text(text)
+            bulk, by_line, _ = _read_both(path, monkeypatch)
+            assert _as_positions(bulk) == _as_positions(by_line), text

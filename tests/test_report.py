@@ -1,6 +1,9 @@
 import json
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
 from fillinlab.graph import Graph
 from fillinlab.report import IneqRecord, RunReport, check, instance_descriptor
 
@@ -72,3 +75,91 @@ def test_instance_descriptor_round():
     d = instance_descriptor(g, "tiny")
     assert d["n"] == 3 and d["m"] == 1 and d["name"] == "tiny"
     assert d["hash"] == g.content_hash()
+
+
+def _dumps_cases():
+    """Reports whose certificates and outputs hold every form the array writer
+    must tell apart: integer arrays it writes by one format call, and values
+    it hands to ``json`` (bools are ints to Python, NumPy ints are not JSON)."""
+    big = 2**63
+    yield RunReport(command="empty", outputs={"none": [], "pairs": [[], []]}, certificates={"fillin": []})
+    yield RunReport(
+        command="pairs",
+        instance={"edges": [[0, 1], [1, 2], [0, 2]], "n": 3},
+        outputs={"ordering": [2, 0, 1], "wide": [(1, 2, 3), [4, 5, 6]]},
+        certificates={"fillin": [[0, 2]], "cover": [1], "ragged": [[0, 1], [2]]},
+    )
+    yield RunReport(
+        command="bools",
+        outputs={"flags": [True, False, 1], "pair": [[True, 1], [0, 1]], "flag": True},
+        certificates={"peo": [1, True, 0]},
+    )
+    yield RunReport(
+        command="big",
+        outputs={"ids": [big, -big - 1, 2**70, 0], "pairs": [[big, 1], [-(2**64), 3]]},
+        certificates={"hole": [big + 5, 1, 2, 3]},
+    )
+    yield RunReport(
+        command="fractions",
+        params={"eps": Fraction(1, 2), "whole": Fraction(4, 2)},
+        outputs={"ratio": [Fraction(3, 2), 1, Fraction(2, 1)], "pair": (Fraction(1, 3), 3)},
+    )
+    yield RunReport(
+        command="mixed",
+        instance={"name": "a\nb é", "nested": {"k": [1, [2, 3]], "f": 1.5, "x": None}},
+        outputs={"mixed": [1, "two", 3.0, None, [4], {"five": 5}], "nan": float("nan")},
+        certificates={"keys": {1: [0, 1], "s": [2]}, "empty": {}, "deep": [[[0, 1]], [[2, 3]]]},
+        notes=["one", "two"],
+    )
+
+
+@pytest.mark.parametrize("report", list(_dumps_cases()), ids=lambda r: r.command)
+def test_dumps_matches_json_indent_2(report):
+    report.add(check("c", Fraction(1, 3), 1, "<", note="n"))
+    assert report.dumps() == json.dumps(report.to_json(), indent=2)
+
+
+def test_dumps_rejects_what_json_rejects():
+    """A value JSON cannot hold raises json's own error, at any depth."""
+    for value in (np.int64(3), [np.int64(3)], [[0, np.int64(1)]], Fraction(1, 2)):
+        rep = RunReport(command="bad", certificates={"x": value})
+        with pytest.raises(TypeError) as want:
+            json.dumps(rep.to_json(), indent=2)
+        with pytest.raises(TypeError) as got:
+            rep.dumps()
+        assert str(got.value) == str(want.value)
+
+
+def test_dumps_matches_json_on_seeded_reports():
+    """Seeded nested values: int arrays, pair arrays of every width, bools,
+    ints past int64, floats, strings, tuples, dicts with str and other keys."""
+    rng = np.random.default_rng(3030)
+    scalars = [0, -5, 2**64, -(2**70), True, False, None, 1.5, float("inf"), "q\"\n", "", 7]
+
+    def value(depth):
+        kind = int(rng.integers(7)) if depth < 4 else 0
+        size = int(rng.integers(0, 5))
+        if kind == 0:
+            return scalars[int(rng.integers(len(scalars)))]
+        if kind == 1:
+            return [int(x) for x in rng.integers(-3, 2**62, size=size)]
+        if kind == 2:
+            width = int(rng.integers(0, 4))
+            return [[int(x) for x in rng.integers(-3, 9, size=width)] for _ in range(size)]
+        if kind == 3:
+            return tuple(value(depth + 1) for _ in range(size))
+        if kind == 4:
+            keys = [["a", "b"], ["x"], [1, "y"], [None, 2.5]][int(rng.integers(4))]
+            return {k: value(depth + 1) for k in keys}
+        return [value(depth + 1) for _ in range(size)]
+
+    for _ in range(400):
+        rep = RunReport(command="seeded", outputs={"v": value(0)}, certificates={"c": value(0)})
+        assert rep.dumps() == json.dumps(rep.to_json(), indent=2)
+
+
+def test_dumps_writes_a_large_certificate_as_json_does():
+    rng = np.random.default_rng(7)
+    fill = rng.integers(0, 5000, size=(20_000, 2)).tolist()
+    rep = RunReport(command="large", outputs={"ordering": list(range(5000))}, certificates={"fillin": fill})
+    assert rep.dumps() == json.dumps(rep.to_json(), indent=2)

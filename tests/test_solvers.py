@@ -280,6 +280,16 @@ class TestBranchSolver:
         assert res.status == "found" and len(res.fillin) == 6
         assert verify_fillin(g, res.fillin)
 
+    def test_long_cycle_keeps_no_ancestor_graph(self):
+        """A 32-cycle among 608 isolated vertices: each node's graph is built from
+        the root's rows, so the search peaks at a few root-sized graphs (6.4x,
+        the hole search's temporaries), not at the graphs of its 29-chord path
+        (37x when every ancestor stayed alive)."""
+        g = Graph.build(640, [(i, (i + 1) % 32) for i in range(32)])
+        res, peak = traced_peak(exact_fillin_branch, g, 32, 40)
+        assert res.status == "feasible_budget_exhausted" and res.nodes == 41 and len(res.fillin) == 29
+        assert peak < 8 * g.packed_rows().nbytes
+
     def test_eight_cycle_refuted_at_budget_four(self):
         # C_l needs l - 3 fill edges; refuting l - 4 takes 304 nodes
         res = exact_fillin_branch(cycle(8), 4, node_budget=1_000)
