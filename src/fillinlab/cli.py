@@ -30,7 +30,7 @@ import numpy as np
 from . import generate, matrix, transfer
 from .chordal import _validate_permutation, check_hole, check_peo, elimination_fill_codes, verify_fillin
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
-from .graph import Graph, _id_pairs, _vertex_ids, dimacs_text, load_dimacs, parse_ints, save_dimacs
+from .graph import Graph, _id_pairs, _vertex_ids, codes_hash, dimacs_text, load_dimacs, parse_ints, save_dimacs
 from .reduction import (
     COLORED_MAX_CELLS,
     PRIMITIVE_MAX_N,
@@ -138,7 +138,8 @@ def cmd_solve(args) -> int:
     codes = matrix.pattern_from_graph(g).codes
     report = RunReport(
         command=f"solve-{args.problem}",
-        instance=instance_descriptor(g, args.input, codes),
+        # instance_descriptor's fields, the hash taken from the codes in hand
+        instance={"name": args.input, "n": g.n, "m": g.m, "hash": codes_hash(g.n, codes)},
         params={"budget": args.budget, "strategy": args.strategy},
     )
     report.instance["edges"] = np.column_stack(np.divmod(codes, g.n)).tolist()
@@ -186,7 +187,8 @@ def cmd_eliminate(args) -> int:
         graph_fill = elimination_fill_codes(g, order)
     report = RunReport(
         command="eliminate",
-        instance=instance_descriptor(g, args.input, pattern.codes),
+        # instance_descriptor's fields, the hash taken from the codes in hand
+        instance={"name": args.input, "n": g.n, "m": g.m, "hash": codes_hash(g.n, pattern.codes)},
         params={"ordering_source": args.ordering or args.strategy},
         outputs={"fill_size": int(fill.size), "total_nonzeros": total, "ordering": order.tolist()},
     )
@@ -435,7 +437,11 @@ def cmd_report(args) -> int:
 # -- argument parsing -----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing does not change it, and each
+    build costs about a millisecond (a help formatter per argument).  Only callers
+    that run ``main`` many times in one process (tests, notebooks) save anything."""
     ap = argparse.ArgumentParser(
         prog="fillinlab",
         description="Minimum fill-in laboratory: gadget reductions, exact oracles, audits.",
@@ -512,15 +518,8 @@ _SUITES = {
 }
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """``build_parser()``, built once per process: parsing does not change it, and
-    each build costs about a millisecond (a help formatter per argument)."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except GraphInputError as exc:

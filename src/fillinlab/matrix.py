@@ -208,10 +208,13 @@ _WIDTHS = {"pattern": 2, "real": 3, "integer": 3, "complex": 4}  # tokens an ent
 #: The entry lines the bulk read takes, per field: two unsigned indices of at most 15
 #: digits (exact in float64), each further token a plain decimal value, exactly as many
 #: tokens as the field needs, spaces and tabs only.  Anything else is read line by line.
+#: Each token matches one way only, so a text that fails is rejected in linear time
+#: (a value pattern that could split ``12`` two ways would backtrack through 2^k
+#: splits of k earlier lines).
 _BULK = {
     field: re.compile(
         r"(?:[ \t]*[0-9]{1,15}[ \t]+[0-9]{1,15}"
-        + r"[ \t]+[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?" * (width - 2)
+        + r"[ \t]+[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?" * (width - 2)
         + r"[ \t]*(?:\n|\Z))*"
     )
     for field, width in _WIDTHS.items()

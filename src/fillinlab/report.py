@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
-from .graph import Graph, codes_hash
+from .graph import Graph
 
 _OPS = {
     "<": lambda a, b: a < b,
@@ -43,49 +43,62 @@ def _all_ints(values) -> bool:
     return set(map(type, values)) <= {int}
 
 
-#: ``json``'s compact encoder: the text of a scalar or an empty container, which
-#: ``json.dumps(indent=2)`` writes the same way.
-_flat = json.JSONEncoder().encode
+#: Stands in for one integer array while ``json`` lays out the rest of a report;
+#: ``json`` writes it as ``_SLOT_TEXT``.
+_SLOT = "\x00int-array\x00"
+_SLOT_TEXT = json.dumps(_SLOT)
 
 
-def _int_array(values, indent: str) -> str | None:
-    """``json.dumps(values, indent=2)`` nested at ``indent``, by one format call, when
-    ``values`` is a non-empty list or tuple of ints, or of lists or tuples of one
-    common non-zero length of ints (``_all_ints``); else None."""
-    inner = indent + "  "
+def _int_rows(values) -> tuple[list, int] | None:
+    """(the ints, row width) when ``values`` is a non-empty list or tuple of ints
+    (width 0), or of lists or tuples of one common non-zero length of ints
+    (``_all_ints``); else None."""
     if _all_ints(values):
-        flat, item = values, "%d"
-    elif set(map(type, values)) <= {list, tuple} and len(widths := set(map(len, values))) == 1:
-        width = widths.pop()
-        flat = list(chain.from_iterable(values))
-        if not width or not _all_ints(flat):
-            return None
-        item = "[\n" + inner + "  " + (",\n" + inner + "  ").join(["%d"] * width) + "\n" + inner + "]"
-    else:
-        return None
-    return "[\n" + inner + (",\n" + inner).join([item] * len(values)) % tuple(flat) + "\n" + indent + "]"
+        return values, 0
+    if set(map(type, values)) <= {list, tuple} and len(widths := set(map(len, values))) == 1:
+        width, flat = widths.pop(), list(chain.from_iterable(values))
+        if width and _all_ints(flat):
+            return flat, width
+    return None
 
 
-def _encode(obj, indent: str = "") -> str:
-    """``json.dumps(obj, indent=2)`` nested at ``indent``.
-
-    Dicts with str keys and non-empty lists and tuples are written here, each
-    integer array by ``_int_array``.  A dict with other keys goes to
-    ``json.dumps`` itself, re-indented (JSON text holds no raw newline but
-    those of its layout), and a scalar or an empty container, which has no
-    layout, to ``json``'s compact encoder, whose text is then the same."""
+def _int_array(flat, width: int, count: int, indent: str) -> str:
+    """``json.dumps(array, indent=2)`` nested at ``indent``, by one format call, for
+    ``count`` ints (width 0) or rows of ``width`` ints, given flat."""
     inner = indent + "  "
-    if isinstance(obj, dict) and obj:
-        if set(map(type, obj)) != {str}:
-            return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
-        items = (_flat(k) + ": " + _encode(v, inner) for k, v in obj.items())
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    item = "%d"
+    if width:
+        item = "[\n" + inner + "  " + (",\n" + inner + "  ").join([item] * width) + "\n" + inner + "]"
+    return "[\n" + inner + (",\n" + inner).join([item] * count) % tuple(flat) + "\n" + indent + "]"
+
+
+def _lift(obj, arrays: list):
+    """``obj`` with each integer array (``_int_rows``) replaced by ``_SLOT`` and
+    appended to ``arrays`` as (flat, width, count), in the order ``json`` writes them."""
+    if isinstance(obj, dict):
+        return {k: _lift(v, arrays) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)) and obj:
-        text = _int_array(obj, indent)
-        if text is None:
-            text = "[\n" + inner + (",\n" + inner).join(_encode(v, inner) for v in obj) + "\n" + indent + "]"
-        return text
-    return _flat(obj)
+        rows = _int_rows(obj)
+        if rows is None:
+            return [_lift(v, arrays) for v in obj]
+        arrays.append((*rows, len(obj)))
+        return _SLOT
+    return obj
+
+
+def _encode(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte: ``json`` lays out the text with
+    each integer array lifted out (``_lift``), and ``_int_array`` writes each array
+    at the indent of the line that holds its slot."""
+    arrays = []
+    parts = json.dumps(_lift(obj, arrays), indent=2).split(_SLOT_TEXT)
+    if len(parts) != len(arrays) + 1:  # a string of the report holds the slot's text
+        return json.dumps(obj, indent=2)
+    out = [parts[0]]
+    for (flat, width, count), before, after in zip(arrays, parts, parts[1:]):
+        line = before[before.rfind("\n") + 1 :]
+        out += [_int_array(flat, width, count, " " * (len(line) - len(line.lstrip(" ")))), after]
+    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -130,11 +143,8 @@ def check(name: str, lhs, rhs, op: str = "<=", note: str = "") -> IneqRecord:
     return IneqRecord(name, lhs, rhs, op, bool(_OPS[op](lhs, rhs)), note)
 
 
-def instance_descriptor(graph: Graph, name: str = "", codes=None) -> dict:
-    """Name, size and ``Graph.content_hash``; a caller that holds the graph's sorted
-    upper codes passes them as ``codes``, and the digest is taken from them."""
-    digest = graph.content_hash() if codes is None else codes_hash(graph.n, codes)
-    return {"name": name, "n": graph.n, "m": graph.m, "hash": digest}
+def instance_descriptor(graph: Graph, name: str = "") -> dict:
+    return {"name": name, "n": graph.n, "m": graph.m, "hash": graph.content_hash()}
 
 
 @dataclass

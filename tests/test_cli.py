@@ -369,6 +369,25 @@ def test_eliminate_report_sha256(tmp_path, monkeypatch, name, source):
     assert hashlib.sha256((tmp_path / "rep.json").read_bytes()).hexdigest() == ELIMINATE_REPORT_SHA256[name, source]
 
 
+@pytest.mark.parametrize("argv", [["solve", "g.col", "vc"], ["solve", "g.col", "fillin-heuristic"],
+                                  ["eliminate", "g.col"], ["eliminate", "g.mtx"]], ids=" ".join)
+def test_instance_descriptor_from_codes_in_hand(tmp_path, monkeypatch, argv):
+    """``solve`` and ``eliminate`` hash the instance from the codes they hold; the
+    descriptor is ``instance_descriptor`` of the graph read back from the file."""
+    from fillinlab.generate import gnp
+    from fillinlab.matrix import pattern_from_graph
+    from fillinlab.report import instance_descriptor
+
+    monkeypatch.chdir(tmp_path)
+    g = gnp(40, 0.2, 41)
+    save_dimacs(g, "g.col")
+    save_matrix_market(pattern_from_graph(g), "g.mtx")
+    assert run([*argv, "--out", "rep.json"]) in (0, 3)
+    instance = json.loads((tmp_path / "rep.json").read_text())["instance"]
+    instance.pop("edges", None)
+    assert instance == instance_descriptor(load_dimacs("g.col"), argv[1])
+
+
 @pytest.mark.parametrize("strategy", ["natural", "min-degree", "min-fill"])
 def test_eliminate_reads_no_id_of_a_strategy_ordering(tmp_path, monkeypatch, strategy):
     """The ordering stays the int64 array from the strategy to both fills and the
@@ -390,22 +409,19 @@ def test_eliminate_reads_no_id_of_a_strategy_ordering(tmp_path, monkeypatch, str
     assert counts == [2, 2]
 
 
-def test_parser_is_built_once(monkeypatch, tmp_path, c4_file):
+def test_parser_is_built_once(tmp_path, c4_file):
     """``main`` builds the argparse tree once per process and parses each call afresh."""
-    builds = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
     try:
         for seed in ("1", "2"):
             out = tmp_path / f"g{seed}.col"
             assert run(["gen", "gnp", "--n", "6", "--seed", seed, "--out", str(out)]) == 0
         assert run(["solve", c4_file, "vc", "--out", str(tmp_path / "rep.json")]) == 0
-        assert len(builds) == 1
+        assert cli.build_parser.cache_info()[:2] == (2, 1)  # hits, misses
         assert (tmp_path / "g1.col").read_text() != (tmp_path / "g2.col").read_text()
         assert json.loads((tmp_path / "rep.json").read_text())["outputs"]["size"] == 2
     finally:
-        cli._parser.cache_clear()
+        cli.build_parser.cache_clear()
 
 
 class TestReportRecheck:

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import pickle
 import re
+import signal
 import warnings
 
 import numpy as np
@@ -637,3 +638,30 @@ class TestBulkRead:
             path.write_text(text)
             bulk, by_line, _ = _read_both(path, monkeypatch)
             assert _as_positions(bulk) == _as_positions(by_line), text
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
+    @pytest.mark.parametrize("field", ["real", "integer", "complex"])
+    @pytest.mark.parametrize("tail", ["\n", "% after the entries\n", "61 61 x\n"])
+    def test_a_rejected_file_is_rejected_in_linear_time(self, tmp_path, monkeypatch, field, tail):
+        """60 entries with multi-digit values and a last line the bulk read rejects
+        (blank, comment, malformed) give the line reader's outcome at once; a value
+        pattern that matches ``12`` two ways backtracks through 2^60 splits here."""
+        width = matrix._WIDTHS[field] - 2
+        entries = "".join(f"{k} {k}" + f" {10 + k}" * width + "\n" for k in range(1, 61))
+        count = 60 + ("x" in tail)
+        path = tmp_path / "late.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate {field} symmetric\n61 61 {count}\n{entries}{tail}")
+
+        def expire(*_):
+            raise TimeoutError("the bulk read backtracked")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            bulk, by_line, took_bulk = _read_both(path, monkeypatch)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert not took_bulk
+        assert _as_positions(bulk) == _as_positions(by_line)
+        assert ("malformed" in str(bulk[0])) == ("x" in tail)

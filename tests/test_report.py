@@ -163,3 +163,11 @@ def test_dumps_writes_a_large_certificate_as_json_does():
     fill = rng.integers(0, 5000, size=(20_000, 2)).tolist()
     rep = RunReport(command="large", outputs={"ordering": list(range(5000))}, certificates={"fillin": fill})
     assert rep.dumps() == json.dumps(rep.to_json(), indent=2)
+
+
+def test_dumps_with_a_string_like_its_slot():
+    """A report string equal to the stand-in for an integer array still gives json's bytes."""
+    from fillinlab.report import _SLOT
+
+    rep = RunReport(command=_SLOT, outputs={"ordering": [2, 0, 1], _SLOT: [[0, 1]]}, notes=[_SLOT])
+    assert rep.dumps() == json.dumps(rep.to_json(), indent=2)
