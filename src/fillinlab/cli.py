@@ -142,7 +142,7 @@ def cmd_solve(args) -> int:
         instance={"name": args.input, "n": g.n, "m": g.m, "hash": codes_hash(g.n, codes)},
         params={"budget": args.budget, "strategy": args.strategy},
     )
-    report.instance["edges"] = np.column_stack(np.divmod(codes, g.n)).tolist()
+    report.instance["edges"] = np.column_stack(np.divmod(codes, g.n))
     t0 = time.perf_counter()
     code = EXIT_OK
     if args.problem == "vc":
@@ -155,9 +155,8 @@ def cmd_solve(args) -> int:
     else:  # fillin or fillin-heuristic: sorted codes, written as sorted pairs
         optimal = args.problem == "fillin"
         fill = exact_fillin_ordering_oracle(g) if optimal else greedy_game(g, args.strategy)[1]
-        # int(): _num_to_json writes a NumPy int as a string
-        report.outputs = {"size": int(fill.size), "status": "optimal" if optimal else "heuristic"}
-        report.certificates["fillin"] = np.column_stack(np.divmod(fill, g.n)).tolist()
+        report.outputs = {"size": fill.size, "status": "optimal" if optimal else "heuristic"}
+        report.certificates["fillin"] = np.column_stack(np.divmod(fill, g.n))
         report.add(check("fillin_is_valid", int(bool(verify_fillin(g, fill))), 1, "=="))
     if args.timings:
         report.timings = {"seconds": time.perf_counter() - t0}
@@ -190,11 +189,11 @@ def cmd_eliminate(args) -> int:
         # instance_descriptor's fields, the hash taken from the codes in hand
         instance={"name": args.input, "n": g.n, "m": g.m, "hash": codes_hash(g.n, pattern.codes)},
         params={"ordering_source": args.ordering or args.strategy},
-        outputs={"fill_size": int(fill.size), "total_nonzeros": total, "ordering": order.tolist()},
+        outputs={"fill_size": fill.size, "total_nonzeros": total, "ordering": order},
     )
     agree = int(fill.data == graph_fill.data)  # no bool array as long as the fill, unlike np.array_equal
     report.add(check("matrix_graph_fill_agree", agree, 1, "=="))
-    report.add(check("nonzero_accounting", total, 2 * (g.m + int(fill.size)) + g.n, "=="))
+    report.add(check("nonzero_accounting", total, 2 * (g.m + fill.size) + g.n, "=="))
     _emit(report, args)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -337,15 +336,28 @@ def _parse_num(x):
     return x
 
 
-def _is_id_array(values) -> bool:
-    """A JSON array whose items ``graph._vertex_ids`` reads (true and false are not ids)."""
-    if not isinstance(values, list):
-        return False
+def _read_ids(values) -> list[int] | None:
+    """The ids of a JSON array, each read once by ``graph._vertex_ids``; None if one is no id."""
     try:
-        _vertex_ids(values)
+        return _vertex_ids(values)
     except GraphInputError:
-        return False
-    return True
+        return None
+
+
+def _read_pairs(values) -> np.ndarray | None:
+    """The pairs of a JSON array as an (m, 2) array, each id read once; None if one is no pair."""
+    pairs, stop = _id_pairs(values)
+    return None if stop else pairs
+
+
+#: Certificate kind -> the reader of its JSON array, what the array holds, the check of
+#: what was read against the instance graph, and the line when that check fails.
+_CERTIFICATES = {
+    "cover": (_read_ids, "ids", is_vertex_cover, "embedded cover certificate does not cover the instance"),
+    "fillin": (_read_pairs, "pairs", verify_fillin, "embedded fill-in certificate is not a valid fill-in"),
+    "peo": (_read_ids, "ids", check_peo, "embedded PEO certificate fails the definition"),
+    "hole": (_read_ids, "ids", check_hole, "embedded hole certificate fails the definition"),
+}
 
 
 def cmd_report(args) -> int:
@@ -355,9 +367,7 @@ def cmd_report(args) -> int:
         except ValueError as exc:
             raise GraphInputError(f"{args.input}: not a JSON report ({exc})") from None
     if not isinstance(data, dict):
-        raise GraphInputError(
-            f"{args.input}: a report is a JSON object, not {type(data).__name__}"
-        )
+        raise GraphInputError(f"{args.input}: a report is a JSON object, not {type(data).__name__}")
     checks = data.get("checks", [])
     if not isinstance(checks, list):
         raise GraphInputError(f"{args.input}: checks is not a JSON array")
@@ -366,14 +376,10 @@ def cmd_report(args) -> int:
         if not isinstance(rec, dict):
             raise GraphInputError(f"{args.input}: check {rec!r} is not a JSON object")
         if rec.get("op") not in _OPS:
-            raise GraphInputError(
-                f"{args.input}: check {rec.get('name')} has unknown op {rec.get('op')!r}"
-            )
+            raise GraphInputError(f"{args.input}: check {rec.get('name')} has unknown op {rec.get('op')!r}")
         absent = [key for key in ("name", "lhs", "rhs", "pass") if key not in rec]
         if absent:
-            raise GraphInputError(
-                f"{args.input}: check {rec.get('name')} lacks {', '.join(absent)}"
-            )
+            raise GraphInputError(f"{args.input}: check {rec.get('name')} lacks {', '.join(absent)}")
         try:
             actual = _OPS[rec["op"]](_parse_num(rec["lhs"]), _parse_num(rec["rhs"]))
         except (TypeError, ValueError, ZeroDivisionError):
@@ -393,21 +399,18 @@ def cmd_report(args) -> int:
     edges = instance.get("edges")
     if edges is not None and "n" not in instance:
         raise GraphInputError(f"{args.input}: instance has edges but no vertex count n")
-    if edges is not None and not (isinstance(edges, list) and _is_id_array([instance["n"]])):
+    if edges is not None and not (isinstance(edges, list) and _read_ids([instance["n"]])):
         raise GraphInputError(f"{args.input}: instance needs an integer n and an edge array")
     certs = data.get("certificates") or {}
     if not isinstance(certs, dict):
         raise GraphInputError(f"{args.input}: certificates is not a JSON object")
+    read = {}  # the table's kinds as read; any other kind need only be a JSON array
     for name, cert in certs.items():
-        if name == "fillin":  # the one read of its ids; verify_fillin tests the pairs read
-            fill, stop = _id_pairs(cert if isinstance(cert, list) else [cert])
-            ok = not stop
-        else:
-            ok = _is_id_array(cert) or name not in ("cover", "peo", "hole") and isinstance(cert, list)
-        if not ok:
-            want = "pairs" if name == "fillin" else "ids"
-            raise GraphInputError(f"{args.input}: certificate {name} is not a JSON array of vertex {want}")
-    unchecked = [name for name in ("cover", "fillin", "peo", "hole") if name in certs]
+        reader, holds = _CERTIFICATES.get(name, (list, "ids"))[:2]
+        read[name] = reader(cert) if isinstance(cert, list) else None
+        if read[name] is None:
+            raise GraphInputError(f"{args.input}: certificate {name} is not a JSON array of vertex {holds}")
+    unchecked = [name for name in _CERTIFICATES if name in certs]
     if edges is None and unchecked:
         raise GraphInputError(
             f"{args.input}: certificate {unchecked[0]} cannot be re-checked: "
@@ -415,14 +418,10 @@ def cmd_report(args) -> int:
         )
     if edges is not None and certs:
         g = Graph.build(instance["n"], edges)
-        if "cover" in certs and not is_vertex_cover(g, certs["cover"]):
-            problems.append("embedded cover certificate does not cover the instance")
-        if "fillin" in certs and not verify_fillin(g, fill):
-            problems.append("embedded fill-in certificate is not a valid fill-in")
-        if "peo" in certs and not check_peo(g, certs["peo"]):
-            problems.append("embedded PEO certificate fails the definition")
-        if "hole" in certs and not check_hole(g, certs["hole"]):
-            problems.append("embedded hole certificate fails the definition")
+        for name in unchecked:
+            *_, passes, failure = _CERTIFICATES[name]
+            if not passes(g, read[name]):
+                problems.append(failure)
     if problems:
         for p in problems:
             print(f"RECHECK FAIL: {p}", file=sys.stderr)

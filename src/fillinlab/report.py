@@ -5,9 +5,11 @@ hash, every checked inequality with both sides and the slack, and any
 certificates, so a consumer can re-check it offline.  Serialization is
 deterministic; wall-clock timings default to null so that identical
 (command, inputs, seed) runs emit byte-identical JSON, and are filled in
-only on request.  ``RunReport.dumps`` gives the bytes of
-``json.dumps(indent=2)``, one integer per line, but writes each integer
-array (orderings, edge lists, certificates) with one format call.
+only on request.  A report holds NumPy arrays as they are: ``RunReport.to_json``
+gives them as nested lists, and ``RunReport.dumps`` gives the bytes of
+``json.dumps(report.to_json(), indent=2)``, one integer per line, but writes
+each 1-D or 2-D integer array (orderings, edge lists, certificates) from the
+array by one format call, with no lists made of it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+
+import numpy as np
 
 from .graph import Graph
 
@@ -31,16 +34,11 @@ _OPS = {
 def _num_to_json(x):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, (bool, int, str)) or x is None:
+    if isinstance(x, (bool, int, str, np.ndarray)) or x is None:
         return x
     if isinstance(x, (list, tuple)):
-        return list(x) if _all_ints(x) else [_num_to_json(v) for v in x]
+        return [_num_to_json(v) for v in x]
     return str(x)
-
-
-def _all_ints(values) -> bool:
-    """Every item is exactly an ``int``: no bool, no subclass, no NumPy integer."""
-    return set(map(type, values)) <= {int}
 
 
 #: Stands in for one integer array while ``json`` lays out the rest of a report;
@@ -49,55 +47,45 @@ _SLOT = "\x00int-array\x00"
 _SLOT_TEXT = json.dumps(_SLOT)
 
 
-def _int_rows(values) -> tuple[list, int] | None:
-    """(the ints, row width) when ``values`` is a non-empty list or tuple of ints
-    (width 0), or of lists or tuples of one common non-zero length of ints
-    (``_all_ints``); else None."""
-    if _all_ints(values):
-        return values, 0
-    if set(map(type, values)) <= {list, tuple} and len(widths := set(map(len, values))) == 1:
-        width, flat = widths.pop(), list(chain.from_iterable(values))
-        if width and _all_ints(flat):
-            return flat, width
-    return None
-
-
-def _int_array(flat, width: int, count: int, indent: str) -> str:
-    """``json.dumps(array, indent=2)`` nested at ``indent``, by one format call, for
-    ``count`` ints (width 0) or rows of ``width`` ints, given flat."""
+def _int_array(array: np.ndarray, indent: str) -> str:
+    """``json.dumps(array.tolist(), indent=2)`` nested at ``indent``, by one format
+    call, for a non-empty 1-D or 2-D integer array."""
     inner = indent + "  "
     item = "%d"
-    if width:
-        item = "[\n" + inner + "  " + (",\n" + inner + "  ").join([item] * width) + "\n" + inner + "]"
-    return "[\n" + inner + (",\n" + inner).join([item] * count) % tuple(flat) + "\n" + indent + "]"
+    if array.ndim == 2:
+        item = "[\n" + inner + "  " + (",\n" + inner + "  ").join([item] * array.shape[1]) + "\n" + inner + "]"
+    text = (",\n" + inner).join([item] * len(array)) % tuple(array.ravel().tolist())
+    return "[\n" + inner + text + "\n" + indent + "]"
 
 
-def _lift(obj, arrays: list):
-    """``obj`` with each integer array (``_int_rows``) replaced by ``_SLOT`` and
-    appended to ``arrays`` as (flat, width, count), in the order ``json`` writes them."""
+def _lift(obj, arrays: list | None):
+    """``obj`` as JSON values, each NumPy array as nested lists; but with ``arrays``,
+    each non-empty 1-D or 2-D integer array is replaced by ``_SLOT`` and appended to
+    ``arrays`` as it is, in the order ``json`` writes them."""
     if isinstance(obj, dict):
         return {k: _lift(v, arrays) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)) and obj:
-        rows = _int_rows(obj)
-        if rows is None:
-            return [_lift(v, arrays) for v in obj]
-        arrays.append((*rows, len(obj)))
-        return _SLOT
-    return obj
+    if isinstance(obj, (list, tuple)):
+        return [_lift(v, arrays) for v in obj]
+    if not isinstance(obj, np.ndarray):
+        return obj
+    if arrays is None or obj.dtype.kind not in "iu" or obj.ndim not in (1, 2) or not obj.size:
+        return obj.tolist()
+    arrays.append(obj)
+    return _SLOT
 
 
 def _encode(obj) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte: ``json`` lays out the text with
-    each integer array lifted out (``_lift``), and ``_int_array`` writes each array
-    at the indent of the line that holds its slot."""
+    """``json.dumps(_lift(obj, None), indent=2)``, byte for byte: ``json`` lays out the
+    text with each integer array lifted out, and ``_int_array`` writes each array at
+    the indent of the line that holds its slot."""
     arrays = []
     parts = json.dumps(_lift(obj, arrays), indent=2).split(_SLOT_TEXT)
     if len(parts) != len(arrays) + 1:  # a string of the report holds the slot's text
-        return json.dumps(obj, indent=2)
+        return json.dumps(_lift(obj, None), indent=2)
     out = [parts[0]]
-    for (flat, width, count), before, after in zip(arrays, parts, parts[1:]):
+    for array, before, after in zip(arrays, parts, parts[1:]):
         line = before[before.rfind("\n") + 1 :]
-        out += [_int_array(flat, width, count, " " * (len(line) - len(line.lstrip(" ")))), after]
+        out += [_int_array(array, " " * (len(line) - len(line.lstrip(" ")))), after]
     return "".join(out)
 
 
@@ -175,7 +163,8 @@ class RunReport:
     def verdict(self) -> str:
         return "PASS" if self.passed else "FAIL"
 
-    def to_json(self) -> dict:
+    def _fields(self) -> dict:
+        """The report as JSON values, except that NumPy arrays stay arrays."""
         return {
             "command": self.command,
             "instance": self.instance,
@@ -188,10 +177,14 @@ class RunReport:
             "verdict": self.verdict,
         }
 
+    def to_json(self) -> dict:
+        """The report as plain JSON values: each NumPy array as nested lists."""
+        return _lift(self._fields(), None)
+
     def dumps(self) -> str:
-        """``json.dumps(self.to_json(), indent=2)``, byte for byte; integer arrays
-        (orderings, edge lists, certificates) are written by one format call each."""
-        return _encode(self.to_json())
+        """``json.dumps(self.to_json(), indent=2)``, byte for byte, from the arrays as
+        they are: each 1-D or 2-D integer array is written by one format call."""
+        return _encode(self._fields())
 
     def summary_lines(self):
         yield f"== {self.command}: {self.verdict} ({len(self.checks)} checks)"

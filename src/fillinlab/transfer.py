@@ -29,7 +29,6 @@ heuristic-backed instantiations ship below.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -127,12 +126,8 @@ class RatioAudit:
         }
 
 
-def audit_report(audit: RatioAudit, form: str = "text") -> str:
-    """Stable serialization: one line per inequality with its slack, or JSON."""
-    if form == "json":
-        return json.dumps(audit.to_json(), indent=2)
-    if form != "text":
-        raise GraphInputError(f"unknown report form {form!r}")
+def audit_report(audit: RatioAudit) -> str:
+    """Stable text form: one line per inequality with its slack (``to_json`` gives the JSON values)."""
     head = (
         f"transfer {audit.mode} eps={audit.epsilon} b={audit.b} d={audit.d} "
         f"q={audit.q} alpha={audit.alpha} gate={'yes' if audit.gate else 'no'}"

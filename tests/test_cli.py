@@ -353,6 +353,34 @@ ELIMINATE_REPORT_SHA256 = {
 }
 
 
+#: SHA-256 over ``solve`` reports on seeded graphs, recorded while reports were
+#: written from nested lists of the instance edges and certificates.
+SOLVE_DIGEST = "2889aefcb20928d7ce028623d93fc0c2e01da4108f8856e019e4ddfbd61a18ad"
+
+
+def test_solve_report_digest(tmp_path, monkeypatch):
+    """``vc``, ``fillin`` and ``fillin-heuristic`` under both strategies on an
+    edgeless graph (empty edge and fill arrays), a 7-cycle, a 3x4 grid and seeded
+    G(n, p) graphs; the exact fill only where the oracle is quick."""
+    from fillinlab.generate import cycle, gnp, grid
+
+    monkeypatch.chdir(tmp_path)
+    graphs = [Graph.build(5, []), cycle(7), grid(3, 4), gnp(10, 0.4, 31), gnp(60, 0.15, 32)]
+    digest = hashlib.sha256()
+    runs = 0
+    for g in graphs:
+        save_dimacs(g, "g.col")
+        argvs = [["vc"], *(["fillin-heuristic", "--strategy", s] for s in ("min-fill", "min-degree"))]
+        if g.n <= 12:
+            argvs.append(["fillin"])
+        for extra in argvs:
+            assert run(["solve", "g.col", *extra, "--out", "rep.json"]) == 0
+            digest.update((tmp_path / "rep.json").read_bytes())
+            runs += 1
+    assert runs == 5 * 3 + 4
+    assert digest.hexdigest() == SOLVE_DIGEST
+
+
 @pytest.mark.parametrize("name, source", sorted(ELIMINATE_REPORT_SHA256), ids="-".join)
 def test_eliminate_report_sha256(tmp_path, monkeypatch, name, source):
     """One pin per report: a grid and a random pattern under each strategy and
@@ -424,6 +452,10 @@ def test_parser_is_built_once(tmp_path, c4_file):
         cli.build_parser.cache_clear()
 
 
+#: A 4-cycle 0-1-2-3; its first three edges are a path.
+C4_EDGES = [[0, 1], [1, 2], [2, 3], [0, 3]]
+
+
 class TestReportRecheck:
     def test_ok(self, c4_file, tmp_path):
         rep = tmp_path / "rep.json"
@@ -479,6 +511,25 @@ class TestReportRecheck:
             assert "RECHECK FAIL: embedded fill-in certificate is not a valid fill-in" in err
         else:
             assert f"{rep}: certificate fillin is not a JSON array of vertex pairs" in err
+
+    @pytest.mark.parametrize("edges, name, good, bad, failure", [
+        (C4_EDGES, "cover", [1, 3], [0], "embedded cover certificate does not cover the instance"),
+        (C4_EDGES, "fillin", [[1, 3]], [[0, 1]], "embedded fill-in certificate is not a valid fill-in"),
+        (C4_EDGES[:3], "peo", [0, 1, 2, 3], [1, 0, 2, 3], "embedded PEO certificate fails the definition"),
+        (C4_EDGES, "hole", [0, 1, 2, 3], [0, 1, 2], "embedded hole certificate fails the definition"),
+        (C4_EDGES, "notes", ["any", 1.5, None], None, None),
+    ])
+    def test_each_certificate_kind_is_rechecked(self, tmp_path, capsys, edges, name, good, bad, failure):
+        """Each kind is checked against the instance by its own checker, with its own
+        failure line; a kind with no checker need only be a JSON array."""
+        rep = tmp_path / "rep.json"
+        for cert, code in ((good, 0), (bad, cli.EXIT_CHECK_FAILED)):
+            if cert is None:
+                continue
+            rep.write_text(json.dumps({"instance": {"n": 4, "edges": edges}, "certificates": {name: cert}}))
+            assert run(["report", str(rep)]) == code
+            err = capsys.readouterr().err
+            assert (f"RECHECK FAIL: {failure}" in err) == bool(code) and ("recheck OK" in err) != bool(code)
 
     def test_report_reads_each_id_once(self, tmp_path, monkeypatch):
         """n twice (its check and ``Graph.build``), then each id of the m edges and
@@ -688,6 +739,8 @@ class TestErrors:
         ({"n": 2, "edges": [[0, 1]]}, {"hole": [True]}, "certificate hole is not a JSON array of vertex ids"),
         ({"n": True, "edges": [[0, 1]]}, {"cover": [0]}, "instance needs an integer n and an edge array"),
         ({"n": 2.5, "edges": [[0, 1]]}, {"cover": [0]}, "instance needs an integer n and an edge array"),
+        ({"n": 2, "edges": [[0, 1]]}, {"cover": {}}, "certificate cover is not a JSON array of vertex ids"),
+        ({"n": 2, "edges": [[0, 1]]}, {"notes": "x"}, "certificate notes is not a JSON array of vertex ids"),
     ])
     def test_report_malformed_certificate_input_exit_2(self, instance, certs, message, tmp_path, capsys):
         bad = tmp_path / "rep.json"

@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fillinlab
 from fillinlab.graph import Graph
 from fillinlab.report import IneqRecord, RunReport, check, instance_descriptor
 
@@ -79,8 +81,10 @@ def test_instance_descriptor_round():
 
 def _dumps_cases():
     """Reports whose certificates and outputs hold every form the array writer
-    must tell apart: integer arrays it writes by one format call, and values
-    it hands to ``json`` (bools are ints to Python, NumPy ints are not JSON)."""
+    must tell apart: integer arrays it writes by one format call (non-empty 1-D
+    and 2-D signed and unsigned arrays, in a dict or a list), and values it
+    hands to ``json`` (int lists; bool, float, empty, column-less and 3-D arrays
+    as lists; bools are ints to Python, NumPy ints are not JSON)."""
     big = 2**63
     yield RunReport(command="empty", outputs={"none": [], "pairs": [[], []]}, certificates={"fillin": []})
     yield RunReport(
@@ -111,6 +115,27 @@ def _dumps_cases():
         certificates={"keys": {1: [0, 1], "s": [2]}, "empty": {}, "deep": [[[0, 1]], [[2, 3]]]},
         notes=["one", "two"],
     )
+    yield RunReport(
+        command="arrays",
+        instance={"edges": np.array([[0, 1], [1, 2]]), "n": 3},
+        outputs={
+            "ordering": np.array([2, 0, 1]),
+            "none": np.array([], dtype=np.int64),
+            "wide": np.arange(6).reshape(2, 3),
+            "limits": np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max]),
+            "pair": (np.array([1, 2]), Fraction(1, 2)),
+        },
+        certificates={
+            "fillin": np.zeros((0, 2), dtype=np.int64),
+            "bytes": np.array([[0, 255], [7, 8]], dtype=np.uint8),
+            "top": np.array([2**64 - 1], dtype=np.uint64),
+            "flags": np.array([True, False]),
+            "nested": [np.array([4, 5]), [np.array([[6, 7]])], {"in": np.array([8])}],
+            "no_columns": np.zeros((2, 0), dtype=np.int64),
+            "cube": np.arange(8).reshape(2, 2, 2),
+            "floats": np.array([0.5, 2.0]),
+        },
+    )
 
 
 @pytest.mark.parametrize("report", list(_dumps_cases()), ids=lambda r: r.command)
@@ -132,12 +157,21 @@ def test_dumps_rejects_what_json_rejects():
 
 def test_dumps_matches_json_on_seeded_reports():
     """Seeded nested values: int arrays, pair arrays of every width, bools,
-    ints past int64, floats, strings, tuples, dicts with str and other keys."""
+    ints past int64, floats, strings, tuples, dicts with str and other keys;
+    then the same with NumPy arrays of 1-3 dimensions and several dtypes mixed in."""
     rng = np.random.default_rng(3030)
     scalars = [0, -5, 2**64, -(2**70), True, False, None, 1.5, float("inf"), "q\"\n", "", 7]
+    dtypes = [np.int64, np.int64, np.int32, np.uint8, np.uint64, np.bool_, np.float64]
+
+    def array():
+        shape = [int(rng.integers(0, 4)) for _ in range(int(rng.integers(1, 4)))]
+        values = rng.integers(-(2**62), 2**62, size=shape)
+        return values.astype(dtypes[int(rng.integers(len(dtypes)))])
 
     def value(depth):
-        kind = int(rng.integers(7)) if depth < 4 else 0
+        kind = int(rng.integers(kinds)) if depth < 4 else 0
+        if kind >= 7:
+            return array()
         size = int(rng.integers(0, 5))
         if kind == 0:
             return scalars[int(rng.integers(len(scalars)))]
@@ -153,16 +187,22 @@ def test_dumps_matches_json_on_seeded_reports():
             return {k: value(depth + 1) for k in keys}
         return [value(depth + 1) for _ in range(size)]
 
-    for _ in range(400):
-        rep = RunReport(command="seeded", outputs={"v": value(0)}, certificates={"c": value(0)})
-        assert rep.dumps() == json.dumps(rep.to_json(), indent=2)
+    for kinds in (7, 9):
+        for _ in range(400):
+            rep = RunReport(command="seeded", outputs={"v": value(0)}, certificates={"c": value(0)})
+            assert rep.dumps() == json.dumps(rep.to_json(), indent=2)
 
 
 def test_dumps_writes_a_large_certificate_as_json_does():
+    """As int64 arrays and as the lists they hold: json's bytes, the same for both."""
     rng = np.random.default_rng(7)
-    fill = rng.integers(0, 5000, size=(20_000, 2)).tolist()
-    rep = RunReport(command="large", outputs={"ordering": list(range(5000))}, certificates={"fillin": fill})
-    assert rep.dumps() == json.dumps(rep.to_json(), indent=2)
+    fill = rng.integers(0, 5000, size=(20_000, 2))
+    texts = []
+    for ordering, pairs in ((np.arange(5000), fill), (list(range(5000)), fill.tolist())):
+        rep = RunReport(command="large", outputs={"ordering": ordering}, certificates={"fillin": pairs})
+        texts.append(rep.dumps())
+        assert texts[-1] == json.dumps(rep.to_json(), indent=2)
+    assert texts[0] == texts[1]
 
 
 def test_dumps_with_a_string_like_its_slot():
@@ -171,3 +211,17 @@ def test_dumps_with_a_string_like_its_slot():
 
     rep = RunReport(command=_SLOT, outputs={"ordering": [2, 0, 1], _SLOT: [[0, 1]]}, notes=[_SLOT])
     assert rep.dumps() == json.dumps(rep.to_json(), indent=2)
+
+
+def test_reports_take_integer_arrays_as_they_are():
+    """``cli`` hands its arrays to reports as they are, and ``report`` finds integer
+    arrays by their type: no ``.tolist()`` in ``cli``, no element-type scan in ``report``."""
+    package = Path(fillinlab.__file__).parent
+    banned = {"cli.py": (".tolist(",), "report.py": ("def _all_ints", "def _int_rows", "map(type")}
+    offenders = [
+        f"{name}: {token!r}"
+        for name, tokens in banned.items()
+        for token in tokens
+        if token in (package / name).read_text()
+    ]
+    assert not offenders
