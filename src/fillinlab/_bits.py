@@ -71,7 +71,7 @@ def mask_from_indices(nbits: int, idx) -> np.ndarray:
 
 
 def test_bit(row: np.ndarray, i: int) -> bool:
-    return bool((row[i >> 6] >> np.uint64(i & 63)) & _U1)
+    return bool(row.item(i >> 6) >> (i & 63) & 1)  # a Python int: no NumPy scalar arithmetic
 
 
 def set_bit(row: np.ndarray, i: int) -> None:

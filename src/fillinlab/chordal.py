@@ -73,6 +73,42 @@ adjacent to every other alive vertex makes the alive vertices a clique
 (it ORs them all into each other's rows), and a vertex of a clique has a
 clique neighborhood, so no later step adds fill: the fill of the whole
 order is already in the rows.
+
+A fixed-order game plays each *chain* of its order as one batch.  A chain
+is a run c_0..c_{r-1} in which each c_{j+1} lies in the neighborhood N_j
+that step j cliques: c_{j+1} is c_j's parent in the elimination tree (Liu
+1990), as in the natural order of a grid.  Let R be the closed rows and A
+the alive set before the run, P_j = R[c_0] | ... | R[c_j] and B_j =
+{c_0..c_j}.  Chain lemma: N_j = P_j & A & ~B_j (Rose, Tarjan and Lueker's
+fill paths, read one parent at a time).  By induction on j.  At j = 0 it is
+the definition.  Suppose it holds up to j, and c_{j+1} is in N_j.  The row
+of c_{j+1} before step j+1 is R[c_{j+1}] OR the N_i (i <= j) that held it:
+each lies in P_j, and N_j, which holds c_{j+1}, is one of them, so on the
+vertices alive after step j it is (R[c_{j+1}] | P_j) & A & ~B_j.  Masked
+to the vertices alive after step j+1, that is P_{j+1} & A & ~B_{j+1}.
+Since B_j lies in P_j & A (closed rows), |N_j| = |P_j & A| - j - 1, so step
+j is the clique tail exactly when P_j holds all of A.  The rows after the
+run follow.  Let f(x) be the first j whose R[c_j] holds x, and e(x) the last
+step after which x is alive: r - 1, or t - 1 when x = c_t.  x lies in N_j
+exactly for f(x) <= j <= e(x), and each such N_j lies in P_{e(x)} & A &
+~B_{f(x)}.  Conversely a y of that set lies with x in N_j for j =
+max(f(x), f(y)) <= e(x): y is alive after step j, since a chain vertex c_s
+outside B_{f(x)} has s > f(x) and, by its link, f(c_s) <= s - 1.  So step
+by step x's row gains P_{e(x)} & A & ~B_{f(x)}, or with B_{f(x)-1} in its
+place, which adds only c_{f(x)}, x's neighbor already.  ``_eliminate_chain``
+ORs that set into each row, after one prefix OR over the window has tested
+every link (bit c_{j+1} of P_j) and every tail.  It builds no elimination
+tree and never reads a column structure, so ``matrix.symbolic_fill_codes``,
+which merges columns up the tree, stays an independent cross-check of the
+same fill.
+
+Cost model: a single step is about ten NumPy calls, a batch about 45, plus
+work linear in the rows it reads; on the rows of sparse patterns a batch
+takes the time of four to eight single steps.  So the game batches only
+after ``_CHAIN_LINKS`` links in a row, with a whole first window of
+``_FIRST_WINDOW`` steps left to play, and doubles the window while the chain
+goes on.  Where chains are short (random patterns in natural order: a run
+of four links goes on about four more steps), batches about break even.
 """
 
 from __future__ import annotations
@@ -324,6 +360,11 @@ def is_split(graph: Graph):
 
 # -- elimination game ----------------------------------------------------------
 
+#: Links in a row after which a fixed-order game plays batches, and the steps
+#: of its first batch (the cost model of the module docstring).
+_CHAIN_LINKS = 4
+_FIRST_WINDOW = 8
+
 
 def _eliminate_vertex(
     rows: np.ndarray, alive: np.ndarray, v: int, n: int
@@ -350,6 +391,63 @@ def _eliminate_vertex(
     return idx, near
 
 
+def _eliminate_chain(
+    rows: np.ndarray,
+    alive: np.ndarray,
+    order: np.ndarray,
+    pos: np.ndarray,
+    step: int,
+    width: int,
+    n: int,
+) -> tuple[int, bool, bool]:
+    """Play ``order[step:]`` as one batch while it is a chain, at most ``width`` steps (in place).
+
+    ``pos`` is the inverse of ``order``.  With A the alive vertices and c_t
+    the vertex t steps in, P_j is the OR of the rows of c_0..c_j masked to
+    A (the chain lemma of the module docstring).  Each x of P_{w-1} has a
+    first step f(x) whose row holds it, and one ``_bits.set_positions`` call
+    on the bits new to each P_j lists the pairs (f(x), x), f ascending.  The
+    link into c_t (t >= 1) is broken exactly when f(c_t) = t, c_t first
+    seen in its own row, and the batch plays the steps before the first such
+    t.  The first j whose P_j holds all of A, |P_j| = |A|, is the clique
+    tail when it comes before the break.  Then each x with f(x) below the
+    steps played gets P_{e(x)} minus c_0..c_{f(x)-1} in its row, e(x) being
+    the last step played, or t - 1 when x is c_t.  Returns the steps played,
+    whether the last was the clique tail, and whether the chain goes on: the
+    whole window played, and P_{w-1} holds the vertex after it.
+    """
+    chain = order[step : step + width]
+    prefix = rows[chain]
+    np.bitwise_or.accumulate(prefix, axis=0, out=prefix)
+    prefix &= alive
+    first = prefix.copy()
+    first[1:] ^= prefix[:-1]  # P_{j-1} lies in P_j: the bits new at step j
+    f, x = _bits.set_positions(first)
+    del first
+    t = pos[x]
+    t -= step
+    own = np.flatnonzero(f == t)  # c_0, then each c_t whose link is broken
+    played = int(f[own[1]]) if own.size > 1 else chain.size
+    tail = x.size == n - step and int(f[-1]) < played  # f[-1]: the first j with |P_j| = |A|
+    if tail:
+        played = int(f[-1]) + 1
+    k = int(np.searchsorted(f, played))
+    f, x, t = f[:k], x[:k], t[:k]
+    e = np.minimum(t, played)
+    e -= 1
+    np.maximum(e, f, out=e)  # c_0: e = f = 0, and P_0 is in its row already
+    gone = _bits.zero_rows(played + 1, n)  # row j: c_0..c_{j-1}
+    _bits.set_bits(gone, np.arange(1, played + 1), chain[:played])
+    np.bitwise_or.accumulate(gone, axis=0, out=gone)
+    grown = prefix[e]
+    grown ^= gone[f]  # c_0..c_{f-1} lie in P_{f-1}, so in P_e
+    grown |= rows[x]
+    rows[x] = grown
+    alive ^= gone[played]
+    linked = played == chain.size and not tail and bool((t == played).any())
+    return played, tail, linked
+
+
 def elimination_fill_codes(graph: Graph, order) -> np.ndarray:
     """Fill of the elimination game as sorted codes ``u * n + w`` with u < w.
 
@@ -362,6 +460,17 @@ def elimination_fill_codes(graph: Graph, order) -> np.ndarray:
     stops after the first step whose vertex saw every other alive vertex:
     that step leaves the alive vertices a clique, so the rest of the order
     adds no fill and is not played.
+
+    Steps are played one ``_eliminate_vertex`` call at a time, each testing
+    one bit: whether the next vertex lies in the neighborhood it just
+    cliqued (a link).  After ``_CHAIN_LINKS`` links in a row, with at least
+    ``_FIRST_WINDOW`` steps still to play, the game plays the order in
+    ``_eliminate_chain`` batches instead, the first of ``_FIRST_WINDOW``
+    steps; a batch that plays its whole window and links to the next vertex
+    doubles the next window, and one that breaks hands back to single steps.
+    Each window is capped by ``_bits.blocks`` at the four arrays of one row
+    per step that a batch holds: the prefix ORs, the eliminated prefixes,
+    and the grown rows with one gathered operand.
     """
     arr = _validate_permutation(graph.n, order)
     n = graph.n
@@ -369,9 +478,27 @@ def elimination_fill_codes(graph: Graph, order) -> np.ndarray:
     rows = original.copy()
     _bits.set_diagonal(rows)
     alive = _bits.mask_from_indices(n, range(n))
-    for step, v in enumerate(arr.tolist()):
-        if _eliminate_vertex(rows, alive, v, n)[0].size == n - step - 1:
-            break  # v saw every alive vertex: they form a clique, no later step fills
+    vertices = arr.tolist()
+    pos = None  # the inverse of the order, once a batch needs it
+    step, links, width = 0, 0, _FIRST_WINDOW
+    while step < n:
+        if links < _CHAIN_LINKS:
+            v = vertices[step]
+            if _eliminate_vertex(rows, alive, v, n)[0].size == n - step - 1:
+                break  # v saw every alive vertex: they form a clique, no later step fills
+            step += 1
+            whole = n - step >= _FIRST_WINDOW  # a batch that cannot play a first window cannot pay
+            links = links + 1 if whole and _bits.test_bit(rows[v], vertices[step]) else 0
+            continue
+        if pos is None:
+            pos = np.empty(n, dtype=np.int64)
+            pos[arr] = np.arange(n)
+        window = next(_bits.blocks(width, 4 * rows.itemsize * rows.shape[1]))
+        played, tail, linked = _eliminate_chain(rows, alive, arr, pos, step, window.stop, n)
+        if tail:
+            break
+        step += played
+        width, links = (2 * width, links) if linked else (_FIRST_WINDOW, 0)
     rows ^= original
     return _bits.upper_codes(rows, n)
 

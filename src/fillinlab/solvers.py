@@ -297,31 +297,33 @@ def exact_fillin_branch(
     nodes = 0
     best: list[int] | None = None  # codes u * n + w with u < w
     added: list[int] = []  # the chords from the root to the current node
-    # Depth-first, in the order of a recursive search: an entry is a parent's depth and
-    # the chord of one child.  The child's graph is built when the entry is popped, from
-    # the root's rows and the codes in ``added`` by one ``add_edges``, so one graph of the
-    # path is alive at a time, not every ancestor.
-    stack, cut = [(0, None)], False
-    while stack:
-        depth, chord = stack.pop()
-        del added[depth:]
-        if chord is not None:
-            a, b = chord
-            added.append(min(a, b) * n + max(a, b))
+    # Depth-first, in the order of a recursive search.  Every node on the path but the
+    # current one branched, and ``levels[d]`` is the one at depth d: its hole as an int64
+    # array and the index of its next child (0 is ``uw``, i > 0 is ``v`` and the i-th
+    # inner vertex).  A node's graph is built from the root's rows and the codes in
+    # ``added`` by one ``add_edges``, so one graph of the path is alive at a time.
+    levels: list[list] = []
+    cut = False
+    while True:
         nodes += 1
         if nodes > node_budget:
             cut = True
             break
-        if best is not None and len(added) >= len(best):
-            continue
-        hole = find_hole(graph.add_edges(np.array(added, dtype=np.int64)))
-        if hole is None:
-            best = list(added)
-            continue
-        if len(added) == budget:
-            continue
-        v, u, *inner, w = hole
-        stack += [(len(added), c) for c in reversed([(u, w)] + [(v, x) for x in inner])]
+        if best is None or len(added) < len(best):
+            hole = find_hole(graph.add_edges(np.array(added, dtype=np.int64)))
+            if hole is None:
+                best = list(added)
+            elif len(added) < budget:
+                levels.append([np.array(hole, dtype=np.int64), 0])
+        while levels and levels[-1][1] == levels[-1][0].size - 2:
+            levels.pop()  # every child tried
+        if not levels:
+            break
+        hole, i = levels[-1]
+        levels[-1][1] = i + 1
+        del added[len(levels) - 1 :]
+        a, b = (hole.item(1), hole.item(-1)) if i == 0 else (hole.item(0), hole.item(i + 1))
+        added.append(min(a, b) * n + max(a, b))
     if cut:
         status = "feasible_budget_exhausted" if best is not None else "exhausted"
     else:

@@ -28,7 +28,9 @@ search order of a graph, one per tie-break, ``mcs_order_random`` draws one,
 and ``unlinked_pair_brute`` tests the linkage lemma of the ``chordal``
 docstring on an order by listing components with a stack.
 ``decode_codes`` turns the package's fill codes ``u * n + w`` back into
-pairs, for tests that compare fills with these sets.
+pairs, for tests that compare fills with these sets.  ``chain_order_brute``
+draws orders whose next vertex often lies in the neighborhood the last step
+cliqued, replaying the same game to know it.
 """
 
 import operator
@@ -245,6 +247,28 @@ def clique_tail_brute(n, edges, order):
         for a in nbrs:
             adj[a] |= nbrs - {a}
     return None
+
+
+def chain_order_brute(n, edges, rng, stay):
+    """An elimination order that follows chains: with probability ``stay``
+    the next vertex is a random member of the neighborhood the dict-of-sets
+    game's last step cliqued, when it has one, else a random live vertex.
+    Each chain so ends at a random step, inside a batch window or at its end."""
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    remaining = set(range(n))
+    order, nbrs = [], set()
+    while remaining:
+        pool = sorted(nbrs if nbrs and rng.random() < stay else remaining)
+        v = pool[int(rng.integers(len(pool)))]
+        order.append(v)
+        remaining.discard(v)
+        nbrs = adj[v] & remaining
+        for a in nbrs:
+            adj[a] |= nbrs - {a}
+    return order
 
 
 def forbidden_clique_brute(n, edges, d):

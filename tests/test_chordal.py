@@ -23,8 +23,9 @@ from fillinlab.chordal import (
     verify_fillin,
 )
 from fillinlab.errors import CounterexampleError, GraphInputError
-from fillinlab.generate import gnp, random_subcubic
+from fillinlab.generate import gnp, grid, random_subcubic
 from fillinlab.graph import Graph, _vertex_ids, twin_classes
+from fillinlab.matrix import graph_from_pattern
 from fillinlab.reduction import (
     brooks_coloring,
     produced_fillins,
@@ -34,9 +35,10 @@ from fillinlab.reduction import (
 )
 from fillinlab.solvers import exact_fillin_branch, exact_fillin_ordering_oracle, exact_vertex_cover
 
-from .conftest import random_graph, traced_peak
+from .conftest import grid3d_pattern, random_graph, traced_peak
 from .oracles import (
     all_labeled_graphs,
+    chain_order_brute,
     check_hole_pairs,
     decode_codes,
     edge_set,
@@ -239,6 +241,114 @@ class TestEliminationFill:
             assert set(decode_codes(elimination_fill_codes(g, order), n)) == elimination_fill_brute(
                 n, edge_set(g), order
             )
+
+
+def _path(n):
+    return Graph.build(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _chain_cases():
+    """(name, graph, order) cases for the batched game.
+
+    Natural orders of grids whose vertex counts straddle a word, paths and
+    band graphs are one chain each; a lollipop (a path whose end sees a whole
+    clique) reaches its clique tail in a window; two grids side by side break
+    their chain where the second starts; ``chain_order_brute`` breaks chains
+    at random steps; and every graph on 0..3 vertices goes in every order.
+    """
+    for rows, cols in ((7, 9), (8, 8), (5, 13)):
+        g = grid(rows, cols)
+        yield f"grid-{rows}x{cols}", g, np.arange(g.n)
+        yield f"grid-{rows}x{cols}-reversed", g, np.arange(g.n)[::-1]
+    yield "grid-4x4x4", graph_from_pattern(grid3d_pattern(4)), np.arange(64)
+    for n in (12, 63, 64, 65, 130):
+        yield f"path-{n}", _path(n), np.arange(n)
+    for n, b in ((40, 2), (70, 5), (90, 33)):
+        band = Graph.build(n, [(i, j) for i in range(n) for j in range(i + 1, min(i + b + 1, n))])
+        yield f"band-{n}-{b}", band, np.arange(n)
+        yield f"band-{n}-{b}-reversed", band, np.arange(n)[::-1]
+    for k, m in ((9, 6), (14, 20), (30, 3)):
+        stick = [(i, i + 1) for i in range(k - 1)] + [(k - 1, j) for j in range(k, k + m)]
+        clique = list(combinations(range(k, k + m), 2))
+        lollipop = Graph.build(k + m, stick + clique)
+        yield f"lollipop-{k}-{m}", lollipop, np.arange(k + m)
+    two = [(u + 36 * side, w + 36 * side) for side in (0, 1) for u, w in grid(6, 6).edge_list()]
+    yield "two-grids-and-isolated", Graph.build(80, two), np.arange(80)
+    rng = np.random.default_rng(3232)
+    for i in range(40):
+        g = gnp(int(rng.integers(12, 90)), float(rng.uniform(0.02, 0.2)), rng)
+        yield f"chain-order-{i}", g, chain_order_brute(g.n, g.edge_list(), rng, 0.9)
+    for n in range(4):
+        for edges in all_labeled_graphs(n):
+            for order in permutations(range(n)):
+                yield f"n{n}-{sorted(edges)}-{order}", Graph.build(n, edges), list(order)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 64], ids=["1-MiB-cap", "64-byte-cap"])
+def test_chain_batches_match_the_brute_game(monkeypatch, block_bytes):
+    """Batched chains against the dict-of-sets game.  With the 64-byte cap
+    every window holds one or two steps; with the default one, the cases
+    batch, break a chain inside a window, and reach the clique tail inside one."""
+    from fillinlab import chordal
+
+    if block_bytes is not None:
+        monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", block_bytes)
+    batches = []
+    chain = chordal._eliminate_chain
+
+    def batch(*args):
+        played, tail, linked = chain(*args)
+        batches.append((args[5], played, tail, linked))
+        return played, tail, linked
+
+    monkeypatch.setattr(chordal, "_eliminate_chain", batch)
+    for name, g, order in _chain_cases():
+        fill = decode_codes(elimination_fill_codes(g, order), g.n)
+        assert set(fill) == elimination_fill_brute(g.n, edge_set(g), list(order)), name
+    assert sum(played for _, played, _, _ in batches) > 1500
+    if block_bytes is None:
+        assert any(played < width and not tail for width, played, tail, _ in batches)  # a break
+        assert any(played < width and tail for width, played, tail, _ in batches)  # a tail
+        assert any(width > 8 for width, _, _, _ in batches)  # windows double
+    else:
+        assert {width for width, _, _, _ in batches} == {1, 2}  # one step once rows span two words
+
+
+def test_grid_natural_order_plays_in_batches(monkeypatch):
+    """Counted, not timed: the natural order of a 20x20 grid is one chain, so
+    its game makes a few single steps before it batches (380 without batches)."""
+    from fillinlab import chordal
+
+    calls = 0
+    step = chordal._eliminate_vertex
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
+
+    monkeypatch.setattr(chordal, "_eliminate_vertex", counted)
+    g = grid(20, 20)
+    fill = elimination_fill_codes(g, np.arange(g.n))
+    assert calls < 40
+    assert set(decode_codes(fill, g.n)) == elimination_fill_brute(g.n, edge_set(g), range(g.n))
+
+
+def test_chain_batch_memory_is_one_block():
+    """The natural order of a 4000-vertex path is one chain.  Its batches hold
+    about four arrays of one row per step, in windows capped at
+    ``UNPACK_BLOCK_BYTES``, so the game peaks within one block of the plain
+    game's peak: that of a nested-dissection order of the same path, whose
+    steps never link (each level takes every other vertex still alive)."""
+    n = 4000
+    g = _path(n)
+    g.packed_rows()
+    level = [((i + 1) & -(i + 1)).bit_length() for i in range(n)]
+    dissection = np.array(sorted(range(n), key=lambda i: (level[i], i)))
+    plain_fill, plain = traced_peak(elimination_fill_codes, g, dissection)
+    fill, peak = traced_peak(elimination_fill_codes, g, np.arange(n))
+    assert fill.size == 0 and plain_fill.size > n // 2
+    assert peak <= plain + _bits.UNPACK_BLOCK_BYTES
 
 
 def _producer_fills():

@@ -249,15 +249,17 @@ class TestEliminate:
     @pytest.mark.parametrize("strategy", ["natural", "min-degree", "min-fill", "ordering"])
     def test_one_game_per_run(self, tmp_path, monkeypatch, strategy):
         """Counted, not timed: every run plays one elimination game, and no
-        game clears diagonal bits.  Min-degree and the fixed orderings make
-        one ``_eliminate_vertex`` call per step up to the first whose vertex
-        sees every live vertex, as the dict-of-sets game finds it; min-fill
-        inlines its steps."""
+        game clears diagonal bits.  Min-degree makes one ``_eliminate_vertex``
+        call per step up to the first whose vertex sees every live vertex, as
+        the dict-of-sets game finds it; the fixed orderings play those steps
+        as ``_eliminate_vertex`` calls plus the steps of ``_eliminate_chain``
+        batches, so a batch too stops at that step; min-fill inlines its
+        steps."""
         from fillinlab import _bits, chordal, solvers
         from fillinlab.generate import grid
         from fillinlab.matrix import pattern_from_graph, save_matrix_market
 
-        calls = {"step": 0, "clear_bits": 0, "greedy_game": 0, "elimination_fill_codes": 0}
+        calls = dict.fromkeys(("step", "batched", "clear_bits", "greedy_game", "elimination_fill_codes"), 0)
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -265,6 +267,13 @@ class TestEliminate:
                 return fn(*args, **kwargs)
             return wrapper
 
+        def batch(*args):
+            played = chain(*args)
+            calls["batched"] += played[0]
+            return played
+
+        chain = chordal._eliminate_chain
+        monkeypatch.setattr(chordal, "_eliminate_chain", batch)
         step = counted("step", chordal._eliminate_vertex)
         for mod in (chordal, solvers):
             monkeypatch.setattr(mod, "_eliminate_vertex", step)
@@ -289,7 +298,12 @@ class TestEliminate:
         assert calls["elimination_fill_codes"] == int(not greedy)
         tail = clique_tail_brute(g.n, g.edge_list(), order)
         assert tail < k * k - 1
-        assert calls["step"] == (0 if strategy == "min-fill" else tail + 1)
+        if greedy:
+            assert calls["step"] == (0 if strategy == "min-fill" else tail + 1)
+            assert calls["batched"] == 0
+        else:  # every link of both orders holds: the game batches
+            assert calls["step"] + calls["batched"] == tail + 1
+            assert 0 < calls["step"] < calls["batched"]
         assert calls["clear_bits"] == 0
 
 

@@ -307,11 +307,16 @@ class TestBranchSolver:
 
     def test_120_levels_with_50_frames_to_spare(self):
         """The search keeps its own stack, in the order of a recursive search:
-        its first 117 levels add the chords (0, 2) .. (0, 118) of C_120."""
+        its first 117 levels add the chords (0, 2) .. (0, 118) of C_120.  The
+        stack holds one entry per level, the hole as an int64 array and a
+        child cursor: under 8 * 120^2 bytes down the path, where one entry per
+        untried child took about 0.8 MiB (traced peak now about 0.1 MiB)."""
+        g = cycle(120)
         with _frames_to_spare(50):
-            res = exact_fillin_branch(cycle(120), 120, node_budget=150)
+            res, peak = traced_peak(exact_fillin_branch, g, 120, 150)
         assert res.status == "feasible_budget_exhausted" and res.nodes == 151
         assert res.fillin.tolist() == list(range(2, 119))
+        assert peak < 16 * g.n * g.n
 
     def test_node_budget_exhaustion(self, rng):
         g = random_graph(rng, 8, p=0.5)
@@ -595,13 +600,14 @@ def test_clique_tail_games_match_full_rescans():
 
 def test_games_stop_at_the_clique_tail(monkeypatch):
     """Counted, not timed: on a seeded primitive gadget the row game's
-    min-degree and a random-order ``elimination_fill_codes`` make one
-    ``_eliminate_vertex`` call, and the row game's min-fill one loop step (one
-    ``_bits.indices`` call), per step up to the first whose vertex sees every
-    live vertex."""
+    min-degree makes one ``_eliminate_vertex`` call, and the row game's
+    min-fill one loop step (one ``_bits.indices`` call), per step up to the
+    first whose vertex sees every live vertex.  A random-order
+    ``elimination_fill_codes`` plays those steps as ``_eliminate_vertex``
+    calls plus the steps of its ``_eliminate_chain`` batches."""
     from fillinlab import chordal, solvers
 
-    calls = {"step": 0, "indices": 0}
+    calls = {"step": 0, "indices": 0, "batched": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -609,6 +615,13 @@ def test_games_stop_at_the_clique_tail(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def batch(*args):
+        played = chain(*args)
+        calls["batched"] += played[0]
+        return played
+
+    chain = chordal._eliminate_chain
+    monkeypatch.setattr(chordal, "_eliminate_chain", batch)
     step = counted("step", chordal._eliminate_vertex)
     for mod in (chordal, solvers):
         monkeypatch.setattr(mod, "_eliminate_vertex", step)
@@ -618,16 +631,20 @@ def test_games_stop_at_the_clique_tail(monkeypatch):
     edges = g.edge_list()
     assert g.n == 68
     random_order = rng.permutation(g.n)
-    for game, order in (
-        (lambda: _row_game(g, "min-degree"), min_degree_ordering_brute(g.n, edges)),
-        (lambda: _row_game(g, "min-fill"), min_fill_ordering_brute(g.n, edges)),
-        (lambda: elimination_fill_codes(g, random_order), random_order.tolist()),
+    for game, order, fixed in (
+        (lambda: _row_game(g, "min-degree"), min_degree_ordering_brute(g.n, edges), False),
+        (lambda: _row_game(g, "min-fill"), min_fill_ordering_brute(g.n, edges), False),
+        (lambda: elimination_fill_codes(g, random_order), random_order.tolist(), True),
     ):
-        calls.update(step=0, indices=0)
+        calls.update(step=0, indices=0, batched=0)
         game()
         expect = 1 + clique_tail_brute(g.n, edges, order)
         assert expect < g.n
-        assert max(calls.values()) == expect  # _eliminate_vertex calls _bits.indices once
+        if fixed:
+            assert calls["step"] + calls["batched"] == expect
+        else:
+            assert calls["batched"] == 0
+            assert max(calls.values()) == expect  # _eliminate_vertex calls _bits.indices once
 
 
 def test_min_fill_reaches_the_tail_on_a_clique_step(monkeypatch):
