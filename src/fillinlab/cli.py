@@ -9,9 +9,13 @@ Reports are JSON on stdout (or ``--out``); a human summary goes to stderr.
 All randomness flows from the single ``--seed`` flag, whose default is fixed
 rather than time-derived, and JSON output is byte-identical across runs for
 identical (command, inputs, seed); wall-clock timings are embedded only when
-``--timings`` is given.  ``--jobs`` parallelizes verification suites across
-corpus instances.  ``FILLIN_LAB_LIMIT_OVERRIDE=1`` lifts the instance size
+``--timings`` is given.  ``FILLIN_LAB_LIMIT_OVERRIDE=1`` lifts the instance size
 guardrails.
+
+Each ``verify`` suite is one ``_SUITES`` row: the flags it reads, the draw of one
+trial's payload and the task that turns it into records.  Every payload is drawn,
+and every flag checked, before the first trial runs; ``--jobs`` runs the tasks on
+at most one worker process per trial.
 """
 
 from __future__ import annotations
@@ -198,26 +202,41 @@ def cmd_eliminate(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-# -- verification suites (task functions are top-level so --jobs can pickle them) --
+# -- verification suites (draws and tasks are top-level so --jobs can pickle them) --
 
 
 def _run_tasks(func, payloads, jobs: int) -> list:
-    if jobs <= 1:
-        results = [func(p) for p in payloads]
+    """The records ``func`` returns for each payload, in order, on at most one
+    worker process per payload."""
+    workers = min(jobs, len(payloads))
+    if workers <= 1:
+        results = map(func, payloads)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(func, payloads))
-    out = []
-    for r in results:
-        out.extend(r)
-    return out
+    return [record for records in results for record in records]
+
+
+def _random_graph(rng, nmax: int) -> Graph:
+    n = 2 + int(rng.integers(0, nmax - 1))
+    return generate.gnp(n, float(rng.uniform(0.15, 0.85)), rng)
+
+
+def _draw_sandwich(rng, args):
+    return _random_graph(rng, args.nmax), int(rng.integers(2**32))
 
 
 def _sandwich_task(payload):
     t, g, seed = payload
     sub = verify_sandwich(g, rng=np.random.default_rng(seed), random_orderings=1)
     note = f"tau={sub.outputs.get('tau')} phi={sub.outputs.get('phi_gadget')}"
-    return [(f"sandwich[{t}:n={g.n}]", sub.passed, note)]
+    return [check(f"sandwich[{t}:n={g.n}]", int(sub.passed), 1, "==", note=note)]
+
+
+def _draw_theorem4(rng, args):
+    g = _random_graph(rng, args.nmax)
+    return g, int(rng.integers(0, g.n + 1)), int(rng.integers(2**32))
+
 
 def _theorem4_task(payload):
     t, g, c, seed = payload
@@ -226,99 +245,81 @@ def _theorem4_task(payload):
     out = []
     for name, fill in sorted(fills.items()):
         sub = decision_equivalence_check(g, c, fill, inst)
-        out.append(
-            (f"theorem4[{t}:n={g.n},c={c},{name}]", sub.passed, f"tau={sub.outputs.get('tau')}")
-        )
+        note = f"tau={sub.outputs.get('tau')}"
+        out.append(check(f"theorem4[{t}:n={g.n},c={c},{name}]", int(sub.passed), 1, "==", note=note))
     return out
+
+
+def _draw_transfer(rng, args):
+    """A subcubic graph and the two configs of ``--eps`` and ``--d``, so a bad
+    value is refused before the first trial runs."""
+    try:
+        eps = Fraction(args.eps)
+    except (ValueError, ZeroDivisionError):
+        raise GraphInputError(f"--eps: expected a fraction, got {args.eps!r}") from None
+    configs = {mode: transfer.TransferConfig(epsilon=eps, d=args.d, mode=mode) for mode in ("fillin", "completion")}
+    n = 6 + 2 * int(rng.integers(0, 4))
+    return generate.random_subcubic(n, rng), configs
+
+
+#: Transfer run -> its pipeline, procedure, config mode, and whether its cover
+#: must be optimum (noted by its ratio; otherwise by its gate).
+_TRANSFERS = (
+    ("fillin", transfer.vc_via_fillin, transfer.exact_backed_fillin, "fillin", True),
+    ("completion", transfer.vc_via_completion, transfer.exact_backed_completion, "completion", True),
+    ("heuristic", transfer.vc_via_fillin, transfer.heuristic_backed_fillin("min-fill"), "fillin", False),
+)
 
 
 def _transfer_task(payload):
-    t, g, eps_str, d = payload
-    eps = Fraction(eps_str)
-    out = []
+    t, g, configs = payload
     if g.m == 0:
-        return out
-    fill_cfg = transfer.TransferConfig(epsilon=eps, d=d, mode="fillin")
-    comp_cfg = transfer.TransferConfig(epsilon=eps, d=d, mode="completion")
-    cover, audit = transfer.vc_via_fillin(g, transfer.exact_backed_fillin, fill_cfg)
-    out.append(
-        (
-            f"transfer-fillin[{t}:n={g.n}]",
-            audit.passed and len(cover) == audit.tau,
-            f"ratio={audit.ratio}",
-        )
-    )
-    cover, audit = transfer.vc_via_completion(g, transfer.exact_backed_completion, comp_cfg)
-    out.append(
-        (
-            f"transfer-completion[{t}:n={g.n}]",
-            audit.passed and len(cover) == audit.tau,
-            f"ratio={audit.ratio}",
-        )
-    )
-    cover, audit = transfer.vc_via_fillin(
-        g, transfer.heuristic_backed_fillin("min-fill"), fill_cfg
-    )
-    out.append((f"transfer-heuristic[{t}:n={g.n}]", audit.passed, f"gate={audit.gate}"))
+        return []
+    out = []
+    for label, pipeline, procedure, mode, optimal in _TRANSFERS:
+        cover, audit = pipeline(g, procedure, configs[mode])
+        ok = audit.passed and (len(cover) == audit.tau or not optimal)
+        note = f"ratio={audit.ratio}" if optimal else f"gate={audit.gate}"
+        out.append(check(f"transfer-{label}[{t}:n={g.n}]", int(ok), 1, "==", note=note))
     return out
+
+
+def _draw_matrix(rng, args):
+    g = _random_graph(rng, args.nmax)
+    return g, rng.permutation(g.n)
 
 
 def _matrix_task(payload):
     t, g, order = payload
-    ok = matrix.fill_equivalence_check(matrix.pattern_from_graph(g), list(order))
-    return [(f"matrix[{t}:n={g.n}]", ok, "")]
+    ok = matrix.fill_equivalence_check(matrix.pattern_from_graph(g), order)
+    return [check(f"matrix[{t}:n={g.n}]", int(ok), 1, "==")]
 
 
-def _random_graph(rng, nmax: int) -> Graph:
-    n = 2 + int(rng.integers(0, nmax - 1))
-    return generate.gnp(n, float(rng.uniform(0.15, 0.85)), rng)
-
-
-def _build_payloads(args):
-    rng = np.random.default_rng(args.seed)
-    payloads = []
-    if args.suite == "sandwich":
-        for t in range(args.trials):
-            payloads.append((t, _random_graph(rng, args.nmax), int(rng.integers(2**32))))
-        return _sandwich_task, payloads
-    if args.suite == "theorem4":
-        for t in range(args.trials):
-            g = _random_graph(rng, args.nmax)
-            c = int(rng.integers(0, g.n + 1))
-            payloads.append((t, g, c, int(rng.integers(2**32))))
-        return _theorem4_task, payloads
-    if args.suite == "transfer":
-        try:
-            eps = str(Fraction(args.eps))
-        except (ValueError, ZeroDivisionError):
-            raise GraphInputError(f"--eps: expected a fraction, got {args.eps!r}") from None
-        for t in range(args.trials):
-            n = 6 + 2 * int(rng.integers(0, 4))
-            g = generate.random_subcubic(n, rng)
-            payloads.append((t, g, eps, args.d))
-        return _transfer_task, payloads
-    # matrix
-    for t in range(args.trials):
-        g = _random_graph(rng, args.nmax)
-        order = tuple(int(v) for v in rng.permutation(g.n))
-        payloads.append((t, g, order))
-    return _matrix_task, payloads
+#: Suite -> the suite-specific flags it reads, its payload draw and its task: sandwich,
+#: theorem4 and matrix draw G(n, p) with n = 2..nmax, transfer draws subcubic graphs
+#: with n = 6..12.  Each draw takes the suite's generator and the parsed flags; each
+#: task takes ``(trial, *draw)`` and returns its records.
+_SUITES = {
+    "matrix": (("nmax",), _draw_matrix, _matrix_task),
+    "sandwich": (("nmax",), _draw_sandwich, _sandwich_task),
+    "theorem4": (("nmax",), _draw_theorem4, _theorem4_task),
+    "transfer": (("eps", "d"), _draw_transfer, _transfer_task),
+}
 
 
 def cmd_verify(args) -> int:
-    reads = _SUITES[args.suite]
+    reads, draw, task = _SUITES[args.suite]
     for flag, least in (("trials", 1), ("nmax", 2), ("jobs", 1)):
         if flag in (*reads, "trials", "jobs") and getattr(args, flag) < least:
             raise GraphInputError(f"--{flag} must be at least {least}, got {getattr(args, flag)}")
-    values = {"nmax": args.nmax, "eps": str(args.eps), "d": args.d}
     report = RunReport(
         command=f"verify-{args.suite}",
-        params={"seed": args.seed, "trials": args.trials, **{f: values[f] for f in reads}},
+        params={"seed": args.seed, "trials": args.trials, **{f: getattr(args, f) for f in reads}},
     )
     t0 = time.perf_counter()
-    func, payloads = _build_payloads(args)
-    for name, ok, note in _run_tasks(func, payloads, args.jobs):
-        report.add(check(name, int(ok), 1, "==", note=note))
+    rng = np.random.default_rng(args.seed)
+    payloads = [(t, *draw(rng, args)) for t in range(args.trials)]
+    report.extend(_run_tasks(task, payloads, args.jobs))
     if args.timings:
         report.timings = {"seconds": time.perf_counter() - t0}
     _emit(report, args)
@@ -505,16 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     return ap
-
-
-#: Suite -> the suite-specific flags it reads: sandwich, theorem4 and matrix draw
-#: G(n, p) with n = 2..nmax, transfer draws subcubic graphs with n = 6..12.
-_SUITES = {
-    "matrix": ("nmax",),
-    "sandwich": ("nmax",),
-    "theorem4": ("nmax",),
-    "transfer": ("eps", "d"),
-}
 
 
 def main(argv=None) -> int:

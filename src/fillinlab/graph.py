@@ -403,6 +403,10 @@ def load_dimacs(path) -> Graph:
             if len(parts) != 3:
                 raise GraphInputError(f"{path}:{lineno}: expected 'e <u> <v>'")
             u, v = parse_ints(parts[1:], f"{path}:{lineno}")
+            if u == v:  # checked first, as Graph.build does
+                raise GraphInputError(f"{path}:{lineno}: self-loop ({u},{v}) is not allowed")
+            if not (0 < u <= n and 0 < v <= n):
+                raise GraphInputError(f"{path}:{lineno}: edge ({u},{v}) out of range for {n} vertices")
             edges.append((u - 1, v - 1))
         else:
             raise GraphInputError(f"{path}:{lineno}: unknown line type {parts[0]!r}")

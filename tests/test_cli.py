@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,11 +184,73 @@ class TestVerify:
         assert run([*argv, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_match_serial(self, tmp_path):
+    @pytest.mark.parametrize(
+        "suite, trials",
+        [("matrix", 4), ("sandwich", 4), ("theorem4", 3), ("transfer", 2)],
+        ids=["matrix", "sandwich", "theorem4", "transfer"],
+    )
+    def test_jobs_match_serial(self, tmp_path, suite, trials):
+        """Payloads (graphs, orders, ``TransferConfig``s) and records cross process boundaries intact."""
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert run(["verify", "sandwich", "--trials", "4", "--out", str(a)]) == 0
-        assert run(["verify", "sandwich", "--trials", "4", "--jobs", "2", "--out", str(b)]) == 0
+        argv = ["verify", suite, "--trials", str(trials)]
+        assert run([*argv, "--out", str(a)]) == 0
+        assert run([*argv, "--jobs", "2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_at_most_one_worker_per_trial(self, tmp_path, monkeypatch):
+        """``--jobs`` beyond the trial count starts one worker per trial; no process starts here."""
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, payloads):
+                return map(func, payloads)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(["verify", "sandwich", "--trials", "2", "--nmax", "3", "--out", str(a)]) == 0
+        assert run(["verify", "sandwich", "--trials", "2", "--nmax", "3", "--jobs", "500", "--out", str(b)]) == 0
+        assert started == [2]
+        assert a.read_bytes() == b.read_bytes()
+
+
+#: SHA-256 over the report, then the stderr, of each default-flag ``verify`` suite in
+#: turn, recorded while ``cmd_verify`` built each suite's payloads in its own branch
+#: and turned the tasks' (name, ok, note) tuples into records.
+VERIFY_DIGEST = "8290b9d07b18008dd18af922a30adab17038f358e6e3fd5f5be0775edb4bdabd"
+
+
+def test_verify_report_digest(capsys):
+    digest = hashlib.sha256()
+    for suite in ("matrix", "sandwich", "theorem4", "transfer"):
+        assert run(["verify", suite]) == 0
+        out, err = capsys.readouterr()
+        digest.update(out.encode())
+        digest.update(err.encode())
+    assert digest.hexdigest() == VERIFY_DIGEST
+
+
+def test_verify_suites_are_one_table():
+    """Each suite is one ``_SUITES`` row: no payload builder with a branch per suite,
+    and no comparison of ``args.suite`` with a suite name."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    branches = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(side, ast.Attribute) and side.attr == "suite" for side in (node.left, *node.comparators))
+    ]
+    assert "_build_payloads" not in defined
+    assert not branches
 
 
 class TestEliminate:
@@ -671,6 +735,22 @@ class TestErrors:
     )
     def test_bad_verify_counts_exit_2(self, capsys, flags, message):
         assert run(["verify", "sandwich", "--trials", "1", *flags]) == cli.EXIT_BAD_INPUT
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--eps", "0"], "epsilon must lie strictly between 0 and 1"),
+            (["--eps", "3/2"], "epsilon must lie strictly between 0 and 1"),
+            (["--d", "2"], "d must be at least 3"),
+        ],
+        ids=["eps-0", "eps-3/2", "d-2"],
+    )
+    def test_bad_transfer_config_exit_2(self, capsys, monkeypatch, flags, message):
+        """A bad ``--eps`` or ``--d`` is refused before any trial runs, even when no
+        drawn graph has an edge to run a transfer on."""
+        monkeypatch.setattr(cli.generate, "random_subcubic", lambda n, rng: Graph.build(n))
+        assert run(["verify", "transfer", "--trials", "2", *flags]) == cli.EXIT_BAD_INPUT
         assert message in capsys.readouterr().err
 
     def test_nmax_is_not_checked_where_unread(self, capsys):

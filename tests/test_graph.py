@@ -534,6 +534,20 @@ class TestDimacs:
         with pytest.raises(GraphInputError, match="unknown line"):
             load_dimacs(path)
 
+    @pytest.mark.parametrize("edge, message", [
+        ("e 2 4", "edge (2,4) out of range for 3 vertices"),
+        ("e 0 1", "edge (0,1) out of range for 3 vertices"),
+        ("e 2 2", "self-loop (2,2) is not allowed"),
+        ("e 5 5", "self-loop (5,5) is not allowed"),
+    ])
+    def test_bad_edge_names_its_line_and_file_ids(self, tmp_path, edge, message):
+        """An edge's ids are checked as the file gives them, 1-based, at its line."""
+        path = tmp_path / "bad.col"
+        path.write_text(f"c two edges\np edge 3 2\ne 1 2\n{edge}\n")
+        with pytest.raises(GraphInputError) as exc:
+            load_dimacs(path)
+        assert str(exc.value) == f"{path}:4: {message}"
+
 
 def test_upper_codes_memory_is_bounded():
     """Only bits right of the diagonal are unpacked into codes, which fill one
