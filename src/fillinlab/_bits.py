@@ -9,7 +9,10 @@ block sizes of packed rows: they call the helpers here and walk them in ``blocks
 ``set_positions`` is the one routine that finds the set bits of a matrix: it
 unpacks only the nonzero words, and ``upper_codes``, min-fill's fill pairs and
 the forbidden-clique search read their bits through it.  No other module
-unpacks a matrix to find its set bits; ``indices`` reads one row.
+unpacks a matrix to find its set bits; ``indices`` reads one row.  Likewise
+``row_ints`` and its inverse ``rows_from_ints`` are the one conversion between
+packed rows and Python ints (bit i of the int is bit i of the row), which the
+vertex cover search and min-degree's opening play on.
 
 The block policy lives here too: ``blocks`` slices items of one size, and
 ``bit_blocks`` slices the rows or columns whose set bits become int64 codes,
@@ -102,6 +105,19 @@ def padded_rows(rows: np.ndarray, nbits: int) -> np.ndarray:
 def row_ints(rows: np.ndarray) -> list[int]:
     """Each packed row as one Python int, bit i of the int being bit i of the row."""
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def rows_from_ints(ints: list[int], nbits: int) -> np.ndarray:
+    """The inverse of ``row_ints``: one packed row per Python int, each below ``1 << nbits``.
+
+    Each int's bytes are written straight into its row of one preallocated array,
+    so the peak is that array plus one row's bytes."""
+    rows = zero_rows(len(ints), nbits)
+    width = 8 * rows.shape[1]
+    out = memoryview(rows.view(np.uint8).reshape(-1))
+    for i, x in enumerate(ints):
+        out[i * width : (i + 1) * width] = x.to_bytes(width, "little")
+    return rows
 
 
 def blocks(count: int, item_bytes: int):

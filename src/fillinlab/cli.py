@@ -251,15 +251,19 @@ def _theorem4_task(payload):
 
 
 def _draw_transfer(rng, args):
-    """A subcubic graph and the two configs of ``--eps`` and ``--d``, so a bad
-    value is refused before the first trial runs."""
+    """A subcubic graph with an edge and the two configs of ``--eps`` and ``--d``,
+    so a bad value is refused before the first trial runs.  Stripping K_4
+    components can leave no edge: the graph is drawn again, so every trial runs."""
     try:
         eps = Fraction(args.eps)
     except (ValueError, ZeroDivisionError):
         raise GraphInputError(f"--eps: expected a fraction, got {args.eps!r}") from None
     configs = {mode: transfer.TransferConfig(epsilon=eps, d=args.d, mode=mode) for mode in ("fillin", "completion")}
     n = 6 + 2 * int(rng.integers(0, 4))
-    return generate.random_subcubic(n, rng), configs
+    while True:
+        g = generate.random_subcubic(n, rng)
+        if g.m:
+            return g, configs
 
 
 #: Transfer run -> its pipeline, procedure, config mode, and whether its cover
@@ -273,8 +277,6 @@ _TRANSFERS = (
 
 def _transfer_task(payload):
     t, g, configs = payload
-    if g.m == 0:
-        return []
     out = []
     for label, pipeline, procedure, mode, optimal in _TRANSFERS:
         cover, audit = pipeline(g, procedure, configs[mode])

@@ -18,7 +18,14 @@ class products (the proof that ordering and fill are the row game's is in
 ``greedy_game``).  Every other graph plays on the packed rows, where scores
 are computed once and then updated only where an elimination changes them,
 so each step costs popcounts over the eliminated vertex's neighborhood and
-its fill pairs, never a rescoring of every vertex.  A game ends at its
+its fill pairs, never a rescoring of every vertex.  Such a step is about 14
+NumPy calls, about 20 us whatever its neighbourhood, so min-degree opens on
+one Python int per closed row while the least alive degree is below
+``OPENING_DEGREE``: a step there costs about 2 us plus 0.5 us per neighbour
+(``_degree_opening``).  Past the opening it plays on the packed rows and
+records each pick's twins in the pick's own step (mass elimination of
+indistinguishable vertices, George and Liu, SIAM Review 1989; the lemma is in
+``_degree_game``).  A game ends at its
 clique tail: once the eliminated vertex saw every other alive vertex, its
 step leaves the alive vertices a clique (min-degree by its fill; min-fill
 picks such a vertex only at score 0, when they already are one).  Every
@@ -44,6 +51,7 @@ is always an explicit outcome, never a silently wrong answer.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 
@@ -61,6 +69,9 @@ from .graph import (
 )
 
 ORACLE_CLASS_LIMIT = 16
+
+#: Min-degree plays its steps on Python-int rows while the least alive degree is below this.
+OPENING_DEGREE = 16
 
 GREEDY_STRATEGIES = ("min-degree", "min-fill")
 
@@ -505,11 +516,8 @@ def _class_game(
 
 
 def _row_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
-    """``greedy_game`` on the packed rows.
+    """``greedy_game`` on the packed rows: min-degree plays ``_degree_game``.
 
-    Min-degree keeps a degree array and, after each elimination, recounts
-    only the eliminated vertex's neighbors, from the block of their rows that
-    ``_eliminate_vertex`` returns: no other alive row changes.
     Min-fill keeps the exact fill score of every alive vertex (the number of
     non-adjacent pairs among its alive neighbors) as an int64 array and
     updates it only where an elimination changes it.  Eliminating v, with
@@ -542,26 +550,14 @@ def _row_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
     matrix to find its set bits.  Row stacks are gathered by ``np.take`` and
     ANDed in place.
     """
+    if strategy == "min-degree":
+        return _degree_game(graph)
     n = graph.n
     original = graph.packed_rows()
     rows = original.copy()
     _bits.set_diagonal(rows)
     alive = _bits.mask_from_indices(n, range(n))
     order = np.empty(n, dtype=np.int64)
-    if strategy == "min-degree":
-        deg = graph.degrees().copy()
-        for step in range(n):
-            v = int(deg.argmin())  # first minimum = smallest id
-            order[step] = v
-            idx, near = _eliminate_vertex(rows, alive, v, n)
-            if idx.size == n - step - 1:  # the alive vertices are a clique: ascending ids
-                order[step + 1 :] = idx
-                break
-            near &= alive
-            deg[idx] = _bits.popcount_rows(near) - 1  # minus the own bit
-            deg[v] = n  # above every alive degree: never re-selected
-        rows ^= original  # the game only sets bits: the fill
-        return order, _bits.upper_codes(rows, n)
     score = _fill_scores(original, n)
     deg = graph.degrees() + 1  # closed alive degrees
     retired = np.iinfo(np.int64).max  # above every alive score: never re-selected
@@ -606,3 +602,126 @@ def _row_game(graph: Graph, strategy: str) -> tuple[np.ndarray, np.ndarray]:
     rows ^= original
     return order, _bits.upper_codes(rows, n)
 
+
+def _degree_game(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Min-degree's row game, in two phases picked by the least alive degree.
+
+    While it is below ``OPENING_DEGREE`` the rows are Python ints
+    (``_degree_opening``: about 2 us plus 0.5 us per neighbour a step); at the
+    first pick of degree ``OPENING_DEGREE`` or more they go back to packed rows
+    once (``_bits.rows_from_ints``), and a graph whose least degree starts
+    there never converts.  The packed phase keeps a degree array and, after
+    each elimination, recounts only the eliminated vertex's neighbors, from
+    the block of their rows that ``_eliminate_vertex`` returns: no other alive
+    row changes.  Such a step is about 14 NumPy calls, so the packed phase
+    eliminates twins in bulk.  Let v be the pick, of least degree d, N its
+    alive neighbourhood and T the w in N whose recounted degree is d - 1:
+
+    - T is v's twins before the step.  After it, N[w] (closed, alive) holds N,
+      which is d vertices, so w in T has N[w] = N; before it N[w] was within N
+      + v and held at least d + 1 vertices, as d was least: N[w] = N[v].
+    - The members of T are the next picks, in ascending ids, and add no fill.
+      With j of them gone, each one left has degree d - 1 - j, every other w
+      in N at least d - j (its recount is at least d, and it loses only the
+      twins), and every vertex outside N + v keeps its degree, at least d.  A
+      twin's alive neighbourhood lies in N, which v's step made a clique, so
+      it fills nothing and only lowers the degrees of N by one.
+
+    So the step records T after v, retires it from ``alive`` and lowers every
+    other recount by |T|; no twin's step is a clique tail, since a twin sees
+    every alive vertex only when v did.
+
+    Both phases stop at the clique tail (see ``_row_game``).
+    """
+    n = graph.n
+    original = graph.packed_rows()
+    order = np.empty(n, dtype=np.int64)
+    deg = graph.degrees().copy()
+    step, done = 0, n == 0
+    if not done and deg.min() < OPENING_DEGREE:
+        ints = _bits.row_ints(original)
+        for v in range(n):
+            ints[v] |= 1 << v  # closed rows
+        opened = deg.tolist()
+        step, done = _degree_opening(ints, opened, order)
+        rows = _bits.rows_from_ints(ints, n)
+        del ints
+        deg[:] = opened
+    else:
+        rows = original.copy()
+        _bits.set_diagonal(rows)
+    alive = _bits.mask_from_indices(n, np.flatnonzero(deg < n))
+    while not done:
+        v = int(deg.argmin())  # first minimum = smallest id
+        order[step] = v
+        idx, near = _eliminate_vertex(rows, alive, v, n)
+        k = idx.size
+        if k == n - step - 1:  # the alive vertices are a clique: ascending ids
+            order[step + 1 :] = idx
+            break
+        near &= alive
+        new = _bits.popcount_rows(near)
+        new -= 1  # the own bit
+        deg[v] = n  # above every alive degree: never re-selected
+        step += 1
+        twin = new == k - 1
+        if twin.any():  # v's twins: the next picks, ascending, with no fill
+            twins = idx[twin]
+            order[step : step + twins.size] = twins
+            step += twins.size
+            alive &= ~_bits.mask_from_indices(n, twins)
+            new -= twins.size
+            new[twin] = n
+        deg[idx] = new
+    rows ^= original  # the game only sets bits: the fill
+    return order, _bits.upper_codes(rows, n)
+
+
+def _degree_opening(rows: list[int], deg: list[int], order: np.ndarray) -> tuple[int, bool]:
+    """Min-degree's opening on closed rows as Python ints (both lists in place),
+    while the least alive degree is below ``OPENING_DEGREE``.
+
+    A ``heapq`` of keys ``degree * n + id`` finds the least (degree, id), so
+    ties go to the smallest id.  Entries are deleted lazily: every alive v keeps
+    a key whose degree is at most ``deg[v]``, because a drop pushes the new
+    key and a rise pushes none; a popped key below ``deg[v]`` is pushed again at
+    ``deg[v]``, one above it is stale, and one equal to it is the pick: no alive
+    vertex has a smaller (degree, id).  ``deg[v]`` becomes n when v goes, so its
+    keys are all stale.  Returns the steps played and whether the game ended
+    there, at its clique tail (``order`` then ends with the alive vertices in
+    ascending ids); else the next pick has degree ``OPENING_DEGREE`` or more.
+    """
+    n = len(rows)
+    heap = [d * n + v for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    alive = (1 << n) - 1
+    picks = []
+    while True:
+        d, v = divmod(pop(heap), n)
+        if d != deg[v]:
+            if d < deg[v] < n:
+                push(heap, deg[v] * n + v)
+            continue
+        if d >= OPENING_DEGREE:
+            order[: len(picks)] = picks
+            return len(picks), False
+        picks.append(v)
+        alive ^= 1 << v
+        nbr = rows[v] & alive
+        if nbr == alive:  # v saw every alive vertex: they are a clique
+            order[: len(picks)] = picks
+            order[len(picks) :] = list(_iter_bits(alive))
+            return len(picks), True
+        deg[v] = n
+        rest = nbr
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            row = rows[w] | nbr
+            rows[w] = row
+            dw = (row & alive).bit_count() - 1  # minus the own bit
+            if dw < deg[w]:
+                push(heap, dw * n + w)
+            deg[w] = dw

@@ -87,3 +87,34 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def count_degree_steps(monkeypatch, calls):
+    """Count min-degree's steps that make no ``_eliminate_vertex`` call into ``calls``.
+
+    ``calls["opening"]`` adds the steps ``solvers._degree_opening`` reports.
+    ``calls["twins"]`` adds, for each ``_eliminate_vertex`` call of the packed
+    phase short of the clique tail, the neighbours whose recounted alive degree
+    is one below the eliminated vertex's: the twins that the game records with
+    no call of their own.  They are recounted from the call's rows and alive
+    mask by NumPy alone, so no ``_bits`` counter sees it.  Install it after any
+    counter of ``_eliminate_vertex`` calls.
+    """
+    from fillinlab import solvers
+
+    step, opening = solvers._eliminate_vertex, solvers._degree_opening
+
+    def eliminate(rows, alive, v, n):
+        idx, near = step(rows, alive, v, n)
+        if idx.size < np.bitwise_count(alive).sum():
+            recount = np.bitwise_count(near & alive).sum(axis=1) - 1
+            calls["twins"] += int((recount == idx.size - 1).sum())
+        return idx, near
+
+    def opened(*args):
+        played = opening(*args)
+        calls["opening"] += played[0]
+        return played
+
+    monkeypatch.setattr(solvers, "_eliminate_vertex", eliminate)
+    monkeypatch.setattr(solvers, "_degree_opening", opened)

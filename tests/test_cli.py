@@ -10,7 +10,7 @@ from fillinlab import _bits, cli, graph
 from fillinlab.graph import Graph, load_dimacs, save_dimacs
 from fillinlab.matrix import arrow_pattern, save_matrix_market
 
-from .conftest import grid3d_pattern, traced_peak
+from .conftest import count_degree_steps, grid3d_pattern, traced_peak
 from .oracles import clique_tail_brute, min_degree_ordering_brute
 
 
@@ -197,6 +197,24 @@ class TestVerify:
         assert run([*argv, "--jobs", "2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_edgeless_transfer_draw_is_drawn_again(self, tmp_path, monkeypatch):
+        """A trial whose subcubic graph comes out edgeless draws again, so it
+        keeps its three transfer records."""
+        draws = []
+
+        def first_edgeless(n, rng):
+            draws.append(n)
+            return Graph.build(n) if len(draws) == 1 else subcubic(n, rng)
+
+        subcubic = cli.generate.random_subcubic
+        monkeypatch.setattr(cli.generate, "random_subcubic", first_edgeless)
+        rep = tmp_path / "rep.json"
+        assert run(["verify", "transfer", "--trials", "1", "--out", str(rep)]) == 0
+        names = [check["name"] for check in json.loads(rep.read_text())["checks"]]
+        assert len(draws) == 2 and draws[0] == draws[1]
+        labels = [name.split("[")[0] for name in names]
+        assert labels == ["transfer-fillin", "transfer-completion", "transfer-heuristic"]
+
     def test_at_most_one_worker_per_trial(self, tmp_path, monkeypatch):
         """``--jobs`` beyond the trial count starts one worker per trial; no process starts here."""
         started = []
@@ -313,17 +331,21 @@ class TestEliminate:
     @pytest.mark.parametrize("strategy", ["natural", "min-degree", "min-fill", "ordering"])
     def test_one_game_per_run(self, tmp_path, monkeypatch, strategy):
         """Counted, not timed: every run plays one elimination game, and no
-        game clears diagonal bits.  Min-degree makes one ``_eliminate_vertex``
-        call per step up to the first whose vertex sees every live vertex, as
-        the dict-of-sets game finds it; the fixed orderings play those steps
-        as ``_eliminate_vertex`` calls plus the steps of ``_eliminate_chain``
+        game clears diagonal bits.  Min-degree plays each step up to the first
+        whose vertex sees every live vertex, as the dict-of-sets game finds
+        it, as an opening step, an ``_eliminate_vertex`` call or a
+        mass-eliminated twin, and with ``OPENING_DEGREE`` lowered to 5 the 9 x 9
+        grid takes all three; the fixed orderings play those steps as
+        ``_eliminate_vertex`` calls plus the steps of ``_eliminate_chain``
         batches, so a batch too stops at that step; min-fill inlines its
         steps."""
         from fillinlab import _bits, chordal, solvers
         from fillinlab.generate import grid
         from fillinlab.matrix import pattern_from_graph, save_matrix_market
 
-        calls = dict.fromkeys(("step", "batched", "clear_bits", "greedy_game", "elimination_fill_codes"), 0)
+        calls = dict.fromkeys(
+            ("step", "batched", "opening", "twins", "clear_bits", "greedy_game", "elimination_fill_codes"), 0
+        )
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -341,6 +363,8 @@ class TestEliminate:
         step = counted("step", chordal._eliminate_vertex)
         for mod in (chordal, solvers):
             monkeypatch.setattr(mod, "_eliminate_vertex", step)
+        count_degree_steps(monkeypatch, calls)
+        monkeypatch.setattr(solvers, "OPENING_DEGREE", 5)
         monkeypatch.setattr(_bits, "clear_bits", counted("clear_bits", _bits.clear_bits))
         for name in ("greedy_game", "elimination_fill_codes"):
             monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
@@ -362,8 +386,12 @@ class TestEliminate:
         assert calls["elimination_fill_codes"] == int(not greedy)
         tail = clique_tail_brute(g.n, g.edge_list(), order)
         assert tail < k * k - 1
+        if strategy == "min-degree":
+            assert calls["opening"] + calls["step"] + calls["twins"] == tail + 1
+            assert min(calls["opening"], calls["step"], calls["twins"]) > 0
+        if strategy == "min-fill":
+            assert calls["step"] == 0
         if greedy:
-            assert calls["step"] == (0 if strategy == "min-fill" else tail + 1)
             assert calls["batched"] == 0
         else:  # every link of both orders holds: the game batches
             assert calls["step"] + calls["batched"] == tail + 1

@@ -13,9 +13,11 @@ from fillinlab.chordal import elimination_fill_codes, verify_fillin
 from fillinlab.generate import cycle, gnp, grid, random_subcubic
 from fillinlab.errors import GraphInputError, ResourceLimitError
 from fillinlab.graph import Graph, twin_quotient
+from fillinlab.matrix import graph_from_pattern
 from fillinlab.reduction import brooks_coloring, reduce_colored, reduce_primitive
 from fillinlab.solvers import (
     GREEDY_STRATEGIES,
+    OPENING_DEGREE,
     ORACLE_CLASS_LIMIT,
     _fill_scores,
     _row_game,
@@ -26,7 +28,7 @@ from fillinlab.solvers import (
     is_vertex_cover,
 )
 
-from .conftest import random_graph, traced_peak
+from .conftest import count_degree_steps, grid3d_pattern, random_graph, traced_peak
 from .oracles import (
     blow_up,
     clique_tail_brute,
@@ -745,10 +747,14 @@ def test_class_game_steps_once_per_vertex(monkeypatch):
     """Counted, not timed: on a seeded primitive gadget both strategies make
     no ``_eliminate_vertex`` or ``_bits.indices`` call and one class step
     (one ``_class_scores`` call) per step up to the clique tail.  On a
-    twin-free grid they play the row game, with its counts."""
+    twin-free grid they play the row game, with its counts: min-fill one
+    ``_bits.indices`` call per step; min-degree one step per opening step,
+    ``_eliminate_vertex`` call or mass-eliminated twin.  The 9 x 9 grid's
+    least degree never reaches ``OPENING_DEGREE``, so the test lowers it to 5,
+    where both phases play and mass elimination fires."""
     from fillinlab import chordal, solvers
 
-    calls = {"step": 0, "indices": 0, "class": 0}
+    calls = {"step": 0, "indices": 0, "class": 0, "opening": 0, "twins": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -759,6 +765,8 @@ def test_class_game_steps_once_per_vertex(monkeypatch):
     step = counted("step", chordal._eliminate_vertex)
     for mod in (chordal, solvers):
         monkeypatch.setattr(mod, "_eliminate_vertex", step)
+    count_degree_steps(monkeypatch, calls)
+    monkeypatch.setattr(solvers, "OPENING_DEGREE", 5)
     monkeypatch.setattr(_bits, "indices", counted("indices", _bits.indices))
     monkeypatch.setattr(solvers, "_class_scores", counted("class", solvers._class_scores))
     gadget = reduce_primitive(gnp(4, 0.5, np.random.default_rng(1919))).graph
@@ -770,7 +778,75 @@ def test_class_game_steps_once_per_vertex(monkeypatch):
             expect = 1 + clique_tail_brute(g.n, edges, brute(g.n, edges))
             assert expect < g.n
             if g is gadget:
-                assert calls == {"step": 0, "indices": 0, "class": expect}
+                assert calls == {"step": 0, "indices": 0, "class": expect, "opening": 0, "twins": 0}
+            elif strategy == "min-fill":
+                assert calls == {"step": 0, "indices": expect, "class": 0, "opening": 0, "twins": 0}
             else:
-                row_steps = expect if strategy == "min-degree" else 0
-                assert calls == {"step": row_steps, "indices": expect, "class": 0}
+                assert calls["opening"] + calls["step"] + calls["twins"] == expect
+                assert min(calls["opening"], calls["step"], calls["twins"]) > 0
+                assert calls["indices"] == calls["step"] and calls["class"] == 0
+
+
+def _two_phase_corpus(rng):
+    """(name, graph): seeded G(n, p) with n <= 80; paths and random trees, whose
+    min-degree games end in the opening; 2-D and 3-D grids; a blow-up whose
+    true twins sit at shuffled, non-consecutive ids; and a graph of nine."""
+    for i in range(24):
+        n = int(rng.integers(0, 81))
+        yield f"gnp-{i}", gnp(n, float(rng.uniform(0.02, 0.5)), rng)
+    for n in (1, 2, 7, 40):
+        yield f"path-{n}", Graph.build(n, [(i, i + 1) for i in range(n - 1)])
+    for n in (5, 30, 70):
+        yield f"tree-{n}", Graph.build(n, [(int(rng.integers(0, i)), i) for i in range(1, n)])
+    for rows, cols in ((6, 9), (9, 9)):
+        yield f"grid-{rows}x{cols}", grid(rows, cols)
+    yield "grid-4x4x4", graph_from_pattern(grid3d_pattern(4))
+    yield "twins", blow_up(gnp(14, 0.3, rng), rng.integers(1, 4, size=14), rng)
+    # 0 and 2 are twins of degree 3, and 1 has degree 3 too: once 0 and 2 go, 5 and 6
+    # have degree 2 and come before 1 only if the mass elimination lowers them.
+    yield "twins-apart", Graph.build(9, [
+        (0, 2), (0, 5), (0, 6), (2, 5), (2, 6), (5, 6), (5, 7), (6, 8),
+        (1, 3), (1, 4), (1, 7), (3, 4), (3, 7), (3, 8), (4, 8), (7, 8),
+    ])
+
+
+def test_two_phase_min_degree_matches_the_rescan(monkeypatch):
+    """The row game's min-degree gives the full-rescan ordering and its
+    dict-of-sets fill whichever step the opening hands over at: with
+    ``OPENING_DEGREE`` at 0 (no opening), 1, 3, the default and above n (no
+    packed phase).  At the default, paths and trees end in the opening at
+    their clique tail; with no opening the shuffled twins are mass-eliminated."""
+    from fillinlab import solvers
+
+    calls = {"opening": 0, "twins": 0}
+    count_degree_steps(monkeypatch, calls)
+    default = solvers.OPENING_DEGREE
+    for name, g in _two_phase_corpus(np.random.default_rng(3434)):
+        edges = g.edge_list()
+        expect = min_degree_ordering_brute(g.n, edges)
+        fill = _fill_codes_brute(g, expect)
+        for limit in (0, 1, 3, default, g.n + 1):
+            monkeypatch.setattr(solvers, "OPENING_DEGREE", limit)
+            calls.update(opening=0, twins=0)
+            order, codes = _row_game(g, "min-degree")
+            assert order.tolist() == expect, (name, limit)
+            assert codes.tolist() == fill, (name, limit)
+            if name.startswith(("path", "tree")) and limit == default:
+                assert calls["opening"] == 1 + clique_tail_brute(g.n, edges, expect), name
+            if name.startswith("twins") and limit == 0:
+                assert calls["opening"] == 0 and calls["twins"] > 0, name
+
+
+def test_min_degree_memory_is_bounded():
+    """The traced peak of min-degree on a seeded 5000-row random pattern (about
+    three off-diagonal entries per row) stays within 4x its packed rows.  Basis:
+    the opening's Python-int rows take about as much as the packed rows, and
+    the game holds them and the packed rows they are written back into, once;
+    then the working rows, the fill codes and one extraction block."""
+    rng = np.random.default_rng(5151)
+    n = 5000
+    u, w = rng.integers(0, n, size=(2, 3 * n // 2))
+    g = Graph.build(n, np.stack([u[u != w], w[u != w]], axis=1))
+    assert g.degrees().min() < OPENING_DEGREE <= g.n
+    _, peak = traced_peak(greedy_game, g, "min-degree")
+    assert peak < 4 * g.packed_rows().nbytes
