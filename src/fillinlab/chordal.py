@@ -184,7 +184,11 @@ def _mcs_scan(graph: Graph):
     x is the smallest id it misses.
 
     The loop only searches: per step one argmax, one unpacked row added to
-    the weights, and u recorded as ``latest[v]``.  One batched pass then
+    the weights, and u recorded as ``latest[v]``.  Rows that fit one word
+    (n <= 64), as the true-twin quotients that ``find_hole`` scans do, are
+    unpacked once before the loop: n^2 <= 64 n bytes, eight times the packed
+    rows.  Wider rows are unpacked one per step, so the scan never holds an
+    unpacked matrix of a large graph.  One batched pass then
     tests every step at once; the gap of step i is
     ``rows[v] & visited & ~rows[u]``, with ``visited`` the vertices of steps
     0..i (v itself is in no row of its own).  It holds u, so the step fails
@@ -194,6 +198,8 @@ def _mcs_scan(graph: Graph):
     """
     n = graph.n
     rows = graph.packed_rows()
+    one_word = rows.shape[1] == 1
+    unpacked = _bits.unpack(rows, n) if one_word else None
     weight = np.zeros(n, dtype=np.int64)
     latest = np.full(n, -1, dtype=np.int64)  # most recently visited neighbor
     order = np.empty(n, dtype=np.int64)
@@ -202,7 +208,7 @@ def _mcs_scan(graph: Graph):
         v = int(weight.argmax())  # first maximum = smallest id
         order[i] = v
         earliest[i] = latest[v]
-        nb = _bits.unpack(rows[v], n)
+        nb = unpacked[v] if one_word else _bits.unpack(rows[v], n)
         weight += nb
         weight[v] = -2 * n  # below every later weight: never re-selected
         latest[nb] = v
@@ -286,10 +292,12 @@ def _hole(graph: Graph, viol) -> tuple[int, ...]:
     CounterexampleError.
     """
     v, u, x = viol
-    allowed = ~graph.packed_rows()[v]  # bits past n are no vertex: _bfs never reads them
-    _bits.clear_bit(allowed, v)
-    _bits.set_bit(allowed, x)
-    parent = _bfs(graph, u, allowed, x)[1]
+    rows, n = graph.packed_rows(), graph.n
+    inside = _bits.unpack(~rows[v], n).tolist()
+    inside[v] = False
+    inside[x] = True
+    # rows are read as the search reaches them: it stops at x, often after a few
+    parent = _bfs(lambda w: _bits.indices(rows[w], n).tolist(), u, inside, x)[1]
     if parent[x] == -1:
         raise CounterexampleError(f"PEO violation {viol} has no path outside N[{v}]")
     path = [x]
@@ -331,22 +339,25 @@ def is_chordal(graph: Graph) -> tuple[bool, Certificate]:
 def is_split(graph: Graph):
     """Split recognition via the degree-sequence identity.
 
-    Returns (True, (clique_vertices, independent_vertices)) or (False, None).
+    Returns (True, (clique_vertices, independent_vertices)) or (False, None),
+    each part ascending.  One stable argsort orders the vertices by degree,
+    ties in ascending id; the clique part is the first k of them, k the last
+    position whose degree reaches k - 1, and the identity is two array sums.
     The witnessing partition is verified before it is returned.
     """
     n = graph.n
     if n == 0:
         return True, ((), ())
     deg = graph.degrees()
-    by_degree = sorted(range(n), key=lambda v: (-int(deg[v]), v))
-    d = [int(deg[v]) for v in by_degree]
-    k = max(i for i in range(1, n + 1) if d[i - 1] >= i - 1)
-    lhs = sum(d[:k])
-    rhs = k * (k - 1) + sum(min(di, k) for di in d[k:])
+    by_degree = np.argsort(-deg, kind="stable")  # ties in ascending id
+    d = deg[by_degree]
+    k = int(np.flatnonzero(d >= np.arange(n))[-1]) + 1  # d[0] >= 0: never empty
+    lhs = int(d[:k].sum())
+    rhs = k * (k - 1) + int(np.minimum(d[k:], k).sum())
     if lhs != rhs:
         return False, None
-    clique = tuple(sorted(by_degree[:k]))
-    indep = tuple(sorted(by_degree[k:]))
+    clique = tuple(np.sort(by_degree[:k]).tolist())
+    indep = tuple(np.sort(by_degree[k:]).tolist())
     rows = graph.packed_rows()
     if not _bits.is_clique(rows, _bits.mask_from_indices(n, clique), n):
         raise CounterexampleError("degree identity held but clique part is not a clique")

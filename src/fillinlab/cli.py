@@ -26,7 +26,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -212,6 +211,8 @@ def _run_tasks(func, payloads, jobs: int) -> list:
     if workers <= 1:
         results = map(func, payloads)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only here: a serial run never pays its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(func, payloads))
     return [record for records in results for record in records]

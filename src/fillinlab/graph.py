@@ -5,7 +5,9 @@ adjacency bit matrix (``_bits`` layout): n rows of ceil(n/64) uint64 words,
 so a graph costs n * ceil(n/64) * 8 bytes whatever its edge count (about
 0.5 MB at n = 2000, 50 MB at n = 20000).  Edge queries test one bit, degrees
 are counted once at construction, and edges are listed in sorted order by
-``_bits.upper_codes``.
+``_bits.upper_codes``.  ``Graph.neighbor_lists`` reads every neighborhood in
+one pass for loops that walk the graph vertex by vertex, and the content hash
+is computed on first use and kept.
 
 File format owned here: a DIMACS-like edge-list text format (1-based on
 disk).
@@ -143,7 +145,7 @@ def _set_edge_bits(rows: np.ndarray, pairs: np.ndarray) -> None:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "m", "_rows", "_degrees")
+    __slots__ = ("n", "m", "_rows", "_degrees", "_hash")
 
     def __init__(self, *_args, **_kwargs):
         raise TypeError("use Graph.build(...) or another constructor")
@@ -158,6 +160,7 @@ class Graph:
         g._degrees = _bits.popcount_rows(rows)
         g._degrees.setflags(write=False)
         g.m = int(g._degrees.sum()) // 2
+        g._hash = None
         return g
 
     def __reduce__(self):
@@ -210,6 +213,15 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return self._degrees
 
+    def neighbor_lists(self) -> list[list[int]]:
+        """Each vertex's neighbors as an ascending list of Python ints, read by one
+        ``_bits.set_positions`` pass (row-major, so each row's columns ascend) and
+        cut at the degree prefix sums: 2m Python ints, for loops that visit
+        vertices one at a time."""
+        flat = _bits.set_positions(self._rows)[1].tolist()
+        ends = np.cumsum(self._degrees).tolist()
+        return [flat[a:b] for a, b in zip([0, *ends], ends)]
+
     def edge_list(self) -> list[EdgePair]:
         """Edges as sorted ``(u, v)`` pairs with u < v."""
         codes = _bits.upper_codes(self._rows, self.n)
@@ -260,8 +272,11 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
     def content_hash(self) -> str:
-        """SHA-256 over the canonical edge-list text (``codes_hash``); stable instance id."""
-        return codes_hash(self.n, _bits.upper_codes(self._rows, self.n))
+        """SHA-256 over the canonical edge-list text (``codes_hash``); stable instance id,
+        computed on the first call and kept, since the graph never changes."""
+        if self._hash is None:
+            self._hash = codes_hash(self.n, _bits.upper_codes(self._rows, self.n))
+        return self._hash
 
 
 def _induced_rows(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -325,21 +340,23 @@ def twin_quotient(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 # -- traversal --------------------------------------------------------------
 
 
-def _bfs(graph: Graph, root: int, allowed: np.ndarray, stop: int = -1):
-    """Breadth-first search from root through the vertices of the packed mask
-    ``allowed``; root is always visited, and neighbors are queued in ascending id order.
+def _bfs(neighbors, root: int, inside: list[bool], stop: int = -1):
+    """Breadth-first search from root through the vertices w with ``inside[w]``
+    true; root is always visited.  ``neighbors(u)`` gives u's neighbors in
+    ascending id order, the order they are queued in: ``Graph.neighbor_lists``
+    read once for many searches, or one row read per visited vertex for a search
+    that stops early.
 
     Returns the visit order and a parent per vertex: root is its own parent,
     unreached vertices have -1.  A parent is fixed when its vertex is first
     discovered, so the parent path to any vertex is a shortest one, and it is
     the same when the search returns early, as it does once it discovers ``stop``.
     """
-    inside = _bits.unpack(allowed, graph.n).tolist()
-    parent = [-1] * graph.n
+    parent = [-1] * len(inside)
     parent[root] = root
     order = [root]
     for u in order:  # order grows behind the loop: it is the FIFO queue
-        for w in graph.neighbors(u).tolist():
+        for w in neighbors(u):
             if inside[w] and parent[w] == -1:
                 parent[w] = u
                 order.append(w)

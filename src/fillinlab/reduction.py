@@ -23,10 +23,17 @@ Both maps work on one filled gadget's packed rows, which every audit reads:
 ``_completed`` ORs the mask of C union U into them, ``_filled`` reads a fill-in
 once, by ``verify_fillin``, and a vertex is full when its row covers U.
 
-The coloring and the checks share two graph queries: every component and BFS
-distance comes from ``graph._bfs``, and every clique test (a K_{d+1}
-component, the clique U) from ``_bits.is_clique``; the search for a forbidden
-K_{d+1} makes the same popcount count for all its candidates at once.
+No code here queries a graph one vertex or one edge at a time.  The
+coloring reads G's neighbor lists once (``Graph.neighbor_lists``, one
+``_bits.set_positions`` pass), and its components, BFS distance orders
+(``graph._bfs`` on those lists), greedy colors and (u, a, b) search all use
+them.  Every clique test (a K_{d+1} component, the clique U) is
+``_bits.is_clique``, and the search for a forbidden K_{d+1} makes the same
+popcount count for all its candidates at once.  The structural checks are
+whole-graph passes that name the first failure: ``ReducedInstance.validate``
+tests all n original rows against one expected matrix and the blocks of every
+edge at once, and ``Coloring.validate`` compares the colors of every edge at
+once, each in ``Graph.edge_list`` order.
 
 Sizes then sandwich each other: tau(G)*deficit <= phi(H) <
 (tau(G)+1)*deficit with deficit = n^2 for the primitive construction, which
@@ -71,10 +78,12 @@ class Coloring:
     q: int
 
     def monochromatic_edge(self, graph: Graph) -> EdgePair | None:
-        for u, v in graph.edge_list():
-            if self.colors[u] == self.colors[v]:
-                return (u, v)
-        return None
+        """The first edge, in ``Graph.edge_list`` order, whose endpoints share a color:
+        one comparison over the sorted edge codes."""
+        u, v = np.divmod(_bits.upper_codes(graph.packed_rows(), graph.n), max(graph.n, 1))
+        colors = np.asarray(self.colors)
+        same = np.flatnonzero(colors[u] == colors[v])[:1]
+        return (int(u[same[0]]), int(v[same[0]])) if same.size else None
 
     def validate(self, graph: Graph) -> None:
         q = _int_param("q", self.q)
@@ -87,16 +96,20 @@ class Coloring:
             raise GraphInputError(f"coloring is improper: edge {bad} is monochromatic")
 
 
-def _components(graph: Graph, vertices=None) -> list[list[int]]:
-    """Sorted components of the subgraph induced by ``vertices`` (default all),
-    in order of smallest member: one BFS from the smallest vertex left at a time."""
-    n = graph.n
-    left = _bits.mask_from_indices(n, range(n) if vertices is None else list(vertices))
+def _components(adj: list[list[int]], vertices) -> list[list[int]]:
+    """Sorted components of the subgraph induced by ``vertices`` on the neighbor
+    lists ``adj``, in order of smallest member: one ``_bfs`` from the smallest
+    vertex left at a time."""
+    left = [False] * len(adj)
+    for v in vertices:
+        left[v] = True
     comps = []
-    while left.any():
-        comp = sorted(_bfs(graph, int(_bits.indices(left, n)[0]), left)[0])
-        left &= ~_bits.mask_from_indices(n, comp)
-        comps.append(comp)
+    for v in sorted(vertices):
+        if left[v]:
+            comp = sorted(_bfs(adj.__getitem__, v, left)[0])
+            for w in comp:
+                left[w] = False
+            comps.append(comp)
     return comps
 
 
@@ -131,7 +144,7 @@ def strip_clique_components(graph: Graph, d: int):
     forced: list[int] = []
     kept: list[int] = []
     rows = graph.packed_rows()
-    for comp in _components(graph):
+    for comp in _components(graph.neighbor_lists(), range(graph.n)):
         if len(comp) == d + 1 and _bits.is_clique(
             rows, _bits.mask_from_indices(graph.n, comp), graph.n
         ):
@@ -142,18 +155,21 @@ def strip_clique_components(graph: Graph, d: int):
     return sub, mapping, forced
 
 
-def _greedy_colors(graph: Graph, vertices, colors: list[int]) -> None:
+def _greedy_colors(adj: list[list[int]], vertices, colors: list[int]) -> None:
     for v in vertices:
-        used = {colors[int(w)] for w in graph.neighbors(v) if colors[int(w)] >= 0}
+        used = {colors[w] for w in adj[v] if colors[w] >= 0}
         c = 0
         while c in used:
             c += 1
         colors[v] = c
 
 
-def _distance_order(graph: Graph, comp: set[int], root: int) -> list[int]:
+def _distance_order(adj: list[list[int]], comp: set[int], root: int) -> list[int]:
     """Vertices of comp by decreasing BFS distance from root (root last)."""
-    order, parent = _bfs(graph, root, _bits.mask_from_indices(graph.n, list(comp)))
+    inside = [False] * len(adj)
+    for v in comp:
+        inside[v] = True
+    order, parent = _bfs(adj.__getitem__, root, inside)
     if len(order) != len(comp):
         return []  # disconnected
     dist = {root: 0}
@@ -192,34 +208,35 @@ def brooks_coloring(graph: Graph, d: int) -> Coloring:
             "strip clique components before coloring"
         )
 
+    adj = graph.neighbor_lists()
     colors = [-1] * graph.n
-    for comp in _components(graph):
+    for comp in _components(adj, range(graph.n)):
         comp_set = set(comp)
         if len(comp) <= d:
-            _greedy_colors(graph, comp, colors)
+            _greedy_colors(adj, comp, colors)
             continue
-        low = [v for v in comp if graph.degree(v) < d]
+        low = [v for v in comp if len(adj[v]) < d]
         if low:
-            _greedy_colors(graph, _distance_order(graph, comp_set, low[0]), colors)
+            _greedy_colors(adj, _distance_order(adj, comp_set, low[0]), colors)
             continue
         candidates = (
-            (a, b, _distance_order(graph, comp_set - {a, b}, u))
+            (a, b, _distance_order(adj, comp_set - {a, b}, u))
             for u in comp
-            for a, b in combinations([int(w) for w in graph.neighbors(u)], 2)
-            if not graph.has_edge(a, b)
+            for a, b in combinations(adj[u], 2)
+            if b not in adj[a]
         )
         triple = next(((a, b, order) for a, b, order in candidates if order), None)
         if triple is not None:
             a, b, order = triple
             colors[a] = colors[b] = 0
-            _greedy_colors(graph, order, colors)
+            _greedy_colors(adj, order, colors)
             continue
-        x = next((v for v in comp if len(_components(graph, comp_set - {v})) > 1), None)
+        x = next((v for v in comp if len(_components(adj, comp_set - {v})) > 1), None)
         if x is None:
             raise CounterexampleError("2-connected d-regular component without a triple")
-        for lobe in _components(graph, comp_set - {x}):
+        for lobe in _components(adj, comp_set - {x}):
             scratch = [-1] * graph.n
-            _greedy_colors(graph, _distance_order(graph, {x, *lobe}, x), scratch)
+            _greedy_colors(adj, _distance_order(adj, {x, *lobe}, x), scratch)
             swap = {0: scratch[x], scratch[x]: 0}
             for v in lobe:
                 colors[v] = swap.get(scratch[v], scratch[v])
@@ -265,7 +282,13 @@ class ReducedInstance:
         return self.blocks[self.coloring.colors[v]]
 
     def validate(self) -> None:
-        """Structural self-check; failure means the construction is buggy."""
+        """Structural self-check; failure means the construction is buggy.
+
+        Each check is one pass over the whole gadget: the blocks partition
+        the new vertices (one sort), every original row meets U in exactly U
+        minus its missing block (all n rows against one expected matrix; the
+        smallest wrong vertex is named), and no edge of G has both ends
+        missing one block (the first such edge in ``Graph.edge_list`` order)."""
         n, N = self.n_original, self.graph.n
         rows = self.graph.packed_rows()
         if len(self.blocks) != (n if self.kind == "primitive" else self.q):
@@ -274,7 +297,7 @@ class ReducedInstance:
         if sizes and sizes != {self.block_deficit}:
             raise CounterexampleError("block sizes differ from the deficit")
         ids = np.concatenate([np.asarray(b) for b in self.blocks]) if self.blocks else np.array([], dtype=int)
-        if sorted(ids.tolist()) != list(range(n, N)):
+        if not np.array_equal(np.sort(ids), np.arange(n, N)):
             raise CounterexampleError("blocks do not partition the gadget vertices")
         sub, _ = self.graph.induced_subgraph(range(n))
         if sub != self.original:
@@ -282,24 +305,34 @@ class ReducedInstance:
         u_mask = _bits.mask_from_indices(N, range(n, N))
         if not _bits.is_clique(rows, u_mask, N):
             raise CounterexampleError("gadget vertices do not form a clique")
-        for v in range(n):
-            want = u_mask & ~_bits.mask_from_indices(N, self.missing_block(v))
-            if ((rows[v] & u_mask) != want).any():
-                raise CounterexampleError(
-                    f"vertex {v} has the wrong gadget adjacency pattern"
-                )
-        for u, v in self.original.edge_list():
-            bu, bv = self.missing_block(u), self.missing_block(v)
-            if int(bu[0]) == int(bv[0]):
-                raise CounterexampleError(
-                    f"edge ({u},{v}) endpoints miss the same block"
-                )
+        if self.kind == "primitive":
+            block_of = np.arange(n)
+        else:
+            block_of = np.asarray(self.coloring.colors, dtype=np.int64)
+        missing = _bits.zero_rows(len(self.blocks), N)  # row c: the vertices of block c
+        blk = np.repeat(np.arange(len(self.blocks)), [len(b) for b in self.blocks])
+        _bits.set_bits(missing, blk, ids.astype(np.int64))
+        want = (u_mask & ~missing)[block_of]
+        wrong = np.flatnonzero(((rows[:n] & u_mask) != want).any(axis=1))
+        if wrong.size:
+            raise CounterexampleError(
+                f"vertex {int(wrong[0])} has the wrong gadget adjacency pattern"
+            )
+        u, v = np.divmod(_bits.upper_codes(self.original.packed_rows(), n), max(n, 1))
+        same = np.flatnonzero(block_of[u] == block_of[v])
+        if same.size:
+            raise CounterexampleError(
+                f"edge ({int(u[same[0]])},{int(v[same[0]])}) endpoints miss the same block"
+            )
 
 
 def _gadget(graph: Graph, block_of, nblocks: int, size: int) -> tuple[Graph, tuple]:
     """Both constructions: ``nblocks`` blocks of ``size`` new vertices after the
     original ones, all new vertices one clique U, and original vertex v
-    adjacent to every new vertex outside block ``block_of[v]``."""
+    adjacent to every new vertex outside block ``block_of[v]``.
+
+    Built from two masks per block, each set by one ``_bits.set_bits`` call
+    for all blocks: its new vertices, and the original vertices that miss it."""
     n = graph.n
     N = n + nblocks * size
     rows = np.zeros((N, _bits.nwords(N)), dtype=np.uint64)
@@ -307,14 +340,17 @@ def _gadget(graph: Graph, block_of, nblocks: int, size: int) -> tuple[Graph, tup
     rows[:n, : g_rows.shape[1]] = g_rows
     u_mask = _bits.mask_from_indices(N, range(n, N))
     orig_mask = _bits.mask_from_indices(N, range(n))
-    block_of = np.asarray(block_of)
-    blocks = tuple(np.arange(n + c * size, n + (c + 1) * size) for c in range(nblocks))
-    for c, block in enumerate(blocks):
-        members = np.flatnonzero(block_of == c)
-        rows[block] = (orig_mask & ~_bits.mask_from_indices(N, members)) | u_mask
-        rows[members] |= u_mask & ~_bits.mask_from_indices(N, block)
+    block_of = np.asarray(block_of, dtype=np.int64)
     new = np.arange(n, N)
+    new_block = (new - n) // size
+    block_rows = _bits.zero_rows(nblocks, N)
+    _bits.set_bits(block_rows, new_block, new)
+    members = _bits.zero_rows(nblocks, N)
+    _bits.set_bits(members, block_of, np.arange(n))
+    rows[:n] |= (u_mask & ~block_rows)[block_of]
+    rows[n:] = ((orig_mask & ~members) | u_mask)[new_block]
     _bits.clear_bits(rows, new, new)
+    blocks = tuple(np.arange(n + c * size, n + (c + 1) * size) for c in range(nblocks))
     return Graph.from_packed_rows(rows, N), blocks
 
 
@@ -388,7 +424,7 @@ def _completed(inst: ReducedInstance, cover) -> Graph:
     rows = inst.graph.packed_rows().copy()
     rows[clique] |= _bits.mask_from_indices(N, clique)
     _bits.clear_bits(rows, clique, clique)
-    completed = Graph.from_packed_rows(rows, N)
+    completed = Graph._adopt(rows)  # a clique's mask in its own rows keeps them symmetric
     g_rows = inst.original.packed_rows()
     inside = _bits.popcount_rows(g_rows[cover] & _bits.mask_from_indices(n, cover))
     expect = len(cover) * inst.block_deficit + math.comb(len(cover), 2) - int(inside.sum()) // 2

@@ -179,6 +179,20 @@ class TestIsSplit:
     def test_empty(self):
         assert is_split(Graph.build(0))[0]
 
+    @pytest.mark.parametrize(
+        "n, edges, parts",
+        [
+            (5, [(1, 4), (1, 2)], ((1, 2), (0, 3, 4))),  # 2 and 4 tie; the smaller id joins the clique
+            (3, [(0, 1), (1, 2)], ((0, 1), (2,))),
+            (7, [(6, 5), (6, 3), (5, 3), (6, 0), (5, 2), (3, 4)], ((3, 5, 6), (0, 1, 2, 4))),
+        ],
+    )
+    def test_tied_degrees_give_ascending_parts(self, n, edges, parts):
+        """Ties in degree break to the smaller id, and both parts come out ascending."""
+        ok, got = is_split(Graph.build(n, edges))
+        assert ok and got == parts
+        assert all(type(v) is int for part in got for v in part)
+
     def test_agrees_with_forbidden_subgraph_search(self, rng):
         for n in range(0, 5):
             for edges in all_labeled_graphs(n):
@@ -693,9 +707,9 @@ def test_a_violation_without_a_path_is_a_hard_failure(monkeypatch):
 
     bfs, calls = chordal._bfs, []
 
-    def first_search_finds_nothing(graph, root, allowed, stop=-1):
+    def first_search_finds_nothing(neighbors, root, inside, stop=-1):
         calls.append(root)
-        return ([root], [-1] * graph.n) if len(calls) == 1 else bfs(graph, root, allowed, stop)
+        return ([root], [-1] * len(inside)) if len(calls) == 1 else bfs(neighbors, root, inside, stop)
 
     monkeypatch.setattr(chordal, "_bfs", first_search_finds_nothing)
     c4 = Graph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)])

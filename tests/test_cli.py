@@ -1,6 +1,10 @@
 import ast
+import concurrent.futures
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +219,14 @@ class TestVerify:
         labels = [name.split("[")[0] for name in names]
         assert labels == ["transfer-fillin", "transfer-completion", "transfer-heuristic"]
 
+    def test_serial_import_loads_no_process_pool(self):
+        """``import fillinlab.cli`` leaves ``concurrent.futures.process`` unloaded:
+        only ``--jobs`` above 1 imports the pool, in ``_run_tasks``."""
+        code = "import sys, fillinlab.cli; print('concurrent.futures.process' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "False\n"
+
     def test_at_most_one_worker_per_trial(self, tmp_path, monkeypatch):
         """``--jobs`` beyond the trial count starts one worker per trial; no process starts here."""
         started = []
@@ -232,7 +244,7 @@ class TestVerify:
             def map(self, func, payloads):
                 return map(func, payloads)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run(["verify", "sandwich", "--trials", "2", "--nmax", "3", "--out", str(a)]) == 0
         assert run(["verify", "sandwich", "--trials", "2", "--nmax", "3", "--jobs", "500", "--out", str(b)]) == 0

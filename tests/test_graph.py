@@ -383,6 +383,8 @@ def test_queries_match_plain_sets_across_word_boundaries(rng, monkeypatch, n, de
         assert g.neighbors(u).tolist() == nbrs[u]
         assert g.degree(u) == len(nbrs[u])
     assert g.degrees().tolist() == [len(x) for x in nbrs]
+    lists = g.neighbor_lists()
+    assert lists == nbrs and all(type(v) is int for x in lists for v in x)
 
     subset = sorted(int(v) for v in rng.choice(n, size=n // 2, replace=False)) if n else []
     sub, mapping = g.induced_subgraph(subset)
@@ -405,24 +407,24 @@ def test_bfs_matches_deque_reference(rng, n, density):
     for share in (0.0, 0.5, 0.9, 1.0):
         allowed = [v for v in range(n) if rng.random() < share]
         root = int(rng.integers(n))
-        mask = _bits.mask_from_indices(n, allowed)
-        order, parent = _bfs(g, root, mask)
+        inside = [v in allowed for v in range(n)]
+        order, parent = _bfs(g.neighbor_lists().__getitem__, root, inside)
         assert (order, parent) == bfs_deque(n, plain, root, set(allowed))
         assert all(type(v) is int for v in order + parent)
         for stop in order[1:][-2:]:  # an early return keeps the order and parents up to stop
-            head, part = _bfs(g, root, mask, stop)
+            head, part = _bfs(g.neighbor_lists().__getitem__, root, inside, stop)
             assert head == order[: order.index(stop) + 1]
             assert [part[v] for v in head] == [parent[v] for v in head]
 
 
 def test_bfs_parents_are_fixed_at_discovery():
     # 0-1, 0-2, 1-3, 2-3: 3 is found from 1 first, and 4 only through 3
-    g = Graph.build(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
-    everything = _bits.mask_from_indices(5, range(5))
-    assert _bfs(g, 0, everything) == ([0, 1, 2, 3, 4], [0, 0, 0, 1, 3])
-    without_1 = _bits.mask_from_indices(5, [2, 3, 4])
-    assert _bfs(g, 0, without_1) == ([0, 2, 3, 4], [0, -1, 0, 2, 3])
-    assert _bfs(g, 1, _bits.zero_rows(1, 5)[0]) == ([1], [-1, 1, -1, -1, -1])
+    neighbors = Graph.build(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]).neighbor_lists().__getitem__
+    everything = [True] * 5
+    assert _bfs(neighbors, 0, everything) == ([0, 1, 2, 3, 4], [0, 0, 0, 1, 3])
+    without_1 = [False, False, True, True, True]
+    assert _bfs(neighbors, 0, without_1) == ([0, 2, 3, 4], [0, -1, 0, 2, 3])
+    assert _bfs(neighbors, 1, [False] * 5) == ([1], [-1, 1, -1, -1, -1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])

@@ -1,17 +1,22 @@
+import dataclasses
 import hashlib
 import json
 import math
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fillinlab.chordal import is_chordal, is_split, verify_fillin
-from fillinlab.errors import GraphInputError, ResourceLimitError
+from fillinlab.errors import CounterexampleError, GraphInputError, ResourceLimitError
+from fillinlab.generate import random_subcubic
 from fillinlab.graph import Graph
 from fillinlab.reduction import (
     Coloring,
+    ReducedInstance,
+    _gadget,
     brooks_coloring,
     decision_equivalence_check,
     full_vertices,
@@ -95,6 +100,16 @@ class TestPrimitive:
         assert sub == g
 
 
+BROOKS_DIGEST = "5e8a08e7cfc0853e854a5a6dcf1cb3f3dc3d78350e633f5c55b780c80e53a1d2"
+
+#: (seed, graphs, graph maker, graphs without a (u, a, b) triple) of the cut-vertex corpora
+CUT_VERTEX_CORPORA = [
+    (4242, 240, lambda rng: _cut_vertex_graph(rng, 3, (2, 1), (4, 6)), 62),
+    (3, 120, lambda rng: _cut_vertex_graph(rng, 3, (1, 1, 1), (4, 6)), 15),
+    (5, 300, lambda rng: _bridge_chain(rng, int(rng.integers(1, 3))), 70),
+]
+
+
 class TestBrooks:
     def test_petersen(self, graphs):
         col = brooks_coloring(graphs["petersen"], 3)
@@ -145,13 +160,7 @@ class TestBrooks:
         assert col.q <= 3 and col.monochromatic_edge(g) is None
 
     @pytest.mark.parametrize(
-        "seed, count, make, lobed",
-        [
-            (4242, 240, lambda rng: _cut_vertex_graph(rng, 3, (2, 1), (4, 6)), 62),
-            (3, 120, lambda rng: _cut_vertex_graph(rng, 3, (1, 1, 1), (4, 6)), 15),
-            (5, 300, lambda rng: _bridge_chain(rng, int(rng.integers(1, 3))), 70),
-        ],
-        ids=["bridged", "three-lobes", "bridge-chains"],
+        "seed, count, make, lobed", CUT_VERTEX_CORPORA, ids=["bridged", "three-lobes", "bridge-chains"]
     )
     def test_cut_vertex_corpus(self, seed, count, make, lobed):
         """Relabelled cubic graphs with one bridge, with three lobes at one cut
@@ -166,6 +175,23 @@ class TestBrooks:
             assert col.q <= 3 and col.monochromatic_edge(g) is None
             missing += brooks_triple_missing(g.n, g.edge_list(), 3)
         assert missing == lobed
+
+    def test_colors_are_pinned(self):
+        """The colors themselves, not only properness, over the cut-vertex corpora
+        and 50 seeded subcubic graphs, half of them sparse: together they reach
+        every case of the proof (small components 58 times, low-degree roots 74,
+        triples 516, cut-vertex lobes 147).  Digest recorded before the coloring
+        read its neighbor lists in one pass."""
+        digest = hashlib.sha256()
+        for seed, count, make, _ in CUT_VERTEX_CORPORA:
+            rng = np.random.default_rng(seed)
+            for _ in range(count):
+                digest.update(json.dumps(brooks_coloring(make(rng), 3).colors).encode())
+        for seed in range(50):
+            n = 6 + seed % 25
+            g = random_subcubic(n, seed, None if seed % 2 else n // 2)
+            digest.update(json.dumps(brooks_coloring(g, 3).colors).encode())
+        assert digest.hexdigest() == BROOKS_DIGEST
 
 
 def _holed_side(rng, d, sizes, n):
@@ -867,3 +893,68 @@ def test_sandwich_checks_each_fill_once(monkeypatch):
     cover, audit = vc_via_completion(c6, exact_backed_completion, config)
     assert audit.passed and len(cover) == audit.tau == 3
     assert reads == [] and rebuilds == []
+
+
+def _toggled(inst, pairs):
+    """inst with the gadget edges ``pairs`` toggled and its bookkeeping kept."""
+    edges = set(inst.graph.edge_list()) ^ {(min(p), max(p)) for p in pairs}
+    return dataclasses.replace(inst, graph=Graph.build(inst.graph.n, sorted(edges)))
+
+
+class TestFirstFailure:
+    """Each structural check, corrupted in two places, names the failure that
+    comes first: the smallest vertex, or the first edge in ``edge_list`` order."""
+
+    P4 = Graph.build(4, [(0, 1), (1, 2), (2, 3)])
+    #: edges (1, 5) and (2, 3) are monochromatic; sorted by larger end, (2, 3) would come first
+    TWO_BAD = Graph.build(6, [(0, 1), (0, 4), (1, 5), (2, 3)])
+    TWO_BAD_COLORS = (2, 0, 1, 1, 0, 0)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(1, 3), (0, 2), (2, 3)],
+    )
+    @pytest.mark.parametrize("extra", [False, True], ids=["dropped", "added"])
+    def test_smallest_vertex_with_a_wrong_pattern(self, first, second, extra):
+        inst = reduce_primitive(self.P4)
+        pairs = []
+        for v in (second, first):
+            # an edge into v's own block, or a dropped edge into the next vertex's block
+            w = inst.blocks[v][3] if extra else inst.blocks[(v + 1) % 4][5]
+            pairs.append((v, int(w)))
+        with pytest.raises(CounterexampleError, match=f"^vertex {first} has the wrong"):
+            _toggled(inst, pairs).validate()
+
+    def test_first_same_block_edge(self):
+        g, colors = self.TWO_BAD, self.TWO_BAD_COLORS
+        h, blocks = _gadget(g, colors, 3, g.n)
+        inst = ReducedInstance(
+            graph=h, original=g, kind="colored", blocks=blocks, b=1, q=3, coloring=Coloring(colors, 3)
+        )
+        with pytest.raises(CounterexampleError, match=r"^edge \(1,5\) endpoints miss the same block$"):
+            inst.validate()
+
+    def test_first_monochromatic_edge(self):
+        col = Coloring(self.TWO_BAD_COLORS, 3)
+        assert col.monochromatic_edge(self.TWO_BAD) == (1, 5)
+        assert all(type(v) is int for v in col.monochromatic_edge(self.TWO_BAD))
+        with pytest.raises(GraphInputError, match=r"^coloring is improper: edge \(1, 5\) is monochromatic$"):
+            col.validate(self.TWO_BAD)
+        assert Coloring((0, 1, 0, 1, 0, 1), 2).monochromatic_edge(Graph.build(6)) is None
+
+    def test_non_partition_comes_first(self):
+        inst = reduce_primitive(self.P4)
+        blocks = [b.copy() for b in inst.blocks]
+        blocks[0][0] = blocks[1][0]
+        blocks[3][7] = blocks[2][2]  # two repeats; the U patterns are wrong too
+        with pytest.raises(CounterexampleError, match="^blocks do not partition the gadget vertices$"):
+            dataclasses.replace(inst, blocks=tuple(blocks)).validate()
+
+
+def test_reduction_reads_no_single_vertex():
+    """``reduction`` reads a graph's neighbors once, by ``Graph.neighbor_lists``,
+    and tests rows in whole-graph passes: it calls no per-vertex query."""
+    from fillinlab import reduction
+
+    source = Path(reduction.__file__).read_text()
+    assert [t for t in (".neighbors(", ".has_edge(", ".degree(") if t in source] == []
