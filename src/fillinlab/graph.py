@@ -6,8 +6,18 @@ so a graph costs n * ceil(n/64) * 8 bytes whatever its edge count (about
 0.5 MB at n = 2000, 50 MB at n = 20000).  Edge queries test one bit, degrees
 are counted once at construction, and edges are listed in sorted order by
 ``_bits.upper_codes``.  ``Graph.neighbor_lists`` reads every neighborhood in
-one pass for loops that walk the graph vertex by vertex, and the content hash
-is computed on first use and kept.
+one pass for loops that walk the graph vertex by vertex.
+
+Since a graph never changes, the facts the audits ask of it are kept on the
+graph itself, in one memo that lives and dies with it (``Graph._kept``): the
+content hash, ``solvers.exact_vertex_cover`` per node budget,
+``reduction.brooks_coloring`` per degree bound and ``reduction.reduce_colored``
+per (b, coloring object, cell limit).  Each is computed and certified by the
+first call that succeeds; a call that raises keeps nothing, so the error is
+raised again on every call.  Pickling and copying rebuild the graph through
+``Graph._adopt`` with an empty memo.  Verdicts that re-check a result,
+``chordal.verify_fillin`` and ``chordal.find_hole``, are never kept, so every
+re-check recomputes them.
 
 File format owned here: a DIMACS-like edge-list text format (1-based on
 disk).
@@ -145,7 +155,7 @@ def _set_edge_bits(rows: np.ndarray, pairs: np.ndarray) -> None:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "m", "_rows", "_degrees", "_hash")
+    __slots__ = ("n", "m", "_rows", "_degrees", "_memo", "__weakref__")
 
     def __init__(self, *_args, **_kwargs):
         raise TypeError("use Graph.build(...) or another constructor")
@@ -160,12 +170,22 @@ class Graph:
         g._degrees = _bits.popcount_rows(rows)
         g._degrees.setflags(write=False)
         g.m = int(g._degrees.sum()) // 2
-        g._hash = None
+        g._memo = {}
         return g
 
     def __reduce__(self):
-        # pickle and deepcopy rebuild through _adopt, which freezes the copy
+        # pickle and deepcopy rebuild through _adopt, which freezes the copy and keeps no memo
         return (Graph._adopt, (self._rows,))
+
+    def _kept(self, key, compute, *args):
+        """The value kept under ``key``, else ``compute(*args)``, kept once it returns:
+        an error propagates and keeps nothing.  Keys name the fact and its arguments,
+        as read by the caller; an argument object is keyed by its ``id``, which stays
+        its own while the kept value refers to it."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute(*args)
+        return memo[key]
 
     # -- constructors ------------------------------------------------------
 
@@ -273,10 +293,10 @@ class Graph:
 
     def content_hash(self) -> str:
         """SHA-256 over the canonical edge-list text (``codes_hash``); stable instance id,
-        computed on the first call and kept, since the graph never changes."""
-        if self._hash is None:
-            self._hash = codes_hash(self.n, _bits.upper_codes(self._rows, self.n))
-        return self._hash
+        computed on the first call and kept."""
+        return self._kept(
+            "content_hash", lambda: codes_hash(self.n, _bits.upper_codes(self._rows, self.n))
+        )
 
 
 def _induced_rows(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:

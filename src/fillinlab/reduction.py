@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -193,8 +193,17 @@ def brooks_coloring(graph: Graph, d: int) -> Coloring:
       vertex x; each lobe (a component of the rest, plus x) holds fewer than
       d neighbors of x, is colored alone as from a low-degree root x, and is
       recolored so x gets color 0.
+
+    The validated coloring is kept on the graph per d (``Graph._kept``), so a
+    graph is colored and its coloring checked once; a refusal keeps nothing
+    and is raised again on every call.
     """
     d = _int_param("d", d)
+    return graph._kept(("brooks", d), _brooks_coloring, graph, d)
+
+
+def _brooks_coloring(graph: Graph, d: int) -> Coloring:
+    """The coloring behind ``brooks_coloring``, uncached."""
     if d < 3:
         raise GraphInputError("degree bound d must be at least 3")
     degrees = graph.degrees()
@@ -255,15 +264,19 @@ def brooks_coloring(graph: Graph, d: int) -> Coloring:
 
 @dataclass(frozen=True, eq=False)
 class ReducedInstance:
-    """Gadget graph H plus the bookkeeping needed to map certificates back."""
+    """Gadget graph H plus the bookkeeping needed to map certificates back.
+
+    ``completions`` keeps ``_completed``'s certified split completion per
+    normalized cover, so an instance completes and checks each cover once."""
 
     graph: Graph
     original: Graph
     kind: str  # 'primitive' | 'colored'
-    blocks: tuple  # per original vertex (primitive) or per color (colored)
+    blocks: tuple  # per original vertex (primitive) or per color (colored), read-only arrays
     b: int | None = None
     q: int | None = None
     coloring: Coloring | None = None
+    completions: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_original(self) -> int:
@@ -350,8 +363,14 @@ def _gadget(graph: Graph, block_of, nblocks: int, size: int) -> tuple[Graph, tup
     rows[:n] |= (u_mask & ~block_rows)[block_of]
     rows[n:] = ((orig_mask & ~members) | u_mask)[new_block]
     _bits.clear_bits(rows, new, new)
-    blocks = tuple(np.arange(n + c * size, n + (c + 1) * size) for c in range(nblocks))
+    blocks = tuple(_frozen(np.arange(n + c * size, n + (c + 1) * size)) for c in range(nblocks))
     return Graph.from_packed_rows(rows, N), blocks
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: a kept instance's blocks are shared by every later caller."""
+    a.setflags(write=False)
+    return a
 
 
 def reduce_primitive(graph: Graph, max_n: int = PRIMITIVE_MAX_N) -> ReducedInstance:
@@ -381,13 +400,22 @@ def reduce_colored(
     """Per-color gadget: b*n new vertices per color class, U a clique.
 
     Produces a graph on (b*q + 1)*n vertices, linear in n for fixed b, q.
+    The validated instance is kept on the graph per (b, coloring object,
+    max_cells) (``Graph._kept``), so a graph's gadget is built and checked once
+    per coloring; a refusal keeps nothing and is raised again on every call.
     """
-    n = graph.n
-    if n < 1:
+    if graph.n < 1:
         raise GraphInputError("the construction needs at least one vertex")
     b = _int_param("b", b)
     if b < 1:
         raise GraphInputError("block scale b must be positive")
+    key = ("gadget", b, id(coloring), max_cells)
+    return graph._kept(key, _reduce_colored, graph, b, coloring, max_cells)
+
+
+def _reduce_colored(graph: Graph, b: int, coloring: Coloring, max_cells: int) -> ReducedInstance:
+    """The construction behind ``reduce_colored``, uncached."""
+    n = graph.n
     coloring.validate(graph)
     q = coloring.q
     if b * q * n > max_cells:
@@ -408,8 +436,16 @@ def reduce_colored(
 def _completed(inst: ReducedInstance, cover) -> Graph:
     """The gadget with cover-union-U completed into a clique: a split graph,
     hence chordal, with |C|*deficit + C(|C|,2) - |E(G[C])| edges more than H,
-    checked with |E(G[C])| counted from G's rows."""
-    cover = sorted(set(_vertex_ids(cover)))
+    checked with |E(G[C])| counted from G's rows.  The certified completion is
+    kept in ``inst.completions`` per sorted cover; a refusal keeps nothing."""
+    key = tuple(sorted(set(_vertex_ids(cover))))
+    if key not in inst.completions:
+        inst.completions[key] = _complete(inst, list(key))
+    return inst.completions[key]
+
+
+def _complete(inst: ReducedInstance, cover: list[int]) -> Graph:
+    """The completion behind ``_completed``, uncached, of a sorted list of distinct ids."""
     n, N = inst.n_original, inst.graph.n
     if any(not (0 <= v < n) for v in cover):
         raise GraphInputError("cover contains a non-original vertex")
@@ -644,7 +680,7 @@ def load_instance(dimacs_path, sidecar_path=None) -> ReducedInstance:
         graph=H,
         original=original,
         kind=kind,
-        blocks=tuple(np.asarray(_vertex_ids(blk), dtype=np.int64) for blk in blocks),
+        blocks=tuple(_frozen(np.array(_vertex_ids(blk), dtype=np.int64)) for blk in blocks),
         b=b,
         q=q,
         coloring=coloring,

@@ -116,8 +116,19 @@ def exact_vertex_cover(graph: Graph, node_budget: int = 5_000_000) -> CoverResul
     supplies the lower bound.  Exceeding the node budget yields an explicit
     non-optimal result carrying the best cover found (still a valid cover).
     ``node_budget`` must be a nonnegative integer.
+
+    The certified result is kept on the graph per node budget (``Graph._kept``),
+    so the search runs once per graph and budget: a later call returns the
+    same result, whose ``nodes`` and ``seconds`` are the first search's.  A
+    budget-exhausted result stays one for its budget; a call with another
+    budget searches again.
     """
     node_budget = _count_param("node_budget", node_budget)
+    return graph._kept(("cover", node_budget), _search_cover, graph, node_budget)
+
+
+def _search_cover(graph: Graph, node_budget: int) -> CoverResult:
+    """The search behind ``exact_vertex_cover``, uncached."""
     t0 = time.perf_counter()
     n = graph.n
     adj = _bits.row_ints(graph.packed_rows())

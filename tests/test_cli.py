@@ -1,4 +1,5 @@
 import ast
+import collections
 import concurrent.futures
 import hashlib
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fillinlab import _bits, cli, graph
+from fillinlab import _bits, cli, graph, reduction, solvers
 from fillinlab.graph import Graph, load_dimacs, save_dimacs
 from fillinlab.matrix import arrow_pattern, save_matrix_market
 
@@ -226,6 +227,38 @@ class TestVerify:
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout == "False\n"
+
+    def test_each_trial_computes_each_fact_once(self, monkeypatch):
+        """A transfer trial (three runs on one G) searches G's cover, colors G, builds
+        its gadget and certifies a split completion once each; a theorem4 trial (three
+        decision checks on one G) searches the cover and completes it once.  Counted
+        through the uncached bodies."""
+        calls = collections.Counter()
+        for module, name in [
+            (solvers, "_search_cover"), (reduction, "_brooks_coloring"),
+            (reduction, "_gadget"), (reduction, "is_split"),
+        ]:
+            def counted(*args, _body=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _body(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        rng = np.random.default_rng(39)
+        for suite, task, draw in [
+            ("transfer", cli._transfer_task, cli._draw_transfer),
+            ("theorem4", cli._theorem4_task, cli._draw_theorem4),
+        ]:
+            args = cli.build_parser().parse_args(["verify", suite])
+            for t in range(4):
+                calls.clear()
+                payload = draw(rng, args)
+                assert all(rec.passed for rec in task((t, *payload)))
+                if suite == "transfer":
+                    assert calls == {"_search_cover": 1, "_brooks_coloring": 1, "_gadget": 1, "is_split": 1}
+                else:
+                    g, c = payload[:2]
+                    completes = int(solvers.exact_vertex_cover(g).size <= c)
+                    assert calls == collections.Counter(_search_cover=1, _gadget=1, is_split=completes)
 
     def test_at_most_one_worker_per_trial(self, tmp_path, monkeypatch):
         """``--jobs`` beyond the trial count starts one worker per trial; no process starts here."""

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import fillinlab
 from fillinlab import _bits
+from fillinlab.chordal import find_hole, verify_fillin
 from fillinlab.errors import GraphInputError
 from fillinlab.generate import gnp, random_subcubic
 from fillinlab.graph import (
@@ -25,7 +26,7 @@ from fillinlab.graph import (
     twin_quotient,
 )
 from fillinlab.reduction import brooks_coloring, reduce_colored, reduce_primitive
-from fillinlab.solvers import greedy_game
+from fillinlab.solvers import exact_vertex_cover, greedy_game
 
 from .conftest import traced_peak
 from .oracles import (
@@ -110,10 +111,12 @@ class TestBuild:
     ], ids=["pickle", "deepcopy", "copy"])
     def test_copies_stay_read_only(self, graphs, dump):
         g = graphs["c5"]
+        g.content_hash(), exact_vertex_cover(g), brooks_coloring(g, 3)
         h = dump(g)
         assert h == g and (h.n, h.m) == (g.n, g.m) and h.degrees().tolist() == g.degrees().tolist()
         assert not h.packed_rows().flags.writeable and not h.degrees().flags.writeable
         assert not g.packed_rows().flags.writeable
+        assert h._memo == {} and len(g._memo) >= 3  # a copy keeps none of g's facts
 
 
 class TestNormalizeEdges:
@@ -685,3 +688,58 @@ def test_fill_ins_stay_codes_in_the_package():
                 decoders.add(scope)
     assert not revived and not any(hasattr(fillinlab, name) for name in SET_FORMS)
     assert decoders == PAIR_DECODERS
+
+
+#: The facts kept on a graph, by the one function that keeps each (``Graph._kept``).
+KEPT_FACTS = {
+    "graph.Graph.content_hash",
+    "solvers.exact_vertex_cover",
+    "reduction.brooks_coloring",
+    "reduction.reduce_colored",
+}
+
+#: Decorators that keep results in a table of their own, outside any graph.
+CACHE_DECORATORS = ("lru_cache", "cache", "cached_property")
+
+#: ``cli.build_parser`` keeps the process's one argparse tree, which is no fact about a graph.
+CACHE_DECORATED = {"cli.build_parser"}
+
+#: Module-level constructors of an empty table, the start of a module-wide cache.
+EMPTY_TABLES = {
+    "dict", "set", "list", "defaultdict", "OrderedDict", "WeakKeyDictionary", "WeakValueDictionary",
+}
+
+
+def test_facts_are_kept_on_their_objects():
+    """Every kept value lives on a ``Graph`` (by the functions of ``KEPT_FACTS``) or a
+    ``ReducedInstance`` (``reduction._completed``): no module caches by a decorator,
+    binds an empty table at module level or rebinds a global.  No verdict of
+    ``verify_fillin`` or ``find_hole`` is kept, so every re-check recomputes it."""
+    package = Path(fillinlab.__file__).parent
+    offenders, keepers = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            value = getattr(node, "value", None) if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+            empty = isinstance(value, ast.Dict) and not value.keys
+            empty |= isinstance(value, ast.List) and not value.elts
+            called = isinstance(value, ast.Call) and ast.unparse(value.func).split(".")[-1] in EMPTY_TABLES
+            if empty or called:
+                offenders.append(f"{path.stem}: {ast.unparse(node)}")
+        for scope, node in _scoped_nodes(tree, path.stem):
+            if isinstance(node, ast.Global):
+                offenders.append(f"{scope}: {ast.unparse(node)}")
+            for dec in getattr(node, "decorator_list", ()):
+                name = ast.unparse(dec).split("(")[0].split(".")[-1]
+                if name in CACHE_DECORATORS and f"{scope}.{node.name}" not in CACHE_DECORATED:
+                    offenders.append(f"{scope}.{node.name}: @{ast.unparse(dec)}")
+            if isinstance(node, ast.Attribute) and node.attr in ("_kept", "_memo", "completions"):
+                keepers.add(scope)
+    assert not offenders
+    assert keepers == KEPT_FACTS | {"graph.Graph._adopt", "graph.Graph._kept", "reduction._completed"}
+
+    c5 = Graph.build(5, [(i, (i + 1) % 5) for i in range(5)])
+    memo = dict(c5._memo)
+    assert find_hole(c5) is not find_hole(c5)
+    assert verify_fillin(c5, [(0, 2), (0, 3)]) is not verify_fillin(c5, [(0, 2), (0, 3)])
+    assert c5._memo == memo

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
+import weakref
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -16,6 +18,7 @@ from fillinlab.graph import Graph
 from fillinlab.reduction import (
     Coloring,
     ReducedInstance,
+    _completed,
     _gadget,
     brooks_coloring,
     decision_equivalence_check,
@@ -949,6 +952,72 @@ class TestFirstFailure:
         blocks[3][7] = blocks[2][2]  # two repeats; the U patterns are wrong too
         with pytest.raises(CounterexampleError, match="^blocks do not partition the gadget vertices$"):
             dataclasses.replace(inst, blocks=tuple(blocks)).validate()
+
+
+class TestKeptFacts:
+    """A graph keeps its cover per node budget, its Brooks coloring per d and its
+    colored gadget per (b, coloring object, max_cells), and a gadget keeps its split
+    completion per cover; an error keeps nothing and is raised on every call."""
+
+    def test_each_fact_is_kept(self):
+        g = bridged_cubic()
+        col = brooks_coloring(g, 3)
+        inst = reduce_colored(g, 2, col)
+        cover = exact_vertex_cover(g)
+        done = _completed(inst, cover.vertices)
+        assert brooks_coloring(g, 3) is col and exact_vertex_cover(g) is cover
+        assert reduce_colored(g, 2, col) is inst and reduce_colored(g, 1, col) is not inst
+        assert _completed(inst, [*sorted(cover.vertices, reverse=True), min(cover.vertices)]) is done
+        # keyed by the coloring object, never by its content
+        same = Coloring(col.colors, col.q)
+        assert reduce_colored(g, 2, same) is not inst and reduce_colored(g, 2, same).coloring is same
+
+    def test_a_cut_search_is_kept_for_its_budget_alone(self):
+        g = named_graphs()["petersen"]
+        cut = exact_vertex_cover(g, node_budget=1)
+        assert cut.status == "budget_exhausted" and exact_vertex_cover(g, node_budget=1) is cut
+        best = exact_vertex_cover(g)
+        assert best.optimal and best.size == 6
+        assert exact_vertex_cover(g, node_budget=1) is cut and exact_vertex_cover(g) is best
+
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda g: exact_vertex_cover(g, node_budget=-1), GraphInputError, "^node_budget must be"),
+        (lambda g: brooks_coloring(g, 2), GraphInputError, "^degree bound d must be at least 3"),
+        (lambda g: brooks_coloring(K4, 3), GraphInputError, r"^clique on 4 vertices \[0, 1, 2, 3\] present"),
+        (lambda g: reduce_colored(g, 1, IMPROPER), GraphInputError, "^coloring is improper"),
+        (lambda g: _completed(reduce_colored(g, 1, brooks_coloring(g, 3)), [0]), GraphInputError,
+         "^not a vertex cover"),
+    ], ids=["node-budget", "small-d", "clique", "improper-coloring", "non-cover"])
+    def test_errors_are_raised_on_every_call(self, call, error, match):
+        g = bridged_cubic()
+        for _ in range(3):
+            with pytest.raises(error, match=match):
+                call(g)
+
+    def test_blocks_are_read_only(self, tmp_path):
+        g = bridged_cubic()
+        save_instance(reduce_colored(g, 1, brooks_coloring(g, 3)), tmp_path / "h.txt")
+        loaded = load_instance(tmp_path / "h.txt")
+        for inst in (reduce_primitive(g), reduce_colored(g, 1, brooks_coloring(g, 3)), loaded):
+            for block in inst.blocks:
+                with pytest.raises(ValueError, match="read-only"):
+                    block[0] = block[0]
+
+    def test_no_kept_fact_outlives_its_graph(self):
+        """G's gadget refers back to G, a cycle through G's memo that the collector frees."""
+        g = bridged_cubic()
+        inst = reduce_colored(g, 2, brooks_coloring(g, 3))
+        _completed(inst, exact_vertex_cover(g).vertices)
+        gadget, original = weakref.ref(inst.graph), weakref.ref(g)
+        del g, inst
+        gc.collect()
+        assert gadget() is None and original() is None
+
+
+K4 = named_graphs()["k4"]
+
+#: A 2-coloring of ``bridged_cubic``, whose triangle (0, 2, 3) no 2-coloring makes proper.
+IMPROPER = Coloring((0, 1, 1, 0, 0, 1, 0, 1, 1, 0), 2)
 
 
 def test_reduction_reads_no_single_vertex():
