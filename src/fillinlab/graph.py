@@ -9,15 +9,16 @@ are counted once at construction, and edges are listed in sorted order by
 one pass for loops that walk the graph vertex by vertex.
 
 Since a graph never changes, the facts the audits ask of it are kept on the
-graph itself, in one memo that lives and dies with it (``Graph._kept``): the
-content hash, ``solvers.exact_vertex_cover`` per node budget,
-``reduction.brooks_coloring`` per degree bound and ``reduction.reduce_colored``
-per (b, coloring object, cell limit).  Each is computed and certified by the
-first call that succeeds; a call that raises keeps nothing, so the error is
-raised again on every call.  Pickling and copying rebuild the graph through
+graph itself, in the package's one memo (``Graph._kept``): the content hash,
+``solvers.exact_vertex_cover`` per node budget, ``reduction.brooks_coloring``
+per degree bound, the checked parts of ``reduction.reduce_colored``'s gadget
+per (b, coloring object, cell limit) and, on a gadget, ``reduction._completed``
+per cover.  Each is computed and certified by the first call that succeeds; a
+call that raises keeps nothing, so the error is raised again on every call.
+No kept value refers back to its graph, so a dropped graph is freed, with its
+facts, by reference counting.  Pickling and copying rebuild the graph through
 ``Graph._adopt`` with an empty memo.  Verdicts that re-check a result,
-``chordal.verify_fillin`` and ``chordal.find_hole``, are never kept, so every
-re-check recomputes them.
+``chordal.verify_fillin`` and ``chordal.find_hole``, are never kept.
 
 File format owned here: a DIMACS-like edge-list text format (1-based on
 disk).

@@ -31,9 +31,9 @@ them.  Every clique test (a K_{d+1} component, the clique U) is
 ``_bits.is_clique``, and the search for a forbidden K_{d+1} makes the same
 popcount count for all its candidates at once.  The structural checks are
 whole-graph passes that name the first failure: ``ReducedInstance.validate``
-tests all n original rows against one expected matrix and the blocks of every
-edge at once, and ``Coloring.validate`` compares the colors of every edge at
-once, each in ``Graph.edge_list`` order.
+tests all n original rows against one expected matrix, and
+``Coloring.monochromatic_edge`` compares the colors of every edge at once, in
+``Graph.edge_list`` order.  An instance keeps no fact; graphs do (``Graph._kept``).
 
 Sizes then sandwich each other: tau(G)*deficit <= phi(H) <
 (tau(G)+1)*deficit with deficit = n^2 for the primitive construction, which
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -194,9 +194,9 @@ def brooks_coloring(graph: Graph, d: int) -> Coloring:
       d neighbors of x, is colored alone as from a low-degree root x, and is
       recolored so x gets color 0.
 
-    The validated coloring is kept on the graph per d (``Graph._kept``), so a
-    graph is colored and its coloring checked once; a refusal keeps nothing
-    and is raised again on every call.
+    The coloring, checked for a monochromatic edge (a bug here, not bad input),
+    is kept on the graph per d (``Graph._kept``), so a graph is colored and its
+    coloring checked once; a refusal keeps nothing and is raised on every call.
     """
     d = _int_param("d", d)
     return graph._kept(("brooks", d), _brooks_coloring, graph, d)
@@ -253,7 +253,8 @@ def _brooks_coloring(graph: Graph, d: int) -> Coloring:
 
     q = max(colors) + 1 if colors else 0
     coloring = Coloring(tuple(colors), q)
-    coloring.validate(graph)
+    if (bad := coloring.monochromatic_edge(graph)) is not None:
+        raise CounterexampleError(f"constructive coloring left edge {bad} monochromatic")
     if q > d:
         raise CounterexampleError("constructive coloring exceeded d colors")
     return coloring
@@ -264,19 +265,23 @@ def _brooks_coloring(graph: Graph, d: int) -> Coloring:
 
 @dataclass(frozen=True, eq=False)
 class ReducedInstance:
-    """Gadget graph H plus the bookkeeping needed to map certificates back.
-
-    ``completions`` keeps ``_completed``'s certified split completion per
-    normalized cover, so an instance completes and checks each cover once."""
+    """Gadget graph H plus the bookkeeping needed to map certificates back: a
+    frozen value that keeps nothing (``_completed`` keeps on H).  ``coloring``
+    and ``b`` are None for the primitive gadget, whose blocks are n*n wide."""
 
     graph: Graph
     original: Graph
-    kind: str  # 'primitive' | 'colored'
     blocks: tuple  # per original vertex (primitive) or per color (colored), read-only arrays
     b: int | None = None
-    q: int | None = None
     coloring: Coloring | None = None
-    completions: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def kind(self) -> str:
+        return "primitive" if self.coloring is None else "colored"
+
+    @property
+    def q(self) -> int | None:
+        return None if self.coloring is None else self.coloring.q
 
     @property
     def n_original(self) -> int:
@@ -286,25 +291,29 @@ class ReducedInstance:
     def block_deficit(self) -> int:
         """Missing edges from each original vertex to U."""
         n = self.n_original
-        return n * n if self.kind == "primitive" else self.b * n
+        return n * (n if self.b is None else self.b)
+
+    @property
+    def block_of(self) -> np.ndarray:
+        """The block each original vertex misses: its own, or its color's."""
+        return np.arange(self.n_original) if self.coloring is None else np.asarray(self.coloring.colors)
 
     def missing_block(self, v: int) -> np.ndarray:
         """Gadget vertices not adjacent to original vertex v."""
-        if self.kind == "primitive":
-            return self.blocks[v]
-        return self.blocks[self.coloring.colors[v]]
+        return self.blocks[self.block_of[v]]
 
     def validate(self) -> None:
         """Structural self-check; failure means the construction is buggy.
 
         Each check is one pass over the whole gadget: the blocks partition
-        the new vertices (one sort), every original row meets U in exactly U
-        minus its missing block (all n rows against one expected matrix; the
-        smallest wrong vertex is named), and no edge of G has both ends
-        missing one block (the first such edge in ``Graph.edge_list`` order)."""
+        the new vertices (one sort), and every original row meets U in exactly
+        U minus its missing block (all n rows against one expected matrix; the
+        smallest wrong vertex is named).  That the ends of an edge of G miss
+        different blocks is not re-tested: every vertex misses its own on the
+        primitive gadget, and both builders of a colored one run ``Coloring.validate``."""
         n, N = self.n_original, self.graph.n
         rows = self.graph.packed_rows()
-        if len(self.blocks) != (n if self.kind == "primitive" else self.q):
+        if len(self.blocks) != (n if self.q is None else self.q):
             raise CounterexampleError("block count differs from the construction's")
         sizes = {len(blk) for blk in self.blocks}
         if sizes and sizes != {self.block_deficit}:
@@ -318,24 +327,14 @@ class ReducedInstance:
         u_mask = _bits.mask_from_indices(N, range(n, N))
         if not _bits.is_clique(rows, u_mask, N):
             raise CounterexampleError("gadget vertices do not form a clique")
-        if self.kind == "primitive":
-            block_of = np.arange(n)
-        else:
-            block_of = np.asarray(self.coloring.colors, dtype=np.int64)
         missing = _bits.zero_rows(len(self.blocks), N)  # row c: the vertices of block c
         blk = np.repeat(np.arange(len(self.blocks)), [len(b) for b in self.blocks])
         _bits.set_bits(missing, blk, ids.astype(np.int64))
-        want = (u_mask & ~missing)[block_of]
+        want = (u_mask & ~missing)[self.block_of]
         wrong = np.flatnonzero(((rows[:n] & u_mask) != want).any(axis=1))
         if wrong.size:
             raise CounterexampleError(
                 f"vertex {int(wrong[0])} has the wrong gadget adjacency pattern"
-            )
-        u, v = np.divmod(_bits.upper_codes(self.original.packed_rows(), n), max(n, 1))
-        same = np.flatnonzero(block_of[u] == block_of[v])
-        if same.size:
-            raise CounterexampleError(
-                f"edge ({int(u[same[0]])},{int(v[same[0]])}) endpoints miss the same block"
             )
 
 
@@ -368,7 +367,7 @@ def _gadget(graph: Graph, block_of, nblocks: int, size: int) -> tuple[Graph, tup
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """a, made read-only: a kept instance's blocks are shared by every later caller."""
+    """a, made read-only: kept blocks are shared by every later instance."""
     a.setflags(write=False)
     return a
 
@@ -389,7 +388,7 @@ def reduce_primitive(graph: Graph, max_n: int = PRIMITIVE_MAX_N) -> ReducedInsta
             "raise the limit explicitly to override"
         )
     h, blocks = _gadget(graph, range(n), n, n * n)
-    inst = ReducedInstance(graph=h, original=graph, kind="primitive", blocks=blocks)
+    inst = ReducedInstance(graph=h, original=graph, blocks=blocks)
     inst.validate()
     return inst
 
@@ -400,9 +399,10 @@ def reduce_colored(
     """Per-color gadget: b*n new vertices per color class, U a clique.
 
     Produces a graph on (b*q + 1)*n vertices, linear in n for fixed b, q.
-    The validated instance is kept on the graph per (b, coloring object,
-    max_cells) (``Graph._kept``), so a graph's gadget is built and checked once
-    per coloring; a refusal keeps nothing and is raised again on every call.
+    The checked coloring, H and blocks are kept on the graph per (b, coloring
+    object, max_cells) (``Graph._kept``) and wrapped in a new instance per call,
+    so a graph's gadget is built and checked once per coloring; a refusal keeps
+    nothing and is raised again on every call.
     """
     if graph.n < 1:
         raise GraphInputError("the construction needs at least one vertex")
@@ -410,11 +410,13 @@ def reduce_colored(
     if b < 1:
         raise GraphInputError("block scale b must be positive")
     key = ("gadget", b, id(coloring), max_cells)
-    return graph._kept(key, _reduce_colored, graph, b, coloring, max_cells)
+    _, h, blocks = graph._kept(key, _reduce_colored, graph, b, coloring, max_cells)
+    return ReducedInstance(graph=h, original=graph, blocks=blocks, b=b, coloring=coloring)
 
 
-def _reduce_colored(graph: Graph, b: int, coloring: Coloring, max_cells: int) -> ReducedInstance:
-    """The construction behind ``reduce_colored``, uncached."""
+def _reduce_colored(graph: Graph, b: int, coloring: Coloring, max_cells: int) -> tuple:
+    """The construction behind ``reduce_colored``, uncached: the coloring (kept,
+    so the ``id`` in the key stays its own), H and the blocks of the validated instance."""
     n = graph.n
     coloring.validate(graph)
     q = coloring.q
@@ -423,11 +425,8 @@ def _reduce_colored(graph: Graph, b: int, coloring: Coloring, max_cells: int) ->
             f"colored gadget with b*q*n = {b * q * n} cells refused (limit {max_cells})"
         )
     h, blocks = _gadget(graph, coloring.colors, q, b * n)
-    inst = ReducedInstance(
-        graph=h, original=graph, kind="colored", blocks=blocks, b=b, q=q, coloring=coloring
-    )
-    inst.validate()
-    return inst
+    ReducedInstance(graph=h, original=graph, blocks=blocks, b=b, coloring=coloring).validate()
+    return coloring, h, blocks
 
 
 # -- certificate maps -------------------------------------------------------------
@@ -437,11 +436,9 @@ def _completed(inst: ReducedInstance, cover) -> Graph:
     """The gadget with cover-union-U completed into a clique: a split graph,
     hence chordal, with |C|*deficit + C(|C|,2) - |E(G[C])| edges more than H,
     checked with |E(G[C])| counted from G's rows.  The certified completion is
-    kept in ``inst.completions`` per sorted cover; a refusal keeps nothing."""
+    kept on H per sorted cover (``Graph._kept``); a refusal keeps nothing."""
     key = tuple(sorted(set(_vertex_ids(cover))))
-    if key not in inst.completions:
-        inst.completions[key] = _complete(inst, list(key))
-    return inst.completions[key]
+    return inst.graph._kept(("completion", key), _complete, inst, list(key))
 
 
 def _complete(inst: ReducedInstance, cover: list[int]) -> Graph:
@@ -520,6 +517,16 @@ def produced_fillins(inst: ReducedInstance, rng=None, random_orderings: int = 0)
     return out
 
 
+def _primitive_gadget(graph: Graph, inst: ReducedInstance | None) -> ReducedInstance:
+    """``inst``, or G's primitive gadget when it is None; a colored gadget or the
+    gadget of another graph is an input error."""
+    if inst is None:
+        return reduce_primitive(graph)
+    if inst.coloring is not None or inst.original != graph:
+        raise GraphInputError(f"the primitive audits of {graph!r} got the {inst.kind} gadget of {inst.original!r}")
+    return inst
+
+
 def verify_sandwich(
     graph: Graph,
     inst: ReducedInstance | None = None,
@@ -533,10 +540,7 @@ def verify_sandwich(
     ordering oracle on gadgets of at most SANDWICH_EXACT_MAX_VERTICES
     vertices (n <= 2), although the oracle would solve them up to n = 8.
     """
-    if inst is None:
-        inst = reduce_primitive(graph)
-    if inst.kind != "primitive":
-        raise GraphInputError("the sandwich window applies to primitive instances")
+    inst = _primitive_gadget(graph, inst)
     deficit = inst.block_deficit
     report = RunReport(
         command="verify-sandwich", instance=instance_descriptor(graph)
@@ -585,8 +589,7 @@ def decision_equivalence_check(
     within the bound, the extracted full-vertex set must be a cover of size
     at most c.
     """
-    if inst is None:
-        inst = reduce_primitive(graph)
+    inst = _primitive_gadget(graph, inst)
     n = graph.n
     bound = (c + 1) * n * n - 1
     report = RunReport(
@@ -668,7 +671,7 @@ def load_instance(dimacs_path, sidecar_path=None) -> ReducedInstance:
         raise GraphInputError(f"{sidecar_path}: reduction must be 'primitive' or 'colored'")
     n = _int_param("n", side.get("n"))
     original, _ = H.induced_subgraph(range(n))
-    b = q = coloring = None
+    b = coloring = None
     if kind == "colored":
         b, q = _int_param("b", side.get("b")), _int_param("q", side.get("q"))
         coloring = Coloring(tuple(_vertex_ids(side.get("coloring"))), q)
@@ -679,10 +682,8 @@ def load_instance(dimacs_path, sidecar_path=None) -> ReducedInstance:
     inst = ReducedInstance(
         graph=H,
         original=original,
-        kind=kind,
         blocks=tuple(_frozen(np.array(_vertex_ids(blk), dtype=np.int64)) for blk in blocks),
         b=b,
-        q=q,
         coloring=coloring,
     )
     try:

@@ -52,7 +52,6 @@ is always an explicit outcome, never a silently wrong answer.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +85,6 @@ class CoverResult:
     vertices: frozenset[int]
     optimal: bool
     nodes: int
-    seconds: float
 
     @property
     def size(self) -> int:
@@ -119,7 +117,7 @@ def exact_vertex_cover(graph: Graph, node_budget: int = 5_000_000) -> CoverResul
 
     The certified result is kept on the graph per node budget (``Graph._kept``),
     so the search runs once per graph and budget: a later call returns the
-    same result, whose ``nodes`` and ``seconds`` are the first search's.  A
+    same result, whose ``nodes`` are the first search's.  A
     budget-exhausted result stays one for its budget; a call with another
     budget searches again.
     """
@@ -129,7 +127,6 @@ def exact_vertex_cover(graph: Graph, node_budget: int = 5_000_000) -> CoverResul
 
 def _search_cover(graph: Graph, node_budget: int) -> CoverResult:
     """The search behind ``exact_vertex_cover``, uncached."""
-    t0 = time.perf_counter()
     n = graph.n
     adj = _bits.row_ints(graph.packed_rows())
     full = (1 << n) - 1
@@ -204,7 +201,6 @@ def _search_cover(graph: Graph, node_budget: int) -> CoverResult:
         vertices=frozenset(best_set),
         optimal=optimal,
         nodes=nodes,
-        seconds=time.perf_counter() - t0,
     )
     if not is_vertex_cover(graph, result.vertices):
         raise CounterexampleError("vertex cover solver returned a non-cover")
@@ -291,7 +287,6 @@ class BranchFillinResult:
     status: str  # 'found' | 'none_within_budget' | 'feasible_budget_exhausted' | 'exhausted'
     fillin: np.ndarray | None  # sorted codes u * n + w with u < w
     nodes: int
-    seconds: float
 
 
 def exact_fillin_branch(
@@ -314,7 +309,6 @@ def exact_fillin_branch(
     """
     budget = _count_param("budget", budget)
     node_budget = _count_param("node_budget", node_budget)
-    t0 = time.perf_counter()
     n = graph.n
     nodes = 0
     best: list[int] | None = None  # codes u * n + w with u < w
@@ -350,9 +344,8 @@ def exact_fillin_branch(
         status = "feasible_budget_exhausted" if best is not None else "exhausted"
     else:
         status = "found" if best is not None else "none_within_budget"
-    seconds = time.perf_counter() - t0
     fillin = None if best is None else np.sort(np.array(best, dtype=np.int64))
-    return BranchFillinResult(status, fillin, nodes, seconds)
+    return BranchFillinResult(status, fillin, nodes)
 
 
 # -- greedy elimination heuristics -------------------------------------------------

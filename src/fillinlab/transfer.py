@@ -27,9 +27,9 @@ cover, and every size is the edges a filled gadget adds.  Exact-backed and
 heuristic-backed instantiations ship below.
 
 The facts about G are computed and certified once per graph, not once per
-run: G keeps its Brooks coloring, colored gadget and exact cover
-(``Graph._kept``), and the gadget keeps its completion of that cover
-(``ReducedInstance.completions``).  So the runs of both modes on one G share
+run: G keeps its Brooks coloring, the checked parts of its colored gadget and
+its exact cover, and the gadget graph H keeps its completion of that cover
+(``Graph._kept``).  So the runs of both modes on one G share
 one coloring check, one gadget check, one cover search and one split check,
 and an exact-backed procedure's cover and completion are the ones the
 pipeline reads for its bound.  The procedure's output is checked on every run.

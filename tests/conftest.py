@@ -40,6 +40,12 @@ def bridged_cubic():
     return Graph.build(10, side + [(u + 5, v + 5) for u, v in side] + [(4, 9)])
 
 
+def all_zero_colors(adj, vertices, colors):
+    """A broken stand-in for ``reduction._greedy_colors``: color 0 for every vertex."""
+    for v in vertices:
+        colors[v] = 0
+
+
 def bridge_chain_cubic():
     """Three K4s minus an edge in a row, joined by two bridges (the end ones
     through a new vertex each): a cubic graph on 14 vertices, labelled so that

@@ -15,7 +15,7 @@ from fillinlab import _bits, cli, graph, reduction, solvers
 from fillinlab.graph import Graph, load_dimacs, save_dimacs
 from fillinlab.matrix import arrow_pattern, save_matrix_market
 
-from .conftest import count_degree_steps, grid3d_pattern, traced_peak
+from .conftest import all_zero_colors, bridged_cubic, count_degree_steps, grid3d_pattern, traced_peak
 from .oracles import clique_tail_brute, min_degree_ordering_brute
 
 
@@ -96,6 +96,15 @@ class TestReduce:
         code = run(["reduce", str(src), "--mode", "colored", "--d", "3", "--graph-out", str(tmp_path / "o.col")])
         assert code == cli.EXIT_BAD_INPUT
         assert "clique" in capsys.readouterr().err
+
+    def test_improper_own_coloring_is_a_hard_failure(self, tmp_path, monkeypatch, capsys):
+        """A monochromatic edge in ``brooks_coloring``'s own output exits 1, not 2."""
+        src = tmp_path / "g.col"
+        save_dimacs(bridged_cubic(), src)
+        monkeypatch.setattr(reduction, "_greedy_colors", all_zero_colors)
+        code = run(["reduce", str(src), "--mode", "colored", "--graph-out", str(tmp_path / "o.col")])
+        assert code == cli.EXIT_CHECK_FAILED
+        assert "HARD FAILURE" in capsys.readouterr().err
 
     def test_limit_override_env(self, tmp_path, monkeypatch, graphs):
         src = tmp_path / "c4.col"
@@ -314,6 +323,18 @@ def test_verify_suites_are_one_table():
     ]
     assert "_build_payloads" not in defined
     assert not branches
+
+
+def test_only_cli_reads_the_clock():
+    """Wall-clock numbers appear only behind ``--timings``: ``cli`` is the one
+    module of the package that imports ``time``."""
+    readers = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if "time" in names or (isinstance(node, ast.ImportFrom) and node.module == "time"):
+                readers.add(path.stem)
+    assert readers == {"cli"}
 
 
 class TestEliminate:

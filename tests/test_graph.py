@@ -696,6 +696,7 @@ KEPT_FACTS = {
     "solvers.exact_vertex_cover",
     "reduction.brooks_coloring",
     "reduction.reduce_colored",
+    "reduction._completed",
 }
 
 #: Decorators that keep results in a table of their own, outside any graph.
@@ -711,8 +712,8 @@ EMPTY_TABLES = {
 
 
 def test_facts_are_kept_on_their_objects():
-    """Every kept value lives on a ``Graph`` (by the functions of ``KEPT_FACTS``) or a
-    ``ReducedInstance`` (``reduction._completed``): no module caches by a decorator,
+    """Every kept value lives on a ``Graph``, by the functions of ``KEPT_FACTS``
+    (a gadget's completions on its graph H): no module caches by a decorator,
     binds an empty table at module level or rebinds a global.  No verdict of
     ``verify_fillin`` or ``find_hole`` is kept, so every re-check recomputes it."""
     package = Path(fillinlab.__file__).parent
@@ -733,10 +734,10 @@ def test_facts_are_kept_on_their_objects():
                 name = ast.unparse(dec).split("(")[0].split(".")[-1]
                 if name in CACHE_DECORATORS and f"{scope}.{node.name}" not in CACHE_DECORATED:
                     offenders.append(f"{scope}.{node.name}: @{ast.unparse(dec)}")
-            if isinstance(node, ast.Attribute) and node.attr in ("_kept", "_memo", "completions"):
+            if isinstance(node, ast.Attribute) and node.attr in ("_kept", "_memo"):
                 keepers.add(scope)
     assert not offenders
-    assert keepers == KEPT_FACTS | {"graph.Graph._adopt", "graph.Graph._kept", "reduction._completed"}
+    assert keepers == KEPT_FACTS | {"graph.Graph._adopt", "graph.Graph._kept"}
 
     c5 = Graph.build(5, [(i, (i + 1) % 5) for i in range(5)])
     memo = dict(c5._memo)

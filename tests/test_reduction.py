@@ -19,7 +19,6 @@ from fillinlab.reduction import (
     Coloring,
     ReducedInstance,
     _completed,
-    _gadget,
     brooks_coloring,
     decision_equivalence_check,
     full_vertices,
@@ -37,7 +36,7 @@ from fillinlab.solvers import (
     greedy_game,
 )
 
-from .conftest import bridge_chain_cubic, bridged_cubic, named_graphs, random_graph
+from .conftest import all_zero_colors, bridge_chain_cubic, bridged_cubic, named_graphs, random_graph
 from .oracles import (
     brooks_triple_missing,
     decode_codes,
@@ -127,6 +126,15 @@ class TestBrooks:
     def test_k4_rejected(self, graphs):
         with pytest.raises(GraphInputError, match="strip"):
             brooks_coloring(graphs["k4"], 3)
+
+    def test_an_improper_own_coloring_is_a_bug(self, monkeypatch):
+        """A monochromatic edge in the constructed coloring is the routine's own
+        failure, not bad input."""
+        from fillinlab import reduction
+
+        monkeypatch.setattr(reduction, "_greedy_colors", all_zero_colors)
+        with pytest.raises(CounterexampleError, match=r"^constructive coloring left edge \(\d+, \d+\) monochromatic$"):
+            brooks_coloring(bridged_cubic(), 3)
 
     def test_degree_bound_enforced(self, graphs):
         with pytest.raises(GraphInputError, match="degree"):
@@ -521,6 +529,12 @@ class TestVerifySandwich:
         with pytest.raises(GraphInputError):
             verify_sandwich(graphs["prism"], inst)
 
+    def test_gadget_of_another_graph_rejected(self, graphs):
+        """P3's gadget read as the triangle's would refute the window (tau = 2 > 1 full vertex)."""
+        triangle = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(GraphInputError, match=r"^the primitive audits of Graph\(n=3, m=3\) got the primitive gadget of Graph\(n=3, m=2\)$"):
+            verify_sandwich(triangle, inst=reduce_primitive(graphs["p3"]))
+
 
 class TestDecisionEquivalence:
     def test_k2_c1_constructive(self, k2_instance):
@@ -559,6 +573,15 @@ class TestDecisionEquivalence:
             "extracted_cover_at_most_c",
         ]
         assert rep.passed
+
+    def test_colored_instance_rejected(self):
+        """A colored gadget's blocks are not n^2 wide, so the threshold (c+1)n^2 - 1
+        would read its fill-ins wrong and report a false hard failure."""
+        g = bridged_cubic()
+        inst = reduce_colored(g, 1, brooks_coloring(g, 3))
+        fill = split_completion(inst, exact_vertex_cover(g).vertices)
+        with pytest.raises(GraphInputError, match=r"^the primitive audits of Graph\(n=10, m=15\) got the colored gadget of Graph\(n=10, m=15\)$"):
+            decision_equivalence_check(g, 4, fill, inst)
 
     def test_random_pairs(self, rng):
         for _ in range(10):
@@ -928,15 +951,6 @@ class TestFirstFailure:
         with pytest.raises(CounterexampleError, match=f"^vertex {first} has the wrong"):
             _toggled(inst, pairs).validate()
 
-    def test_first_same_block_edge(self):
-        g, colors = self.TWO_BAD, self.TWO_BAD_COLORS
-        h, blocks = _gadget(g, colors, 3, g.n)
-        inst = ReducedInstance(
-            graph=h, original=g, kind="colored", blocks=blocks, b=1, q=3, coloring=Coloring(colors, 3)
-        )
-        with pytest.raises(CounterexampleError, match=r"^edge \(1,5\) endpoints miss the same block$"):
-            inst.validate()
-
     def test_first_monochromatic_edge(self):
         col = Coloring(self.TWO_BAD_COLORS, 3)
         assert col.monochromatic_edge(self.TWO_BAD) == (1, 5)
@@ -955,9 +969,10 @@ class TestFirstFailure:
 
 
 class TestKeptFacts:
-    """A graph keeps its cover per node budget, its Brooks coloring per d and its
-    colored gadget per (b, coloring object, max_cells), and a gadget keeps its split
-    completion per cover; an error keeps nothing and is raised on every call."""
+    """A graph keeps its cover per node budget, its Brooks coloring per d and the
+    parts of its colored gadget per (b, coloring object, max_cells), and a gadget
+    graph keeps its split completion per cover; an error keeps nothing and is
+    raised on every call."""
 
     def test_each_fact_is_kept(self):
         g = bridged_cubic()
@@ -966,11 +981,26 @@ class TestKeptFacts:
         cover = exact_vertex_cover(g)
         done = _completed(inst, cover.vertices)
         assert brooks_coloring(g, 3) is col and exact_vertex_cover(g) is cover
-        assert reduce_colored(g, 2, col) is inst and reduce_colored(g, 1, col) is not inst
-        assert _completed(inst, [*sorted(cover.vertices, reverse=True), min(cover.vertices)]) is done
+        second = reduce_colored(g, 2, col)
+        assert second.graph is inst.graph and second.blocks is inst.blocks
+        assert second.coloring is col and inst.coloring is col
+        assert _completed(second, [*sorted(cover.vertices, reverse=True), min(cover.vertices)]) is done
+        assert reduce_colored(g, 1, col).graph is not inst.graph
         # keyed by the coloring object, never by its content
         same = Coloring(col.colors, col.q)
-        assert reduce_colored(g, 2, same) is not inst and reduce_colored(g, 2, same).coloring is same
+        other = reduce_colored(g, 2, same)
+        assert other.graph is not inst.graph and other.coloring is same
+
+    def test_an_instance_is_a_plain_value(self):
+        """An instance holds five immutable fields and keeps nothing itself."""
+        g = bridged_cubic()
+        inst = reduce_colored(g, 1, brooks_coloring(g, 3))
+        assert [f.name for f in dataclasses.fields(ReducedInstance)] == ["graph", "original", "blocks", "b", "coloring"]
+        assert (inst.kind, inst.q) == ("colored", inst.coloring.q)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.b = 2
+        prim = reduce_primitive(g)
+        assert (prim.kind, prim.q, prim.b, prim.coloring) == ("primitive", None, None, None)
 
     def test_a_cut_search_is_kept_for_its_budget_alone(self):
         g = named_graphs()["petersen"]
@@ -1004,14 +1034,18 @@ class TestKeptFacts:
                     block[0] = block[0]
 
     def test_no_kept_fact_outlives_its_graph(self):
-        """G's gadget refers back to G, a cycle through G's memo that the collector frees."""
-        g = bridged_cubic()
-        inst = reduce_colored(g, 2, brooks_coloring(g, 3))
-        _completed(inst, exact_vertex_cover(g).vertices)
-        gadget, original = weakref.ref(inst.graph), weakref.ref(g)
-        del g, inst
-        gc.collect()
-        assert gadget() is None and original() is None
+        """No kept fact refers back to its graph: with the cyclic collector off,
+        dropping G and its instance frees G, its gadget H and H's kept completion."""
+        gc.disable()
+        try:
+            g = bridged_cubic()
+            inst = reduce_colored(g, 2, brooks_coloring(g, 3))
+            done = _completed(inst, exact_vertex_cover(g).vertices)
+            refs = [weakref.ref(x) for x in (g, inst.graph, done)]
+            del g, inst, done
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
 
 K4 = named_graphs()["k4"]
