@@ -20,6 +20,9 @@ charging each item its unpacked bytes and ``BIT_BYTES`` per set bit.  Both
 hold a block to ``UNPACK_BLOCK_BYTES``, so a routine that turns set bits into
 codes (``upper_codes`` and ``matrix.symbolic_fill_codes``) counts them first,
 allocates its exact-size output once, and peaks at that output plus one block.
+``upper_codes_equal`` reads the same blocks as ``upper_codes`` but compares each
+with its slice of given codes instead of keeping it, so a fill that is checked
+against codes in hand never exists twice.
 """
 
 import numpy as np
@@ -196,37 +199,79 @@ def is_clique(rows: np.ndarray, mask: np.ndarray, n: int) -> bool:
 def upper_codes(rows: np.ndarray, n: int) -> np.ndarray:
     """Sorted codes ``u * n + w`` (u < w) of the set bits (u, w) of an n-row matrix.
 
-    The codes fill one exact-size array, a block of rows at a time: a copy of
-    the block keeps only the bits right of the diagonal (``_right_of_diagonal``),
-    and ``set_positions`` reads them into the block's slice of the codes.  A
-    matrix that fits one ``bit_blocks`` block with every position right of its
-    diagonal set is read in one block, masked once.  A larger one is counted
-    first, row by row, one ``blocks`` slice of n unpacked bytes per row at a
-    time, then masked again and read in ``bit_blocks`` of those counts, so the
-    peak is the codes plus one block of about ``UNPACK_BLOCK_BYTES``.
+    A matrix read in one block (``_upper_counts``) returns that block's codes.
+    A larger one fills one exact-size array with the codes of each
+    ``_upper_code_blocks`` block in turn, so the peak is the codes plus one
+    block of about ``UNPACK_BLOCK_BYTES``.
     """
-    if n * n + BIT_BYTES * (n * (n - 1) // 2) <= UNPACK_BLOCK_BYTES:
-        u, w = set_positions(_right_of_diagonal(rows, 0, n))
-        u *= n
-        u += w
-        return u
-    counts = np.concatenate(
-        [
-            np.bitwise_count(_right_of_diagonal(rows, b.start, b.stop)).sum(axis=1, dtype=np.int64)
-            for b in blocks(n, n)
-        ]
-    )
+    counts = _upper_counts(rows, n)
+    if counts is None:
+        return _block_upper_codes(rows, slice(0, n), n)
     codes = np.empty(int(counts.sum()), dtype=np.int64)
     at = 0
-    for block in bit_blocks(n, counts):
-        u, w = set_positions(_right_of_diagonal(rows, block.start, block.stop))
-        part = codes[at : at + u.size]
-        np.add(u, block.start, out=part)
-        part *= n
-        part += w
-        at += u.size
-        del u, w  # before the next block's
+    for part in _upper_code_blocks(rows, n, counts):
+        codes[at : at + part.size] = part
+        at += part.size
+        del part  # before the next block's
     return codes
+
+
+def upper_codes_equal(rows: np.ndarray, n: int, codes: np.ndarray) -> bool:
+    """``np.array_equal(upper_codes(rows, n), codes)`` for a 1-D ``codes``,
+    without building the left side.
+
+    A matrix read in one block is compared whole.  A larger one compares its
+    count of set bits right of the diagonal with ``codes.size`` first, then the
+    codes of each ``_upper_code_blocks`` block with their slice of ``codes``,
+    each block released before the next, so the peak beside ``codes`` is one
+    block of about ``UNPACK_BLOCK_BYTES``.
+    """
+    counts = _upper_counts(rows, n)
+    if counts is None:
+        return np.array_equal(_block_upper_codes(rows, slice(0, n), n), codes)
+    if int(counts.sum()) != codes.size:
+        return False
+    at = 0
+    for part in _upper_code_blocks(rows, n, counts):
+        if not np.array_equal(codes[at : at + part.size], part):
+            return False
+        at += part.size
+        del part  # before the next block's
+    return True
+
+
+def _upper_counts(rows: np.ndarray, n: int) -> np.ndarray | None:
+    """The set bits right of the diagonal in each row of an n-row matrix, or
+    None when the matrix is read in one block: it fits one ``bit_blocks``
+    block with every position right of its diagonal set.
+
+    The rows are counted one ``blocks`` slice of n unpacked bytes per row at a
+    time, each slice masked by ``_right_of_diagonal``.
+    """
+    if n * n + BIT_BYTES * (n * (n - 1) // 2) <= UNPACK_BLOCK_BYTES:
+        return None
+    counts = np.empty(n, dtype=np.int64)
+    for b in blocks(n, n):
+        np.bitwise_count(_right_of_diagonal(rows, b.start, b.stop)).sum(axis=1, dtype=np.int64, out=counts[b])
+    return counts
+
+
+def _upper_code_blocks(rows: np.ndarray, n: int, counts: np.ndarray):
+    """The codes of an n-row matrix whose rows hold ``counts`` set bits right of
+    the diagonal, ascending, one ``bit_blocks`` block of rows at a time: the
+    block loop of ``upper_codes`` and ``upper_codes_equal``."""
+    for block in bit_blocks(n, counts):
+        yield _block_upper_codes(rows, block, n)
+
+
+def _block_upper_codes(rows: np.ndarray, block: slice, n: int) -> np.ndarray:
+    """The codes of the set bits right of the diagonal in rows ``block``, ascending:
+    a masked copy of the block (``_right_of_diagonal``) read by ``set_positions``."""
+    u, w = set_positions(_right_of_diagonal(rows, block.start, block.stop))
+    u += block.start
+    u *= n
+    u += w
+    return u
 
 
 def _right_of_diagonal(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:

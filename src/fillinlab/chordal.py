@@ -100,7 +100,9 @@ ORs that set into each row, after one prefix OR over the window has tested
 every link (bit c_{j+1} of P_j) and every tail.  It builds no elimination
 tree and never reads a column structure, so ``matrix.symbolic_fill_codes``,
 which merges columns up the tree, stays an independent cross-check of the
-same fill.
+same fill.  ``elimination_fill_matches`` makes that check: it plays the game
+and compares its fill rows with the factorization's codes block by block
+(``_bits.upper_codes_equal``), so the check holds one fill array, not two.
 
 Cost model: a single step is about ten NumPy calls, a batch about 45, plus
 work linear in the rows it reads; on the rows of sparse patterns a batch
@@ -465,12 +467,34 @@ def elimination_fill_codes(graph: Graph, order) -> np.ndarray:
     At each step the missing edges among the current vertex's not-yet
     eliminated neighbors are added, then the vertex is removed; the codes of
     all added pairs are returned.  Empty exactly when the order is a PEO.
+    ``_fill_rows`` plays the game; ``_bits.upper_codes`` reads its fill rows.
+    """
+    return _bits.upper_codes(_fill_rows(graph, order), graph.n)
+
+
+def elimination_fill_matches(graph: Graph, order, codes: np.ndarray) -> bool:
+    """True iff the elimination game's fill under ``order`` is exactly the sorted
+    int64 ``codes``: ``np.array_equal(elimination_fill_codes(graph, order), codes)``.
+
+    The game is played as for ``elimination_fill_codes``; then
+    ``_bits.upper_codes_equal`` compares the two counts, and the fill rows with
+    ``codes`` one block at a time, so the game's fill never becomes a second
+    code array beside ``codes``.
+    """
+    return _bits.upper_codes_equal(_fill_rows(graph, order), graph.n, codes)
+
+
+def _fill_rows(graph: Graph, order) -> np.ndarray:
+    """The elimination game of ``order``: packed rows whose bits right of the
+    diagonal are its fill.
+
     The game runs on closed rows (see ``_eliminate_vertex``); the fill is the
     working rows minus the original ones, taken in place by ``^=`` (the game
-    only sets bits), whose diagonal bits ``_bits.upper_codes`` drops.  It
-    stops after the first step whose vertex saw every other alive vertex:
-    that step leaves the alive vertices a clique, so the rest of the order
-    adds no fill and is not played.
+    only sets bits), so the rows hold the fill in both triangles and the
+    diagonal bits, which readers of the strict upper triangle drop.  It stops
+    after the first step whose vertex saw every other alive vertex: that step
+    leaves the alive vertices a clique, so the rest of the order adds no fill
+    and is not played.
 
     Steps are played one ``_eliminate_vertex`` call at a time, each testing
     one bit: whether the next vertex lies in the neighborhood it just
@@ -511,7 +535,7 @@ def elimination_fill_codes(graph: Graph, order) -> np.ndarray:
         step += played
         width, links = (2 * width, links) if linked else (_FIRST_WINDOW, 0)
     rows ^= original
-    return _bits.upper_codes(rows, n)
+    return rows
 
 
 # -- fill-in validation ---------------------------------------------------------

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import generate, matrix, transfer
-from .chordal import _validate_permutation, check_hole, check_peo, elimination_fill_codes, verify_fillin
+from .chordal import _validate_permutation, check_hole, check_peo, elimination_fill_matches, verify_fillin
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
 from .graph import Graph, _id_pairs, _vertex_ids, codes_hash, dimacs_text, load_dimacs, parse_ints, save_dimacs
 from .reduction import (
@@ -185,8 +185,10 @@ def cmd_eliminate(args) -> int:
     else:
         order, graph_fill = greedy_game(g, args.strategy)
     fill, total = matrix.symbolic_fill_codes(pattern, order)
-    if graph_fill is None:  # after the factorization: the peak is the two fill arrays and one block
-        graph_fill = elimination_fill_codes(g, order)
+    if graph_fill is None:  # the game's fill rows against the codes, a block at a time: one fill array
+        agree = elimination_fill_matches(g, order, fill)
+    else:  # no bool array as long as the fill, unlike np.array_equal; the peak is the two fill arrays
+        agree = fill.data == graph_fill.data
     report = RunReport(
         command="eliminate",
         # instance_descriptor's fields, the hash taken from the codes in hand
@@ -194,8 +196,7 @@ def cmd_eliminate(args) -> int:
         params={"ordering_source": args.ordering or args.strategy},
         outputs={"fill_size": fill.size, "total_nonzeros": total, "ordering": order},
     )
-    agree = int(fill.data == graph_fill.data)  # no bool array as long as the fill, unlike np.array_equal
-    report.add(check("matrix_graph_fill_agree", agree, 1, "=="))
+    report.add(check("matrix_graph_fill_agree", int(agree), 1, "=="))
     report.add(check("nonzero_accounting", total, 2 * (g.m + fill.size) + g.n, "=="))
     _emit(report, args)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED

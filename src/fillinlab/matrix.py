@@ -8,10 +8,11 @@ Python int bitset, in one bit per position between a column's diagonal and
 its last entry (at most n^2 / 2 bits), counted before the fill codes, 8 bytes
 per fill position, are allocated (Gilbert, Ng and Peyton 1994)--
 deliberately a separate implementation from the graph elimination game, so
-the two can cross-check each other position for position.  Patterns and
-fills are both sorted int64 codes ``i * n + j`` (``i < j``, original row
-ids), from the Matrix Market text to the factorization.  Numerical
-cancellation is ignored.
+the two can cross-check each other position for position: the game's fill
+rows are compared with the factorization's codes one block at a time, so a
+check of a fixed order holds one fill array.  Patterns and fills are both
+sorted int64 codes ``i * n + j`` (``i < j``, original row ids), from the
+Matrix Market text to the factorization.  Numerical cancellation is ignored.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import warnings
 import numpy as np
 
 from . import _bits
-from .chordal import _validate_permutation, elimination_fill_codes
+from .chordal import _validate_permutation, elimination_fill_matches
 from .errors import GraphInputError
 from .graph import Graph, _id_pairs, _int_param, _sorted_unique, _vertex_ids, parse_ints, text_lines
 
@@ -193,12 +194,13 @@ def fill_equivalence_check(pattern: SparsePattern, ordering) -> bool:
     """Matrix-side and graph-side fill agree position for position.
 
     The two sides are independent implementations; disagreement is treated
-    as a hard failure by the verification suites.
+    as a hard failure by the verification suites.  The factorization's codes
+    are the one fill array: the elimination game is checked against them
+    block by block (``chordal.elimination_fill_matches``).
     """
     order = _validate_permutation(pattern.n, ordering)  # both sides take the int64 array
     matrix_fill, _ = symbolic_fill_codes(pattern, order)
-    graph_fill = elimination_fill_codes(graph_from_pattern(pattern), order)
-    return bool(np.array_equal(matrix_fill, graph_fill))
+    return elimination_fill_matches(graph_from_pattern(pattern), order, matrix_fill)
 
 
 # -- Matrix Market coordinate I/O ------------------------------------------------
@@ -220,6 +222,10 @@ _BULK = {
     for field, width in _WIDTHS.items()
 }
 
+#: Entry lines per ``_BULK`` match: the matcher keeps state for every line it has
+#: matched, about 440 bytes each, so one match over a whole file would grow with it.
+_BULK_LINES = 512
+
 
 def load_matrix_market(path) -> SparsePattern:
     """Parse a coordinate Matrix Market file; the symmetric qualifier is required.
@@ -229,10 +235,11 @@ def load_matrix_market(path) -> SparsePattern:
     entry count checked between malformed and out-of-range entries.
 
     The lines after the size line are read in one pass when every one of them
-    is an entry that ``_BULK`` accepts: one regular-expression match over their
-    text and one ``np.fromstring``.  Any other file (comment or blank lines
-    among the entries, signs, extra tokens, short lines, words) is read line by
-    line by ``_parse_lines``; both give the same positions, messages and
+    is an entry that ``_BULK`` accepts: one regular-expression match per run
+    of ``_BULK_LINES`` joined lines, so the matcher's state stays bounded, and
+    one ``np.fromstring`` over their text.  Any other file (comment or blank
+    lines among the entries, signs, extra tokens, short lines, words) is read
+    line by line by ``_parse_lines``; both give the same positions, messages and
     zero-diagonal warnings.  Positions are deduplicated by one sort.
     """
     lines = text_lines(path) or [""]
@@ -256,8 +263,9 @@ def load_matrix_market(path) -> SparsePattern:
     if rows != cols:
         raise GraphInputError(f"{path}: pattern must be square, got {rows}x{cols}")
     n, width = _pattern_size(rows), _WIDTHS[field]
-    text = "".join(lines[at + 1 :])
-    if _BULK[field].fullmatch(text):
+    bulk = _BULK[field].fullmatch
+    if all(bulk("".join(lines[k : k + _BULK_LINES])) for k in range(at + 1, len(lines), _BULK_LINES)):
+        text = "".join(lines[at + 1 :])
         count = len(lines) - at - 1
         table = np.fromstring(text, dtype=np.int64 if width == 2 else float, sep=" ")
         table = table.reshape(count, width).T

@@ -163,3 +163,46 @@ def test_rows_from_ints_inverts_row_ints(rng, n):
         assert not _bits.padded_rows(back, n).size
     assert _bits.rows_from_ints([(1 << n) - 1], n).tolist() == _bits.pack(np.ones((1, n), bool)).tolist()
     assert _bits.rows_from_ints([], n).shape == (0, _bits.nwords(n))
+
+
+def _other_codes(codes: np.ndarray, n: int):
+    """Code arrays beside the true ``codes`` of an n-row matrix: none, one more past
+    the last, the last or the first dropped, one replaced by a free position of
+    its own row, and the last code of a row moved to a free position of the next
+    row that holds codes (the next block, when a block holds about one row)."""
+    taken = set(codes.tolist())
+    free = [u * n + w for u in range(n) for w in range(u + 1, n) if u * n + w not in taken]
+    out = [np.empty(0, dtype=np.int64), np.append(codes, n * n), codes[:-1], codes[1:]]
+    rows = codes // max(n, 1)
+    for i in range(codes.size):
+        own = [c for c in free if c // n == rows[i]]
+        later = np.flatnonzero(rows > rows[i])
+        if own and i == codes.size // 2:
+            out.append(np.sort(np.append(np.delete(codes, i), own[0])))
+        if later.size and rows[i + 1] > rows[i] and (nxt := [c for c in free if c // n == rows[later[0]]]):
+            out.append(np.sort(np.append(np.delete(codes, i), nxt[0])))
+            break
+    return out
+
+
+@pytest.mark.parametrize("block_bytes", [None, 64], ids=["one-block", "64-byte-blocks"])
+def test_upper_codes_equal_is_array_equal(rng, monkeypatch, block_bytes):
+    """The block comparison gives ``np.array_equal(upper_codes(rows, n), codes)``
+    on seeded symmetric matrices, diagonal bits included, against their codes and
+    the wrong codes of ``_other_codes``; 64-byte blocks read about one row each,
+    so a moved code crosses a block boundary."""
+    if block_bytes:
+        monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", block_bytes)
+    wrong = 0
+    for n in (0, 1, 2, 5, 63, 64, 65, 130):
+        for density in (0.0, 0.05, 0.5, 1.0):
+            matrix = rng.random((n, n)) < density
+            matrix |= matrix.T
+            rows = _bits.pack(matrix)
+            codes = _bits.upper_codes(rows, n)
+            assert _bits.upper_codes_equal(rows, n, codes)
+            for other in _other_codes(codes, n):
+                want = np.array_equal(_bits.upper_codes(rows, n), other)
+                assert _bits.upper_codes_equal(rows, n, other) == want, (n, density)
+                wrong += not want
+    assert wrong > 80

@@ -376,6 +376,80 @@ class TestEliminate:
         assert code == 0 and 8 * json.loads(rep.read_text())["outputs"]["fill_size"] == fill_bytes
         assert peak < 2 * fill_bytes + 2 * _bits.UNPACK_BLOCK_BYTES
 
+    def test_arrow_natural_order_holds_one_fill_array(self, tmp_path):
+        """Centre first on 1,500 rows: the game is checked against the
+        factorization's 1,122,751 fill codes block by block, so the run peaks at
+        one fill array (8.57 MiB) plus the parse, the rows and a block."""
+        n = 1500
+        fill_bytes = 8 * (n - 1) * (n - 2) // 2
+        mtx, rep = tmp_path / "arrow.mtx", tmp_path / "rep.json"
+        save_matrix_market(arrow_pattern(n), mtx)
+        argv = ["eliminate", str(mtx), "--strategy", "natural", "--out", str(rep)]
+        code, peak = traced_peak(run, argv)
+        assert code == 0 and 8 * json.loads(rep.read_text())["outputs"]["fill_size"] == fill_bytes
+        assert peak <= fill_bytes + 3 * 2**20
+
+    @pytest.mark.parametrize("block_bytes", [None, 64], ids=["one-block", "64-byte-blocks"])
+    @pytest.mark.parametrize("fault", ["drop", "add", "shift"])
+    def test_a_wrong_factorization_fails_the_cross_check(self, tmp_path, monkeypatch, fault, block_bytes):
+        """With one code of the factorization's fill dropped, added or moved to a
+        free position, ``matrix_graph_fill_agree`` fails under the natural order,
+        ``--ordering`` and min-degree, and ``fill_equivalence_check`` fails, with
+        the fill read in one block or in blocks of about one row."""
+        from fillinlab import matrix
+        from fillinlab.generate import grid
+
+        if block_bytes:
+            monkeypatch.setattr(_bits, "UNPACK_BLOCK_BYTES", block_bytes)
+
+        symbolic = matrix.symbolic_fill_codes
+
+        def wrong(pattern, order):
+            fill, total = symbolic(pattern, order)
+            n = pattern.n
+            u, w = np.triu_indices(n, 1)
+            free = np.setdiff1d(u * n + w, np.union1d(fill, pattern.codes))[0]
+            if fault == "drop":
+                return np.delete(fill, fill.size // 2), total
+            if fault == "add":
+                return np.union1d(fill, [free]), total
+            return np.sort(np.append(np.delete(fill, fill.size // 2), free)), total
+
+        k = 9
+        pattern = matrix.pattern_from_graph(grid(k, k))
+        mtx, rep = tmp_path / "grid.mtx", tmp_path / "rep.json"
+        save_matrix_market(pattern, mtx)
+        monkeypatch.setattr(matrix, "symbolic_fill_codes", wrong)
+        reverse = ",".join(map(str, range(k * k - 1, -1, -1)))
+        for extra in (["--strategy", "natural"], ["--ordering", reverse], ["--strategy", "min-degree"]):
+            assert run(["eliminate", str(mtx), *extra, "--out", str(rep)]) == cli.EXIT_CHECK_FAILED
+            checks = {rec["name"]: rec["pass"] for rec in json.loads(rep.read_text())["checks"]}
+            assert checks["matrix_graph_fill_agree"] is False
+        rng = np.random.default_rng(5)
+        for order in (np.arange(k * k), rng.permutation(k * k)):
+            assert not matrix.fill_equivalence_check(pattern, order)
+
+    def test_fixed_orders_build_no_graph_side_codes(self, tmp_path, monkeypatch):
+        """The natural order, ``--ordering`` and ``fill_equivalence_check`` pass with
+        ``_bits.upper_codes``, which builds a code array, refusing every call."""
+        from fillinlab import matrix
+        from fillinlab.generate import grid
+
+        def refuse(*args):
+            raise AssertionError("a second fill array was built")
+
+        k = 9
+        pattern = matrix.pattern_from_graph(grid(k, k))
+        mtx, rep = tmp_path / "grid.mtx", tmp_path / "rep.json"
+        save_matrix_market(pattern, mtx)
+        monkeypatch.setattr(_bits, "upper_codes", refuse)
+        reverse = ",".join(map(str, range(k * k - 1, -1, -1)))
+        for extra in (["--strategy", "natural"], ["--ordering", reverse]):
+            assert run(["eliminate", str(mtx), *extra, "--out", str(rep)]) == 0
+            data = json.loads(rep.read_text())
+            assert data["verdict"] == "PASS" and data["outputs"]["fill_size"] > 0
+        assert matrix.fill_equivalence_check(pattern, np.random.default_rng(6).permutation(k * k))
+
     def test_explicit_ordering(self, tmp_path, graphs):
         src = tmp_path / "star.col"
         save_dimacs(graphs["star5"], src)
@@ -403,14 +477,15 @@ class TestEliminate:
         mass-eliminated twin, and with ``OPENING_DEGREE`` lowered to 5 the 9 x 9
         grid takes all three; the fixed orderings play those steps as
         ``_eliminate_vertex`` calls plus the steps of ``_eliminate_chain``
-        batches, so a batch too stops at that step; min-fill inlines its
-        steps."""
+        batches, so a batch too stops at that step, and check that game
+        against the factorization (``elimination_fill_matches``); min-fill
+        inlines its steps."""
         from fillinlab import _bits, chordal, solvers
         from fillinlab.generate import grid
         from fillinlab.matrix import pattern_from_graph, save_matrix_market
 
         calls = dict.fromkeys(
-            ("step", "batched", "opening", "twins", "clear_bits", "greedy_game", "elimination_fill_codes"), 0
+            ("step", "batched", "opening", "twins", "clear_bits", "greedy_game", "elimination_fill_matches"), 0
         )
 
         def counted(key, fn):
@@ -432,7 +507,7 @@ class TestEliminate:
         count_degree_steps(monkeypatch, calls)
         monkeypatch.setattr(solvers, "OPENING_DEGREE", 5)
         monkeypatch.setattr(_bits, "clear_bits", counted("clear_bits", _bits.clear_bits))
-        for name in ("greedy_game", "elimination_fill_codes"):
+        for name in ("greedy_game", "elimination_fill_matches"):
             monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
         k = 9
         g = grid(k, k)
@@ -449,7 +524,7 @@ class TestEliminate:
         assert run(["eliminate", str(mtx), *extra, "--out", str(tmp_path / "rep.json")]) == 0
         greedy = strategy in ("min-degree", "min-fill")
         assert calls["greedy_game"] == int(greedy)
-        assert calls["elimination_fill_codes"] == int(not greedy)
+        assert calls["elimination_fill_matches"] == int(not greedy)
         tail = clique_tail_brute(g.n, g.edge_list(), order)
         assert tail < k * k - 1
         if strategy == "min-degree":

@@ -639,6 +639,23 @@ class TestBulkRead:
             bulk, by_line, _ = _read_both(path, monkeypatch)
             assert _as_positions(bulk) == _as_positions(by_line), text
 
+    def test_bulk_read_memory_is_bounded(self, tmp_path, monkeypatch):
+        """50,000 entry lines (0.55 MiB of text) take the bulk read, whose matcher
+        keeps about 440 bytes per line it has matched: matched a run of lines at a
+        time, the peak is the lines, their text and the arrays, under 200 bytes a
+        line, where one match over the whole text took about 490."""
+        m = 50_000
+        path = tmp_path / "tri.mtx"
+        save_matrix_market(tridiagonal_pattern(m + 1), path)
+
+        def refuse(*args):
+            raise AssertionError("the line reader ran")
+
+        monkeypatch.setattr(matrix, "_parse_lines", refuse)
+        pattern, peak = traced_peak(load_matrix_market, path)
+        assert pattern == tridiagonal_pattern(m + 1)
+        assert peak < 200 * m
+
     @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
     @pytest.mark.parametrize("field", ["real", "integer", "complex"])
     @pytest.mark.parametrize("tail", ["\n", "% after the entries\n", "61 61 x\n"])
