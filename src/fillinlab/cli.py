@@ -16,6 +16,10 @@ Each ``verify`` suite is one ``_SUITES`` row: the flags it reads, the draw of on
 trial's payload and the task that turns it into records.  Every payload is drawn,
 and every flag checked, before the first trial runs; ``--jobs`` runs the tasks on
 at most one worker process per trial.
+
+``report`` only loads a JSON file and prints what ``report.recheck`` finds in it:
+the ``report`` module writes the report format and is its one reader, with the
+certificate table and the rules for numbers and instances.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import generate, matrix, transfer
-from .chordal import _validate_permutation, check_hole, check_peo, elimination_fill_matches, verify_fillin
+from .chordal import _validate_permutation, elimination_fill_matches, verify_fillin
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
-from .graph import Graph, _id_pairs, _vertex_ids, codes_hash, dimacs_text, load_dimacs, parse_ints, save_dimacs
+from .graph import Graph, dimacs_text, load_dimacs, parse_ints, save_dimacs
 from .reduction import (
     COLORED_MAX_CELLS,
     PRIMITIVE_MAX_N,
@@ -45,7 +49,7 @@ from .reduction import (
     save_instance,
     verify_sandwich,
 )
-from .report import _OPS, RunReport, check, instance_descriptor
+from .report import RunReport, check, instance_descriptor, recheck
 from .solvers import (
     GREEDY_STRATEGIES,
     exact_fillin_ordering_oracle,
@@ -141,8 +145,7 @@ def cmd_solve(args) -> int:
     codes = matrix.pattern_from_graph(g).codes
     report = RunReport(
         command=f"solve-{args.problem}",
-        # instance_descriptor's fields, the hash taken from the codes in hand
-        instance={"name": args.input, "n": g.n, "m": g.m, "hash": codes_hash(g.n, codes)},
+        instance=instance_descriptor(g, args.input, codes),
         params={"budget": args.budget, "strategy": args.strategy},
     )
     report.instance["edges"] = np.column_stack(np.divmod(codes, g.n))
@@ -191,8 +194,7 @@ def cmd_eliminate(args) -> int:
         agree = fill.data == graph_fill.data
     report = RunReport(
         command="eliminate",
-        # instance_descriptor's fields, the hash taken from the codes in hand
-        instance={"name": args.input, "n": g.n, "m": g.m, "hash": codes_hash(g.n, pattern.codes)},
+        instance=instance_descriptor(g, args.input, pattern.codes),
         params={"ordering_source": args.ordering or args.strategy},
         outputs={"fill_size": fill.size, "total_nonzeros": total, "ordering": order},
     )
@@ -333,108 +335,18 @@ def cmd_verify(args) -> int:
 # -- offline report re-check ---------------------------------------------------------
 
 
-def _parse_num(x):
-    if isinstance(x, str) and "/" in x:
-        return Fraction(x)
-    if isinstance(x, bool):
-        return int(x)
-    return x
-
-
-def _read_ids(values) -> list[int] | None:
-    """The ids of a JSON array, each read once by ``graph._vertex_ids``; None if one is no id."""
-    try:
-        return _vertex_ids(values)
-    except GraphInputError:
-        return None
-
-
-def _read_pairs(values) -> np.ndarray | None:
-    """The pairs of a JSON array as an (m, 2) array, each id read once; None if one is no pair."""
-    pairs, stop = _id_pairs(values)
-    return None if stop else pairs
-
-
-#: Certificate kind -> the reader of its JSON array, what the array holds, the check of
-#: what was read against the instance graph, and the line when that check fails.
-_CERTIFICATES = {
-    "cover": (_read_ids, "ids", is_vertex_cover, "embedded cover certificate does not cover the instance"),
-    "fillin": (_read_pairs, "pairs", verify_fillin, "embedded fill-in certificate is not a valid fill-in"),
-    "peo": (_read_ids, "ids", check_peo, "embedded PEO certificate fails the definition"),
-    "hole": (_read_ids, "ids", check_hole, "embedded hole certificate fails the definition"),
-}
-
-
 def cmd_report(args) -> int:
     with open(args.input) as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:
             raise GraphInputError(f"{args.input}: not a JSON report ({exc})") from None
-    if not isinstance(data, dict):
-        raise GraphInputError(f"{args.input}: a report is a JSON object, not {type(data).__name__}")
-    checks = data.get("checks", [])
-    if not isinstance(checks, list):
-        raise GraphInputError(f"{args.input}: checks is not a JSON array")
-    problems = []
-    for rec in checks:
-        if not isinstance(rec, dict):
-            raise GraphInputError(f"{args.input}: check {rec!r} is not a JSON object")
-        if rec.get("op") not in _OPS:
-            raise GraphInputError(f"{args.input}: check {rec.get('name')} has unknown op {rec.get('op')!r}")
-        absent = [key for key in ("name", "lhs", "rhs", "pass") if key not in rec]
-        if absent:
-            raise GraphInputError(f"{args.input}: check {rec.get('name')} lacks {', '.join(absent)}")
-        try:
-            actual = _OPS[rec["op"]](_parse_num(rec["lhs"]), _parse_num(rec["rhs"]))
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise GraphInputError(
-                f"{args.input}: check {rec['name']} relates {rec['lhs']!r} and {rec['rhs']!r}, "
-                "which are not both numbers"
-            ) from None
-        if actual != rec["pass"]:
-            problems.append(
-                f"check {rec['name']}: recorded pass={rec['pass']} but relation is {actual}"
-            )
-        if not rec["pass"]:
-            problems.append(f"check {rec['name']} failed in the original run")
-    instance = data.get("instance") or {}
-    if not isinstance(instance, dict):
-        raise GraphInputError(f"{args.input}: instance is not a JSON object")
-    edges = instance.get("edges")
-    if edges is not None and "n" not in instance:
-        raise GraphInputError(f"{args.input}: instance has edges but no vertex count n")
-    if edges is not None and not (isinstance(edges, list) and _read_ids([instance["n"]])):
-        raise GraphInputError(f"{args.input}: instance needs an integer n and an edge array")
-    certs = data.get("certificates") or {}
-    if not isinstance(certs, dict):
-        raise GraphInputError(f"{args.input}: certificates is not a JSON object")
-    read = {}  # the table's kinds as read; any other kind need only be a JSON array
-    for name, cert in certs.items():
-        reader, holds = _CERTIFICATES.get(name, (list, "ids"))[:2]
-        read[name] = reader(cert) if isinstance(cert, list) else None
-        if read[name] is None:
-            raise GraphInputError(f"{args.input}: certificate {name} is not a JSON array of vertex {holds}")
-    unchecked = [name for name in _CERTIFICATES if name in certs]
-    if edges is None and unchecked:
-        raise GraphInputError(
-            f"{args.input}: certificate {unchecked[0]} cannot be re-checked: "
-            "the instance has no edges"
-        )
-    if edges is not None and certs:
-        g = Graph.build(instance["n"], edges)
-        for name in unchecked:
-            *_, passes, failure = _CERTIFICATES[name]
-            if not passes(g, read[name]):
-                problems.append(failure)
+    problems = recheck(data, args.input)
+    for p in problems:
+        print(f"RECHECK FAIL: {p}", file=sys.stderr)
     if problems:
-        for p in problems:
-            print(f"RECHECK FAIL: {p}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    print(
-        f"report {args.input}: recheck OK ({len(checks)} checks)",
-        file=sys.stderr,
-    )
+    print(f"report {args.input}: recheck OK ({len(data.get('checks', []))} checks)", file=sys.stderr)
     return EXIT_OK
 
 

@@ -10,25 +10,30 @@ gives them as nested lists, and ``RunReport.dumps`` gives the bytes of
 ``json.dumps(report.to_json(), indent=2)``, one integer per line, but writes
 each 1-D or 2-D integer array (orderings, edge lists, certificates) from the
 array by one format call, with no lists made of it.
+
+This module is also the one reader of the format: ``recheck`` takes a report as
+``json.load`` gives it and re-derives everything it claims.  Each check is
+evaluated again through ``check``, with both sides read as ``_num_to_json`` writes
+a number (an int, a bool as 0/1, or a ``"p/q"`` string) and ``pass`` a JSON bool.
+When the instance embeds its edges, its ``m`` and ``hash`` are recounted from them,
+and each certificate in ``_CERTIFICATES`` is read once and checked against them.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .graph import Graph
+from .chordal import check_hole, check_peo, verify_fillin
+from .errors import GraphInputError
+from .graph import Graph, _id_pairs, _vertex_ids, codes_hash
+from .solvers import is_vertex_cover
 
-_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    "==": lambda a, b: a == b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-}
+_OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge, ">": operator.gt}
 
 
 def _num_to_json(x):
@@ -131,8 +136,11 @@ def check(name: str, lhs, rhs, op: str = "<=", note: str = "") -> IneqRecord:
     return IneqRecord(name, lhs, rhs, op, bool(_OPS[op](lhs, rhs)), note)
 
 
-def instance_descriptor(graph: Graph, name: str = "") -> dict:
-    return {"name": name, "n": graph.n, "m": graph.m, "hash": graph.content_hash()}
+def instance_descriptor(graph: Graph, name: str = "", codes: np.ndarray | None = None) -> dict:
+    """The graph's name, size and content hash; a caller that holds the graph's sorted
+    upper codes passes them as ``codes`` to have them hashed as they are."""
+    digest = graph.content_hash() if codes is None else codes_hash(graph.n, codes)
+    return {"name": name, "n": graph.n, "m": graph.m, "hash": digest}
 
 
 @dataclass
@@ -190,3 +198,108 @@ class RunReport:
         yield f"== {self.command}: {self.verdict} ({len(self.checks)} checks)"
         for r in self.checks:
             yield "   " + r.line()
+
+
+# -- offline re-check ------------------------------------------------------------
+
+
+def _number(x) -> Fraction:
+    """One side of a check as ``_num_to_json`` writes a number: an int (a bool as
+    0/1) or a ``"p/q"`` string.  Anything else raises ValueError, and a zero
+    denominator ZeroDivisionError."""
+    if isinstance(x, int) or (isinstance(x, str) and "/" in x):
+        return Fraction(x)
+    raise ValueError(f"{x!r} is not a number")
+
+
+def _vertex_pairs(values) -> np.ndarray:
+    """The pairs of a JSON array as an (m, 2) array, each id read once by ``graph._id_pairs``."""
+    pairs, stop = _id_pairs(values)
+    if stop:
+        raise GraphInputError(f"{stop[0]!r} is not a pair of vertex ids")
+    return pairs
+
+
+def _read(reader, value, error: str):
+    """``reader(value)`` for a JSON array; a GraphInputError with ``error`` for
+    anything else, or for an array the reader refuses."""
+    try:
+        if isinstance(value, list):
+            return reader(value)
+    except GraphInputError:
+        pass
+    raise GraphInputError(error)
+
+
+#: Certificate kind -> the reader of its JSON array, what the array holds, the check of
+#: what was read against the instance graph, and the line when that check fails.
+_CERTIFICATES = {
+    "cover": (_vertex_ids, "ids", is_vertex_cover, "embedded cover certificate does not cover the instance"),
+    "fillin": (_vertex_pairs, "pairs", verify_fillin, "embedded fill-in certificate is not a valid fill-in"),
+    "peo": (_vertex_ids, "ids", check_peo, "embedded PEO certificate fails the definition"),
+    "hole": (_vertex_ids, "ids", check_hole, "embedded hole certificate fails the definition"),
+}
+
+
+def recheck(data, source: str) -> list[str]:
+    """The problems found in a report, as ``json.load`` gives it, re-derived offline:
+    a check whose relation or recorded outcome disagrees, a check that failed in the
+    original run, an instance size or hash its edges do not give, and a certificate
+    its checker refuses.  A value that is not a report raises GraphInputError naming
+    ``source``."""
+    if not isinstance(data, dict):
+        raise GraphInputError(f"{source}: a report is a JSON object, not {type(data).__name__}")
+    checks = data.get("checks", [])
+    if not isinstance(checks, list):
+        raise GraphInputError(f"{source}: checks is not a JSON array")
+    problems = []
+    for rec in checks:
+        if not isinstance(rec, dict):
+            raise GraphInputError(f"{source}: check {rec!r} is not a JSON object")
+        if not isinstance(rec.get("op"), str) or rec["op"] not in _OPS:
+            raise GraphInputError(f"{source}: check {rec.get('name')} has unknown op {rec.get('op')!r}")
+        absent = [key for key in ("name", "lhs", "rhs", "pass") if key not in rec]
+        if absent:
+            raise GraphInputError(f"{source}: check {rec.get('name')} lacks {', '.join(absent)}")
+        try:
+            actual = check(rec["name"], _number(rec["lhs"]), _number(rec["rhs"]), rec["op"]).passed
+        except (ValueError, ZeroDivisionError):
+            raise GraphInputError(
+                f"{source}: check {rec['name']} relates {rec['lhs']!r} and {rec['rhs']!r}, "
+                "which are not both numbers"
+            ) from None
+        if rec["pass"].__class__ is not bool:
+            raise GraphInputError(f"{source}: check {rec['name']} records pass={rec['pass']!r}, not a JSON bool")
+        if actual != rec["pass"]:
+            problems.append(f"check {rec['name']}: recorded pass={rec['pass']} but relation is {actual}")
+        if not rec["pass"]:
+            problems.append(f"check {rec['name']} failed in the original run")
+    instance = data.get("instance") or {}
+    if not isinstance(instance, dict):
+        raise GraphInputError(f"{source}: instance is not a JSON object")
+    edges = instance.get("edges")
+    if edges is not None:
+        if "n" not in instance:
+            raise GraphInputError(f"{source}: instance has edges but no vertex count n")
+        n = [instance["n"]] if isinstance(edges, list) else None  # edges that are no array: no n is read
+        _read(_vertex_ids, n, f"{source}: instance needs an integer n and an edge array")
+    certs = data.get("certificates") or {}
+    if not isinstance(certs, dict):
+        raise GraphInputError(f"{source}: certificates is not a JSON object")
+    read = {}  # the table's kinds as read; any other kind need only be a JSON array
+    for name, cert in certs.items():
+        reader, holds = _CERTIFICATES.get(name, (list, "ids"))[:2]
+        read[name] = _read(reader, cert, f"{source}: certificate {name} is not a JSON array of vertex {holds}")
+    unchecked = [name for name in _CERTIFICATES if name in certs]
+    if edges is None and unchecked:
+        raise GraphInputError(f"{source}: certificate {unchecked[0]} cannot be re-checked: the instance has no edges")
+    if edges is not None and (certs or "m" in instance or "hash" in instance):
+        g = Graph.build(instance["n"], edges)
+        for key, value in (("m", g.m), ("hash", g.content_hash())):  # equal and of one type: 4.0 or true is no m
+            if key in instance and (type(instance[key]), instance[key]) != (type(value), value):
+                problems.append(f"instance {key} is {instance[key]!r}, but its edges give {value!r}")
+        for name in unchecked:
+            *_, passes, failure = _CERTIFICATES[name]
+            if not passes(g, read[name]):
+                problems.append(failure)
+    return problems

@@ -325,6 +325,34 @@ def test_verify_suites_are_one_table():
     assert not branches
 
 
+def test_cli_holds_no_report_reader():
+    """``report`` is the one reader of the report format: ``cli`` binds none of the
+    id readers, relation table or certificate checkers a re-check is built on, keeps
+    no certificate table or JSON reader, and ``cmd_report`` calls ``recheck``."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+    tables = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict) and {"cover", "fillin", "peo", "hole"} & {
+            key.value for key in node.keys if isinstance(key, ast.Constant)
+        }
+    ]
+    readers = {"_OPS", "_id_pairs", "_vertex_ids", "check_peo", "check_hole", "codes_hash"}
+    assert not bound & (readers | {"_parse_num", "_read_ids", "_read_pairs", "_CERTIFICATES"})
+    assert not tables
+    cmd_report = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "cmd_report")
+    called = {node.func.id for node in ast.walk(cmd_report) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "recheck" in called
+
+
 def test_only_cli_reads_the_clock():
     """Wall-clock numbers appear only behind ``--timings``: ``cli`` is the one
     module of the package that imports ``time``."""
@@ -356,7 +384,8 @@ class TestEliminate:
         assert data["outputs"]["total_nonzeros"] == 13
 
     def test_grid_12_cubed_natural_order_peak(self, tmp_path):
-        """Parse, both fills and the report: 1.7 MiB for each fill array."""
+        """Parse, the fill and the report: the factorization's fill is the one
+        1.7 MiB code array, the game's side is checked against it block by block."""
         mtx, rep = tmp_path / "grid.mtx", tmp_path / "rep.json"
         save_matrix_market(grid3d_pattern(12), mtx)
         argv = ["eliminate", str(mtx), "--strategy", "natural", "--out", str(rep)]
@@ -365,8 +394,9 @@ class TestEliminate:
         assert peak < 6.5 * 2**20
 
     def test_arrow_natural_order_peak(self, tmp_path):
-        """Centre first, every pair of the other rows fills: the run peaks at its
-        two fill arrays plus one extraction block, with room for the parse."""
+        """Centre first, every pair of the other rows fills: the run holds one fill
+        array, so a bound of two fill arrays plus two extraction blocks leaves room
+        for the parse."""
         n = 1000
         fill_bytes = 8 * (n - 1) * (n - 2) // 2
         mtx, rep = tmp_path / "arrow.mtx", tmp_path / "rep.json"
@@ -793,6 +823,49 @@ class TestReportRecheck:
         assert run(["report", str(rep)]) == 0
         assert len(calls) == 2 * m + 2 * k + 2
 
+    @pytest.mark.parametrize("edges, cover, m, failures", [
+        ([[0, 1], [1, 2], [2, 3]], [1, 2], 4, ["instance m is 4, but its edges give 3", "instance hash is '"]),
+        ([[0, 1], [1, 2], [2, 3], [0, 2]], [0, 2], 4, ["instance hash is '"]),
+        (C4_EDGES, [0, 2], 4.0, ["instance m is 4.0, but its edges give 4"]),
+    ], ids=["edge-dropped", "edge-swapped", "float-m"])
+    def test_instance_is_recounted_from_its_edges(self, c4_file, tmp_path, capsys, edges, cover, m, failures):
+        """Certificates are checked against the embedded edges, so the edges must be
+        the instance the report names: its ``m`` (an integer) and ``hash`` are
+        recomputed, and a report without them is checked against its edges alone."""
+        rep = tmp_path / "rep.json"
+        run(["solve", c4_file, "vc", "--out", str(rep)])
+        data = json.loads(rep.read_text())
+        data["instance"]["edges"], data["certificates"]["cover"], data["instance"]["m"] = edges, cover, m
+        rep.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run(["report", str(rep)]) == cli.EXIT_CHECK_FAILED
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == len(failures)
+        assert all(line.startswith(f"RECHECK FAIL: {failure}") for line, failure in zip(err, failures))
+        del data["instance"]["m"], data["instance"]["hash"]
+        rep.write_text(json.dumps(data))
+        assert run(["report", str(rep)]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "g.col", "vc"], ["solve", "g.col", "fillin"],
+        ["solve", "g.col", "fillin-heuristic", "--strategy", "min-fill"],
+        ["solve", "g.col", "fillin-heuristic", "--strategy", "min-degree"],
+        ["eliminate", "g.col"], ["eliminate", "g.col", "--strategy", "min-degree"],
+        ["eliminate", "g.col", "--ordering", "7,6,5,4,3,2,1,0"],
+        ["reduce", "g.col", "--mode", "primitive", "--graph-out", "gadget.col"],
+        ["reduce", "g.col", "--mode", "colored", "--b", "2", "--d", "5", "--graph-out", "gadget.col"],
+        *(["verify", suite, "--trials", "3"] for suite in ("matrix", "sandwich", "theorem4", "transfer")),
+    ], ids=" ".join)
+    def test_every_command_report_rechecks(self, tmp_path, monkeypatch, argv):
+        """Each report a command writes passes the re-check: its numbers are written
+        as the re-check reads them, and its instance matches its edges."""
+        from fillinlab.generate import gnp
+
+        monkeypatch.chdir(tmp_path)
+        save_dimacs(gnp(8, 0.4, 3), "g.col")
+        assert run([*argv, "--out", "rep.json"]) == 0
+        assert run(["report", "rep.json"]) == 0
+
     def test_tampered_inequality_detected(self, c4_file, tmp_path):
         rep = tmp_path / "rep.json"
         run(["solve", c4_file, "vc", "--out", str(rep)])
@@ -935,10 +1008,11 @@ class TestErrors:
         rep = tmp_path / "rep.json"
         run(["solve", c4_file, "vc", "--out", str(rep)])
         data = json.loads(rep.read_text())
-        data["checks"][0]["op"] = "~"
-        rep.write_text(json.dumps(data))
-        assert run(["report", str(rep)]) == cli.EXIT_BAD_INPUT
-        assert f"{rep}: check cover_is_valid has unknown op '~'" in capsys.readouterr().err
+        for op in ("~", ["<"]):
+            data["checks"][0]["op"] = op
+            rep.write_text(json.dumps(data))
+            assert run(["report", str(rep)]) == cli.EXIT_BAD_INPUT
+            assert f"{rep}: check cover_is_valid has unknown op {op!r}" in capsys.readouterr().err
 
     def test_report_top_level_array_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "rep.json"
@@ -968,13 +1042,27 @@ class TestErrors:
         assert run(["report", str(rep)]) == cli.EXIT_BAD_INPUT
         assert f"{rep}: check cover_is_valid lacks {key}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lhs", ["abc", "1/0"])
-    def test_report_check_non_number_exit_2(self, lhs, tmp_path, capsys):
+    @pytest.mark.parametrize("lhs, op, rhs", [
+        ("abc", "<", 1), ("1/0", "<", 1), ("abc", "<", "abd"), ("5", "==", "5"), (1.5, "<", 2),
+        ([1], "<", [2]), (None, "==", None), ({"a": 1}, "==", {"a": 1}),
+    ], ids=["abc", "1/0", "strings", "plain-string", "float", "arrays", "nulls", "objects"])
+    def test_report_check_non_number_exit_2(self, lhs, op, rhs, tmp_path, capsys):
+        """A side is a number only as a report writes one: an int, a bool (0/1) or a
+        ``"p/q"`` string; strings, arrays, nulls and objects do not compare as numbers."""
         bad = tmp_path / "rep.json"
-        check = {"name": "x", "op": "<", "lhs": lhs, "rhs": 1, "pass": True}
+        check = {"name": "x", "op": op, "lhs": lhs, "rhs": rhs, "pass": True}
         bad.write_text(json.dumps({"checks": [check]}))
         assert run(["report", str(bad)]) == cli.EXIT_BAD_INPUT
-        assert f"{bad}: check x relates {lhs!r} and 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{bad}: check x relates {lhs!r} and {rhs!r}, which are not both numbers" in err
+
+    @pytest.mark.parametrize("passed", [1, 0, "true", None])
+    def test_report_check_pass_not_bool_exit_2(self, passed, tmp_path, capsys):
+        bad = tmp_path / "rep.json"
+        check = {"name": "x", "op": "<", "lhs": True, "rhs": "3/2", "pass": passed}
+        bad.write_text(json.dumps({"checks": [check]}))
+        assert run(["report", str(bad)]) == cli.EXIT_BAD_INPUT
+        assert f"{bad}: check x records pass={passed!r}, not a JSON bool" in capsys.readouterr().err
 
     def test_report_instance_not_object_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "rep.json"

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import fillinlab
+from fillinlab.errors import GraphInputError
 from fillinlab.graph import Graph
-from fillinlab.report import IneqRecord, RunReport, check, instance_descriptor
+from fillinlab.matrix import pattern_from_graph
+from fillinlab.report import IneqRecord, RunReport, check, instance_descriptor, recheck
 
 
 class TestIneqRecord:
@@ -77,6 +79,23 @@ def test_instance_descriptor_round():
     d = instance_descriptor(g, "tiny")
     assert d["n"] == 3 and d["m"] == 1 and d["name"] == "tiny"
     assert d["hash"] == g.content_hash()
+
+
+def test_instance_descriptor_hashes_codes_in_hand():
+    g = Graph.build(5, [(0, 1), (1, 4), (2, 3)])
+    assert instance_descriptor(g, "x", pattern_from_graph(g).codes) == instance_descriptor(g, "x")
+
+
+def test_recheck_reads_what_a_report_writes():
+    """A report's own JSON re-checks clean: Fractions come back from ``"p/q"``, bools
+    as 0/1, and the instance and its cover certificate agree."""
+    g = Graph.build(3, [(0, 1), (1, 2)])
+    rep = RunReport(command="demo", instance={**instance_descriptor(g), "edges": [[0, 1], [1, 2]]})
+    rep.extend([check("half", Fraction(1, 2), 1, "<"), check("flag", True, 1, "=="), check("no", 3, 2, "<")])
+    rep.certificates["cover"] = [1]
+    assert recheck(json.loads(rep.dumps()), "demo") == ["check no failed in the original run"]
+    with pytest.raises(GraphInputError, match="^demo: a report is a JSON object, not list$"):
+        recheck([], "demo")
 
 
 def _dumps_cases():
