@@ -80,10 +80,6 @@ def test_bit(row: np.ndarray, i: int) -> bool:
     return bool(row.item(i >> 6) >> (i & 63) & 1)  # a Python int: no NumPy scalar arithmetic
 
 
-def set_bit(row: np.ndarray, i: int) -> None:
-    row[i >> 6] |= _U1 << np.uint64(i & 63)
-
-
 def clear_bit(row: np.ndarray, i: int) -> None:
     row[i >> 6] &= _CLEAR[i & 63]
 

@@ -9,8 +9,8 @@ Reports are JSON on stdout (or ``--out``); a human summary goes to stderr.
 All randomness flows from the single ``--seed`` flag, whose default is fixed
 rather than time-derived, and JSON output is byte-identical across runs for
 identical (command, inputs, seed); wall-clock timings are embedded only when
-``--timings`` is given.  ``FILLIN_LAB_LIMIT_OVERRIDE=1`` lifts the instance size
-guardrails.
+``--timings`` is given.  ``FILLIN_LAB_LIMIT_OVERRIDE=1`` lifts the gadget byte
+cap.
 
 Each ``verify`` suite is one ``_SUITES`` row: the flags it reads, the draw of one
 trial's payload and the task that turns it into records.  Every payload is drawn,
@@ -39,8 +39,7 @@ from .chordal import _validate_permutation, elimination_fill_matches, verify_fil
 from .errors import CounterexampleError, GraphInputError, ResourceLimitError
 from .graph import Graph, dimacs_text, load_dimacs, parse_ints, save_dimacs
 from .reduction import (
-    COLORED_MAX_CELLS,
-    PRIMITIVE_MAX_N,
+    GADGET_MAX_BYTES,
     brooks_coloring,
     decision_equivalence_check,
     produced_fillins,
@@ -72,10 +71,6 @@ _COMMON_FLAGS = {
     "timings": {"action": "store_true", "help": "embed wall-clock timings"},
     "jobs": {"type": int, "default": 1, "help": "parallel corpus workers"},
 }
-
-
-def _limits_overridden() -> bool:
-    return os.environ.get("FILLIN_LAB_LIMIT_OVERRIDE", "") not in ("", "0")
 
 
 def _emit(report: RunReport, args) -> None:
@@ -113,13 +108,12 @@ def cmd_gen(args) -> int:
 def cmd_reduce(args) -> int:
     g = load_dimacs(args.input)
     t0 = time.perf_counter()
+    lifted = os.environ.get("FILLIN_LAB_LIMIT_OVERRIDE", "") not in ("", "0")
+    max_bytes = None if lifted else GADGET_MAX_BYTES
     if args.mode == "primitive":
-        max_n = 10**9 if _limits_overridden() else PRIMITIVE_MAX_N
-        inst = reduce_primitive(g, max_n=max_n)
+        inst = reduce_primitive(g, max_bytes)
     else:
-        coloring = brooks_coloring(g, args.d)
-        max_cells = 10**12 if _limits_overridden() else COLORED_MAX_CELLS
-        inst = reduce_colored(g, args.b, coloring, max_cells=max_cells)
+        inst = reduce_colored(g, args.b, brooks_coloring(g, args.d), max_bytes)
     sidecar = save_instance(inst, args.graph_out)
     report = RunReport(
         command="reduce",

@@ -30,21 +30,21 @@ def gnp(n: int, p: float, seed) -> Graph:
     return Graph.build(n, edges)
 
 
-def random_regular(n: int, d: int, seed, max_tries: int = 1000) -> Graph:
-    """Random d-regular graph by the pairing model with rejection.
+def random_regular(n: int, d: int, seed) -> Graph:
+    """Random d-regular graph by the pairing model with rejection, up to
+    1000 pairings.
 
     Infeasible parameter pairs (n*d odd, or d >= n) are rejected outright;
     the degree sequence of the output is verified before returning.
     """
     n, d = _count_param("n", n), _count_param("d", d)
-    max_tries = _count_param("max_tries", max_tries)
     if (n * d) % 2 == 1:
         raise GraphInputError(f"no {d}-regular graph on {n} vertices: n*d is odd")
     if d >= n and n > 0:
         raise GraphInputError(f"degree {d} impossible on {n} vertices")
     rng = _rng(seed)
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(max_tries):
+    for _ in range(1000):
         perm = rng.permutation(stubs)
         pairs = perm.reshape(-1, 2)
         if (pairs[:, 0] == pairs[:, 1]).any():
@@ -58,7 +58,7 @@ def random_regular(n: int, d: int, seed, max_tries: int = 1000) -> Graph:
         return g
     raise GraphInputError(
         f"could not sample a simple {d}-regular graph on {n} vertices "
-        f"in {max_tries} tries"
+        "in 1000 tries"
     )
 
 
@@ -85,24 +85,21 @@ def grid(rows: int, cols: int) -> Graph:
     return Graph.build(rows * cols, edges)
 
 
-def random_subcubic(n: int, seed, target_edges: int | None = None) -> Graph:
+def random_subcubic(n: int, seed) -> Graph:
     """Random graph with maximum degree 3 on at most n vertices.
 
     Shuffled pairs of 0..n-1 are added while both ends have degree below 3,
-    up to ``target_edges`` edges.  Then each isolated vertex, by id, is
-    joined to a random vertex of degree below 3; once none is left, the
-    isolated vertices stay isolated (always so when n = 1).  A K_4 in a subcubic graph is a whole
+    up to max(n, floor(3n/2) - r) edges for a random r in 0..floor(n/3).  Then
+    each isolated vertex, by id, is joined to a random vertex of degree below 3;
+    once none is left, the isolated vertices stay isolated (always so when n = 1).  A K_4 in a subcubic graph is a whole
     component, and every sampled one is removed and the rest renumbered in
     order: the result has n - 4j vertices for j such components, so
     ``random_subcubic(4, 1)`` is the graph on 0 vertices.  Useful for
     transfer corpora, which need a subcubic graph without K_4.
     """
     n = _count_param("n", n)
-    if target_edges is not None:
-        target_edges = _int_param("target_edges", target_edges)
     rng = _rng(seed)
-    if target_edges is None:
-        target_edges = max(n, (3 * n) // 2 - rng.integers(0, max(1, n // 3 + 1)))
+    target_edges = max(n, (3 * n) // 2 - rng.integers(0, max(1, n // 3 + 1)))
     deg = np.zeros(n, dtype=np.int64)
     edges: set[tuple[int, int]] = set()
     candidates = [(i, j) for i in range(n) for j in range(i + 1, n)]

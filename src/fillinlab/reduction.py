@@ -9,7 +9,9 @@ construction is the colored one under the identity coloring with b = n:
 every original vertex gets its own block of n^2 new vertices, non-adjacent
 to that vertex only.  Either way each original vertex misses exactly one
 block, and the two endpoints of any edge miss different blocks; one builder
-makes both.
+makes both.  Block c is always the new vertices n + c*D .. n + (c+1)*D - 1,
+D the block deficit (``_layout``), so no block is stored, and one cap on the
+bytes of H's packed rows guards both constructions before any allocation.
 
 That structure supports two certificate maps:
 
@@ -31,7 +33,8 @@ them.  Every clique test (a K_{d+1} component, the clique U) is
 ``_bits.is_clique``, and the search for a forbidden K_{d+1} makes the same
 popcount count for all its candidates at once.  The structural checks are
 whole-graph passes that name the first failure: ``ReducedInstance.validate``
-tests all n original rows against one expected matrix, and
+tests H's vertex count against the layout and all n original rows against one
+expected matrix, and
 ``Coloring.monochromatic_edge`` compares the colors of every edge at once, in
 ``Graph.edge_list`` order.  An instance keeps no fact; graphs do (``Graph._kept``).
 
@@ -62,9 +65,10 @@ from .solvers import (
     is_vertex_cover,
 )
 
-PRIMITIVE_MAX_N = 40
+#: Bytes of packed rows a gadget may hold: the per-vertex gadget up to n = 40
+#: (512,832,320 bytes; n = 41 needs 594,728,288), a colored one up to 65,536 vertices.
+GADGET_MAX_BYTES = 1 << 29
 SANDWICH_EXACT_MAX_VERTICES = 10
-COLORED_MAX_CELLS = 1_000_000
 
 
 # -- coloring ---------------------------------------------------------------------
@@ -265,13 +269,12 @@ def _brooks_coloring(graph: Graph, d: int) -> Coloring:
 
 @dataclass(frozen=True, eq=False)
 class ReducedInstance:
-    """Gadget graph H plus the bookkeeping needed to map certificates back: a
-    frozen value that keeps nothing (``_completed`` keeps on H).  ``coloring``
-    and ``b`` are None for the primitive gadget, whose blocks are n*n wide."""
+    """Gadget graph H plus the parameters that give its blocks: a frozen value
+    that keeps nothing (``_completed`` keeps on H).  ``coloring`` and ``b`` are
+    None for the primitive gadget, whose blocks are n*n wide."""
 
     graph: Graph
     original: Graph
-    blocks: tuple  # per original vertex (primitive) or per color (colored), read-only arrays
     b: int | None = None
     coloring: Coloring | None = None
 
@@ -298,39 +301,38 @@ class ReducedInstance:
         """The block each original vertex misses: its own, or its color's."""
         return np.arange(self.n_original) if self.coloring is None else np.asarray(self.coloring.colors)
 
-    def missing_block(self, v: int) -> np.ndarray:
-        """Gadget vertices not adjacent to original vertex v."""
-        return self.blocks[self.block_of[v]]
+    @property
+    def nblocks(self) -> int:
+        """One block per original vertex, or one per color."""
+        return self.n_original if self.coloring is None else self.coloring.q
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """Row c: the new vertices of block c, by ``_layout``."""
+        return _layout(self.n_original, self.nblocks, self.block_deficit)
 
     def validate(self) -> None:
         """Structural self-check; failure means the construction is buggy.
 
-        Each check is one pass over the whole gadget: the blocks partition
-        the new vertices (one sort), and every original row meets U in exactly
-        U minus its missing block (all n rows against one expected matrix; the
-        smallest wrong vertex is named).  That the ends of an edge of G miss
+        H has n + (blocks)*D vertices, and each other check is one pass over
+        the whole gadget: every original row meets U in exactly U minus its
+        missing block (all n rows against one expected matrix; the smallest
+        wrong vertex is named).  That the ends of an edge of G miss
         different blocks is not re-tested: every vertex misses its own on the
         primitive gadget, and both builders of a colored one run ``Coloring.validate``."""
         n, N = self.n_original, self.graph.n
+        if N != n + self.nblocks * self.block_deficit:
+            raise CounterexampleError(
+                f"gadget has {N} vertices, not n + {self.nblocks} blocks of {self.block_deficit}"
+            )
         rows = self.graph.packed_rows()
-        if len(self.blocks) != (n if self.q is None else self.q):
-            raise CounterexampleError("block count differs from the construction's")
-        sizes = {len(blk) for blk in self.blocks}
-        if sizes and sizes != {self.block_deficit}:
-            raise CounterexampleError("block sizes differ from the deficit")
-        ids = np.concatenate([np.asarray(b) for b in self.blocks]) if self.blocks else np.array([], dtype=int)
-        if not np.array_equal(np.sort(ids), np.arange(n, N)):
-            raise CounterexampleError("blocks do not partition the gadget vertices")
         sub, _ = self.graph.induced_subgraph(range(n))
         if sub != self.original:
             raise CounterexampleError("gadget altered the original graph")
         u_mask = _bits.mask_from_indices(N, range(n, N))
         if not _bits.is_clique(rows, u_mask, N):
             raise CounterexampleError("gadget vertices do not form a clique")
-        missing = _bits.zero_rows(len(self.blocks), N)  # row c: the vertices of block c
-        blk = np.repeat(np.arange(len(self.blocks)), [len(b) for b in self.blocks])
-        _bits.set_bits(missing, blk, ids.astype(np.int64))
-        want = (u_mask & ~missing)[self.block_of]
+        want = (u_mask & ~_block_rows(self.blocks, N))[self.block_of]
         wrong = np.flatnonzero(((rows[:n] & u_mask) != want).any(axis=1))
         if wrong.size:
             raise CounterexampleError(
@@ -338,70 +340,75 @@ class ReducedInstance:
             )
 
 
-def _gadget(graph: Graph, block_of, nblocks: int, size: int) -> tuple[Graph, tuple]:
-    """Both constructions: ``nblocks`` blocks of ``size`` new vertices after the
-    original ones, all new vertices one clique U, and original vertex v
-    adjacent to every new vertex outside block ``block_of[v]``.
+def _layout(n: int, nblocks: int, size: int) -> np.ndarray:
+    """The block layout of both gadgets: row c holds block c, the new vertices
+    n + c*size .. n + (c+1)*size - 1."""
+    return np.arange(n, n + nblocks * size, dtype=np.int64).reshape(nblocks, size)
 
-    Built from two masks per block, each set by one ``_bits.set_bits`` call
-    for all blocks: its new vertices, and the original vertices that miss it."""
+
+def _block_rows(blocks: np.ndarray, N: int) -> np.ndarray:
+    """One packed row per block of a ``_layout``, with that block's vertices set."""
+    rows = _bits.zero_rows(blocks.shape[0], N)
+    _bits.set_bits(rows, np.repeat(np.arange(blocks.shape[0]), blocks.shape[1]), blocks.ravel())
+    return rows
+
+
+def _gadget(graph: Graph, block_of, nblocks: int, size: int, max_bytes: int | None) -> Graph:
+    """Both constructions: ``nblocks`` blocks of ``size`` new vertices after the
+    original ones (``_layout``), all new vertices one clique U, and original
+    vertex v adjacent to every new vertex outside block ``block_of[v]``.
+
+    Refused before any allocation if H's packed rows take over ``max_bytes``
+    (None: no cap).  Built from two masks per block, each set by one
+    ``_bits.set_bits`` call for all blocks: its new vertices, and the original
+    vertices that miss it."""
     n = graph.n
     N = n + nblocks * size
+    need = N * _bits.nwords(N) * 8
+    if max_bytes is not None and need > max_bytes:
+        raise ResourceLimitError(
+            f"gadget on N = {N} vertices (n = {n}) refused: its packed rows take "
+            f"{need} bytes, over the limit of {max_bytes}; raise the limit explicitly to override"
+        )
     rows = np.zeros((N, _bits.nwords(N)), dtype=np.uint64)
     g_rows = graph.packed_rows()
     rows[:n, : g_rows.shape[1]] = g_rows
     u_mask = _bits.mask_from_indices(N, range(n, N))
     orig_mask = _bits.mask_from_indices(N, range(n))
     block_of = np.asarray(block_of, dtype=np.int64)
-    new = np.arange(n, N)
-    new_block = (new - n) // size
-    block_rows = _bits.zero_rows(nblocks, N)
-    _bits.set_bits(block_rows, new_block, new)
+    layout = _layout(n, nblocks, size)
     members = _bits.zero_rows(nblocks, N)
     _bits.set_bits(members, block_of, np.arange(n))
-    rows[:n] |= (u_mask & ~block_rows)[block_of]
-    rows[n:] = ((orig_mask & ~members) | u_mask)[new_block]
-    _bits.clear_bits(rows, new, new)
-    blocks = tuple(_frozen(np.arange(n + c * size, n + (c + 1) * size)) for c in range(nblocks))
-    return Graph.from_packed_rows(rows, N), blocks
+    rows[:n] |= (u_mask & ~_block_rows(layout, N))[block_of]
+    rows[layout] = ((orig_mask & ~members) | u_mask)[:, None]
+    _bits.clear_bits(rows, layout.ravel(), layout.ravel())
+    return Graph.from_packed_rows(rows, N)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """a, made read-only: kept blocks are shared by every later instance."""
-    a.setflags(write=False)
-    return a
-
-
-def reduce_primitive(graph: Graph, max_n: int = PRIMITIVE_MAX_N) -> ReducedInstance:
+def reduce_primitive(graph: Graph, max_bytes: int | None = GADGET_MAX_BYTES) -> ReducedInstance:
     """Per-vertex gadget: n^2 new vertices per original vertex, U a clique.
 
     This is the colored gadget under the identity coloring with b = n.
-    Produces a graph on n^3 + n vertices; memory grows with n^6, so inputs
-    beyond ``max_n`` are refused.
+    Produces a graph on n^3 + n vertices, whose packed rows grow with n^6; a
+    gadget over ``max_bytes`` of them (by default n > 40) is refused.
     """
     n = graph.n
     if n < 1:
         raise GraphInputError("the construction needs at least one vertex")
-    if n > max_n:
-        raise ResourceLimitError(
-            f"gadget on n^3+n = {n**3 + n} vertices refused (n = {n} > {max_n}); "
-            "raise the limit explicitly to override"
-        )
-    h, blocks = _gadget(graph, range(n), n, n * n)
-    inst = ReducedInstance(graph=h, original=graph, blocks=blocks)
+    inst = ReducedInstance(graph=_gadget(graph, range(n), n, n * n, max_bytes), original=graph)
     inst.validate()
     return inst
 
 
 def reduce_colored(
-    graph: Graph, b: int, coloring: Coloring, max_cells: int = COLORED_MAX_CELLS
+    graph: Graph, b: int, coloring: Coloring, max_bytes: int | None = GADGET_MAX_BYTES
 ) -> ReducedInstance:
     """Per-color gadget: b*n new vertices per color class, U a clique.
 
     Produces a graph on (b*q + 1)*n vertices, linear in n for fixed b, q.
-    The checked coloring, H and blocks are kept on the graph per (b, coloring
-    object, max_cells) (``Graph._kept``) and wrapped in a new instance per call,
-    so a graph's gadget is built and checked once per coloring; a refusal keeps
+    The checked coloring and H are kept on the graph per (b, coloring object,
+    max_bytes) (``Graph._kept``) and wrapped in a new instance per call, so a
+    graph's gadget is built and checked once per coloring; a refusal keeps
     nothing and is raised again on every call.
     """
     if graph.n < 1:
@@ -409,24 +416,18 @@ def reduce_colored(
     b = _int_param("b", b)
     if b < 1:
         raise GraphInputError("block scale b must be positive")
-    key = ("gadget", b, id(coloring), max_cells)
-    _, h, blocks = graph._kept(key, _reduce_colored, graph, b, coloring, max_cells)
-    return ReducedInstance(graph=h, original=graph, blocks=blocks, b=b, coloring=coloring)
+    key = ("gadget", b, id(coloring), max_bytes)
+    _, h = graph._kept(key, _reduce_colored, graph, b, coloring, max_bytes)
+    return ReducedInstance(graph=h, original=graph, b=b, coloring=coloring)
 
 
-def _reduce_colored(graph: Graph, b: int, coloring: Coloring, max_cells: int) -> tuple:
+def _reduce_colored(graph: Graph, b: int, coloring: Coloring, max_bytes: int | None) -> tuple:
     """The construction behind ``reduce_colored``, uncached: the coloring (kept,
-    so the ``id`` in the key stays its own), H and the blocks of the validated instance."""
-    n = graph.n
+    so the ``id`` in the key stays its own) and H of the validated instance."""
     coloring.validate(graph)
-    q = coloring.q
-    if b * q * n > max_cells:
-        raise ResourceLimitError(
-            f"colored gadget with b*q*n = {b * q * n} cells refused (limit {max_cells})"
-        )
-    h, blocks = _gadget(graph, coloring.colors, q, b * n)
-    ReducedInstance(graph=h, original=graph, blocks=blocks, b=b, coloring=coloring).validate()
-    return coloring, h, blocks
+    h = _gadget(graph, coloring.colors, coloring.q, b * graph.n, max_bytes)
+    ReducedInstance(graph=h, original=graph, b=b, coloring=coloring).validate()
+    return coloring, h
 
 
 # -- certificate maps -------------------------------------------------------------
@@ -645,7 +646,7 @@ def save_instance(inst: ReducedInstance, dimacs_path, sidecar_path=None) -> str:
         "n": inst.n_original,
         "b": inst.b,
         "q": inst.q,
-        "blocks": [[int(u) for u in blk] for blk in inst.blocks],
+        "blocks": inst.blocks.tolist(),
         "coloring": list(inst.coloring.colors) if inst.coloring else None,
     }
     with open(sidecar_path, "w") as fh:
@@ -657,7 +658,8 @@ def save_instance(inst: ReducedInstance, dimacs_path, sidecar_path=None) -> str:
 def load_instance(dimacs_path, sidecar_path=None) -> ReducedInstance:
     """Read a gadget written by ``save_instance``.  Ids, counts and colors are
     read by ``graph._vertex_id``, so a colored sidecar needs b, q and a
-    coloring; a bad sidecar or a gadget failing ``validate`` is input error."""
+    coloring.  A bad sidecar, one whose blocks are not the ``_layout`` of its
+    parameters, or a gadget failing ``validate`` is input error."""
     if sidecar_path is None:
         sidecar_path = str(dimacs_path) + ".json"
     H = load_dimacs(dimacs_path)
@@ -670,24 +672,25 @@ def load_instance(dimacs_path, sidecar_path=None) -> ReducedInstance:
     if kind not in ("primitive", "colored"):
         raise GraphInputError(f"{sidecar_path}: reduction must be 'primitive' or 'colored'")
     n = _int_param("n", side.get("n"))
+    if not 1 <= n <= H.n:  # before range(n) is read
+        raise GraphInputError(f"{sidecar_path}: n = {n} is not in 1..{H.n}, the gadget's vertex count")
     original, _ = H.induced_subgraph(range(n))
     b = coloring = None
     if kind == "colored":
         b, q = _int_param("b", side.get("b")), _int_param("q", side.get("q"))
+        if b < 1:  # so that validate's vertex count bounds the number of blocks
+            raise GraphInputError(f"{sidecar_path}: block scale b must be positive")
         coloring = Coloring(tuple(_vertex_ids(side.get("coloring"))), q)
         coloring.validate(original)
-    blocks = side.get("blocks")
-    if not isinstance(blocks, list):
-        raise GraphInputError(f"{sidecar_path}: blocks must be a list of vertex lists")
-    inst = ReducedInstance(
-        graph=H,
-        original=original,
-        blocks=tuple(_frozen(np.array(_vertex_ids(blk), dtype=np.int64)) for blk in blocks),
-        b=b,
-        coloring=coloring,
-    )
+    inst = ReducedInstance(graph=H, original=original, b=b, coloring=coloring)
     try:
         inst.validate()
     except CounterexampleError as exc:
         raise GraphInputError(f"{sidecar_path}: not a valid gadget: {exc}") from None
+    blocks = side.get("blocks")
+    if not isinstance(blocks, list) or [_vertex_ids(blk) for blk in blocks] != inst.blocks.tolist():
+        raise GraphInputError(
+            f"{sidecar_path}: blocks differ from the {kind} gadget's layout, "
+            f"block c being n + c*D .. n + (c+1)*D - 1 with D = {inst.block_deficit}"
+        )
     return inst

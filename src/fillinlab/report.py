@@ -31,7 +31,7 @@ import numpy as np
 from .chordal import check_hole, check_peo, verify_fillin
 from .errors import GraphInputError
 from .graph import Graph, _id_pairs, _vertex_ids, codes_hash
-from .solvers import is_vertex_cover
+from .solvers import _covers
 
 _OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge, ">": operator.gt}
 
@@ -234,7 +234,7 @@ def _read(reader, value, error: str):
 #: Certificate kind -> the reader of its JSON array, what the array holds, the check of
 #: what was read against the instance graph, and the line when that check fails.
 _CERTIFICATES = {
-    "cover": (_vertex_ids, "ids", is_vertex_cover, "embedded cover certificate does not cover the instance"),
+    "cover": (_vertex_ids, "ids", _covers, "embedded cover certificate does not cover the instance"),
     "fillin": (_vertex_pairs, "pairs", verify_fillin, "embedded fill-in certificate is not a valid fill-in"),
     "peo": (_vertex_ids, "ids", check_peo, "embedded PEO certificate fails the definition"),
     "hole": (_vertex_ids, "ids", check_hole, "embedded hole certificate fails the definition"),

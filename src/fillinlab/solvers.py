@@ -96,13 +96,18 @@ class CoverResult:
 
 
 def is_vertex_cover(graph: Graph, vertices) -> bool:
-    """Every edge has an end in the set: no row outside it meets the mask of the
-    vertices outside it.  Ids outside 0..n-1 cover nothing; non-integers give False."""
-    n = graph.n
+    """``_covers`` on the ids read by ``graph._vertex_id``; non-integers give False."""
     try:
-        inside = _bits.mask_from_indices(n, [v for v in map(_vertex_id, vertices) if 0 <= v < n])
+        return _covers(graph, list(map(_vertex_id, vertices)))
     except TypeError:
         return False
+
+
+def _covers(graph: Graph, ids: list[int]) -> bool:
+    """Every edge has an end among the integer ``ids``: no row outside them meets
+    the mask of the vertices outside them.  Ids outside 0..n-1 cover nothing."""
+    n = graph.n
+    inside = _bits.mask_from_indices(n, [v for v in ids if 0 <= v < n])
     rest = np.flatnonzero(~_bits.unpack(inside, n))
     return not (graph.packed_rows()[rest] & ~inside).any()
 

@@ -109,7 +109,7 @@ class TestReduce:
     def test_limit_override_env(self, tmp_path, monkeypatch, graphs):
         src = tmp_path / "c4.col"
         save_dimacs(graphs["c4"], src)
-        monkeypatch.setattr(cli, "PRIMITIVE_MAX_N", 2)
+        monkeypatch.setattr(cli, "GADGET_MAX_BYTES", 68 * 2 * 8 - 1)  # one byte short of C4's gadget
         args = ["reduce", str(src), "--mode", "primitive", "--graph-out", str(tmp_path / "o.col"), "--out", str(tmp_path / "r.json")]
         monkeypatch.delenv("FILLIN_LAB_LIMIT_OVERRIDE", raising=False)
         assert run(args) == cli.EXIT_LIMIT
@@ -822,6 +822,24 @@ class TestReportRecheck:
         monkeypatch.setattr(graph, "_vertex_id", lambda x: calls.append(x) or read(x))
         assert run(["report", str(rep)]) == 0
         assert len(calls) == 2 * m + 2 * k + 2
+
+    def test_report_reads_each_cover_id_once(self, tmp_path, monkeypatch):
+        """n twice, each id of the m edges once and each of the k cover ids once:
+        the cover is tested as the ids its read made, with no second read."""
+        from fillinlab import solvers
+
+        src, rep = tmp_path / "g.col", tmp_path / "rep.json"
+        run(["gen", "gnp", "--n", "30", "--p", "0.2", "--seed", "5", "--out", str(src)])
+        assert run(["solve", str(src), "vc", "--out", str(rep)]) == 0
+        data = json.loads(rep.read_text())
+        m, k = len(data["instance"]["edges"]), len(data["certificates"]["cover"])
+        assert (m, k) == (89, 20)
+        calls = []
+        read = graph._vertex_id
+        for module in (graph, solvers):
+            monkeypatch.setattr(module, "_vertex_id", lambda x: calls.append(x) or read(x))
+        assert run(["report", str(rep)]) == 0
+        assert len(calls) == 2 * m + k + 2
 
     @pytest.mark.parametrize("edges, cover, m, failures", [
         ([[0, 1], [1, 2], [2, 3]], [1, 2], 4, ["instance m is 4, but its edges give 3", "instance hash is '"]),

@@ -464,20 +464,19 @@ class TestFromPackedRows:
 
     def test_accepts_symmetric_large(self):
         rows = _bits.zero_rows(self.N, self.N)
-        _bits.set_bit(rows[0], self.N - 1)
-        _bits.set_bit(rows[self.N - 1], 0)
+        _bits.set_bits(rows, np.array([0, self.N - 1]), np.array([self.N - 1, 0]))
         assert Graph.from_packed_rows(rows, self.N).m == 1
 
     def test_rejects_asymmetric_large(self):
         rows = _bits.zero_rows(self.N, self.N)
-        _bits.set_bit(rows[3], self.N - 2)
+        _bits.set_bits(rows, 3, np.array([self.N - 2]))
         with pytest.raises(GraphInputError, match="symmetric"):
             Graph.from_packed_rows(rows, self.N)
 
     def test_rejects_unsampled_diagonal_bit_large(self):
         rows = _bits.zero_rows(self.N, self.N)
         v = 98  # a vertex that sampling every 97th diagonal bit would skip
-        _bits.set_bit(rows[v], v)
+        _bits.set_bits(rows, v, np.array([v]))
         with pytest.raises(GraphInputError, match=f"diagonal bit set at vertex {v}"):
             Graph.from_packed_rows(rows, self.N)
 
@@ -504,7 +503,7 @@ class TestFromPackedRows:
     @pytest.mark.parametrize("n, column", [(3, 10), (63, 63), (65, 127)])
     def test_rejects_padding_bits(self, n, column):
         rows = _bits.zero_rows(n, n)
-        _bits.set_bit(rows[0], column)  # a column at or past n
+        _bits.set_bits(rows, 0, np.array([column]))  # a column at or past n
         with pytest.raises(GraphInputError, match="padding bit set in row 0"):
             Graph.from_packed_rows(rows, n)
 

@@ -14,7 +14,7 @@ import pytest
 from fillinlab.chordal import is_chordal, is_split, verify_fillin
 from fillinlab.errors import CounterexampleError, GraphInputError, ResourceLimitError
 from fillinlab.generate import random_subcubic
-from fillinlab.graph import Graph
+from fillinlab.graph import Graph, save_dimacs
 from fillinlab.reduction import (
     Coloring,
     ReducedInstance,
@@ -36,7 +36,7 @@ from fillinlab.solvers import (
     greedy_game,
 )
 
-from .conftest import all_zero_colors, bridge_chain_cubic, bridged_cubic, named_graphs, random_graph
+from .conftest import all_zero_colors, bridge_chain_cubic, bridged_cubic, named_graphs, random_graph, traced_peak
 from .oracles import (
     brooks_triple_missing,
     decode_codes,
@@ -88,8 +88,26 @@ class TestPrimitive:
         assert exact_fillin_ordering_oracle(inst.graph).size == 0
 
     def test_guardrail(self):
-        with pytest.raises(ResourceLimitError, match="41"):
-            reduce_primitive(Graph.build(41), max_n=40)
+        """The default byte cap, 2**29, refuses n = 41; n = 40 needs 512,832,320 bytes of rows."""
+        with pytest.raises(ResourceLimitError, match=r"^gadget on N = 68962 vertices \(n = 41\) refused: .* 594728288 bytes"):
+            reduce_primitive(Graph.build(41))
+
+    def test_byte_cap_refuses_before_allocating(self):
+        """One cap on the bytes of H's packed rows guards both constructions, and
+        refuses before anything is allocated."""
+        p3 = Graph.build(3, [(0, 1), (1, 2)])
+        cap = 30 * 8  # the n = 3 gadget: 30 rows of one word
+        assert reduce_primitive(p3, cap).graph.n == 30
+        with pytest.raises(ResourceLimitError, match=r"N = 68 vertices \(n = 4\) .* 1088 bytes, over the limit of 240;"):
+            reduce_primitive(Graph.build(4), cap)
+
+        def refusal():
+            with pytest.raises(ResourceLimitError) as exc:
+                reduce_colored(p3, 33000, Coloring((0, 1, 0), 2))  # 198,000 new vertices, 4.9 GB of rows
+            return str(exc.value)
+
+        message, peak = traced_peak(refusal)
+        assert "N = 198003 vertices (n = 3)" in message and peak < 1 << 20
 
     def test_empty_graph_rejected(self):
         with pytest.raises(GraphInputError):
@@ -200,9 +218,37 @@ class TestBrooks:
                 digest.update(json.dumps(brooks_coloring(make(rng), 3).colors).encode())
         for seed in range(50):
             n = 6 + seed % 25
-            g = random_subcubic(n, seed, None if seed % 2 else n // 2)
+            g = random_subcubic(n, seed) if seed % 2 else _sparse_subcubic(n, seed)
             digest.update(json.dumps(brooks_coloring(g, 3).colors).encode())
         assert digest.hexdigest() == BROOKS_DIGEST
+
+
+def _sparse_subcubic(n, seed):
+    """``random_subcubic``'s sampling with n // 2 edges in place of its random
+    target, which it draws first: shuffled pairs while both ends have degree
+    below 3, then each isolated vertex joined to a random vertex of degree below
+    3, and K_4 components stripped."""
+    rng = np.random.default_rng(seed)
+    candidates = list(combinations(range(n), 2))
+    rng.shuffle(candidates)
+    deg, edges = [0] * n, []
+    for u, v in candidates:
+        if len(edges) == n // 2:
+            break
+        if deg[u] < 3 and deg[v] < 3:
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    for v in range(n):
+        if deg[v] == 0:
+            partners = [u for u in range(n) if u != v and deg[u] < 3]
+            if not partners:
+                break
+            u = partners[int(rng.integers(0, len(partners)))]
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    return strip_clique_components(Graph.build(n, edges), 3)[0]
 
 
 def _holed_side(rng, d, sizes, n):
@@ -394,7 +440,7 @@ class TestColored:
 
     def test_cell_guardrail(self, graphs):
         col = brooks_coloring(graphs["prism"], 3)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=r"^gadget on N = 18000006 vertices \(n = 6\) refused"):
             reduce_colored(graphs["prism"], 10**6, col)
 
     def test_edgeless_split(self):
@@ -452,7 +498,7 @@ class TestSplitCompletion:
 class TestFullVertices:
     def test_everything_full(self, k2_instance):
         inst = k2_instance
-        fill = {(v, int(u)) for v in (0, 1) for u in inst.missing_block(v)}
+        fill = {(v, int(u)) for v in (0, 1) for u in inst.blocks[v]}
         assert full_vertices(inst, fill) == {0, 1}
 
     def test_roundtrip_primitive(self, rng):
@@ -717,10 +763,10 @@ class TestSidecarIsInput:
 
     def test_block_count_follows_the_kind(self, tmp_path):
         """A colored gadget with b = n on a 2-colored path has blocks of n^2
-        that partition U; read as primitive, vertex 2 would have no block."""
+        that partition U; read as primitive, it would need a third block."""
         p3 = Graph.build(3, [(0, 1), (1, 2)])
         inst = reduce_colored(p3, 3, Coloring((0, 1, 0), 2))
-        with pytest.raises(GraphInputError, match="block count"):
+        with pytest.raises(GraphInputError, match="gadget has 21 vertices, not n [+] 3 blocks of 9$"):
             _load_edited(tmp_path, inst, reduction="primitive")
 
     def test_sidecar_must_be_json(self, tmp_path, k2_instance):
@@ -733,10 +779,48 @@ class TestSidecarIsInput:
         assert str(exc.value).startswith(f"{sidecar}: ")
 
     def test_blocks_must_partition_the_gadget(self, tmp_path, k2_instance):
-        blocks = [list(map(int, b)) for b in k2_instance.blocks]
+        blocks = k2_instance.blocks.tolist()
         blocks[1][0] = blocks[0][0]
-        with pytest.raises(GraphInputError, match="do not partition"):
+        with pytest.raises(GraphInputError, match="blocks differ from the primitive gadget's layout"):
             _load_edited(tmp_path, k2_instance, blocks=blocks)
+
+    @pytest.mark.parametrize("edit", ["reordered", "unused-swapped", "dropped", "not-a-list"])
+    def test_blocks_must_be_the_layout(self, tmp_path, edit):
+        """The blocks of a sidecar are read only to be compared with the layout
+        of its parameters: a partition that the gadget's edges would allow, with a
+        block's ids out of order or two unused colors' blocks swapped, is refused
+        too, naming the sidecar."""
+        k33 = Graph.build(6, [(i, j) for i in range(3) for j in range(3, 6)])
+        inst = reduce_colored(k33, 1, Coloring((0, 0, 0, 1, 1, 1), 4))
+        blocks = inst.blocks.tolist()
+        blocks = {
+            "reordered": [blocks[0][::-1], *blocks[1:]],
+            "unused-swapped": [*blocks[:2], blocks[3], blocks[2]],
+            "dropped": blocks[:3],
+            "not-a-list": None,
+        }[edit]
+        with pytest.raises(GraphInputError, match=r"inst\.col\.json: blocks differ from the colored gadget's layout, "
+                           r"block c being n \+ c\*D \.\. n \+ \(c\+1\)\*D - 1 with D = 6$"):
+            _load_edited(tmp_path, inst, blocks=blocks)
+        assert _load_edited(tmp_path, inst).blocks.tolist() == inst.blocks.tolist()
+
+    @pytest.mark.parametrize("n, b, q, match", [
+        (0, 1, 10**12, r"n = 0 is not in 1\.\.6, the gadget's vertex count"),
+        (-1, -1, 7, r"n = -1 is not in 1\.\.6, the gadget's vertex count"),
+        (10**30, 1, 2, rf"n = {10**30} is not in 1\.\.6, the gadget's vertex count"),
+        (6, 0, 10**12, "block scale b must be positive"),
+    ], ids=["n-zero", "n-negative", "n-past-the-gadget", "b-zero"])
+    def test_parameters_are_bounded_before_use(self, tmp_path, n, b, q, match):
+        """n is bounded by the gadget before ``range(n)`` is read, and b is positive
+        before a layout is made: with n = 0 or b = 0 a graph would pass the vertex
+        count with 10**12 empty blocks, and with n = -1 and b = -1 a graph of 6
+        vertices with 7 blocks of one."""
+        path = tmp_path / "h.col"
+        save_dimacs(Graph.build(6, [(i, j) for i in range(3) for j in range(3, 6)]), path)
+        side = {"reduction": "colored", "n": n, "b": b, "q": q, "blocks": [], "coloring": [0, 0, 0, 1, 1, 1]}
+        (tmp_path / "h.col.json").write_text(json.dumps(side))
+        with pytest.raises(GraphInputError, match=f"h.col.json: {match}$"):
+            load_instance(path)
 
 
 def _gadget_corpus():
@@ -767,11 +851,24 @@ def test_gadget_identity_digest(tmp_path):
         digest.update(path.read_bytes())
         with open(sidecar, "rb") as fh:
             digest.update(fh.read())
-        missing = [inst.missing_block(v).tolist() for v in range(inst.n_original)]
+        missing = inst.blocks[inst.block_of].tolist()
         digest.update(json.dumps([inst.block_deficit, missing]).encode())
         count += 1
     assert count == 7 + 9
     assert digest.hexdigest() == GADGET_DIGEST
+
+
+def test_layout_partitions_the_new_vertices():
+    """On the gadget corpus, the derived blocks partition n..N-1 in D-sized rows,
+    and each original vertex misses exactly its own block of H's edges: the
+    invariant that ``validate`` no longer re-checks on stored blocks."""
+    for inst in _gadget_corpus():
+        n, N, blocks = inst.n_original, inst.graph.n, inst.blocks
+        assert blocks.shape == (inst.nblocks, inst.block_deficit)
+        assert sorted(blocks.ravel().tolist()) == list(range(n, N))
+        h = edge_set(inst.graph)
+        for v in range(n):
+            assert {u for u in range(n, N) if (v, u) not in h} == set(blocks[inst.block_of[v]].tolist())
 
 
 def test_primitive_is_colored_under_identity_coloring():
@@ -788,8 +885,7 @@ def test_primitive_is_colored_under_identity_coloring():
             assert prim.graph == col.graph
             assert [b.tolist() for b in prim.blocks] == [b.tolist() for b in col.blocks]
             assert prim.block_deficit == col.block_deficit == n * n
-            for v in range(n):
-                assert prim.missing_block(v).tolist() == col.missing_block(v).tolist()
+            assert prim.block_of.tolist() == col.block_of.tolist()
 
 
 def _certificate_map_corpus():
@@ -860,7 +956,7 @@ def test_certificate_maps_match_set_oracles():
     for inst in corpus:
         n, N = inst.n_original, inst.graph.n
         h_edges = edge_set(inst.graph)
-        missing = {v: inst.missing_block(v).tolist() for v in range(n)}
+        missing = dict(enumerate(inst.blocks[inst.block_of].tolist()))
         tau_cover = set(exact_vertex_cover(inst.original).vertices)
         covers = [tau_cover, tau_cover | {int(rng.integers(n))}, set(range(n))]
         fills = list(produced_fillins(inst, rng, random_orderings=2).values())
@@ -959,18 +1055,16 @@ class TestFirstFailure:
             col.validate(self.TWO_BAD)
         assert Coloring((0, 1, 0, 1, 0, 1), 2).monochromatic_edge(Graph.build(6)) is None
 
-    def test_non_partition_comes_first(self):
-        inst = reduce_primitive(self.P4)
-        blocks = [b.copy() for b in inst.blocks]
-        blocks[0][0] = blocks[1][0]
-        blocks[3][7] = blocks[2][2]  # two repeats; the U patterns are wrong too
-        with pytest.raises(CounterexampleError, match="^blocks do not partition the gadget vertices$"):
-            dataclasses.replace(inst, blocks=tuple(blocks)).validate()
+    def test_vertex_count_comes_first(self):
+        """H's vertex count is tested against the layout before any row is read."""
+        inst = reduce_colored(self.P4, 2, Coloring((0, 1, 0, 1), 2))
+        with pytest.raises(CounterexampleError, match="^gadget has 20 vertices, not n [+] 2 blocks of 12$"):
+            dataclasses.replace(inst, b=3).validate()  # the U patterns are wrong too
 
 
 class TestKeptFacts:
     """A graph keeps its cover per node budget, its Brooks coloring per d and the
-    parts of its colored gadget per (b, coloring object, max_cells), and a gadget
+    checked coloring and gadget graph per (b, coloring object, max_bytes), and a gadget
     graph keeps its split completion per cover; an error keeps nothing and is
     raised on every call."""
 
@@ -982,7 +1076,7 @@ class TestKeptFacts:
         done = _completed(inst, cover.vertices)
         assert brooks_coloring(g, 3) is col and exact_vertex_cover(g) is cover
         second = reduce_colored(g, 2, col)
-        assert second.graph is inst.graph and second.blocks is inst.blocks
+        assert second.graph is inst.graph
         assert second.coloring is col and inst.coloring is col
         assert _completed(second, [*sorted(cover.vertices, reverse=True), min(cover.vertices)]) is done
         assert reduce_colored(g, 1, col).graph is not inst.graph
@@ -992,10 +1086,11 @@ class TestKeptFacts:
         assert other.graph is not inst.graph and other.coloring is same
 
     def test_an_instance_is_a_plain_value(self):
-        """An instance holds five immutable fields and keeps nothing itself."""
+        """An instance holds four immutable fields, its blocks derived from them,
+        and keeps nothing itself."""
         g = bridged_cubic()
         inst = reduce_colored(g, 1, brooks_coloring(g, 3))
-        assert [f.name for f in dataclasses.fields(ReducedInstance)] == ["graph", "original", "blocks", "b", "coloring"]
+        assert [f.name for f in dataclasses.fields(ReducedInstance)] == ["graph", "original", "b", "coloring"]
         assert (inst.kind, inst.q) == ("colored", inst.coloring.q)
         with pytest.raises(dataclasses.FrozenInstanceError):
             inst.b = 2
@@ -1023,15 +1118,6 @@ class TestKeptFacts:
         for _ in range(3):
             with pytest.raises(error, match=match):
                 call(g)
-
-    def test_blocks_are_read_only(self, tmp_path):
-        g = bridged_cubic()
-        save_instance(reduce_colored(g, 1, brooks_coloring(g, 3)), tmp_path / "h.txt")
-        loaded = load_instance(tmp_path / "h.txt")
-        for inst in (reduce_primitive(g), reduce_colored(g, 1, brooks_coloring(g, 3)), loaded):
-            for block in inst.blocks:
-                with pytest.raises(ValueError, match="read-only"):
-                    block[0] = block[0]
 
     def test_no_kept_fact_outlives_its_graph(self):
         """No kept fact refers back to its graph: with the cyclic collector off,
