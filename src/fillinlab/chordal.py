@@ -124,9 +124,10 @@ from .errors import CounterexampleError, GraphInputError
 from .graph import (
     Graph,
     _bfs,
+    _id_array,
     _induced_rows,
     _set_edge_bits,
-    _vertex_ids,
+    _sorted_unique,
     normalize_edges,
     twin_quotient,
 )
@@ -154,21 +155,13 @@ Certificate = PeoCertificate | HoleCertificate
 def _validate_permutation(n: int, order) -> np.ndarray:
     """``order`` as an int64 array, when it is a permutation of 0..n-1.
 
-    A 1-D integer ndarray is tested as it is, by one array test (a uint64 id
-    past int64 wraps to a negative one, never a vertex).  Any other input is
-    read by ``graph._vertex_ids``, whose message a non-integer raises; an id
-    past int64 is then no vertex either.  Every other failure raises "ordering
-    is not a permutation of the vertices".
+    The array is ``graph._id_array``'s, tested by one array test: a 1-D integer
+    ndarray is tested as it is, and any other input is read by
+    ``graph._vertex_ids``, whose message a non-integer raises.  Every other
+    failure raises "ordering is not a permutation of the vertices".
     """
-    if isinstance(order, np.ndarray) and order.ndim == 1 and order.dtype.kind in "iu":
-        arr = order.astype(np.int64, copy=False)
-    else:
-        ids = _vertex_ids(order)
-        try:
-            arr = np.array(ids, dtype=np.int64)
-        except OverflowError:
-            arr = None
-    if arr is None or arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):
+    arr = _id_array(order)
+    if arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):
         raise GraphInputError("ordering is not a permutation of the vertices")
     return arr
 
@@ -265,17 +258,17 @@ def check_peo(graph: Graph, order) -> bool:
 
 def check_hole(graph: Graph, cycle) -> bool:
     """True iff cycle is an induced cycle of length >= 4 in the graph: distinct
-    vertices whose rows, masked to the cycle, hold just their two cycle neighbors."""
+    vertices whose rows, masked to the cycle, hold just their two cycle neighbors.
+    The ids are ``graph._id_array``'s: a 1-D integer ndarray is read as it is."""
     try:
-        cyc = _vertex_ids(cycle)
+        idx = _id_array(cycle)
     except GraphInputError:
         return False
-    k, n = len(cyc), graph.n
-    if k < 4 or len(set(cyc)) != k or any(not (0 <= v < n) for v in cyc):
+    k, n = idx.size, graph.n
+    if k < 4 or _sorted_unique(idx).size != k or idx.min() < 0 or idx.max() >= n:
         return False
-    idx = np.array(cyc, dtype=np.int64)
     i = np.arange(k)
-    want = _bits.zero_rows(k, n)  # row i holds cyc[i - 1] and cyc[i + 1]
+    want = _bits.zero_rows(k, n)  # row i holds idx[i - 1] and idx[i + 1]
     _bits.set_bits(want, np.concatenate([i, i]), idx[np.concatenate([i - 1, (i + 1) % k])])
     return np.array_equal(graph.packed_rows()[idx] & _bits.mask_from_indices(n, idx), want)
 

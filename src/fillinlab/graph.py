@@ -3,10 +3,11 @@
 Graph values are immutable once built.  The only storage is a packed
 adjacency bit matrix (``_bits`` layout): n rows of ceil(n/64) uint64 words,
 so a graph costs n * ceil(n/64) * 8 bytes whatever its edge count (about
-0.5 MB at n = 2000, 50 MB at n = 20000).  Edge queries test one bit, degrees
-are counted once at construction, and edges are listed in sorted order by
-``_bits.upper_codes``.  ``Graph.neighbor_lists`` reads every neighborhood in
-one pass for loops that walk the graph vertex by vertex.
+0.5 MB at n = 2000, 50 MB at n = 20000).  Degrees are counted once at
+construction, and edges are listed in sorted order by ``_bits.upper_codes``.
+``Graph`` has no per-vertex or per-edge query: ``Graph.neighbor_lists`` reads
+every neighborhood in one pass for loops that walk the graph vertex by vertex,
+and other code reads ``Graph.packed_rows``.
 
 Since a graph never changes, the facts the audits ask of it are kept on the
 graph itself, in the package's one memo (``Graph._kept``): the content hash,
@@ -76,6 +77,19 @@ def _vertex_ids(values) -> list[int]:
         return [_vertex_id(x) for x in values]
     except TypeError as exc:
         raise GraphInputError(f"vertex ids must be integers: {exc}") from None
+
+
+def _id_array(values) -> np.ndarray:
+    """values as a 1-D int64 array: a 1-D integer ndarray as it is (a uint64 id past
+    int64 wraps to a negative one), anything else read once by ``_vertex_ids``, with
+    an id past int64 as -1.  Either way, an id that is no vertex of any graph stays none."""
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+        return values.astype(np.int64, copy=False)
+    ids = _vertex_ids(values)
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        return np.array([v if -1 < v < 2**63 else -1 for v in ids], dtype=np.int64)
 
 
 def _int_param(name: str, x) -> int:
@@ -223,15 +237,6 @@ class Graph:
 
     # -- queries -----------------------------------------------------------
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _bits.test_bit(self._rows[u], v)
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return _bits.indices(self._rows[v], self.n)
-
-    def degree(self, v: int) -> int:
-        return int(self._degrees[v])
-
     def degrees(self) -> np.ndarray:
         return self._degrees
 
@@ -271,12 +276,18 @@ class Graph:
         """Relabeled subgraph on the given vertex set.
 
         Returns (subgraph, mapping) where mapping[i] is the original id of
-        new vertex i; vertices are kept in ascending original order.  Ids are
-        read by ``_vertex_ids`` and range-tested before they become int64.
+        new vertex i; vertices are kept in ascending original order.  Each id
+        is read by ``_vertex_id`` and range-tested as it is read, so the read
+        stops at the first bad id, before any id becomes int64.
         """
-        ids = _vertex_ids(vertices)
-        if ids and (min(ids) < 0 or max(ids) >= self.n):
-            raise GraphInputError("subset vertex out of range")
+        ids = []
+        try:
+            for x in vertices:
+                ids.append(_vertex_id(x))
+                if not 0 <= ids[-1] < self.n:
+                    raise GraphInputError("subset vertex out of range")
+        except TypeError as exc:
+            raise GraphInputError(f"vertex ids must be integers: {exc}") from None
         keep = _sorted_unique(np.array(ids, dtype=np.int64))
         return Graph._adopt(_induced_rows(self._rows, keep)), keep
 

@@ -579,7 +579,7 @@ def verify_sandwich(
 def decision_equivalence_check(
     graph: Graph,
     c: int,
-    fillin=None,
+    fillin,
     inst: ReducedInstance | None = None,
 ) -> RunReport:
     """Audit the decision-level equivalence at threshold c on one instance.
@@ -609,27 +609,26 @@ def decision_equivalence_check(
     if tau <= c:
         ub = _completed(inst, cover_res.vertices).m - inst.graph.m
         report.add(check("constructive_within_bound", ub, bound, "<="))
-    if fillin is not None:
-        filled = _filled(inst, fillin)
-        size = filled.m - inst.graph.m  # each pair once
-        report.outputs["fillin_size"] = size
-        if size <= bound:
-            full = _full_set(inst, filled)
-            rec = check("extracted_cover_at_most_c", len(full), c, "<=")
-            report.add(rec)
-            if not rec.passed:
-                raise CounterexampleError(
-                    "fill-in within the bound extracted a cover larger than c"
-                )
-        else:
-            report.add(check("fillin_exceeds_bound", bound, size, "<"))
-        if tau > c:
-            rec = check("no_small_fillin_when_tau_exceeds_c", bound, size, "<")
-            report.add(rec)
-            if not rec.passed:
-                raise CounterexampleError(
-                    "found a fill-in within the bound although tau exceeds c"
-                )
+    filled = _filled(inst, fillin)
+    size = filled.m - inst.graph.m  # each pair once
+    report.outputs["fillin_size"] = size
+    if size <= bound:
+        full = _full_set(inst, filled)
+        rec = check("extracted_cover_at_most_c", len(full), c, "<=")
+        report.add(rec)
+        if not rec.passed:
+            raise CounterexampleError(
+                "fill-in within the bound extracted a cover larger than c"
+            )
+    else:
+        report.add(check("fillin_exceeds_bound", bound, size, "<"))
+    if tau > c:
+        rec = check("no_small_fillin_when_tau_exceeds_c", bound, size, "<")
+        report.add(rec)
+        if not rec.passed:
+            raise CounterexampleError(
+                "found a fill-in within the bound although tau exceeds c"
+            )
     return report
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .chordal import check_hole, check_peo, verify_fillin
 from .errors import GraphInputError
-from .graph import Graph, _id_pairs, _vertex_ids, codes_hash
+from .graph import Graph, _id_array, _id_pairs, _vertex_ids, codes_hash
 from .solvers import _covers
 
 _OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge, ">": operator.gt}
@@ -236,8 +236,8 @@ def _read(reader, value, error: str):
 _CERTIFICATES = {
     "cover": (_vertex_ids, "ids", _covers, "embedded cover certificate does not cover the instance"),
     "fillin": (_vertex_pairs, "pairs", verify_fillin, "embedded fill-in certificate is not a valid fill-in"),
-    "peo": (_vertex_ids, "ids", check_peo, "embedded PEO certificate fails the definition"),
-    "hole": (_vertex_ids, "ids", check_hole, "embedded hole certificate fails the definition"),
+    "peo": (_id_array, "ids", check_peo, "embedded PEO certificate fails the definition"),
+    "hole": (_id_array, "ids", check_hole, "embedded hole certificate fails the definition"),
 }
 
 

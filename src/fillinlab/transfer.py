@@ -48,7 +48,7 @@ from .errors import CounterexampleError, GraphInputError
 from .graph import Graph, _int_param, pairs_from_codes
 from .reduction import ReducedInstance, _completed, _filled, _full_set, brooks_coloring
 from .reduction import reduce_colored, split_completion
-from .report import IneqRecord, check, instance_descriptor, _num_to_json
+from .report import IneqRecord, check
 from .solvers import exact_vertex_cover, greedy_game
 
 
@@ -91,7 +91,6 @@ class TransferConfig:
 class RatioAudit:
     """Per-inequality trace of one transfer run."""
 
-    instance: dict
     mode: str
     epsilon: Fraction
     b: int
@@ -115,27 +114,10 @@ class RatioAudit:
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def to_json(self) -> dict:
-        return {
-            "instance": self.instance,
-            "mode": self.mode,
-            "epsilon": _num_to_json(self.epsilon),
-            "b": self.b,
-            "d": self.d,
-            "q": self.q,
-            "alpha": _num_to_json(self.alpha),
-            "gate": self.gate,
-            "inequalities": [r.to_json() for r in self.records],
-            "cover_size": self.cover_size,
-            "tau": self.tau,
-            "ratio": _num_to_json(self.ratio),
-            "notes": self.notes,
-            "pass": self.passed,
-        }
-
 
 def audit_report(audit: RatioAudit) -> str:
-    """Stable text form: one line per inequality with its slack (``to_json`` gives the JSON values)."""
+    """Stable text form: the parameters, one line per inequality with its exact sides and
+    slack, and the outcome."""
     head = (
         f"transfer {audit.mode} eps={audit.epsilon} b={audit.b} d={audit.d} "
         f"q={audit.q} alpha={audit.alpha} gate={'yes' if audit.gate else 'no'}"
@@ -277,7 +259,6 @@ def _transfer(graph: Graph, procedure, config: TransferConfig, mode, checked, ch
     ub = None if tau is None else _completed(inst, tau_result.vertices).m - inst.graph.m
     n, bn, alpha = graph.n, config.b * graph.n, config.alpha
     audit = RatioAudit(
-        instance=instance_descriptor(graph),
         mode=mode,
         epsilon=config.epsilon,
         b=config.b,

@@ -30,7 +30,9 @@ docstring on an order by listing components with a stack.
 ``decode_codes`` turns the package's fill codes ``u * n + w`` back into
 pairs, for tests that compare fills with these sets.  ``chain_order_brute``
 draws orders whose next vertex often lies in the neighborhood the last step
-cliqued, replaying the same game to know it.
+cliqued, replaying the same game to know it.  ``has_edge``, ``neighbors`` and
+``degree`` read one edge or one vertex of a package ``Graph``, a query the
+package itself never makes.
 """
 
 import operator
@@ -48,6 +50,18 @@ from fillinlab.graph import Graph, parse_ints
 
 def edge_set(graph):
     return {tuple(e) for e in graph.edge_list()}
+
+
+def has_edge(graph, u, v):
+    return _bits.test_bit(graph.packed_rows()[u], v)
+
+
+def neighbors(graph, v):
+    return _bits.indices(graph.packed_rows()[v], graph.n)
+
+
+def degree(graph, v):
+    return int(graph.degrees()[v])
 
 
 def decode_codes(codes, n):
@@ -471,7 +485,7 @@ def blow_up(base, sizes, rng):
     edges = [
         (label[i], label[j])
         for i, j in combinations(range(len(owner)), 2)
-        if owner[i] == owner[j] or base.has_edge(owner[i], owner[j])
+        if owner[i] == owner[j] or has_edge(base, owner[i], owner[j])
     ]
     return Graph.build(len(owner), edges)
 

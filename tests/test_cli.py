@@ -795,10 +795,13 @@ class TestReportRecheck:
         (C4_EDGES[:3], "peo", [0, 1, 2, 3], [1, 0, 2, 3], "embedded PEO certificate fails the definition"),
         (C4_EDGES, "hole", [0, 1, 2, 3], [0, 1, 2], "embedded hole certificate fails the definition"),
         (C4_EDGES, "notes", ["any", 1.5, None], None, None),
+        (C4_EDGES[:3], "peo", None, [0, 1, 2, 2**64], "embedded PEO certificate fails the definition"),
+        (C4_EDGES, "hole", None, [0, 1, 2, 2**64], "embedded hole certificate fails the definition"),
     ])
     def test_each_certificate_kind_is_rechecked(self, tmp_path, capsys, edges, name, good, bad, failure):
         """Each kind is checked against the instance by its own checker, with its own
-        failure line; a kind with no checker need only be a JSON array."""
+        failure line; a kind with no checker need only be a JSON array.  An id past
+        int64 is an integer but no vertex, so it fails the check (exit 1)."""
         rep = tmp_path / "rep.json"
         for cert, code in ((good, 0), (bad, cli.EXIT_CHECK_FAILED)):
             if cert is None:
@@ -840,6 +843,21 @@ class TestReportRecheck:
             monkeypatch.setattr(module, "_vertex_id", lambda x: calls.append(x) or read(x))
         assert run(["report", str(rep)]) == 0
         assert len(calls) == 2 * m + k + 2
+
+    @pytest.mark.parametrize("kind", ["peo", "hole"])
+    def test_report_reads_each_peo_and_hole_id_once(self, tmp_path, monkeypatch, kind):
+        """n twice, each id of the m edges once and each of the k certificate ids
+        once: a 40-vertex path with its natural order as ``peo``, and a 40-cycle
+        with itself as ``hole``, each tested as the array its read made."""
+        n = 40
+        edges = [[v, (v + 1) % n] for v in range(n if kind == "hole" else n - 1)]
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps({"instance": {"n": n, "edges": edges}, "certificates": {kind: list(range(n))}}))
+        calls = []
+        read = graph._vertex_id
+        monkeypatch.setattr(graph, "_vertex_id", lambda x: calls.append(x) or read(x))
+        assert run(["report", str(rep)]) == 0
+        assert len(calls) == 2 * len(edges) + n + 2 == {"peo": 120, "hole": 122}[kind]
 
     @pytest.mark.parametrize("edges, cover, m, failures", [
         ([[0, 1], [1, 2], [2, 3]], [1, 2], 4, ["instance m is 4, but its edges give 3", "instance hash is '"]),

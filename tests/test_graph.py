@@ -27,13 +27,17 @@ from fillinlab.graph import (
 )
 from fillinlab.reduction import brooks_coloring, reduce_colored, reduce_primitive
 from fillinlab.solvers import exact_vertex_cover, greedy_game
+from fillinlab.transfer import RatioAudit
 
 from .conftest import traced_peak
 from .oracles import (
     bfs_deque,
     decode_codes,
+    degree,
     edge_set,
     graph_from_bool_matrix,
+    has_edge,
+    neighbors,
     normalize_edges_sorted,
     twin_blowup,
     twin_classes_brute,
@@ -250,7 +254,7 @@ class TestNormalizeCodes:
 class TestAddEdges:
     def test_chord_triangulates_c4(self, graphs):
         h = graphs["c4"].add_edges([(0, 2)])
-        assert h.m == 5 and h.has_edge(0, 2)
+        assert h.m == 5 and has_edge(h, 0, 2)
 
     def test_identity(self, graphs):
         assert graphs["c4"].add_edges([]) == graphs["c4"]
@@ -262,7 +266,7 @@ class TestAddEdges:
     def test_original_value_unmodified(self, graphs):
         g = graphs["c4"]
         g.add_edges([(0, 2)])
-        assert g.m == 4 and not g.has_edge(0, 2)
+        assert g.m == 4 and not has_edge(g, 0, 2)
 
     def test_rejects_self_pair(self, graphs):
         with pytest.raises(GraphInputError):
@@ -297,6 +301,19 @@ class TestSubgraphs:
         bare OverflowError from the int64 array."""
         with pytest.raises(GraphInputError, match="^subset vertex out of range$"):
             graphs["c5"].induced_subgraph(vertices)
+
+    def test_read_stops_at_the_first_out_of_range_id(self, graphs):
+        """Each id is range-tested as it is read, so no id after the first bad one
+        is read, and an out-of-range id before a non-integer raises its own message."""
+
+        def ids():
+            yield from range(5)
+            yield 5
+            raise AssertionError("read past the first out-of-range id")
+
+        for vertices in (ids(), [7, 1.5]):
+            with pytest.raises(GraphInputError, match="^subset vertex out of range$"):
+                graphs["c5"].induced_subgraph(vertices)
 
     def test_repeated_ids_count_once(self, graphs):
         sub, mapping = graphs["c5"].induced_subgraph([3, 1, 3, np.int8(1), 0])
@@ -353,15 +370,10 @@ def test_dense_queries_match_plain_sets(spec):
     assert edge_set(g) == plain
     for u in range(n):
         expect = sorted({b for a, b in plain if a == u} | {a for a, b in plain if b == u})
-        assert list(g.neighbors(u)) == expect
-        assert g.degree(u) == len(expect)
+        assert list(neighbors(g, u)) == expect
+        assert degree(g, u) == len(expect)
     mat = _bits.unpack(g.packed_rows(), n)
     assert (mat == mat.T).all() and not mat.diagonal().any()
-
-
-def test_has_edge_on_one_edge_graph():
-    g = Graph.build(100, [(0, 1)])
-    assert g.has_edge(1, 0) and not g.has_edge(2, 3)
 
 
 def _plain_graph(rng, n, density):
@@ -383,8 +395,8 @@ def test_queries_match_plain_sets_across_word_boundaries(rng, monkeypatch, n, de
         sorted({b for a, b in plain if a == u} | {a for a, b in plain if b == u}) for u in range(n)
     ]
     for u in range(n):
-        assert g.neighbors(u).tolist() == nbrs[u]
-        assert g.degree(u) == len(nbrs[u])
+        assert neighbors(g, u).tolist() == nbrs[u]
+        assert degree(g, u) == len(nbrs[u])
     assert g.degrees().tolist() == [len(x) for x in nbrs]
     lists = g.neighbor_lists()
     assert lists == nbrs and all(type(v) is int for x in lists for v in x)
@@ -435,10 +447,10 @@ def test_bfs_parents_are_fixed_at_discovery():
 def test_is_clique_matches_all_pairs(rng, n, density):
     g = Graph.build(n, _plain_graph(rng, n, density))
     rows = g.packed_rows()
-    sets = [[], [n - 1], g.neighbors(0).tolist(), *map(list, combinations(range(min(n, 5)), 2))]
+    sets = [[], [n - 1], neighbors(g, 0).tolist(), *map(list, combinations(range(min(n, 5)), 2))]
     sets += [rng.choice(n, size=min(k, n), replace=False).tolist() for k in [3, 4, 6, n] * 4]
     for vs in sets:
-        want = all(g.has_edge(a, b) for a, b in combinations(vs, 2))
+        want = all(has_edge(g, a, b) for a, b in combinations(vs, 2))
         assert _bits.is_clique(rows, _bits.mask_from_indices(n, vs), n) is want
 
 
@@ -518,7 +530,7 @@ class TestDimacs:
         path = tmp_path / "g.col"
         path.write_text("c hello\n\np edge 3 1\n\nc mid\ne 1 3\n")
         g = load_dimacs(path)
-        assert g.n == 3 and g.has_edge(0, 2)
+        assert g.n == 3 and has_edge(g, 0, 2)
 
     def test_one_based_on_disk(self, tmp_path, graphs):
         path = tmp_path / "c4.col"
@@ -743,3 +755,43 @@ def test_facts_are_kept_on_their_objects():
     assert find_hole(c5) is not find_hole(c5)
     assert verify_fillin(c5, [(0, 2), (0, 3)]) is not verify_fillin(c5, [(0, 2), (0, 3)])
     assert c5._memo == memo
+
+
+#: Test-only code that left the package.  A scan by name cannot see all of it:
+#: ``neighbors`` is ``graph._bfs``'s parameter, ``to_json`` another class's method,
+#: and ``RatioAudit.instance`` a field, not a function.
+TEST_ONLY = {Graph: ("has_edge", "neighbors", "degree"), RatioAudit: ("to_json", "instance")}
+
+
+def test_package_keeps_no_test_only_code():
+    """Every function and method defined at the top of a package module or of its
+    classes is referenced by name outside its definition: from a package module
+    (an export in ``__init__`` counts), ``bench/`` or ``demos/``, never only from
+    ``tests/``.  Dunder methods are called by the language.  The names of
+    ``TEST_ONLY`` stay out of their classes."""
+    package, root = Path(fillinlab.__file__).parent, Path(__file__).parent.parent
+    assert (root / "bench").is_dir() and (root / "demos").is_dir()
+    used = set()
+    for path in [*package.glob("*.py"), *(root / "bench").rglob("*.py"), *(root / "demos").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+                used.add(getattr(node, "id", None) or getattr(node, "attr", None) or node.name)
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            scope, members = path.stem, [node]
+            if isinstance(node, ast.ClassDef):
+                scope, members = f"{path.stem}.{node.name}", node.body
+            unused += [
+                f"{scope}.{f.name}"
+                for f in members
+                if isinstance(f, ast.FunctionDef) and not f.name.startswith("__") and f.name not in used
+            ]
+    assert unused == []
+    kept = [
+        f"{cls.__name__}.{name}"
+        for cls, names in TEST_ONLY.items()
+        for name in names
+        if hasattr(cls, name) or name in getattr(cls, "__dataclass_fields__", {})
+    ]
+    assert kept == []
